@@ -10,7 +10,7 @@ exactly the same sequence numbers in both.
 from repro.bench.report import format_table, save_results
 from repro.core.config import ProtocolConfig
 from repro.net.params import GIGABIT
-from repro.sim.cluster import build_cluster
+from repro.sim.build import ClusterBuilder
 from repro.sim.profiles import LIBRARY
 from repro.sim.trace import ScheduleTrace
 
@@ -21,12 +21,14 @@ def _run_schedule(accelerated: bool):
         accelerated_window=3 if accelerated else 0,
         global_window=100,
     )
-    cluster = build_cluster(
-        num_hosts=3,
-        accelerated=accelerated,
-        profile=LIBRARY,
-        params=GIGABIT,
-        config=config,
+    cluster = (
+        ClusterBuilder()
+        .hosts(3)
+        .accelerated(accelerated)
+        .profile(LIBRARY)
+        .network(GIGABIT)
+        .config(config)
+        .build()
     )
     trace = ScheduleTrace()
     trace.attach(cluster)

@@ -9,7 +9,7 @@ from repro.analysis import RoundAnalyzer, WireAnalyzer
 from repro.bench.report import format_table, save_results
 from repro.core.config import ProtocolConfig
 from repro.net.params import GIGABIT
-from repro.sim.cluster import build_cluster
+from repro.sim.build import ClusterBuilder
 from repro.sim.profiles import SPREAD
 from repro.util.units import Mbps, seconds_to_usec
 from repro.workloads.generators import FixedRateWorkload
@@ -23,9 +23,14 @@ def _measure(accelerated: bool, rate: float):
         accelerated_window=30 if accelerated else 0,
         global_window=240,
     )
-    cluster = build_cluster(
-        num_hosts=8, accelerated=accelerated, profile=SPREAD,
-        params=GIGABIT, config=config,
+    cluster = (
+        ClusterBuilder()
+        .hosts(8)
+        .accelerated(accelerated)
+        .profile(SPREAD)
+        .network(GIGABIT)
+        .config(config)
+        .build()
     )
     rounds, wire = RoundAnalyzer(), WireAnalyzer()
     rounds.attach(cluster)

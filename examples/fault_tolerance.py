@@ -11,17 +11,17 @@ Run:  python examples/fault_tolerance.py
 """
 
 from repro.core.messages import DeliveryService
-from repro.sim.membership_driver import MembershipCluster
+from repro.sim.build import ClusterBuilder
 
 
-def show(cluster: MembershipCluster, label: str) -> None:
+def show(cluster, label: str) -> None:
     rings = cluster.rings()
     unique = sorted(set(rings.values()))
     print(f"{label:28s} rings: {unique}")
 
 
 def main() -> None:
-    cluster = MembershipCluster(num_hosts=5)
+    cluster = ClusterBuilder().hosts(5).membership().build()
     cluster.start()
     cluster.run(0.08)
     show(cluster, "boot")

@@ -12,7 +12,7 @@ Run:  python examples/figure1_schedule.py
 
 from repro.core.config import ProtocolConfig
 from repro.net.params import GIGABIT
-from repro.sim.cluster import build_cluster
+from repro.sim.build import ClusterBuilder
 from repro.sim.profiles import LIBRARY
 from repro.sim.trace import ScheduleTrace
 
@@ -23,9 +23,14 @@ def run_schedule(accelerated: bool) -> ScheduleTrace:
         accelerated_window=3 if accelerated else 0,
         global_window=100,
     )
-    cluster = build_cluster(
-        num_hosts=3, accelerated=accelerated, profile=LIBRARY,
-        params=GIGABIT, config=config,
+    cluster = (
+        ClusterBuilder()
+        .hosts(3)
+        .accelerated(accelerated)
+        .profile(LIBRARY)
+        .network(GIGABIT)
+        .config(config)
+        .build()
     )
     trace = ScheduleTrace()
     trace.attach(cluster)

@@ -9,7 +9,7 @@ comparison that motivates the paper.
 Run:  python examples/quickstart.py
 """
 
-from repro import build_cluster, GIGABIT, SPREAD
+from repro import ClusterBuilder, GIGABIT, SPREAD
 from repro.core.config import ProtocolConfig
 from repro.core.messages import DeliveryService
 from repro.util.units import Mbps, seconds_to_usec
@@ -20,12 +20,14 @@ def run_protocol(accelerated: bool) -> dict:
     config = ProtocolConfig(personal_window=30,
                             accelerated_window=30 if accelerated else 0,
                             global_window=240)
-    cluster = build_cluster(
-        num_hosts=8,
-        accelerated=accelerated,
-        profile=SPREAD,          # production-Spread cost model
-        params=GIGABIT,          # 1-gigabit fabric
-        config=config,
+    cluster = (
+        ClusterBuilder()
+        .hosts(8)
+        .accelerated(accelerated)
+        .profile(SPREAD)          # production-Spread cost model
+        .network(GIGABIT)         # 1-gigabit fabric
+        .config(config)
+        .build()
     )
     workload = FixedRateWorkload(
         payload_size=1350,

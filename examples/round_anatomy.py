@@ -15,7 +15,7 @@ Run:  python examples/round_anatomy.py
 from repro.analysis import CpuAnalyzer, RoundAnalyzer, WireAnalyzer
 from repro.core.config import ProtocolConfig
 from repro.net.params import GIGABIT
-from repro.sim.cluster import build_cluster
+from repro.sim.build import ClusterBuilder
 from repro.sim.profiles import SPREAD
 from repro.util.units import Mbps, seconds_to_usec
 from repro.workloads import FixedRateWorkload
@@ -30,9 +30,14 @@ def measure(accelerated: bool) -> dict:
         accelerated_window=30 if accelerated else 0,
         global_window=240,
     )
-    cluster = build_cluster(
-        num_hosts=8, accelerated=accelerated, profile=SPREAD,
-        params=GIGABIT, config=config,
+    cluster = (
+        ClusterBuilder()
+        .hosts(8)
+        .accelerated(accelerated)
+        .profile(SPREAD)
+        .network(GIGABIT)
+        .config(config)
+        .build()
     )
     rounds, wire, cpu = RoundAnalyzer(), WireAnalyzer(), CpuAnalyzer()
     for analyzer in (rounds, wire, cpu):

@@ -42,7 +42,8 @@ from repro.obs.observer import (
     ProtocolObserver,
 )
 from repro.faults import FaultInjector, FaultPlan, PlanBuilder, run_scenario
-from repro.sim.cluster import RingCluster, build_cluster
+from repro.sim.build import ClusterBuilder, TopologySpec
+from repro.sim.cluster import RingCluster
 from repro.sim.profiles import ImplementationProfile, LIBRARY, DAEMON, SPREAD
 from repro.net.params import NetworkParams, GIGABIT, TEN_GIGABIT
 
@@ -57,7 +58,8 @@ __all__ = [
     "AcceleratedRingParticipant",
     "OriginalRingParticipant",
     "RingCluster",
-    "build_cluster",
+    "ClusterBuilder",
+    "TopologySpec",
     "ImplementationProfile",
     "LIBRARY",
     "DAEMON",

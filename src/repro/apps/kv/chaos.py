@@ -240,8 +240,11 @@ SCENARIOS: Dict[str, KvScenarioSpec] = {
 # Runner
 # ----------------------------------------------------------------------
 
-def run_kv_scenario(name: str, seed: int = 0) -> KvChaosReport:
-    """Run one named KV scenario; byte-identical JSON per (name, seed)."""
+def run_kv_scenario(name: str, seed: int = 0, config=None) -> KvChaosReport:
+    """Run one named KV scenario; byte-identical JSON per (name, seed).
+
+    ``config`` overrides the rings' default :class:`~repro.core.config.
+    ProtocolConfig` (e.g. to run the library with coalescing on)."""
     spec = SCENARIOS.get(name)
     if spec is None:
         raise FaultError(
@@ -253,6 +256,7 @@ def run_kv_scenario(name: str, seed: int = 0) -> KvChaosReport:
         hosts_per_ring=spec.hosts_per_ring,
         partitions=spec.partitions,
         snapshot_every=spec.snapshot_every,
+        config=config,
     )
     kv.start()
     kv.run(_BOOT)

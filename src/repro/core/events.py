@@ -6,28 +6,49 @@ effects.  Order is semantically meaningful: effects before a
 it the post-token phase, and the driver executes them sequentially on the
 single-threaded CPU.
 
-Effects are allocated on the benchmark hot path (one per multicast /
-delivery / token send), so they are hand-written ``__slots__`` classes
-rather than dataclasses (Python 3.9 lacks ``dataclass(slots=True)``).
-Equality and repr match the dataclasses they replaced.
+The ordering engines' effects are allocated on the benchmark hot path
+(one per multicast / delivery / token send), so they are hand-written
+``__slots__`` classes rather than dataclasses (Python 3.9 lacks
+``dataclass(slots=True)``).  Equality and repr match the dataclasses
+they replaced.  The membership controller's effects (control sends,
+timers, attributed deliveries) are off that path and stay dataclasses.
+
+Every effect, from either engine, is executed by the one
+:class:`~repro.core.executor.EffectExecutor`.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Optional, Tuple
+
 from repro.core.messages import DataMessage
 from repro.core.token import RegularToken
 
+if TYPE_CHECKING:
+    from repro.evs.configuration import Configuration
+
 
 class Effect:
-    """Marker base class for protocol effects."""
+    """Base class for protocol effects."""
 
     __slots__ = ()
+
+    #: The in-order run of messages a *delivery* effect hands to the
+    #: application — scalar deliveries expose a 1-tuple, so consumers
+    #: see one shape — and ``()`` for every other effect.
+    delivered: tuple = ()
+    #: True for the effects that put a frame on the wire.  A layer
+    #: wrapping an engine (the membership controller) forwards these
+    #: untouched while it re-attributes or withholds the deliveries.
+    on_wire = False
 
 
 class MulticastData(Effect):
     """Multicast a data message to the ring (IP-multicast on the LAN)."""
 
     __slots__ = ("message", "retransmission")
+    on_wire = True
 
     def __init__(self, message: DataMessage, retransmission: bool = False) -> None:
         self.message = message
@@ -54,6 +75,7 @@ class SendToken(Effect):
     """Unicast the updated token to the next participant in the ring."""
 
     __slots__ = ("token", "destination")
+    on_wire = True
 
     def __init__(self, token: RegularToken, destination: int) -> None:
         self.token = token
@@ -77,6 +99,10 @@ class Deliver(Effect):
 
     def __init__(self, message: DataMessage) -> None:
         self.message = message
+
+    @property
+    def delivered(self) -> tuple:
+        return (self.message,)
 
     def __repr__(self) -> str:
         return f"Deliver(message={self.message!r})"
@@ -105,6 +131,10 @@ class DeliverBatch(Effect):
 
     def __init__(self, messages: tuple) -> None:
         self.messages = messages
+
+    @property
+    def delivered(self) -> tuple:
+        return self.messages
 
     def __repr__(self) -> str:
         return f"DeliverBatch(messages={self.messages!r})"
@@ -138,3 +168,79 @@ class Stable(Effect):
         return self.seq == other.seq
 
     __hash__ = None
+
+
+# ----------------------------------------------------------------------
+# Effects emitted by the membership controller
+# ----------------------------------------------------------------------
+
+
+@dataclass
+class SendControl(Effect):
+    """Send a membership control message.
+
+    ``destination`` of ``None`` means multicast to all attached hosts.
+    Control messages travel on the token port class.
+    """
+
+    message: Any
+    destination: Optional[int] = None
+    on_wire = True
+
+
+@dataclass
+class SetTimer(Effect):
+    """(Re)arm a named timer to fire ``delay`` seconds from now."""
+
+    name: str
+    delay: float
+
+
+@dataclass
+class CancelTimer(Effect):
+    """Cancel a named timer if armed."""
+
+    name: str
+
+
+@dataclass
+class DeliverMessage(Effect):
+    """Deliver an application message, attributed to a configuration.
+
+    Replaces :class:`Deliver` when a membership controller wraps the
+    ordering engine, so traces carry the configuration context the EVS
+    checker needs.
+    """
+
+    message: DataMessage
+    config_id: int
+    origin_ring: int
+
+    @property
+    def delivered(self) -> tuple:
+        return (self.message,)
+
+
+@dataclass
+class DeliverMessageBatch(Effect):
+    """Deliver a contiguous in-order run of messages at once.
+
+    The membership mirror of :class:`DeliverBatch`: one configuration
+    attribution covers the whole slice (a batch never spans a view
+    change — the engine only batches runs it delivered under one ring).
+    """
+
+    messages: Tuple[DataMessage, ...]
+    config_id: int
+    origin_ring: int
+
+    @property
+    def delivered(self) -> tuple:
+        return self.messages
+
+
+@dataclass
+class DeliverConfiguration(Effect):
+    """Deliver a configuration change (regular or transitional)."""
+
+    configuration: "Configuration"

@@ -14,13 +14,31 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.core.events import Deliver, DeliverBatch, MulticastData, SendToken, Stable
+from repro.core.executor import EffectExecutor
 from repro.core.messages import DataMessage
 from repro.core.participant import AcceleratedRingParticipant
 from repro.core.token import initial_token
 
 
 DropFn = Callable[[int, int, DataMessage], bool]  # (src, dst, message) -> drop?
+
+
+class _Port:
+    """One participant's effect backend on the instant network."""
+
+    def __init__(self, network: "InstantNetwork", pid: int) -> None:
+        self._network = network
+        self._pid = pid
+
+    def send_data_run(self, run, retransmission: bool) -> None:
+        for message in run:
+            self._network._multicast(self._pid, message)
+
+    def send_token(self, token, destination: int) -> None:
+        self._network._queue.append((destination, "token", token))
+
+    def deliver(self, messages, config_id, origin_ring) -> None:
+        self._network.delivered[self._pid].extend(messages)
 
 
 class InstantNetwork:
@@ -43,6 +61,9 @@ class InstantNetwork:
             pid: [] for pid in self.participants
         }
         self._queue: deque = deque()  # (dst_pid, kind, payload)
+        self._executors: Dict[int, EffectExecutor] = {
+            pid: EffectExecutor(_Port(self, pid)) for pid in self.participants
+        }
         self._token_dispatches = 0
         self.data_frames_sent = 0
         self.data_frames_dropped = 0
@@ -71,7 +92,7 @@ class InstantNetwork:
                 effects = participant.on_token(payload)
             else:
                 effects = participant.on_data(payload)
-            self._execute(participant, effects)
+            self._apply(participant, effects)
 
     def run_until_delivered(
         self, total_messages: int, max_rounds: int = 500
@@ -87,7 +108,7 @@ class InstantNetwork:
                 effects = participant.on_token(payload)
             else:
                 effects = participant.on_data(payload)
-            self._execute(participant, effects)
+            self._apply(participant, effects)
             if all(
                 len(log) >= total_messages for log in self.delivered.values()
             ) and self._all_stable():
@@ -100,20 +121,9 @@ class InstantNetwork:
 
     # ------------------------------------------------------------------
 
-    def _execute(self, source: AcceleratedRingParticipant, effects: list) -> None:
-        for effect in effects:
-            if isinstance(effect, MulticastData):
-                self._multicast(source.pid, effect.message)
-            elif isinstance(effect, SendToken):
-                self._queue.append((effect.destination, "token", effect.token))
-            elif isinstance(effect, Deliver):
-                self.delivered[source.pid].append(effect.message)
-            elif isinstance(effect, DeliverBatch):
-                self.delivered[source.pid].extend(effect.messages)
-            elif isinstance(effect, Stable):
-                pass
-            else:
-                raise TypeError(f"unknown effect {effect!r}")
+    def _apply(self, source: AcceleratedRingParticipant, effects: list) -> None:
+        """Execute what ``source`` just emitted (test spies override this)."""
+        self._executors[source.pid].execute(effects)
 
     def _multicast(self, src: int, message: DataMessage) -> None:
         for dst in self.ring:

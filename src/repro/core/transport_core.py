@@ -17,9 +17,10 @@ Contents:
   queue (re-exported by :mod:`repro.net.ring` for the simulator's
   hot-path inlines).
 * :class:`CoalescingAccumulator` — the run-grouping policy for
-  ``MulticastData`` effects; one implementation of "runs of consecutive
-  new sends pack into one datagram, flushed at the first effect of any
-  other kind so the token never overtakes pre-token sends".
+  ``MulticastData`` effects ("runs of consecutive new sends pack into
+  one datagram, flushed at the first effect of any other kind so the
+  token never overtakes pre-token sends"), driven by the one effect
+  interpreter, :class:`repro.core.executor.EffectExecutor`.
 * :func:`batch_wire_size` — the exact wire arithmetic of a coalesced
   frame (``encode_data_batch``'s format), used by the sim cost model
   and by anyone sizing real datagrams.
@@ -182,19 +183,18 @@ def batch_wire_size(messages: Sequence[DataMessage], header_bytes: int) -> int:
 class CoalescingAccumulator:
     """Groups runs of consecutive coalescible multicasts.
 
-    The policy (paper §III-C, implemented identically by the sim driver
-    and the runtime node): with ``messages_per_datagram > 1``, runs of
-    consecutive *new* multicasts pack into one datagram of up to that
-    many messages.  Retransmissions never coalesce — callers send them
-    alone without touching the accumulator.  A run ends at the first
-    effect of any other kind: callers must drain (:meth:`take`) before
-    emitting that effect so datagrams keep effect order — the token
-    must not overtake pre-token sends.
+    The policy (paper §III-C): with ``messages_per_datagram > 1``, runs
+    of consecutive *new* multicasts pack into one datagram of up to that
+    many messages.  Retransmissions never coalesce — they are sent alone
+    without touching the accumulator.  A run ends at the first effect of
+    any other kind: the run is drained (:meth:`take`) before that effect
+    so datagrams keep effect order — the token must not overtake
+    pre-token sends.
 
-    ``group`` is public: the sim's per-effect hot loop tests it
-    directly (``acc.group is not None``) the same way it inlines
-    :class:`FrameRing` fields; :meth:`push` and :meth:`take` are the
-    reference mutators and the only ones.
+    Driven only by :class:`repro.core.executor.EffectExecutor`, on every
+    substrate.  ``group`` is public: the executor's per-effect loop
+    tests it directly (``acc.group is not None``); :meth:`push` and
+    :meth:`take` are the only mutators.
     """
 
     __slots__ = ("mpd", "group")

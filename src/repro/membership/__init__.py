@@ -25,13 +25,6 @@ from repro.membership.messages import (
     RecoveredMessage,
     RecoveryStatus,
 )
-from repro.membership.effects import (
-    SendControl,
-    SetTimer,
-    CancelTimer,
-    DeliverMessage,
-    DeliverConfiguration,
-)
 from repro.membership.ring_id import encode_ring_id, decode_ring_id
 from repro.membership.controller import MembershipController, MemberState
 
@@ -42,11 +35,6 @@ __all__ = [
     "MemberInfo",
     "RecoveredMessage",
     "RecoveryStatus",
-    "SendControl",
-    "SetTimer",
-    "CancelTimer",
-    "DeliverMessage",
-    "DeliverConfiguration",
     "encode_ring_id",
     "decode_ring_id",
     "MembershipController",

@@ -32,20 +32,21 @@ from typing import (
 )
 
 from repro.core.config import ProtocolConfig
-from repro.core.events import Deliver, DeliverBatch, Effect, SendToken, Stable
+from repro.core.events import (
+    CancelTimer,
+    DeliverConfiguration,
+    DeliverMessage,
+    DeliverMessageBatch,
+    Effect,
+    SendControl,
+    SendToken,
+    SetTimer,
+)
 from repro.core.messages import DataMessage, DeliveryService
 from repro.core.original import OriginalRingParticipant
 from repro.core.participant import AcceleratedRingParticipant
 from repro.core.token import RegularToken, initial_token
 from repro.evs.configuration import Configuration
-from repro.membership.effects import (
-    CancelTimer,
-    DeliverConfiguration,
-    DeliverMessage,
-    DeliverMessageBatch,
-    SendControl,
-    SetTimer,
-)
 from repro.membership.messages import (
     BeaconMessage,
     CommitToken,
@@ -348,36 +349,42 @@ class MembershipController:
         return AcceleratedRingParticipant if self.accelerated else OriginalRingParticipant
 
     def _translate(self, core_effects: Sequence[Effect], effects: List[Effect]) -> None:
+        """Attribute the engine's deliveries to the installed ring; wire
+        effects pass through, local notifications (``Stable``) drop."""
         assert self.ring_config is not None
+        config_id = self.ring_config.config_id
+        observer = self.observer
         for effect in core_effects:
-            if isinstance(effect, Deliver):
-                effects.append(
-                    DeliverMessage(
-                        message=effect.message,
-                        config_id=self.ring_config.config_id,
-                        origin_ring=self.ring_config.config_id,
-                    )
-                )
-                if self.observer is not None:
-                    self.observer.on_deliver(
-                        self.pid, effect.message, now=self._now()
-                    )
-            elif isinstance(effect, DeliverBatch):
-                effects.append(
-                    DeliverMessageBatch(
-                        messages=effect.messages,
-                        config_id=self.ring_config.config_id,
-                        origin_ring=self.ring_config.config_id,
-                    )
-                )
-                if self.observer is not None:
-                    self.observer.on_deliver_batch(
-                        self.pid, effect.messages, now=self._now()
-                    )
-            elif isinstance(effect, Stable):
-                pass
-            else:
+            messages = effect.delivered
+            if len(messages) == 1:
+                effects.append(DeliverMessage(messages[0], config_id, config_id))
+                if observer is not None:
+                    observer.on_deliver(self.pid, messages[0], now=self._now())
+            elif messages:
+                effects.append(DeliverMessageBatch(messages, config_id, config_id))
+                if observer is not None:
+                    observer.on_deliver_batch(self.pid, messages, now=self._now())
+            elif effect.on_wire:
                 effects.append(effect)
+
+    def _withhold_deliveries(
+        self, core_effects: Sequence[Effect], effects: List[Effect]
+    ) -> None:
+        """While not Operational, recovery owns delivery attribution:
+        forward only the engine's wire effects, and undo the delivery
+        frontier advance.  The engine has no un-deliver operation, so
+        its frontier is rolled back instead."""
+        assert self.ordering is not None
+        seqs = []
+        for effect in core_effects:
+            if effect.on_wire:
+                effects.append(effect)
+                continue
+            messages = effect.delivered
+            if messages:
+                seqs.append(messages[0].seq)
+        if seqs:
+            self.ordering.rollback_delivery_frontier(min(seqs) - 1)
 
     def _on_regular_token(self, token: RegularToken, effects: List[Effect]) -> None:
         if self.state is MemberState.OPERATIONAL and token.ring_id == self.ring_id:
@@ -403,11 +410,7 @@ class MembershipController:
             if self.state is MemberState.OPERATIONAL:
                 self._translate(core, effects)
             else:
-                # Delay deliveries until recovery decides attribution.
-                for effect in core:
-                    if not isinstance(effect, (Deliver, DeliverBatch, Stable)):
-                        effects.append(effect)
-                self._rewind_deliveries(core)
+                self._withhold_deliveries(core, effects)
             return
         if self._rec is not None and message.ring_id == self._rec.new_ring_id:
             self._stash.append(message)
@@ -437,27 +440,11 @@ class MembershipController:
             if self.state is MemberState.OPERATIONAL:
                 self._translate(core, effects)
             else:
-                for effect in core:
-                    if not isinstance(effect, (Deliver, DeliverBatch, Stable)):
-                        effects.append(effect)
-                self._rewind_deliveries(core)
+                self._withhold_deliveries(core, effects)
             return effects
         for message in messages:
             self._on_data(message, effects)
         return effects
-
-    def _rewind_deliveries(self, core_effects: Sequence[Effect]) -> None:
-        """While not Operational, the ordering engine must not advance its
-        delivery frontier (recovery owns attribution).  The engine has no
-        un-deliver operation, so instead we roll its frontier back."""
-        assert self.ordering is not None
-        seqs = [
-            e.message.seq if isinstance(e, Deliver) else e.messages[0].seq
-            for e in core_effects
-            if isinstance(e, (Deliver, DeliverBatch))
-        ]
-        if seqs:
-            self.ordering.rollback_delivery_frontier(min(seqs) - 1)
 
     # ------------------------------------------------------------------
     # Gather
@@ -641,7 +628,7 @@ class MembershipController:
             )
         # ``last_delivered`` is the application-visible frontier: while
         # not Operational the controller rolls speculative deliveries
-        # back (_rewind_deliveries), so this is exactly what the local
+        # back (_withhold_deliveries), so this is exactly what the local
         # application saw from the old ring.
         return MemberInfo(
             old_ring_id=self.ordering.ring_id,

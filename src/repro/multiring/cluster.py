@@ -33,23 +33,15 @@ is just the N=1 case of the same spec.
 from __future__ import annotations
 
 import struct
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Type
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.config import ProtocolConfig
 from repro.core.messages import DeliveryService
-from repro.core.original import OriginalRingParticipant
-from repro.core.participant import AcceleratedRingParticipant
 from repro.evs.checker import EvsViolation
-from repro.membership.params import MembershipTimeouts
-from repro.net.loss import LossModel
-from repro.net.params import NetworkParams, GIGABIT
 from repro.net.simulator import Simulator
-from repro.net.topology import build_star
 from repro.multiring.merge import merge_streams
 from repro.multiring.shard_map import ShardMap, stable_hash
-from repro.sim.cluster import ClusterStats, RingCluster
+from repro.sim.cluster import ClusterStats
 from repro.sim.driver import ProtocolHost
-from repro.sim.profiles import ImplementationProfile, DAEMON, LIBRARY
 from repro.util.errors import ConfigurationError, FaultError
 from repro.util.stats import LatencyStats
 
@@ -157,104 +149,35 @@ class GroupStreamTap:
 
 
 class MultiRingCluster:
-    """``num_rings`` independent rings sharing one simulator."""
+    """Independent rings sharing one simulator.
+
+    Holds finished rings — it builds nothing itself; :meth:`repro.sim.
+    build.ClusterBuilder.build_multiring` assembles each ring (and its
+    :class:`GroupStreamTap` in membership mode) and hands them over.
+    """
 
     def __init__(
         self,
-        num_rings: int,
-        hosts_per_ring: int,
-        membership: bool = True,
-        accelerated: bool = True,
-        profile: Optional[ImplementationProfile] = None,
-        params: NetworkParams = GIGABIT,
-        config: Optional[ProtocolConfig] = None,
-        timeouts: Optional[MembershipTimeouts] = None,
-        loss_model: Optional[LossModel] = None,
+        sim: Simulator,
+        rings: Sequence[object],
+        taps: Sequence[GroupStreamTap],
+        shard_map: ShardMap,
+        membership: bool,
         observer=None,
-        shard_map: Optional[ShardMap] = None,
-        ring_id_base: int = 1,
-        sim: Optional[Simulator] = None,
     ) -> None:
-        if num_rings < 1:
-            raise ConfigurationError(f"need at least one ring, got {num_rings}")
-        if hosts_per_ring < 1:
+        if shard_map.num_rings != len(rings):
             raise ConfigurationError(
-                f"need at least one host per ring, got {hosts_per_ring}"
+                f"shard map covers {shard_map.num_rings} rings, "
+                f"cluster has {len(rings)}"
             )
-        self.num_rings = num_rings
-        self.hosts_per_ring = hosts_per_ring
+        self.sim = sim
+        self.rings: List[object] = list(rings)
+        self.taps: List[GroupStreamTap] = list(taps)
+        self.shard_map = shard_map
         self.membership = membership
         self.observer = observer
-        self.sim = sim if sim is not None else Simulator()
-        self.shard_map = shard_map if shard_map is not None else ShardMap(num_rings)
-        if self.shard_map.num_rings != num_rings:
-            raise ConfigurationError(
-                f"shard map covers {self.shard_map.num_rings} rings, "
-                f"cluster has {num_rings}"
-            )
-        self.taps: List[GroupStreamTap] = []
-        self.rings: List[object] = []
-        if membership:
-            # Imported here: membership_driver imports nothing from this
-            # package, but keeping the dependency one-way at module load
-            # leaves the builder free to import both.
-            from repro.sim.membership_driver import MembershipCluster
-
-            for index in range(num_rings):
-                tap = GroupStreamTap()
-                self.taps.append(tap)
-                self.rings.append(
-                    MembershipCluster(
-                        num_hosts=hosts_per_ring,
-                        accelerated=accelerated,
-                        profile=profile if profile is not None else DAEMON,
-                        params=params,
-                        config=config,
-                        timeouts=timeouts,
-                        loss_model=loss_model,
-                        observer=observer,
-                        delivery_tap=tap,
-                        sim=self.sim,
-                        _from_builder=True,
-                    )
-                )
-        else:
-            resolved = (config or ProtocolConfig()).validate()
-            participant_cls: Type[AcceleratedRingParticipant]
-            participant_cls = (
-                AcceleratedRingParticipant if accelerated else OriginalRingParticipant
-            )
-            use_profile = profile if profile is not None else LIBRARY
-            for index in range(num_rings):
-                topology = build_star(
-                    self.sim, hosts_per_ring, params, loss_model=loss_model
-                )
-                ring_order = topology.host_ids
-                drivers: Dict[int, ProtocolHost] = {}
-                for pid in ring_order:
-                    participant = participant_cls(
-                        pid,
-                        ring_order,
-                        resolved,
-                        ring_id=ring_id_base + index,
-                        observer=observer,
-                        clock=lambda: self.sim.now,
-                    )
-                    drivers[pid] = ProtocolHost(
-                        host=topology.host(pid),
-                        participant=participant,
-                        profile=use_profile,
-                        observer=observer,
-                    )
-                self.rings.append(
-                    RingCluster(
-                        sim=self.sim,
-                        topology=topology,
-                        drivers=drivers,
-                        ring_id=ring_id_base + index,
-                        observer=observer,
-                    )
-                )
+        self.num_rings = len(self.rings)
+        self.hosts_per_ring = len(self.rings[0].topology.hosts)
 
     # ------------------------------------------------------------------
     # Lifecycle

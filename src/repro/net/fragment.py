@@ -13,8 +13,9 @@ garbage-collection hook expires stale partial datagrams).
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.transport_core import batch_wire_size
 from repro.net.packet import Frame, PortKind
 
 _datagram_ids = itertools.count(1)
@@ -42,6 +43,24 @@ class CoalescedDatagram:
             f"CoalescedDatagram({len(self.messages)} messages, "
             f"payload_size={self.payload_size})"
         )
+
+
+def pack_run(run: Sequence[Any], header_bytes: int) -> Tuple[Any, int]:
+    """``(payload, wire size)`` of the datagram carrying one run of
+    data messages — the single sizing rule of every simulated host.
+
+    A run of one gains nothing from the batch frame: it travels as the
+    plain message, ``header_bytes + payload_size`` on the wire.  Longer
+    runs ride a :class:`CoalescedDatagram` sized by
+    :func:`~repro.core.transport_core.batch_wire_size`, so every wire
+    byte (batch framing included) is priced like the real
+    ``encode_data_batch`` format.
+    """
+    if len(run) == 1:
+        message = run[0]
+        return message, header_bytes + int(message.payload_size)
+    size = batch_wire_size(run, header_bytes)
+    return CoalescedDatagram(tuple(run), size - header_bytes), size
 
 
 def fragment_datagram(

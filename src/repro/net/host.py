@@ -14,6 +14,7 @@ from heapq import heappush
 from typing import Callable, Deque, Optional, List
 
 from repro.core.transport_core import ByteWindow
+from repro.net.fragment import fragment_datagram
 from repro.net.loss import LossModel, NoLoss
 from repro.net.nic import Nic
 from repro.net.packet import Frame, PortKind
@@ -271,6 +272,22 @@ class SimHost:
         cpu = self.cpu
         if not cpu._busy:
             cpu._start_next()
+
+    def multicast_datagram(
+        self,
+        payload: object,
+        size: int,
+        on_transmit: Optional[Callable[[Frame], None]] = None,
+    ) -> None:
+        """Multicast one data-port UDP datagram of ``size`` wire bytes,
+        fragmented at the MTU like the kernel would (paper §IV-A3)."""
+        send = self.nic.send
+        for frame in fragment_datagram(
+            self.host_id, None, _DATA, size, payload, self.params.mtu
+        ):
+            if on_transmit is not None:
+                on_transmit(frame)
+            send(frame)
 
     def crash(self) -> None:
         """Stop receiving and processing (fail-stop).

@@ -11,11 +11,11 @@ The observability layer has three parts:
 
 Quickstart::
 
-    from repro import build_cluster
+    from repro import ClusterBuilder
     from repro.obs import MetricsObserver, to_json
 
     observer = MetricsObserver()
-    cluster = build_cluster(num_hosts=8, observer=observer)
+    cluster = ClusterBuilder().hosts(8).observe(observer).build()
     ...
     print(to_json(observer.registry))
 """

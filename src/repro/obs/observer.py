@@ -2,7 +2,7 @@
 
 Observers are the redesigned way to watch a running protocol stack:
 instead of scraping engine internals after a run, callers pass an
-observer to the constructors (``build_cluster(..., observer=...)``,
+observer when building (``ClusterBuilder().observe(observer)``,
 ``RingNode(..., observer=...)``, ``AcceleratedRingParticipant(...,
 observer=...)``) and receive a callback at every protocol event.
 

@@ -7,13 +7,7 @@ from typing import List, Optional, Tuple, Union
 
 from repro.core.messages import DeliveryService
 from repro.runtime import ipc
-from repro.runtime.ipc import (
-    Delivery,
-    Endpoint,
-    EndpointSpec,
-    TcpEndpoint,
-    UnixEndpoint,
-)
+from repro.runtime.ipc import Delivery, Endpoint, EndpointSpec
 from repro.util.errors import CodecError
 
 #: Event types a client can receive.
@@ -28,35 +22,12 @@ class DaemonClient:
     a spec string (``unix://...`` / ``tcp://host:port``).  The paper's
     advice applies: on LANs, co-locate clients with daemons and use the
     unix socket; TCP is for remote clients.
-
-    The pre-endpoint keywords ``socket_path=`` / ``tcp_address=`` still
-    work but emit a :class:`DeprecationWarning`.
     """
 
-    def __init__(
-        self,
-        endpoint: Optional[EndpointSpec] = None,
-        *,
-        socket_path: Optional[str] = None,
-        tcp_address: Optional[Tuple[str, int]] = None,
-    ) -> None:
-        self.endpoint: Endpoint = ipc.resolve_endpoint(
-            endpoint, socket_path, tcp_address, owner="DaemonClient"
-        )
+    def __init__(self, endpoint: EndpointSpec) -> None:
+        self.endpoint: Endpoint = ipc.parse_endpoint(endpoint)
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
-
-    @property
-    def socket_path(self) -> Optional[str]:
-        """Unix socket path, or None for TCP endpoints (legacy accessor)."""
-        return self.endpoint.path if isinstance(self.endpoint, UnixEndpoint) else None
-
-    @property
-    def tcp_address(self) -> Optional[Tuple[str, int]]:
-        """(host, port), or None for unix endpoints (legacy accessor)."""
-        if isinstance(self.endpoint, TcpEndpoint):
-            return (self.endpoint.host, self.endpoint.port)
-        return None
 
     async def connect(self) -> None:
         self._reader, self._writer = await self.endpoint.open()

@@ -7,18 +7,15 @@ body.  Mirrors Spread's IPC-socket client communication (paper §III-E).
 Where a client connects is described by an :data:`Endpoint` — either a
 :class:`UnixEndpoint` (co-located client, the paper's recommended LAN
 setup) or a :class:`TcpEndpoint` (remote client).  Client constructors
-take one ``endpoint`` argument instead of mutually-exclusive
-``socket_path``/``tcp_address`` keywords; :func:`resolve_endpoint`
-keeps the old keywords working behind a :class:`DeprecationWarning`.
+take one ``endpoint`` argument, interpreted by :func:`parse_endpoint`.
 """
 
 from __future__ import annotations
 
 import asyncio
 import struct
-import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, Tuple, Union
 
 from repro.core.messages import DeliveryService
 from repro.util.errors import CodecError
@@ -98,41 +95,6 @@ def parse_endpoint(spec: EndpointSpec) -> Endpoint:
         return UnixEndpoint(path=spec)
     raise ValueError(f"cannot interpret {spec!r} as an endpoint")
 
-
-def resolve_endpoint(
-    endpoint: Optional[EndpointSpec] = None,
-    socket_path: Optional[str] = None,
-    tcp_address: Optional[Tuple[str, int]] = None,
-    *,
-    owner: str = "client",
-) -> Endpoint:
-    """Resolve a constructor's endpoint arguments into one :data:`Endpoint`.
-
-    Exactly one of ``endpoint``, ``socket_path``, or ``tcp_address`` must be
-    given.  The latter two are the pre-endpoint API and emit a
-    :class:`DeprecationWarning`; new code passes ``endpoint``.
-    """
-    if socket_path is not None or tcp_address is not None:
-        warnings.warn(
-            f"{owner}: socket_path=/tcp_address= are deprecated; pass "
-            "endpoint=UnixEndpoint(path), endpoint=TcpEndpoint(host, port), "
-            'or a spec string like "tcp://host:port"',
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    provided = [spec for spec in (endpoint, socket_path, tcp_address) if spec is not None]
-    if len(provided) != 1:
-        raise ValueError(
-            f"{owner} needs exactly one endpoint, got {len(provided)}: pass "
-            "endpoint= (an Endpoint, a path, or a unix://- or tcp://-spec)"
-        )
-    if socket_path is not None:
-        return UnixEndpoint(path=socket_path)
-    if tcp_address is not None:
-        host, port = tcp_address
-        return TcpEndpoint(host=host, port=port)
-    assert endpoint is not None
-    return parse_endpoint(endpoint)
 
 OP_SUBMIT = 1
 OP_DELIVER = 2

@@ -7,14 +7,16 @@ the ordering engine) to a :class:`~repro.runtime.transport.UdpTransport`,
 executes timer effects with ``loop.call_later``, and implements the
 token/data priority discipline over two receive queues.
 
-The datagram path is the shared sans-io transport core
-(:mod:`repro.core.transport_core`): received datagrams queue through
-:class:`FrameRing` rings, outbound multicast runs coalesce through the
-same :class:`CoalescingAccumulator` the simulator prices, and the data
-port is decoded with the port-aware :func:`decode_data_port` (batches
-and single data messages only — the token port carries everything else
-via ``decode_any``).  None of that logic lives here; this module only
-binds it to sockets, timers, and the event loop.
+Effects are executed by the shared
+:class:`~repro.core.executor.EffectExecutor` (run grouping, the timer
+table and dispatch are the same code the simulator runs); this node is
+its asyncio backend.  The datagram path is the shared sans-io transport
+core (:mod:`repro.core.transport_core`): received datagrams queue
+through :class:`FrameRing` rings and the data port is decoded with the
+port-aware :func:`decode_data_port` (batches and single data messages
+only — the token port carries everything else via ``decode_any``).
+This module only binds that logic to sockets, timers, and the event
+loop.
 """
 
 from __future__ import annotations
@@ -23,25 +25,12 @@ import asyncio
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.core.config import ProtocolConfig
-from repro.core.events import Effect, MulticastData, SendToken
+from repro.core.executor import EffectExecutor
 from repro.core.messages import DataMessage, DeliveryService
-from repro.core.transport_core import (
-    CoalescingAccumulator,
-    FrameRing,
-    decode_data_port,
-    encode_run,
-)
+from repro.core.transport_core import FrameRing, decode_data_port, encode_run
 from repro.evs.configuration import Configuration
 from repro.membership.codec import decode_any, encode_any
 from repro.membership.controller import MembershipController
-from repro.membership.effects import (
-    CancelTimer,
-    DeliverConfiguration,
-    DeliverMessage,
-    DeliverMessageBatch,
-    SendControl,
-    SetTimer,
-)
 from repro.membership.params import MembershipTimeouts
 from repro.runtime.transport import PeerAddress, UdpTransport
 from repro.util.errors import CodecError
@@ -111,15 +100,10 @@ class RingNode:
         #: tightened without flaking on slow CI machines, and so message
         #: timestamps / observer events share one time domain.
         self._clock: Optional[Clock] = clock
-        #: Shared run-grouping policy — the same accumulator the sim
-        #: driver prices; here completed runs are encoded with
-        #: ``encode_run`` and put on the wire.  Drained before _execute
-        #: returns, so it never holds messages across effect lists.
-        self._coalescer = CoalescingAccumulator(config.messages_per_datagram)
+        self._effects = EffectExecutor(self, config.messages_per_datagram)
         self._data_queue = FrameRing()
         self._token_queue = FrameRing()
         self._wakeup = asyncio.Event()
-        self._timers: Dict[str, asyncio.TimerHandle] = {}
         self._loop_task: Optional[asyncio.Task] = None
         self._closed = False
         self.decode_errors = 0
@@ -144,14 +128,12 @@ class RingNode:
         self.controller.clock = self._clock
         await self.transport.start()
         self._loop_task = asyncio.get_running_loop().create_task(self._run())
-        self._execute(self.controller.start())
+        self._effects.execute(self.controller.start())
 
     async def stop(self) -> None:
         """Fail-stop this node (crash semantics: nothing is flushed)."""
         self._closed = True
-        for handle in self._timers.values():
-            handle.cancel()
-        self._timers.clear()
+        self._effects.cancel_timers()
         if self._loop_task is not None:
             self._loop_task.cancel()
             try:
@@ -232,9 +214,9 @@ class RingNode:
             self.decode_errors += 1
             return
         if type(decoded) is list:
-            self._execute(self.controller.on_data_batch(decoded))
+            self._effects.execute(self.controller.on_data_batch(decoded))
         else:
-            self._execute(self.controller.on_message(decoded))
+            self._effects.execute(self.controller.on_message(decoded))
 
     def _handle_token(self, datagram: bytes) -> None:
         """Decode one token-port datagram (tokens + membership control)."""
@@ -243,73 +225,39 @@ class RingNode:
         except CodecError:
             self.decode_errors += 1
             return
-        self._execute(self.controller.on_message(message))
-
-    def _fire_timer(self, name: str) -> None:
-        if self._closed:
-            return
-        self._timers.pop(name, None)
-        self._execute(self.controller.on_timer(name))
+        self._effects.execute(self.controller.on_message(message))
 
     # ------------------------------------------------------------------
+    # Effect backend (see repro.core.executor)
+    # ------------------------------------------------------------------
 
-    def _send_run(self, group: List[DataMessage]) -> None:
-        if len(group) > 1:
+    def send_data_run(self, run, retransmission: bool) -> None:
+        if len(run) > 1:
             self.batches_sent += 1
-            self.batched_messages += len(group)
-        self.transport.multicast_data(encode_run(group))
+            self.batched_messages += len(run)
+        self.transport.multicast_data(encode_run(run))
 
-    def _execute(self, effects: List[Effect]) -> None:
-        loop = asyncio.get_running_loop()
-        # Coalescing mirrors the sim driver exactly: runs of consecutive
-        # new multicasts pack into one datagram, flushed at the first
-        # effect of any other kind (the token must not overtake pre-token
-        # sends) and at the end of the effect list.
-        acc = self._coalescer
-        mpd = acc.mpd
-        for effect in effects:
-            if acc.group is not None and not isinstance(effect, MulticastData):
-                self._send_run(acc.take())
-            if isinstance(effect, MulticastData):
-                if mpd > 1 and not effect.retransmission:
-                    full = acc.push(effect.message)
-                    if full is not None:
-                        self._send_run(full)
-                    continue
-                if acc.group is not None:
-                    self._send_run(acc.take())
-                self.transport.multicast_data(encode_any(effect.message))
-            elif isinstance(effect, SendToken):
-                self.transport.send_token(encode_any(effect.token), effect.destination)
-            elif isinstance(effect, SendControl):
-                self.transport.send_control(encode_any(effect.message), effect.destination)
-            elif isinstance(effect, SetTimer):
-                previous = self._timers.pop(effect.name, None)
-                if previous is not None:
-                    previous.cancel()
-                self._timers[effect.name] = loop.call_later(
-                    effect.delay, self._fire_timer, effect.name
-                )
-            elif isinstance(effect, CancelTimer):
-                handle = self._timers.pop(effect.name, None)
-                if handle is not None:
-                    handle.cancel()
-            elif isinstance(effect, DeliverMessage):
-                self.delivered.append(effect.message)
-                if self.on_deliver is not None:
-                    self.on_deliver(effect.message, effect.config_id)
-            elif isinstance(effect, DeliverMessageBatch):
-                self.delivered.extend(effect.messages)
-                if self.on_deliver is not None:
-                    config_id = effect.config_id
-                    for message in effect.messages:
-                        self.on_deliver(message, config_id)
-            elif isinstance(effect, DeliverConfiguration):
-                self.configurations.append(effect.configuration)
-                if self.on_config is not None:
-                    self.on_config(effect.configuration)
-            else:
-                raise TypeError(f"unknown effect {effect!r}")
-        tail = acc.take()
-        if tail is not None:
-            self._send_run(tail)
+    def send_token(self, token, destination: int) -> None:
+        self.transport.send_token(encode_any(token), destination)
+
+    def send_control(self, message, destination: Optional[int]) -> None:
+        self.transport.send_control(encode_any(message), destination)
+
+    def schedule(self, delay: float, callback, *args) -> asyncio.TimerHandle:
+        return asyncio.get_running_loop().call_later(delay, callback, *args)
+
+    def on_timer(self, name: str) -> None:
+        if not self._closed:
+            self._effects.execute(self.controller.on_timer(name))
+
+    def deliver(self, messages, config_id: int, origin_ring: int) -> None:
+        self.delivered.extend(messages)
+        on_deliver = self.on_deliver
+        if on_deliver is not None:
+            for message in messages:
+                on_deliver(message, config_id)
+
+    def deliver_config(self, configuration: Configuration) -> None:
+        self.configurations.append(configuration)
+        if self.on_config is not None:
+            self.on_config(configuration)

@@ -10,7 +10,7 @@ Spread.
 
 from repro.sim.profiles import ImplementationProfile, LIBRARY, DAEMON, SPREAD
 from repro.sim.driver import ProtocolHost
-from repro.sim.cluster import RingCluster, build_cluster
+from repro.sim.cluster import RingCluster
 from repro.sim.build import TopologySpec, ClusterBuilder
 from repro.sim.trace import ScheduleTrace, TraceEvent
 
@@ -21,7 +21,6 @@ __all__ = [
     "SPREAD",
     "ProtocolHost",
     "RingCluster",
-    "build_cluster",
     "TopologySpec",
     "ClusterBuilder",
     "ScheduleTrace",

@@ -1,18 +1,12 @@
 """The topology API: declare a cluster once, build it one way.
 
-Before this module, every layer assembled clusters by hand —
-:func:`~repro.sim.cluster.build_cluster` for bare ordering rings,
-``MembershipCluster(...)`` for the full stack, and ad-hoc keyword
-plumbing in the conformance, chaos, and bench layers on top.  Adding a
-dimension (ring count, shard assignment) meant threading a parameter
-through every one of them.
-
-:class:`TopologySpec` replaces that with a single declarative value:
-ring count, hosts per ring, protocol flavour, implementation profile,
-network, loss, observers, delivery taps, fault plan, and group→shard
-assignments in one place.  :class:`ClusterBuilder` is the fluent front
-end and the **only public way to assemble sim clusters**; a single ring
-is just the ``rings(1)`` case of the same spec::
+:class:`TopologySpec` is a single declarative value: ring count, hosts
+per ring, protocol flavour, implementation profile, network, loss,
+observers, delivery taps, fault plan, and group→shard assignments in
+one place.  :class:`ClusterBuilder` is the fluent front end and the
+**only way to assemble sim clusters**: a single ring is just the
+``rings(1)`` case of the same spec, and a multi-ring cluster is that
+case built once per ring onto one simulator::
 
     from repro.sim.build import ClusterBuilder
 
@@ -20,10 +14,6 @@ is just the ``rings(1)`` case of the same spec::
     memb = ClusterBuilder().hosts(6).membership().build()     # MembershipCluster
     multi = ClusterBuilder().rings(2).hosts(4).membership().build()
                                                               # MultiRingCluster
-
-The legacy constructors keep working behind ``DeprecationWarning``
-shims (the PR-1 Endpoint precedent): ``build_cluster(...)`` and direct
-``MembershipCluster(...)`` calls delegate here and warn.
 """
 
 from __future__ import annotations
@@ -160,9 +150,7 @@ class ClusterBuilder:
     """Fluent assembler over :class:`TopologySpec`.
 
     Every setter returns ``self``; :meth:`build` dispatches on the spec
-    (ring count, membership) to the right cluster class.  The builder
-    is the supported construction path — the legacy per-class
-    constructors survive only as deprecation shims.
+    (ring count, membership) to the right cluster class.
     """
 
     def __init__(self, spec: Optional[TopologySpec] = None) -> None:
@@ -283,6 +271,10 @@ class ClusterBuilder:
             return self.build_membership()
         return self.build_ring()
 
+    def _simulator(self) -> Simulator:
+        """The simulator named by :meth:`on`, else a fresh one."""
+        return self._sim if self._sim is not None else Simulator()
+
     @staticmethod
     def _build_topology(sim: Simulator, spec: TopologySpec):
         """Star or fabric, per the spec.  Default star wiring is untouched."""
@@ -300,7 +292,7 @@ class ClusterBuilder:
     def build_ring(self) -> RingCluster:
         """A single bare ordering ring (the paper's §IV-A testbed)."""
         spec = self._spec.validate()
-        sim = self._sim if self._sim is not None else Simulator()
+        sim = self._simulator()
         topology = self._build_topology(sim, spec)
         ring = topology.host_ids
         config = (spec.config or ProtocolConfig()).validate()
@@ -339,54 +331,44 @@ class ClusterBuilder:
         from repro.sim.membership_driver import MembershipCluster
 
         spec = self._spec.validate()
-        # A prebuilt topology is passed only when an adverse-network
-        # feature is in play; otherwise MembershipCluster runs its
-        # historical construction path, byte-identical to the goldens.
-        topology = None
-        sim = self._sim
-        if (
-            spec.fabric is not None
-            or spec.loss_models is not None
-            or spec.impairment is not None
-            or spec.impairments is not None
-        ):
-            sim = sim if sim is not None else Simulator()
-            topology = self._build_topology(sim, spec)
+        sim = self._simulator()
         return MembershipCluster(
-            num_hosts=spec.hosts_per_ring,
+            topology=self._build_topology(sim, spec),
             accelerated=spec.accelerated,
             profile=spec.resolved_profile(),
-            params=spec.params,
             config=spec.config,
             timeouts=spec.timeouts,
-            loss_model=spec.loss_model,
             observer=spec.observer,
             delivery_tap=spec.delivery_tap,
-            sim=sim,
-            topology=topology,
-            _from_builder=True,
         )
 
     def build_multiring(self) -> "MultiRingCluster":
-        """N independent rings on one fabric (works for N=1 too)."""
-        from repro.multiring.cluster import MultiRingCluster
+        """N independent rings on one simulator (works for N=1 too):
+        each ring is the single-ring build of this spec, with its own
+        switch and, in membership mode, its own group-aware tap."""
+        from repro.multiring.cluster import GroupStreamTap, MultiRingCluster
         from repro.multiring.shard_map import ShardMap
 
         spec = self._spec.validate()
+        sim = self._simulator()
+        taps = [GroupStreamTap() for _ in range(spec.rings)] if spec.membership else []
+        rings = []
+        for index in range(spec.rings):
+            ring_spec = replace(
+                spec,
+                rings=1,
+                shard_assignments={},
+                ring_id_base=spec.ring_id_base + index,
+                delivery_tap=taps[index] if taps else None,
+            )
+            rings.append(ClusterBuilder(ring_spec).on(sim).build())
         return MultiRingCluster(
-            num_rings=spec.rings,
-            hosts_per_ring=spec.hosts_per_ring,
-            membership=spec.membership,
-            accelerated=spec.accelerated,
-            profile=spec.profile,
-            params=spec.params,
-            config=spec.config,
-            timeouts=spec.timeouts,
-            loss_model=spec.loss_model,
-            observer=spec.observer,
+            sim=sim,
+            rings=rings,
+            taps=taps,
             shard_map=ShardMap(spec.rings, assignments=spec.shard_assignments),
-            ring_id_base=spec.ring_id_base,
-            sim=self._sim,
+            membership=spec.membership,
+            observer=spec.observer,
         )
 
     def build_with_injector(

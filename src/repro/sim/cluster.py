@@ -1,26 +1,22 @@
-"""Cluster builder: the paper's 8-server testbed in one call.
+"""The paper's 8-server testbed: a ring of bare ordering engines.
 
-:func:`build_cluster` wires participants (accelerated or original), an
-implementation profile, and a network parameter set into a ready-to-run
-:class:`RingCluster`, mirroring the benchmark setup of paper §IV-A: every
+:class:`RingCluster` is what :meth:`repro.sim.build.ClusterBuilder.
+build_ring` returns — participants (accelerated or original), an
+implementation profile, and a network parameter set wired into a
+ready-to-run ring, mirroring the benchmark setup of paper §IV-A: every
 server runs one daemon, one sending client, and one receiving client.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.core.config import ProtocolConfig
 from repro.core.token import initial_token
-from repro.net.loss import LossModel
-from repro.net.params import NetworkParams, GIGABIT
 from repro.net.simulator import Simulator
 from repro.net.topology import StarTopology
 from repro.obs.observer import ProtocolObserver
 from repro.sim.driver import ProtocolHost
-from repro.sim.profiles import ImplementationProfile, LIBRARY
 from repro.util.errors import FaultError
 from repro.util.stats import LatencyStats
 
@@ -168,56 +164,3 @@ class RingCluster:
             switch_drops=self.topology.switch.total_drops,
             per_sender_worst_5pct_mean=(sum(worst) / len(worst)) if worst else 0.0,
         )
-
-
-def build_cluster(
-    num_hosts: int = 8,
-    accelerated: bool = True,
-    profile: ImplementationProfile = LIBRARY,
-    params: NetworkParams = GIGABIT,
-    config: Optional[ProtocolConfig] = None,
-    loss_model: Optional[LossModel] = None,
-    ring_id: int = 1,
-    observer: Optional[ProtocolObserver] = None,
-) -> RingCluster:
-    """Build the paper's testbed: ``num_hosts`` servers around one switch.
-
-    ``accelerated=False`` runs the original Totem Ring baseline with the
-    same flow-control windows (the paper compares each implementation of
-    the Accelerated Ring protocol to a corresponding implementation of the
-    original protocol).
-
-    ``observer`` is shared by every participant and driver: it sees every
-    token movement, multicast, retransmission, and delivery on the whole
-    cluster, timestamped in simulated seconds.
-
-    .. deprecated::
-        Build through the topology API instead::
-
-            from repro.sim.build import ClusterBuilder
-
-            cluster = ClusterBuilder().hosts(8).build()
-    """
-    warnings.warn(
-        "build_cluster is deprecated; build through the topology API: "
-        "ClusterBuilder().hosts(n).build() (repro.sim.build)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.sim.build import ClusterBuilder
-
-    builder = (
-        ClusterBuilder()
-        .hosts(num_hosts)
-        .accelerated(accelerated)
-        .profile(profile)
-        .network(params)
-        .ring_id(ring_id)
-    )
-    if config is not None:
-        builder.config(config)
-    if loss_model is not None:
-        builder.loss(loss_model)
-    if observer is not None:
-        builder.observe(observer)
-    return builder.build_ring()

@@ -11,19 +11,11 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Tuple
 
-from repro.core.events import (
-    Deliver,
-    DeliverBatch,
-    Effect,
-    MulticastData,
-    SendToken,
-    Stable,
-)
+from repro.core.executor import EffectExecutor
 from repro.core.messages import DataMessage, DeliveryService
 from repro.core.participant import AcceleratedRingParticipant
 from repro.core.token import RegularToken
-from repro.core.transport_core import CoalescingAccumulator, batch_wire_size
-from repro.net.fragment import CoalescedDatagram, Reassembler, fragment_datagram
+from repro.net.fragment import CoalescedDatagram, Reassembler, pack_run
 from repro.net.host import SimHost
 from repro.net.packet import Frame, PortKind
 from repro.obs.observer import ProtocolObserver, effective_observer
@@ -34,6 +26,11 @@ from repro.util.stats import RunStats
 #: reassembly timer.  Checked lazily on fragment arrival (no scheduled
 #: events), so it leaves the event sequence of every run untouched.
 _REASSEMBLY_MAX_AGE = 0.5
+
+
+def new_reassembler(host: SimHost) -> Reassembler:
+    """The IP reassembly buffer of one simulated host's data socket."""
+    return Reassembler(max_age=_REASSEMBLY_MAX_AGE, clock=lambda: host.sim.now)
 
 
 class ProtocolHost:
@@ -82,14 +79,12 @@ class ProtocolHost:
         # Non-final fragments all cost the same and carry no arguments, so
         # a single shared task tuple serves every one of them.
         self._fragment_task = (profile.fragment_cpu, _noop, ())
-        #: Wire coalescing knob: >1 packs runs of consecutive new sends
-        #: into one datagram (retransmissions always travel alone).
-        self._mpd = participant.config.messages_per_datagram
-        #: Shared run-grouping policy (repro.core.transport_core) — the
-        #: same object type the runtime node batches with; the sim only
-        #: adds CPU pricing on top.  Always drained before _execute
-        #: returns, so it holds no state between effect lists.
-        self._coalescer = CoalescingAccumulator(self._mpd)
+        self._queue_task = host.cpu._queue.append
+        #: The shared effect interpreter; this host is its backend (the
+        #: sim only adds CPU pricing on top of the common run grouping).
+        self._effects = EffectExecutor(
+            self, participant.config.messages_per_datagram
+        )
         self.coalesced_datagrams = 0
         self.coalesced_messages = 0
         if participant.clock is None:
@@ -105,9 +100,7 @@ class ProtocolHost:
         self._data_socket = host.data_socket
         self._token_ring = host.token_socket._ring
         self._data_ring = host.data_socket._ring
-        self.reassembler = Reassembler(
-            max_age=_REASSEMBLY_MAX_AGE, clock=lambda: host.sim.now
-        )
+        self.reassembler = new_reassembler(host)
         self.delivered_log: List[DataMessage] = []
         #: Optional hooks for tracing (see :mod:`repro.sim.trace`).
         self.on_transmit: Optional[Callable[[Frame], None]] = None
@@ -236,169 +229,67 @@ class ProtocolHost:
         effects = self.participant.on_token(token)
         if effects:
             self.stats.token_rounds += 1
-        self._execute(effects)
+        self._effects.execute(effects)
 
     def _process_data(self, message: DataMessage) -> None:
         effects = self.participant.on_data(message)
         if effects:
-            self._execute(effects)
+            self._effects.execute(effects)
 
     def _process_data_batch(self, datagram: CoalescedDatagram) -> None:
         effects = self.participant.on_data_batch(datagram.messages)
         if effects:
-            self._execute(effects)
+            self._effects.execute(effects)
 
     # ------------------------------------------------------------------
-    # Effects
+    # Effect backend (see repro.core.executor): every effect becomes one
+    # priced CPU task.  Cpu.submit is bypassed — tasks are appended
+    # straight onto the CPU queue.  Effects are only ever executed from
+    # inside a CPU task (the _process_* methods above), so the CPU is
+    # busy and picks the appended tasks up, in order, when that task
+    # finishes: no kick is needed.
     # ------------------------------------------------------------------
 
-    def _execute(self, effects: List[Effect]) -> None:
-        # Cpu.submit is bypassed: tasks are appended straight onto the CPU
-        # queue and the CPU is kicked once at the end.  When _execute runs
-        # inside a CPU task (the normal case) the CPU is busy and the kick
-        # is a no-op, exactly as the per-submit kicks were; when it is
-        # idle, deferring the kick to after the batch starts the same
-        # first task with the same event sequence numbers.
-        cpu = self.host.cpu
-        append = cpu._queue.append
-        queued = False
-        # Coalescing accumulator (shared transport core): runs of
-        # consecutive new multicasts are packed into one datagram task.
-        # Its group stays None (no list allocated) on the default
-        # messages_per_datagram=1 path.
-        mpd = self._mpd
-        acc = self._coalescer
-        for effect in effects:
-            kind = type(effect)
-            # A run of coalescible multicasts ends at the first effect of
-            # any other kind: flush before it so tasks keep effect order
-            # (the token must not overtake pre-token sends).
-            if acc.group is not None and kind is not MulticastData:
-                append(self._coalesced_task(acc.take()))
-            # Deliver dominates (one per delivered message vs one
-            # MulticastData per send), so it is tested first.
-            if kind is Deliver:
-                append((self._deliver_cpu, self._run_delivery, (effect.message,)))
-            elif kind is DeliverBatch:
-                # One CPU task for the whole run, at the same total cost k
-                # scalar deliveries would have charged: the CPU's busy time
-                # and every subsequent task's start time are unchanged, so
-                # transmit timing (and the seeded traces built on it) stays
-                # identical — only the per-message delivery records move to
-                # the batch end.
-                messages = effect.messages
-                append(
-                    (
-                        self._deliver_cpu * len(messages),
-                        self._run_delivery_batch,
-                        (messages,),
-                    )
-                )
-            elif kind is MulticastData:
-                message = effect.message
-                if mpd > 1 and not effect.retransmission:
-                    # Retransmissions precede new sends in effect order,
-                    # so accumulating only new messages keeps the wire
-                    # order of this effect list intact.
-                    full = acc.push(message)
-                    if full is not None:
-                        append(self._coalesced_task(full))
-                    queued = True
-                    continue
-                if acc.group is not None:
-                    append(self._coalesced_task(acc.take()))
-                # profile.send_cost(message.wire_size(header)) inlined —
-                # identical arithmetic shape.
-                append(
-                    (
-                        self._send_cpu
-                        + self._per_byte_send
-                        * (self._header_bytes + int(message.payload_size)),
-                        self._run_multicast,
-                        (message, effect.retransmission),
-                    )
-                )
-            elif kind is SendToken:
-                append(
-                    (
-                        self._token_send_cpu,
-                        self._run_token_send,
-                        (effect.token, effect.destination),
-                    )
-                )
-            elif kind is Stable:
-                continue
-            else:
-                raise TypeError(f"unknown effect {effect!r}")
-            queued = True
-        tail = acc.take()
-        if tail is not None:
-            append(self._coalesced_task(tail))
-        if queued and not cpu._busy:
-            cpu._start_next()
-
-    def _coalesced_task(
-        self, group: List[DataMessage]
-    ) -> Tuple[float, Callable[..., None], tuple]:
-        if len(group) == 1:
-            # A run of one gains nothing from the batch frame: send it as
-            # a plain datagram with the exact single-message arithmetic.
-            message = group[0]
-            return (
-                self._send_cpu
-                + self._per_byte_send
-                * (self._header_bytes + int(message.payload_size)),
+    def send_data_run(self, run, retransmission: bool) -> None:
+        payload, size = pack_run(run, self._header_bytes)
+        # profile.send_cost(size) inlined — identical arithmetic shape.
+        # One send_cpu per datagram is the coalescing win; every wire
+        # byte still costs per_byte_send.
+        self._queue_task(
+            (
+                self._send_cpu + self._per_byte_send * size,
                 self._run_multicast,
-                (message, False),
+                (payload, size, retransmission),
             )
-        size = batch_wire_size(group, self._header_bytes)
-        datagram = CoalescedDatagram(tuple(group), size - self._header_bytes)
-        # One send_cpu for the whole datagram — the coalescing win — but
-        # every wire byte (batch framing included) still costs
-        # per_byte_send, mirroring encode_data_batch's real format.
-        return (
-            self._send_cpu + self._per_byte_send * size,
-            self._run_multicast_coalesced,
-            (datagram,),
         )
 
-    def _run_multicast(self, message: DataMessage, retransmission: bool) -> None:
-        size = self._header_bytes + int(message.payload_size)
-        frames = fragment_datagram(
-            src=self.participant.pid,
-            dst=None,
-            kind=PortKind.DATA,
-            size=size,
-            payload=message,
-            mtu=self.host.params.mtu,
+    def send_token(self, token: RegularToken, destination: int) -> None:
+        self._queue_task(
+            (self._token_send_cpu, self._run_token_send, (token, destination))
         )
-        on_transmit = self.on_transmit
-        send = self.host.nic.send
-        for frame in frames:
-            if on_transmit is not None:
-                on_transmit(frame)
-            send(frame)
+
+    def deliver(self, messages: Tuple[DataMessage, ...], config_id, origin_ring) -> None:
+        # One CPU task for the whole run, at the same total cost k
+        # scalar deliveries would charge: the CPU's busy time and every
+        # subsequent task's start time do not depend on how the engine
+        # batched, so transmit timing (and the seeded traces built on
+        # it) stays identical — only the per-message delivery records
+        # move to the batch end.
+        self._queue_task(
+            (self._deliver_cpu * len(messages), self._run_delivery, (messages,))
+        )
+
+    # ------------------------------------------------------------------
+    # CPU tasks
+    # ------------------------------------------------------------------
+
+    def _run_multicast(self, payload, size: int, retransmission: bool) -> None:
+        self.host.multicast_datagram(payload, size, self.on_transmit)
         if retransmission:
             self.stats.retransmissions += 1
-
-    def _run_multicast_coalesced(self, datagram: CoalescedDatagram) -> None:
-        size = self._header_bytes + datagram.payload_size
-        frames = fragment_datagram(
-            src=self.participant.pid,
-            dst=None,
-            kind=PortKind.DATA,
-            size=size,
-            payload=datagram,
-            mtu=self.host.params.mtu,
-        )
-        on_transmit = self.on_transmit
-        send = self.host.nic.send
-        for frame in frames:
-            if on_transmit is not None:
-                on_transmit(frame)
-            send(frame)
-        self.coalesced_datagrams += 1
-        self.coalesced_messages += len(datagram.messages)
+        elif payload.__class__ is CoalescedDatagram:
+            self.coalesced_datagrams += 1
+            self.coalesced_messages += len(payload.messages)
 
     def _run_token_send(self, token: RegularToken, destination: int) -> None:
         frame = Frame.acquire(
@@ -412,28 +303,9 @@ class ProtocolHost:
             self.on_transmit(frame)
         self.host.nic.send(frame)
 
-    def _run_delivery(self, message: DataMessage) -> None:
-        now = self.host.sim.now
-        observer = self.observer
-        if observer is not None:
-            observer.on_deliver(self.participant.pid, message, now=now)
-        on_deliver = self.on_deliver
-        if on_deliver is not None:
-            on_deliver(message)
-        if self.keep_delivered_log:
-            self.delivered_log.append(message)
-        timestamp = message.timestamp
-        if timestamp is not None and timestamp >= self.measure_from:
-            # payload_size is always a non-negative int (DataMessage
-            # defaults it to len(payload)), so the old int(... or 0)
-            # coercion is value-identical and dropped.
-            self.stats.record_delivery(
-                now, message.pid, now - timestamp, message.payload_size
-            )
-
-    def _run_delivery_batch(self, messages: Tuple[DataMessage, ...]) -> None:
-        # The batched mirror of _run_delivery: one hook call, one tracer
-        # callback, and one stats loop for the whole in-order run.
+    def _run_delivery(self, messages: Tuple[DataMessage, ...]) -> None:
+        # One hook call, one tracer callback, and one stats loop for the
+        # whole in-order run (a scalar delivery is a run of one).
         now = self.host.sim.now
         observer = self.observer
         if observer is not None:

@@ -11,31 +11,22 @@ examples.
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.config import ProtocolConfig
-from repro.core.events import Effect, MulticastData, SendToken
+from repro.core.executor import EffectExecutor
 from repro.core.messages import DeliveryService
 from repro.evs.checker import EvsChecker
 from repro.evs.events import ConfigDelivery, MessageDelivery
 from repro.membership.controller import MembershipController
-from repro.membership.effects import (
-    CancelTimer,
-    DeliverConfiguration,
-    DeliverMessage,
-    DeliverMessageBatch,
-    SendControl,
-    SetTimer,
-)
+from repro.membership.messages import RecoveredMessage
 from repro.membership.params import MembershipTimeouts
+from repro.net.fragment import CoalescedDatagram, pack_run
 from repro.net.host import SimHost
-from repro.net.loss import LossModel
 from repro.net.packet import Frame, PortKind
-from repro.net.params import NetworkParams, GIGABIT
-from repro.net.simulator import Simulator
-from repro.net.topology import StarTopology, build_star
-from repro.sim.profiles import ImplementationProfile, DAEMON
+from repro.net.topology import StarTopology
+from repro.sim.driver import new_reassembler
+from repro.sim.profiles import ImplementationProfile
 from repro.util.errors import FaultError
 
 if TYPE_CHECKING:
@@ -77,7 +68,13 @@ class DeliveryTap:
 
 
 class MembershipHost:
-    """One server running the full membership + ordering stack."""
+    """One server running the full membership + ordering stack.
+
+    The host is the sim backend of the shared
+    :class:`~repro.core.executor.EffectExecutor` plus its own receive
+    loop.  CPU pricing is this host's own: receiving costs CPU, sending
+    and delivering happen inside the task that caused them.
+    """
 
     def __init__(
         self,
@@ -94,7 +91,12 @@ class MembershipHost:
         self.tap = tap
         self.delivered: List[object] = []
         self.configurations: List[object] = []
-        self._timers: Dict[str, object] = {}
+        self.reassembler = new_reassembler(host)
+        #: Backend ``schedule``: timers are simulator events.
+        self.schedule = host.sim.schedule
+        self._effects = EffectExecutor(
+            self, controller.protocol_config.messages_per_datagram
+        )
         self._paused = False
         #: Latched on crash and never cleared: the *incarnation* is dead.
         #: The SimHost may be recovered and reused by a fresh
@@ -115,7 +117,7 @@ class MembershipHost:
         return self.controller.pid
 
     def start(self) -> None:
-        self._execute(self.controller.start())
+        self._effects.execute(self.controller.start())
         self.host.cpu.kick()
 
     def submit(
@@ -140,9 +142,7 @@ class MembershipHost:
         """Fail-stop: drop all timers and stop processing, permanently."""
         self._dead = True
         self.host.crash()
-        for handle in self._timers.values():
-            handle.cancel()
-        self._timers.clear()
+        self._effects.cancel_timers()
         self._paused = False
         self._deferred_timers.clear()
 
@@ -162,207 +162,170 @@ class MembershipHost:
         self.host.unpause()
         deferred, self._deferred_timers = self._deferred_timers, []
         for name in deferred:
-            self._execute(self.controller.on_timer(name))
+            self._effects.execute(self.controller.on_timer(name))
         self.host.cpu.kick()
 
+    # ------------------------------------------------------------------
+    # Receive loop
     # ------------------------------------------------------------------
 
     def _select_work(self) -> Optional[Tuple[float, object, tuple]]:
         if self._dead or self.host.crashed:
             return None
-        token_avail = len(self.host.token_socket) > 0
-        data_avail = len(self.host.data_socket) > 0
-        if token_avail and (self.controller.token_has_priority or not data_avail):
-            frame = self.host.token_socket.pop()
-            return (_CONTROL_CPU, self._process, (frame,))
-        if data_avail:
-            frame = self.host.data_socket.pop()
-            cost = self.profile.recv_cost(frame.size)
-            return (cost, self._process, (frame,))
+        tokens = self.host.token_socket
+        data = self.host.data_socket
+        if len(tokens) and (self.controller.token_has_priority or not len(data)):
+            return (_CONTROL_CPU, self._process, (tokens.pop().payload,))
+        # This host's cost model charges one receive per datagram handed
+        # to the process (sends, deliveries and kernel reassembly are
+        # free here; the bare driver's finer model prices them), so
+        # non-final fragments are absorbed until a datagram completes.
+        while len(data):
+            frame = data.pop()
+            datagram = self.reassembler.accept(frame)
+            frame.recycle()
+            if datagram is not None:
+                profile = self.profile
+                cost = profile.recv_cost(
+                    profile.data_header_bytes + int(datagram.payload_size)
+                )
+                return (cost, self._process, (datagram,))
+        if len(tokens):  # only fragments were waiting ahead of the token
+            return (_CONTROL_CPU, self._process, (tokens.pop().payload,))
         return None
 
-    def _process(self, frame: Frame) -> None:
+    def _process(self, payload: object) -> None:
         # A CPU task in flight when the process crashed still completes
         # its simulator event; the dead latch turns it into a no-op.
         if self._dead:
             return
-        self._execute(self.controller.on_message(frame.payload))
+        if payload.__class__ is CoalescedDatagram:
+            effects = self.controller.on_data_batch(payload.messages)
+        else:
+            effects = self.controller.on_message(payload)
+        self._effects.execute(effects)
 
-    def _fire_timer(self, name: str) -> None:
+    def on_timer(self, name: str) -> None:
         if self._dead or self.host.crashed:
             return
-        self._timers.pop(name, None)
         if self._paused:
             self._deferred_timers.append(name)
             return
-        self._execute(self.controller.on_timer(name))
+        self._effects.execute(self.controller.on_timer(name))
         self.host.cpu.kick()
 
     # ------------------------------------------------------------------
+    # Effect backend (see repro.core.executor)
+    # ------------------------------------------------------------------
 
-    def _execute(self, effects: List[Effect]) -> None:
-        for effect in effects:
-            if isinstance(effect, MulticastData):
-                message = effect.message
-                size = message.wire_size(self.profile.data_header_bytes)
-                self.host.nic.send(
-                    Frame(src=self.pid, dst=None, kind=PortKind.DATA, size=size, payload=message)
-                )
-            elif isinstance(effect, SendToken):
-                self.host.nic.send(
-                    Frame(
-                        src=self.pid,
-                        dst=effect.destination,
-                        kind=PortKind.TOKEN,
-                        size=effect.token.wire_size(),
-                        payload=effect.token,
+    def send_data_run(self, run, retransmission: bool) -> None:
+        payload, size = pack_run(run, self.profile.data_header_bytes)
+        self.host.multicast_datagram(payload, size)
+
+    def send_token(self, token, destination: int) -> None:
+        self._send_on_token_port(token, destination, token.wire_size())
+
+    def send_control(self, message, destination: Optional[int]) -> None:
+        # Every control message sizes itself; only a recovered data
+        # message needs the implementation's data header to do so.
+        if message.__class__ is RecoveredMessage:
+            size = message.wire_size(self.profile.data_header_bytes)
+        else:
+            size = message.wire_size()
+        self._send_on_token_port(message, destination, size)
+
+    def _send_on_token_port(self, payload, destination: Optional[int], size: int) -> None:
+        self.host.nic.send(
+            Frame(
+                src=self.pid,
+                dst=destination,
+                kind=PortKind.TOKEN,
+                size=size,
+                payload=payload,
+            )
+        )
+
+    def deliver(self, messages, config_id: int, origin_ring: int) -> None:
+        # Per-message checker events in delivery order (one extend, not
+        # len(messages) record calls) but a single tap hook for the run.
+        self.delivered.extend(messages)
+        if self.checker is not None:
+            self.checker.record_batch(
+                self.pid,
+                [
+                    MessageDelivery(
+                        seq=message.seq,
+                        sender=message.pid,
+                        service=message.service,
+                        config_id=config_id,
+                        origin_ring=origin_ring,
                     )
-                )
-            elif isinstance(effect, SendControl):
-                payload = effect.message
-                if hasattr(payload, "wire_size"):
-                    try:
-                        size = payload.wire_size()
-                    except TypeError:
-                        size = payload.wire_size(self.profile.data_header_bytes)
-                else:
-                    size = 64
-                self.host.nic.send(
-                    Frame(
-                        src=self.pid,
-                        dst=effect.destination,
-                        kind=PortKind.TOKEN,
-                        size=size,
-                        payload=payload,
-                    )
-                )
-            elif isinstance(effect, SetTimer):
-                previous = self._timers.pop(effect.name, None)
-                if previous is not None:
-                    previous.cancel()
-                self._timers[effect.name] = self.host.sim.schedule(
-                    effect.delay, self._fire_timer, effect.name
-                )
-            elif isinstance(effect, CancelTimer):
-                handle = self._timers.pop(effect.name, None)
-                if handle is not None:
-                    handle.cancel()
-            elif isinstance(effect, DeliverMessage):
-                self.delivered.append(effect.message)
-                if self.checker is not None:
-                    self.checker.record(
-                        self.pid,
-                        MessageDelivery(
-                            seq=effect.message.seq,
-                            sender=effect.message.pid,
-                            service=effect.message.service,
-                            config_id=effect.config_id,
-                            origin_ring=effect.origin_ring,
-                        ),
-                    )
-                if self.tap is not None:
-                    self.tap.on_deliver(
-                        self.pid, effect.message, effect.config_id, effect.origin_ring
-                    )
-            elif isinstance(effect, DeliverMessageBatch):
-                # Expand the run in delivery order: per-message checker
-                # events (one extend, not len(batch) record calls) but a
-                # single tap hook for the whole slice.
-                messages = effect.messages
-                self.delivered.extend(messages)
-                if self.checker is not None:
-                    config_id = effect.config_id
-                    origin_ring = effect.origin_ring
-                    self.checker.record_batch(
-                        self.pid,
-                        [
-                            MessageDelivery(
-                                seq=message.seq,
-                                sender=message.pid,
-                                service=message.service,
-                                config_id=config_id,
-                                origin_ring=origin_ring,
-                            )
-                            for message in messages
-                        ],
-                    )
-                if self.tap is not None:
-                    self.tap.on_deliver_batch(
-                        self.pid, messages, effect.config_id, effect.origin_ring
-                    )
-            elif isinstance(effect, DeliverConfiguration):
-                self.configurations.append(effect.configuration)
-                if self.checker is not None:
-                    self.checker.record(self.pid, ConfigDelivery(effect.configuration))
-                if self.tap is not None:
-                    self.tap.on_config(self.pid, effect.configuration)
-            else:
-                raise TypeError(f"unknown effect {effect!r}")
+                    for message in messages
+                ],
+            )
+        if self.tap is not None:
+            self.tap.on_deliver_batch(self.pid, messages, config_id, origin_ring)
+
+    def deliver_config(self, configuration) -> None:
+        self.configurations.append(configuration)
+        if self.checker is not None:
+            self.checker.record(self.pid, ConfigDelivery(configuration))
+        if self.tap is not None:
+            self.tap.on_config(self.pid, configuration)
 
 
 class MembershipCluster:
-    """A set of membership hosts on one switch, plus fault injection."""
+    """A set of membership hosts on one network, plus fault injection.
+
+    Assembled by :class:`repro.sim.build.ClusterBuilder`, which supplies
+    the prebuilt ``topology`` (a star, or a leaf–spine fabric; several
+    clusters — the rings of a MultiRingCluster — may share its
+    simulator).
+    """
 
     def __init__(
         self,
-        num_hosts: int,
-        accelerated: bool = True,
-        profile: ImplementationProfile = DAEMON,
-        params: NetworkParams = GIGABIT,
+        topology: StarTopology,
+        accelerated: bool,
+        profile: ImplementationProfile,
         config: Optional[ProtocolConfig] = None,
         timeouts: Optional[MembershipTimeouts] = None,
-        loss_model: Optional[LossModel] = None,
         observer: Optional["ProtocolObserver"] = None,
         delivery_tap: Optional[DeliveryTap] = None,
-        sim: Optional[Simulator] = None,
-        topology: Optional[StarTopology] = None,
-        _from_builder: bool = False,
     ) -> None:
-        if not _from_builder:
-            warnings.warn(
-                "constructing MembershipCluster directly is deprecated; "
-                "build through the topology API: "
-                "ClusterBuilder().hosts(n).membership().build() "
-                "(repro.sim.build)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        #: ``sim`` lets several clusters (e.g. the rings of a
-        #: MultiRingCluster) share one simulated fabric; each still gets
-        #: its own switch.
-        self.sim = sim if sim is not None else Simulator()
-        #: ``topology`` lets the builder substitute a prebuilt network
-        #: (leaf–spine fabric, per-host loss/impairment models); any
-        #: star-compatible topology works.  The default star path below
-        #: is the historical wiring, untouched for trace stability.
-        if topology is not None:
-            self.topology = topology
-        else:
-            self.topology = build_star(
-                self.sim, num_hosts, params, loss_model=loss_model
-            )
+        self.sim = topology.sim
+        self.topology = topology
         self.checker = EvsChecker()
         self.observer = observer
         #: Shared by every host (and re-attached across restarts): sees
         #: every delivery with its payload, for conformance extraction.
         self.delivery_tap = delivery_tap
-        self.hosts: Dict[int, MembershipHost] = {}
-        for pid in self.topology.host_ids:
-            controller = MembershipController(
-                pid=pid,
-                accelerated=accelerated,
-                protocol_config=config or ProtocolConfig(),
-                timeouts=timeouts or MembershipTimeouts(),
-                observer=observer,
-                clock=lambda: self.sim.now,
-            )
-            self.hosts[pid] = MembershipHost(
-                host=self.topology.host(pid),
-                controller=controller,
-                profile=profile,
-                checker=self.checker,
-                tap=delivery_tap,
-            )
+        self._accelerated = accelerated
+        self._profile = profile
+        self._config = config or ProtocolConfig()
+        self._timeouts = timeouts or MembershipTimeouts()
+        self.hosts: Dict[int, MembershipHost] = {
+            pid: self._new_host(pid) for pid in topology.host_ids
+        }
+
+    def _new_host(self, pid: int, initial_ring_seq: int = 0) -> MembershipHost:
+        """A fresh process (empty protocol state) on host ``pid``."""
+        controller = MembershipController(
+            pid=pid,
+            accelerated=self._accelerated,
+            protocol_config=self._config,
+            timeouts=self._timeouts,
+            initial_ring_seq=initial_ring_seq,
+            observer=self.observer,
+            clock=lambda: self.sim.now,
+        )
+        return MembershipHost(
+            host=self.topology.host(pid),
+            controller=controller,
+            profile=self._profile,
+            checker=self.checker,
+            tap=self.delivery_tap,
+        )
 
     def start(self) -> None:
         for host in self.hosts.values():
@@ -406,29 +369,13 @@ class MembershipCluster:
         host = self._host(pid)
         if not host.host.crashed:
             return
-        sim_host = host.host
         # The crash cleared the kernel buffers and queued CPU work, and
         # nothing accumulates while crashed, so the recovered host starts
         # from genuinely empty volatile state.
-        sim_host.recover()
-        controller = MembershipController(
-            pid=pid,
-            accelerated=host.controller.accelerated,
-            protocol_config=host.controller.protocol_config,
-            timeouts=host.controller.timeouts,
-            # Totem keeps the ring sequence number on stable storage so a
-            # recovered process can never reuse one of its old ring ids.
-            initial_ring_seq=host.controller.highest_ring_seq,
-            observer=self.observer,
-            clock=lambda: self.sim.now,
-        )
-        fresh = MembershipHost(
-            host=sim_host,
-            controller=controller,
-            profile=host.profile,
-            checker=self.checker,
-            tap=self.delivery_tap,
-        )
+        host.host.recover()
+        # Totem keeps the ring sequence number on stable storage so a
+        # recovered process can never reuse one of its old ring ids.
+        fresh = self._new_host(pid, host.controller.highest_ring_seq)
         self.hosts[pid] = fresh
         self.checker.record_recovery(pid)
         if self.delivery_tap is not None:

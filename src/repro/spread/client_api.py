@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 from repro.core.messages import DeliveryService
 from repro.multiring.shard_map import ShardMap
 from repro.runtime import ipc
-from repro.runtime.ipc import Endpoint, EndpointSpec, TcpEndpoint, UnixEndpoint
+from repro.runtime.ipc import Endpoint, EndpointSpec
 from repro.util.errors import CodecError, ConfigurationError
 
 
@@ -54,9 +54,7 @@ class SpreadClient:
 
     ``endpoint`` accepts a :class:`~repro.runtime.ipc.UnixEndpoint`, a
     :class:`~repro.runtime.ipc.TcpEndpoint`, a bare unix socket path, or
-    a spec string (``unix://...`` / ``tcp://host:port``).  The
-    pre-endpoint keywords ``socket_path=`` / ``tcp_address=`` still work
-    but emit a :class:`DeprecationWarning`.
+    a spec string (``unix://...`` / ``tcp://host:port``).
 
     Usage::
 
@@ -69,16 +67,12 @@ class SpreadClient:
 
     def __init__(
         self,
-        endpoint: Optional[EndpointSpec] = None,
+        endpoint: EndpointSpec,
         name: str = "",
         *,
-        socket_path: Optional[str] = None,
-        tcp_address: Optional[Tuple[str, int]] = None,
         shard_map: Optional[ShardMap] = None,
     ) -> None:
-        self.endpoint: Endpoint = ipc.resolve_endpoint(
-            endpoint, socket_path, tcp_address, owner="SpreadClient"
-        )
+        self.endpoint: Endpoint = ipc.parse_endpoint(endpoint)
         self.private_name = name
         self.member_name: Optional[str] = None
         #: Optional group → ring map for sharded deployments; without
@@ -94,18 +88,6 @@ class SpreadClient:
         one-ring case — so callers can ask unconditionally.
         """
         return 0 if self.shard_map is None else self.shard_map.shard_of(group)
-
-    @property
-    def socket_path(self) -> Optional[str]:
-        """Unix socket path, or None for TCP endpoints (legacy accessor)."""
-        return self.endpoint.path if isinstance(self.endpoint, UnixEndpoint) else None
-
-    @property
-    def tcp_address(self) -> Optional[Tuple[str, int]]:
-        """(host, port), or None for unix endpoints (legacy accessor)."""
-        if isinstance(self.endpoint, TcpEndpoint):
-            return (self.endpoint.host, self.endpoint.port)
-        return None
 
     async def connect(self) -> str:
         """Connect and return the daemon-qualified member name."""

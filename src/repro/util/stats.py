@@ -132,37 +132,16 @@ class RunStats:
     messages_sent: int = 0
     messages_dropped: int = 0
 
-    def record_delivery(self, now: float, sender: int, latency: float, payload_size: int) -> None:
-        # Hot path: one call per delivered message.  The three sub-records
-        # are inlined (and the setdefault no longer allocates a throwaway
-        # LatencyStats per call).
-        if latency < 0:
-            raise ValueError(f"negative latency {latency}")
-        self.latency.samples.append(latency)
-        per_sender = self.per_sender_latency
-        sender_stats = per_sender.get(sender)
-        if sender_stats is None:
-            sender_stats = per_sender[sender] = LatencyStats()
-        sender_stats.samples.append(latency)
-        throughput = self.throughput
-        if throughput.start_time is None:
-            throughput.start_time = now
-        throughput.end_time = now
-        throughput.payload_bytes += payload_size
-        throughput.message_count += 1
-
     def record_delivery_batch(
         self, now: float, messages, measure_from: float
     ) -> None:
         """Record one in-order delivery run in a single call.
 
-        Mirrors :meth:`record_delivery` per message (same samples, same
-        per-sender buckets) with the attribute loads hoisted out of the
-        loop and one throughput-window update for the whole run — the
-        batched delivery path calls this once per run, not per message.
+        One latency sample per message (pooled and per sender) and one
+        throughput-window update for the whole run — the delivery path
+        calls this once per run (a scalar delivery is a run of one).
         Messages stamped before ``measure_from`` (or unstamped) are
-        outside the measurement window and skipped, exactly as their
-        per-message callers skip them.
+        outside the measurement window and skipped.
         """
         samples = self.latency.samples
         per_sender = self.per_sender_latency

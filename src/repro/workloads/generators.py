@@ -11,18 +11,21 @@ many messages as flow control allows whenever it holds the token.
 from __future__ import annotations
 
 import random
-from typing import Callable, List
+from typing import Callable, List, Optional, Tuple
 
 from repro.core.messages import DeliveryService
-from repro.sim.cluster import RingCluster
+from repro.core.participant import AcceleratedRingParticipant
 from repro.util.errors import ConfigurationError
 
 #: A sender handle: ``submit(payload_size, service)``.
 Submitter = Callable[[int, DeliveryService], None]
+#: The ordering engine currently behind a sender (None while a
+#: membership host has no ring).
+Engine = Callable[[], Optional[AcceleratedRingParticipant]]
 
 
-def _submitters(cluster) -> List[Submitter]:
-    """One submit callable per sender, for any cluster shape.
+def _senders(cluster) -> List[Tuple[Submitter, Engine]]:
+    """One ``(submit, engine)`` pair per sender, for any cluster shape.
 
     Protocol-mode clusters (:class:`~repro.sim.cluster.RingCluster`,
     protocol-mode :class:`~repro.multiring.cluster.MultiRingCluster`)
@@ -34,25 +37,35 @@ def _submitters(cluster) -> List[Submitter]:
     """
     try:
         drivers = cluster.drivers
-    except ConfigurationError:
-        drivers = None  # membership-mode MultiRingCluster
+    except (AttributeError, ConfigurationError):
+        # Membership mode: a MembershipCluster has no ``drivers`` at
+        # all, a MultiRingCluster refuses to merge them.
+        drivers = None
     if drivers is not None:
-        return [drivers[pid].client_submit for pid in sorted(drivers)]
+        return [
+            (driver.client_submit, lambda driver=driver: driver.participant)
+            for driver in (drivers[pid] for pid in sorted(drivers))
+        ]
 
     # MultiRingCluster.rings is a list; MembershipCluster.rings() is a
     # method (the per-pid view map) — only the former means "fan out".
     rings = cluster.rings if isinstance(getattr(cluster, "rings", None), list) else [cluster]
 
-    def host_submitter(host) -> Submitter:
-        return lambda size, service: host.submit(
-            payload=b"", service=service, payload_size=size
+    # ``ring.hosts[pid]`` is looked up per call: a restart replaces the
+    # host object, and traffic belongs to the current incarnation.
+    def sender(ring, pid) -> Tuple[Submitter, Engine]:
+        return (
+            lambda size, service: ring.hosts[pid].submit(
+                payload=b"", service=service, payload_size=size
+            ),
+            lambda: ring.hosts[pid].controller.ordering,
         )
 
-    out: List[Submitter] = []
-    for ring in rings:
-        for pid in sorted(ring.hosts):
-            out.append(host_submitter(ring.hosts[pid]))
-    return out
+    return [sender(ring, pid) for ring in rings for pid in sorted(ring.hosts)]
+
+
+def _submitters(cluster) -> List[Submitter]:
+    return [submit for submit, _engine in _senders(cluster)]
 
 
 class FixedRateWorkload:
@@ -130,23 +143,24 @@ class ClosedLoopWorkload:
         self.check_interval = check_interval
         self.messages_injected = 0
 
-    def attach(self, cluster: RingCluster, start: float, stop: float) -> None:
-        for pid in sorted(cluster.drivers):
-            driver = cluster.driver(pid)
-            self._schedule_check(cluster, driver, start, stop)
+    def attach(self, cluster, start: float, stop: float) -> None:
+        """Accepts any built cluster, like :meth:`FixedRateWorkload.attach`."""
+        for submit, engine in _senders(cluster):
+            self._schedule_check(cluster, submit, engine, start, stop)
 
-    def _schedule_check(self, cluster, driver, when, stop) -> None:
+    def _schedule_check(self, cluster, submit, engine, when, stop) -> None:
         if when >= stop:
             return
 
         def fire() -> None:
-            target = driver.participant.config.personal_window * self.depth_factor
-            shortfall = target - driver.participant.pending_count
-            for _ in range(shortfall):
-                driver.client_submit(self.payload_size, self.service)
-                self.messages_injected += 1
+            participant = engine()
+            if participant is not None:
+                target = participant.config.personal_window * self.depth_factor
+                for _ in range(target - participant.pending_count):
+                    submit(self.payload_size, self.service)
+                    self.messages_injected += 1
             self._schedule_check(
-                cluster, driver, cluster.sim.now + self.check_interval, stop
+                cluster, submit, engine, cluster.sim.now + self.check_interval, stop
             )
 
         cluster.sim.schedule_at(when, fire)

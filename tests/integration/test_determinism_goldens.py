@@ -23,7 +23,7 @@ import pytest
 from repro.core.messages import DeliveryService
 from repro.faults.scenarios import run_scenario
 from repro.net.params import GIGABIT
-from repro.sim.cluster import build_cluster
+from repro.sim.build import ClusterBuilder
 from repro.sim.profiles import SPREAD
 from repro.sim.trace import ScheduleTrace
 from repro.util.units import Mbps
@@ -41,8 +41,13 @@ def test_chaos_report_matches_golden(scenario):
 
 
 def _render_trace() -> str:
-    cluster = build_cluster(
-        num_hosts=4, accelerated=True, profile=SPREAD, params=GIGABIT
+    cluster = (
+        ClusterBuilder()
+        .hosts(4)
+        .accelerated(True)
+        .profile(SPREAD)
+        .network(GIGABIT)
+        .build()
     )
     trace = ScheduleTrace()
     trace.attach(cluster)

@@ -43,7 +43,7 @@ while this suite was being built):
 import pytest
 
 from repro.faults import PlanBuilder, check_plan
-from repro.sim.membership_driver import MembershipCluster
+from repro.sim.build import ClusterBuilder
 
 NUM_HOSTS = 4
 SEED = 7
@@ -116,7 +116,7 @@ def test_crashed_incarnation_stays_dead_after_restart():
     """White-box companion to the zombie regression: after a
     crash-while-paused restart, the old MembershipHost incarnation must
     never process work again, even though its SimHost lives on."""
-    cluster = MembershipCluster(num_hosts=3)
+    cluster = ClusterBuilder().hosts(3).membership().build()
     cluster.start()
     cluster.run(0.08)
     old = cluster.hosts[1]

@@ -3,11 +3,11 @@ EVS guarantees checked on every trace."""
 
 
 from repro.core.messages import DeliveryService
-from repro.sim.membership_driver import MembershipCluster
+from repro.sim.build import ClusterBuilder
 
 
-def boot(n=4, **kwargs):
-    cluster = MembershipCluster(num_hosts=n, **kwargs)
+def boot(n=4, accelerated=True):
+    cluster = ClusterBuilder().hosts(n).membership().accelerated(accelerated).build()
     cluster.start()
     cluster.run(0.06)
     return cluster

@@ -12,8 +12,7 @@ from repro.evs.events import MessageDelivery
 from repro.net.loss import UniformLoss
 from repro.obs.export import load_json, to_json
 from repro.obs.observer import MetricsObserver
-from repro.sim.cluster import build_cluster
-from repro.sim.membership_driver import MembershipCluster
+from repro.sim.build import ClusterBuilder
 from repro.workloads.generators import FixedRateWorkload
 
 from repro.membership.params import MembershipTimeouts
@@ -54,10 +53,13 @@ def test_observer_counts_match_evs_checker_on_lossy_run():
     number of MessageDelivery events across every checker trace — the
     observer and the checker watch the same delivery stream."""
     observer = MetricsObserver()
-    cluster = MembershipCluster(
-        num_hosts=4,
-        loss_model=UniformLoss(rate=0.05, seed=5),
-        observer=observer,
+    cluster = (
+        ClusterBuilder()
+        .hosts(4)
+        .membership()
+        .loss(UniformLoss(rate=0.05, seed=5))
+        .observe(observer)
+        .build()
     )
     cluster.start()
     cluster.run(0.06)
@@ -86,10 +88,12 @@ def test_lossy_sim_run_produces_full_metrics_snapshot(tmp_path):
     """An 8-node lossy bare-engine run yields rotation/latency histograms
     and retransmission counters, and the snapshot survives a JSON trip."""
     observer = MetricsObserver()
-    cluster = build_cluster(
-        num_hosts=8,
-        loss_model=UniformLoss(rate=0.1, seed=3),
-        observer=observer,
+    cluster = (
+        ClusterBuilder()
+        .hosts(8)
+        .loss(UniformLoss(rate=0.1, seed=3))
+        .observe(observer)
+        .build()
     )
     workload = FixedRateWorkload(payload_size=600, aggregate_rate_bps=1e8)
     workload.attach(cluster, start=0.001, stop=0.05)

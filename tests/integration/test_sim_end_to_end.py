@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.messages import DeliveryService
 from repro.net.params import GIGABIT, TEN_GIGABIT
-from repro.sim.cluster import build_cluster
+from repro.sim.build import ClusterBuilder
 from repro.sim.profiles import DAEMON, LIBRARY, SPREAD
 from repro.util.units import Mbps
 from repro.workloads.generators import FixedRateWorkload
@@ -13,8 +13,13 @@ from repro.workloads.generators import FixedRateWorkload
 def run_traffic(accelerated, profile=LIBRARY, params=GIGABIT, rate=200,
                 service=DeliveryService.AGREED, num_hosts=8, duration=0.05,
                 keep_logs=False):
-    cluster = build_cluster(
-        num_hosts=num_hosts, accelerated=accelerated, profile=profile, params=params
+    cluster = (
+        ClusterBuilder()
+        .hosts(num_hosts)
+        .accelerated(accelerated)
+        .profile(profile)
+        .network(params)
+        .build()
     )
     if keep_logs:
         for driver in cluster.drivers.values():
@@ -89,7 +94,7 @@ def test_original_beats_accelerated_safe_low_rate_10g():
 
 
 def test_token_keeps_rotating_when_idle():
-    cluster = build_cluster(num_hosts=4)
+    cluster = ClusterBuilder().hosts(4).build()
     cluster.start()
     cluster.run(0.02)
     first = cluster.aggregate().token_rounds
@@ -98,7 +103,7 @@ def test_token_keeps_rotating_when_idle():
 
 
 def test_large_payload_fragmentation_end_to_end():
-    cluster = build_cluster(num_hosts=4, profile=DAEMON, params=TEN_GIGABIT)
+    cluster = ClusterBuilder().hosts(4).profile(DAEMON).network(TEN_GIGABIT).build()
     workload = FixedRateWorkload(payload_size=8850, aggregate_rate_bps=Mbps(400))
     workload.attach(cluster, start=0.001, stop=0.03)
     cluster.start()

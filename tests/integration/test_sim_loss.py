@@ -5,7 +5,7 @@ import pytest
 from repro.core.messages import DeliveryService
 from repro.net.loss import PositionalLoss, ScriptedLoss, UniformLoss
 from repro.net.params import GIGABIT, TEN_GIGABIT
-from repro.sim.cluster import build_cluster
+from repro.sim.build import ClusterBuilder
 from repro.sim.profiles import DAEMON
 from repro.util.units import Mbps
 from repro.workloads.generators import FixedRateWorkload
@@ -13,12 +13,14 @@ from repro.workloads.generators import FixedRateWorkload
 
 def run_lossy(accelerated, loss_model, rate=200, params=TEN_GIGABIT,
               service=DeliveryService.AGREED, duration=0.08, num_hosts=8):
-    cluster = build_cluster(
-        num_hosts=num_hosts,
-        accelerated=accelerated,
-        profile=DAEMON,
-        params=params,
-        loss_model=loss_model,
+    cluster = (
+        ClusterBuilder()
+        .hosts(num_hosts)
+        .accelerated(accelerated)
+        .profile(DAEMON)
+        .network(params)
+        .loss(loss_model)
+        .build()
     )
     workload = FixedRateWorkload(payload_size=1350, aggregate_rate_bps=Mbps(rate),
                                  service=service)

@@ -26,7 +26,7 @@ class _AruSpy(InstantNetwork):
         super().__init__(participants, drop_data=drop_data)
         self.violations = []
 
-    def _execute(self, source, effects):
+    def _apply(self, source, effects):
         for effect in effects:
             if isinstance(effect, SendToken):
                 token = effect.token
@@ -38,7 +38,7 @@ class _AruSpy(InstantNetwork):
                     self.violations.append(
                         f"{source.pid} sent aru {token.aru} > seq {token.seq}"
                     )
-        super()._execute(source, effects)
+        super()._apply(source, effects)
 
 
 plans = st.lists(
@@ -91,8 +91,8 @@ def test_safe_limit_only_covers_universally_received_messages(ring_size, plan, s
     violations = []
 
     class _SafeSpy(InstantNetwork):
-        def _execute(self, source, effects):
-            super()._execute(source, effects)
+        def _apply(self, source, effects):
+            super()._apply(source, effects)
             limit = source.safe_limit
             for peer in self.participants.values():
                 # peer must have received (possibly not yet processed from

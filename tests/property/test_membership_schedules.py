@@ -13,7 +13,7 @@ protocol's random-loss property tests: the guarantees must hold on
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.messages import DeliveryService
-from repro.sim.membership_driver import MembershipCluster
+from repro.sim.build import ClusterBuilder
 
 NUM_HOSTS = 4
 
@@ -30,7 +30,7 @@ steps = st.one_of(
 
 
 def apply_schedule(schedule):
-    cluster = MembershipCluster(num_hosts=NUM_HOSTS)
+    cluster = ClusterBuilder().hosts(NUM_HOSTS).membership().build()
     cluster.start()
     cluster.run(0.08)
     crashed = set()

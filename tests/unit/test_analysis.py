@@ -7,7 +7,7 @@ from repro.analysis import CpuAnalyzer, RoundAnalyzer, WireAnalyzer
 from repro.analysis.wire import WireStats
 from repro.core.config import ProtocolConfig
 from repro.net.params import GIGABIT
-from repro.sim.cluster import build_cluster
+from repro.sim.build import ClusterBuilder
 from repro.sim.profiles import SPREAD
 from repro.util.units import Mbps
 from repro.workloads.generators import FixedRateWorkload
@@ -19,9 +19,14 @@ def run_instrumented(accelerated, rate=500, duration=0.05):
         accelerated_window=30 if accelerated else 0,
         global_window=240,
     )
-    cluster = build_cluster(
-        num_hosts=8, accelerated=accelerated, profile=SPREAD,
-        params=GIGABIT, config=config,
+    cluster = (
+        ClusterBuilder()
+        .hosts(8)
+        .accelerated(accelerated)
+        .profile(SPREAD)
+        .network(GIGABIT)
+        .config(config)
+        .build()
     )
     rounds = RoundAnalyzer()
     wire = WireAnalyzer()

@@ -17,7 +17,7 @@ from repro.membership.controller import (
     TIMER_SETTLE,
     TIMER_TOKEN_LOSS,
 )
-from repro.membership.effects import (
+from repro.core.events import (
     CancelTimer,
     DeliverConfiguration,
     DeliverMessage,

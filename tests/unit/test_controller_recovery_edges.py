@@ -10,7 +10,7 @@ from repro.membership.controller import (
     TIMER_CONSENSUS,
     TIMER_SETTLE,
 )
-from repro.membership.effects import DeliverConfiguration, DeliverMessage, SendControl
+from repro.core.events import DeliverConfiguration, DeliverMessage, SendControl
 from repro.membership.messages import (
     CommitToken,
     JoinMessage,
@@ -176,7 +176,7 @@ def test_submissions_survive_one_view_change():
 
 
 def test_token_for_current_ring_resets_loss_timer():
-    from repro.membership.effects import SetTimer
+    from repro.core.events import SetTimer
 
     controller = two_member_controller(pid=0)
     token = initial_token(controller.ring_id)

@@ -7,7 +7,6 @@ from repro.runtime.ipc import (
     TcpEndpoint,
     UnixEndpoint,
     parse_endpoint,
-    resolve_endpoint,
 )
 from repro.spread.client_api import SpreadClient
 
@@ -70,62 +69,21 @@ def test_parse_rejects_malformed_specs():
 
 
 # ----------------------------------------------------------------------
-# resolve_endpoint (constructor shim)
-# ----------------------------------------------------------------------
-
-
-def test_resolve_requires_exactly_one_argument():
-    with pytest.raises(ValueError):
-        resolve_endpoint()
-    with pytest.raises(ValueError):
-        resolve_endpoint(endpoint="/x", socket_path="/y")
-
-
-def test_resolve_legacy_kwargs_warn():
-    with pytest.warns(DeprecationWarning):
-        assert resolve_endpoint(socket_path="/x") == UnixEndpoint("/x")
-    with pytest.warns(DeprecationWarning):
-        assert resolve_endpoint(tcp_address=("h", 1)) == TcpEndpoint("h", 1)
-
-
-def test_resolve_modern_endpoint_does_not_warn(recwarn):
-    assert resolve_endpoint("tcp://h:1") == TcpEndpoint("h", 1)
-    assert not [w for w in recwarn if w.category is DeprecationWarning]
-
-
-# ----------------------------------------------------------------------
 # Client constructors
 # ----------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("cls", [DaemonClient, SpreadClient])
 def test_clients_require_an_endpoint(cls):
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         cls()
-    with pytest.raises(ValueError):
-        cls(socket_path="/x", tcp_address=("h", 1))
 
 
 @pytest.mark.parametrize("cls", [DaemonClient, SpreadClient])
-def test_clients_accept_endpoint_specs(cls, recwarn):
+def test_clients_accept_endpoint_specs(cls):
     assert cls("/tmp/d.sock").endpoint == UnixEndpoint("/tmp/d.sock")
     assert cls(TcpEndpoint("h", 9)).endpoint == TcpEndpoint("h", 9)
     assert cls("tcp://h:9").endpoint == TcpEndpoint("h", 9)
-    assert not [w for w in recwarn if w.category is DeprecationWarning]
-
-
-@pytest.mark.parametrize("cls", [DaemonClient, SpreadClient])
-def test_clients_legacy_kwargs_still_work_with_warning(cls):
-    with pytest.warns(DeprecationWarning):
-        client = cls(socket_path="/tmp/d.sock")
-    assert client.endpoint == UnixEndpoint("/tmp/d.sock")
-    assert client.socket_path == "/tmp/d.sock"
-    assert client.tcp_address is None
-    with pytest.warns(DeprecationWarning):
-        client = cls(tcp_address=("h", 2))
-    assert client.endpoint == TcpEndpoint("h", 2)
-    assert client.socket_path is None
-    assert client.tcp_address == ("h", 2)
 
 
 def test_spread_client_positional_name_preserved():

@@ -6,13 +6,12 @@ from repro.faults import FaultInjector, PlanBuilder
 from repro.net.host import Cpu
 from repro.net.simulator import Simulator
 from repro.obs.observer import MetricsObserver
-from repro.sim.cluster import build_cluster
-from repro.sim.membership_driver import MembershipCluster
+from repro.sim.build import ClusterBuilder
 from repro.util.errors import FaultError
 
 
-def booted(n=3, **kwargs):
-    cluster = MembershipCluster(num_hosts=n, **kwargs)
+def booted(n=3, observer=None):
+    cluster = ClusterBuilder().hosts(n).membership().observe(observer).build()
     cluster.start()
     cluster.run(0.08)
     return cluster
@@ -82,7 +81,7 @@ class TestClusterFaultSurface:
         assert not cluster.hosts[0]._paused
 
     def test_ring_cluster_surface(self):
-        cluster = build_cluster(num_hosts=3)
+        cluster = ClusterBuilder().hosts(3).build()
         cluster.start()
         cluster.run(0.002)
         cluster.pause(1)
@@ -161,7 +160,7 @@ class TestInjector:
         assert cluster.topology.host(0).frames_intercepted == 0
 
     def test_recover_unsupported_without_membership(self):
-        cluster = build_cluster(num_hosts=3)
+        cluster = ClusterBuilder().hosts(3).build()
         cluster.start()
         plan = PlanBuilder().crash(1, at=0.001).recover(1, at=0.002).build()
         FaultInjector(cluster, plan).arm()

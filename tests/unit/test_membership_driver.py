@@ -1,11 +1,11 @@
 """Unit tests for the sim membership driver plumbing."""
 
 
-from repro.sim.membership_driver import MembershipCluster
+from repro.sim.build import ClusterBuilder
 
 
 def booted(n=3):
-    cluster = MembershipCluster(num_hosts=n)
+    cluster = ClusterBuilder().hosts(n).membership().build()
     cluster.start()
     cluster.run(0.08)
     return cluster
@@ -21,9 +21,9 @@ def test_states_and_rings_exclude_crashed():
 def test_crash_cancels_timers():
     cluster = booted(2)
     host = cluster.hosts[0]
-    assert host._timers  # token-loss and beacon timers armed
+    assert host._effects.armed_timers  # token-loss and beacon timers armed
     cluster.crash(0)
-    assert not host._timers
+    assert not host._effects.armed_timers
 
 
 def test_checker_wired_to_all_hosts():

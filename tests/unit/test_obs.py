@@ -24,7 +24,7 @@ from repro.obs.observer import (
     NullObserver,
     ProtocolObserver,
 )
-from repro.sim.cluster import build_cluster
+from repro.sim.build import ClusterBuilder
 from repro.workloads.generators import FixedRateWorkload
 
 
@@ -290,10 +290,12 @@ def test_render_table_mentions_every_metric():
 
 def _observed_lossy_run():
     observer = MetricsObserver()
-    cluster = build_cluster(
-        num_hosts=4,
-        loss_model=UniformLoss(rate=0.05, seed=11),
-        observer=observer,
+    cluster = (
+        ClusterBuilder()
+        .hosts(4)
+        .loss(UniformLoss(rate=0.05, seed=11))
+        .observe(observer)
+        .build()
     )
     workload = FixedRateWorkload(payload_size=200, aggregate_rate_bps=2e7)
     workload.attach(cluster, start=0.001, stop=0.02)

@@ -16,7 +16,7 @@ from repro.membership.controller import (
     MembershipController,
     TIMER_RECOVERY,
 )
-from repro.membership.effects import SendControl, SetTimer
+from repro.core.events import SendControl, SetTimer
 from repro.membership.messages import CommitToken, JoinMessage, MemberInfo
 from repro.membership.params import MembershipTimeouts
 from repro.membership.ring_id import encode_ring_id

@@ -77,11 +77,11 @@ def test_token_fcc_reflects_global_traffic():
     seen_fcc = []
 
     class Spy(InstantNetwork):
-        def _execute(self, source, effects):
+        def _apply(self, source, effects):
             for effect in effects:
                 if isinstance(effect, SendToken):
                     seen_fcc.append(effect.token.fcc)
-            super()._execute(source, effects)
+            super()._apply(source, effects)
 
     network = Spy(participants)
     network.inject_initial_token()

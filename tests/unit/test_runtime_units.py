@@ -5,7 +5,7 @@ import asyncio
 import pytest
 
 from repro.runtime.node import RUNTIME_TIMEOUTS, RingNode
-from repro.runtime.ports import ephemeral_ring_addresses
+from repro.runtime.ports import GRANTED_PORTS, ephemeral_ring_addresses
 from repro.runtime.transport import UdpTransport, local_ring_addresses
 
 
@@ -21,6 +21,20 @@ class TestAddresses:
     def test_data_and_token_ports_adjacent(self):
         peers = local_ring_addresses([3], base_port=40000)
         assert peers[3].token_port == peers[3].data_port + 1
+
+    def test_ephemeral_ports_never_repeat_within_one_call(self):
+        # Reservations are held open until the whole map is assigned;
+        # released one at a time, the kernel may grant a port twice.
+        pids = range(16)
+        for _ in range(25):
+            peers = ephemeral_ring_addresses(pids)
+            ports = [
+                port
+                for peer in peers.values()
+                for port in (peer.data_port, peer.token_port)
+            ]
+            assert len(set(ports)) == 2 * len(pids)
+            assert set(ports) <= GRANTED_PORTS
 
 
 class TestTransportValidation:

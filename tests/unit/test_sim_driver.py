@@ -5,7 +5,7 @@ import pytest
 from repro.core.config import ProtocolConfig
 from repro.core.messages import DeliveryService
 from repro.net.params import GIGABIT
-from repro.sim.cluster import build_cluster
+from repro.sim.build import ClusterBuilder
 from repro.sim.profiles import DAEMON, LIBRARY, PROFILES, SPREAD
 from repro.sim.trace import ScheduleTrace
 
@@ -52,33 +52,33 @@ class TestProfiles:
 
 class TestCluster:
     def test_build_cluster_rings_match(self):
-        cluster = build_cluster(num_hosts=4)
+        cluster = ClusterBuilder().hosts(4).build()
         assert cluster.ring == [0, 1, 2, 3]
         for pid, driver in cluster.drivers.items():
             assert driver.participant.pid == pid
             assert driver.participant.ring == [0, 1, 2, 3]
 
     def test_original_flag_selects_baseline(self):
-        cluster = build_cluster(num_hosts=2, accelerated=False)
+        cluster = ClusterBuilder().hosts(2).accelerated(False).build()
         assert not cluster.drivers[0].participant.accelerated
-        cluster = build_cluster(num_hosts=2, accelerated=True)
+        cluster = ClusterBuilder().hosts(2).accelerated(True).build()
         assert cluster.drivers[0].participant.accelerated
 
     def test_double_start_rejected(self):
-        cluster = build_cluster(num_hosts=2)
+        cluster = ClusterBuilder().hosts(2).build()
         cluster.start()
         with pytest.raises(RuntimeError):
             cluster.start()
 
     def test_token_circulates_when_idle(self):
-        cluster = build_cluster(num_hosts=3, params=GIGABIT)
+        cluster = ClusterBuilder().hosts(3).network(GIGABIT).build()
         cluster.start()
         cluster.run(0.005)
         stats = cluster.aggregate()
         assert stats.token_rounds > 10  # idle rotation continues
 
     def test_messages_flow_and_are_measured(self):
-        cluster = build_cluster(num_hosts=3, params=GIGABIT, profile=LIBRARY)
+        cluster = ClusterBuilder().hosts(3).network(GIGABIT).profile(LIBRARY).build()
         cluster.start()
         for _ in range(5):
             cluster.driver(0).client_submit(payload_size=500)
@@ -88,7 +88,7 @@ class TestCluster:
         assert stats.goodput_bps > 0
 
     def test_measure_from_excludes_warmup(self):
-        cluster = build_cluster(num_hosts=2, profile=LIBRARY)
+        cluster = ClusterBuilder().hosts(2).profile(LIBRARY).build()
         cluster.set_measure_from(1.0)  # far future: nothing measured
         cluster.start()
         cluster.driver(0).client_submit(payload_size=100)
@@ -97,7 +97,7 @@ class TestCluster:
 
     def test_safe_latency_exceeds_agreed(self):
         def run(service):
-            cluster = build_cluster(num_hosts=3, profile=LIBRARY)
+            cluster = ClusterBuilder().hosts(3).profile(LIBRARY).build()
             cluster.start()
             cluster.sim.run(until=0.001)
             cluster.driver(0).client_submit(payload_size=500, service=service)
@@ -109,7 +109,7 @@ class TestCluster:
 
 class TestScheduleTrace:
     def test_trace_captures_token_and_data(self):
-        cluster = build_cluster(num_hosts=3, profile=LIBRARY)
+        cluster = ClusterBuilder().hosts(3).profile(LIBRARY).build()
         trace = ScheduleTrace()
         trace.attach(cluster)
         cluster.driver(0).client_submit(payload_size=100)
@@ -119,11 +119,13 @@ class TestScheduleTrace:
         assert kinds == {"token", "data"}
 
     def test_sequence_of_interleaves_in_time_order(self):
-        cluster = build_cluster(
-            num_hosts=3,
-            profile=LIBRARY,
-            config=ProtocolConfig(personal_window=5, accelerated_window=3,
-                                  global_window=50),
+        cluster = (
+            ClusterBuilder()
+            .hosts(3)
+            .profile(LIBRARY)
+            .config(ProtocolConfig(personal_window=5, accelerated_window=3,
+                                  global_window=50))
+            .build()
         )
         trace = ScheduleTrace()
         trace.attach(cluster)
@@ -135,7 +137,7 @@ class TestScheduleTrace:
         assert schedule[:6] == ["1", "2", "T5", "3", "4", "5"]
 
     def test_render_ascii_nonempty(self):
-        cluster = build_cluster(num_hosts=2, profile=LIBRARY)
+        cluster = ClusterBuilder().hosts(2).profile(LIBRARY).build()
         trace = ScheduleTrace()
         trace.attach(cluster)
         cluster.driver(0).client_submit(payload_size=100)

@@ -2,7 +2,16 @@
 
 import pytest
 
+from repro.core.messages import DataMessage, DeliveryService
 from repro.util.stats import LatencyStats, RunStats, ThroughputMeter, percentile
+
+
+def delivered(sender, latency, now=1.0, payload_size=1):
+    """A message from ``sender`` submitted ``latency`` before ``now``."""
+    return DataMessage(
+        seq=1, pid=sender, round=1, service=DeliveryService.AGREED,
+        payload=b"", timestamp=now - latency, payload_size=payload_size,
+    )
 
 
 class TestPercentile:
@@ -99,17 +108,23 @@ class TestThroughputMeter:
 class TestRunStats:
     def test_record_delivery_aggregates(self):
         stats = RunStats()
-        stats.record_delivery(now=1.0, sender=3, latency=0.001, payload_size=100)
-        stats.record_delivery(now=2.0, sender=4, latency=0.003, payload_size=100)
+        stats.record_delivery_batch(1.0, (delivered(3, 0.001, 1.0, 100),), 0.0)
+        stats.record_delivery_batch(2.0, (delivered(4, 0.003, 2.0, 100),), 0.0)
         assert stats.latency.count == 2
         assert set(stats.per_sender_latency) == {3, 4}
+        assert stats.throughput.payload_bytes == 200
+
+    def test_record_delivery_skips_warmup_and_unstamped(self):
+        stats = RunStats()
+        unstamped = delivered(1, 0.0)
+        unstamped.timestamp = None
+        stats.record_delivery_batch(1.0, (delivered(1, 0.5), unstamped), measure_from=0.9)
+        assert stats.latency.count == 0
 
     def test_worst_5pct_mean_averages_senders(self):
         stats = RunStats()
-        for _ in range(20):
-            stats.record_delivery(now=1.0, sender=1, latency=0.001, payload_size=1)
-        for _ in range(20):
-            stats.record_delivery(now=1.0, sender=2, latency=0.003, payload_size=1)
+        stats.record_delivery_batch(1.0, [delivered(1, 0.001)] * 20, 0.0)
+        stats.record_delivery_batch(1.0, [delivered(2, 0.003)] * 20, 0.0)
         assert stats.worst_5pct_mean() == pytest.approx(0.002)
 
     def test_worst_5pct_empty_raises(self):

@@ -7,7 +7,7 @@ from repro.multiring.cluster import MultiRingCluster
 from repro.net.params import TEN_GIGABIT
 from repro.net.simulator import Simulator
 from repro.sim.build import ClusterBuilder, TopologySpec
-from repro.sim.cluster import RingCluster, build_cluster
+from repro.sim.cluster import RingCluster
 from repro.sim.membership_driver import DeliveryTap, MembershipCluster
 from repro.sim.profiles import DAEMON, LIBRARY
 from repro.util.errors import ConfigurationError
@@ -134,24 +134,6 @@ def test_builder_threads_network_and_config():
     )
     participant = cluster.drivers[0].participant
     assert participant.config.personal_window == 11
-
-
-def test_build_cluster_shim_warns_and_still_builds():
-    with pytest.warns(DeprecationWarning):
-        cluster = build_cluster(num_hosts=3)
-    assert isinstance(cluster, RingCluster)
-    assert sorted(cluster.drivers) == [0, 1, 2]
-
-
-def test_direct_membership_cluster_warns():
-    with pytest.warns(DeprecationWarning):
-        cluster = MembershipCluster(num_hosts=2)
-    assert sorted(cluster.hosts) == [0, 1]
-
-
-def test_builder_membership_does_not_warn(recwarn):
-    ClusterBuilder().hosts(2).membership().build_membership()
-    assert not [w for w in recwarn if w.category is DeprecationWarning]
 
 
 def test_multiring_spec_with_fault_plan_rejected():

@@ -5,7 +5,7 @@ import pytest
 from repro.core.config import ProtocolConfig
 from repro.core.messages import DeliveryService
 from repro.net.params import GIGABIT
-from repro.sim.cluster import build_cluster
+from repro.sim.build import ClusterBuilder
 from repro.sim.profiles import LIBRARY
 from repro.util.units import Mbps
 from repro.workloads.generators import (
@@ -17,7 +17,7 @@ from repro.workloads.kv import DiurnalArrivals, KvOpMix, ZipfianKeys
 
 
 def make_cluster(n=4):
-    return build_cluster(num_hosts=n, profile=LIBRARY, params=GIGABIT)
+    return ClusterBuilder().hosts(n).profile(LIBRARY).network(GIGABIT).build()
 
 
 class TestFixedRateWorkload:
@@ -79,7 +79,7 @@ class TestClosedLoopWorkload:
     def test_keeps_queues_topped_up(self):
         config = ProtocolConfig(personal_window=10, accelerated_window=10,
                                 global_window=100)
-        cluster = build_cluster(num_hosts=2, profile=LIBRARY, config=config)
+        cluster = ClusterBuilder().hosts(2).profile(LIBRARY).config(config).build()
         workload = ClosedLoopWorkload(payload_size=1000, depth_factor=2)
         workload.attach(cluster, start=0.0, stop=0.01)
         cluster.start()
@@ -226,3 +226,31 @@ class TestBurstWorkload:
         cluster.run(0.05)
         for driver in cluster.drivers.values():
             assert driver.participant.messages_delivered == 10
+
+
+class TestMembershipClusterAttach:
+    """Regression: every generator attaches to what
+    ``ClusterBuilder().hosts(n).membership().build()`` returns (a
+    single-ring MembershipCluster has no ``drivers`` attribute at all)."""
+
+    @pytest.mark.parametrize(
+        "workload",
+        [
+            FixedRateWorkload(payload_size=500, aggregate_rate_bps=Mbps(40)),
+            BurstWorkload(payload_size=500, burst_size=5, burst_interval=0.005),
+            ClosedLoopWorkload(payload_size=500),
+        ],
+        ids=["fixed-rate", "burst", "closed-loop"],
+    )
+    def test_attach_run_and_deliver_everything(self, workload):
+        cluster = ClusterBuilder().hosts(3).membership().build()
+        cluster.start()
+        cluster.run(0.08)
+        assert set(cluster.states().values()) == {"operational"}
+        now = cluster.sim.now
+        workload.attach(cluster, start=now + 0.001, stop=now + 0.011)
+        cluster.run(0.06)
+        assert workload.messages_injected > 0
+        for host in cluster.hosts.values():
+            assert len(host.delivered) == workload.messages_injected
+        cluster.checker.check()
