@@ -924,7 +924,7 @@ def cmd_daemon(args: argparse.Namespace) -> int:
                 await asyncio.sleep(2.0)
                 print(
                     f"  ring={daemon.node.members} state={daemon.node.state} "
-                    f"delivered={len(daemon.node.delivered)}"
+                    f"delivered={daemon.node.delivered_count}"
                 )
         except (KeyboardInterrupt, asyncio.CancelledError):
             pass

@@ -26,11 +26,12 @@ class DaemonClient:
 
     def __init__(self, endpoint: EndpointSpec) -> None:
         self.endpoint: Endpoint = ipc.parse_endpoint(endpoint)
-        self._reader: Optional[asyncio.StreamReader] = None
+        self._frames: Optional[ipc.FrameReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
 
     async def connect(self) -> None:
-        self._reader, self._writer = await self.endpoint.open()
+        reader, self._writer = await self.endpoint.open()
+        self._frames = ipc.FrameReader(reader)
 
     async def close(self) -> None:
         if self._writer is not None:
@@ -40,7 +41,7 @@ class DaemonClient:
             except (ConnectionResetError, BrokenPipeError):
                 pass
             self._writer = None
-            self._reader = None
+            self._frames = None
 
     def send(
         self,
@@ -54,9 +55,9 @@ class DaemonClient:
 
     async def receive(self) -> ClientEvent:
         """Await the next delivery or configuration-change event."""
-        if self._reader is None:
+        if self._frames is None:
             raise RuntimeError("client not connected")
-        opcode, body = await ipc.read_frame(self._reader)
+        opcode, body = await self._frames.next()
         if opcode == ipc.OP_DELIVER:
             return ipc.unpack_deliver(body)
         if opcode == ipc.OP_CONFIG:

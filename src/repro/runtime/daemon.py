@@ -15,12 +15,16 @@ from __future__ import annotations
 
 import asyncio
 import os
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.core.messages import DataMessage
 from repro.evs.configuration import Configuration
 from repro.runtime import ipc
-from repro.runtime.backpressure import DEFAULT_CLIENT_WINDOW_BYTES, ClientSendQueue
+from repro.runtime.backpressure import (
+    DEFAULT_CLIENT_WINDOW_BYTES,
+    ClientSendQueue,
+    flush_all,
+)
 from repro.runtime.node import RingNode
 from repro.runtime.transport import PeerAddress
 from repro.util.errors import CodecError
@@ -62,6 +66,9 @@ class DaemonServer:
         )
         self.node.on_deliver = self._deliver
         self.node.on_config = self._config_changed
+        #: Client queues holding frames of the node's current batch.
+        self._unflushed: List[ClientSendQueue] = []
+        self.node.on_batch_end = lambda: flush_all(self._unflushed)
         self._server: Optional[asyncio.AbstractServer] = None
         self._tcp_server: Optional[asyncio.AbstractServer] = None
         self._clients: Dict[asyncio.StreamWriter, ClientSendQueue] = {}
@@ -101,13 +108,13 @@ class DaemonServer:
     async def _handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        queue = ClientSendQueue(writer, self.client_window_bytes)
-        queue.start()
+        queue = ClientSendQueue(writer, self.client_window_bytes, self._unflushed)
         self._clients[writer] = queue
+        frames = ipc.FrameReader(reader)
         try:
             while True:
                 try:
-                    opcode, body = await ipc.read_frame(reader)
+                    opcode, body = await frames.next()
                 except (asyncio.IncompleteReadError, ConnectionError, OSError):
                     break
                 if opcode == ipc.OP_SUBMIT:

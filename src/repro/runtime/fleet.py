@@ -79,6 +79,8 @@ class Fleet:
         self.clients: List[SpreadClient] = []
         self._next_placement = 0
         self._started = False
+        #: Set whenever any daemon's node installs a configuration.
+        self._ring_changed: Optional[asyncio.Event] = None
 
     # ------------------------------------------------------------------
     # Daemon lifecycle
@@ -88,7 +90,7 @@ class Fleet:
         return os.path.join(self.workdir, f"daemon-{pid}.sock")
 
     def _make_daemon(self, pid: int) -> SpreadDaemon:
-        return SpreadDaemon(
+        daemon = SpreadDaemon(
             pid,
             self.addresses,
             self.socket_path(pid),
@@ -97,9 +99,18 @@ class Fleet:
             client_window_bytes=self.client_window_bytes,
             **self._daemon_kwargs,
         )
+        daemon_on_config = daemon.node.on_config
+
+        def on_config(configuration) -> None:
+            daemon_on_config(configuration)
+            self._ring_changed.set()
+
+        daemon.node.on_config = on_config
+        return daemon
 
     async def start(self, form_timeout: float = 10.0) -> None:
         """Boot every daemon and wait for a single full ring to form."""
+        self._ring_changed = asyncio.Event()
         self.addresses = ephemeral_ring_addresses(range(self.num_daemons))
         for pid in range(self.num_daemons):
             self.daemons[pid] = self._make_daemon(pid)
@@ -111,20 +122,31 @@ class Fleet:
     async def wait_for_ring(
         self, timeout: float = 10.0, pids: Optional[Sequence[int]] = None
     ) -> None:
-        """Poll until the given daemons agree on one operational ring."""
+        """Wait until the given daemons agree on one operational ring.
+
+        A node becomes operational on a ring in the step that installs
+        the ring's configuration, so the condition is re-checked when a
+        node reports one — no polling interval sits in ``setup_s``.
+        """
         want = tuple(sorted(pids if pids is not None else self.daemons))
         deadline = time.monotonic() + timeout
         while True:
+            self._ring_changed.clear()
             nodes = [self.daemons[pid].node for pid in want]
             if all(
                 node.state == "operational" and tuple(node.members) == want
                 for node in nodes
             ):
                 return
-            if time.monotonic() > deadline:
+            try:
+                await asyncio.wait_for(
+                    self._ring_changed.wait(), deadline - time.monotonic()
+                )
+            except asyncio.TimeoutError:
                 states = {pid: self.daemons[pid].node.state for pid in want}
-                raise FleetError(f"ring did not form within {timeout}s: {states}")
-            await asyncio.sleep(0.02)
+                raise FleetError(
+                    f"ring did not form within {timeout}s: {states}"
+                ) from None
 
     async def crash_daemon(self, pid: int) -> None:
         """Fail-stop one daemon; its clients see their connection die."""
@@ -204,6 +226,7 @@ class Fleet:
             "batches_sent": 0,
             "batched_messages": 0,
             "datagrams_sent": 0,
+            "datagrams_send_dropped": 0,
         }
         for daemon in self.daemons.values():
             totals["messages_delivered_to_clients"] += (
@@ -214,6 +237,9 @@ class Fleet:
             totals["batches_sent"] += daemon.node.batches_sent
             totals["batched_messages"] += daemon.node.batched_messages
             totals["datagrams_sent"] += daemon.node.transport.datagrams_sent
+            totals["datagrams_send_dropped"] += (
+                daemon.node.transport.datagrams_send_dropped
+            )
         return totals
 
 

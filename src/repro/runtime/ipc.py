@@ -3,6 +3,9 @@
 Daemons and their local clients talk over a unix stream socket using
 length-prefixed frames: ``!BI`` (opcode, body length) followed by the
 body.  Mirrors Spread's IPC-socket client communication (paper §III-E).
+Both ends parse with the sans-io :class:`FrameDecoder`, which yields
+every complete frame a read returned — a burst of deliveries costs its
+receiver one wakeup, not two awaits per frame.
 
 Where a client connects is described by an :data:`Endpoint` — either a
 :class:`UnixEndpoint` (co-located client, the paper's recommended LAN
@@ -14,8 +17,9 @@ from __future__ import annotations
 
 import asyncio
 import struct
+from collections import deque
 from dataclasses import dataclass
-from typing import List, Tuple, Union
+from typing import Deque, List, Tuple, Union
 
 from repro.core.messages import DeliveryService
 from repro.util.errors import CodecError
@@ -119,7 +123,82 @@ def pack_frame(opcode: int, body: bytes) -> bytes:
     return _FRAME_HEADER.pack(opcode, len(body)) + body
 
 
-async def read_frame(reader: asyncio.StreamReader) -> Tuple[int, bytes]:
+#: One decoded frame: ``(opcode, body)``.
+Frame = Tuple[int, bytes]
+
+
+class FrameDecoder:
+    """Sans-io frame parser for one byte stream.
+
+    :meth:`feed` takes whatever a read returned and gives back every
+    frame it completed, in order; the bytes of an unfinished frame (down
+    to a partial header) wait for the next call.
+    """
+
+    __slots__ = ("_buffer",)
+
+    def __init__(self) -> None:
+        self._buffer = bytearray()
+
+    @property
+    def partial(self) -> bytes:
+        """The bytes of the frame still being received."""
+        return bytes(self._buffer)
+
+    def feed(self, data: bytes) -> List[Frame]:
+        buffer = self._buffer
+        buffer += data
+        frames: List[Frame] = []
+        header_size = _FRAME_HEADER.size
+        offset = 0
+        with memoryview(buffer) as view:
+            end = len(view)
+            while end - offset >= header_size:
+                opcode, length = _FRAME_HEADER.unpack_from(view, offset)
+                if length > MAX_FRAME:
+                    raise CodecError(f"frame too large: {length}")
+                body = offset + header_size
+                if body + length > end:
+                    break
+                offset = body + length
+                frames.append((opcode, bytes(view[body:offset])))
+        if offset:
+            del buffer[:offset]
+        return frames
+
+
+class FrameReader:
+    """The frames arriving on one connection, over a stream reader.
+
+    :meth:`next` returns without suspending while frames of the last
+    read remain; otherwise it awaits one read and decodes all of it.
+    """
+
+    #: Bytes asked of the stream per read (its buffer limit is 64 KiB).
+    READ_SIZE = 1 << 16
+
+    def __init__(self, reader: asyncio.StreamReader) -> None:
+        self._reader = reader
+        self._decoder = FrameDecoder()
+        self._ready: Deque[Frame] = deque()
+
+    async def next(self) -> Frame:
+        """The next frame; ``IncompleteReadError`` once the peer is gone."""
+        ready = self._ready
+        while not ready:
+            data = await self._reader.read(self.READ_SIZE)
+            if not data:
+                raise asyncio.IncompleteReadError(self._decoder.partial, None)
+            ready.extend(self._decoder.feed(data))
+        return ready.popleft()
+
+
+async def read_frame(reader: asyncio.StreamReader) -> Frame:
+    """One frame straight off ``reader``, two awaits and no decoder state.
+
+    Not used by the runtime (see :class:`FrameReader`); kept because the
+    frozen ``benchmarks/e2e/micro.py`` times it.
+    """
     header = await reader.readexactly(_FRAME_HEADER.size)
     opcode, length = _FRAME_HEADER.unpack(header)
     if length > MAX_FRAME:

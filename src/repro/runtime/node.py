@@ -7,6 +7,11 @@ the ordering engine) to a :class:`~repro.runtime.transport.UdpTransport`,
 executes timer effects with ``loop.call_later``, and implements the
 token/data priority discipline over two receive queues.
 
+Input is handled a *pass* at a time (PROTOCOL.md §4, "the runtime's
+pass"): the transport queues everything one wakeup found in the kernel,
+data before token, and one call then handles all of it under the §III-D
+priority rule — not one datagram per trip through the event loop.
+
 Effects are executed by the shared
 :class:`~repro.core.executor.EffectExecutor` (run grouping, the timer
 table and dispatch are the same code the simulator runs); this node is
@@ -53,6 +58,10 @@ DeliverCallback = Callable[[DataMessage, int], None]
 ConfigCallback = Callable[[Configuration], None]
 Clock = Callable[[], float]
 
+#: Datagrams handled in one pass before the node yields to the event
+#: loop (timers, client sockets, the other daemons of a loopback fleet).
+PASS_BUDGET = 128
+
 
 class RingNode:
     """One process in a (loopback) ring."""
@@ -89,10 +98,20 @@ class RingNode:
             loss_seed=loss_seed,
             token_loss_rate=token_loss_rate,
         )
+        #: Messages delivered so far.
+        self.delivered_count = 0
+        #: The delivered messages themselves — kept only while no
+        #: ``on_deliver`` consumer is installed (a bare node is its own
+        #: application; under a daemon the log would grow with every
+        #: message the ring ever ordered).
         self.delivered: List[DataMessage] = []
         self.configurations: List[Configuration] = []
         self.on_deliver: Optional[DeliverCallback] = None
         self.on_config: Optional[ConfigCallback] = None
+        #: Called after each batch of input (a pass, an expired timer) has
+        #: been handled and its deliveries made: the consumer's cue to
+        #: write out what the batch produced.
+        self.on_batch_end: Optional[Callable[[], None]] = None
 
         #: Injectable monotonic time source.  Defaults to the running
         #: event loop's clock (bound lazily in :meth:`start`): tests
@@ -103,8 +122,8 @@ class RingNode:
         self._effects = EffectExecutor(self, config.messages_per_datagram)
         self._data_queue = FrameRing()
         self._token_queue = FrameRing()
-        self._wakeup = asyncio.Event()
-        self._loop_task: Optional[asyncio.Task] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._pass_scheduled = False
         self._closed = False
         self.decode_errors = 0
         #: Coalesced datagrams actually sent (runs of >= 2 messages).
@@ -123,24 +142,17 @@ class RingNode:
         # Observer timestamps use the injected clock (default: the event
         # loop's) — the same clock ``submit`` stamps messages with, so
         # delivery latencies subtract cleanly.
+        self._loop = asyncio.get_running_loop()
         if self._clock is None:
-            self._clock = asyncio.get_running_loop().time
+            self._clock = self._loop.time
         self.controller.clock = self._clock
         await self.transport.start()
-        self._loop_task = asyncio.get_running_loop().create_task(self._run())
         self._effects.execute(self.controller.start())
 
     async def stop(self) -> None:
         """Fail-stop this node (crash semantics: nothing is flushed)."""
         self._closed = True
         self._effects.cancel_timers()
-        if self._loop_task is not None:
-            self._loop_task.cancel()
-            try:
-                await self._loop_task
-            except asyncio.CancelledError:
-                pass
-            self._loop_task = None
         self.transport.close()
 
     def submit(
@@ -180,31 +192,46 @@ class RingNode:
 
     def _enqueue_data(self, datagram: bytes) -> None:
         self._data_queue.push(datagram)
-        self._wakeup.set()
+        if not self._pass_scheduled:
+            self._schedule_pass()
 
     def _enqueue_token(self, datagram: bytes) -> None:
         self._token_queue.push(datagram)
-        self._wakeup.set()
+        if not self._pass_scheduled:
+            self._schedule_pass()
 
-    async def _run(self) -> None:
-        """The single-threaded processing loop with §III-D priority."""
+    def _schedule_pass(self) -> None:
+        self._pass_scheduled = True
+        self._loop.call_soon(self._pass)
+
+    def _pass(self) -> None:
+        """Handle everything queued, under the §III-D priority rule.
+
+        A token is taken ahead of queued data only once the engine has
+        raised its priority; otherwise data goes first — including the
+        data the transport read ahead of the token in the same wakeup.
+        """
+        self._pass_scheduled = False
+        if self._closed:
+            return
         data_queue = self._data_queue
         token_queue = self._token_queue
-        while not self._closed:
-            if not data_queue and not token_queue:
-                self._wakeup.clear()
-                await self._wakeup.wait()
-                continue
-            token_available = bool(token_queue)
-            data_available = bool(data_queue)
-            if token_available and (
-                self.controller.token_has_priority or not data_available
-            ):
+        controller = self.controller
+        for _ in range(PASS_BUDGET):
+            if token_queue and (controller.token_has_priority or not data_queue):
                 self._handle_token(token_queue.pop())
-            else:
+            elif data_queue:
                 self._handle_data(data_queue.pop())
-            # Yield to the event loop so sends and timers interleave.
-            await asyncio.sleep(0)
+            else:
+                break
+        else:
+            if data_queue or token_queue:
+                self._schedule_pass()
+        self._batch_end()
+
+    def _batch_end(self) -> None:
+        if self.on_batch_end is not None:
+            self.on_batch_end()
 
     def _handle_data(self, datagram: bytes) -> None:
         """Decode one data-port datagram: a single message or a batch."""
@@ -244,16 +271,19 @@ class RingNode:
         self.transport.send_control(encode_any(message), destination)
 
     def schedule(self, delay: float, callback, *args) -> asyncio.TimerHandle:
-        return asyncio.get_running_loop().call_later(delay, callback, *args)
+        return self._loop.call_later(delay, callback, *args)
 
     def on_timer(self, name: str) -> None:
         if not self._closed:
             self._effects.execute(self.controller.on_timer(name))
+            self._batch_end()
 
     def deliver(self, messages, config_id: int, origin_ring: int) -> None:
-        self.delivered.extend(messages)
+        self.delivered_count += len(messages)
         on_deliver = self.on_deliver
-        if on_deliver is not None:
+        if on_deliver is None:
+            self.delivered.extend(messages)
+        else:
             for message in messages:
                 on_deliver(message, config_id)
 

@@ -78,7 +78,7 @@ class SpreadClient:
         #: Optional group → ring map for sharded deployments; without
         #: one, every group lives on this client's single daemon.
         self.shard_map = shard_map
-        self._reader: Optional[asyncio.StreamReader] = None
+        self._frames: Optional[ipc.FrameReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
 
     def shard_of(self, group: str) -> int:
@@ -91,9 +91,10 @@ class SpreadClient:
 
     async def connect(self) -> str:
         """Connect and return the daemon-qualified member name."""
-        self._reader, self._writer = await self.endpoint.open()
+        reader, self._writer = await self.endpoint.open()
+        self._frames = ipc.FrameReader(reader)
         self._writer.write(ipc.pack_hello(self.private_name))
-        opcode, body = await ipc.read_frame(self._reader)
+        opcode, body = await self._frames.next()
         if opcode != ipc.OP_WELCOME:
             raise CodecError(f"expected welcome, got opcode {opcode}")
         self.member_name = ipc.unpack_welcome(body)
@@ -107,7 +108,7 @@ class SpreadClient:
             except (ConnectionResetError, BrokenPipeError):
                 pass
             self._writer = None
-            self._reader = None
+            self._frames = None
 
     def _require(self) -> asyncio.StreamWriter:
         if self._writer is None:
@@ -134,9 +135,9 @@ class SpreadClient:
         self._require().write(ipc.pack_groupcast(groups, service, payload))
 
     async def receive(self) -> ClientEvent:
-        if self._reader is None:
+        if self._frames is None:
             raise RuntimeError("client not connected")
-        opcode, body = await ipc.read_frame(self._reader)
+        opcode, body = await self._frames.next()
         if opcode == ipc.OP_GROUPCAST:
             groups, service, payload = ipc.unpack_groupcast(body)
             return GroupMessage(groups=tuple(groups), service=service, payload=payload)

@@ -12,12 +12,16 @@ from __future__ import annotations
 
 import asyncio
 import os
-from typing import Dict, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from repro.core.messages import DataMessage, DeliveryService
 from repro.evs.configuration import Configuration
 from repro.runtime import ipc
-from repro.runtime.backpressure import DEFAULT_CLIENT_WINDOW_BYTES, ClientSendQueue
+from repro.runtime.backpressure import (
+    DEFAULT_CLIENT_WINDOW_BYTES,
+    ClientSendQueue,
+    flush_all,
+)
 from repro.runtime.node import RingNode
 from repro.runtime.transport import PeerAddress
 from repro.spread.fragmentation import Fragmenter, FragmentReassembler
@@ -41,10 +45,11 @@ class _ClientSession:
         member_name: str,
         writer: asyncio.StreamWriter,
         window_bytes: int = DEFAULT_CLIENT_WINDOW_BYTES,
+        unflushed: Optional[List[ClientSendQueue]] = None,
     ) -> None:
         self.member_name = member_name
         self.writer = writer
-        self.queue = ClientSendQueue(writer, window_bytes)
+        self.queue = ClientSendQueue(writer, window_bytes, unflushed)
         self.joined: Set[str] = set()
 
 
@@ -69,6 +74,9 @@ class SpreadDaemon:
         self.node = RingNode(pid=pid, peers=peers, accelerated=accelerated, **node_kwargs)
         self.node.on_deliver = self._ordered_delivery
         self.node.on_config = self._config_changed
+        #: Client queues holding frames of the node's current batch.
+        self._unflushed: List[ClientSendQueue] = []
+        self.node.on_batch_end = lambda: flush_all(self._unflushed)
         self.directory = GroupDirectory()
         self.packer = Packer(budget=pack_budget)
         self.fragmenter = Fragmenter(chunk_size=pack_budget)
@@ -115,8 +123,9 @@ class SpreadDaemon:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         session: Optional[_ClientSession] = None
+        frames = ipc.FrameReader(reader)
         try:
-            opcode, body = await ipc.read_frame(reader)
+            opcode, body = await frames.next()
             if opcode != ipc.OP_HELLO:
                 raise CodecError("client must introduce itself first")
             self._client_counter += 1
@@ -124,13 +133,15 @@ class SpreadDaemon:
             member_name = qualify(private, self.pid)
             if member_name in self._sessions:
                 member_name = qualify(f"{private}.{self._client_counter}", self.pid)
-            session = _ClientSession(member_name, writer, self.client_window_bytes)
-            session.queue.start()
+            session = _ClientSession(
+                member_name, writer, self.client_window_bytes, self._unflushed
+            )
             self._sessions[member_name] = session
             session.queue.send(ipc.pack_welcome(member_name))
+            flush_all(self._unflushed)
             while True:
                 try:
-                    opcode, body = await ipc.read_frame(reader)
+                    opcode, body = await frames.next()
                 except (asyncio.IncompleteReadError, ConnectionError, OSError):
                     # A half-closed or reset connection: the client is
                     # gone (or was dropped for falling behind); clean up

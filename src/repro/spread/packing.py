@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.spread.wire import Packed, decode_envelope
+from repro.spread.wire import ENV_PACKED, Packed, decode_envelope
 from repro.util.errors import ConfigurationError
 
 #: Bytes of per-item overhead inside a packed container (length prefix).
@@ -67,8 +67,11 @@ class Packer:
 
 
 def unpack_payload(payload: bytes) -> List[bytes]:
-    """Expand one ordered payload into its constituent encoded envelopes."""
-    envelope = decode_envelope(payload)
-    if isinstance(envelope, Packed):
-        return list(envelope.items)
+    """Expand one ordered payload into its constituent encoded envelopes.
+
+    Only a packed container is decoded here; anything else is one
+    envelope and is returned as it is, for the caller to decode (once).
+    """
+    if payload and payload[0] == ENV_PACKED:
+        return list(decode_envelope(payload).items)
     return [payload]

@@ -71,11 +71,13 @@ def fail_on_hardcoded_ports(monkeypatch):
     :mod:`repro.runtime.ports` (``reserve_udp_port``/``reserve_tcp_port``
     / ``ephemeral_ring_addresses``), which records its grants in
     ``GRANTED_PORTS``.  ``socket.bind`` itself is a C slot we cannot
-    patch, so the tripwire guards the asyncio entry points every
-    runtime component goes through.
+    patch, so the tripwire guards the entry points every runtime
+    component goes through: asyncio's, and the UDP transport's own
+    ``bind_udp``.
     """
     import asyncio.base_events as base_events
 
+    from repro.runtime import transport
     from repro.runtime.ports import GRANTED_PORTS
 
     def check(port, where):
@@ -101,6 +103,13 @@ def fail_on_hardcoded_ports(monkeypatch):
         check(port, "create_server")
         return real_server(self, protocol_factory, host, port, **kwargs)
 
+    real_bind_udp = transport.bind_udp
+
+    def guarded_bind_udp(host, port):
+        check(port, "bind_udp")
+        return real_bind_udp(host, port)
+
+    monkeypatch.setattr(transport, "bind_udp", guarded_bind_udp)
     monkeypatch.setattr(
         base_events.BaseEventLoop, "create_datagram_endpoint", guarded_datagram
     )

@@ -19,8 +19,11 @@ def test_reply_ordered_after_trigger_everywhere():
         peers = ephemeral_ring_addresses(range(3))
         nodes = [RingNode(pid, peers, timeouts=FAST_TIMEOUTS) for pid in range(3)]
 
-        # Node 1 replies the moment it delivers the trigger.
+        # Node 1 replies the moment it delivers the trigger.  (A node
+        # with a consumer hands its deliveries over instead of logging
+        # them, so the consumer keeps node 1's log.)
         def reply_on_trigger(message: DataMessage, config_id: int) -> None:
+            nodes[1].delivered.append(message)
             if message.payload == b"trigger":
                 nodes[1].submit(payload=b"reply")
 

@@ -151,7 +151,7 @@ def test_half_closed_connection_is_reaped():
                     daemons[0].socket_path
                 )
                 writer.write(ipc.pack_hello("half"))
-                opcode, body = await ipc.read_frame(reader)
+                opcode, body = await ipc.FrameReader(reader).next()
                 assert opcode == ipc.OP_WELCOME
                 assert await wait_until(
                     lambda: any(

@@ -8,7 +8,9 @@ message comes back through the total order).
 
 import asyncio
 
-from repro.runtime.fleet import Fleet, run_fleet_workload
+import pytest
+
+from repro.runtime.fleet import Fleet, FleetError, run_fleet_workload
 
 
 def test_fleet_sustains_fifty_concurrent_clients():
@@ -27,6 +29,7 @@ def test_fleet_sustains_fifty_concurrent_clients():
         counters = report["counters"]
         assert counters["decode_errors"] == 0
         assert counters["clients_dropped_slow"] == 0
+        assert counters["datagrams_send_dropped"] == 0
         # Latency percentiles are populated and ordered.
         assert 0 < report["latency_p50_ms"] <= report["latency_p99_ms"]
 
@@ -63,6 +66,42 @@ def test_fleet_crash_restart_reconnects_and_stays_complete():
     asyncio.run(scenario())
 
 
+def test_wait_for_ring_wakes_on_the_configuration_change_and_times_out():
+    """Ring waits are driven by the nodes' configuration deliveries, not
+    by a polling interval; the timeout and its message are unchanged."""
+
+    async def scenario():
+        fleet = Fleet(num_daemons=3)
+        await fleet.start()
+        try:
+            await fleet.crash_daemon(2)
+            # The survivors have not noticed yet: their ring is still (0, 1, 2).
+            with pytest.raises(FleetError, match=r"ring did not form within 0.001s: \{0: "):
+                await fleet.wait_for_ring(timeout=0.001)
+            sleeps = []
+            real_sleep = asyncio.sleep
+
+            async def recording_sleep(delay, *args):
+                sleeps.append(delay)
+                return await real_sleep(delay, *args)
+
+            asyncio.sleep = recording_sleep
+            try:
+                await fleet.wait_for_ring(timeout=10.0)
+                await fleet.restart_daemon(2)
+            finally:
+                asyncio.sleep = real_sleep
+            assert sleeps == []  # nothing polled
+            assert all(
+                tuple(daemon.node.members) == (0, 1, 2)
+                for daemon in fleet.daemons.values()
+            )
+        finally:
+            await fleet.drain_and_stop()
+
+    asyncio.run(scenario())
+
+
 def test_slow_client_is_dropped_not_buffered_forever():
     """A client that never reads must be disconnected once it falls a
     window behind, not buffered without bound."""
@@ -76,13 +115,18 @@ def test_slow_client_is_dropped_not_buffered_forever():
             await deaf.join("g")
             await deaf.wait_for_view("g", 1)
 
+            daemon = fleet.daemons[0]
+            (deaf_queue,) = [
+                session.queue
+                for name, session in daemon._sessions.items()
+                if "deaf" in name
+            ]
             blaster = await fleet.connect_client(name="blaster")
             payload = b"x" * 1024
             for _ in range(600):
                 blaster.multicast(["g"], payload)
                 await asyncio.sleep(0)
 
-            daemon = fleet.daemons[0]
             dropped = False
             deadline = asyncio.get_running_loop().time() + 10
             while asyncio.get_running_loop().time() < deadline:
@@ -91,6 +135,14 @@ def test_slow_client_is_dropped_not_buffered_forever():
                     break
                 await asyncio.sleep(0.05)
             assert dropped, "slow client was never dropped"
+            # Bounded, not buffered: every byte the daemon held for the
+            # deaf client (queued frames and what its socket had not
+            # taken) was counted against its window, which never
+            # overflowed; the drop released all of it.
+            assert deaf_queue.dropped_slow
+            assert 0 < deaf_queue.window.peak_queue_bytes <= 4096
+            assert deaf_queue.window.queued_bytes == 0
+            assert deaf_queue.writer.transport.get_write_buffer_size() == 0
             # The daemon survives and still serves the other client.
             assert daemon.node.state == "operational"
         finally:

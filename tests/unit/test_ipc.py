@@ -2,27 +2,19 @@
 
 import asyncio
 
+import pytest
 
 from repro.core.messages import DeliveryService
 from repro.runtime import ipc
+from repro.util.errors import CodecError
 
 
 def roundtrip_frames(*frames: bytes):
-    """Feed packed frames through a StreamReader and read them back."""
-
-    async def run():
-        reader = asyncio.StreamReader()
-        for frame in frames:
-            reader.feed_data(frame)
-        reader.feed_eof()
-        out = []
-        while True:
-            try:
-                out.append(await ipc.read_frame(reader))
-            except asyncio.IncompleteReadError:
-                return out
-
-    return asyncio.run(run())
+    """Feed packed frames through a FrameDecoder and read them back."""
+    decoder = ipc.FrameDecoder()
+    out = decoder.feed(b"".join(frames))
+    assert decoder.partial == b""
+    return out
 
 
 def test_submit_roundtrip():
@@ -98,3 +90,80 @@ def test_empty_body_frame():
     ((opcode, body),) = roundtrip_frames(frame)
     assert opcode == ipc.OP_CONFIG
     assert body == b""
+
+
+class TestFrameDecoder:
+    def test_partial_header_and_body_wait_for_more(self):
+        frame = ipc.pack_submit(DeliveryService.AGREED, b"payload")
+        decoder = ipc.FrameDecoder()
+        assert decoder.feed(frame[:3]) == []  # inside the 5-byte header
+        assert decoder.partial == frame[:3]
+        assert decoder.feed(frame[3:9]) == []  # header complete, body not
+        assert decoder.feed(frame[9:] + frame[:2]) == [(ipc.OP_SUBMIT, frame[5:])]
+        assert decoder.partial == frame[:2]
+
+    def test_oversized_length_is_rejected_before_the_body_arrives(self):
+        header = ipc._FRAME_HEADER.pack(ipc.OP_SUBMIT, ipc.MAX_FRAME + 1)
+        with pytest.raises(CodecError, match="frame too large"):
+            ipc.FrameDecoder().feed(header)
+        # The limit itself is a legal length.
+        assert ipc.FrameDecoder().feed(
+            ipc._FRAME_HEADER.pack(ipc.OP_SUBMIT, ipc.MAX_FRAME)
+        ) == []
+
+
+class TestFrameReader:
+    def test_one_read_serves_every_frame_it_contained(self):
+        async def run():
+            reader = asyncio.StreamReader()
+            reads = 0
+            real_read = reader.read
+
+            async def counting_read(n):
+                nonlocal reads
+                reads += 1
+                return await real_read(n)
+
+            reader.read = counting_read
+            frames = ipc.FrameReader(reader)
+            burst = [ipc.pack_submit(DeliveryService.AGREED, b"%d" % i) for i in range(5)]
+            reader.feed_data(b"".join(burst) + burst[0][:4])
+            got = [await frames.next() for _ in range(5)]
+            assert [body[1:] for _op, body in got] == [b"0", b"1", b"2", b"3", b"4"]
+            assert reads == 1
+            # The peer goes away mid-frame: the partial bytes are reported.
+            reader.feed_eof()
+            with pytest.raises(asyncio.IncompleteReadError) as caught:
+                await frames.next()
+            assert caught.value.partial == burst[0][:4]
+
+        asyncio.run(run())
+
+    def test_cancelled_wait_loses_nothing(self):
+        """``wait_for(receive(), timeout)`` is how clients poll: a timeout
+        while a frame is half-arrived must not desynchronise the stream."""
+
+        async def run():
+            reader = asyncio.StreamReader()
+            frames = ipc.FrameReader(reader)
+            frame = ipc.pack_submit(DeliveryService.SAFE, b"split")
+            reader.feed_data(frame[:7])
+            with pytest.raises(asyncio.TimeoutError):
+                await asyncio.wait_for(frames.next(), 0.01)
+            reader.feed_data(frame[7:])
+            assert await frames.next() == (ipc.OP_SUBMIT, frame[5:])
+
+        asyncio.run(run())
+
+
+def test_read_frame_still_serves_the_frozen_benchmark_micro():
+    """benchmarks/e2e/micro.py (frozen) times ``ipc.read_frame``."""
+
+    async def run():
+        reader = asyncio.StreamReader()
+        reader.feed_data(ipc.pack_groupcast(["bench"], DeliveryService.AGREED, b"x"))
+        opcode, body = await ipc.read_frame(reader)
+        assert opcode == ipc.OP_GROUPCAST
+        assert ipc.unpack_groupcast(body) == (["bench"], DeliveryService.AGREED, b"x")
+
+    asyncio.run(run())

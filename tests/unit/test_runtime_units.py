@@ -69,6 +69,59 @@ class TestTransportValidation:
         assert transport.datagrams_dropped == 1
 
 
+    def test_refused_send_is_a_counted_lost_datagram_not_an_exception(self):
+        class FullSocket:
+            def sendto(self, payload, address):
+                raise BlockingIOError(11, "send buffer full")
+
+        peers = local_ring_addresses(range(3), base_port=40100)
+        transport = UdpTransport(pid=0, peers=peers, on_data=lambda d: None,
+                                 on_token=lambda d: None)
+        transport._data_sock = transport._token_sock = FullSocket()
+        transport._data_peers = [("127.0.0.1", 1), ("127.0.0.1", 2)]
+        transport._token_peers = {1: ("127.0.0.1", 3)}
+        transport.multicast_data(b"data")
+        transport.send_token(b"token", 1)
+        assert transport.datagrams_send_dropped == 3
+        assert transport.datagrams_sent == 0
+
+    def test_hardcoded_port_trips_the_bind_tripwire(self):
+        async def scenario():
+            peers = local_ring_addresses([0], base_port=40100)
+            transport = UdpTransport(pid=0, peers=peers, on_data=lambda d: None,
+                                     on_token=lambda d: None)
+            await transport.start()
+
+        with pytest.raises(pytest.fail.Exception, match="hard-coded port"):
+            asyncio.run(scenario())
+
+
+class TestDeliveryLog:
+    @staticmethod
+    def _messages(count):
+        from repro.core.messages import DataMessage, DeliveryService
+
+        return tuple(
+            DataMessage(seq=seq, pid=1, round=1, service=DeliveryService.AGREED)
+            for seq in range(1, count + 1)
+        )
+
+    def test_bare_node_keeps_its_delivery_log(self):
+        node = RingNode(0, local_ring_addresses([0], base_port=40100))
+        node.deliver(self._messages(3), 1, 1)
+        assert node.delivered_count == 3
+        assert [m.seq for m in node.delivered] == [1, 2, 3]
+
+    def test_node_with_a_consumer_counts_but_does_not_retain(self):
+        node = RingNode(0, local_ring_addresses([0], base_port=40100))
+        seen = []
+        node.on_deliver = lambda message, config_id: seen.append(message.seq)
+        node.deliver(self._messages(3), 1, 1)
+        assert seen == [1, 2, 3]
+        assert node.delivered_count == 3
+        assert node.delivered == []
+
+
 class TestRuntimeTimeouts:
     def test_defaults_are_wall_clock_scale(self):
         assert RUNTIME_TIMEOUTS.token_loss >= 0.1

@@ -167,6 +167,21 @@ class TestPacker:
         unpacked = [item for payload in out for item in unpack_payload(payload)]
         assert unpacked == envelopes
 
+    def test_unpack_passes_every_non_container_envelope_through_unchanged(self):
+        # unpack_payload peeks the tag: only a packed container is decoded.
+        single = AppData("a#0", ("g", "h"), b"p" * 1024).encode()
+        join = GroupJoin("a#0", "g").encode()
+        fragment = Fragment(frag_id=7, index=1, total=3, chunk=b"c" * 900).encode()
+        for envelope in (single, join, fragment):
+            (only,) = unpack_payload(envelope)
+            assert only is envelope  # not even copied
+            assert decode_envelope(only).encode() == envelope
+        packed = Packed((single, join, fragment)).encode()
+        assert unpack_payload(packed) == [single, join, fragment]
+        assert unpack_payload(b"") == [b""]  # the decoder rejects it, as before
+        with pytest.raises(CodecError):
+            decode_envelope(b"")
+
     def test_budget_validation(self):
         with pytest.raises(ConfigurationError):
             Packer(budget=10)
