@@ -7,12 +7,12 @@ over 920 Mbps on 1 GbE", "the daemon- and library-based prototypes reach
 5.2 / 6 / 7.3 Gbps".
 """
 
-from repro.bench.figures import headline_max_throughput
+from repro.bench.figures import FIGURES
 from repro.bench.runner import run_figure
 
 
 def test_headline_max_throughput(benchmark):
-    title, series = run_figure(benchmark, headline_max_throughput, "headline.txt")
+    title, series = run_figure(benchmark, *FIGURES["headline"])
     best = {name: points[0].goodput_mbps for name, points in series.items()}
     # Accelerated beats original on every implementation and fabric.
     for net in ("1g", "10g"):

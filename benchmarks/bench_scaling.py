@@ -17,12 +17,11 @@ aggregate ``goodput_mbps``), which the baseline gate holds bit-stable;
 wall-clock cannot speed up on a single interpreter and is not asserted.
 """
 
-from repro.bench.experiments import MEASURE, WARMUP, _run_cluster
+from repro.bench.experiments import MEASURE, WARMUP, _build_ring, _run_cluster
 from repro.bench.harness import SUITES, run_case
 from repro.bench.report import format_table, save_results
 from repro.core.config import ProtocolConfig
 from repro.net.params import GIGABIT
-from repro.sim.build import ClusterBuilder
 from repro.sim.profiles import DAEMON
 from repro.util.units import Mbps
 from repro.workloads.generators import FixedRateWorkload
@@ -37,15 +36,7 @@ def _measure(num_hosts: int, accelerated: bool):
         accelerated_window=30 if accelerated else 0,
         global_window=30 * num_hosts,
     )
-    cluster = (
-        ClusterBuilder()
-        .hosts(num_hosts)
-        .accelerated(accelerated)
-        .profile(DAEMON)
-        .network(GIGABIT)
-        .config(config)
-        .build_ring()
-    )
+    cluster = _build_ring(accelerated, DAEMON, GIGABIT, config=config, num_hosts=num_hosts)
     workload = FixedRateWorkload(payload_size=1350,
                                  aggregate_rate_bps=Mbps(RATE_MBPS))
     return _run_cluster(cluster, workload, WARMUP, MEASURE)
@@ -94,7 +85,7 @@ def test_scaling_with_ring_count(benchmark):
 
     def job():
         return {
-            case.name: run_case(case, repeats=1)
+            case.name: run_case(case, repeats=1)["deterministic"]
             for case in SUITES["scaling"]
         }
 
@@ -106,10 +97,10 @@ def test_scaling_with_ring_count(benchmark):
         rows.append(
             [
                 f"{rings}",
-                f"{result.events_processed}",
-                f"{result.goodput_mbps:.1f}",
-                f"{result.events_processed / base.events_processed:.2f}x",
-                f"{result.goodput_mbps / base.goodput_mbps:.2f}x",
+                f"{result['events_processed']}",
+                f"{result['goodput_mbps']:.1f}",
+                f"{result['events_processed'] / base['events_processed']:.2f}x",
+                f"{result['goodput_mbps'] / base['goodput_mbps']:.2f}x",
             ]
         )
     text = format_table(
@@ -119,8 +110,8 @@ def test_scaling_with_ring_count(benchmark):
     )
     save_results("scaling_rings.txt", text)
     print("\n" + text)
-    events = {n: results[f"rings-{n}"].events_processed for n in (1, 2, 4)}
-    goodput = {n: results[f"rings-{n}"].goodput_mbps for n in (1, 2, 4)}
+    events = {n: results[f"rings-{n}"]["events_processed"] for n in (1, 2, 4)}
+    goodput = {n: results[f"rings-{n}"]["goodput_mbps"] for n in (1, 2, 4)}
     # The acceptance gate: >= 1.7x at two rings, still growing at four.
     assert events[2] >= 1.7 * events[1]
     assert goodput[2] >= 1.7 * goodput[1]

@@ -15,17 +15,14 @@ Two tiers, because the interesting costs live at different depths:
   byte-stable in the report; only wall-clock throughput varies by
   machine.
 
-Reports follow the ``repro bench`` conventions: deterministic metrics
-are exact per seed (a drift is a behavior change), wall metrics are
-informational.
+These are the cases of ``repro bench --suite kv``
+(:mod:`repro.bench.harness` runs and gates them).
 """
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List
 
 from repro.apps.kv.cluster import KvCluster
 from repro.apps.kv.commands import KvCommand, put
@@ -33,18 +30,10 @@ from repro.apps.kv.replica import DurableMedium
 from repro.apps.kv.store import KvStore
 from repro.apps.kv.wal import WalRecord, WriteAheadLog
 from repro.apps.kv.snapshot import encode_snapshot
+from repro.bench.harness import BenchCase
 from repro.workloads.kv import DiurnalArrivals, KvOpMix, ZipfianKeys, drive_schedule
 
 _BOOT = 0.08
-
-
-@dataclass(frozen=True)
-class KvBenchCase:
-    """One named benchmark case."""
-
-    name: str
-    run: Callable[[int], Dict[str, Any]]
-    summary: str
 
 
 # ----------------------------------------------------------------------
@@ -164,132 +153,27 @@ def _cluster_case(
     return run
 
 
-CASES: Dict[str, KvBenchCase] = {
-    case.name: case
-    for case in (
-        KvBenchCase(
-            name="store-2m-zipf",
-            run=_store_case(num_keys=2_000_000, operations=200_000, zipf_s=0.99),
-            summary="200k skewed puts over a 2M-key space, WAL+snapshot path",
+CASES: List[BenchCase] = [
+    BenchCase(
+        name="store-2m-zipf",
+        run=_store_case(num_keys=2_000_000, operations=200_000, zipf_s=0.99),
+        summary="200k skewed puts over a 2M-key space, WAL+snapshot path",
+    ),
+    BenchCase(
+        name="store-2m-uniform",
+        run=_store_case(num_keys=2_000_000, operations=200_000, zipf_s=0.0),
+        summary="200k uniform puts over a 2M-key space (cold-key regime)",
+    ),
+    BenchCase(
+        name="cluster-2x4",
+        run=_cluster_case(
+            rings=2,
+            hosts_per_ring=4,
+            partitions=8,
+            num_keys=10_000,
+            duration=0.5,
+            peak_rate=800.0,
         ),
-        KvBenchCase(
-            name="store-2m-uniform",
-            run=_store_case(num_keys=2_000_000, operations=200_000, zipf_s=0.0),
-            summary="200k uniform puts over a 2M-key space (cold-key regime)",
-        ),
-        KvBenchCase(
-            name="cluster-2x4",
-            run=_cluster_case(
-                rings=2,
-                hosts_per_ring=4,
-                partitions=8,
-                num_keys=10_000,
-                duration=0.5,
-                peak_rate=800.0,
-            ),
-            summary="end-to-end ordered KV on 2 rings x 4 replicas",
-        ),
-    )
-}
-
-#: The fast subset CI runs (the kv-smoke job).
-SMOKE_CASES = ("store-2m-zipf", "cluster-2x4")
-
-
-def run_kv_bench(
-    seed: int = 0,
-    case_names: Optional[List[str]] = None,
-    progress: Optional[Callable[[str], None]] = None,
-) -> Dict[str, Any]:
-    """Run the named cases (default: all) and return the report doc."""
-    if case_names is None:
-        case_names = sorted(CASES)
-    unknown = sorted(set(case_names) - set(CASES))
-    if unknown:
-        raise ValueError(f"unknown bench case(s) {unknown}; have {sorted(CASES)}")
-    cases: Dict[str, Any] = {}
-    for name in case_names:
-        if progress is not None:
-            progress(f"running kv/{name}...")
-        result = CASES[name].run(seed)
-        cases[name] = result
-        if progress is not None:
-            wall = result["wall"]
-            progress(
-                f"  {name}: {wall['ops_per_sec']:,.0f} ops/s "
-                f"({wall['wall_time_s']:.2f}s wall)"
-            )
-    return {"suite": "kv", "seed": seed, "cases": cases}
-
-
-def to_json(report: Dict[str, Any], indent: int = 2) -> str:
-    return json.dumps(report, indent=indent, sort_keys=True)
-
-
-# ----------------------------------------------------------------------
-# Baseline gate (repro bench conventions, kv report shape)
-# ----------------------------------------------------------------------
-
-#: Allowed fractional drop in ops/sec before a wall regression (mirrors
-#: the harness's REPRO_BENCH_WALL_TOL default).
-WALL_TOL = 0.5
-
-#: The committed baseline is recorded at this seed; the gate refuses to
-#: compare reports recorded at any other (their deterministic metrics
-#: legitimately differ).
-BASELINE_SEED = 0
-
-
-def baseline_path(root: Optional[Any] = None):
-    """``benchmarks/baselines/BENCH_kv.json`` under ``root`` (cwd default)."""
-    from pathlib import Path
-
-    base = Path(root) if root is not None else Path(".")
-    return base / "benchmarks" / "baselines" / "BENCH_kv.json"
-
-
-def compare_report(
-    current: Dict[str, Any],
-    baseline: Dict[str, Any],
-    wall_tol: float = WALL_TOL,
-) -> List[str]:
-    """Compare a kv report against a baseline report.
-
-    Deterministic blocks must match exactly — they are byte-stable per
-    seed, so any drift means store/ordering behavior changed.  Wall
-    metrics only fail on an ops/sec drop beyond ``wall_tol``.  Returns
-    human-readable regression messages; empty means within tolerance.
-    """
-    problems: List[str] = []
-    if current.get("seed") != baseline.get("seed"):
-        problems.append(
-            f"seed mismatch: run has {current.get('seed')}, baseline has "
-            f"{baseline.get('seed')} — deterministic metrics are per-seed"
-        )
-        return problems
-    base_cases = baseline.get("cases", {})
-    cur_cases = current.get("cases", {})
-    for name, base in base_cases.items():
-        cur = cur_cases.get(name)
-        if cur is None:
-            problems.append(f"{name}: missing from current run")
-            continue
-        expected = base.get("deterministic", {})
-        actual = cur.get("deterministic", {})
-        for metric in sorted(set(expected) | set(actual)):
-            if expected.get(metric) != actual.get(metric):
-                problems.append(
-                    f"{name}: {metric} changed (baseline "
-                    f"{expected.get(metric)!r}, got {actual.get(metric)!r}) — "
-                    f"deterministic kv metrics must match the baseline"
-                )
-        expected_rate = base.get("wall", {}).get("ops_per_sec")
-        if expected_rate:
-            actual_rate = cur.get("wall", {}).get("ops_per_sec", 0.0)
-            floor = expected_rate * (1.0 - wall_tol)
-            if actual_rate < floor:
-                problems.append(
-                    f"{name}: ops_per_sec regressed to {actual_rate:,.0f} "
-                    f"(baseline {expected_rate:,.0f}, floor {floor:,.0f})"
-                )
-    return problems
+        summary="end-to-end ordered KV on 2 rings x 4 replicas",
+    ),
+]

@@ -10,9 +10,11 @@ mean over the worst 5% of messages from each sender.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
+from repro.bench.windows import window_for
 from repro.core.config import ProtocolConfig
 from repro.core.messages import DeliveryService
 from repro.net.loss import LossModel, PositionalLoss, UniformLoss
@@ -24,6 +26,8 @@ from repro.util.units import Mbps, seconds_to_usec
 from repro.workloads.generators import ClosedLoopWorkload, FixedRateWorkload
 
 if TYPE_CHECKING:
+    from repro.net.fabric import LeafSpineSpec
+    from repro.net.impair import ImpairmentModel
     from repro.obs.observer import ProtocolObserver
 
 #: Setting REPRO_BENCH_FAST=1 shrinks measurement windows ~3x for smoke runs.
@@ -59,23 +63,51 @@ def _build_ring(
     accelerated: bool,
     profile: ImplementationProfile,
     params: NetworkParams,
-    config: ProtocolConfig,
+    payload_size: int = 1350,
+    config: Optional[ProtocolConfig] = None,
     loss_model: Optional[LossModel] = None,
     observer: Optional["ProtocolObserver"] = None,
+    fabric: Optional["LeafSpineSpec"] = None,
+    impair: Optional["ImpairmentModel"] = None,
+    messages_per_datagram: int = 1,
+    num_hosts: int = NUM_HOSTS,
 ) -> RingCluster:
-    builder = (
+    """The benchmark ring: ``config`` defaults to the paper's window
+    selection for the curve (:func:`~repro.bench.windows.window_for`)."""
+    config = config or window_for(profile, params, accelerated, payload_size)
+    if messages_per_datagram != 1:
+        config = replace(config, messages_per_datagram=messages_per_datagram)
+    return (
         ClusterBuilder()
-        .hosts(NUM_HOSTS)
+        .hosts(num_hosts)
         .accelerated(accelerated)
         .profile(profile)
         .network(params)
         .config(config)
+        .loss(loss_model)
+        .observe(observer)
+        .fabric(fabric)
+        .impair(impair)
+        .build_ring()
     )
-    if loss_model is not None:
-        builder.loss(loss_model)
-    if observer is not None:
-        builder.observe(observer)
-    return builder.build_ring()
+
+
+def run_window(cluster, workload, warmup: float, measure: float) -> float:
+    """Drive ``workload`` through the benchmark window on ``cluster``.
+
+    Injection starts at 2 ms, statistics are kept from ``warmup`` later,
+    and the run continues 10 ms past the injection stop so in-flight
+    messages deliver.  Returns the host seconds spent in the event loop
+    (construction, attachment and start are outside the clock).
+    """
+    start = 0.002
+    stop = start + warmup + measure
+    workload.attach(cluster, start=start, stop=stop)
+    cluster.set_measure_from(start + warmup)
+    cluster.start()
+    t0 = time.perf_counter()
+    cluster.run(stop + 0.01)
+    return time.perf_counter() - t0
 
 
 def _run_cluster(
@@ -84,13 +116,7 @@ def _run_cluster(
     warmup: float,
     measure: float,
 ) -> ExperimentPoint:
-    start = 0.002
-    stop = start + warmup + measure
-    workload.attach(cluster, start=start, stop=stop)
-    cluster.set_measure_from(start + warmup)
-    cluster.start()
-    # Run past the injection stop so in-flight messages deliver.
-    cluster.run(stop + 0.01)
+    run_window(cluster, workload, warmup, measure)
     stats = cluster.aggregate()
     try:
         worst5 = seconds_to_usec(stats.per_sender_worst_5pct_mean)
@@ -125,13 +151,11 @@ def run_point(
     Pass an ``observer`` (e.g. :class:`~repro.obs.observer.MetricsObserver`)
     to collect protocol metrics alongside the benchmark numbers.
     """
-    from repro.bench.windows import window_for
-
-    config = config or window_for(profile, params, accelerated, payload_size)
     cluster = _build_ring(
         accelerated=accelerated,
         profile=profile,
         params=params,
+        payload_size=payload_size,
         config=config,
         loss_model=loss_model,
         observer=observer,
@@ -177,13 +201,11 @@ def run_max_throughput(
 ) -> ExperimentPoint:
     """Maximum sustainable goodput (closed-loop senders, §IV-A library
     methodology: send as much as flow control allows every round)."""
-    from repro.bench.windows import window_for
-
-    config = config or window_for(profile, params, accelerated, payload_size)
     cluster = _build_ring(
         accelerated=accelerated,
         profile=profile,
         params=params,
+        payload_size=payload_size,
         config=config,
         observer=observer,
     )
@@ -251,18 +273,14 @@ def positional_loss_sweep(
 ) -> List[ExperimentPoint]:
     """Fig. 13: each daemon loses ``loss_rate`` of the messages sent by
     the daemon ``distance`` ring positions before it."""
-    from repro.bench.windows import window_for
-
     points = []
     ring_order = list(range(NUM_HOSTS))
     for distance in distances:
         loss = PositionalLoss(ring_order=ring_order, distance=distance, rate=loss_rate)
-        config = window_for(profile, params, accelerated, 1350)
         cluster = _build_ring(
             accelerated=accelerated,
             profile=profile,
             params=params,
-            config=config,
             loss_model=loss,
         )
         workload = FixedRateWorkload(

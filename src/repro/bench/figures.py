@@ -2,14 +2,14 @@
 
 One function per figure in the paper's evaluation (§IV).  Each returns
 ``(title, series)`` where ``series`` maps curve names to lists of
-:class:`~repro.bench.experiments.ExperimentPoint`.  The benchmark files
-under ``benchmarks/`` are thin wrappers that run these and save the
-rendered tables.
+:class:`~repro.bench.experiments.ExperimentPoint`.  :data:`FIGURES` is
+the one table of them: ``repro figure N`` and the parametrized
+``benchmarks/bench_figures.py`` both read it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.bench.experiments import (
     ExperimentPoint,
@@ -257,3 +257,21 @@ def headline_max_throughput() -> Tuple[str, Series]:
             )
         ]
     return ("Headline maximum throughputs (closed-loop senders)", series)
+
+
+#: ``repro figure <key>`` -> (definition, file under ``benchmarks/results/``).
+FIGURES: Dict[str, Tuple[Callable[[], Tuple[str, Series]], str]] = {
+    "2": (fig02_agreed_1g, "fig02.txt"),
+    "3": (fig03_safe_1g, "fig03.txt"),
+    "4": (fig04_agreed_10g, "fig04.txt"),
+    "5": (fig05_agreed_payload_10g, "fig05.txt"),
+    "6": (fig06_safe_10g, "fig06.txt"),
+    "7": (fig07_safe_payload_10g, "fig07.txt"),
+    "8": (fig08_safe_low_10g, "fig08.txt"),
+    "9": (fig09_loss_480_10g, "fig09.txt"),
+    "10": (fig10_loss_1200_10g, "fig10.txt"),
+    "11": (fig11_loss_140_1g, "fig11.txt"),
+    "12": (fig12_loss_350_1g, "fig12.txt"),
+    "13": (fig13_positional_loss, "fig13.txt"),
+    "headline": (headline_max_throughput, "headline.txt"),
+}

@@ -1,25 +1,22 @@
-"""Regression-gated benchmark harness.
+"""The bench gate: one report schema, one runner, one comparator.
 
-Runs a named *suite* of benchmark cases, emits a ``BENCH_<suite>.json``
-results file, and optionally compares it against a committed baseline,
-exiting nonzero on regression.  Designed to be run three ways:
+``python -m repro bench --suite <s>`` runs a named suite of cases, writes
+``BENCH_<suite>.json`` and, with ``--check-baseline``, compares it with
+the committed ``benchmarks/baselines/BENCH_<suite>.json``.  Every case
+is ``run(seed) -> {"deterministic": {...}, "wall": {...}}``:
 
-* ``repro bench --suite smoke --check-baseline`` (the CLI subcommand),
-* ``python benchmarks/harness.py --suite headline`` (thin wrapper),
-* from CI, where the ``perf-smoke`` job gates merges on the smoke suite.
+* the **deterministic** block holds what a seeded run reproduces on any
+  machine — simulated event counts, goodput, latency, store and
+  delivery-order digests, health counters.  It is asserted equal across
+  repeats and compared with the baseline exactly (floats to a relative
+  ``1e-6``), in both directions: a drift means the protocol, simulator
+  or store *behaviour* changed;
+* the **wall** block holds host-time measurements, reported as medians
+  over the repeats.  Only ``ops_per_sec`` is gated, and only as a
+  tripwire: the run fails below :data:`WALL_FLOOR` of the baseline.
 
-Two kinds of metric get two kinds of tolerance:
-
-* **Deterministic simulation metrics** — ``events_processed``,
-  ``goodput_mbps``, ``latency_us`` — are reproducible bit-for-bit on any
-  machine (the simulator is seeded and single-threaded), so they are
-  compared near-exactly (relative tolerance ``REPRO_BENCH_EXACT_TOL``,
-  default 1e-6).  A drift here means the protocol or simulator *behavior*
-  changed, not the hardware.
-* **Wall-clock metrics** — ``events_per_sec``, ``wall_time_s`` — vary
-  with the machine, so only large regressions fail: the run fails when
-  ``events_per_sec`` drops more than ``REPRO_BENCH_WALL_TOL`` (default
-  0.5, i.e. half) below the baseline.
+Performance proper — normalised by machine speed, with spread, A/B
+against a parent commit — is ``benchmarks/e2e``'s job, not this gate's.
 
 Suites hardcode their measurement windows rather than reading
 ``REPRO_BENCH_FAST`` so the deterministic metrics in a committed baseline
@@ -29,363 +26,190 @@ mean the same thing on every machine and in CI.
 from __future__ import annotations
 
 import gc
+import importlib
 import json
-import os
+import math
 import resource
 import statistics
-import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.bench.experiments import NUM_HOSTS, _build_ring, run_window
+from repro.bench.windows import window_for
 from repro.core.messages import DeliveryService
+from repro.net.fabric import LeafSpineSpec
+from repro.net.impair import impairment_from_name
 from repro.net.params import GIGABIT, TEN_GIGABIT, NetworkParams
 from repro.sim.build import ClusterBuilder
-from repro.sim.cluster import RingCluster
-from repro.sim.profiles import LIBRARY, ImplementationProfile
+from repro.sim.profiles import LIBRARY
 from repro.util.units import Mbps
 from repro.workloads.generators import ClosedLoopWorkload, FixedRateWorkload
 
-#: Relative tolerance for deterministic simulation metrics.
-EXACT_TOL = float(os.environ.get("REPRO_BENCH_EXACT_TOL", "1e-6"))
-#: Allowed fractional drop in events/sec before a wall-clock regression.
-WALL_TOL = float(os.environ.get("REPRO_BENCH_WALL_TOL", "0.5"))
-#: Default repeat count per case (medians are reported).
-DEFAULT_REPEATS = int(os.environ.get("REPRO_BENCH_REPEATS", "3"))
+#: A run fails the wall gate when its ``ops_per_sec`` is below this
+#: fraction of the baseline's (shared CI runners are much slower than
+#: the machine that recorded it; only a > 3.3x slowdown should trip).
+WALL_FLOOR = 0.3
+#: Repeats per case (wall metrics are medians over them).
+DEFAULT_REPEATS = 3
+#: The committed baselines are recorded at this seed.
+BASELINE_SEED = 0
 
-#: Metrics compared near-exactly (simulator-deterministic).
-DETERMINISTIC_METRICS = ("events_processed", "goodput_mbps", "latency_us")
+#: Suites defined next to the subsystem they exercise, imported on first
+#: use so ``import repro.bench`` stays free of asyncio and the KV store.
+_LAZY_SUITES = {"kv": "repro.apps.kv.bench", "runtime": "repro.runtime.bench"}
 
-NUM_HOSTS = 8
+Report = Dict[str, Any]
 
 
 @dataclass(frozen=True)
 class BenchCase:
-    """One benchmark case: a cluster/workload builder plus its windows."""
+    """One benchmark case; ``run(seed)`` returns its two-block report."""
 
     name: str
-    build: Callable[[], Tuple[RingCluster, object]]
-    warmup: float
-    measure: float
+    run: Callable[[int], Report]
+    summary: str = ""
 
 
-@dataclass(frozen=True)
-class CaseResult:
-    """Median-of-repeats measurements for one case."""
+# ----------------------------------------------------------------------
+# Simulated cases
+# ----------------------------------------------------------------------
 
-    name: str
-    events_processed: int
-    wall_time_s: float
-    events_per_sec: float
-    goodput_mbps: float
-    latency_us: float
-    peak_rss_kb: int
-    repeats: int
 
-    def to_dict(self) -> Dict[str, object]:
+def _sim_case(
+    name: str,
+    build: Callable[[int], Tuple[Any, Any]],
+    warmup: float,
+    measure: float,
+) -> BenchCase:
+    """A case over a simulated cluster: ``build(seed)`` returns a fresh
+    ``(cluster, workload)``, driven through the one benchmark window."""
+
+    def run(seed: int) -> Report:
+        cluster, workload = build(seed)
+        # Collect the previous repeat's garbage outside the timed loop.
+        gc.collect()
+        wall = run_window(cluster, workload, warmup, measure)
+        events = cluster.sim.events_processed
+        stats = cluster.aggregate()
         return {
-            "events_processed": self.events_processed,
-            "wall_time_s": round(self.wall_time_s, 4),
-            "events_per_sec": round(self.events_per_sec, 1),
-            "goodput_mbps": round(self.goodput_mbps, 3),
-            "latency_us": round(self.latency_us, 3),
-            "peak_rss_kb": self.peak_rss_kb,
-            "repeats": self.repeats,
+            "deterministic": {
+                "events_processed": events,
+                "goodput_mbps": round(stats.goodput_bps / 1e6, 3),
+                "latency_us": round(stats.mean_latency * 1e6, 3),
+            },
+            "wall": {
+                "wall_time_s": round(wall, 4),
+                "ops_per_sec": round(events / wall, 1) if wall > 0 else 0.0,
+                "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+            },
         }
 
-
-# ----------------------------------------------------------------------
-# Case builders
-# ----------------------------------------------------------------------
+    return BenchCase(name=name, run=run)
 
 
-def _closed_loop(
-    profile: ImplementationProfile,
+def _ring_case(
+    name: str,
     params: NetworkParams,
-    payload_size: int = 1350,
+    warmup: float,
+    measure: float,
+    rate_mbps: Optional[float] = None,
     service: DeliveryService = DeliveryService.AGREED,
-) -> Callable[[], Tuple[RingCluster, object]]:
-    def build() -> Tuple[RingCluster, object]:
-        from repro.bench.windows import window_for
+    messages_per_datagram: int = 1,
+    racks: int = 0,
+    impair_name: str = "",
+) -> BenchCase:
+    """The paper's library methodology on the 8-host accelerated ring:
+    closed-loop senders (maximum throughput), or a fixed aggregate rate
+    when ``rate_mbps`` is given.  ``racks`` puts it on a 2:1
+    oversubscribed leaf–spine fabric, ``impair_name`` layers a named
+    impairment on top — built fresh per run, since the repeats are
+    asserted deterministic and a reused RNG would break that."""
 
-        config = window_for(profile, params, True, payload_size)
-        cluster = (
-            ClusterBuilder()
-            .hosts(NUM_HOSTS)
-            .profile(profile)
-            .network(params)
-            .config(config)
-            .build_ring()
-        )
-        workload = ClosedLoopWorkload(payload_size=payload_size, service=service)
-        return cluster, workload
-
-    return build
-
-
-def _fixed_rate(
-    profile: ImplementationProfile,
-    params: NetworkParams,
-    rate_mbps: float,
-    payload_size: int = 1350,
-    service: DeliveryService = DeliveryService.AGREED,
-) -> Callable[[], Tuple[RingCluster, object]]:
-    def build() -> Tuple[RingCluster, object]:
-        from repro.bench.windows import window_for
-
-        config = window_for(profile, params, True, payload_size)
-        cluster = (
-            ClusterBuilder()
-            .hosts(NUM_HOSTS)
-            .profile(profile)
-            .network(params)
-            .config(config)
-            .build_ring()
-        )
-        workload = FixedRateWorkload(
-            payload_size=payload_size,
-            aggregate_rate_bps=Mbps(rate_mbps),
-            service=service,
-        )
-        return cluster, workload
-
-    return build
-
-
-def _coalesced_closed_loop(
-    messages_per_datagram: int,
-    params: NetworkParams = TEN_GIGABIT,
-    payload_size: int = 1350,
-) -> Callable[[], Tuple[RingCluster, object]]:
-    """The max-throughput closed loop with wire coalescing enabled.
-
-    Sweeping ``messages_per_datagram`` is the proof for the datagram
-    coalescing layer: each step up collapses a run of per-message send
-    and receive CPU tasks into one, so goodput rises and latency falls
-    while the event loop does the same simulated window of work.
-    """
-
-    def build() -> Tuple[RingCluster, object]:
-        from dataclasses import replace
-
-        from repro.bench.windows import window_for
-
-        config = replace(
-            window_for(LIBRARY, params, True, payload_size),
+    def build(seed: int) -> Tuple[Any, Any]:
+        fabric = impair = None
+        if racks:
+            fabric = LeafSpineSpec(
+                racks=racks, hosts_per_rack=NUM_HOSTS // racks, oversubscription=2.0
+            )
+        if impair_name:
+            impair = impairment_from_name(impair_name, seed=seed)
+        cluster = _build_ring(
+            True,
+            LIBRARY,
+            params,
             messages_per_datagram=messages_per_datagram,
+            fabric=fabric,
+            impair=impair,
         )
-        cluster = (
-            ClusterBuilder()
-            .hosts(NUM_HOSTS)
-            .profile(LIBRARY)
-            .network(params)
-            .config(config)
-            .build_ring()
+        if rate_mbps is None:
+            return cluster, ClosedLoopWorkload(payload_size=1350, service=service)
+        return cluster, FixedRateWorkload(
+            payload_size=1350, aggregate_rate_bps=Mbps(rate_mbps), service=service
         )
-        workload = ClosedLoopWorkload(payload_size=payload_size)
-        return cluster, workload
 
-    return build
+    return _sim_case(name, build, warmup, measure)
 
 
-def _multiring_closed_loop(
-    num_rings: int,
-    hosts_per_ring: int = 4,
-    payload_size: int = 1350,
-) -> Callable[[], Tuple[object, object]]:
-    """N independent rings sharing one simulator, every sender saturated.
+def _multiring_case(num_rings: int) -> BenchCase:
+    """N independent 4-host rings sharing one simulator, every sender saturated.
 
     The scaling proof: with closed-loop senders each ring runs at its
-    maximum sustainable rate, so a cluster of N rings should process
-    close to N× the simulated ordering work (``events_processed``,
-    aggregate ``goodput_mbps``) of one ring in the same simulated
-    window.  Those are deterministic metrics — the baseline gate holds
-    them bit-stable — whereas wall-clock events/sec cannot double on a
-    single interpreter and is gated only by the loose wall tolerance.
+    maximum sustainable rate, so N rings should process close to N× the
+    simulated ordering work (``events_processed``, aggregate
+    ``goodput_mbps``) of one ring in the same simulated window — whereas
+    wall-clock cannot scale on a single interpreter.
     """
 
-    def build() -> Tuple[object, object]:
-        from repro.bench.windows import window_for
-
-        config = window_for(LIBRARY, GIGABIT, True, payload_size)
+    def build(seed: int) -> Tuple[Any, Any]:
         cluster = (
             ClusterBuilder()
             .rings(num_rings)
-            .hosts(hosts_per_ring)
+            .hosts(4)
             .protocol()
             .profile(LIBRARY)
             .network(GIGABIT)
-            .config(config)
+            .config(window_for(LIBRARY, GIGABIT, True, 1350))
             .build_multiring()
         )
-        workload = ClosedLoopWorkload(payload_size=payload_size)
-        return cluster, workload
+        return cluster, ClosedLoopWorkload(payload_size=1350)
 
-    return build
-
-
-def _fabric_closed_loop(
-    racks: int = 0,
-    oversubscription: float = 2.0,
-    impair_name: str = "",
-    params: NetworkParams = GIGABIT,
-    payload_size: int = 1350,
-) -> Callable[[], Tuple[RingCluster, object]]:
-    """The closed loop on a leaf–spine fabric (``racks == 0`` = star).
-
-    The fabric suite's comparison: the same engine and windows on a
-    single switch, across an oversubscribed two-rack fabric, and with a
-    reordering impairment layered on top.  Everything except the network
-    is held fixed, so the deltas isolate the fabric's trunk serialization
-    and the protocol's tolerance of displaced arrivals.  The impairment
-    model is constructed fresh inside ``build()`` — ``run_case`` repeats
-    the case and asserts determinism, which a reused RNG would break.
-    """
-
-    def build() -> Tuple[RingCluster, object]:
-        from repro.bench.windows import window_for
-
-        config = window_for(LIBRARY, params, True, payload_size)
-        builder = (
-            ClusterBuilder()
-            .hosts(NUM_HOSTS)
-            .profile(LIBRARY)
-            .network(params)
-            .config(config)
-        )
-        if racks:
-            from repro.net.fabric import LeafSpineSpec
-
-            builder.fabric(
-                LeafSpineSpec(
-                    racks=racks,
-                    hosts_per_rack=NUM_HOSTS // racks,
-                    oversubscription=oversubscription,
-                )
-            )
-        if impair_name:
-            from repro.net.impair import impairment_from_name
-
-            builder.impair(impairment_from_name(impair_name, seed=0))
-        cluster = builder.build_ring()
-        workload = ClosedLoopWorkload(payload_size=payload_size)
-        return cluster, workload
-
-    return build
+    return _sim_case(f"rings-{num_rings}", build, warmup=0.01, measure=0.02)
 
 
 SUITES: Dict[str, List[BenchCase]] = {
     # Fast enough for a CI gate (~seconds): short windows, two regimes.
     "smoke": [
-        BenchCase(
-            name="agreed-1g-200",
-            build=_fixed_rate(LIBRARY, GIGABIT, rate_mbps=200.0),
-            warmup=0.01,
-            measure=0.02,
-        ),
-        BenchCase(
-            name="closed-loop-10g",
-            build=_closed_loop(LIBRARY, TEN_GIGABIT),
-            warmup=0.005,
-            measure=0.01,
-        ),
+        _ring_case("agreed-1g-200", GIGABIT, 0.01, 0.02, rate_mbps=200.0),
+        _ring_case("closed-loop-10g", TEN_GIGABIT, 0.005, 0.01),
     ],
-    # The full-size engine benchmark: the paper's library methodology at
-    # maximum sustainable throughput.  Its events_per_sec is the number
-    # the hot-path optimization work is gated on.
+    # The full-size engine cases: the paper's library methodology at
+    # maximum sustainable throughput.
     "headline": [
-        BenchCase(
-            name="max-throughput-10g",
-            build=_closed_loop(LIBRARY, TEN_GIGABIT),
-            warmup=0.04,
-            measure=0.08,
-        ),
-        BenchCase(
-            name="agreed-1g-500",
-            build=_fixed_rate(LIBRARY, GIGABIT, rate_mbps=500.0),
-            warmup=0.04,
-            measure=0.08,
-        ),
-        BenchCase(
-            name="safe-10g",
-            build=_closed_loop(
-                LIBRARY, TEN_GIGABIT, service=DeliveryService.SAFE
-            ),
-            warmup=0.04,
-            measure=0.08,
-        ),
-        # The datagram-coalescing sweep (ISSUE 8): max-throughput-10g is
-        # the messages_per_datagram=1 anchor of this curve; the gated
-        # expectation is goodput rising monotonically along it.
-        BenchCase(
-            name="batch-10g-mpd2",
-            build=_coalesced_closed_loop(2),
-            warmup=0.04,
-            measure=0.08,
-        ),
-        BenchCase(
-            name="batch-10g-mpd4",
-            build=_coalesced_closed_loop(4),
-            warmup=0.04,
-            measure=0.08,
-        ),
-        BenchCase(
-            name="batch-10g-mpd8",
-            build=_coalesced_closed_loop(8),
-            warmup=0.04,
-            measure=0.08,
-        ),
+        _ring_case("max-throughput-10g", TEN_GIGABIT, 0.04, 0.08),
+        _ring_case("agreed-1g-500", GIGABIT, 0.04, 0.08, rate_mbps=500.0),
+        _ring_case("safe-10g", TEN_GIGABIT, 0.04, 0.08, service=DeliveryService.SAFE),
+        # The datagram-coalescing sweep (PROTOCOL.md §9.1):
+        # max-throughput-10g is the messages_per_datagram=1 anchor of
+        # this curve; each step up collapses a run of per-message send
+        # and receive CPU tasks into one, so the pinned expectation is
+        # goodput rising monotonically along it.
+        _ring_case("batch-10g-mpd2", TEN_GIGABIT, 0.04, 0.08, messages_per_datagram=2),
+        _ring_case("batch-10g-mpd4", TEN_GIGABIT, 0.04, 0.08, messages_per_datagram=4),
+        _ring_case("batch-10g-mpd8", TEN_GIGABIT, 0.04, 0.08, messages_per_datagram=8),
+    ],
+    # Fabric topologies: the identical closed loop on a single switch, a
+    # 2:1-oversubscribed two-rack leaf–spine, and the fabric with a
+    # reordering impairment — the deltas isolate trunk serialization and
+    # reorder tolerance.
+    "fabric": [
+        _ring_case("star-1g", GIGABIT, 0.01, 0.02),
+        _ring_case("leafspine-2x4", GIGABIT, 0.01, 0.02, racks=2),
+        _ring_case("leafspine-reorder", GIGABIT, 0.01, 0.02, racks=2, impair_name="reorder"),
     ],
     # Multi-ring scaling: the same closed-loop engine at 1, 2, and 4
-    # rings.  Near-linear scaling of the deterministic work metrics is
-    # the acceptance gate for the sharded-ordering layer (ISSUE 6);
-    # benchmarks/bench_scaling.py asserts the ratios.
-    # Fabric topologies (ISSUE 9): the identical closed loop on a single
-    # switch, a 2:1-oversubscribed two-rack leaf–spine, and the fabric
-    # with a reordering impairment — the deltas isolate trunk
-    # serialization and reorder tolerance.
-    "fabric": [
-        BenchCase(
-            name="star-1g",
-            build=_fabric_closed_loop(racks=0),
-            warmup=0.01,
-            measure=0.02,
-        ),
-        BenchCase(
-            name="leafspine-2x4",
-            build=_fabric_closed_loop(racks=2, oversubscription=2.0),
-            warmup=0.01,
-            measure=0.02,
-        ),
-        BenchCase(
-            name="leafspine-reorder",
-            build=_fabric_closed_loop(
-                racks=2, oversubscription=2.0, impair_name="reorder"
-            ),
-            warmup=0.01,
-            measure=0.02,
-        ),
-    ],
-    "scaling": [
-        BenchCase(
-            name="rings-1",
-            build=_multiring_closed_loop(1),
-            warmup=0.01,
-            measure=0.02,
-        ),
-        BenchCase(
-            name="rings-2",
-            build=_multiring_closed_loop(2),
-            warmup=0.01,
-            measure=0.02,
-        ),
-        BenchCase(
-            name="rings-4",
-            build=_multiring_closed_loop(4),
-            warmup=0.01,
-            measure=0.02,
-        ),
-    ],
+    # rings; benchmarks/bench_scaling.py asserts the ratios.
+    "scaling": [_multiring_case(1), _multiring_case(2), _multiring_case(4)],
 }
 
 
@@ -394,98 +218,16 @@ SUITES: Dict[str, List[BenchCase]] = {
 # ----------------------------------------------------------------------
 
 
-def run_case(case: BenchCase, repeats: int = DEFAULT_REPEATS) -> CaseResult:
-    """Run one case ``repeats`` times; report medians.
-
-    The wall clock covers only ``cluster.run`` (the event loop), not
-    cluster construction.  The deterministic metrics are identical across
-    repeats by construction; this is asserted, since a repeat-to-repeat
-    drift would mean hidden global state.
-    """
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    walls: List[float] = []
-    events: List[int] = []
-    goodputs: List[float] = []
-    latencies: List[float] = []
-    for _ in range(repeats):
-        cluster, workload = case.build()
-        start = 0.002
-        stop = start + case.warmup + case.measure
-        workload.attach(cluster, start=start, stop=stop)
-        cluster.set_measure_from(start + case.warmup)
-        cluster.start()
-        # Collect garbage from the previous repeat so its timing noise
-        # does not land inside this repeat's measured window.
-        gc.collect()
-        t0 = time.perf_counter()
-        cluster.run(stop + 0.01)
-        walls.append(time.perf_counter() - t0)
-        events.append(cluster.sim.events_processed)
-        stats = cluster.aggregate()
-        goodputs.append(stats.goodput_bps / 1e6)
-        latencies.append(stats.mean_latency * 1e6)
-    if len(set(events)) != 1:
-        raise RuntimeError(
-            f"case {case.name}: events_processed varied across repeats "
-            f"({sorted(set(events))}) — the simulation is not deterministic"
-        )
-    wall = statistics.median(walls)
-    return CaseResult(
-        name=case.name,
-        events_processed=events[0],
-        wall_time_s=wall,
-        events_per_sec=events[0] / wall if wall > 0 else 0.0,
-        goodput_mbps=statistics.median(goodputs),
-        latency_us=statistics.median(latencies),
-        peak_rss_kb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-        repeats=repeats,
-    )
-
-
-def profile_case(case: BenchCase, path: Path, top: int = 25) -> None:
-    """Run one extra, profiled repetition of ``case`` and dump the top
-    ``top`` functions by cumulative time to ``path``.
-
-    The profiled run is separate from the measured repeats — cProfile
-    instrumentation roughly doubles the wall clock, so its numbers never
-    land in the results document; it exists to show *where* the wall
-    clock of the adjacent ``BENCH_<suite>.json`` went.
-    """
-    import cProfile
-    import io
-    import pstats
-
-    cluster, workload = case.build()
-    start = 0.002
-    stop = start + case.warmup + case.measure
-    workload.attach(cluster, start=start, stop=stop)
-    cluster.set_measure_from(start + case.warmup)
-    cluster.start()
-    gc.collect()
-    profiler = cProfile.Profile()
-    profiler.enable()
-    cluster.run(stop + 0.01)
-    profiler.disable()
-    buffer = io.StringIO()
-    stats = pstats.Stats(profiler, stream=buffer)
-    stats.sort_stats("cumulative").print_stats(top)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(buffer.getvalue())
-
-
-def profile_path(suite: str, case_name: str, output: Path) -> Path:
-    """Where the profile dump for ``case_name`` goes: next to the
-    results JSON, named after it."""
-    return output.parent / f"PROFILE_{suite}_{case_name}.txt"
-
-
 def select_cases(suite: str, cases: Optional[List[str]] = None) -> List[BenchCase]:
     """The suite's cases, optionally restricted to named ones (in suite
     order).  Unknown names are an error, not a silent skip."""
-    if suite not in SUITES:
-        raise ValueError(f"unknown suite {suite!r}; have {sorted(SUITES)}")
-    available = SUITES[suite]
+    if suite in SUITES:
+        available = SUITES[suite]
+    elif suite in _LAZY_SUITES:
+        available = importlib.import_module(_LAZY_SUITES[suite]).CASES
+    else:
+        have = sorted(set(SUITES) | set(_LAZY_SUITES))
+        raise ValueError(f"unknown suite {suite!r}; have {have}")
     if cases is None:
         return list(available)
     known = {case.name for case in available}
@@ -494,31 +236,72 @@ def select_cases(suite: str, cases: Optional[List[str]] = None) -> List[BenchCas
         raise ValueError(
             f"unknown case(s) {unknown} in suite {suite!r}; have {sorted(known)}"
         )
-    wanted = set(cases)
-    return [case for case in available if case.name in wanted]
+    return [case for case in available if case.name in cases]
+
+
+def run_case(case: BenchCase, seed: int = 0, repeats: int = DEFAULT_REPEATS) -> Report:
+    """Run one case ``repeats`` times: the deterministic block must come
+    out identical every time (a repeat-to-repeat drift means hidden
+    global state), wall metrics are reported as medians."""
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    runs = [case.run(seed) for _ in range(repeats)]
+    deterministic = runs[0]["deterministic"]
+    for other in runs[1:]:
+        if other["deterministic"] != deterministic:
+            raise RuntimeError(
+                f"case {case.name}: deterministic block varied across repeats "
+                f"({deterministic} vs {other['deterministic']}) — the case is "
+                f"not deterministic"
+            )
+    wall = {
+        metric: statistics.median(run["wall"][metric] for run in runs)
+        for metric in runs[0]["wall"]
+    }
+    return {"deterministic": deterministic, "wall": wall}
 
 
 def run_suite(
     suite: str,
+    seed: int = 0,
     repeats: int = DEFAULT_REPEATS,
     progress: Optional[Callable[[str], None]] = None,
     case_names: Optional[List[str]] = None,
-) -> Dict[str, object]:
-    """Run every (selected) case in ``suite``; returns the results
-    document."""
-    cases: Dict[str, Dict[str, object]] = {}
+) -> Report:
+    """Run every (selected) case in ``suite``; returns the report."""
+    cases: Dict[str, Report] = {}
     for case in select_cases(suite, case_names):
         if progress is not None:
-            progress(f"running {suite}/{case.name} ({repeats} repeats)...")
-        result = run_case(case, repeats=repeats)
-        cases[case.name] = result.to_dict()
+            what = f" — {case.summary}" if case.summary else ""
+            progress(f"running {suite}/{case.name} ({repeats} repeats){what}...")
+        result = cases[case.name] = run_case(case, seed=seed, repeats=repeats)
         if progress is not None:
+            wall = result["wall"]
             progress(
-                f"  {case.name}: {result.events_per_sec:,.0f} events/s, "
-                f"goodput {result.goodput_mbps:.1f} Mbps, "
-                f"latency {result.latency_us:.1f} us"
+                f"  {case.name}: {wall['ops_per_sec']:,.0f} ops/s "
+                f"({wall['wall_time_s']:.2f}s wall)"
             )
-    return {"suite": suite, "repeats": repeats, "cases": cases}
+    return {"suite": suite, "seed": seed, "repeats": repeats, "cases": cases}
+
+
+def profile_case(case: BenchCase, seed: int, path: Path, top: int = 25) -> None:
+    """Run one extra repetition of ``case`` under cProfile and dump the
+    top ``top`` functions by cumulative time to ``path``.
+
+    Separate from the measured repeats — instrumentation roughly doubles
+    the wall clock, so its numbers never land in the report; it shows
+    *where* the wall clock of the adjacent ``BENCH_<suite>.json`` went.
+    """
+    import cProfile
+    import io
+    import pstats
+
+    profiler = cProfile.Profile()
+    profiler.runcall(case.run, seed)
+    buffer = io.StringIO()
+    pstats.Stats(profiler, stream=buffer).sort_stats("cumulative").print_stats(top)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(buffer.getvalue())
 
 
 # ----------------------------------------------------------------------
@@ -526,55 +309,61 @@ def run_suite(
 # ----------------------------------------------------------------------
 
 
-def compare_results(
-    current: Dict[str, object],
-    baseline: Dict[str, object],
-    exact_tol: float = EXACT_TOL,
-    wall_tol: float = WALL_TOL,
-) -> List[str]:
-    """Compare a results document against a baseline document.
+def _same(expected: Any, actual: Any) -> bool:
+    """Exact equality of type and value, except that a float matches a
+    number within a relative 1e-6 — recursing into nested blocks so a
+    float inside one gets the same treatment."""
+    if isinstance(expected, dict) and isinstance(actual, dict):
+        return expected.keys() == actual.keys() and all(
+            _same(value, actual[key]) for key, value in expected.items()
+        )
+    kinds = {type(expected), type(actual)}
+    if float in kinds and kinds <= {int, float}:
+        return math.isclose(expected, actual, rel_tol=1e-6)
+    return type(expected) is type(actual) and expected == actual
 
-    Returns a list of human-readable regression messages; empty means the
-    run is within tolerance.  Deterministic metrics use a near-exact
-    relative tolerance in both directions (any drift is a behavior
-    change); wall-clock throughput only fails on a *drop* beyond
-    ``wall_tol`` (getting faster is never a regression).
+
+def compare_reports(current: Report, baseline: Report) -> List[str]:
+    """Compare a report against a baseline report.
+
+    Returns human-readable regression messages; empty means the run is
+    within tolerance.  Deterministic blocks must match in both
+    directions, metric for metric (a new or a missing one fails too);
+    ``ops_per_sec`` fails only below ``WALL_FLOOR`` of the baseline
+    (getting faster is never a regression).  Cases the baseline does not
+    know are ignored.
     """
+    if current.get("seed") != baseline.get("seed"):
+        return [
+            f"seed mismatch: run has {current.get('seed')}, baseline has "
+            f"{baseline.get('seed')} — deterministic metrics are per-seed"
+        ]
     problems: List[str] = []
-    base_cases = baseline.get("cases", {})
     cur_cases = current.get("cases", {})
-    for name, base in base_cases.items():
+    for name, base in baseline.get("cases", {}).items():
         cur = cur_cases.get(name)
         if cur is None:
             problems.append(f"{name}: missing from current run")
             continue
-        for metric in DETERMINISTIC_METRICS:
-            expected = base.get(metric)
-            if expected is None:
-                continue
-            actual = cur.get(metric)
-            if actual is None:
-                problems.append(f"{name}: metric {metric} missing")
-                continue
-            if expected == 0:
-                drift = abs(actual)
-            else:
-                drift = abs(actual - expected) / abs(expected)
-            if drift > exact_tol:
+        expected = base.get("deterministic", {})
+        actual = cur.get("deterministic", {})
+        for metric in sorted(set(expected) | set(actual)):
+            if metric not in expected or metric not in actual or not _same(
+                expected[metric], actual[metric]
+            ):
                 problems.append(
-                    f"{name}: {metric} drifted {drift:.2%} "
-                    f"(baseline {expected}, got {actual}) — deterministic "
-                    f"metrics must match the committed baseline"
+                    f"{name}: {metric} changed (baseline "
+                    f"{expected.get(metric)!r}, got {actual.get(metric)!r}) — "
+                    f"deterministic metrics must match the committed baseline"
                 )
-        expected_rate = base.get("events_per_sec")
+        expected_rate = base.get("wall", {}).get("ops_per_sec")
         if expected_rate:
-            actual_rate = cur.get("events_per_sec", 0.0)
-            floor = expected_rate * (1.0 - wall_tol)
+            actual_rate = cur.get("wall", {}).get("ops_per_sec", 0.0)
+            floor = expected_rate * WALL_FLOOR
             if actual_rate < floor:
                 problems.append(
-                    f"{name}: events_per_sec regressed to {actual_rate:,.0f} "
-                    f"(baseline {expected_rate:,.0f}, floor {floor:,.0f} at "
-                    f"tolerance {wall_tol:.0%})"
+                    f"{name}: ops_per_sec regressed to {actual_rate:,.0f} "
+                    f"(baseline {expected_rate:,.0f}, floor {floor:,.0f})"
                 )
     return problems
 
@@ -589,81 +378,18 @@ def baseline_path(suite: str, root: Optional[Path] = None) -> Path:
     return base / "benchmarks" / "baselines" / f"BENCH_{suite}.json"
 
 
-def save_results(results: Dict[str, object], path: Path) -> None:
+def save_results(results: Report, path: Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
 
 
-def load_results(path: Path) -> Dict[str, object]:
+def load_results(path: Path) -> Report:
     return json.loads(path.read_text())
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point shared by ``repro bench`` and ``benchmarks/harness.py``."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="run a benchmark suite and gate on a committed baseline"
-    )
-    parser.add_argument(
-        "--suite", default="smoke", choices=sorted(SUITES), help="suite to run"
-    )
-    parser.add_argument(
-        "--repeats",
-        type=int,
-        default=DEFAULT_REPEATS,
-        help="repetitions per case (medians reported)",
-    )
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=None,
-        help="results file (default BENCH_<suite>.json in the cwd)",
-    )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help="baseline file (default benchmarks/baselines/BENCH_<suite>.json)",
-    )
-    parser.add_argument(
-        "--check-baseline",
-        action="store_true",
-        help="compare against the baseline; exit 1 on regression",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="write the results over the baseline file as the new baseline",
-    )
-    parser.add_argument(
-        "--cases",
-        default=None,
-        help="comma-separated case names to run (default: the whole "
-        "suite); baseline comparison restricts itself to the selection",
-    )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="after the measured repeats, run one cProfile'd repetition "
-        "per case and write the top-25 cumulative functions to "
-        "PROFILE_<suite>_<case>.txt next to the results file",
-    )
-    args = parser.parse_args(argv)
-    return run_from_args(
-        suite=args.suite,
-        repeats=args.repeats,
-        output=args.output,
-        baseline=args.baseline,
-        check_baseline=args.check_baseline,
-        update_baseline=args.update_baseline,
-        cases=args.cases.split(",") if args.cases else None,
-        profile=args.profile,
-    )
 
 
 def run_from_args(
     suite: str,
+    seed: int = 0,
     repeats: int = DEFAULT_REPEATS,
     output: Optional[Path] = None,
     baseline: Optional[Path] = None,
@@ -672,11 +398,23 @@ def run_from_args(
     cases: Optional[List[str]] = None,
     profile: bool = False,
 ) -> int:
-    if suite not in SUITES:
-        print(f"unknown suite {suite!r}; available: {', '.join(sorted(SUITES))}")
+    """``repro bench``: run, write the report, then check or update the
+    baseline.  Exit status 0 = fine, 1 = regression or missing baseline,
+    2 = a request that cannot be honoured."""
+    if (check_baseline or update_baseline) and seed != BASELINE_SEED:
+        print(
+            f"the committed baselines are recorded at seed {BASELINE_SEED}; "
+            f"gating a seed-{seed} run against one would only report "
+            f"legitimate per-seed differences"
+        )
+        return 2
+    if update_baseline and cases is not None:
+        print("--update-baseline needs the full suite, not --cases")
         return 2
     try:
-        results = run_suite(suite, repeats=repeats, progress=print, case_names=cases)
+        results = run_suite(
+            suite, seed=seed, repeats=repeats, progress=print, case_names=cases
+        )
     except ValueError as exc:
         print(str(exc))
         return 2
@@ -685,18 +423,14 @@ def run_from_args(
     print(f"wrote {out_path}")
     if profile:
         for case in select_cases(suite, cases):
-            dump = profile_path(suite, case.name, out_path)
+            dump = out_path.parent / f"PROFILE_{suite}_{case.name}.txt"
             print(f"profiling {suite}/{case.name} -> {dump}")
-            profile_case(case, dump)
+            profile_case(case, seed, dump)
     base_path = baseline if baseline is not None else baseline_path(suite)
     if update_baseline:
-        if cases is not None:
-            print("--update-baseline needs the full suite, not --cases")
-            return 2
         save_results(results, base_path)
         print(f"updated baseline {base_path}")
-        return 0
-    if check_baseline:
+    elif check_baseline:
         if not base_path.exists():
             print(f"BASELINE MISSING: {base_path} — run with --update-baseline")
             return 1
@@ -704,13 +438,12 @@ def run_from_args(
         if cases is not None:
             # A partial run is gated against the matching slice of the
             # committed baseline; the unselected cases are not "missing".
-            reference = dict(reference)
             reference["cases"] = {
                 name: metrics
                 for name, metrics in reference.get("cases", {}).items()
                 if name in set(cases)
             }
-        problems = compare_results(results, reference)
+        problems = compare_reports(results, reference)
         if problems:
             print(f"REGRESSIONS vs {base_path}:")
             for problem in problems:

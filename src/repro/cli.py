@@ -10,9 +10,10 @@
 * ``soak`` — run many seeded random fault plans under EVS checking.
 * ``conformance`` — differential oracle + bounded schedule exploration
   across the protocol variants.
-* ``bench`` — run a benchmark suite, gated on a committed baseline.
-* ``kv`` — the replicated KV store: fault-free runs, skewed benches,
-  chaos scenarios with linearizability checking, WAL recover-replay.
+* ``bench`` — run a benchmark suite (sim, KV or real-runtime cases),
+  gated on a committed baseline.
+* ``kv`` — the replicated KV store: fault-free runs, chaos scenarios
+  with linearizability checking, WAL recover-replay.
 * ``daemon`` — run a real daemon (UDP ring + unix client socket).
 """
 
@@ -118,28 +119,13 @@ def cmd_maxtp(args: argparse.Namespace) -> int:
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
-    from repro.bench import figures
+    from repro.bench.figures import FIGURES
 
-    table = {
-        "2": figures.fig02_agreed_1g,
-        "3": figures.fig03_safe_1g,
-        "4": figures.fig04_agreed_10g,
-        "5": figures.fig05_agreed_payload_10g,
-        "6": figures.fig06_safe_10g,
-        "7": figures.fig07_safe_payload_10g,
-        "8": figures.fig08_safe_low_10g,
-        "9": figures.fig09_loss_480_10g,
-        "10": figures.fig10_loss_1200_10g,
-        "11": figures.fig11_loss_140_1g,
-        "12": figures.fig12_loss_350_1g,
-        "13": figures.fig13_positional_loss,
-        "headline": figures.headline_max_throughput,
-    }
-    if args.number not in table:
-        print(f"unknown figure {args.number!r}; choose from {sorted(table)}",
+    if args.number not in FIGURES:
+        print(f"unknown figure {args.number!r}; choose from {sorted(FIGURES)}",
               file=sys.stderr)
         return 2
-    title, series = table[args.number]()
+    title, series = FIGURES[args.number][0]()
     print(format_series(title, series))
     return 0
 
@@ -585,73 +571,6 @@ def _kv_run(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _kv_bench(args: argparse.Namespace) -> int:
-    import json
-    import os
-
-    from repro.apps.kv.bench import (
-        BASELINE_SEED,
-        baseline_path,
-        compare_report,
-        run_kv_bench,
-        to_json,
-    )
-
-    if (args.check_baseline or args.update_baseline) and args.seed != BASELINE_SEED:
-        print(
-            f"the committed kv baseline is recorded at seed {BASELINE_SEED}; "
-            f"gating a seed-{args.seed} run against it would only report "
-            f"legitimate per-seed differences",
-            file=sys.stderr,
-        )
-        return 2
-    case_names = args.cases.split(",") if args.cases else None
-    report = run_kv_bench(
-        seed=args.seed,
-        case_names=case_names,
-        progress=None if args.json else print,
-    )
-    if args.json:
-        print(to_json(report))
-    if args.out is not None:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, f"kv_bench_seed{args.seed}.json")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(to_json(report))
-        if not args.json:
-            print(f"report written to {path}")
-    base_path = baseline_path()
-    if args.update_baseline:
-        if case_names is not None:
-            print("--update-baseline needs the full suite, not --cases")
-            return 2
-        base_path.parent.mkdir(parents=True, exist_ok=True)
-        base_path.write_text(to_json(report) + "\n")
-        print(f"updated baseline {base_path}")
-        return 0
-    if args.check_baseline:
-        if not base_path.exists():
-            print(f"BASELINE MISSING: {base_path} — run with --update-baseline")
-            return 1
-        reference = json.loads(base_path.read_text())
-        if case_names is not None:
-            # A partial run gates against the matching baseline slice.
-            reference = dict(reference)
-            reference["cases"] = {
-                name: metrics
-                for name, metrics in reference.get("cases", {}).items()
-                if name in set(case_names)
-            }
-        problems = compare_report(report, reference)
-        if problems:
-            print(f"REGRESSIONS vs {base_path}:")
-            for problem in problems:
-                print(f"  - {problem}")
-            return 1
-        print(f"within tolerance of baseline {base_path}")
-    return 0
-
-
 def _kv_chaos(args: argparse.Namespace) -> int:
     import os
 
@@ -758,7 +677,6 @@ def _kv_recover_replay(args: argparse.Namespace) -> int:
 def cmd_kv(args: argparse.Namespace) -> int:
     handlers = {
         "run": _kv_run,
-        "bench": _kv_bench,
         "chaos": _kv_chaos,
         "recover-replay": _kv_recover_replay,
     }
@@ -807,86 +725,6 @@ def _fleet_run(args: argparse.Namespace) -> int:
             f"{counters['clients_dropped_slow']}"
         )
     return 0 if report["messages_acked"] == report["messages_sent"] else 1
-
-
-def _fleet_bench(args: argparse.Namespace) -> int:
-    import json
-    import os
-
-    from repro.runtime.bench import (
-        BASELINE_SEED,
-        WALL_TOL,
-        baseline_path,
-        compare_report,
-        run_runtime_bench,
-        to_json,
-    )
-
-    wall_tol = args.wall_tol
-    if wall_tol is None:
-        wall_tol = float(os.environ.get("REPRO_BENCH_WALL_TOL", WALL_TOL))
-
-    if (args.check_baseline or args.update_baseline) and args.seed != BASELINE_SEED:
-        print(
-            f"the committed runtime baseline is recorded at seed "
-            f"{BASELINE_SEED}; gating a seed-{args.seed} run against it "
-            f"would only report legitimate per-seed differences",
-            file=sys.stderr,
-        )
-        return 2
-    case_names = args.cases.split(",") if args.cases else None
-    report = run_runtime_bench(
-        seed=args.seed,
-        case_names=case_names,
-        progress=None if args.json else print,
-    )
-    if args.json:
-        print(to_json(report))
-    if args.out is not None:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, f"runtime_bench_seed{args.seed}.json")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(to_json(report))
-        if not args.json:
-            print(f"report written to {path}")
-    base_path = baseline_path()
-    if args.update_baseline:
-        if case_names is not None:
-            print("--update-baseline needs the full suite, not --cases")
-            return 2
-        base_path.parent.mkdir(parents=True, exist_ok=True)
-        base_path.write_text(to_json(report))
-        print(f"updated baseline {base_path}")
-        return 0
-    if args.check_baseline:
-        if not base_path.exists():
-            print(f"BASELINE MISSING: {base_path} — run with --update-baseline")
-            return 1
-        reference = json.loads(base_path.read_text())
-        if case_names is not None:
-            # A partial run gates against the matching baseline slice.
-            reference = dict(reference)
-            reference["cases"] = {
-                name: metrics
-                for name, metrics in reference.get("cases", {}).items()
-                if name in set(case_names)
-            }
-        problems = compare_report(report, reference, wall_tol=wall_tol)
-        if problems:
-            print(f"REGRESSIONS vs {base_path}:")
-            for problem in problems:
-                print(f"  - {problem}")
-            return 1
-        print(f"within tolerance of baseline {base_path}")
-    return 0
-
-
-def cmd_fleet(args: argparse.Namespace) -> int:
-    handlers = {
-        "run": _fleet_run,
-        "bench": _fleet_bench,
-    }
-    return handlers[args.fleet_mode](args)
 
 
 def cmd_daemon(args: argparse.Namespace) -> int:
@@ -945,6 +783,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     return run_from_args(
         suite=args.suite,
+        seed=args.seed,
         repeats=args.repeats if args.repeats is not None else DEFAULT_REPEATS,
         output=Path(args.output) if args.output is not None else None,
         baseline=Path(args.baseline) if args.baseline is not None else None,
@@ -1128,13 +967,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a benchmark suite; optionally gate on a committed baseline",
     )
     bench.add_argument("--suite", default="smoke",
-                       help="suite name (smoke, headline, scaling)")
+                       help="suite name (smoke, headline, scaling, fabric, "
+                            "kv, runtime)")
     bench.add_argument("--cases", default=None,
                        help="comma-separated case names to run (default: "
                             "whole suite); baseline compare restricts "
                             "itself to the selection")
+    bench.add_argument("--seed", type=int, default=0,
+                       help="workload seed; the committed baselines are "
+                            "recorded at 0 and only gate seed-0 runs")
     bench.add_argument("--repeats", type=int, default=None,
-                       help="repetitions per case (medians reported)")
+                       help="repetitions per case: deterministic blocks "
+                            "must agree, wall metrics are medians")
     bench.add_argument("--output", default=None,
                        help="results file (default BENCH_<suite>.json)")
     bench.add_argument("--baseline", default=None,
@@ -1152,7 +996,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     kv = sub.add_parser(
         "kv",
-        help="replicated KV store on the ordered stream: run, bench, "
+        help="replicated KV store on the ordered stream: run, "
              "chaos (with linearizability checking), recover-replay",
     )
     kv_sub = kv.add_subparsers(dest="kv_mode", required=True)
@@ -1177,23 +1021,6 @@ def build_parser() -> argparse.ArgumentParser:
     kv_run.add_argument("--seed", type=int, default=0)
     kv_run.add_argument("--json", action="store_true")
     kv_run.set_defaults(func=cmd_kv)
-
-    kv_bench = kv_sub.add_parser(
-        "bench", help="skewed multi-million-key benchmark cases"
-    )
-    kv_bench.add_argument("--cases", default=None,
-                          help="comma-separated case names (default: all)")
-    kv_bench.add_argument("--seed", type=int, default=0)
-    kv_bench.add_argument("--json", action="store_true",
-                          help="print the full report as JSON")
-    kv_bench.add_argument("--out", default=None, metavar="DIR",
-                          help="write kv_bench_seed<seed>.json into DIR")
-    kv_bench.add_argument("--check-baseline", action="store_true",
-                          help="compare against benchmarks/baselines/"
-                               "BENCH_kv.json; exit 1 on regression")
-    kv_bench.add_argument("--update-baseline", action="store_true",
-                          help="write this run over the committed kv baseline")
-    kv_bench.set_defaults(func=cmd_kv)
 
     kv_chaos = kv_sub.add_parser(
         "chaos",
@@ -1228,8 +1055,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fleet = sub.add_parser(
         "fleet",
-        help="multi-daemon loopback fleet: closed-loop client workloads "
-             "(run) and the real-runtime regression benches (bench)",
+        help="multi-daemon loopback fleet: closed-loop client workloads (run)",
     )
     fleet_sub = fleet.add_subparsers(dest="fleet_mode", required=True)
 
@@ -1256,30 +1082,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="run the original Totem Ring protocol")
     fleet_run.add_argument("--json", action="store_true",
                            help="print the full workload report as JSON")
-    fleet_run.set_defaults(func=cmd_fleet)
-
-    fleet_bench = fleet_sub.add_parser(
-        "bench",
-        help="real-runtime benches over loopback; gate on "
-             "benchmarks/baselines/BENCH_runtime.json",
-    )
-    fleet_bench.add_argument("--cases", default=None,
-                             help="comma-separated case names (default: all)")
-    fleet_bench.add_argument("--seed", type=int, default=0)
-    fleet_bench.add_argument("--json", action="store_true",
-                             help="print the full report as JSON")
-    fleet_bench.add_argument("--out", default=None, metavar="DIR",
-                             help="write runtime_bench_seed<seed>.json into DIR")
-    fleet_bench.add_argument("--wall-tol", type=float, default=None,
-                             help="ops/sec tolerance fraction (default: "
-                                  "REPRO_BENCH_WALL_TOL or 0.5)")
-    fleet_bench.add_argument("--check-baseline", action="store_true",
-                             help="compare against benchmarks/baselines/"
-                                  "BENCH_runtime.json; exit 1 on regression")
-    fleet_bench.add_argument("--update-baseline", action="store_true",
-                             help="write this run over the committed "
-                                  "runtime baseline")
-    fleet_bench.set_defaults(func=cmd_fleet)
+    fleet_run.set_defaults(func=_fleet_run)
 
     daemon = sub.add_parser("daemon", help="run a real daemon over UDP")
     daemon.add_argument("--pid", type=int, required=True)

@@ -1,12 +1,7 @@
-"""The runtime bench suite: real loopback throughput/latency + gates.
+"""The runtime bench cases: real loopback throughput/latency + pins.
 
-Mirrors the KV gate precedent (:mod:`repro.apps.kv.bench`): every case
-reports a ``deterministic`` block (exact-compared against the committed
-baseline — invariants that must hold on any machine) and a ``wall``
-block (actual wall-clock numbers, gated only by a loose ops/sec floor
-because shared CI runners are noisy).  The committed baseline lives at
-``benchmarks/baselines/BENCH_runtime.json``; ``repro fleet bench
---check-baseline`` is the CI gate.
+The cases of ``repro bench --suite runtime`` (:mod:`repro.bench.harness`
+runs and gates them against ``benchmarks/baselines/BENCH_runtime.json``).
 
 Unlike the sim benches, wall time here is *real*: messages cross real
 UDP sockets and real unix-domain client connections.  The deterministic
@@ -20,32 +15,14 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
-import json
 import time
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List
 
+from repro.bench.harness import BenchCase
 from repro.conformance.workload import make_label
 from repro.runtime.fleet import FLEET_TIMEOUTS, Fleet, run_fleet_workload
 from repro.runtime.node import RingNode
 from repro.runtime.ports import ephemeral_ring_addresses
-
-#: Loose wall-clock tolerance (fraction of baseline ops/sec a run may
-#: lose before the gate fails); CI sets a looser value via
-#: ``REPRO_BENCH_WALL_TOL``-equivalent flags on shared runners.
-WALL_TOL = 0.5
-
-#: The committed baseline is recorded at this seed; the gate refuses to
-#: compare reports recorded at any other.
-BASELINE_SEED = 0
-
-
-@dataclass(frozen=True)
-class RuntimeBenchCase:
-    name: str
-    run: Callable[[int], Dict[str, Any]]
-    summary: str
-
 
 # ----------------------------------------------------------------------
 # Case: serialized ring — exact total-order digest
@@ -60,15 +37,35 @@ async def _ring_serialized_async(
         pid: RingNode(pid, addresses, timeouts=FLEET_TIMEOUTS)
         for pid in range(num_nodes)
     }
-    for node in nodes.values():
+    #: What each node delivered, in order (a node with a consumer keeps
+    #: no log of its own).
+    streams: Dict[int, List[bytes]] = {pid: [] for pid in nodes}
+    #: Set when a node installs a configuration or reaches ``target``
+    #: deliveries: the waiter below sleeps on it instead of polling.
+    changed = asyncio.Event()
+    target = 0
+
+    def consumer(log: List[bytes]) -> Callable[..., None]:
+        def on_deliver(message, config_id) -> None:
+            log.append(bytes(message.payload))
+            if len(log) >= target:
+                changed.set()
+
+        return on_deliver
+
+    for pid, node in nodes.items():
+        node.on_deliver = consumer(streams[pid])
+        node.on_config = lambda configuration: changed.set()
         await node.start()
 
     async def wait_for(check, timeout: float) -> None:
         deadline = time.monotonic() + timeout
         while not check():
-            if time.monotonic() > deadline:
-                raise TimeoutError("runtime bench: ring did not converge")
-            await asyncio.sleep(0.01)
+            changed.clear()
+            try:
+                await asyncio.wait_for(changed.wait(), deadline - time.monotonic())
+            except asyncio.TimeoutError:
+                raise TimeoutError("runtime bench: ring did not converge") from None
 
     want = tuple(range(num_nodes))
     await wait_for(
@@ -81,22 +78,16 @@ async def _ring_serialized_async(
 
     total = bursts * burst_size
     started = time.monotonic()
-    sent = 0
     for burst in range(bursts):
         sender = nodes[burst % num_nodes]
         for offset in range(burst_size):
-            sender.submit(payload=make_label(sender.pid, sent + offset))
-        sent += burst_size
-        target = (burst + 1) * burst_size
+            sender.submit(payload=make_label(sender.pid, target + offset))
+        target += burst_size
         await wait_for(
-            lambda: all(len(n.delivered) >= target for n in nodes.values()), 10.0
+            lambda: all(len(log) >= target for log in streams.values()), 10.0
         )
     wall = time.monotonic() - started
 
-    streams = {
-        pid: [bytes(m.payload) for m in node.delivered]
-        for pid, node in nodes.items()
-    }
     reference = streams[0]
     order_identity = all(stream == reference for stream in streams.values())
     digest = hashlib.sha256(b"\x00".join(reference)).hexdigest()
@@ -163,98 +154,15 @@ def _case_fleet_closed_loop(seed: int) -> Dict[str, Any]:
     return asyncio.run(_fleet_closed_loop_async(seed))
 
 
-# ----------------------------------------------------------------------
-# Suite plumbing (KV-gate shape)
-# ----------------------------------------------------------------------
-
-CASES: Dict[str, RuntimeBenchCase] = {
-    "ring_serialized": RuntimeBenchCase(
+CASES: List[BenchCase] = [
+    BenchCase(
         name="ring_serialized",
         run=_case_ring_serialized,
         summary="3-node loopback ring, serialized bursts, exact order digest",
     ),
-    "fleet_closed_loop": RuntimeBenchCase(
+    BenchCase(
         name="fleet_closed_loop",
         run=_case_fleet_closed_loop,
         summary="3-daemon fleet, 6 closed-loop clients, msgs/sec + latency",
     ),
-}
-
-#: The cheap subset CI smoke runs on every push.
-SMOKE_CASES: Tuple[str, ...] = ("ring_serialized",)
-
-
-def run_runtime_bench(
-    seed: int = 0,
-    case_names: Optional[List[str]] = None,
-    progress: Optional[Callable[[str], None]] = None,
-) -> Dict[str, Any]:
-    names = list(case_names) if case_names is not None else list(CASES)
-    unknown = [name for name in names if name not in CASES]
-    if unknown:
-        raise ValueError(f"unknown runtime bench cases: {unknown}")
-    cases: Dict[str, Any] = {}
-    for name in names:
-        if progress is not None:
-            progress(f"runtime bench: {name} ({CASES[name].summary})")
-        cases[name] = CASES[name].run(seed)
-    return {"suite": "runtime", "seed": seed, "cases": cases}
-
-
-def to_json(report: Dict[str, Any]) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
-
-
-def baseline_path(root: Optional[Any] = None):
-    """``benchmarks/baselines/BENCH_runtime.json`` under ``root``."""
-    from pathlib import Path
-
-    base = Path(root) if root is not None else Path(".")
-    return base / "benchmarks" / "baselines" / "BENCH_runtime.json"
-
-
-def compare_report(
-    current: Dict[str, Any],
-    baseline: Dict[str, Any],
-    wall_tol: float = WALL_TOL,
-) -> List[str]:
-    """Compare a runtime report against the committed baseline.
-
-    Deterministic blocks must match exactly (they are machine-
-    independent invariants); wall metrics fail only on an ops/sec drop
-    beyond ``wall_tol``.  Returns human-readable regression messages;
-    empty means within tolerance.
-    """
-    problems: List[str] = []
-    if current.get("seed") != baseline.get("seed"):
-        problems.append(
-            f"seed mismatch: run has {current.get('seed')}, baseline has "
-            f"{baseline.get('seed')} — deterministic metrics are per-seed"
-        )
-        return problems
-    base_cases = baseline.get("cases", {})
-    cur_cases = current.get("cases", {})
-    for name, base in base_cases.items():
-        cur = cur_cases.get(name)
-        if cur is None:
-            problems.append(f"{name}: missing from current run")
-            continue
-        expected = base.get("deterministic", {})
-        actual = cur.get("deterministic", {})
-        for metric in sorted(set(expected) | set(actual)):
-            if expected.get(metric) != actual.get(metric):
-                problems.append(
-                    f"{name}: {metric} changed (baseline "
-                    f"{expected.get(metric)!r}, got {actual.get(metric)!r}) — "
-                    f"deterministic runtime metrics must match the baseline"
-                )
-        expected_rate = base.get("wall", {}).get("ops_per_sec")
-        if expected_rate:
-            actual_rate = cur.get("wall", {}).get("ops_per_sec", 0.0)
-            floor = expected_rate * (1.0 - wall_tol)
-            if actual_rate < floor:
-                problems.append(
-                    f"{name}: ops_per_sec regressed to {actual_rate:,.0f} "
-                    f"(baseline {expected_rate:,.0f}, floor {floor:,.0f})"
-                )
-    return problems
+]

@@ -262,6 +262,13 @@ class _ClientLoopState:
     reconnects: int = 0
 
 
+#: How long past its duration a workload run waits for outstanding
+#: echoes before it gives up on a fleet that has gone silent.
+SILENT_GRACE = 5.0
+#: Ring re-formation allowance after the workload's daemon restart.
+RESTART_FORM_TIMEOUT = 15.0
+
+
 def _percentile(sorted_values: List[float], fraction: float) -> float:
     if not sorted_values:
         return 0.0
@@ -289,6 +296,12 @@ async def run_fleet_workload(
     ``crash_pid`` set, that daemon is crashed ``crash_after`` seconds in
     and restarted ``restart_after`` seconds later; its clients reconnect
     to a surviving daemon and resume (connection lifecycle under fire).
+
+    One deadline bounds the whole run — the duration, the crash/restart
+    budget and :data:`SILENT_GRACE` — rather than a timeout around every
+    receive, which would put the driver's own timer churn into the
+    numbers it reports.  A fleet that goes silent ends the run at the
+    deadline with ``messages_acked < messages_sent``.
     """
     states: List[_ClientLoopState] = []
     for index in range(num_clients):
@@ -321,9 +334,7 @@ async def run_fleet_workload(
             if now >= stop_at and state.acked >= state.sent:
                 return
             try:
-                message = await asyncio.wait_for(client.receive(), timeout=5.0)
-            except asyncio.TimeoutError:
-                return
+                message = await client.receive()
             except (
                 asyncio.IncompleteReadError,
                 ConnectionResetError,
@@ -372,12 +383,19 @@ async def run_fleet_workload(
         await asyncio.sleep(crash_after)
         await fleet.crash_daemon(crash_pid)
         await asyncio.sleep(restart_after)
-        await fleet.restart_daemon(crash_pid, form_timeout=15.0)
+        await fleet.restart_daemon(crash_pid, form_timeout=RESTART_FORM_TIMEOUT)
 
+    budget = duration + SILENT_GRACE
+    if crash_pid is not None:
+        budget += crash_after + restart_after + RESTART_FORM_TIMEOUT
     started = time.monotonic()
-    tasks = [asyncio.ensure_future(pump(state)) for state in states]
     chaos_task = asyncio.ensure_future(chaos())
-    await asyncio.gather(*tasks)
+    try:
+        await asyncio.wait_for(
+            asyncio.gather(*(pump(state) for state in states)), budget
+        )
+    except asyncio.TimeoutError:
+        pass  # silent fleet: the report shows acked < sent
     await chaos_task
     elapsed = time.monotonic() - started
 

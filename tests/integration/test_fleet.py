@@ -149,3 +149,36 @@ def test_slow_client_is_dropped_not_buffered_forever():
             await fleet.drain_and_stop()
 
     asyncio.run(scenario())
+
+
+def test_workload_gives_up_on_a_silent_fleet_at_one_deadline(monkeypatch):
+    """No per-receive timeout: the run as a whole has a deadline, and a
+    fleet that stops answering ends it with ``acked < sent``."""
+    from repro.runtime import fleet as fleet_module
+
+    class SilentClient:
+        async def join(self, group):
+            pass
+
+        async def wait_for_view(self, group, size):
+            pass
+
+        def multicast(self, groups, payload):
+            pass
+
+        async def receive(self):
+            await asyncio.Event().wait()
+
+    class SilentFleet:
+        num_daemons = 1
+
+        async def connect_client(self, name):
+            return SilentClient()
+
+        def counters(self):
+            return {}
+
+    monkeypatch.setattr(fleet_module, "SILENT_GRACE", 0.2)
+    report = asyncio.run(run_fleet_workload(SilentFleet(), num_clients=2, duration=0.1))
+    assert report["messages_sent"] == 2 and report["messages_acked"] == 0
+    assert 0.3 <= report["duration_s"] < 3.0

@@ -131,10 +131,11 @@ def test_protocol_mode_scaling_is_near_linear():
     from repro.bench.harness import SUITES, run_case
 
     results = {
-        case.name: run_case(case, repeats=1) for case in SUITES["scaling"]
+        case.name: run_case(case, repeats=1)["deterministic"]
+        for case in SUITES["scaling"]
     }
-    events = {n: results[f"rings-{n}"].events_processed for n in (1, 2, 4)}
-    goodput = {n: results[f"rings-{n}"].goodput_mbps for n in (1, 2, 4)}
+    events = {n: results[f"rings-{n}"]["events_processed"] for n in (1, 2, 4)}
+    goodput = {n: results[f"rings-{n}"]["goodput_mbps"] for n in (1, 2, 4)}
     assert events[2] >= 1.7 * events[1]
     assert events[4] > events[2]
     assert goodput[2] >= 1.7 * goodput[1]

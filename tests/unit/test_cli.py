@@ -100,10 +100,6 @@ def test_fleet_parser_defaults():
     assert args.daemons == 3
     assert args.clients == 8
     assert not args.crash
-    args = build_parser().parse_args(["fleet", "bench"])
-    assert args.fleet_mode == "bench"
-    assert args.seed == 0
-    assert args.wall_tol is None
 
 
 def test_conformance_realtime_parses():
@@ -112,6 +108,11 @@ def test_conformance_realtime_parses():
     assert args.crash
 
 
-def test_fleet_bench_refuses_offseed_gating(capsys):
-    assert main(["fleet", "bench", "--seed", "3", "--check-baseline"]) == 2
-    assert "seed" in capsys.readouterr().err
+def test_bench_is_the_only_bench_entry_point(capsys):
+    for gone in (["kv", "bench"], ["fleet", "bench"], ["bench", "--wall-tol", "0.7"]):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(gone)
+    capsys.readouterr()
+    # The committed baselines gate seed-0 runs only; refused before running.
+    assert main(["bench", "--suite", "kv", "--seed", "3", "--check-baseline"]) == 2
+    assert "seed" in capsys.readouterr().out
