@@ -15,7 +15,8 @@ It owns, once, what is the same everywhere:
   flushed before any effect of another kind (the token must not overtake
   pre-token sends) and at the end of the list, and retransmissions
   always travel alone;
-* the named-timer table: re-arming a live name cancels its old handle;
+* the named-timer table: re-arming a live name is the backend's
+  ``reschedule`` (one timer per name, the old deadline never fires);
 * batch-shaped delivery: scalar deliveries reach the backend as
   1-tuples, so a backend has one delivery path.
 
@@ -34,6 +35,10 @@ and, for backends that host a membership controller::
 
     send_control(message, destination)        # None = multicast
     schedule(delay, callback, *args) -> handle with .cancel()
+    reschedule(handle, delay, callback, *args) -> handle
+                                              # == handle.cancel() + schedule(...);
+                                              # a substrate that can move a live
+                                              # timer in place returns the same one
     on_timer(name)                            # a timer armed here fired
     deliver_config(configuration)
 
@@ -87,6 +92,7 @@ class EffectExecutor:
             send_control = backend.send_control
             deliver_config = backend.deliver_config
             schedule = backend.schedule
+            reschedule = backend.reschedule
             on_timer = backend.on_timer
             timers = self._timers
 
@@ -95,8 +101,12 @@ class EffectExecutor:
                 on_timer(name)
 
             def set_timer(effect: SetTimer) -> None:
-                self.cancel_timer(effect.name)
-                timers[effect.name] = schedule(effect.delay, expire, effect.name)
+                name = effect.name
+                handle = timers.get(name)
+                if handle is None:
+                    timers[name] = schedule(effect.delay, expire, name)
+                else:
+                    timers[name] = reschedule(handle, effect.delay, expire, name)
 
             def deliver_attributed(effect: Effect) -> None:
                 deliver(effect.delivered, effect.config_id, effect.origin_ring)

@@ -68,4 +68,6 @@ def update_fcc(
 ) -> int:
     """New ``fcc``: replace this participant's last-round contribution with
     its current-round contribution (both counts include retransmissions)."""
-    return max(0, token_fcc - sent_last_round) + sending_this_round
+    # Runs on every token visit, idle ones included: comparisons, not max().
+    carried = token_fcc - sent_last_round
+    return carried + sending_this_round if carried > 0 else sending_this_round

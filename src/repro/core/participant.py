@@ -172,80 +172,138 @@ class AcceleratedRingParticipant:
     def on_token(self, token: RegularToken) -> List[Effect]:
         """Handle a received regular token; returns the effects in order:
         pre-token multicasts, the token send, post-token multicasts, then
-        deliveries and discard notifications."""
+        deliveries and discard notifications.
+
+        Most visits on a lightly loaded ring have nothing to answer, send,
+        request or deliver, so every phase below is skipped when its input
+        is empty (each guard names the invariant it relies on).  The
+        received token is never mutated; the outgoing one is built once.
+        """
         if token.ring_id != self.ring_id:
             return []
-        if token.token_id <= self._last_token_id:
+        token_id = token.token_id
+        if token_id <= self._last_token_id:
             self.duplicate_tokens += 1
             return []
-        self._last_token_id = token.token_id
-        token = token.copy()
+        self._last_token_id = token_id
         self.round += 1
         self.rounds_completed += 1
-        if self.pid == self.ring[0]:
-            token.rotation += 1
 
+        pid = self.pid
         observer = self.observer
-        now = self._now() if observer is not None else None
+        now = None
         if observer is not None:
-            observer.on_token_received(self.pid, token, now=now)
+            now = self._now()
+            observer.on_token_received(pid, token, now=now)
 
         effects: List[Effect] = []
+        received_seq = token.seq
+        received_aru = token.aru
+        rtr = token.rtr
+        buffer = self.buffer
 
         # --- 1. Pre-token multicasting -------------------------------
         # All retransmissions must go out before the token; otherwise they
         # could be requested again (paper §III-B1).
-        answered = []
-        for requested in token.rtr:
-            held = self.buffer.get(requested)
-            if held is not None:
-                answered.append(requested)
-                effects.append(MulticastData(held, retransmission=True))
-                if observer is not None:
-                    observer.on_retransmit(self.pid, requested, now=now)
-                    observer.on_multicast(self.pid, held, retransmission=True, now=now)
-        self.retransmissions_sent += len(answered)
+        answered: Sequence[int] = ()
+        if rtr:
+            answered = []
+            for requested in rtr:
+                held = buffer.get(requested)
+                if held is not None:
+                    answered.append(requested)
+                    effects.append(MulticastData(held, retransmission=True))
+                    if observer is not None:
+                        observer.on_retransmit(pid, requested, now=now)
+                        observer.on_multicast(pid, held, retransmission=True, now=now)
+            self.retransmissions_sent += len(answered)
+        sent = len(answered)
 
-        plan = plan_sending(self.config, len(self.pending), token.fcc, len(answered))
-        if observer is not None:
-            observer.on_flow_control(self.pid, plan, token.fcc, now=now)
-        received_seq = token.seq
-        received_aru = token.aru
-        new_messages = self._stamp_new_messages(received_seq, plan.num_to_send, plan.pre_token)
-        for message in new_messages[: plan.pre_token]:
-            effects.append(MulticastData(message))
+        # Nothing queued means nothing to plan or stamp (num_to_send is
+        # min(queued, ...) = 0); an observer is told the plan every visit.
+        num_to_send = pre_token = 0
+        new_messages: Sequence[DataMessage] = ()
+        if self.pending or observer is not None:
+            plan = plan_sending(self.config, len(self.pending), token.fcc, sent)
             if observer is not None:
-                observer.on_multicast(self.pid, message, now=now)
+                observer.on_flow_control(pid, plan, token.fcc, now=now)
+            num_to_send = plan.num_to_send
+            pre_token = plan.pre_token
+            new_messages = self._stamp_new_messages(received_seq, num_to_send, pre_token)
+            for message in new_messages[:pre_token]:
+                effects.append(MulticastData(message))
+                if observer is not None:
+                    observer.on_multicast(pid, message, now=now)
+            sent += num_to_send
 
         # --- 2. Updating and sending the token ------------------------
+        new_seq = received_seq + num_to_send
+        local_aru = buffer._local_aru  # includes the messages just stamped
+        # The aru rules of paper §III-B2 / Totem.
+        aru = received_aru
+        lowered_by = token.aru_lowered_by
+        if local_aru < received_aru:
+            # Rule 1: lower the aru to what we actually have.
+            aru = local_aru
+            lowered_by = pid
+        elif lowered_by == pid:
+            # Rule 2: we lowered it previously and nobody lowered it
+            # further since — raise it to our current local aru.
+            aru = local_aru
+            if aru == new_seq:
+                lowered_by = None
+        elif received_aru == received_seq:
+            # Rule 3: aru was keeping pace with seq; advance it with our
+            # own sends (we hold all prior messages and our new ones).
+            aru = new_seq
+            lowered_by = None
+        # Otherwise: some other participant governs the aru; leave it.
+
+        fcc = update_fcc(token.fcc, self._sent_last_round, sent)
+        self._sent_last_round = sent
+
+        # Requests: nothing to drop when the list is empty, and nothing
+        # to add when the local aru has reached the request limit
+        # (missing_between(low, high) is empty for high <= low).
         request_limit = self._retransmission_request_limit(token)
-        new_seq = received_seq + plan.num_to_send
-        token.seq = new_seq
-        self._update_aru(token, received_seq, received_aru, plan.num_to_send)
-        token.fcc = update_fcc(
-            token.fcc, self._sent_last_round, len(answered) + plan.num_to_send
+        if new_seq < request_limit:
+            request_limit = new_seq
+        if rtr or local_aru < request_limit:
+            new_rtr = self._updated_rtr(rtr, answered, request_limit, now)
+        else:
+            new_rtr = None
+        rotation = token.rotation
+        if pid == self.ring[0]:
+            rotation += 1
+        outgoing = RegularToken(
+            self.ring_id, token_id + 1, new_seq, aru, lowered_by, fcc, new_rtr, rotation
         )
-        self._sent_last_round = len(answered) + plan.num_to_send
-        self._update_rtr(token, answered, request_limit, now=now)
-        token.token_id += 1
-        effects.append(SendToken(token, self.successor))
+        effects.append(SendToken(outgoing, self.successor))
         if observer is not None:
-            observer.on_token_sent(self.pid, token, now=now)
+            observer.on_token_sent(pid, outgoing, now=now)
 
         # --- 3. Post-token multicasting --------------------------------
-        for message in new_messages[plan.pre_token :]:
+        for message in new_messages[pre_token:]:
             effects.append(MulticastData(message))
             if observer is not None:
-                observer.on_multicast(self.pid, message, now=now)
+                observer.on_multicast(pid, message, now=now)
 
         # --- 4. Delivering and discarding ------------------------------
         # Safe delivery limit: the minimum of the aru on the token sent this
         # round and the one sent last round (paper §III-B4).
-        self._safe_limit = min(self._sent_aru_prev, token.aru)
-        self._sent_aru_prev = token.aru
-        effects.extend(self._deliver_ready())
-        discard_limit = min(self._safe_limit, self._last_delivered)
-        if self.buffer.discard_up_to(discard_limit):
+        safe_limit = self._sent_aru_prev
+        if aru < safe_limit:
+            safe_limit = aru
+        self._safe_limit = safe_limit
+        self._sent_aru_prev = aru
+        # Only messages at or below the local aru are contiguous, so a
+        # frontier already there has nothing to deliver at any safe limit.
+        last_delivered = self._last_delivered
+        if last_delivered != local_aru:
+            effects.extend(self._deliver_ready())
+            last_delivered = self._last_delivered
+        discard_limit = safe_limit if safe_limit < last_delivered else last_delivered
+        if buffer.discard_up_to(discard_limit):
             effects.append(Stable(discard_limit))
 
         # Bookkeeping for the accelerated request rule and §III-D priority.
@@ -350,54 +408,26 @@ class AcceleratedRingParticipant:
         """
         return self._prev_token_seq
 
-    def _update_aru(
+    def _updated_rtr(
         self,
-        token: RegularToken,
-        received_seq: int,
-        received_aru: int,
-        num_to_send: int,
-    ) -> None:
-        """Apply the aru rules of paper §III-B2 / Totem."""
-        local_aru = self.buffer.local_aru
-        if local_aru < received_aru:
-            # Rule 1: lower the aru to what we actually have.
-            token.aru = local_aru
-            token.aru_lowered_by = self.pid
-        elif token.aru_lowered_by == self.pid:
-            # Rule 2: we lowered it previously and nobody lowered it
-            # further since — raise it to our current local aru.
-            token.aru = local_aru
-            if token.aru == token.seq:
-                token.aru_lowered_by = None
-        elif received_aru == received_seq:
-            # Rule 3: aru was keeping pace with seq; advance it with our
-            # own sends (we hold all prior messages and our new ones).
-            token.aru = received_seq + num_to_send
-            token.aru_lowered_by = None
-        # Otherwise: some other participant governs the aru; leave it.
-
-    def _update_rtr(
-        self,
-        token: RegularToken,
-        answered: List[int],
+        rtr: Sequence[int],
+        answered: Sequence[int],
         request_limit: int,
-        now: Optional[float] = None,
-    ) -> None:
-        """Remove answered requests; add our own missing sequence numbers."""
+        now: Optional[float],
+    ) -> List[int]:
+        """The outgoing request list: ``rtr`` minus the answered requests,
+        plus our own missing sequence numbers up to ``request_limit``."""
         answered_set = set(answered)
-        kept = [seq for seq in token.rtr if seq not in answered_set]
+        kept = [seq for seq in rtr if seq not in answered_set]
         present = set(kept)
-        my_missing = self.buffer.missing_between(
-            self.buffer.local_aru, min(request_limit, token.seq)
-        )
-        for seq in my_missing:
+        for seq in self.buffer.missing_between(self.buffer.local_aru, request_limit):
             if seq not in present:
                 kept.append(seq)
                 present.add(seq)
                 self.requests_made += 1
                 if self.observer is not None:
                     self.observer.on_retransmit_requested(self.pid, seq, now=now)
-        token.rtr = kept
+        return kept
 
     def _deliver_ready(self) -> List[Effect]:
         """Deliver messages in total order as far as the rules allow.

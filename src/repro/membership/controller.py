@@ -390,7 +390,7 @@ class MembershipController:
         if self.state is MemberState.OPERATIONAL and token.ring_id == self.ring_id:
             assert self.ordering is not None
             self._translate(self.ordering.on_token(token), effects)
-            effects.append(CancelTimer(TIMER_TOKEN_LOSS))
+            # Re-arms the live timer: SetTimer replaces a name's deadline.
             effects.append(SetTimer(TIMER_TOKEN_LOSS, self.timeouts.token_loss))
             return
         if self._rec is not None and token.ring_id == self._rec.new_ring_id:

@@ -75,6 +75,8 @@ class Cpu:
     according to the current token/data priority (paper §III-D); explicit
     submissions model work the protocol has already committed to (e.g. the
     sends making up the pre-token and post-token multicast phases).
+    Either way a task is a ``(cost, fn, args)`` tuple; the hook returns
+    ``None`` when there is nothing to do.
     """
 
     def __init__(self, sim: Simulator) -> None:
@@ -143,11 +145,7 @@ class Cpu:
         if task is None:
             self._busy = False
             return
-        try:
-            cost, fn, args = task
-        except ValueError:  # (cost, fn) from an idle hook predating task args
-            cost, fn = task
-            args = ()
+        cost, fn, args = task
         if cost < 0:
             raise ValueError(f"negative CPU cost {cost}")
         self._busy = True
@@ -176,11 +174,7 @@ class Cpu:
             if task is None:
                 self._busy = False
                 return
-        try:
-            cost, next_fn, args = task
-        except ValueError:  # (cost, fn) from an idle hook predating task args
-            cost, next_fn = task
-            args = ()
+        cost, next_fn, args = task
         if cost < 0:
             raise ValueError(f"negative CPU cost {cost}")
         self.busy_time += cost
@@ -228,10 +222,8 @@ class SimHost:
 
     def remove_interceptor(self, fn: Callable[[Frame], bool]) -> None:
         """Remove a previously installed interceptor (no-op if absent)."""
-        try:
+        if fn in self._interceptors:
             self._interceptors.remove(fn)
-        except ValueError:
-            pass
 
     def receive(self, frame: Frame) -> None:
         """A frame has fully arrived from the switch output port."""

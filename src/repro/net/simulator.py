@@ -20,6 +20,12 @@ Hot-path design notes (the simulator dominates benchmark wall time):
 * Cancellation stays lazy, but the heap is compacted whenever cancelled
   entries exceed half the queue (see :meth:`_compact`), so timer-heavy
   workloads cannot grow the heap without bound.
+* Re-arming is lazy too: :meth:`Simulator.reschedule` of a live handle to
+  a later time writes the new ``(time, seq)`` on the handle and leaves
+  its heap entry where it is; the dispatch loops push a surfacing entry
+  whose ``seq`` no longer matches back at the handle's current key.  A
+  token-loss timer re-armed on every token visit costs no allocation
+  and no heap operation per visit.
 """
 
 from __future__ import annotations
@@ -42,6 +48,11 @@ class EventHandle:
     when popped.  This keeps :meth:`Simulator.schedule` and cancel both
     O(log n) amortized; the owning simulator compacts the heap when more
     than half of it is cancelled entries.
+
+    ``(time, seq)`` is when the event is due; after a
+    :meth:`Simulator.reschedule` the heap entry may still carry an
+    earlier key.  ``_sim`` is the simulator whose heap holds an entry for
+    this handle, ``None`` once it has fired: a fired handle is inert.
     """
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "_sim")
@@ -126,6 +137,35 @@ class Simulator:
         heapq.heappush(self._queue, (time, seq, event, _HANDLE))
         return event
 
+    def reschedule(
+        self, handle: EventHandle, delay: float, callback: Callable[..., None], *args: Any
+    ) -> EventHandle:
+        """``handle.cancel()`` then ``schedule(delay, callback, *args)``,
+        returning the armed handle — observably identical (fire time,
+        place among same-timestamp events, ``events_processed``,
+        ``pending_events``), but moving a live event *later* reuses the
+        handle and its heap entry.
+
+        Like ``schedule`` it consumes one sequence number at the call, so
+        the event sorts among same-timestamp events exactly where a fresh
+        one would.  Moving an event earlier than it is due, or re-arming
+        a cancelled or fired handle, is literally cancel + schedule and
+        returns a new handle.
+        """
+        if delay < 0:
+            raise ValueError(f"cannot schedule event in the past (delay={delay})")
+        time = self.now + delay
+        if handle._sim is not self or handle.cancelled or time < handle.time:
+            handle.cancel()
+            return self.schedule_at(time, callback, *args)
+        # The heap entry's key is never later than the handle's, so it
+        # surfaces in time to be pushed back at the new one.
+        self._seq = handle.seq = self._seq + 1
+        handle.time = time
+        handle.callback = callback
+        handle.args = args
+        return handle
+
     def post(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
         """Fire-and-forget fast path: like :meth:`schedule` but without
         allocating a cancellable handle.  Used by the per-frame network
@@ -182,21 +222,9 @@ class Simulator:
 
     def step(self) -> bool:
         """Run the next pending event.  Returns False when the queue is empty."""
-        queue = self._queue
-        while queue:
-            time, _seq, callback, args = heapq.heappop(queue)
-            if args is _HANDLE:
-                handle = callback
-                if handle.cancelled:
-                    self._cancelled_pending -= 1
-                    continue
-                callback = handle.callback
-                args = handle.args
-            self.now = time
-            self._events_processed += 1
-            callback(*args)
-            return True
-        return False
+        before = self._events_processed
+        self.run(max_events=1)
+        return self._events_processed != before
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run events until the queue empties, ``until`` is reached, or
@@ -204,9 +232,15 @@ class Simulator:
 
         When ``until`` is given the clock is advanced to exactly ``until``
         even if the queue empties earlier, so rate meters see a full window.
+
+        Both loops treat a popped handle entry the same way: cancelled —
+        drop it; re-armed since it was pushed (``seq`` mismatch) — push it
+        back at the handle's current key, which is not an event; live —
+        detach the handle (so a late ``cancel()`` is inert) and fire.
         """
         queue = self._queue
         pop = heapq.heappop
+        push = heapq.heappush
         handle_tag = _HANDLE
         events_processed = self._events_processed
         try:
@@ -222,12 +256,16 @@ class Simulator:
                         return
                     self.now = time
                     while queue and queue[0][0] == time:
-                        _t, _seq, callback, args = pop(queue)
+                        _t, seq, callback, args = pop(queue)
                         if args is handle_tag:
                             handle = callback
                             if handle.cancelled:
                                 self._cancelled_pending -= 1
                                 continue
+                            if handle.seq != seq:
+                                push(queue, (handle.time, handle.seq, handle, handle_tag))
+                                continue
+                            handle._sim = None
                             callback = handle.callback
                             args = handle.args
                         events_processed += 1
@@ -246,12 +284,16 @@ class Simulator:
                 if until is not None and time > until:
                     self.now = until
                     return
-                _t, _seq, callback, args = pop(queue)
+                _t, seq, callback, args = pop(queue)
                 if args is handle_tag:
                     handle = callback
                     if handle.cancelled:
                         self._cancelled_pending -= 1
                         continue
+                    if handle.seq != seq:
+                        push(queue, (handle.time, handle.seq, handle, handle_tag))
+                        continue
+                    handle._sim = None
                     callback = handle.callback
                     args = handle.args
                 self.now = time
@@ -265,8 +307,6 @@ class Simulator:
 
     def run_until_idle(self, max_events: int = 50_000_000) -> None:
         """Run until no events remain (with a runaway backstop)."""
-        processed = 0
-        while self.step():
-            processed += 1
-            if processed >= max_events:
-                raise RuntimeError(f"simulation did not go idle within {max_events} events")
+        self.run(max_events=max_events)
+        if self.pending_events:
+            raise RuntimeError(f"simulation did not go idle within {max_events} events")

@@ -273,6 +273,11 @@ class RingNode:
     def schedule(self, delay: float, callback, *args) -> asyncio.TimerHandle:
         return self._loop.call_later(delay, callback, *args)
 
+    def reschedule(self, handle, delay: float, callback, *args) -> asyncio.TimerHandle:
+        # An asyncio timer cannot be moved: re-arming is cancel + arm.
+        handle.cancel()
+        return self.schedule(delay, callback, *args)
+
     def on_timer(self, name: str) -> None:
         if not self._closed:
             self._effects.execute(self.controller.on_timer(name))

@@ -92,8 +92,10 @@ class MembershipHost:
         self.delivered: List[object] = []
         self.configurations: List[object] = []
         self.reassembler = new_reassembler(host)
-        #: Backend ``schedule``: timers are simulator events.
+        #: Backend ``schedule`` / ``reschedule``: timers are simulator
+        #: events, and a live one moves in place.
         self.schedule = host.sim.schedule
+        self.reschedule = host.sim.reschedule
         self._effects = EffectExecutor(
             self, controller.protocol_config.messages_per_datagram
         )

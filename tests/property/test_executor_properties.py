@@ -46,6 +46,9 @@ class _Recorder:
         self.seen.append(SetTimer(args[0], delay))
         return self._Handle()
 
+    def reschedule(self, handle, delay, callback, *args):
+        return self.schedule(delay, callback, *args)
+
     def on_timer(self, name):
         raise AssertionError("no timer fires in this test")
 

@@ -18,6 +18,7 @@ from repro.core.events import (
 )
 from repro.core.executor import EffectExecutor
 from repro.core.token import RegularToken
+from repro.net.simulator import Simulator
 from tests.conftest import data_message
 
 
@@ -66,11 +67,29 @@ class FullBackend(BareBackend):
         self.calls.append(("schedule", args[0], delay))
         return handle
 
+    def reschedule(self, handle, delay, callback, *args):
+        self.calls.append(("reschedule", args[0], delay))
+        handle.cancel()
+        return self.schedule(delay, callback, *args)
+
     def on_timer(self, name):
         self.fired.append(name)
 
     def deliver_config(self, configuration):
         self.calls.append(("config", configuration))
+
+
+class SimBackend(FullBackend):
+    """Timers are real simulator events, as under the sim's hosts."""
+
+    def __init__(self):
+        super().__init__()
+        self.sim = Simulator()
+        self.schedule = self.sim.schedule
+        self.reschedule = self.sim.reschedule
+
+    def on_timer(self, name):
+        self.fired.append((name, self.sim.now))
 
 
 def multicasts(*seqs, retransmission=False):
@@ -180,6 +199,29 @@ class TestTimers:
         first, second = backend.handles
         assert first.cancelled and not second.cancelled
         assert executor.armed_timers == ("loss",)
+
+    def test_set_timer_on_a_live_name_is_one_backend_reschedule(self):
+        backend = FullBackend()
+        executor = EffectExecutor(backend)
+        executor.execute([SetTimer("loss", 0.5), SetTimer("loss", 0.7)])
+        assert [call for call in backend.calls if call[0] != "cancel"] == [
+            ("schedule", "loss", 0.5),
+            ("reschedule", "loss", 0.7),
+            ("schedule", "loss", 0.7),  # this backend's reschedule is cancel + schedule
+        ]
+
+    def test_a_rearmed_timer_fires_once_at_the_new_time(self):
+        backend = SimBackend()
+        executor = EffectExecutor(backend)
+        executor.execute([SetTimer("loss", 0.5)])
+        backend.sim.run(until=0.25)
+        executor.execute([SetTimer("loss", 0.5)])
+        assert executor.armed_timers == ("loss",)
+        assert backend.sim.pending_events == 1
+        backend.sim.run(until=2.0)
+        assert backend.fired == [("loss", 0.75)]
+        assert executor.armed_timers == ()
+        assert backend.sim.events_processed == 1
 
     def test_cancel_timer_and_cancel_all(self):
         backend = FullBackend()

@@ -58,8 +58,8 @@ class TestCpu:
     def test_idle_hook_pulled_when_queue_empty(self):
         sim = Simulator()
         cpu = Cpu(sim)
-        work = [(1e-6, lambda: seen.append("hook"))]
         seen = []
+        work = [(1e-6, seen.append, ("hook",))]
         cpu.idle_hook = lambda: work.pop() if work else None
         cpu.kick()
         sim.run_until_idle()
@@ -123,7 +123,7 @@ class TestSimHost:
         def idle():
             if len(host.data_socket):
                 f = host.data_socket.pop()
-                return (1e-6, lambda: processed.append(f))
+                return (1e-6, processed.append, (f,))
             return None
 
         host.cpu.idle_hook = idle

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.config import ProtocolConfig
-from repro.core.events import Deliver, MulticastData, SendToken
+from repro.core.events import Deliver, MulticastData, SendToken, Stable
+from repro.core.messages import DeliveryService
 from repro.core.original import OriginalRingParticipant
 from repro.core.participant import AcceleratedRingParticipant
 from repro.core.token import RegularToken, initial_token
@@ -266,3 +267,84 @@ class TestRollback:
         participant = make_participant()
         with pytest.raises(ProtocolError):
             participant.rollback_delivery_frontier(5)
+
+
+def sent_token(effects):
+    return drain_effects(effects, SendToken)[0].token
+
+
+class TestEmptyVisitGuards:
+    """``on_token`` skips a phase whose input is empty.  Each case here is
+    a visit that looks idle by one measure (nothing queued, empty rtr)
+    yet has work in another phase, which its guard must not swallow."""
+
+    def test_idle_visit_is_just_the_token(self):
+        participant = make_participant(pid=1)
+        effects = participant.on_token(RegularToken(ring_id=1, token_id=3, rotation=2))
+        assert [type(e) for e in effects] == [SendToken]
+        assert sent_token(effects) == RegularToken(ring_id=1, token_id=4, rotation=2)
+
+    def test_received_token_is_not_mutated_and_rtr_is_not_shared(self):
+        participant = make_participant(pid=0)
+        received = RegularToken(ring_id=1, token_id=3, seq=4, aru=0, rtr=[2])
+        before = received.copy()
+        sent = sent_token(participant.on_token(received))
+        assert received == before
+        assert sent.rtr == [2] and sent.rtr is not received.rtr
+        idle = initial_token(1)
+        idle.token_id = 9
+        assert sent_token(participant.on_token(idle)).rtr is not idle.rtr
+
+    def test_empty_rtr_but_aru_behind_previous_seq_must_request(self):
+        participant = make_participant(pid=1)
+        participant.on_data(data_message(1, pid=0))
+        participant.on_token(RegularToken(ring_id=1, seq=3, aru=1))
+        # Nothing queued, nothing on the rtr list — but 2 and 3 were
+        # covered by the previous round's seq and are still missing.
+        effects = participant.on_token(
+            RegularToken(ring_id=1, token_id=5, seq=3, aru=1, aru_lowered_by=1)
+        )
+        assert sent_token(effects).rtr == [2, 3]
+        assert participant.requests_made == 2
+
+    def test_aru_advance_on_an_empty_visit_releases_a_buffered_safe_message(self):
+        participant = make_participant(pid=1)
+        effects = participant.on_data(data_message(1, pid=0, service=DeliveryService.SAFE))
+        assert effects == []  # held: not yet known stable
+        first = participant.on_token(RegularToken(ring_id=1, seq=1, aru=1))
+        assert drain_effects(first, Deliver) == []  # min(0, 1): one more round
+        second = participant.on_token(RegularToken(ring_id=1, token_id=5, seq=1, aru=1))
+        assert [e.message.seq for e in drain_effects(second, Deliver)] == [1]
+
+    def test_empty_visit_that_makes_messages_stable_emits_stable(self):
+        participant = make_participant(pid=1)
+        for seq in (1, 2):
+            participant.on_data(data_message(seq, pid=0))  # Agreed: delivered at once
+        first = participant.on_token(RegularToken(ring_id=1, seq=2, aru=2))
+        assert drain_effects(first, Stable) == []
+        second = participant.on_token(RegularToken(ring_id=1, token_id=5, seq=2, aru=2))
+        assert [e.seq for e in drain_effects(second, Stable)] == [2]
+        assert len(participant.buffer) == 0
+
+    def test_pending_but_zero_global_headroom_sends_nothing_and_keeps_the_queue(self):
+        config = ProtocolConfig(personal_window=5, accelerated_window=3, global_window=10)
+        participant = AcceleratedRingParticipant(1, [0, 1, 2], config)
+        submit_n(participant, 4)
+        effects = participant.on_token(RegularToken(ring_id=1, fcc=10))
+        assert drain_effects(effects, MulticastData) == []
+        token = sent_token(effects)
+        assert (token.seq, token.aru, token.fcc) == (0, 0, 10)
+        assert participant.pending_count == 4
+        assert participant.messages_originated == 0
+
+    def test_rtr_answer_counts_against_the_fcc_with_nothing_queued(self):
+        participant = make_participant(pid=0)
+        submit_n(participant, 2)
+        participant.on_token(initial_token(1))  # originates 1..2, sent_last_round = 2
+        effects = participant.on_token(
+            RegularToken(ring_id=1, token_id=5, seq=2, aru=0, fcc=2, rtr=[2])
+        )
+        token = sent_token(effects)
+        assert token.rtr == []
+        assert token.fcc == 1  # 2 - our 2 from last round + 1 retransmission
+        assert participant.retransmissions_sent == 1

@@ -1,8 +1,10 @@
 """Unit tests for the discrete-event engine."""
 
+import random
+
 import pytest
 
-from repro.net.simulator import Simulator
+from repro.net.simulator import _COMPACT_MIN, Simulator
 
 
 def test_events_run_in_time_order():
@@ -133,3 +135,204 @@ def test_determinism_across_runs():
         return seen
 
     assert run_once() == run_once()
+
+
+# ----------------------------------------------------------------------
+# Late cancel: a fired handle is inert
+# ----------------------------------------------------------------------
+
+
+def test_cancel_after_fire_does_not_touch_the_bookkeeping():
+    sim = Simulator()
+    first = sim.schedule(1.0, lambda: None)
+    sim.schedule(5.0, lambda: None)
+    sim.run(until=2.0)
+    assert sim.pending_events == 1
+    first.cancel()  # already fired: nothing of it is in the heap
+    assert sim.pending_events == 1
+    assert sim.cancelled_pending == 0
+    sim.run_until_idle()
+    assert sim.pending_events == 0
+    assert sim.events_processed == 2
+
+
+# ----------------------------------------------------------------------
+# reschedule == cancel + schedule
+# ----------------------------------------------------------------------
+
+
+def _native(sim, handle, delay, callback, *args):
+    return sim.reschedule(handle, delay, callback, *args)
+
+
+def _by_definition(sim, handle, delay, callback, *args):
+    handle.cancel()
+    return sim.schedule(delay, callback, *args)
+
+
+#: Quantized so that timestamps tie often (0.25 is exact in binary).
+_DELAYS = (0.0, 0.25, 0.25, 0.5, 0.5, 0.75, 1.0, 1.5)
+
+
+def _random_interleaving(seed, rearm, drive):
+    """Drive one simulator through a seeded script of schedule / post /
+    cancel / re-arm operations, issued both between run segments and from
+    inside callbacks (including a handle re-arming itself), and return
+    everything observable: fire order and times, and the counters after
+    every segment."""
+    rng = random.Random(seed)
+    sim = Simulator()
+    fired = []
+    handles = []
+    labels = iter(range(10**9))
+
+    def operate(own=None):
+        for _ in range(rng.randrange(3)):
+            op = rng.random()
+            delay = rng.choice(_DELAYS)
+            if op < 0.3 or not handles:
+                handles.append(sim.schedule(delay, fire, next(labels)))
+            elif op < 0.4:
+                sim.post(delay, fire, next(labels))
+            elif op < 0.55:
+                rng.choice(handles).cancel()
+            else:
+                # Live, cancelled, fired, and (when called from a
+                # callback) the firing handle itself are all fair game.
+                index = own if own is not None and op < 0.7 else rng.randrange(len(handles))
+                handles[index] = rearm(sim, handles[index], delay, fire, next(labels))
+
+    def fire(label):
+        fired.append((label, sim.now))
+        own = next((i for i, h in enumerate(handles) if h.args == (label,)), None)
+        operate(own)
+
+    snapshots = []
+    for _ in range(60):
+        operate()
+        drive(sim, rng)
+        snapshots.append((sim.now, sim.events_processed, sim.pending_events))
+    sim.run_until_idle()
+    snapshots.append((sim.now, sim.events_processed, sim.pending_events))
+    return fired, snapshots
+
+
+def _drive_until(sim, rng):
+    sim.run(until=sim.now + rng.choice(_DELAYS))
+
+
+def _drive_max_events(sim, rng):
+    sim.run(max_events=rng.randrange(1, 6))
+
+
+def _drive_step(sim, rng):
+    for _ in range(rng.randrange(1, 4)):
+        sim.step()
+
+
+def _drive_mixed(sim, rng):
+    rng.choice((_drive_until, _drive_max_events, _drive_step))(sim, rng)
+
+
+@pytest.mark.parametrize(
+    "drive", [_drive_until, _drive_max_events, _drive_step, _drive_mixed]
+)
+@pytest.mark.parametrize("seed", range(12))
+def test_reschedule_is_cancel_plus_schedule(seed, drive):
+    native = _random_interleaving(seed, _native, drive)
+    definition = _random_interleaving(seed, _by_definition, drive)
+    assert native == definition
+    fired, snapshots = native
+    assert len(fired) > 20  # the script did something
+    times = [time for _label, time in fired]
+    assert times == sorted(times)
+    assert len(set(times)) < len(times)  # ties were exercised
+    assert snapshots[-1][2] == 0
+
+
+def test_reschedule_later_reuses_the_handle_and_its_heap_entry():
+    sim = Simulator()
+    seen = []
+    handle = sim.schedule(1.0, seen.append, "loss")
+    for _ in range(100):
+        sim.run(until=sim.now + 0.01)
+        assert sim.reschedule(handle, 1.0, seen.append, "loss") is handle
+    assert len(sim._queue) == 1
+    assert sim.pending_events == 1
+    sim.run(until=1.5)  # the stale entry surfaces at 1.0 and is pushed back
+    assert seen == [] and sim.events_processed == 0
+    sim.run(until=2.5)
+    assert seen == ["loss"]
+    assert sim.events_processed == 1
+
+
+def test_reschedule_keeps_its_place_among_same_timestamp_events():
+    sim = Simulator()
+    seen = []
+    handle = sim.schedule(0.5, seen.append, "timer")
+    sim.schedule(1.0, seen.append, "before")
+    assert sim.reschedule(handle, 1.0, seen.append, "timer") is handle
+    sim.schedule(1.0, seen.append, "after")
+    sim.run_until_idle()
+    assert seen == ["before", "timer", "after"]
+
+
+def test_reschedule_to_an_earlier_time_falls_back_to_a_new_handle():
+    sim = Simulator()
+    seen = []
+    handle = sim.schedule(1.0, seen.append, "x")
+    moved = sim.reschedule(handle, 0.25, seen.append, "x")
+    assert moved is not handle and handle.cancelled
+    assert sim.pending_events == 1
+    sim.run_until_idle()
+    assert seen == ["x"]
+    assert sim.now == pytest.approx(0.25)
+    assert sim.events_processed == 1
+
+
+def test_reschedule_from_inside_the_handles_own_callback_schedules_afresh():
+    sim = Simulator()
+    seen = []
+    box = {}
+
+    def tick():
+        seen.append(sim.now)
+        if len(seen) < 3:
+            again = sim.reschedule(box["handle"], 0.5, tick)
+            assert again is not box["handle"]  # the firing handle is spent
+            box["handle"] = again
+
+    box["handle"] = sim.schedule(0.5, tick)
+    sim.run_until_idle()
+    assert seen == [0.5, 1.0, 1.5]
+    assert sim.events_processed == 3
+    assert sim.pending_events == 0 and sim.cancelled_pending == 0
+
+
+def test_reschedule_rejects_negative_delay():
+    sim = Simulator()
+    handle = sim.schedule(1.0, lambda: None)
+    with pytest.raises(ValueError):
+        sim.reschedule(handle, -0.1, lambda: None)
+
+
+def test_compaction_mid_run_keeps_rearmed_timers():
+    sim = Simulator()
+    seen = []
+    timers = [sim.schedule(1.0, seen.append, i) for i in range(8)]
+    doomed = [sim.schedule(3.0, seen.append, "doomed") for _ in range(2 * _COMPACT_MIN)]
+
+    def rearm_then_cancel_most_of_the_heap():
+        for i, handle in enumerate(timers):
+            assert sim.reschedule(handle, 2.0, seen.append, i) is handle
+        before = len(sim._queue)
+        for handle in doomed:
+            handle.cancel()
+        assert len(sim._queue) < before  # compacted under the running loop
+
+    sim.schedule(0.5, rearm_then_cancel_most_of_the_heap)
+    sim.run(until=2.0)
+    assert seen == [] and sim.pending_events == len(timers)
+    sim.run(until=10.0)
+    assert seen == list(range(8))
+    assert sim.pending_events == 0 and sim.cancelled_pending == 0
