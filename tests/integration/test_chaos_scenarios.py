@@ -12,6 +12,7 @@ import pytest
 from repro.cli import main
 from repro.faults import SCENARIOS, run_scenario
 from repro.util.errors import FaultError
+from tests.integration.test_scenario_digests import assert_digest, chaos_key
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -23,6 +24,7 @@ def test_scenario_passes_evs_and_converges(name):
     # Every scenario actually injected something and moved traffic.
     assert report.events
     assert sum(report.deliveries.values()) > 0
+    assert_digest(chaos_key(name), report.to_dict())
 
 
 def test_same_seed_reports_are_byte_identical():

@@ -12,6 +12,7 @@ from repro.apps.kv.chaos import SCENARIOS, run_kv_scenario
 from repro.apps.kv.cluster import KvCluster
 from repro.apps.kv.commands import CommandError
 from repro.workloads.generators import BurstWorkload, FixedRateWorkload
+from tests.integration.test_scenario_digests import assert_digest, kv_key
 
 _BOOT = 0.08
 
@@ -151,6 +152,7 @@ class TestScenarioLibrary:
     def test_scenario_passes(self, name):
         report = run_kv_scenario(name, seed=1)
         assert report.ok, report.violations
+        assert_digest(kv_key(name), report.to_dict())
 
     def test_reports_are_deterministic(self):
         a = run_kv_scenario("kv-crash-mid-txn", seed=2)
