@@ -31,9 +31,8 @@ from repro.apps.kv.store import KvStore
 from repro.apps.kv.wal import WalRecord, WriteAheadLog
 from repro.apps.kv.snapshot import encode_snapshot
 from repro.bench.harness import BenchCase
+from repro.faults.drive import boot
 from repro.workloads.kv import DiurnalArrivals, KvOpMix, ZipfianKeys, drive_schedule
-
-_BOOT = 0.08
 
 
 # ----------------------------------------------------------------------
@@ -108,8 +107,7 @@ def _cluster_case(
             partitions=partitions,
             snapshot_every=256,
         )
-        kv.start()
-        kv.run(_BOOT)
+        base = boot(kv)
         keys = ZipfianKeys(num_keys=num_keys, s=0.99, seed=seed + 21)
         arrivals = DiurnalArrivals(
             trough_rate=peak_rate / 4.0,
@@ -118,7 +116,6 @@ def _cluster_case(
             seed=seed + 22,
         )
         mix = KvOpMix(keys=keys, num_clients=hosts_per_ring, seed=seed + 23)
-        base = kv.sim.now
         scheduled = drive_schedule(kv, mix.schedule(arrivals.times(duration)), base)
         t0 = time.perf_counter()
         kv.run(duration + 0.2)

@@ -19,19 +19,23 @@ what the nightly seed-bank job uploads.
 
 from __future__ import annotations
 
-import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List
 
 from repro.apps.kv.cluster import KvCluster
+from repro.faults.drive import boot, wait_converged
 from repro.util.errors import FaultError
+from repro.util.jsonreport import JsonReport
 from repro.workloads.kv import DiurnalArrivals, KvOpMix, ZipfianKeys, drive_schedule
 
-#: Boot window before the workload is armed (matches repro.faults).
-_BOOT = 0.08
-_CONVERGE_SLICE = 0.25
-_CONVERGE_SLICES = 16
+#: The workload every scenario drives: four clients over a 64-key
+#: Zipfian keyspace, arriving on a diurnal 150–600 ops/s curve.
+_NUM_KEYS = 64
+_NUM_CLIENTS = 4
+_ZIPF_S = 0.99
+_TROUGH_RATE = 150.0
+_PEAK_RATE = 600.0
 
 
 @dataclass
@@ -47,17 +51,12 @@ class KvScenarioSpec:
     duration: float
     #: Schedule faults on the cluster; returns the event log entries.
     faults: Callable[[KvCluster, float, random.Random], List[Dict[str, Any]]]
-    num_keys: int = 64
-    num_clients: int = 4
-    zipf_s: float = 0.99
-    trough_rate: float = 150.0
-    peak_rate: float = 600.0
     snapshot_every: int = 16
     txn_weight: float = 0.05
 
 
 @dataclass
-class KvChaosReport:
+class KvChaosReport(JsonReport):
     """The checked outcome of one KV scenario run."""
 
     name: str
@@ -103,9 +102,6 @@ class KvChaosReport:
             "events": self.events,
             "sim_time": round(self.sim_time, 9),
         }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
 
 # ----------------------------------------------------------------------
@@ -258,15 +254,16 @@ def run_kv_scenario(name: str, seed: int = 0, config=None) -> KvChaosReport:
         snapshot_every=spec.snapshot_every,
         config=config,
     )
-    kv.start()
-    kv.run(_BOOT)
-    _wait_converged(kv)
+    boot(kv)
+    # Replicas serve only once their first configuration is confirmed:
+    # wait for that too before the workload starts.
+    wait_converged(kv, slice=0.25, slices=16)
 
     base = kv.sim.now
-    keys = ZipfianKeys(num_keys=spec.num_keys, s=spec.zipf_s, seed=seed * 7 + 1)
+    keys = ZipfianKeys(num_keys=_NUM_KEYS, s=_ZIPF_S, seed=seed * 7 + 1)
     arrivals = DiurnalArrivals(
-        trough_rate=spec.trough_rate,
-        peak_rate=spec.peak_rate,
+        trough_rate=_TROUGH_RATE,
+        peak_rate=_PEAK_RATE,
         period=spec.duration,
         burst_factor=2.0,
         burst_width=spec.duration / 10.0,
@@ -274,7 +271,7 @@ def run_kv_scenario(name: str, seed: int = 0, config=None) -> KvChaosReport:
     )
     mix = KvOpMix(
         keys=keys,
-        num_clients=spec.num_clients,
+        num_clients=_NUM_CLIENTS,
         txn_weight=spec.txn_weight,
         seed=seed * 7 + 3,
     )
@@ -282,10 +279,10 @@ def run_kv_scenario(name: str, seed: int = 0, config=None) -> KvChaosReport:
     events = spec.faults(kv, base, rng)
     kv.run(spec.duration)
 
-    # Quiesce: heal leftover partitions, let membership and the
-    # transfer/election machinery settle.
-    kv.heal()
-    converged = _wait_converged(kv)
+    # Quiesce (the scripts restart what they crash), then let membership
+    # and the transfer/election machinery settle.
+    kv.quiesce()
+    converged = wait_converged(kv, slice=0.25, slices=16)
 
     stores_converged = kv.stores_converged()
     evs_violations = kv.check_evs()
@@ -333,12 +330,3 @@ def run_all_kv(seed: int = 0) -> List[KvChaosReport]:
     """Run the whole KV scenario library (CI's kv-smoke job)."""
     return [run_kv_scenario(name, seed=seed) for name in sorted(SCENARIOS)]
 
-
-def _wait_converged(kv: KvCluster) -> bool:
-    """Deterministically poll until membership converges *and* every
-    live replica is back to serving (synced into the primary lineage)."""
-    for _ in range(_CONVERGE_SLICES):
-        if kv.converged():
-            return True
-        kv.run(_CONVERGE_SLICE)
-    return kv.converged()

@@ -350,6 +350,10 @@ class KvCluster:
     def heal(self, ring_index: Optional[int] = None) -> None:
         self.net.heal(ring_index)
 
+    def quiesce(self, restart=None) -> None:
+        """Quiesce every ring; ``restart`` maps ring index → pids."""
+        self.net.quiesce(restart)
+
     # -- verification surface ------------------------------------------
 
     def converged(self) -> bool:

@@ -20,8 +20,9 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional, Sequence
 
 from repro.bench.experiments import run_max_throughput, run_point
 from repro.bench.report import format_metrics, format_series, save_metrics_json
@@ -29,6 +30,7 @@ from repro.obs.observer import MetricsObserver
 from repro.core.messages import DeliveryService
 from repro.net.params import GIGABIT, TEN_GIGABIT
 from repro.sim.profiles import PROFILES
+from repro.util.errors import ConfigurationError
 
 
 def _params(name: str):
@@ -145,49 +147,95 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.faults.scenarios import SCENARIOS, run_scenario
+def _write_artifact(out_dir: str, name: str, text: str) -> str:
+    """Write ``text`` to ``out_dir/name``, creating the directory."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, name)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+    return path
 
+
+def _emit(
+    args: argparse.Namespace,
+    report,
+    line: str,
+    artifact: str,
+    details: Sequence[str] = (),
+) -> int:
+    """Print one checked report, save it under ``--out``, return its
+    exit code (0 when ``report.ok``).
+
+    ``--json`` prints the report's canonical JSON and nothing else;
+    otherwise a ``PASS``/``FAIL`` status line carrying ``line``, then
+    the ``details`` lines as given.
+    """
+    if args.json:
+        sys.stdout.write(report.to_json())
+    else:
+        print(f"  {'PASS' if report.ok else 'FAIL'}  {line}")
+        for detail in details:
+            print(detail)
+    if args.out is not None:
+        path = _write_artifact(args.out, artifact, report.to_json())
+        if not args.json:
+            print(f"report written to {path}")
+    return 0 if report.ok else 1
+
+
+def _run_library(
+    args: argparse.Namespace,
+    scenarios,
+    run: Callable,
+    kind: str,
+    fields: Callable[[object], str],
+) -> int:
+    """``chaos`` and ``kv chaos``: list a scenario library, or run one
+    scenario / all of them at ``--seed`` and summarise."""
     if args.list or (args.scenario is None and not args.all):
-        for name in sorted(SCENARIOS):
-            print(f"  {name:16s} {SCENARIOS[name].summary}")
+        for name in sorted(scenarios):
+            print(f"  {name:18s} {scenarios[name].summary}")
         return 0
-
-    names = sorted(SCENARIOS) if args.all else [args.scenario]
-    unknown = [name for name in names if name not in SCENARIOS]
-    if unknown:
+    names = sorted(scenarios) if args.all else [args.scenario]
+    if names[0] not in scenarios:
         print(
-            f"unknown scenario {unknown[0]!r}; choose from {sorted(SCENARIOS)}",
+            f"unknown {kind} {names[0]!r}; choose from {sorted(scenarios)}",
             file=sys.stderr,
         )
         return 2
-
     failures = 0
     for name in names:
-        report = run_scenario(name, seed=args.seed)
-        if args.json:
-            print(report.to_json())
-        else:
-            status = "PASS" if report.ok else "FAIL"
-            print(
-                f"  {status}  {name:16s} seed={report.seed} "
-                f"hosts={report.num_hosts} events={len(report.events)} "
-                f"deliveries={sum(report.deliveries.values())} "
-                f"sim_time={report.sim_time:.3f}s"
-            )
-            for violation in report.violations:
-                print(f"        violation: {violation}")
-        if not report.ok:
-            failures += 1
+        report = run(name, seed=args.seed)
+        failures += _emit(
+            args,
+            report,
+            f"{name:18s} seed={report.seed} {fields(report)} "
+            f"sim_time={report.sim_time:.3f}s",
+            f"{name}_seed{args.seed}.json",
+            [f"        violation: {violation}" for violation in report.violations],
+        )
     if not args.json:
         print()
         print(f"{len(names) - failures} passed, {failures} failed")
     return 1 if failures else 0
 
 
-def cmd_soak(args: argparse.Namespace) -> int:
-    import os
+def cmd_chaos(args: argparse.Namespace) -> int:
+    from repro.faults.scenarios import SCENARIOS, run_scenario
 
+    return _run_library(
+        args,
+        SCENARIOS,
+        run_scenario,
+        "scenario",
+        lambda report: (
+            f"hosts={report.num_hosts} events={len(report.events)} "
+            f"deliveries={sum(report.deliveries.values())}"
+        ),
+    )
+
+
+def cmd_soak(args: argparse.Namespace) -> int:
     from repro.faults.soak import Counterexample, run_soak
 
     if args.replay is not None:
@@ -225,17 +273,14 @@ def cmd_soak(args: argparse.Namespace) -> int:
         progress=progress,
     )
     if args.out is not None:
-        os.makedirs(args.out, exist_ok=True)
-        report_path = os.path.join(args.out, "soak_report.json")
-        with open(report_path, "w", encoding="utf-8") as handle:
-            handle.write(report.to_json())
-        print(f"report written to {report_path}")
+        path = _write_artifact(args.out, "soak_report.json", report.to_json())
+        print(f"report written to {path}")
         for counterexample in report.counterexamples:
-            path = os.path.join(
-                args.out, f"counterexample_{counterexample.index}.json"
+            path = _write_artifact(
+                args.out,
+                f"counterexample_{counterexample.index}.json",
+                counterexample.to_json(),
             )
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(counterexample.to_json())
             print(f"counterexample written to {path}")
     print()
     print(
@@ -265,15 +310,34 @@ def _conformance_workload(args: argparse.Namespace):
     )
 
 
+def _divergence_lines(divergences) -> List[str]:
+    return [
+        f"        {line}"
+        for divergence in divergences
+        for line in divergence.describe().splitlines()
+    ]
+
+
 def _print_divergences(divergences) -> None:
-    for divergence in divergences:
-        for line in divergence.describe().splitlines():
-            print(f"        {line}")
+    for line in _divergence_lines(divergences):
+        print(line)
+
+
+def _exploration_details(report) -> List[str]:
+    """Each divergent schedule's divergences, then the coverage table."""
+    details: List[str] = []
+    for case in report.divergent:
+        details.append(
+            f"  divergent schedule minimized to "
+            f"{len(case.minimized_steps)} step(s):"
+        )
+        details.extend(_divergence_lines(case.report.divergences))
+    if report.coverage is not None:
+        details.append(report.coverage.format())
+    return details
 
 
 def cmd_conformance(args: argparse.Namespace) -> int:
-    import os
-
     from repro.conformance.differ import ConformanceReport, run_differential
     from repro.conformance.explorer import ExplorationReport, explore
     from repro.faults.plan import FaultPlan
@@ -297,11 +361,8 @@ def cmd_conformance(args: argparse.Namespace) -> int:
                 f"ran={report.ran} skipped={report.skipped_budget} "
                 f"{'PASS' if report.ok else 'FAIL'}"
             )
-            for case in report.divergent:
-                print(f"  divergent schedule ({len(case.minimized_steps)} steps):")
-                _print_divergences(case.report.divergences)
-            if report.coverage is not None:
-                print(report.coverage.format())
+            for line in _exploration_details(report):
+                print(line)
             return 0 if report.ok else 1
         report = ConformanceReport.from_json(payload)
         print(
@@ -351,23 +412,15 @@ def cmd_conformance(args: argparse.Namespace) -> int:
             report = run_sharded_differential(
                 sharded_workload, ring_counts=ring_counts, seed=args.seed
             )
-            if args.json:
-                print(report.to_json())
-            else:
-                status = "PASS" if report.ok else "FAIL"
-                print(
-                    f"  {status}  rings={','.join(map(str, ring_counts))} "
-                    f"seed={args.seed} groups={args.groups} "
-                    f"deliveries={report.deliveries}"
-                )
-                _print_divergences(report.divergences)
-            if args.out is not None:
-                os.makedirs(args.out, exist_ok=True)
-                path = os.path.join(args.out, "conformance_sharded.json")
-                with open(path, "w", encoding="utf-8") as handle:
-                    handle.write(report.to_json())
-                print(f"report written to {path}")
-            return 0 if report.ok else 1
+            return _emit(
+                args,
+                report,
+                f"rings={','.join(map(str, ring_counts))} "
+                f"seed={args.seed} groups={args.groups} "
+                f"deliveries={report.deliveries}",
+                "conformance_sharded.json",
+                _divergence_lines(report.divergences),
+            )
 
         num_rings = max(ring_counts)
         explore_report = explore_sharded(
@@ -376,28 +429,19 @@ def cmd_conformance(args: argparse.Namespace) -> int:
             seed=args.seed,
             progress=None if args.json else print,
         )
-        if args.json:
-            print(explore_report.to_json())
-        else:
-            status = "PASS" if explore_report.ok else "FAIL"
-            print(
-                f"  {status}  rings={num_rings} "
-                f"cases={len(explore_report.cases)} "
-                f"failures={len(explore_report.failures)}"
-            )
-            for case in explore_report.failures:
-                print(
-                    f"        ring {case['ring']} {case['kind']} "
-                    f"pid {case['pid']} @{case['at']}: "
-                    f"converged={case['converged']} evs={case['evs']}"
-                )
-        if args.out is not None:
-            os.makedirs(args.out, exist_ok=True)
-            path = os.path.join(args.out, "conformance_sharded_explore.json")
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(explore_report.to_json())
-            print(f"report written to {path}")
-        return 0 if explore_report.ok else 1
+        return _emit(
+            args,
+            explore_report,
+            f"rings={num_rings} cases={len(explore_report.cases)} "
+            f"failures={len(explore_report.failures)}",
+            "conformance_sharded_explore.json",
+            [
+                f"        ring {case['ring']} {case['kind']} "
+                f"pid {case['pid']} @{case['at']}: "
+                f"converged={case['converged']} evs={case['evs']}"
+                for case in explore_report.failures
+            ],
+        )
 
     if args.mode == "realtime":
         from repro.conformance.realtime import (
@@ -409,23 +453,15 @@ def cmd_conformance(args: argparse.Namespace) -> int:
             num_hosts=args.hosts, burst_size=args.burst_size
         )
         report = run_realtime_differential(workload=workload, crash=args.crash)
-        if args.json:
-            print(report.to_json())
-        else:
-            status = "PASS" if report.ok else "FAIL"
-            print(
-                f"  {status}  sim vs real  hosts={workload.num_hosts} "
-                f"crash={args.crash} deliveries={report.deliveries} "
-                f"real_wall={report.real_wall_s:.2f}s"
-            )
-            _print_divergences(report.divergences)
-        if args.out is not None:
-            os.makedirs(args.out, exist_ok=True)
-            path = os.path.join(args.out, "conformance_realtime.json")
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(report.to_json())
-            print(f"report written to {path}")
-        return 0 if report.ok else 1
+        return _emit(
+            args,
+            report,
+            f"sim vs real  hosts={workload.num_hosts} "
+            f"crash={args.crash} deliveries={report.deliveries} "
+            f"real_wall={report.real_wall_s:.2f}s",
+            "conformance_realtime.json",
+            _divergence_lines(report.divergences),
+        )
 
     workload = _conformance_workload(args)
 
@@ -439,24 +475,16 @@ def cmd_conformance(args: argparse.Namespace) -> int:
         report = run_differential(
             workload, plan=plan, seed=args.seed, variants=variants
         )
-        if args.json:
-            print(report.to_json())
-        else:
-            status = "PASS" if report.ok else "FAIL"
-            print(
-                f"  {status}  variants={','.join(variants)} seed={args.seed} "
-                f"hosts={workload.num_hosts} "
-                f"plan_events={len(report.plan_events)} "
-                f"deliveries={report.deliveries}"
-            )
-            _print_divergences(report.divergences)
-        if args.out is not None:
-            os.makedirs(args.out, exist_ok=True)
-            path = os.path.join(args.out, "conformance_report.json")
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(report.to_json())
-            print(f"report written to {path}")
-        return 0 if report.ok else 1
+        return _emit(
+            args,
+            report,
+            f"variants={','.join(variants)} seed={args.seed} "
+            f"hosts={workload.num_hosts} "
+            f"plan_events={len(report.plan_events)} "
+            f"deliveries={report.deliveries}",
+            "conformance_report.json",
+            _divergence_lines(report.divergences),
+        )
 
     if args.mode == "explore":
 
@@ -476,36 +504,23 @@ def cmd_conformance(args: argparse.Namespace) -> int:
             minimize=not args.no_minimize,
             progress=progress,
         )
-        if args.json:
-            print(report.to_json())
-        else:
-            status = "PASS" if report.ok else "FAIL"
-            print(
-                f"  {status}  depth={report.depth} "
-                f"enumerated={report.enumerated} deduped={report.deduped} "
-                f"ran={report.ran} skipped_budget={report.skipped_budget} "
-                f"divergent={len(report.divergent)}"
-            )
-            for case in report.divergent:
-                print(
-                    f"  divergent schedule minimized to "
-                    f"{len(case.minimized_steps)} step(s):"
-                )
-                _print_divergences(case.report.divergences)
-            if report.coverage is not None:
-                print(report.coverage.format())
+        code = _emit(
+            args,
+            report,
+            f"depth={report.depth} "
+            f"enumerated={report.enumerated} deduped={report.deduped} "
+            f"ran={report.ran} skipped_budget={report.skipped_budget} "
+            f"divergent={len(report.divergent)}",
+            "conformance_explore.json",
+            _exploration_details(report),
+        )
         if args.out is not None:
-            os.makedirs(args.out, exist_ok=True)
-            path = os.path.join(args.out, "conformance_explore.json")
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(report.to_json())
-            print(f"report written to {path}")
             for index, case in enumerate(report.divergent):
-                case_path = os.path.join(args.out, f"divergence_{index}.json")
-                with open(case_path, "w", encoding="utf-8") as handle:
-                    handle.write(case.report.to_json())
-                print(f"divergence written to {case_path}")
-        return 0 if report.ok else 1
+                path = _write_artifact(
+                    args.out, f"divergence_{index}.json", case.report.to_json()
+                )
+                print(f"divergence written to {path}")
+        return code
 
     print(f"unknown conformance mode {args.mode!r}", file=sys.stderr)
     return 2
@@ -514,8 +529,8 @@ def cmd_conformance(args: argparse.Namespace) -> int:
 def _kv_run(args: argparse.Namespace) -> int:
     import json as _json
 
-    from repro.apps.kv.chaos import _BOOT
     from repro.apps.kv.cluster import KvCluster
+    from repro.faults.drive import boot
     from repro.workloads.kv import (
         DiurnalArrivals,
         KvOpMix,
@@ -528,9 +543,7 @@ def _kv_run(args: argparse.Namespace) -> int:
         hosts_per_ring=args.hosts,
         partitions=args.partitions,
     )
-    kv.start()
-    kv.run(_BOOT)
-    base = kv.sim.now
+    base = boot(kv)
     keys = ZipfianKeys(num_keys=args.keys, s=args.zipf, seed=args.seed + 1)
     arrivals = DiurnalArrivals(
         trough_rate=args.rate / 4.0,
@@ -572,50 +585,18 @@ def _kv_run(args: argparse.Namespace) -> int:
 
 
 def _kv_chaos(args: argparse.Namespace) -> int:
-    import os
-
     from repro.apps.kv.chaos import SCENARIOS, run_kv_scenario
 
-    if args.list or (args.scenario is None and not args.all):
-        for name in sorted(SCENARIOS):
-            print(f"  {name:18s} {SCENARIOS[name].summary}")
-        return 0
-    names = sorted(SCENARIOS) if args.all else [args.scenario]
-    unknown = [name for name in names if name not in SCENARIOS]
-    if unknown:
-        print(
-            f"unknown KV scenario {unknown[0]!r}; choose from {sorted(SCENARIOS)}",
-            file=sys.stderr,
-        )
-        return 2
-    failures = 0
-    for name in names:
-        report = run_kv_scenario(name, seed=args.seed)
-        if args.json:
-            print(report.to_json())
-        else:
-            status = "PASS" if report.ok else "FAIL"
-            print(
-                f"  {status}  {name:18s} seed={report.seed} "
-                f"ops={report.history['ops']} "
-                f"completed={report.history['completed']} "
-                f"sim_time={report.sim_time:.3f}s"
-            )
-            for violation in report.violations:
-                print(f"        violation: {violation}")
-        if args.out is not None:
-            os.makedirs(args.out, exist_ok=True)
-            path = os.path.join(args.out, f"{name}_seed{args.seed}.json")
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(report.to_json())
-            if not args.json:
-                print(f"        report written to {path}")
-        if not report.ok:
-            failures += 1
-    if not args.json:
-        print()
-        print(f"{len(names) - failures} passed, {failures} failed")
-    return 1 if failures else 0
+    return _run_library(
+        args,
+        SCENARIOS,
+        run_kv_scenario,
+        "KV scenario",
+        lambda report: (
+            f"ops={report.history['ops']} "
+            f"completed={report.history['completed']}"
+        ),
+    )
 
 
 def _kv_recover_replay(args: argparse.Namespace) -> int:
@@ -794,6 +775,20 @@ def cmd_bench(args: argparse.Namespace) -> int:
     )
 
 
+def _add_library_arguments(parser: argparse.ArgumentParser, job: str) -> None:
+    """The arguments ``chaos`` and ``kv chaos`` share (see _run_library)."""
+    parser.add_argument("scenario", nargs="?", default=None,
+                        help="scenario name (omit with --list or --all)")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="master seed: same seed, byte-identical report")
+    parser.add_argument("--json", action="store_true",
+                        help="print the full scenario reports as JSON")
+    parser.add_argument("--list", action="store_true",
+                        help="list available scenarios")
+    parser.add_argument("--all", action="store_true",
+                        help=f"run every scenario (CI's {job} job)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="accelring",
@@ -841,21 +836,8 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos",
         help="run a fault-injection scenario and check EVS invariants",
     )
-    chaos.add_argument(
-        "scenario",
-        nargs="?",
-        default=None,
-        help="scenario name (omit with --list or --all)",
-    )
-    chaos.add_argument("--seed", type=int, default=0,
-                       help="master seed: same seed, byte-identical report")
-    chaos.add_argument("--json", action="store_true",
-                       help="print the full scenario report as JSON")
-    chaos.add_argument("--list", action="store_true",
-                       help="list available scenarios")
-    chaos.add_argument("--all", action="store_true",
-                       help="run every scenario (CI's chaos-smoke job)")
-    chaos.set_defaults(func=cmd_chaos)
+    _add_library_arguments(chaos, "chaos-smoke")
+    chaos.set_defaults(func=cmd_chaos, out=None)
 
     soak = sub.add_parser(
         "soak",
@@ -1027,16 +1009,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="KV chaos scenarios: faults under load, then convergence, "
              "EVS, and linearizability checks",
     )
-    kv_chaos.add_argument("scenario", nargs="?", default=None,
-                          help="scenario name (omit with --list or --all)")
-    kv_chaos.add_argument("--seed", type=int, default=0,
-                          help="master seed: same seed, byte-identical report")
-    kv_chaos.add_argument("--json", action="store_true",
-                          help="print full scenario reports as JSON")
-    kv_chaos.add_argument("--list", action="store_true",
-                          help="list available KV scenarios")
-    kv_chaos.add_argument("--all", action="store_true",
-                          help="run every scenario (CI's kv-smoke job)")
+    _add_library_arguments(kv_chaos, "kv-smoke")
     kv_chaos.add_argument("--out", default=None, metavar="DIR",
                           help="write <scenario>_seed<seed>.json into DIR")
     kv_chaos.set_defaults(func=cmd_kv)
@@ -1100,9 +1073,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except ConfigurationError as error:
+        print(f"accelring: error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -23,13 +23,11 @@ EvsChecker's debuggable virtual-synchrony reports.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.conformance.coverage import CoverageObserver, CoverageReport
 from repro.conformance.variants import (
-    MSG,
     PHASE_PROBE,
     VARIANT_NAMES,
     VariantRun,
@@ -37,6 +35,7 @@ from repro.conformance.variants import (
 )
 from repro.conformance.workload import Workload
 from repro.faults.plan import FaultPlan
+from repro.util.jsonreport import JsonReport
 
 #: Events shown on each side of a divergence excerpt.
 _EXCERPT_CONTEXT = 4
@@ -244,8 +243,48 @@ def compare_runs(
     return divergences
 
 
+def health_divergences(
+    baseline: str,
+    name: str,
+    evs_texts: Mapping[str, Optional[str]],
+    converged: bool,
+    detail: str,
+    phases: Tuple[str, str] = ("full", "quiesce"),
+) -> List[ConformanceDivergence]:
+    """The divergences run ``name`` earns on its own, whatever the oracle.
+
+    One ``evs`` divergence per violated checker — ``evs_texts`` maps the
+    offender's label (the run, or one ring of it) to its violation text,
+    ``None`` when clean — and one ``converge`` divergence, carrying
+    ``detail``, if the run never reconverged.  ``phases`` names the
+    (evs, converge) phases for an oracle without a quiesce phase.
+    """
+    found = [
+        ConformanceDivergence(
+            kind="evs",
+            variant_a=baseline,
+            variant_b=label,
+            phase=phases[0],
+            detail=text,
+        )
+        for label, text in evs_texts.items()
+        if text is not None
+    ]
+    if not converged:
+        found.append(
+            ConformanceDivergence(
+                kind="converge",
+                variant_a=baseline,
+                variant_b=name,
+                phase=phases[1],
+                detail=detail,
+            )
+        )
+    return found
+
+
 @dataclass
-class ConformanceReport:
+class ConformanceReport(JsonReport):
     """The outcome of one differential run, JSON-round-trippable so a
     divergence found by the nightly job replays with one command."""
 
@@ -279,9 +318,6 @@ class ConformanceReport:
             "converged": dict(sorted(self.converged.items())),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "ConformanceReport":
         coverage = payload.get("coverage")
@@ -300,10 +336,6 @@ class ConformanceReport:
             deliveries=dict(payload.get("deliveries", {})),
             converged=dict(payload.get("converged", {})),
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ConformanceReport":
-        return cls.from_dict(json.loads(text))
 
 
 def run_differential(
@@ -340,43 +372,22 @@ def run_differential(
         seed=seed,
         variants=tuple(variants),
         coverage=coverage,
-        deliveries={
-            run.variant: sum(
-                1
-                for stream in run.streams.values()
-                for event in stream
-                if event[0] == MSG
-            )
-            for run in results
-        },
+        deliveries={run.variant: run.deliveries for run in results},
         converged={run.variant: run.converged for run in results},
     )
     baseline = results[0]
     for other in results[1:]:
         report.divergences.extend(compare_runs(baseline, other, faulty))
     for run in results:
-        if run.evs_violation is not None:
-            report.divergences.append(
-                ConformanceDivergence(
-                    kind="evs",
-                    variant_a=baseline.variant,
-                    variant_b=run.variant,
-                    phase="full",
-                    detail=run.evs_violation,
-                )
+        report.divergences.extend(
+            health_divergences(
+                baseline.variant,
+                run.variant,
+                {run.variant: run.evs_violation},
+                run.converged,
+                f"{run.variant} did not reconverge to a full ring "
+                f"after the fault plan (final members "
+                f"{list(run.final_members)})",
             )
-        if not run.converged:
-            report.divergences.append(
-                ConformanceDivergence(
-                    kind="converge",
-                    variant_a=baseline.variant,
-                    variant_b=run.variant,
-                    phase="quiesce",
-                    detail=(
-                        f"{run.variant} did not reconverge to a full ring "
-                        f"after the fault plan (final members "
-                        f"{list(run.final_members)})"
-                    ),
-                )
-            )
+        )
     return report

@@ -33,6 +33,7 @@ from repro.faults.generator import (
 )
 from repro.faults.soak import greedy_minimize
 from repro.obs.observer import ProtocolObserver
+from repro.util.jsonreport import JsonReport
 
 #: One schedule atom: a fault ``action`` against ``pid`` at ``at_ms``
 #: (milliseconds after traffic start).
@@ -180,7 +181,7 @@ class ExplorationCase:
 
 
 @dataclass
-class ExplorationReport:
+class ExplorationReport(JsonReport):
     """Summary of one bounded exploration, JSON-ready for CI artifacts.
 
     ``enumerated``/``deduped``/``ran``/``skipped_budget`` account for
@@ -223,9 +224,6 @@ class ExplorationReport:
             "coverage": self.coverage.to_dict() if self.coverage else None,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "ExplorationReport":
         coverage = payload.get("coverage")
@@ -249,10 +247,6 @@ class ExplorationReport:
             report.coverage = CoverageReport.from_dict(coverage)
         return report
 
-    @classmethod
-    def from_json(cls, text: str) -> "ExplorationReport":
-        return cls.from_dict(json.loads(text))
-
 
 def explore(
     workload: Workload,
@@ -273,7 +267,7 @@ def explore(
     ``skipped_budget``.  ``progress`` is called after each run with
     ``(ran, total_candidates, diverged)``.
     """
-    racks = getattr(workload, "fabric_racks", 0)
+    racks = workload.fabric_racks
     if racks and tuple(actions) == DEFAULT_ACTIONS:
         actions = FABRIC_EXPLORE_ACTIONS
     instants = harvest_instants(

@@ -37,7 +37,6 @@ comparison unambiguous.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -45,18 +44,16 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.conformance.differ import (
     ConformanceDivergence,
     compare_label_sequences,
+    health_divergences,
 )
+from repro.faults.drive import boot, wait_converged
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, PlanBuilder
 from repro.multiring.cluster import MultiRingCluster
 from repro.sim.build import ClusterBuilder
 from repro.util.errors import ConfigurationError
+from repro.util.jsonreport import JsonReport
 
-#: Boot window before traffic (matches the variant driver).
-_BOOT = 0.08
-#: Convergence polling: fixed slices keep the schedule deterministic.
-_POLL_SLICE = 0.05
-_MAX_POLLS = 60
 #: Settle time after the last scheduled submission.
 _TAIL = 0.3
 
@@ -160,17 +157,13 @@ def run_sharded(
         .membership()
         .build_multiring()
     )
-    cluster.start()
-    cluster.run(_BOOT)
+    base = boot(cluster)
 
-    if plan is not None and len(plan) > 0:
-        injector = FaultInjector(
-            cluster.ring(plan_ring), plan, rng=random.Random(seed)
-        )
-        injector.arm()
+    armed = plan is not None and len(plan) > 0
+    if armed:
+        FaultInjector(cluster.ring(plan_ring), plan, rng=random.Random(seed)).arm()
 
     groups = workload.groups()
-    base = cluster.sim.now
     when = base
     for index in range(workload.messages_per_group):
         for group in groups:
@@ -178,25 +171,16 @@ def run_sharded(
                 when, cluster.submit, group, workload.label(group, index)
             )
             when += workload.spacing
-    horizon = when - base
-    if plan is not None and len(plan) > 0:
-        horizon = max(horizon, plan.horizon)
-    cluster.run(horizon + 0.1)
+    window = when - base
+    if armed:
+        window = max(window, plan.horizon)
+    cluster.run(window + 0.1)
 
-    # Quiesce: heal every ring, resume stalls, restart crashes, poll.
-    cluster.heal()
-    for ring in cluster.rings:
-        for host in ring.hosts.values():
-            host.resume()
+    # Quiesce every ring, restarting what the plan left crashed, and poll.
     crashed = plan.crashed_pids() if plan is not None else set()
-    for pid in sorted(crashed):
-        cluster.ring(plan_ring).restart(pid)
-    converged = False
-    for _ in range(_MAX_POLLS):
-        cluster.run(_POLL_SLICE)
-        if cluster.converged():
-            converged = True
-            break
+    cluster.quiesce(restart={plan_ring: crashed})
+    cluster.run(0.05)
+    converged = wait_converged(cluster, slice=0.05, slices=59)
     cluster.run(_TAIL)
 
     shard_of = {group: cluster.ring_of(group) for group in groups}
@@ -253,7 +237,7 @@ def _merge_labels(stream: Sequence[Tuple[str, bytes]]) -> List[bytes]:
 
 
 @dataclass
-class ShardedReport:
+class ShardedReport(JsonReport):
     """The outcome of one sharded differential, JSON-round-trippable."""
 
     workload: ShardedWorkload
@@ -288,9 +272,6 @@ class ShardedReport:
             },
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "ShardedReport":
         return cls(
@@ -312,10 +293,6 @@ class ShardedReport:
                 for name, mapping in payload.get("shards", {}).items()
             },
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ShardedReport":
-        return cls.from_dict(json.loads(text))
 
 
 def _check_run_consistency(run: ShardedRun) -> List[ConformanceDivergence]:
@@ -399,26 +376,18 @@ def run_sharded_differential(
                 report.divergences.append(found)
     for run in runs:
         report.divergences.extend(_check_run_consistency(run))
-        for ring_index, violation in sorted(run.evs_violations.items()):
-            report.divergences.append(
-                ConformanceDivergence(
-                    kind="evs",
-                    variant_a=baseline.name,
-                    variant_b=f"{run.name}/ring{ring_index}",
-                    phase="full",
-                    detail=violation,
-                )
+        report.divergences.extend(
+            health_divergences(
+                baseline.name,
+                run.name,
+                {
+                    f"{run.name}/ring{ring_index}": violation
+                    for ring_index, violation in sorted(run.evs_violations.items())
+                },
+                run.converged,
+                f"{run.name} did not reconverge",
             )
-        if not run.converged:
-            report.divergences.append(
-                ConformanceDivergence(
-                    kind="converge",
-                    variant_a=baseline.name,
-                    variant_b=run.name,
-                    phase="quiesce",
-                    detail=f"{run.name} did not reconverge",
-                )
-            )
+        )
     return report
 
 
@@ -444,7 +413,7 @@ def _depth1_plan(kind: str, pid: int, at: float) -> FaultPlan:
 
 
 @dataclass
-class ShardedExplorationReport:
+class ShardedExplorationReport(JsonReport):
     """Outcome of a depth-1 sweep: per-case EVS + convergence verdicts."""
 
     num_rings: int
@@ -468,9 +437,6 @@ class ShardedExplorationReport:
             "ok": self.ok,
             "cases": self.cases,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
 def explore_sharded(

@@ -31,12 +31,15 @@ oracle owns those.
 from __future__ import annotations
 
 import asyncio
-import json
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.conformance.differ import ConformanceDivergence, compare_runs
+from repro.conformance.differ import (
+    ConformanceDivergence,
+    compare_runs,
+    health_divergences,
+)
 from repro.conformance.variants import (
     MSG,
     PHASE_MAIN,
@@ -46,12 +49,13 @@ from repro.conformance.variants import (
 )
 from repro.conformance.workload import make_label
 from repro.core.messages import DeliveryService
-from repro.evs.checker import EvsViolation
+from repro.faults.drive import poll
 from repro.membership.params import MembershipTimeouts
 from repro.runtime.node import RingNode
 from repro.runtime.ports import ephemeral_ring_addresses
 from repro.sim.build import ClusterBuilder
 from repro.sim.profiles import DAEMON
+from repro.util.jsonreport import JsonReport
 
 SIM_VARIANT = "sim"
 REAL_VARIANT = "real"
@@ -69,8 +73,9 @@ REALTIME_TIMEOUTS = MembershipTimeouts(
     beacon_interval=0.2,
 )
 
-_SIM_POLL_SLICE = 0.02
-_SIM_MAX_POLLS = 400
+#: Wall-clock deadlines for the real ring's waits: draining one burst,
+#: and (re)forming the ring.  (The simulated ring waits in simulated
+#: time instead — see :meth:`_SimRing.wait`.)
 _REAL_BARRIER_TIMEOUT = 8.0
 _REAL_FORM_TIMEOUT = 15.0
 
@@ -160,46 +165,97 @@ def _message_counts(tap: ConformanceTap) -> Dict[int, int]:
 
 
 # ----------------------------------------------------------------------
-# Simulator side
+# One interpreter, two substrates
 # ----------------------------------------------------------------------
 
 
-def run_sim_serialized(
-    workload: RealtimeWorkload, crash: bool = False, accelerated: bool = True
-) -> VariantRun:
-    """Replay the serialized schedule on the membership simulator."""
-    tap = ConformanceTap()
-    cluster = (
-        ClusterBuilder()
-        .hosts(workload.num_hosts)
-        .membership()
-        .accelerated(accelerated)
-        .profile(DAEMON)
-        .tap(tap)
-        .build_membership()
-    )
+async def _replay(ring, workload: RealtimeWorkload, crash: bool) -> bool:
+    """Interpret :func:`build_schedule` against ``ring``.
+
+    ``ring`` is a substrate (:class:`_SimRing`, :class:`_RealRing`)
+    exposing ``submit / crash / restart / ring_is / wait / live_pids /
+    tap``.  Every burst, crash and restart is followed by a barrier —
+    the burst delivered everywhere live, or the ring reformed — so the
+    two substrates see the same submissions against the same
+    memberships.  Returns ``False`` if any barrier timed out; the script
+    still runs to its end so the streams stay comparable.
+    """
+    everyone = tuple(range(workload.num_hosts))
     counter = _LabelCounter(workload.payload_size)
-    expected: Dict[int, int] = {pid: 0 for pid in range(workload.num_hosts)}
-    converged = True
+    expected: Dict[int, int] = {pid: 0 for pid in everyone}
 
-    def poll(check) -> bool:
-        for _ in range(_SIM_MAX_POLLS):
-            if check():
-                return True
-            cluster.run(_SIM_POLL_SLICE)
-        return check()
+    def delivered(live: Tuple[int, ...]) -> bool:
+        counts = _message_counts(ring.tap)
+        return all(counts.get(pid, 0) >= expected[pid] for pid in live)
 
-    def ring_is(members: Tuple[int, ...]) -> bool:
+    converged = await ring.wait(lambda: ring.ring_is(everyone), _REAL_FORM_TIMEOUT)
+    ring.tap.mark(PHASE_MAIN, everyone)
+    for event in build_schedule(workload, crash):
+        passed = True
+        if event[0] == "burst":
+            _, sender, size, live = event
+            for label in counter.labels(sender, size):
+                ring.submit(sender, label)
+                for pid in live:
+                    expected[pid] += 1
+            passed = await ring.wait(lambda: delivered(live), _REAL_BARRIER_TIMEOUT)
+        elif event[0] == "crash":
+            await ring.crash(event[1])
+            survivors = tuple(pid for pid in everyone if pid != event[1])
+            passed = await ring.wait(
+                lambda: ring.ring_is(survivors), _REAL_FORM_TIMEOUT
+            )
+        elif event[0] == "restart":
+            await ring.restart(event[1])
+            passed = await ring.wait(
+                lambda: ring.ring_is(everyone), _REAL_FORM_TIMEOUT
+            )
+        elif event[0] == "probe":
+            ring.tap.mark(PHASE_PROBE, ring.live_pids())
+        converged = converged and passed
+    return converged
+
+
+class _SimRing:
+    """The membership simulator as a replay substrate: waits advance
+    simulated time, crash and restart are the cluster's own."""
+
+    def __init__(self, workload: RealtimeWorkload, accelerated: bool) -> None:
+        self.tap = ConformanceTap()
+        self.cluster = (
+            ClusterBuilder()
+            .hosts(workload.num_hosts)
+            .membership()
+            .accelerated(accelerated)
+            .profile(DAEMON)
+            .tap(self.tap)
+            .build_membership()
+        )
+
+    def live_pids(self) -> List[int]:
+        return self.cluster.live_pids()
+
+    def submit(self, pid: int, label: bytes) -> None:
+        self.cluster.hosts[pid].submit(
+            payload=label, service=DeliveryService.AGREED, payload_size=len(label)
+        )
+
+    async def crash(self, pid: int) -> None:
+        self.cluster.crash(pid)
+
+    async def restart(self, pid: int) -> None:
+        self.cluster.restart(pid)
+
+    def ring_is(self, members: Tuple[int, ...]) -> bool:
         # Ring *ids*, not member tuples: after a fault the membership
         # layer may transiently form concurrent rings whose member lists
         # happen to be identical (EVS allows it) — submitting into one
         # of those strands the burst in a configuration the other
         # processes never install.  A single shared config id is the
         # stable-ring condition.
+        cluster = self.cluster
         states = cluster.states()
-        ring_ids = {
-            cluster.hosts[pid].controller.ring_id for pid in members
-        }
+        ring_ids = {cluster.hosts[pid].controller.ring_id for pid in members}
         rings = set(cluster.rings().values())
         return (
             all(states.get(pid) == "operational" for pid in members)
@@ -209,108 +265,58 @@ def run_sim_serialized(
             and tuple(sorted(next(iter(rings)))) == members
         )
 
-    def barrier(live: Tuple[int, ...]) -> bool:
-        counts = _message_counts(tap)
-        return all(counts.get(pid, 0) >= expected[pid] for pid in live)
-
-    cluster.start()
-    if not poll(lambda: ring_is(tuple(range(workload.num_hosts)))):
-        converged = False
-    tap.mark(PHASE_MAIN, range(workload.num_hosts))
-
-    for event in build_schedule(workload, crash):
-        if event[0] == "burst":
-            _, sender, size, live = event
-            for label in counter.labels(sender, size):
-                cluster.hosts[sender].submit(
-                    payload=label,
-                    service=DeliveryService.AGREED,
-                    payload_size=len(label),
-                )
-                for pid in live:
-                    expected[pid] += 1
-            if not poll(lambda: barrier(live)):
-                converged = False
-        elif event[0] == "crash":
-            pid = event[1]
-            cluster.crash(pid)
-            survivors = tuple(
-                p for p in range(workload.num_hosts) if p != pid
-            )
-            if not poll(lambda: ring_is(survivors)):
-                converged = False
-        elif event[0] == "restart":
-            pid = event[1]
-            cluster.restart(pid)
-            if not poll(lambda: ring_is(tuple(range(workload.num_hosts)))):
-                converged = False
-        elif event[0] == "probe":
-            tap.mark(PHASE_PROBE, cluster.live_pids())
-
-    crashed = frozenset({workload.num_hosts - 1}) if crash else frozenset()
-    violation: Optional[str] = None
-    try:
-        cluster.checker.check(crashed=crashed)
-    except EvsViolation as exc:
-        violation = str(exc)
-    rings = sorted(set(cluster.rings().values()))
-    final = rings[0] if rings else ()
-    return VariantRun(
-        variant=SIM_VARIANT,
-        streams=tap.streams,
-        evs_violation=violation,
-        converged=converged,
-        final_members=tuple(sorted(final)),
-        traffic_base=0.0,
-        sim_time=cluster.sim.now,
-        crashed_pids=crashed,
-        cluster=cluster,
-    )
+    async def wait(self, check, timeout: float) -> bool:
+        # ``timeout`` is wall-clock and simulated waiting costs none: the
+        # bound here is 8 simulated seconds, whichever wait it is.
+        return poll(self.cluster, check, slice=0.02, slices=400)
 
 
-# ----------------------------------------------------------------------
-# Real (asyncio/UDP loopback) side
-# ----------------------------------------------------------------------
+class _RealRing:
+    """Loopback :class:`RingNode` processes as a replay substrate: waits
+    are wall-clock deadlines, crash and restart stop and spawn nodes."""
 
+    def __init__(self, workload: RealtimeWorkload, accelerated: bool) -> None:
+        self.tap = ConformanceTap()
+        self.accelerated = accelerated
+        self.addresses = ephemeral_ring_addresses(range(workload.num_hosts))
+        self.nodes: Dict[int, RingNode] = {}
 
-async def _run_real_serialized_async(
-    workload: RealtimeWorkload, crash: bool, accelerated: bool
-) -> VariantRun:
-    tap = ConformanceTap()
-    addresses = ephemeral_ring_addresses(range(workload.num_hosts))
-    nodes: Dict[int, RingNode] = {}
-    counter = _LabelCounter(workload.payload_size)
-    expected: Dict[int, int] = {pid: 0 for pid in range(workload.num_hosts)}
-    converged = True
-    started = time.monotonic()
-
-    def hook(pid: int, node: RingNode) -> None:
+    async def spawn(self, pid: int) -> None:
+        node = RingNode(
+            pid,
+            self.addresses,
+            accelerated=self.accelerated,
+            timeouts=REALTIME_TIMEOUTS,
+        )
+        tap = self.tap
         node.on_deliver = lambda message, config_id: tap.on_deliver(
             pid, message, config_id, config_id
         )
         node.on_config = lambda configuration: tap.on_config(pid, configuration)
+        self.nodes[pid] = node
+        await node.start()
 
-    def make_node(pid: int) -> RingNode:
-        node = RingNode(
-            pid,
-            addresses,
-            accelerated=accelerated,
-            timeouts=REALTIME_TIMEOUTS,
-        )
-        hook(pid, node)
-        return node
+    async def stop(self) -> None:
+        for node in self.nodes.values():
+            await node.stop()
 
-    async def wait_for(check, timeout: float) -> bool:
-        deadline = time.monotonic() + timeout
-        while not check():
-            if time.monotonic() > deadline:
-                return False
-            await asyncio.sleep(0.01)
-        return True
+    def submit(self, pid: int, label: bytes) -> None:
+        self.nodes[pid].submit(payload=label)
 
-    def ring_is(members: Tuple[int, ...]) -> bool:
+    async def crash(self, pid: int) -> None:
+        await self.nodes.pop(pid).stop()
+
+    async def restart(self, pid: int) -> None:
+        self.tap.on_restart(pid)
+        await self.spawn(pid)
+
+    def live_pids(self) -> List[int]:
+        return sorted(self.nodes)
+
+    def ring_is(self, members: Tuple[int, ...]) -> bool:
         # Same stable-ring condition as the sim side: one shared config
         # id across every live node, not merely identical member tuples.
+        nodes = self.nodes
         ring_ids = {nodes[pid].ring_id for pid in members}
         return (
             all(
@@ -322,67 +328,48 @@ async def _run_real_serialized_async(
             and None not in ring_ids
         )
 
-    def barrier(live: Tuple[int, ...]) -> bool:
-        counts = _message_counts(tap)
-        return all(counts.get(pid, 0) >= expected[pid] for pid in live)
+    async def wait(self, check, timeout: float) -> bool:
+        deadline = time.monotonic() + timeout
+        while not check():
+            if time.monotonic() > deadline:
+                return False
+            await asyncio.sleep(0.01)
+        return True
 
-    for pid in range(workload.num_hosts):
-        nodes[pid] = make_node(pid)
-    for node in nodes.values():
-        await node.start()
-    if not await wait_for(
-        lambda: ring_is(tuple(range(workload.num_hosts))), _REAL_FORM_TIMEOUT
-    ):
-        converged = False
-    tap.mark(PHASE_MAIN, range(workload.num_hosts))
 
+def run_sim_serialized(
+    workload: RealtimeWorkload, crash: bool = False, accelerated: bool = True
+) -> VariantRun:
+    """Replay the serialized schedule on the membership simulator."""
+    ring = _SimRing(workload, accelerated)
+    ring.cluster.start()
+    converged = asyncio.run(_replay(ring, workload, crash))
+    crashed = frozenset({workload.num_hosts - 1}) if crash else frozenset()
+    return VariantRun.judged(
+        SIM_VARIANT, ring.cluster, ring.tap, converged, crashed, traffic_base=0.0
+    )
+
+
+async def _run_real_serialized_async(
+    workload: RealtimeWorkload, crash: bool, accelerated: bool
+) -> VariantRun:
+    ring = _RealRing(workload, accelerated)
+    started = time.monotonic()
     try:
-        for event in build_schedule(workload, crash):
-            if event[0] == "burst":
-                _, sender, size, live = event
-                for label in counter.labels(sender, size):
-                    nodes[sender].submit(payload=label)
-                    for pid in live:
-                        expected[pid] += 1
-                if not await wait_for(
-                    lambda: barrier(live), _REAL_BARRIER_TIMEOUT
-                ):
-                    converged = False
-            elif event[0] == "crash":
-                pid = event[1]
-                node = nodes.pop(pid)
-                await node.stop()
-                survivors = tuple(
-                    p for p in range(workload.num_hosts) if p != pid
-                )
-                if not await wait_for(
-                    lambda: ring_is(survivors), _REAL_FORM_TIMEOUT
-                ):
-                    converged = False
-            elif event[0] == "restart":
-                pid = event[1]
-                tap.on_restart(pid)
-                nodes[pid] = make_node(pid)
-                await nodes[pid].start()
-                if not await wait_for(
-                    lambda: ring_is(tuple(range(workload.num_hosts))),
-                    _REAL_FORM_TIMEOUT,
-                ):
-                    converged = False
-            elif event[0] == "probe":
-                tap.mark(PHASE_PROBE, sorted(nodes))
-        final_members = tuple(sorted(nodes))
-        if nodes:
-            any_pid = next(iter(nodes))
-            final_members = tuple(sorted(nodes[any_pid].members))
+        for pid in range(workload.num_hosts):
+            await ring.spawn(pid)
+        converged = await _replay(ring, workload, crash)
+        final_members = tuple(ring.live_pids())
+        if ring.nodes:
+            any_pid = next(iter(ring.nodes))
+            final_members = tuple(sorted(ring.nodes[any_pid].members))
     finally:
-        for node in nodes.values():
-            await node.stop()
+        await ring.stop()
 
     crashed = frozenset({workload.num_hosts - 1}) if crash else frozenset()
     return VariantRun(
         variant=REAL_VARIANT,
-        streams=tap.streams,
+        streams=ring.tap.streams,
         evs_violation=None,  # the EVS checker needs the sim's omniscience
         converged=converged,
         final_members=final_members,
@@ -405,7 +392,7 @@ def run_real_serialized(
 
 
 @dataclass
-class RealtimeReport:
+class RealtimeReport(JsonReport):
     """Outcome of one sim↔real differential run (JSON round-trippable)."""
 
     workload: RealtimeWorkload
@@ -431,9 +418,6 @@ class RealtimeReport:
             "ok": self.ok,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "RealtimeReport":
         return cls(
@@ -447,10 +431,6 @@ class RealtimeReport:
             converged={k: bool(v) for k, v in payload.get("converged", {}).items()},
             real_wall_s=float(payload.get("real_wall_s", 0.0)),
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "RealtimeReport":
-        return cls.from_dict(json.loads(text))
 
 
 def run_realtime_differential(
@@ -474,39 +454,21 @@ def run_realtime_differential(
 
     divergences = compare_runs(sim_run, real_run, faulty=crash)
     for run in (sim_run, real_run):
-        if run.evs_violation:
-            divergences.append(
-                ConformanceDivergence(
-                    kind="evs",
-                    variant_a=run.variant,
-                    variant_b=run.variant,
-                    phase="run",
-                    detail=run.evs_violation,
-                )
+        divergences.extend(
+            health_divergences(
+                sim_run.variant,
+                run.variant,
+                {run.variant: run.evs_violation},
+                run.converged,
+                f"{run.variant} did not converge/deliver in time",
+                phases=("run", "run"),
             )
-        if not run.converged:
-            divergences.append(
-                ConformanceDivergence(
-                    kind="converge",
-                    variant_a=sim_run.variant,
-                    variant_b=run.variant,
-                    phase="run",
-                    detail=f"{run.variant} did not converge/deliver in time",
-                )
-            )
+        )
     return RealtimeReport(
         workload=workload,
         crash=crash,
         divergences=divergences,
-        deliveries={
-            run.variant: sum(
-                1
-                for stream in run.streams.values()
-                for event in stream
-                if event[0] == MSG
-            )
-            for run in (sim_run, real_run)
-        },
+        deliveries={run.variant: run.deliveries for run in (sim_run, real_run)},
         converged={run.variant: run.converged for run in (sim_run, real_run)},
         real_wall_s=real_run.sim_time,
     )

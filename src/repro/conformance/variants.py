@@ -22,12 +22,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.messages import DeliveryService
-from repro.evs.checker import EvsViolation
+from repro.faults.drive import boot, wait_converged
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.obs.observer import ProtocolObserver
 from repro.sim.build import ClusterBuilder
-from repro.sim.membership_driver import DeliveryTap
+from repro.sim.membership_driver import DeliveryTap, MembershipCluster
 from repro.sim.profiles import DAEMON, SPREAD
 from repro.spread.fragmentation import Fragmenter, FragmentReassembler
 from repro.spread.packing import Packer, unpack_payload
@@ -45,9 +45,6 @@ MSG, CONFIG, RESTART, MARK = "m", "c", "r", "mark"
 #: Phase marker names.
 PHASE_MAIN, PHASE_PROBE = "main", "probe"
 
-#: Convergence polling: fixed slices keep the schedule deterministic.
-_POLL_SLICE = 0.05
-_MAX_POLLS = 60
 #: Settle time after the probe bursts finish.
 _PROBE_TAIL = 0.3
 
@@ -122,6 +119,35 @@ class VariantRun:
     crashed_pids: frozenset = frozenset()
     cluster: Optional[MembershipCluster] = field(default=None, repr=False)
 
+    @classmethod
+    def judged(
+        cls, variant, cluster, tap, converged, crashed, traffic_base
+    ) -> "VariantRun":
+        """The run a finished simulator drive leaves behind: the tap's
+        streams, the EVS verdict (``crashed`` waived), the final ring."""
+        rings = sorted(set(cluster.rings().values()))
+        return cls(
+            variant=variant,
+            streams=tap.streams,
+            evs_violation=cluster.checker.violation(crashed=crashed),
+            converged=converged,
+            final_members=tuple(sorted(rings[0] if rings else ())),
+            traffic_base=traffic_base,
+            sim_time=cluster.sim.now,
+            crashed_pids=frozenset(crashed),
+            cluster=cluster,
+        )
+
+    @property
+    def deliveries(self) -> int:
+        """Application messages delivered, summed over every stream."""
+        return sum(
+            1
+            for stream in self.streams.values()
+            for event in stream
+            if event[0] == MSG
+        )
+
     def labels(self, pid: int, phase: Optional[str] = None) -> List[bytes]:
         """The delivered labels of ``pid``, optionally one phase only."""
         out: List[bytes] = []
@@ -187,9 +213,9 @@ def run_variant(
 
     The drive has four deterministic phases: boot, the main burst window
     (faults armed relative to its start), a quiesce + reconvergence poll
-    (heal, resume, then fixed ``_POLL_SLICE`` steps until every live
-    host is operational on one shared ring), and a probe burst round on
-    the reformed ring.  The tap marks the main and probe phases so the
+    (heal, resume, restart, then fixed 50 ms steps until every live host
+    is operational on one shared ring), and a probe burst round on the
+    reformed ring.  The tap marks the main and probe phases so the
     oracle can compare like against like.
     """
     if variant not in VARIANT_NAMES:
@@ -208,22 +234,7 @@ def run_variant(
     )
     if workload.config is not None:
         builder.config(workload.config)
-    racks = getattr(workload, "fabric_racks", 0)
-    if racks:
-        from repro.net.fabric import LeafSpineSpec
-
-        builder.fabric(
-            LeafSpineSpec(
-                racks=racks,
-                hosts_per_rack=workload.num_hosts // racks,
-                oversubscription=2.0,
-            )
-        )
-    impair = getattr(workload, "impair", "")
-    if impair:
-        from repro.net.impair import impairment_from_name
-
-        builder.impair(impairment_from_name(impair, seed=seed))
+    builder.adverse_network(workload.fabric_racks, workload.impair, seed=seed)
     if observer is not None:
         builder.observe(observer)
     cluster = builder.build_membership()
@@ -234,7 +245,7 @@ def run_variant(
         host = cluster.hosts[pid]
         index = next_index.get(pid, 0)
         next_index[pid] = index + 1
-        if host.host.crashed or host._paused:
+        if not cluster.accepting(pid):
             return  # the label index is consumed either way
         label = make_label(
             pid, index, pad_to=workload.oversized_bytes if oversized else 0
@@ -266,15 +277,13 @@ def run_variant(
         return fire
 
     # Phase 0: boot.
-    cluster.start()
-    cluster.run(0.08)
+    base = boot(cluster)
 
     # Phase 1: main bursts, faults armed at the phase boundary.
     tap.mark(PHASE_MAIN, range(workload.num_hosts))
-    if plan is not None and len(plan) > 0:
-        injector = FaultInjector(cluster, plan, rng=random.Random(seed))
-        injector.arm()
-    base = cluster.sim.now
+    armed = plan is not None and len(plan) > 0
+    if armed:
+        FaultInjector(cluster, plan, rng=random.Random(seed)).arm()
     when = base
     for round_index in range(workload.rounds):
         for pid in range(workload.num_hosts):
@@ -282,30 +291,17 @@ def run_variant(
                 when, burst(pid, workload.burst_size, round_index)
             )
             when += workload.burst_spacing
-    horizon = when - base
-    if plan is not None and len(plan) > 0:
-        horizon = max(horizon, plan.horizon)
-    cluster.run(horizon + 0.1)
+    window = when - base
+    if armed:
+        window = max(window, plan.horizon)
+    cluster.run(window + 0.1)
 
-    # Phase 2: quiesce and poll for reconvergence.
-    cluster.heal()
-    for host in cluster.hosts.values():
-        host.resume()
-    if plan is not None:
-        for pid in sorted(plan.crashed_pids()):
-            cluster.restart(pid)
-    converged = False
-    for _ in range(_MAX_POLLS):
-        cluster.run(_POLL_SLICE)
-        states = cluster.states()
-        rings = set(cluster.rings().values())
-        if (
-            len(rings) == 1
-            and all(state == "operational" for state in states.values())
-            and len(next(iter(rings))) == len(states)
-        ):
-            converged = True
-            break
+    # Phase 2: quiesce — restarting what the plan left crashed, so the
+    # probe runs on a full ring — and poll for reconvergence.
+    crashed = plan.crashed_pids() if plan is not None else frozenset()
+    cluster.quiesce(restart=crashed)
+    cluster.run(0.05)
+    converged = wait_converged(cluster, slice=0.05, slices=59)
 
     # Phase 3: probe bursts on the reformed ring.
     live = cluster.live_pids()
@@ -316,22 +312,4 @@ def run_variant(
         when += workload.burst_spacing
     cluster.run((when - cluster.sim.now) + _PROBE_TAIL)
 
-    crashed = plan.crashed_pids() if plan is not None else frozenset()
-    violation: Optional[str] = None
-    try:
-        cluster.checker.check(crashed=crashed)
-    except EvsViolation as exc:
-        violation = str(exc)
-    rings = sorted(set(cluster.rings().values()))
-    final = rings[0] if rings else ()
-    return VariantRun(
-        variant=variant,
-        streams=tap.streams,
-        evs_violation=violation,
-        converged=converged,
-        final_members=tuple(sorted(final)),
-        traffic_base=base,
-        sim_time=cluster.sim.now,
-        crashed_pids=frozenset(crashed),
-        cluster=cluster,
-    )
+    return VariantRun.judged(variant, cluster, tap, converged, crashed, base)

@@ -109,6 +109,15 @@ class EvsChecker:
         if self.submissions:
             self.check_self_delivery(crashed_set)
 
+    def violation(self, crashed: Iterable[int] = ()) -> Optional[str]:
+        """:meth:`check` as a verdict: the violation's text, or ``None``
+        when every guarantee holds (what every report stores)."""
+        try:
+            self.check(crashed)
+        except EvsViolation as violation:
+            return str(violation)
+        return None
+
     # ------------------------------------------------------------------
 
     def _message_events(self, pid: int) -> List[MessageDelivery]:

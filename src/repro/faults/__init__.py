@@ -4,12 +4,15 @@ The faults layer turns the simulator's ad-hoc fault hooks into scripted,
 reproducible chaos experiments:
 
 * :mod:`repro.faults.events` — typed fault events (crash, recover,
-  partition, heal, token drop, loss burst, pause/resume).
+  partition, heal, token drop, loss burst, pause/resume, rack power loss).
 * :mod:`repro.faults.plan` — :class:`FaultPlan`: a validated,
   time-ordered schedule with a builder DSL and JSON round-trip.
 * :mod:`repro.faults.injector` — :class:`FaultInjector`: compiles a
   plan into simulator events via first-class injection points (switch
   frame filters, host receive interceptors, the cluster fault surface).
+* :mod:`repro.faults.drive` — the boot / poll-for-convergence steps
+  every checked run (chaos, soak, KV chaos, the conformance oracles)
+  shares.
 * :mod:`repro.faults.scenarios` — a named scenario library whose
   reports are EVS-checked and byte-identical per seed.
 * :mod:`repro.faults.generator` — seeded random *valid* fault-plan
@@ -41,13 +44,14 @@ from repro.faults.events import (
     LossBurst,
     Partition,
     Pause,
+    RackPowerLoss,
     Recover,
     Resume,
     TokenDrop,
     event_from_dict,
 )
 from repro.faults.generator import build_plan, random_plan, random_steps
-from repro.faults.injector import FaultInjector, run_plan
+from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, PlanBuilder
 from repro.faults.soak import (
     Counterexample,
@@ -78,6 +82,7 @@ __all__ = [
     "Partition",
     "Pause",
     "PlanBuilder",
+    "RackPowerLoss",
     "Recover",
     "Resume",
     "SCENARIOS",
@@ -94,7 +99,6 @@ __all__ = [
     "random_plan",
     "random_steps",
     "run_all",
-    "run_plan",
     "run_scenario",
     "run_soak",
 ]

@@ -198,17 +198,3 @@ class FaultInjector:
 
         self.sim.schedule(event.duration, end_burst)
 
-
-def run_plan(
-    cluster: Any,
-    plan: FaultPlan,
-    duration: float,
-    seed: int = 0,
-    observer: Optional[Any] = None,
-) -> FaultInjector:
-    """Convenience: arm ``plan`` on ``cluster`` and run ``duration``
-    simulated seconds.  Returns the injector (for its ``applied`` log)."""
-    injector = FaultInjector(cluster, plan, seed=seed, observer=observer)
-    injector.arm()
-    cluster.run(duration)
-    return injector

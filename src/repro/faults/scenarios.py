@@ -30,13 +30,12 @@ The library maps to the paper's robustness story:
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.messages import DeliveryService
-from repro.evs.checker import EvsViolation
+from repro.faults.drive import boot, wait_converged
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, PlanBuilder
 from repro.net.fabric import LeafSpineSpec
@@ -45,16 +44,9 @@ from repro.net.loss import LossModel, UniformLoss
 from repro.net.params import GIGABIT, TEN_GIGABIT
 from repro.obs.observer import MetricsObserver
 from repro.sim.build import ClusterBuilder
+from repro.sim.membership_driver import MembershipCluster
 from repro.util.errors import FaultError
-
-#: Simulated time given to the cluster to boot into one ring before the
-#: injector is armed (matches the integration-test bring-up window).
-_BOOT = 0.08
-
-#: Convergence polling: run in fixed slices so the check sequence is
-#: itself deterministic.
-_CONVERGE_SLICE = 0.25
-_CONVERGE_SLICES = 12
+from repro.util.jsonreport import JsonReport
 
 
 @dataclass
@@ -74,7 +66,6 @@ class ScenarioSpec:
     traffic: List[tuple] = field(default_factory=list)
     #: Optional background loss model sharing the scenario RNG.
     loss_model: Optional[Callable[[random.Random], LossModel]] = None
-    accelerated: bool = True
     #: Optional leaf–spine fabric in place of the default star switch.
     fabric: Optional[LeafSpineSpec] = None
     #: Optional impairment model factory sharing the scenario RNG
@@ -83,7 +74,7 @@ class ScenarioSpec:
 
 
 @dataclass
-class ScenarioReport:
+class ScenarioReport(JsonReport):
     """The checked outcome of one scenario run."""
 
     name: str
@@ -116,9 +107,6 @@ class ScenarioReport:
             "fault_metrics": self.fault_metrics,
             "sim_time": round(self.sim_time, 9),
         }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
 
 # ----------------------------------------------------------------------
@@ -351,13 +339,7 @@ def run_scenario(name: str, seed: int = 0) -> ScenarioReport:
         raise FaultError(f"unknown scenario {name!r}; choose from {sorted(SCENARIOS)}")
     rng = random.Random(seed)
     observer = MetricsObserver()
-    builder = (
-        ClusterBuilder()
-        .hosts(spec.num_hosts)
-        .membership()
-        .accelerated(spec.accelerated)
-        .observe(observer)
-    )
+    builder = ClusterBuilder().hosts(spec.num_hosts).membership().observe(observer)
     if spec.fabric is not None:
         builder.fabric(spec.fabric)
     # rng draw order: loss model first, then impairment — existing
@@ -367,26 +349,23 @@ def run_scenario(name: str, seed: int = 0) -> ScenarioReport:
     if spec.impairment is not None:
         builder.impair(spec.impairment(rng))
     cluster = builder.build_membership()
-    cluster.start()
-    cluster.run(_BOOT)
+    base = boot(cluster)
 
     injector = FaultInjector(cluster, spec.plan(rng), rng=rng, observer=observer)
     injector.arm()
-    base = cluster.sim.now
     for when, pid, service in spec.traffic:
         cluster.sim.schedule_at(base + when, _submit, cluster, pid, service)
     cluster.run(spec.duration)
 
-    # Quiesce: remove any leftover partition and let membership settle.
-    cluster.heal()
-    converged = _wait_converged(cluster)
+    # Quiesce (every library plan recovers what it crashes, so nothing
+    # is restarted) and let membership settle.
+    cluster.quiesce()
+    converged = wait_converged(cluster, slice=0.25, slices=12)
 
     violations: List[str] = []
-    crashed_waiver = injector.plan.crashed_pids()
-    try:
-        cluster.checker.check(crashed=crashed_waiver)
-    except EvsViolation as violation:
-        violations.append(str(violation))
+    violation = cluster.checker.violation(crashed=injector.plan.crashed_pids())
+    if violation is not None:
+        violations.append(violation)
     if not converged:
         violations.append(
             f"live nodes failed to reconverge: rings={cluster.rings()}"
@@ -443,23 +422,5 @@ def run_all(seed: int = 0) -> List[ScenarioReport]:
 
 
 def _submit(cluster: MembershipCluster, pid: int, service: DeliveryService) -> None:
-    host = cluster.hosts.get(pid)
-    if host is None or host.host.crashed or host._paused:
-        return  # the client's daemon is down (or frozen): nothing to hand off
-    host.submit(payload_size=64, service=service)
-
-
-def _wait_converged(cluster: MembershipCluster) -> bool:
-    """Deterministically poll until live nodes share one operational ring."""
-    for _ in range(_CONVERGE_SLICES):
-        live = cluster.live_pids()
-        expected = tuple(live)
-        rings = set(cluster.rings().values())
-        states = set(cluster.states().values())
-        if rings == {expected} and states == {"operational"}:
-            return True
-        cluster.run(_CONVERGE_SLICE)
-    live = cluster.live_pids()
-    return set(cluster.rings().values()) == {tuple(live)} and set(
-        cluster.states().values()
-    ) == {"operational"}
+    if cluster.accepting(pid):  # else the client has no daemon to hand off to
+        cluster.hosts[pid].submit(payload_size=64, service=service)

@@ -22,13 +22,12 @@ random schedule.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.messages import DeliveryService
-from repro.evs.checker import EvsViolation
+from repro.faults.drive import boot
 from repro.faults.generator import (
     ACTIONS,
     FABRIC_ACTIONS,
@@ -40,10 +39,9 @@ from repro.faults.generator import (
 )
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.net.fabric import LeafSpineSpec
-from repro.net.impair import impairment_from_name
 from repro.sim.build import ClusterBuilder
 from repro.sim.membership_driver import MembershipCluster
+from repro.util.jsonreport import JsonReport
 
 #: Spread between the top-level soak seed and per-case seeds; a large
 #: prime so nearby soak seeds do not share case streams.
@@ -81,23 +79,15 @@ def drive_plan(
     (:func:`repro.net.impair.impairment_from_name`) seeded from the
     case seed.  Both default off, keeping the historical drive.
     """
-    builder = ClusterBuilder().hosts(num_hosts).membership()
-    if fabric_racks:
-        builder.fabric(
-            LeafSpineSpec(
-                racks=fabric_racks,
-                hosts_per_rack=num_hosts // fabric_racks,
-                oversubscription=2.0,
-            )
-        )
-    if impair:
-        builder.impair(impairment_from_name(impair, seed=seed))
-    cluster = builder.build_membership()
-    cluster.start()
-    cluster.run(0.08)
-    injector = FaultInjector(cluster, plan, rng=random.Random(seed))
-    injector.arm()
-    base = cluster.sim.now
+    cluster = (
+        ClusterBuilder()
+        .hosts(num_hosts)
+        .membership()
+        .adverse_network(fabric_racks, impair, seed=seed)
+        .build_membership()
+    )
+    base = boot(cluster)
+    FaultInjector(cluster, plan, rng=random.Random(seed)).arm()
     horizon = plan.horizon + 0.05
     for index in range(_TRAFFIC_MESSAGES):
         when = base + (index + 1) * horizon / (_TRAFFIC_MESSAGES + 1)
@@ -105,16 +95,16 @@ def drive_plan(
         service = DeliveryService.SAFE if index % 2 else DeliveryService.AGREED
 
         def submit(pid=pid, service=service):
-            host = cluster.hosts[pid]
-            if not host.host.crashed and not host._paused:
-                host.submit(payload_size=_TRAFFIC_PAYLOAD, service=service)
+            if cluster.accepting(pid):
+                cluster.hosts[pid].submit(
+                    payload_size=_TRAFFIC_PAYLOAD, service=service
+                )
 
         cluster.sim.schedule_at(when, submit)
     cluster.run(horizon + 0.1)
-    # Quiesce: heal, resume anything still paused, settle.
-    cluster.heal()
-    for host in cluster.hosts.values():
-        host.resume()
+    # Quiesce and settle for a fixed 1.5 s, converged or not: crashes the
+    # plan never recovers stay down, waived by the checker.
+    cluster.quiesce()
     cluster.run(1.5)
     return cluster
 
@@ -139,11 +129,7 @@ def check_plan(
         fabric_racks=fabric_racks,
         impair=impair,
     )
-    try:
-        cluster.checker.check(crashed=plan.crashed_pids())
-    except EvsViolation as violation:
-        return str(violation)
-    return None
+    return cluster.checker.violation(crashed=plan.crashed_pids())
 
 
 def greedy_minimize(items: List, still_fails: Callable[[List], bool]) -> List:
@@ -200,7 +186,7 @@ def minimize_steps(
 
 
 @dataclass
-class Counterexample:
+class Counterexample(JsonReport):
     """A replayable failing soak case.
 
     ``steps``/``minimized_steps`` are the abstract pre-validation step
@@ -250,9 +236,6 @@ class Counterexample:
             "plan": self.plan.to_dicts(),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "Counterexample":
         impair = payload.get("impair")
@@ -267,10 +250,6 @@ class Counterexample:
             fabric_racks=int(payload.get("fabric_racks", 0)),
             impair=None if impair is None else str(impair),
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Counterexample":
-        return cls.from_dict(json.loads(text))
 
 
 @dataclass
@@ -294,7 +273,7 @@ class SoakCase:
 
 
 @dataclass
-class SoakReport:
+class SoakReport(JsonReport):
     """Summary of a whole soak run, JSON-serializable for CI artifacts."""
 
     seed: int
@@ -327,9 +306,6 @@ class SoakReport:
             "cases": [case.to_dict() for case in self.cases],
             "counterexamples": [ce.to_dict() for ce in self.counterexamples],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
 def run_soak(

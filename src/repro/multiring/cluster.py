@@ -36,7 +36,6 @@ import struct
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.messages import DeliveryService
-from repro.evs.checker import EvsViolation
 from repro.net.simulator import Simulator
 from repro.multiring.merge import merge_streams
 from repro.multiring.shard_map import ShardMap, stable_hash
@@ -248,12 +247,11 @@ class MultiRingCluster:
                 "group-routed submit needs membership mode; protocol-mode "
                 "clusters are driven through their per-ring drivers"
             )
-        ring = self.rings[self.ring_of(group)]
+        ring_index = self.ring_of(group)
         pid = sender if sender is not None else self.sender_of(group)
-        host = ring.hosts[pid]
-        if host.host.crashed or host._paused:
+        if not self.accepting(ring_index, pid):
             return
-        host.submit(
+        self.rings[ring_index].hosts[pid].submit(
             payload=encode_group_payload(group, payload),
             service=service,
             payload_size=payload_size,
@@ -314,29 +312,18 @@ class MultiRingCluster:
         """
         if not self.membership:
             raise ConfigurationError("protocol-mode rings have no EVS checker")
-        violations: Dict[int, str] = {}
-        for index, ring in enumerate(self.rings):
-            waive = frozenset((crashed or {}).get(index, frozenset()))
-            try:
-                ring.checker.check(crashed=waive)
-            except EvsViolation as exc:
-                violations[index] = str(exc)
-        return violations
+        waived = crashed or {}
+        return {
+            index: text
+            for index, ring in enumerate(self.rings)
+            if (text := ring.checker.violation(crashed=waived.get(index, ())))
+            is not None
+        }
 
     def converged(self) -> bool:
-        """True when every ring's live members share one operational ring."""
-        if not self.membership:
-            return True
-        for ring in self.rings:
-            states = ring.states()
-            views = set(ring.rings().values())
-            if not (
-                len(views) == 1
-                and all(state == "operational" for state in states.values())
-                and len(next(iter(views))) == len(states)
-            ):
-                return False
-        return True
+        """True when every ring has converged (protocol-mode rings have
+        no membership to converge)."""
+        return not self.membership or all(ring.converged() for ring in self.rings)
 
     # ------------------------------------------------------------------
     # Fault surface (per ring)
@@ -361,6 +348,15 @@ class MultiRingCluster:
         targets = self.rings if ring_index is None else [self.ring(ring_index)]
         for ring in targets:
             ring.heal()
+
+    def quiesce(self, restart: Optional[Mapping[int, Iterable[int]]] = None) -> None:
+        """Quiesce every ring; ``restart`` maps ring index → pids."""
+        restart = restart or {}
+        for index, ring in enumerate(self.rings):
+            ring.quiesce(restart=restart.get(index, ()))
+
+    def accepting(self, ring_index: int, pid: int) -> bool:
+        return self.ring(ring_index).accepting(pid)
 
     # ------------------------------------------------------------------
     # Benchmark surface (protocol mode): the single-ring duck type

@@ -2,8 +2,7 @@
 
 :class:`TopologySpec` is a single declarative value: ring count, hosts
 per ring, protocol flavour, implementation profile, network, loss,
-observers, delivery taps, fault plan, and group→shard assignments in
-one place.  :class:`ClusterBuilder` is the fluent front end and the
+observers, delivery taps, and group→shard assignments in one place.  :class:`ClusterBuilder` is the fluent front end and the
 **only way to assemble sim clusters**: a single ring is just the
 ``rings(1)`` case of the same spec, and a multi-ring cluster is that
 case built once per ring onto one simulator::
@@ -19,14 +18,14 @@ case built once per ring onto one simulator::
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple, Type
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Type
 
 from repro.core.config import ProtocolConfig
 from repro.core.original import OriginalRingParticipant
 from repro.core.participant import AcceleratedRingParticipant
 from repro.membership.params import MembershipTimeouts
 from repro.net.fabric import LeafSpineSpec, build_topology
-from repro.net.impair import ImpairmentModel
+from repro.net.impair import ImpairmentModel, impairment_from_name
 from repro.net.loss import LossModel
 from repro.net.params import NetworkParams, GIGABIT
 from repro.net.simulator import Simulator
@@ -36,8 +35,6 @@ from repro.sim.profiles import ImplementationProfile, DAEMON, LIBRARY
 from repro.util.errors import ConfigurationError
 
 if TYPE_CHECKING:
-    from repro.faults.injector import FaultInjector
-    from repro.faults.plan import FaultPlan
     from repro.multiring.cluster import MultiRingCluster
     from repro.multiring.shard_map import ShardMap
     from repro.obs.observer import ProtocolObserver
@@ -85,9 +82,6 @@ class TopologySpec:
     #: Per-delivery callback surface (single-ring membership clusters;
     #: multi-ring clusters install their own group-aware taps).
     delivery_tap: Optional["DeliveryTap"] = None
-    #: Declarative fault schedule, armed by :meth:`ClusterBuilder.
-    #: build_with_injector`.
-    fault_plan: Optional["FaultPlan"] = None
     #: Explicit group → ring pins; unlisted groups hash.
     shard_assignments: Mapping[str, int] = field(default_factory=dict)
     ring_id_base: int = 1
@@ -202,6 +196,32 @@ class ClusterBuilder:
             return self._set(fabric=None)
         return self._set(fabric=spec, hosts_per_ring=spec.num_hosts)
 
+    def adverse_network(
+        self, fabric_racks: int = 0, impair: Optional[str] = None, seed: int = 0
+    ) -> "ClusterBuilder":
+        """The soak / conformance topology dimension, both halves off by
+        default: ``fabric_racks > 0`` splits the declared hosts evenly
+        over a 2:1 oversubscribed leaf–spine fabric, and ``impair`` names
+        an impairment preset (:func:`repro.net.impair.
+        impairment_from_name`) seeded from ``seed``."""
+        if fabric_racks:
+            hosts = self._spec.hosts_per_ring
+            if hosts % fabric_racks:
+                raise ConfigurationError(
+                    f"{hosts} hosts do not split evenly over "
+                    f"{fabric_racks} racks"
+                )
+            self.fabric(
+                LeafSpineSpec(
+                    racks=fabric_racks,
+                    hosts_per_rack=hosts // fabric_racks,
+                    oversubscription=2.0,
+                )
+            )
+        if impair:
+            self.impair(impairment_from_name(impair, seed=seed))
+        return self
+
     def config(self, config: ProtocolConfig) -> "ClusterBuilder":
         return self._set(config=config)
 
@@ -228,9 +248,6 @@ class ClusterBuilder:
 
     def tap(self, tap: "DeliveryTap") -> "ClusterBuilder":
         return self._set(delivery_tap=tap)
-
-    def faults(self, plan: "FaultPlan") -> "ClusterBuilder":
-        return self._set(fault_plan=plan)
 
     def assign(self, group: str, ring: int) -> "ClusterBuilder":
         """Pin ``group`` to ``ring`` (otherwise groups hash)."""
@@ -370,37 +387,3 @@ class ClusterBuilder:
             membership=spec.membership,
             observer=spec.observer,
         )
-
-    def build_with_injector(
-        self,
-        rng=None,
-        seed: int = 0,
-    ) -> Tuple[object, Optional["FaultInjector"]]:
-        """Build the cluster and arm the spec's fault plan against it.
-
-        Returns ``(cluster, injector)``; the injector is ``None`` when
-        the spec declares no faults.  Multi-ring specs inject per ring
-        through :class:`~repro.multiring.cluster.MultiRingCluster`'s
-        fault surface instead — a single plan against N rings would be
-        ambiguous about which ring each event targets.
-        """
-        spec = self._spec.validate()
-        cluster = self.build()
-        if spec.fault_plan is None or len(spec.fault_plan) == 0:
-            return cluster, None
-        if spec.rings > 1:
-            raise ConfigurationError(
-                "fault plans target one ring; build the multi-ring "
-                "cluster and inject against cluster.ring(i) explicitly"
-            )
-        from repro.faults.injector import FaultInjector
-
-        injector = FaultInjector(
-            cluster,
-            spec.fault_plan,
-            seed=seed,
-            rng=rng,
-            observer=spec.observer,
-        )
-        injector.arm()
-        return cluster, injector

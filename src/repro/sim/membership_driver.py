@@ -11,7 +11,7 @@ examples.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.config import ProtocolConfig
 from repro.core.executor import EffectExecutor
@@ -397,6 +397,29 @@ class MembershipCluster:
 
     def heal(self) -> None:
         self.topology.switch.heal()
+
+    def quiesce(self, restart: Iterable[int] = ()) -> None:
+        """End every injected fault so membership can settle: heal the
+        network, resume every stalled process, restart the ``restart``
+        pids.  Each step is a no-op where there is nothing to undo."""
+        self.heal()
+        for host in self.hosts.values():
+            host.resume()
+        for pid in sorted(restart):
+            self.restart(pid)
+
+    def accepting(self, pid: int) -> bool:
+        """Whether ``pid``'s daemon can take a client submission now:
+        it is neither crashed nor stalled."""
+        host = self._host(pid)
+        return not host.host.crashed and not host._paused
+
+    def converged(self) -> bool:
+        """The live processes share one operational ring made of exactly
+        themselves."""
+        return set(self.rings().values()) == {tuple(self.live_pids())} and set(
+            self.states().values()
+        ) == {"operational"}
 
     def live_pids(self) -> List[int]:
         return sorted(

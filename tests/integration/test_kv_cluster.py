@@ -11,6 +11,7 @@ import pytest
 from repro.apps.kv.chaos import SCENARIOS, run_kv_scenario
 from repro.apps.kv.cluster import KvCluster
 from repro.apps.kv.commands import CommandError
+from repro.faults.drive import wait_converged
 from repro.workloads.generators import BurstWorkload, FixedRateWorkload
 from tests.integration.test_scenario_digests import assert_digest, kv_key
 
@@ -27,11 +28,7 @@ def make_kv(**overrides):
 
 
 def settle(kv, slices=16, dt=0.25):
-    for _ in range(slices):
-        if kv.converged():
-            return True
-        kv.run(dt)
-    return kv.converged()
+    return wait_converged(kv, dt, slices)
 
 
 class TestFaultFree:

@@ -116,3 +116,77 @@ def test_bench_is_the_only_bench_entry_point(capsys):
     # The committed baselines gate seed-0 runs only; refused before running.
     assert main(["bench", "--suite", "kv", "--seed", "3", "--check-baseline"]) == 2
     assert "seed" in capsys.readouterr().out
+
+
+class _Report:
+    def __init__(self, ok):
+        self.ok = ok
+
+    def to_json(self):
+        return '{\n  "ok": %s\n}\n' % str(self.ok).lower()
+
+
+def _emit_args(json=False, out=None):
+    import argparse
+
+    return argparse.Namespace(json=json, out=None if out is None else str(out))
+
+
+@pytest.mark.parametrize("ok, code, status", [(True, 0, "PASS"), (False, 1, "FAIL")])
+def test_emit_prints_the_status_line_then_details_and_returns_the_exit_code(
+    capsys, ok, code, status
+):
+    from repro.cli import _emit
+
+    details = ["        first detail", "  second, indented as given"]
+    assert _emit(_emit_args(), _Report(ok), "fields=1", "r.json", details) == code
+    out = capsys.readouterr().out
+    assert out == f"  {status}  fields=1\n" + "".join(d + "\n" for d in details)
+
+
+def test_emit_json_prints_the_canonical_text_and_nothing_else(capsys, tmp_path):
+    from repro.cli import _emit
+
+    report = _Report(False)
+    args = _emit_args(json=True, out=tmp_path / "made" / "on-demand")
+    assert _emit(args, report, "ignored", "r.json", ["ignored"]) == 1
+    assert capsys.readouterr().out == report.to_json()
+    assert (tmp_path / "made" / "on-demand" / "r.json").read_text() == report.to_json()
+
+
+def test_emit_out_writes_the_artifact_and_says_where(capsys, tmp_path):
+    from repro.cli import _emit
+
+    report = _Report(True)
+    assert _emit(_emit_args(out=tmp_path), report, "x", "name.json") == 0
+    assert (tmp_path / "name.json").read_text() == report.to_json()
+    assert f"report written to {tmp_path / 'name.json'}" in capsys.readouterr().out
+
+
+def test_kv_chaos_out_artifact_is_what_json_prints(capsys, tmp_path):
+    assert main(["kv", "chaos", "kv-partition", "--seed", "1", "--json",
+                 "--out", str(tmp_path)]) == 0
+    printed = capsys.readouterr().out
+    assert printed.endswith("}\n") and not printed.endswith("\n\n")
+    assert (tmp_path / "kv-partition_seed1.json").read_text() == printed
+
+
+def test_chaos_and_kv_chaos_share_listing_and_unknown_handling(capsys):
+    for command, known in ((["chaos"], "leader-crash"), (["kv", "chaos"], "kv-cascade")):
+        assert main(command + ["--list"]) == 0
+        assert known in capsys.readouterr().out
+        assert main(command + ["no-such-scenario"]) == 2
+        assert "no-such-scenario" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["soak", "--plans", "2", "--hosts", "5", "--seed", "1", "--fabric-racks", "2"],
+    ["conformance", "run", "--hosts", "5", "--fabric-racks", "2"],
+])
+def test_hosts_that_do_not_fill_the_racks_exit_2_with_one_line(capsys, command):
+    # At the parent both died with a traceback (FaultError / KeyError: 4):
+    # the fabric silently shrank the cluster to 4 hosts under a 5-host plan.
+    assert main(command) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert "5 hosts do not split evenly over 2 racks" in captured.err

@@ -35,6 +35,28 @@ def test_clean_trace_passes():
     checker.check()
 
 
+def test_violation_is_check_as_a_verdict():
+    clean, broken = EvsChecker(), EvsChecker()
+    for checker in (clean, broken):
+        checker.record(0, delivery(1))
+    broken.record(0, delivery(1))
+    assert clean.violation() is None
+    text = broken.violation()
+    assert "twice" in text
+    with pytest.raises(EvsViolation) as raised:
+        broken.check()
+    assert text == str(raised.value)
+
+
+def test_violation_passes_the_crashed_waiver_through():
+    checker = EvsChecker()
+    for pid in (0, 1):
+        checker.record(pid, config_event())
+    checker.record(0, delivery(1, service=DeliveryService.SAFE))
+    assert "safe" in checker.violation().lower()
+    assert checker.violation(crashed={1}) is None
+
+
 def test_duplicate_delivery_detected():
     checker = EvsChecker()
     checker.record(0, delivery(1))

@@ -1,12 +1,16 @@
 """Tripwire: effects have one interpreter, clusters one assembly path,
-benches one gate.
+benches one gate, checked runs one drive-and-converge loop.
 
 Scans the package source so that a re-grown effect ladder, a second
 run-grouping accumulator, a new deprecation shim, a copied baseline
-comparator or a bench environment knob fails tier-1 instead of drifting
-in unnoticed (the shape of the port and unseeded-random
-tripwires in ``conftest.py``, applied to the source tree)."""
+comparator, a bench environment knob, a private convergence poll or a
+second way to arm a fault plan fails tier-1 instead of drifting in
+unnoticed (the shape of the port and unseeded-random tripwires in
+``conftest.py``, applied to the source tree)."""
 
+import ast
+import builtins
+import functools
 import re
 import subprocess
 import sys
@@ -95,3 +99,175 @@ def test_the_tripwire_patterns_bite():
     assert not dispatch.search("if payload.__class__ is CoalescedDatagram:")
     # The executor itself is exempt, and does dispatch.
     assert dispatch.search(EXECUTOR.read_text())
+
+
+# ----------------------------------------------------------------------
+# One drive-and-converge loop (repro.faults.drive)
+# ----------------------------------------------------------------------
+
+#: pattern → {file: occurrences} it may have, package-wide.  ``None``
+#: allows any number in that file.
+ONE_HOME = {
+    # The EVS verdict is EvsChecker.violation(); nobody else catches.
+    r"except EvsViolation": {"evs/checker.py": 1},
+    # cluster.accepting(pid) is the one reader of a host's stall flag.
+    r"\._paused\b": {"sim/membership_driver.py": None},
+    # Healing is the clusters' own heal/quiesce plus the injector's Heal.
+    r"\.heal\(\)": {
+        "sim/membership_driver.py": 2,
+        "sim/cluster.py": 1,
+        "multiring/cluster.py": 1,
+        "faults/injector.py": 1,
+    },
+    # differ.health_divergences builds every oracle's evs/converge entries.
+    r'kind="converge"': {"conformance/differ.py": 1},
+    # JsonReport is the reports' text form; FaultPlan is a plan, not a report.
+    r"def to_json\(self": {"util/jsonreport.py": 1, "faults/plan.py": 1},
+    # One artifact writer under every --out.
+    r"os\.makedirs\(": {"cli.py": 1, "bench/report.py": None},
+    # The sim↔real oracle interprets its schedule in one place.
+    r"in build_schedule\(": {"conformance/realtime.py": 1},
+    # FaultInjector(cluster, plan, ...).arm() is the one way to arm a plan.
+    r"run_plan|build_with_injector|fault_plan": {},
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _sources():
+    """relative path → text of every module in the package, read once."""
+    return {
+        str(path.relative_to(SRC)): path.read_text()
+        for path in sorted(SRC.rglob("*.py"))
+    }
+
+
+def _occurrences(pattern):
+    regex = re.compile(pattern)
+    counts = {name: len(regex.findall(text)) for name, text in _sources().items()}
+    return {name: found for name, found in counts.items() if found}
+
+
+def test_each_drive_step_has_one_home():
+    for pattern, allowed in ONE_HOME.items():
+        counts = _occurrences(pattern)
+        assert set(counts) <= set(allowed), (pattern, counts)
+        for name, limit in allowed.items():
+            if limit is not None:
+                assert counts.get(name, 0) == limit, (pattern, name, counts)
+    # _emit prints every report; what is left are two non-report
+    # documents (kv run, fleet run) and one progress switch.
+    assert _occurrences(r"if args\.json").get("cli.py", 0) <= 4
+
+
+def _loops_that_run_a_cluster(tree):
+    """``for ... in range(...)`` / ``while`` loops that advance a
+    cluster with ``.run(...)`` — the shape of a private poll loop."""
+    found = []
+    for node in ast.walk(tree):
+        polling = isinstance(node, ast.While) or (
+            isinstance(node, ast.For)
+            and isinstance(node.iter, ast.Call)
+            and getattr(node.iter.func, "id", None) == "range"
+        )
+        if not polling:
+            continue
+        for call in ast.walk(node):
+            if (
+                isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)
+                and call.func.attr == "run"
+                and getattr(call.func.value, "id", None) != "asyncio"
+            ):
+                found.append(node.lineno)
+    return found
+
+
+def test_the_only_polling_loop_is_drive_poll():
+    loops = {
+        name: lines
+        for name, text in _sources().items()
+        if (lines := _loops_that_run_a_cluster(ast.parse(text)))
+    }
+    assert list(loops) == ["faults/drive.py"] and len(loops["faults/drive.py"]) == 1
+    # ...and the pattern bites on the loops this replaced.
+    old = "for _ in range(_MAX_POLLS):\n    cluster.run(_POLL_SLICE)\n    if ok(): break"
+    assert _loops_that_run_a_cluster(ast.parse(old)) == [1]
+    assert _loops_that_run_a_cluster(ast.parse("for case in cases:\n    case.run(seed)")) == []
+
+
+# ----------------------------------------------------------------------
+# Annotations name things their module binds (pyflakes F821, offline)
+# ----------------------------------------------------------------------
+
+
+def _annotation_names(annotation):
+    """Every bare name an annotation refers to, string forms included."""
+    for node in ast.walk(annotation):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                quoted = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            yield from _annotation_names(quoted)
+
+
+def _unbound_annotation_names(source):
+    """Names used in annotations that the module never binds by import,
+    def, class or assignment (and that are not builtins)."""
+    tree = ast.parse(source)
+    bound = set(dir(builtins))
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            spec = node.args
+            arguments = spec.posonlyargs + spec.args + spec.kwonlyargs
+            arguments += [a for a in (spec.vararg, spec.kwarg) if a is not None]
+            annotations += [a.annotation for a in arguments if a.annotation]
+            if node.returns is not None:
+                annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    return sorted(
+        {name for a in annotations for name in _annotation_names(a)} - bound
+    )
+
+
+def test_every_annotation_names_something_its_module_binds():
+    # CI's `ruff check` selects F821, but neither ruff nor pyflakes is in
+    # the offline image, so two `MembershipCluster` annotations without
+    # an import went unseen; this is the same rule on the stdlib.
+    unbound = {
+        name: names
+        for name, text in _sources().items()
+        if (names := _unbound_annotation_names(text))
+    }
+    assert unbound == {}
+
+
+def test_the_annotation_check_bites():
+    parent = (
+        "from typing import Optional\n"
+        "def _submit(cluster: MembershipCluster, pid: int) -> None: ...\n"
+        "class Run:\n"
+        "    cluster: Optional[MembershipCluster] = None\n"
+        "    other: 'Optional[Missing]' = None\n"
+    )
+    assert _unbound_annotation_names(parent) == ["MembershipCluster", "Missing"]
+    fixed = "from repro.sim.membership_driver import MembershipCluster\n" + parent
+    assert _unbound_annotation_names(fixed) == ["Missing"]
+    guarded = (
+        "from typing import TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n"
+        "    from repro.obs.observer import ProtocolObserver\n"
+        "def f(observer: 'ProtocolObserver') -> 'Self': ...\n"
+        "Self = object\n"
+    )
+    assert _unbound_annotation_names(guarded) == []

@@ -136,28 +136,22 @@ def test_builder_threads_network_and_config():
     assert participant.config.personal_window == 11
 
 
-def test_multiring_spec_with_fault_plan_rejected():
-    from repro.faults.plan import PlanBuilder
-
-    plan = PlanBuilder().crash(0, at=0.1).build()
-    builder = ClusterBuilder().rings(2).hosts(2).membership().faults(plan)
-    with pytest.raises(ConfigurationError):
-        builder.build_with_injector()
-
-
-def test_build_with_injector_arms_single_ring_plan():
-    from repro.faults.plan import PlanBuilder
-
-    plan = PlanBuilder().crash(1, at=0.05).build()
-    cluster, injector = (
-        ClusterBuilder().hosts(3).membership().faults(plan).build_with_injector()
-    )
-    assert injector is not None
-    cluster.run(0.2)
-    assert cluster.hosts[1].host.crashed
+def test_adverse_network_splits_hosts_evenly_over_a_2_to_1_fabric():
+    spec = ClusterBuilder().hosts(8).adverse_network(2, "reorder", seed=5).spec
+    assert (spec.fabric.racks, spec.fabric.hosts_per_rack) == (2, 4)
+    assert spec.fabric.oversubscription == 2.0
+    assert spec.hosts_per_ring == 8
+    assert spec.impairment is not None
 
 
-def test_build_with_injector_without_plan_returns_none():
-    cluster, injector = ClusterBuilder().hosts(2).build_with_injector()
-    assert injector is None
-    assert isinstance(cluster, RingCluster)
+def test_adverse_network_defaults_leave_the_star_untouched():
+    spec = ClusterBuilder().hosts(5).adverse_network(0, "").spec
+    assert spec.fabric is None and spec.impairment is None
+    assert spec.hosts_per_ring == 5
+
+
+def test_adverse_network_rejects_hosts_that_do_not_fill_the_racks():
+    # Silently rounding 5 hosts down to 2x2 left plans and traffic
+    # addressing a pid the cluster does not have.
+    with pytest.raises(ConfigurationError, match="5 hosts .* 2 racks"):
+        ClusterBuilder().hosts(5).adverse_network(2)
