@@ -12,7 +12,7 @@ from __future__ import annotations
 import struct
 from typing import List, Sequence, Union
 
-from repro.core.messages import DataMessage, DeliveryService
+from repro.core.messages import SERVICE_FROM_WIRE, DataMessage
 from repro.core.token import RegularToken
 from repro.util.errors import CodecError
 
@@ -193,7 +193,7 @@ def decode_data_batch(data: bytes) -> List[DataMessage]:
                 seq=seq,
                 pid=pid,
                 round=round_,
-                service=DeliveryService(service),
+                service=SERVICE_FROM_WIRE[service],
                 payload=bytes(view[payload_start : payload_start + payload_len]),
                 post_token=bool(post_token),
                 timestamp=None if timestamp < 0 else timestamp,
@@ -252,7 +252,7 @@ def _decode_data(data: bytes) -> DataMessage:
         seq=seq,
         pid=pid,
         round=round_,
-        service=DeliveryService(service),
+        service=SERVICE_FROM_WIRE[service],
         payload=payload,
         post_token=bool(post_token),
         timestamp=None if timestamp < 0 else timestamp,

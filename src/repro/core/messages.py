@@ -14,6 +14,8 @@ from __future__ import annotations
 from enum import IntEnum
 from typing import Optional
 
+from repro.util.errors import CodecError
+
 
 class DeliveryService(IntEnum):
     """Delivery service levels (Extended Virtual Synchrony, paper §II).
@@ -34,6 +36,19 @@ class DeliveryService(IntEnum):
     @property
     def requires_stability(self) -> bool:
         return self is DeliveryService.SAFE
+
+
+class _ServiceTable(dict):
+    def __missing__(self, code: int) -> "DeliveryService":
+        raise CodecError(f"unknown delivery service {code}")
+
+
+#: The service a wire byte names: ``SERVICE_FROM_WIRE[code]``.  Every
+#: decoder reads the byte through this table, so a byte that names no
+#: service is a :class:`CodecError` wherever it arrives (a hit is one
+#: dict lookup; ``DeliveryService(code)`` is an enum call per message
+#: and raises ``ValueError``, which no receive path catches).
+SERVICE_FROM_WIRE = _ServiceTable((int(service), service) for service in DeliveryService)
 
 
 class DataMessage:

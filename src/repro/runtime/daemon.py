@@ -74,6 +74,8 @@ class DaemonServer:
         self._clients: Dict[asyncio.StreamWriter, ClientSendQueue] = {}
         self.messages_relayed = 0
         self.clients_dropped_slow = 0
+        #: Clients disconnected for sending a frame that does not decode.
+        self.clients_dropped_malformed = 0
 
     async def start(self) -> None:
         if os.path.exists(self.socket_path):
@@ -123,6 +125,10 @@ class DaemonServer:
                     self.messages_relayed += 1
                 else:
                     raise CodecError(f"unexpected client opcode {opcode}")
+        except CodecError:
+            # Disconnect by rule: a frame that does not decode ends the
+            # connection like any other disconnect (PROTOCOL.md §15).
+            self.clients_dropped_malformed += 1
         finally:
             self._clients.pop(writer, None)
             await queue.drain_and_close()

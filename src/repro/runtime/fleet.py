@@ -222,6 +222,8 @@ class Fleet:
         totals = {
             "messages_delivered_to_clients": 0,
             "clients_dropped_slow": 0,
+            "clients_dropped_malformed": 0,
+            "envelopes_undecodable": 0,
             "decode_errors": 0,
             "batches_sent": 0,
             "batched_messages": 0,
@@ -233,6 +235,8 @@ class Fleet:
                 daemon.messages_delivered_to_clients
             )
             totals["clients_dropped_slow"] += daemon.clients_dropped_slow
+            totals["clients_dropped_malformed"] += daemon.clients_dropped_malformed
+            totals["envelopes_undecodable"] += daemon.envelopes_undecodable
             totals["decode_errors"] += daemon.node.decode_errors
             totals["batches_sent"] += daemon.node.batches_sent
             totals["batched_messages"] += daemon.node.batched_messages

@@ -19,9 +19,9 @@ import asyncio
 import struct
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Tuple, Union
+from typing import Deque, Dict, List, Tuple, Union
 
-from repro.core.messages import DeliveryService
+from repro.core.messages import SERVICE_FROM_WIRE, DeliveryService
 from repro.util.errors import CodecError
 
 
@@ -115,6 +115,12 @@ _FRAME_HEADER = struct.Struct("!BI")
 _DELIVER_PREFIX = struct.Struct("!IQB")
 # submit body prefix: service
 _SUBMIT_PREFIX = struct.Struct("!B")
+# config body prefix: transitional, member count
+_CONFIG_PREFIX = struct.Struct("!BI")
+# group-view member count
+_COUNT = struct.Struct("!I")
+# groupcast frame header + the body's service byte
+_GROUPCAST_HEAD = struct.Struct("!BIB")
 
 MAX_FRAME = 16 * 1024 * 1024
 
@@ -211,9 +217,17 @@ def pack_submit(service: DeliveryService, payload: bytes) -> bytes:
     return pack_frame(OP_SUBMIT, _SUBMIT_PREFIX.pack(int(service)) + payload)
 
 
+def _unpack_prefix(layout: struct.Struct, body: bytes, offset: int = 0) -> tuple:
+    """``layout`` read from ``body``; a body too short for it is malformed."""
+    try:
+        return layout.unpack_from(body, offset)
+    except struct.error:
+        raise CodecError(f"truncated frame body: {len(body)} bytes") from None
+
+
 def unpack_submit(body: bytes) -> Tuple[DeliveryService, bytes]:
-    (service,) = _SUBMIT_PREFIX.unpack_from(body)
-    return DeliveryService(service), body[_SUBMIT_PREFIX.size :]
+    (service,) = _unpack_prefix(_SUBMIT_PREFIX, body)
+    return SERVICE_FROM_WIRE[service], body[_SUBMIT_PREFIX.size :]
 
 
 def pack_deliver(sender: int, seq: int, service: DeliveryService, payload: bytes) -> bytes:
@@ -231,11 +245,11 @@ class Delivery:
 
 
 def unpack_deliver(body: bytes) -> Delivery:
-    sender, seq, service = _DELIVER_PREFIX.unpack_from(body)
+    sender, seq, service = _unpack_prefix(_DELIVER_PREFIX, body)
     return Delivery(
         sender=sender,
         seq=seq,
-        service=DeliveryService(service),
+        service=SERVICE_FROM_WIRE[service],
         payload=body[_DELIVER_PREFIX.size :],
     )
 
@@ -246,8 +260,10 @@ def pack_config(members: List[int], transitional: bool) -> bytes:
 
 
 def unpack_config(body: bytes) -> Tuple[List[int], bool]:
-    transitional, count = struct.unpack_from("!BI", body)
-    members = list(struct.unpack_from(f"!{count}I", body, 5))
+    transitional, count = _unpack_prefix(_CONFIG_PREFIX, body)
+    if _CONFIG_PREFIX.size + 4 * count > len(body):
+        raise CodecError(f"truncated member list: {count} members")
+    members = list(struct.unpack_from(f"!{count}I", body, _CONFIG_PREFIX.size))
     return members, bool(transitional)
 
 
@@ -257,9 +273,16 @@ def _pack_str(value: str) -> bytes:
 
 
 def _unpack_str(body: bytes, offset: int) -> Tuple[str, int]:
-    (length,) = struct.unpack_from("!H", body, offset)
     start = offset + 2
-    return body[start : start + length].decode("utf-8"), start + length
+    if start > len(body):
+        raise CodecError("truncated string length")
+    end = start + ((body[offset] << 8) | body[offset + 1])
+    if end > len(body):
+        raise CodecError("truncated string")
+    try:
+        return body[start:end].decode("utf-8"), end
+    except UnicodeDecodeError as exc:
+        raise CodecError(f"string is not UTF-8: {exc}") from None
 
 
 def pack_group_op(opcode: int, group: str) -> bytes:
@@ -271,22 +294,93 @@ def unpack_group_op(body: bytes) -> str:
     return group
 
 
+def groupcast_header(groups: List[str], service: DeliveryService) -> bytes:
+    """The bytes of an ``OP_GROUPCAST`` body before its payload:
+    ``[B service][B count]{[!H len][group]}*``."""
+    if len(groups) > 0xFF:
+        raise CodecError(f"too many target groups: {len(groups)}")
+    return bytes((service, len(groups))) + b"".join(map(_pack_str, groups))
+
+
 def pack_groupcast(groups: List[str], service: DeliveryService, payload: bytes) -> bytes:
-    parts = [struct.pack("!BB", int(service), len(groups))]
-    for group in groups:
-        parts.append(_pack_str(group))
-    parts.append(payload)
-    return pack_frame(OP_GROUPCAST, b"".join(parts))
+    return pack_frame(OP_GROUPCAST, groupcast_header(groups, service) + payload)
 
 
 def unpack_groupcast(body: bytes) -> Tuple[List[str], DeliveryService, bytes]:
-    service, count = struct.unpack_from("!BB", body)
+    """The reference decoder: every name bounds-checked and UTF-8-decoded."""
+    if len(body) < 2:
+        raise CodecError(f"truncated groupcast header: {len(body)} bytes")
+    service = SERVICE_FROM_WIRE[body[0]]
     offset = 2
     groups = []
-    for _ in range(count):
+    for _ in range(body[1]):
         group, offset = _unpack_str(body, offset)
         groups.append(group)
-    return groups, DeliveryService(service), body[offset:]
+    return groups, service, body[offset:]
+
+
+def groupcast_header_end(body: bytes) -> int:
+    """Where the payload of an ``OP_GROUPCAST`` body starts.
+
+    Walks the count and the name lengths only — bounds are checked,
+    names and service are not looked at (:func:`unpack_groupcast` does
+    that; :class:`GroupcastHeaders` runs it once per distinct header).
+    """
+    size = len(body)
+    if size < 2:
+        raise CodecError(f"truncated groupcast header: {size} bytes")
+    end = 2
+    for _ in range(body[1]):
+        if end + 2 > size:
+            raise CodecError("truncated group name length")
+        end += 2 + ((body[end] << 8) | body[end + 1])
+    if end > size:
+        raise CodecError("truncated group name")
+    return end
+
+
+#: Distinct headers one :class:`GroupcastHeaders` remembers.  The headers
+#: come from the peer, so the memo is bounded: at the cap it starts over.
+HEADER_MEMO_CAP = 1024
+
+
+class GroupcastHeaders:
+    """Parses ``OP_GROUPCAST`` bodies, decoding each distinct header once.
+
+    A connection carries few distinct ``(service, groups)`` headers and
+    many payloads.  The exact header bytes key a memo of what the
+    reference :func:`unpack_groupcast` made of them, so a hit means
+    *these bytes* passed its bounds, UTF-8 and service checks before,
+    and a body it rejects is rejected here, memo warm or cold.
+    """
+
+    __slots__ = ("_known",)
+
+    def __init__(self) -> None:
+        self._known: Dict[bytes, Tuple[Tuple[str, ...], DeliveryService]] = {}
+
+    def parse(self, body: bytes) -> Tuple[Tuple[str, ...], DeliveryService, int]:
+        """``(groups, service, payload offset)`` of one body."""
+        end = groupcast_header_end(body)
+        header = body[:end]
+        known = self._known.get(header)
+        if known is None:
+            groups, service, _payload = unpack_groupcast(body)
+            known = (tuple(groups), service)
+            if len(self._known) >= HEADER_MEMO_CAP:
+                self._known.clear()
+            self._known[header] = known
+        return known[0], known[1], end
+
+
+def groupcast_frame_from_tail(service: DeliveryService, tail: bytes) -> bytes:
+    """The ``OP_GROUPCAST`` frame whose body is ``[service] + tail``.
+
+    ``tail`` is ``[B count]{[!H len][group]}*[payload]`` — everything
+    after the service byte — taken as it is: the caller forwards bytes
+    that :func:`unpack_groupcast` accepted where they entered the system.
+    """
+    return _GROUPCAST_HEAD.pack(OP_GROUPCAST, 1 + len(tail), service) + tail
 
 
 def pack_hello(private_name: str) -> bytes:
@@ -308,7 +402,7 @@ def unpack_welcome(body: bytes) -> str:
 
 
 def pack_group_view(group: str, members: List[str]) -> bytes:
-    parts = [_pack_str(group), struct.pack("!I", len(members))]
+    parts = [_pack_str(group), _COUNT.pack(len(members))]
     for member in members:
         parts.append(_pack_str(member))
     return pack_frame(OP_GROUP_VIEW, b"".join(parts))
@@ -316,8 +410,8 @@ def pack_group_view(group: str, members: List[str]) -> bytes:
 
 def unpack_group_view(body: bytes) -> Tuple[str, List[str]]:
     group, offset = _unpack_str(body, 0)
-    (count,) = struct.unpack_from("!I", body, offset)
-    offset += 4
+    (count,) = _unpack_prefix(_COUNT, body, offset)
+    offset += _COUNT.size
     members = []
     for _ in range(count):
         member, offset = _unpack_str(body, offset)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.messages import DeliveryService
 from repro.multiring.shard_map import ShardMap
@@ -80,6 +80,11 @@ class SpreadClient:
         self.shard_map = shard_map
         self._frames: Optional[ipc.FrameReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
+        #: Headers of received groupcasts, decoded once each.
+        self._received_headers = ipc.GroupcastHeaders()
+        #: ``(groups, service)`` -> the packed header :meth:`multicast`
+        #: sends for it (bounded like the receive side).
+        self._sent_headers: Dict[Tuple[Tuple[str, ...], DeliveryService], bytes] = {}
 
     def shard_of(self, group: str) -> int:
         """The ring (shard) that orders ``group``.
@@ -132,15 +137,22 @@ class SpreadClient:
         Open-group semantics: the caller need not be a member of any
         target group.
         """
-        self._require().write(ipc.pack_groupcast(groups, service, payload))
+        key = (tuple(groups), service)
+        header = self._sent_headers.get(key)
+        if header is None:
+            header = ipc.groupcast_header(groups, service)
+            if len(self._sent_headers) >= ipc.HEADER_MEMO_CAP:
+                self._sent_headers.clear()
+            self._sent_headers[key] = header
+        self._require().write(ipc.pack_frame(ipc.OP_GROUPCAST, header + payload))
 
     async def receive(self) -> ClientEvent:
         if self._frames is None:
             raise RuntimeError("client not connected")
         opcode, body = await self._frames.next()
         if opcode == ipc.OP_GROUPCAST:
-            groups, service, payload = ipc.unpack_groupcast(body)
-            return GroupMessage(groups=tuple(groups), service=service, payload=payload)
+            groups, service, end = self._received_headers.parse(body)
+            return GroupMessage(groups=groups, service=service, payload=body[end:])
         if opcode == ipc.OP_GROUP_VIEW:
             group, members = ipc.unpack_group_view(body)
             return GroupView(group=group, members=tuple(members))

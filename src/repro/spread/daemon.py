@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import os
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.messages import DataMessage, DeliveryService
 from repro.evs.configuration import Configuration
@@ -28,13 +28,24 @@ from repro.spread.fragmentation import Fragmenter, FragmentReassembler
 from repro.spread.groups import GroupDirectory, qualify
 from repro.spread.packing import Packer, unpack_payload
 from repro.spread.wire import (
-    AppData,
-    Fragment,
+    ENV_APP,
+    ENV_FRAGMENT,
+    ENV_JOIN,
+    ENV_LEAVE,
     GroupJoin,
     GroupLeave,
+    app_data_prefix,
+    app_data_span,
     decode_envelope,
 )
 from repro.util.errors import CodecError
+
+#: Distinct group lists a daemon remembers the local route of.  The
+#: lists come from clients, so the memo is bounded: at the cap it starts
+#: over.
+ROUTE_MEMO_CAP = 1024
+
+_NO_SENDER = app_data_prefix("")
 
 
 class _ClientSession:
@@ -51,6 +62,8 @@ class _ClientSession:
         self.writer = writer
         self.queue = ClientSendQueue(writer, window_bytes, unflushed)
         self.joined: Set[str] = set()
+        #: How every AppData envelope this client sends begins.
+        self.envelope_prefix = app_data_prefix(member_name)
 
 
 class SpreadDaemon:
@@ -84,9 +97,20 @@ class SpreadDaemon:
         self._server: Optional[asyncio.AbstractServer] = None
         self._tcp_server: Optional[asyncio.AbstractServer] = None
         self._sessions: Dict[str, _ClientSession] = {}
+        #: Validated groupcast headers (ingest side of "validate at
+        #: ingest, forward after", PROTOCOL.md §15).
+        self._headers = ipc.GroupcastHeaders()
+        #: Group-list bytes of an envelope -> the local sessions it goes
+        #: to, in sorted member order.  Holds only while neither the
+        #: directory nor ``_sessions`` changes: see :meth:`_drop_routes`.
+        self._routes: Dict[bytes, Tuple[_ClientSession, ...]] = {}
         self._client_counter = 0
         self.messages_delivered_to_clients = 0
         self.clients_dropped_slow = 0
+        #: Clients disconnected for sending a frame that does not decode.
+        self.clients_dropped_malformed = 0
+        #: Ordered envelopes skipped because they do not decode.
+        self.envelopes_undecodable = 0
 
     async def start(self) -> None:
         if os.path.exists(self.socket_path):
@@ -109,6 +133,7 @@ class SpreadDaemon:
         self._tcp_server = None
         sessions = list(self._sessions.values())
         self._sessions.clear()
+        self._drop_routes()
         for session in sessions:
             await session.queue.aclose()
         await self.node.stop()
@@ -136,7 +161,7 @@ class SpreadDaemon:
             session = _ClientSession(
                 member_name, writer, self.client_window_bytes, self._unflushed
             )
-            self._sessions[member_name] = session
+            self._attach(session)
             session.queue.send(ipc.pack_welcome(member_name))
             flush_all(self._unflushed)
             while True:
@@ -148,11 +173,15 @@ class SpreadDaemon:
                     # the session like a voluntary disconnect.
                     break
                 self._handle_client_frame(session, opcode, body)
+        except CodecError:
+            # Disconnect by rule (PROTOCOL.md §15): a frame that does not
+            # decode ends the session exactly like a voluntary disconnect.
+            self.clients_dropped_malformed += 1
         except (asyncio.IncompleteReadError, ConnectionError, OSError):
             pass  # disconnect during the hello handshake
         finally:
             if session is not None:
-                self._sessions.pop(session.member_name, None)
+                self._detach(session)
                 for group in sorted(session.joined):
                     self._submit_envelope(
                         GroupLeave(member=session.member_name, group=group).encode(),
@@ -163,6 +192,14 @@ class SpreadDaemon:
                     self.clients_dropped_slow += 1
             else:
                 writer.close()
+
+    def _attach(self, session: _ClientSession) -> None:
+        self._sessions[session.member_name] = session
+        self._drop_routes()
+
+    def _detach(self, session: _ClientSession) -> None:
+        self._sessions.pop(session.member_name, None)
+        self._drop_routes()
 
     def _handle_client_frame(
         self, session: _ClientSession, opcode: int, body: bytes
@@ -182,11 +219,11 @@ class SpreadDaemon:
                 DeliveryService.AGREED,
             )
         elif opcode == ipc.OP_GROUPCAST:
-            groups, service, payload = ipc.unpack_groupcast(body)
-            envelope = AppData(
-                sender=session.member_name, groups=tuple(groups), payload=payload
-            ).encode()
-            self._submit_envelope(envelope, service)
+            # Validate here, forward after: the header is checked (once
+            # per distinct header) and the body after its service byte
+            # is, byte for byte, the envelope after its sender.
+            _groups, service, _end = self._headers.parse(body)
+            self._submit_envelope(session.envelope_prefix + body[1:], service)
         else:
             raise CodecError(f"unexpected client opcode {opcode}")
 
@@ -205,42 +242,84 @@ class SpreadDaemon:
     # ------------------------------------------------------------------
 
     def _ordered_delivery(self, message: DataMessage, config_id: int) -> None:
-        for envelope_bytes in unpack_payload(message.payload):
-            envelope = decode_envelope(envelope_bytes)
-            if isinstance(envelope, Fragment):
-                whole = self.reassembler.accept(message.pid, envelope)
-                if whole is None:
-                    continue
-                envelope = decode_envelope(whole)
-            self._apply_envelope(envelope, message)
+        """Apply one ordered payload.  Never raises into the ordering
+        pass: an envelope that does not decode is counted and skipped —
+        every daemon sees the same bytes, so all skip alike."""
+        try:
+            envelopes = unpack_payload(message.payload)
+        except CodecError:
+            self.envelopes_undecodable += 1
+            return
+        for envelope in envelopes:
+            try:
+                self._apply_envelope(envelope, message)
+            except CodecError:
+                self.envelopes_undecodable += 1
 
-    def _apply_envelope(self, envelope, message: DataMessage) -> None:
-        if isinstance(envelope, AppData):
-            self._deliver_app_data(envelope, message)
-        elif isinstance(envelope, GroupJoin):
-            self.directory.apply_join(envelope.member, envelope.group)
-            self._notify_views()
-        elif isinstance(envelope, GroupLeave):
-            self.directory.apply_leave(envelope.member, envelope.group)
+    def _apply_envelope(
+        self, envelope: bytes, message: DataMessage, reassembled: bool = False
+    ) -> None:
+        """One envelope, however it arrived: bare, as an item of a packed
+        container, or (``reassembled``) put together from fragments."""
+        tag = envelope[0] if envelope else None
+        if tag == ENV_APP:
+            self._forward_app_data(envelope, message.service)
+        elif tag == ENV_FRAGMENT and not reassembled:
+            whole = self.reassembler.accept(message.pid, decode_envelope(envelope))
+            if whole is not None:
+                self._apply_envelope(whole, message, reassembled=True)
+        elif tag == ENV_JOIN or tag == ENV_LEAVE:
+            change = decode_envelope(envelope)
+            if isinstance(change, GroupJoin):
+                self.directory.apply_join(change.member, change.group)
+            else:
+                self.directory.apply_leave(change.member, change.group)
             self._notify_views()
         else:
-            raise CodecError(f"unexpected inner envelope {type(envelope).__name__}")
+            raise CodecError(f"unexpected envelope tag {tag}")
 
-    def _deliver_app_data(self, envelope: AppData, message: DataMessage) -> None:
+    def _forward_app_data(self, envelope: bytes, service: DeliveryService) -> None:
+        """Deliver one AppData envelope to the local members of its groups.
+
+        From its group list on, the envelope is a groupcast body after
+        the service byte (the shared tail, PROTOCOL.md §15): the client
+        frame is those bytes behind a new head, built once for all local
+        receivers, and the group-list bytes themselves key the route.
+        """
+        start, end = app_data_span(envelope)
+        key = envelope[start:end]
+        route = self._routes.get(key)
+        if route is None:
+            route = self._resolve_route(key)
+        if route:
+            frame = ipc.groupcast_frame_from_tail(service, envelope[start:])
+            for session in route:
+                if session.queue.send(frame):
+                    self.messages_delivered_to_clients += 1
+
+    def _resolve_route(self, key: bytes) -> Tuple[_ClientSession, ...]:
+        """The route of a group list not seen since the last change: its
+        names decoded by the reference codec (from an envelope that is
+        only them — the forwarder reads neither sender nor payload) and
+        resolved in the directory."""
         targets: Set[str] = set()
-        for group in envelope.groups:
+        for group in decode_envelope(_NO_SENDER + key).groups:
             targets.update(self.directory.members(group))
-        frame = None
-        for member in sorted(targets):
-            session = self._sessions.get(member)
-            if session is None:
-                continue  # member lives at another daemon
-            if frame is None:
-                frame = ipc.pack_groupcast(
-                    list(envelope.groups), message.service, envelope.payload
-                )
-            if session.queue.send(frame):
-                self.messages_delivered_to_clients += 1
+        sessions = self._sessions
+        # Sorted, so the write order to local sessions is the same on
+        # every daemon and every run; members of other daemons drop out.
+        route = tuple(sessions[member] for member in sorted(targets) if member in sessions)
+        if len(self._routes) >= ROUTE_MEMO_CAP:
+            self._routes.clear()
+        self._routes[key] = route
+        return route
+
+    def _drop_routes(self) -> None:
+        """Forget every route.  Called on *any* change to what a route is
+        made from — the directory (join, leave, configuration) or
+        ``_sessions`` (connect, disconnect, including a reconnect under
+        the same name: a route holds sessions, not names)."""
+        self._routes.clear()
 
     def _config_changed(self, configuration: Configuration) -> None:
         if configuration.transitional:
@@ -249,6 +328,8 @@ class SpreadDaemon:
         self._notify_views()
 
     def _notify_views(self) -> None:
+        """Runs after every directory change: routes go, views go out."""
+        self._drop_routes()
         for group in self.directory.take_dirty():
             members = list(self.directory.members(group))
             frame = ipc.pack_group_view(group, members)

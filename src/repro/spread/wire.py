@@ -40,6 +40,36 @@ def _unpack_str(data: bytes, offset: int) -> Tuple[str, int]:
     return data[start : start + length].decode("utf-8"), start + length
 
 
+def app_data_prefix(sender: str) -> bytes:
+    """The bytes of an :class:`AppData` envelope before its group list:
+    the tag and the sender.  One sender's envelopes all start with it."""
+    return _TAG.pack(ENV_APP) + _pack_str(sender)
+
+
+def app_data_span(envelope: bytes) -> Tuple[int, int]:
+    """``(start, end)`` of the group list of an ``ENV_APP`` envelope.
+
+    ``envelope[start:end]`` is ``[B count]{[!H len][group]}*`` and the
+    payload follows at ``end``.  Only lengths are walked (and checked
+    against the envelope's size); :func:`decode_envelope` is what decodes
+    and validates the names.
+    """
+    size = len(envelope)
+    if size < 3:
+        raise CodecError(f"truncated app-data envelope: {size} bytes")
+    start = 3 + ((envelope[1] << 8) | envelope[2])
+    if start >= size:
+        raise CodecError("truncated sender")
+    end = start + 1
+    for _ in range(envelope[start]):
+        if end + 2 > size:
+            raise CodecError("truncated group name length")
+        end += 2 + ((envelope[end] << 8) | envelope[end + 1])
+    if end > size:
+        raise CodecError("truncated group name")
+    return start, end
+
+
 @dataclass(frozen=True)
 class AppData:
     """Application data sent to one or more groups.
@@ -170,48 +200,52 @@ Envelope = Union[AppData, GroupJoin, GroupLeave, Packed, Fragment]
 
 
 def decode_envelope(data: bytes) -> Envelope:
-    if not data:
-        raise CodecError("empty envelope")
-    tag = data[0]
-    if tag == ENV_APP:
-        sender, offset = _unpack_str(data, 1)
-        (count,) = struct.unpack_from("!B", data, offset)
-        offset += 1
-        groups = []
-        for _ in range(count):
-            group, offset = _unpack_str(data, offset)
-            groups.append(group)
-        return AppData(sender=sender, groups=tuple(groups), payload=data[offset:])
-    if tag == ENV_JOIN:
-        member, offset = _unpack_str(data, 1)
-        group, _ = _unpack_str(data, offset)
-        return GroupJoin(member=member, group=group)
-    if tag == ENV_LEAVE:
-        member, offset = _unpack_str(data, 1)
-        group, _ = _unpack_str(data, offset)
-        return GroupLeave(member=member, group=group)
-    if tag == ENV_PACKED:
-        (count,) = struct.unpack_from("!H", data, 1)
-        # Offset arithmetic over one memoryview; the only copies are the
-        # per-item bytes() the returned container owns (each item is
-        # decoded again downstream, so it must not alias the datagram).
-        view = memoryview(data)
-        end = len(data)
-        offset = 3
-        items = []
-        append = items.append
-        unpack_len = struct.unpack_from
-        for _ in range(count):
-            (length,) = unpack_len("!I", view, offset)
-            offset += 4
-            if offset + length > end:
-                raise CodecError("truncated packed item")
-            append(bytes(view[offset : offset + length]))
-            offset += length
-        return Packed(items=tuple(items))
-    if tag == ENV_FRAGMENT:
-        _t, frag_id, index, total = _FRAGMENT_HEADER.unpack_from(data)
-        return Fragment(
-            frag_id=frag_id, index=index, total=total, chunk=data[_FRAGMENT_HEADER.size :]
-        )
-    raise CodecError(f"unknown envelope tag {tag}")
+    """Decode one envelope; anything malformed is a :class:`CodecError`."""
+    try:
+        if not data:
+            raise CodecError("empty envelope")
+        tag = data[0]
+        if tag == ENV_APP:
+            sender, offset = _unpack_str(data, 1)
+            (count,) = struct.unpack_from("!B", data, offset)
+            offset += 1
+            groups = []
+            for _ in range(count):
+                group, offset = _unpack_str(data, offset)
+                groups.append(group)
+            return AppData(sender=sender, groups=tuple(groups), payload=data[offset:])
+        if tag == ENV_JOIN:
+            member, offset = _unpack_str(data, 1)
+            group, _ = _unpack_str(data, offset)
+            return GroupJoin(member=member, group=group)
+        if tag == ENV_LEAVE:
+            member, offset = _unpack_str(data, 1)
+            group, _ = _unpack_str(data, offset)
+            return GroupLeave(member=member, group=group)
+        if tag == ENV_PACKED:
+            (count,) = struct.unpack_from("!H", data, 1)
+            # Offset arithmetic over one memoryview; the only copies are the
+            # per-item bytes() the returned container owns (each item is
+            # decoded again downstream, so it must not alias the datagram).
+            view = memoryview(data)
+            end = len(data)
+            offset = 3
+            items = []
+            append = items.append
+            unpack_len = struct.unpack_from
+            for _ in range(count):
+                (length,) = unpack_len("!I", view, offset)
+                offset += 4
+                if offset + length > end:
+                    raise CodecError("truncated packed item")
+                append(bytes(view[offset : offset + length]))
+                offset += length
+            return Packed(items=tuple(items))
+        if tag == ENV_FRAGMENT:
+            _t, frag_id, index, total = _FRAGMENT_HEADER.unpack_from(data)
+            return Fragment(
+                frag_id=frag_id, index=index, total=total, chunk=data[_FRAGMENT_HEADER.size :]
+            )
+        raise CodecError(f"unknown envelope tag {tag}")
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise CodecError(f"malformed envelope: {exc}") from None

@@ -12,6 +12,8 @@ import asyncio
 import os
 import tempfile
 
+import pytest
+
 from repro.runtime import ipc
 from repro.runtime.fleet import Fleet, run_fleet_workload
 from repro.runtime.ports import ephemeral_ring_addresses
@@ -131,6 +133,73 @@ def test_disconnect_mid_multicast():
                         "noisy" in name for name in daemons[0]._sessions
                     )
                 )
+                await steady.close()
+            finally:
+                for daemon in daemons:
+                    await daemon.stop()
+
+    asyncio.run(scenario())
+
+
+MALFORMED_FRAMES = {
+    "unknown-opcode": ipc.pack_frame(99, b""),
+    "empty-join": ipc.pack_frame(ipc.OP_JOIN, b""),
+    "join-not-utf8": ipc.pack_frame(ipc.OP_JOIN, b"\x00\x02\xff\xfe"),
+    "groupcast-truncated": ipc.pack_frame(ipc.OP_GROUPCAST, b"\x04\x02\x00\x01g\x00"),
+    "groupcast-name-overruns": ipc.pack_frame(ipc.OP_GROUPCAST, b"\x04\x01\x00\x09g"),
+    "groupcast-not-utf8": ipc.pack_frame(ipc.OP_GROUPCAST, b"\x04\x01\x00\x01\xffpayload"),
+    "groupcast-no-such-service": ipc.pack_frame(ipc.OP_GROUPCAST, b"\x09\x01\x00\x01gpayload"),
+    "frame-too-large": ipc._FRAME_HEADER.pack(ipc.OP_GROUPCAST, ipc.MAX_FRAME + 1),
+}
+
+
+@pytest.mark.parametrize("garbage", MALFORMED_FRAMES.values(), ids=MALFORMED_FRAMES.keys())
+def test_malformed_frame_disconnects_that_client_by_rule(garbage):
+    """Hello, a join, then a frame that does not decode: that client is
+    disconnected like a voluntary leaver (session gone, its ordered leave
+    seen by the others, counted) with nothing thrown at the event loop,
+    and another client of the same daemon keeps completing its loop."""
+
+    async def scenario():
+        with tempfile.TemporaryDirectory() as tmp:
+            peers, daemons = await _start_pair(tmp)
+            loop_errors = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: loop_errors.append(context)
+            )
+            try:
+                steady = SpreadClient(daemons[0].socket_path, name="steady")
+                await steady.connect()
+                await steady.join("g")
+                reader, writer = await asyncio.open_unix_connection(
+                    daemons[0].socket_path
+                )
+                writer.write(ipc.pack_hello("bad"))
+                frames = ipc.FrameReader(reader)
+                opcode, _body = await frames.next()
+                assert opcode == ipc.OP_WELCOME
+                writer.write(ipc.pack_group_op(ipc.OP_JOIN, "g"))
+                await steady.wait_for_view("g", 2)
+
+                async def closed_loop(first, count):
+                    for index in range(first, first + count):
+                        steady.multicast(["g"], b"%d" % index)
+                        (echo,) = await asyncio.wait_for(steady.receive_messages(1), 5.0)
+                        assert echo.payload == b"%d" % index
+
+                await closed_loop(0, 5)
+                writer.write(garbage)
+                with pytest.raises(asyncio.IncompleteReadError):
+                    while True:  # views and echoes, then the daemon's close
+                        await asyncio.wait_for(frames.next(), 5.0)
+                assert daemons[0].clients_dropped_malformed == 1
+                assert not any("bad" in name for name in daemons[0]._sessions)
+                await steady.wait_for_view("g", 1)
+                await closed_loop(5, 20)
+                assert daemons[0].clients_dropped_malformed == 1
+                assert daemons[1].clients_dropped_malformed == 0
+                assert loop_errors == []
+                writer.close()
                 await steady.close()
             finally:
                 for daemon in daemons:

@@ -6,6 +6,7 @@ import tempfile
 
 
 from repro.core.messages import DeliveryService
+from repro.runtime import ipc
 from repro.runtime.client import DaemonClient
 from repro.runtime.daemon import DaemonServer
 from repro.runtime.ipc import Delivery
@@ -83,6 +84,45 @@ class TestDaemonPrototype:
                     assert logs[0] == logs[1] == logs[2]
                     for client in clients:
                         await client.close()
+                finally:
+                    for daemon in daemons:
+                        await daemon.stop()
+
+        asyncio.run(scenario())
+
+
+    def test_malformed_submit_disconnects_that_client_only(self):
+        """An empty submit body and a service byte that names no service
+        each end their connection by rule — counted, nothing thrown at
+        the event loop — while another client keeps being served."""
+
+        async def scenario():
+            with tempfile.TemporaryDirectory() as tmp:
+                daemons = await start_daemons(DaemonServer, 1, tmp)
+                loop_errors = []
+                asyncio.get_running_loop().set_exception_handler(
+                    lambda loop, context: loop_errors.append(context)
+                )
+                try:
+                    steady = DaemonClient(daemons[0].socket_path)
+                    await steady.connect()
+                    for garbage in (
+                        ipc.pack_frame(ipc.OP_SUBMIT, b""),
+                        ipc.pack_frame(ipc.OP_SUBMIT, b"\x09payload"),
+                        ipc.pack_frame(ipc.OP_JOIN, b"\x00\x01g"),
+                    ):
+                        reader, writer = await asyncio.open_unix_connection(
+                            daemons[0].socket_path
+                        )
+                        writer.write(garbage)
+                        await asyncio.wait_for(reader.read(), 5.0)  # to the daemon's close
+                        writer.close()
+                    assert daemons[0].clients_dropped_malformed == 3
+                    steady.send(b"still here")
+                    (message,) = await asyncio.wait_for(steady.receive_messages(1), 10)
+                    assert message.payload == b"still here"
+                    assert loop_errors == []
+                    await steady.close()
                 finally:
                     for daemon in daemons:
                         await daemon.stop()

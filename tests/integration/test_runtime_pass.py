@@ -12,6 +12,8 @@ and the node handles what was read under the §III-D priority rule.
 import asyncio
 import socket
 
+import pytest
+
 from repro.core.messages import DataMessage, DeliveryService
 from repro.core.token import RegularToken
 from repro.core.transport_core import encode_run
@@ -119,6 +121,59 @@ def test_node_handles_queued_data_before_the_token_behind_it():
             assert delivered == list(range(1, count + 1))
             assert ordering.requests_made == 0
             assert node.decode_errors == 0
+        finally:
+            sender.close()
+            await node.stop()
+
+    asyncio.run(scenario())
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
+def test_forged_service_byte_is_a_decode_error_and_the_pass_completes(batch):
+    """A data-port datagram whose service byte names no service, then a
+    valid one, in the kernel before the loop runs: the forged datagram is
+    a counted decode error, the valid one is delivered in the same pass,
+    the pass reaches its batch end (the client flush) and nothing is
+    thrown at the event loop."""
+
+    async def scenario():
+        peers = ephemeral_ring_addresses([0])
+        node = RingNode(0, peers)
+        await node.start()
+        loop_errors = []
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: loop_errors.append(context)
+        )
+        sender = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        try:
+            assert await wait_until(lambda: node.state == "operational")
+            ordering = node.controller.ordering
+
+            def run(service, seqs):
+                return encode_run(tuple(
+                    DataMessage(
+                        seq=seq, pid=0, round=ordering.round, service=service,
+                        payload=b"forged", ring_id=node.ring_id,
+                    )
+                    for seq in seqs
+                ))
+
+            seqs = (1, 2) if batch else (1,)
+            agreed = run(DeliveryService.AGREED, seqs)
+            safe = run(DeliveryService.SAFE, seqs)
+            service_at = next(i for i in range(len(agreed)) if agreed[i] != safe[i])
+            forged = bytearray(agreed)
+            forged[service_at] = 9
+            delivered_at_batch_end = []
+            node.on_batch_end = lambda: delivered_at_batch_end.append(node.delivered_count)
+            # No awaits between the two sendto calls: one wakeup reads both.
+            data_port = (peers[0].host, peers[0].data_port)
+            sender.sendto(bytes(forged), data_port)
+            sender.sendto(run(DeliveryService.AGREED, (1,)), data_port)
+            assert await wait_until(lambda: 1 in delivered_at_batch_end, timeout=5.0)
+            assert node.decode_errors == 1
+            assert node.delivered_count == 1
+            assert loop_errors == []
         finally:
             sender.close()
             await node.stop()

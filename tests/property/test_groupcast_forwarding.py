@@ -1,0 +1,421 @@
+"""Property tests for "validate at ingest, forward after" (PROTOCOL.md §15).
+
+The daemon no longer rebuilds a groupcast at each hop: the body a client
+wrote is, after its service byte, the tail of the ordered envelope, and
+that tail is what every daemon puts behind a new frame head.  These pin
+that (a) every byte is what the reference codec
+(``AppData.encode`` / ``decode_envelope`` / ``pack_groupcast`` /
+``unpack_groupcast``) would have written, however the envelope travels;
+(b) nothing the reference rejects is accepted, memo cold or warm;
+(c) a remembered route is never used past a change to what it was made
+from; (d) the memos stay bounded.
+"""
+
+import asyncio
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from repro.core.messages import DeliveryService
+from repro.evs.configuration import Configuration
+from repro.runtime import ipc
+from repro.spread.client_api import GroupMessage, SpreadClient
+from repro.spread.daemon import ROUTE_MEMO_CAP
+from repro.spread.wire import (
+    ENV_APP,
+    AppData,
+    GroupJoin,
+    GroupLeave,
+    Packed,
+    app_data_span,
+    decode_envelope,
+)
+from repro.util.errors import CodecError
+from tests.unit.test_spread_daemon_logic import (
+    attach_member,
+    frames,
+    make_daemon,
+    ordered,
+)
+
+BODY_AT = ipc._FRAME_HEADER.size
+
+names = st.text(max_size=12)
+private_names = names.filter(lambda name: "#" not in name)
+group_lists = st.lists(names, max_size=6) | st.lists(names, min_size=200, max_size=255)
+services = st.sampled_from(list(DeliveryService))
+payloads = st.binary(max_size=300)
+
+
+def body_of(groups, service, payload) -> bytes:
+    return ipc.pack_groupcast(list(groups), service, payload)[BODY_AT:]
+
+
+def ingest(daemon, session, body):
+    """What the daemon submits to the ring for one client groupcast body."""
+    submitted = []
+    daemon.node.submit = lambda payload, service: submitted.append((payload, service))
+    daemon._handle_client_frame(session, ipc.OP_GROUPCAST, body)
+    return submitted
+
+
+def unconnected_client():
+    """A client whose writes land in a list: ``(client, written)``."""
+    client = SpreadClient("/tmp/unused.sock")
+    written = []
+
+    class _Writer:
+        write = staticmethod(written.append)
+
+    client._writer = _Writer()
+    return client, written
+
+
+def receive(client, body):
+    """What ``SpreadClient.receive`` makes of one groupcast body."""
+
+    class _OneFrame:
+        async def next(self):
+            return ipc.OP_GROUPCAST, body
+
+    client._frames = _OneFrame()
+    return asyncio.run(client.receive())
+
+
+# -- the shared tail ----------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(private_names, group_lists, services, payloads)
+def test_envelope_and_groupcast_body_share_their_tail(sender, groups, service, payload):
+    """The fact everything else rests on, stated once: from the group
+    count on, an AppData envelope and a groupcast body are the same
+    bytes, and the two walkers agree on where the payload starts."""
+    envelope = AppData(f"{sender}#0", tuple(groups), payload).encode()
+    body = body_of(groups, service, payload)
+    start, end = app_data_span(envelope)
+    assert envelope[start:] == body[1:]
+    assert end - start == ipc.groupcast_header_end(body) - 1
+    assert envelope[end:] == payload
+
+
+# -- (a) every byte is the reference codec's ----------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(private_names, group_lists, services, payloads)
+@example("c", ["g"] * 255, DeliveryService.SAFE, b"x")
+def test_ingest_envelope_is_the_reference_encoding(sender, groups, service, payload):
+    daemon = make_daemon()
+    daemon.fragmenter.chunk_size = 1 << 20  # look at the envelope whole
+    session = attach_member(daemon, f"{sender}#0")
+    reference = AppData(session.member_name, tuple(groups), payload).encode()
+    for _ in range(2):  # memo cold, then warm
+        assert ingest(daemon, session, body_of(groups, service, payload)) == [
+            (reference, service)
+        ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    private_names,
+    st.lists(names, min_size=1, max_size=6),
+    services,
+    st.sampled_from(["small", "budget-1", "budget", "budget+1", "3xbudget"]),
+    payloads,
+)
+def test_forwarded_frame_is_the_reference_frame_however_the_envelope_travels(
+    sender, groups, service, size, payload
+):
+    """One daemon, the whole trip: ingest, the real fragmenter at the
+    real budget, ordered delivery — and the same envelope once more as
+    an item of a packed container.  The receiver's frame is
+    ``pack_groupcast`` of what the sender passed to ``multicast``."""
+    daemon = make_daemon()
+    budget = daemon.fragmenter.chunk_size
+    session = attach_member(daemon, f"{sender}#0", groups=[groups[0]])
+    header = len(AppData(session.member_name, tuple(groups), b"").encode())
+    if size != "small":
+        target = {"budget-1": budget - 1, "budget": budget, "budget+1": budget + 1,
+                  "3xbudget": 3 * budget}[size]
+        payload = (payload + bytes(target))[: target - header]
+    pieces = ingest(daemon, session, body_of(groups, service, payload))
+    expected_pieces = {"budget+1": 2, "3xbudget": 3}.get(size, 1)
+    assert len(pieces) == expected_pieces
+    for seq, (piece, piece_service) in enumerate(pieces, start=1):
+        daemon._ordered_delivery(ordered(piece, seq=seq, service=piece_service), config_id=1)
+    reference = ipc.pack_groupcast(list(groups), service, payload)
+    assert frames(session) == [reference]
+
+    envelope = AppData(session.member_name, tuple(groups), payload).encode()
+    other = AppData("other#1", (groups[0],), b"first").encode()
+    daemon._ordered_delivery(
+        ordered(Packed((other, envelope)).encode(), seq=9, service=service), config_id=1
+    )
+    assert frames(session)[1:] == [
+        ipc.pack_groupcast([groups[0]], service, b"first"),
+        reference,
+    ]
+    assert daemon.messages_delivered_to_clients == 3
+    assert daemon.envelopes_undecodable == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(group_lists, services, payloads)
+def test_client_sends_and_receives_the_reference_bytes(groups, service, payload):
+    client, written = unconnected_client()
+    reference = ipc.pack_groupcast(list(groups), service, payload)
+    for _ in range(2):  # memo cold, then warm
+        client.multicast(list(groups), payload, service)
+        assert receive(client, reference[BODY_AT:]) == GroupMessage(
+            tuple(groups), service, payload
+        )
+    assert written == [reference, reference]
+
+
+# -- (b) never accept what the reference rejects ------------------------
+
+
+def mutated(data: bytes, at: int, to: int) -> bytes:
+    at %= len(data)
+    return data[:at] + bytes([to]) + data[at + 1 :]
+
+
+#: A groupcast body to start from, and how to break it: replace it with
+#: arbitrary bytes, or change one byte.
+bodies = st.builds(body_of, st.lists(names, max_size=4), services, st.binary(max_size=40))
+breakage = st.one_of(
+    st.tuples(st.just("replace"), st.binary(max_size=60)),
+    st.tuples(st.just("mutate"), st.integers(min_value=0), st.integers(0, 255)),
+)
+
+
+def broken(valid: bytes, how) -> bytes:
+    if how[0] == "replace":
+        return how[1]
+    return mutated(valid, how[1], how[2])
+
+
+def reference_groupcast(body: bytes):
+    try:
+        groups, service, payload = ipc.unpack_groupcast(body)
+    except CodecError:
+        return None
+    return tuple(groups), service, payload
+
+
+@settings(max_examples=300, deadline=None)
+@given(bodies, breakage, st.booleans())
+def test_ingest_accepts_exactly_what_the_reference_accepts(valid, how, warm):
+    daemon = make_daemon()
+    daemon.fragmenter.chunk_size = 1 << 20
+    session = attach_member(daemon, "c#0")
+    if warm:
+        ingest(daemon, session, valid)
+    body = broken(valid, how)
+    reference = reference_groupcast(body)
+    if reference is None:
+        with pytest.raises(CodecError):
+            ingest(daemon, session, body)
+    else:
+        groups, service, payload = reference
+        assert ingest(daemon, session, body) == [
+            (AppData("c#0", groups, payload).encode(), service)
+        ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(bodies, breakage, st.booleans())
+def test_receive_accepts_exactly_what_the_reference_accepts(valid, how, warm):
+    client = SpreadClient("/tmp/unused.sock")
+    if warm:
+        receive(client, valid)
+    body = broken(valid, how)
+    reference = reference_groupcast(body)
+    if reference is None:
+        with pytest.raises(CodecError):
+            receive(client, body)
+    else:
+        assert receive(client, body) == GroupMessage(*reference)
+
+
+def sender_blind(envelope: bytes) -> bytes:
+    """``envelope`` with its sender's bytes made valid UTF-8.
+
+    The forwarder never reads the sender — no client frame carries it,
+    and its UTF-8 is settled where it is written (ingest encodes a
+    ``str``) — so it is compared with the reference on an envelope that
+    differs only there."""
+    if len(envelope) >= 3:
+        length = (envelope[1] << 8) | envelope[2]
+        if 3 + length <= len(envelope):
+            return envelope[:3] + b"s" * length + envelope[3 + length :]
+    return envelope
+
+
+@settings(max_examples=300, deadline=None)
+@given(bodies, services, breakage, st.booleans())
+def test_forward_accepts_exactly_what_the_reference_accepts(valid, service, how, warm):
+    """Ordered bytes tagged ENV_APP either reach the local members of
+    the groups the reference decodes, as the reference frame, or are
+    counted undecodable and reach no one."""
+    daemon = make_daemon()
+    member = attach_member(daemon, "m#0")
+
+    def join_all(envelope: bytes):
+        """Put the member in every group the reference reads from it."""
+        try:
+            decoded = decode_envelope(sender_blind(envelope))
+        except CodecError:
+            return None
+        for group in decoded.groups:
+            daemon._ordered_delivery(
+                ordered(GroupJoin("m#0", group).encode()), config_id=1
+            )
+        return decoded
+
+    valid_envelope = bytes([ENV_APP]) + b"\x00\x03s#1" + valid[1:]
+    if warm:
+        join_all(valid_envelope)
+        daemon._ordered_delivery(ordered(valid_envelope, service=service), config_id=1)
+    if how[0] == "replace":
+        envelope = bytes([ENV_APP]) + how[1]
+    else:  # any byte but the tag: another tag is another envelope type
+        envelope = valid_envelope[:1] + mutated(valid_envelope[1:], how[1], how[2])
+    decoded = join_all(envelope)
+    member.queue._frames.clear()
+    undecodable = daemon.envelopes_undecodable
+    daemon._ordered_delivery(ordered(envelope, service=service), config_id=1)
+    if decoded is None:
+        assert frames(member) == []
+        assert daemon.envelopes_undecodable == undecodable + 1
+    else:
+        assert frames(member) == (
+            [ipc.pack_groupcast(list(decoded.groups), service, decoded.payload)]
+            if decoded.groups
+            else []
+        )
+        assert daemon.envelopes_undecodable == undecodable
+
+
+# -- (c) a route is never used past a change ----------------------------
+
+
+class _RecordingQueue:
+    """Stands in for a session's send queue: one shared log of who was
+    sent what, in order."""
+
+    def __init__(self, log):
+        self.log = log
+        self.accepting = True
+
+    def send(self, frame):
+        self.log.append((self, frame))
+        return self.accepting
+
+
+TARGET = ("g1", "g2")
+locals_ = st.sampled_from(["a", "b", "c"])
+operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("connect"), locals_),
+        st.tuples(st.just("disconnect"), locals_),
+        st.tuples(st.just("reconnect"), locals_),
+        st.tuples(st.just("stall"), locals_),
+        st.tuples(st.just("join"), locals_, st.sampled_from(["g1", "g2", "g3"])),
+        st.tuples(st.just("leave"), locals_, st.sampled_from(["g1", "g2", "g3"])),
+        st.tuples(st.just("remote-join"), locals_, st.sampled_from(["g1", "g2"])),
+        st.tuples(st.just("prune"), st.sampled_from([(0,), (0, 1)])),
+    ),
+    max_size=25,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(operations)
+def test_route_is_the_from_scratch_resolve_after_every_change(ops):
+    """The same header delivered after each of: a client connecting, one
+    disconnecting (its leaves ordered later), a reconnect under the same
+    name (session count unchanged), a client starting to refuse frames,
+    local and remote joins, leaves, and a configuration that prunes a
+    daemon.  Each time the frame goes to exactly the sessions — the
+    objects, in order — that resolving the groups from nothing gives,
+    and ``messages_delivered_to_clients`` counts the accepted sends."""
+    daemon = make_daemon(pid=0)
+    log = []
+    envelope = AppData("s#1", TARGET, b"payload").encode()
+    frame = ipc.pack_groupcast(list(TARGET), DeliveryService.AGREED, b"payload")
+
+    def connect(name):
+        session = attach_member(daemon, f"{name}#0")
+        session.queue = _RecordingQueue(log)
+
+    def deliver_and_check():
+        targets = set()
+        for group in TARGET:
+            targets.update(daemon.directory.members(group))
+        expected = [
+            daemon._sessions[member].queue
+            for member in sorted(targets)
+            if member in daemon._sessions
+        ]
+        del log[:]
+        before = daemon.messages_delivered_to_clients
+        daemon._ordered_delivery(ordered(envelope), config_id=1)
+        assert [queue for queue, _ in log] == expected
+        assert all(sent is log[0][1] and sent == frame for _, sent in log)
+        assert daemon.messages_delivered_to_clients - before == sum(
+            queue.accepting for queue in expected
+        )
+
+    connect("a")
+    daemon._ordered_delivery(ordered(GroupJoin("a#0", "g1").encode()), config_id=1)
+    deliver_and_check()  # the memo is warm from here on
+    for op in ops:
+        kind, name = op[0], f"{op[1]}#0"
+        if kind == "connect":
+            if name not in daemon._sessions:
+                connect(op[1])
+        elif kind == "disconnect":
+            if name in daemon._sessions:
+                daemon._detach(daemon._sessions[name])
+        elif kind == "reconnect":
+            if name in daemon._sessions:
+                daemon._detach(daemon._sessions[name])
+                connect(op[1])
+        elif kind == "stall":
+            if name in daemon._sessions:
+                daemon._sessions[name].queue.accepting = False
+        elif kind == "join":
+            daemon._ordered_delivery(ordered(GroupJoin(name, op[2]).encode()), config_id=1)
+        elif kind == "leave":
+            daemon._ordered_delivery(ordered(GroupLeave(name, op[2]).encode()), config_id=1)
+        elif kind == "remote-join":
+            daemon._ordered_delivery(
+                ordered(GroupJoin(f"{op[1]}#1", op[2]).encode()), config_id=1
+            )
+        else:
+            daemon._config_changed(Configuration.regular(7, op[1]))
+        deliver_and_check()
+
+
+# -- (d) the memos are bounded -------------------------------------------
+
+
+def test_ten_thousand_distinct_headers_leave_every_memo_at_or_under_its_cap():
+    daemon = make_daemon()
+    session = attach_member(daemon, "c#0")
+    client, written = unconnected_client()
+    for index in range(10_000):
+        client.multicast([f"group-{index}"], b"x")
+        (frame,) = written
+        written.clear()
+        ((envelope, service),) = ingest(daemon, session, frame[BODY_AT:])
+        daemon._ordered_delivery(ordered(envelope, service=service), config_id=1)
+        receive_body = ipc.groupcast_frame_from_tail(service, frame[BODY_AT + 1 :])[BODY_AT:]
+        client._received_headers.parse(receive_body)
+    assert 0 < len(daemon._headers._known) <= ipc.HEADER_MEMO_CAP
+    assert 0 < len(daemon._routes) <= ROUTE_MEMO_CAP
+    assert 0 < len(client._received_headers._known) <= ipc.HEADER_MEMO_CAP
+    assert 0 < len(client._sent_headers) <= ipc.HEADER_MEMO_CAP
+    assert daemon.envelopes_undecodable == 0

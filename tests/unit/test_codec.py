@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.codec import decode, encode
+from repro.core.codec import decode, decode_data_batch, encode, encode_data_batch
 from repro.core.messages import DataMessage, DeliveryService
 from repro.core.token import RegularToken
 from repro.membership.codec import decode_any, encode_any
@@ -66,6 +66,20 @@ class TestDataCodec:
     def test_too_short_rejected(self):
         with pytest.raises(CodecError):
             decode(b"\xa5")
+
+    @pytest.mark.parametrize("service", [0, 6, 9, 255])
+    def test_service_byte_naming_no_service_rejected(self, service):
+        # ``DeliveryService(9)`` is a ValueError, which no receive path
+        # catches; through the table it is a CodecError, alone or batched.
+        encoded = bytearray(encode(sample_data()))
+        encoded[2] = service
+        with pytest.raises(CodecError):
+            decode(bytes(encoded))
+        batch = bytearray(encode_data_batch([sample_data(), sample_data(seq=2)]))
+        assert batch[10] == DeliveryService.SAFE  # first item's service byte
+        batch[10] = service
+        with pytest.raises(CodecError):
+            decode_data_batch(bytes(batch))
 
 
 class TestTokenCodec:

@@ -75,6 +75,66 @@ def test_hello_welcome_roundtrip():
     assert ipc.unpack_welcome(welcome_body) == "alice#4"
 
 
+#: ``(unpacker, a valid body that is all header)``: payloads are empty, so
+#: every strict prefix of the body cuts something the unpacker needs.
+_BODIES = [
+    (ipc.unpack_submit, ipc.pack_submit(DeliveryService.SAFE, b"")),
+    (ipc.unpack_deliver, ipc.pack_deliver(3, 99, DeliveryService.AGREED, b"")),
+    (ipc.unpack_config, ipc.pack_config([0, 2, 5], transitional=True)),
+    (ipc.unpack_group_op, ipc.pack_group_op(ipc.OP_JOIN, "chat")),
+    (ipc.unpack_groupcast, ipc.pack_groupcast(["a", "bc"], DeliveryService.SAFE, b"")),
+    (ipc.unpack_group_view, ipc.pack_group_view("chat", ["a#0", "b#1"])),
+    (ipc.unpack_hello, ipc.pack_hello("alice")),
+    (ipc.unpack_welcome, ipc.pack_welcome("alice#4")),
+]
+_BODIES = [(unpack, frame[ipc._FRAME_HEADER.size :]) for unpack, frame in _BODIES]
+_UNPACKER_IDS = [unpack.__name__ for unpack, _ in _BODIES]
+
+
+@pytest.mark.parametrize("unpack,body", _BODIES, ids=_UNPACKER_IDS)
+def test_every_truncation_of_a_body_is_a_codec_error(unpack, body):
+    unpack(body)  # the whole body decodes
+    for cut in range(len(body)):
+        with pytest.raises(CodecError):
+            unpack(body[:cut])
+
+
+@pytest.mark.parametrize("unpack,body", _BODIES[3:], ids=_UNPACKER_IDS[3:])
+def test_a_name_that_is_not_utf8_is_a_codec_error(unpack, body):
+    with pytest.raises(CodecError):
+        unpack(body[:-1] + b"\xff")  # every such body ends inside a name
+
+
+@pytest.mark.parametrize(
+    "unpack,body",
+    [
+        (ipc.unpack_submit, b"\x09payload"),
+        (ipc.unpack_deliver, ipc._DELIVER_PREFIX.pack(3, 99, 0) + b"payload"),
+        (ipc.unpack_groupcast, b"\x09\x01\x00\x01gpayload"),
+    ],
+    ids=["submit", "deliver", "groupcast"],
+)
+def test_a_service_byte_naming_no_service_is_a_codec_error(unpack, body):
+    with pytest.raises(CodecError):
+        unpack(body)
+
+
+def test_a_name_length_running_past_the_body_is_a_codec_error():
+    # Once returned ``(['g'], AGREED, b'')``: the slice simply came up short.
+    with pytest.raises(CodecError):
+        ipc.unpack_groupcast(b"\x04\x01\x00\x09g")
+    with pytest.raises(CodecError):
+        ipc.groupcast_header_end(b"\x04\x01\x00\x09g")
+
+
+def test_groupcast_rejects_more_groups_than_its_count_byte_holds():
+    with pytest.raises(CodecError):
+        ipc.pack_groupcast(["g"] * 256, DeliveryService.AGREED, b"")
+    frame = ipc.pack_groupcast(["g"] * 255, DeliveryService.AGREED, b"p")
+    ((_, body),) = roundtrip_frames(frame)
+    assert ipc.unpack_groupcast(body) == (["g"] * 255, DeliveryService.AGREED, b"p")
+
+
 def test_multiple_frames_stream():
     frames = [
         ipc.pack_submit(DeliveryService.AGREED, b"1"),

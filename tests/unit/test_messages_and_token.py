@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.core.messages import DataMessage, DeliveryService
+from repro.core.messages import SERVICE_FROM_WIRE, DataMessage, DeliveryService
 from repro.core.token import RegularToken, initial_token
+from repro.util.errors import CodecError
 
 
 class TestDeliveryService:
@@ -16,6 +17,15 @@ class TestDeliveryService:
             DeliveryService.AGREED,
         ):
             assert not service.requires_stability
+
+
+    def test_wire_table_names_every_service_and_nothing_else(self):
+        for service in DeliveryService:
+            assert SERVICE_FROM_WIRE[int(service)] is service
+        for code in (0, 6, 255, -1):
+            with pytest.raises(CodecError):
+                SERVICE_FROM_WIRE[code]
+        assert len(SERVICE_FROM_WIRE) == len(DeliveryService)  # a miss adds nothing
 
 
 class TestDataMessage:

@@ -44,7 +44,7 @@ def ordered(payload: bytes, seq=1, pid=1, service=DeliveryService.AGREED):
 
 def attach_member(daemon, name, groups=()):
     session = _ClientSession(name, _StubWriter())
-    daemon._sessions[name] = session
+    daemon._attach(session)
     for group in groups:
         daemon.directory.apply_join(name, group)
     daemon.directory.take_dirty()
