@@ -699,11 +699,18 @@ def _fleet_run(args: argparse.Namespace) -> int:
             f"{report['reconnects']} reconnect(s)"
         )
         counters = report["counters"]
+        # Coalescing at a glance (PROTOCOL.md §9.1): when a visit's
+        # messages share datagrams, datagrams/msg falls well below 2 and
+        # msgs/batch (1.0 = nothing was ever batched) rises.
+        batches = counters["batches_sent"]
         print(
             f"        acked {report['messages_acked']}/"
             f"{report['messages_sent']}, decode_errors="
             f"{counters['decode_errors']}, dropped_slow="
-            f"{counters['clients_dropped_slow']}"
+            f"{counters['clients_dropped_slow']}, datagrams/msg "
+            f"{counters['datagrams_sent'] / max(1, report['messages_acked']):.2f}, "
+            f"msgs/batch "
+            f"{counters['batched_messages'] / batches if batches else 1.0:.1f}"
         )
     return 0 if report["messages_acked"] == report["messages_sent"] else 1
 

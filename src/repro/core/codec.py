@@ -36,6 +36,9 @@ _ITEM_PREFIX = struct.Struct("!I")
 #: wire arithmetic.
 BATCH_ITEM_OVERHEAD = _ITEM_PREFIX.size
 BATCH_FRAME_OVERHEAD = _BATCH_HEADER.size
+#: Header bytes ``encode_data`` puts before the payload: what the
+#: runtime sizes its datagrams with.
+DATA_HEADER_BYTES = _DATA_HEADER.size
 
 WireMessage = Union[DataMessage, RegularToken]
 

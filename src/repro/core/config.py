@@ -64,6 +64,11 @@ class ProtocolConfig:
     #: overhead at the cost of a larger loss blast radius (losing the
     #: datagram loses every message in it).  Retransmissions are never
     #: coalesced: they must be individually addressable by ``rtr``.
+    #: The count is the simulator's model parameter.  The real runtime
+    #: fills datagrams by bytes (``runtime.transport.DATAGRAM_BUDGET``)
+    #: and by default sets the count to the personal window
+    #: (``runtime.node.RUNTIME_PROTOCOL``), where it can never bind; an
+    #: explicit smaller count still does, and 1 turns coalescing off.
     messages_per_datagram: int = 1
 
     def __post_init__(self) -> None:

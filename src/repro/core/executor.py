@@ -27,7 +27,9 @@ per-substrate code.
 
 The backend protocol (duck-typed; bound once, at construction)::
 
-    send_data_run(messages, retransmission)   # one datagram's worth
+    send_data_run(messages, retransmission)   # one run: one datagram, unless
+                                              # the backend cuts it by bytes
+                                              # (transport_core.split_run)
     send_token(token, destination)
     deliver(messages, config_id, origin_ring) # ids None below membership
 

@@ -24,6 +24,10 @@ Contents:
 * :func:`batch_wire_size` — the exact wire arithmetic of a coalesced
   frame (``encode_data_batch``'s format), used by the sim cost model
   and by anyone sizing real datagrams.
+* :func:`split_run` — the byte rule: a run cut, greedily and in order,
+  into sub-runs that each fit one datagram of a given size.  The
+  runtime's limit on a datagram is bytes; the count above is the
+  simulator's model parameter.
 * :func:`encode_run` / :func:`decode_data_port` — the runtime codec for
   a coalesced run and the *port-aware* decode of the data port.  On the
   wire, core type 3 (``TYPE_DATA_BATCH``) collides with membership type
@@ -43,6 +47,7 @@ from typing import List, Optional, Sequence, Union
 from repro.core.codec import (
     BATCH_FRAME_OVERHEAD,
     BATCH_ITEM_OVERHEAD,
+    DATA_HEADER_BYTES,
     MAGIC,
     TYPE_DATA,
     TYPE_DATA_BATCH,
@@ -227,6 +232,35 @@ class CoalescingAccumulator:
         group = self.group
         self.group = None
         return group
+
+
+def split_run(
+    messages: Sequence[DataMessage], budget: int
+) -> List[Sequence[DataMessage]]:
+    """Cut one run into sub-runs that each encode to ``budget`` bytes or less.
+
+    Greedy and in order: a message joins the current sub-run while the
+    coalesced frame (:func:`batch_wire_size`'s arithmetic over the real
+    data header) still fits, otherwise it starts the next one — so the
+    sub-runs concatenate to ``messages`` and no two neighbours would
+    have fitted together.  A sub-run of one is what :func:`encode_run`
+    sends as a plain single-message datagram; a message that alone
+    exceeds the budget is such a sub-run (it travels alone, as large as
+    it is).
+    """
+    item_overhead = BATCH_ITEM_OVERHEAD + DATA_HEADER_BYTES
+    sub_runs: List[Sequence[DataMessage]] = []
+    start = 0
+    size = BATCH_FRAME_OVERHEAD
+    for index, message in enumerate(messages):
+        item = item_overhead + len(message.payload)
+        size += item
+        if size > budget and index > start:
+            sub_runs.append(messages[start:index])
+            start = index
+            size = BATCH_FRAME_OVERHEAD + item
+    sub_runs.append(messages[start:] if start else messages)
+    return sub_runs
 
 
 def encode_run(messages: Sequence[DataMessage]) -> bytes:

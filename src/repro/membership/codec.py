@@ -38,6 +38,8 @@ _COMMIT_HEADER = struct.Struct("!BBQIII")
 _COMMIT_INFO = struct.Struct("!IQQQQ")
 # magic, type, old_ring_id, inner_length
 _RECOVERED_HEADER = struct.Struct("!BBQI")
+#: Bytes ``encode_recovered`` adds around the data message it wraps.
+RECOVERED_OVERHEAD = _RECOVERED_HEADER.size
 # magic, type, sender, new_ring_id, old_ring_id, complete, n_have
 _STATUS_HEADER = struct.Struct("!BBIQQBI")
 # magic, type, sender, ring_id

@@ -16,7 +16,9 @@ Effects are executed by the shared
 :class:`~repro.core.executor.EffectExecutor` (run grouping, the timer
 table and dispatch are the same code the simulator runs); this node is
 its asyncio backend.  The datagram path is the shared sans-io transport
-core (:mod:`repro.core.transport_core`): received datagrams queue
+core (:mod:`repro.core.transport_core`): a token visit's new messages
+leave in as few datagrams as :data:`DATAGRAM_BUDGET` bytes allow
+(:func:`split_run`; PROTOCOL.md §9.1), received datagrams queue
 through :class:`FrameRing` rings and the data port is decoded with the
 port-aware :func:`decode_data_port` (batches and single data messages
 only — the token port carries everything else via ``decode_any``).
@@ -29,15 +31,26 @@ from __future__ import annotations
 import asyncio
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
+from repro.core.codec import DATA_HEADER_BYTES
 from repro.core.config import ProtocolConfig
 from repro.core.executor import EffectExecutor
 from repro.core.messages import DataMessage, DeliveryService
-from repro.core.transport_core import FrameRing, decode_data_port, encode_run
+from repro.core.transport_core import (
+    FrameRing,
+    decode_data_port,
+    encode_run,
+    split_run,
+)
 from repro.evs.configuration import Configuration
-from repro.membership.codec import decode_any, encode_any
+from repro.membership.codec import RECOVERED_OVERHEAD, decode_any, encode_any
 from repro.membership.controller import MembershipController
 from repro.membership.params import MembershipTimeouts
-from repro.runtime.transport import PeerAddress, UdpTransport
+from repro.runtime.transport import (
+    DATAGRAM_BUDGET,
+    MAX_UDP_PAYLOAD,
+    PeerAddress,
+    UdpTransport,
+)
 from repro.util.errors import CodecError
 
 if TYPE_CHECKING:
@@ -53,6 +66,21 @@ RUNTIME_TIMEOUTS = MembershipTimeouts(
     recovery_timeout=3.0,
     beacon_interval=0.5,
 )
+
+#: The runtime's protocol configuration: the paper's windows, and a
+#: visit's new messages coalesced up to the personal window — a visit
+#: can never send more, so only :data:`DATAGRAM_BUDGET` bytes bind.
+#: Callers who tune windows write ``replace(RUNTIME_PROTOCOL, ...)``;
+#: ``messages_per_datagram=1`` turns coalescing off.
+RUNTIME_PROTOCOL = ProtocolConfig(
+    messages_per_datagram=ProtocolConfig.personal_window
+)
+
+#: Largest payload :meth:`RingNode.submit` accepts.  A message must fit
+#: one UDP datagram on its own — as plain data, and inside the wrapper
+#: membership recovery retransmits it in — because a send the kernel
+#: refuses is a loss that every retransmission repeats.
+MAX_PAYLOAD = MAX_UDP_PAYLOAD - DATA_HEADER_BYTES - RECOVERED_OVERHEAD
 
 DeliverCallback = Callable[[DataMessage, int], None]
 ConfigCallback = Callable[[Configuration], None]
@@ -81,7 +109,7 @@ class RingNode:
     ) -> None:
         self.pid = pid
         self.observer = observer
-        config = protocol_config or ProtocolConfig()
+        config = protocol_config or RUNTIME_PROTOCOL
         self.controller = MembershipController(
             pid=pid,
             accelerated=accelerated,
@@ -126,7 +154,7 @@ class RingNode:
         self._pass_scheduled = False
         self._closed = False
         self.decode_errors = 0
-        #: Coalesced datagrams actually sent (runs of >= 2 messages).
+        #: Coalesced datagrams actually sent (two or more messages).
         self.batches_sent = 0
         self.batched_messages = 0
 
@@ -160,6 +188,17 @@ class RingNode:
         payload: bytes = b"",
         service: DeliveryService = DeliveryService.AGREED,
     ) -> None:
+        """Queue one message for ordering.
+
+        Raises :class:`CodecError` before anything is queued when the
+        payload exceeds :data:`MAX_PAYLOAD` (PROTOCOL.md §15, "oversized
+        payloads").
+        """
+        if len(payload) > MAX_PAYLOAD:
+            raise CodecError(
+                f"a {len(payload)}-byte payload cannot be encoded: a message "
+                f"must fit one UDP datagram (at most {MAX_PAYLOAD} payload bytes)"
+            )
         self.controller.submit(payload=payload, service=service, timestamp=self._now())
 
     @property
@@ -259,10 +298,14 @@ class RingNode:
     # ------------------------------------------------------------------
 
     def send_data_run(self, run, retransmission: bool) -> None:
-        if len(run) > 1:
-            self.batches_sent += 1
-            self.batched_messages += len(run)
-        self.transport.multicast_data(encode_run(run))
+        """One datagram per sub-run of at most :data:`DATAGRAM_BUDGET`
+        bytes, in order (a retransmission is always a run of one)."""
+        multicast = self.transport.multicast_data
+        for sub_run in split_run(run, DATAGRAM_BUDGET):
+            if len(sub_run) > 1:
+                self.batches_sent += 1
+                self.batched_messages += len(sub_run)
+            multicast(encode_run(sub_run))
 
     def send_token(self, token, destination: int) -> None:
         self.transport.send_token(encode_any(token), destination)

@@ -55,6 +55,23 @@ def local_ring_addresses(pids: Iterable[int], base_port: int = 28800) -> Dict[in
 #: Largest datagram one ``recv`` accepts (the UDP maximum).
 MAX_DATAGRAM = 65535
 
+#: Largest payload one ``sendto`` accepts: the 16-bit IP length less the
+#: IP (20) and UDP (8) headers.  The kernel refuses anything longer
+#: (``EMSGSIZE``), so no message may need more than this on its own.
+MAX_UDP_PAYLOAD = 65507
+
+#: Bytes of coalesced messages one data datagram is filled to: the UDP
+#: payload of one jumbo frame, 9000 - 20 - 8 — the paper's 8850-byte
+#: large-datagram regime (Figs. 5/7), and eight of the end-to-end
+#: benchmark's 1087-byte batch items.  A constant, not an option: on the
+#: saturated loopback fleet this budget measured +15 % msgs/s over no
+#: coalescing (12.3 k -> 14.2 k, 10 of 10 alternating pairs), filling to
+#: :data:`MAX_UDP_PAYLOAD` instead +3 % on top (15.0 k -> 15.5 k, 7 of
+#: 10 pairs, inside the run-to-run spread) — the gain is in the first
+#: jumbo frame, while every lost datagram costs one retransmission per
+#: message in it (PROTOCOL.md §9.1).
+DATAGRAM_BUDGET = 8972
+
 #: Data datagrams read in one ingest pass.  Bounds how long a flooded
 #: socket keeps the loop from its other callbacks; a pass that stops here
 #: has not emptied the data socket, so it leaves the token socket unread

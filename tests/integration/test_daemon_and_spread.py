@@ -130,6 +130,44 @@ class TestDaemonPrototype:
         asyncio.run(scenario())
 
 
+    def test_oversized_submit_disconnects_that_client_only(self):
+        """A submit no UDP datagram can carry is refused where it enters
+        (PROTOCOL.md §15): that client is closed and counted, nothing is
+        queued, and the ring keeps ordering everyone else's messages."""
+
+        async def scenario():
+            with tempfile.TemporaryDirectory() as tmp:
+                daemons = await start_daemons(DaemonServer, 2, tmp)
+                try:
+                    clients = [DaemonClient(d.socket_path) for d in daemons]
+                    for client in clients:
+                        await client.connect()
+                    reader, writer = await asyncio.open_unix_connection(
+                        daemons[0].socket_path
+                    )
+                    writer.write(
+                        ipc.pack_submit(DeliveryService.AGREED, bytes(70_000))
+                    )
+                    await asyncio.wait_for(reader.read(), 5.0)  # to the daemon's close
+                    writer.close()
+                    assert daemons[0].clients_dropped_malformed == 1
+                    assert daemons[0].messages_relayed == 0
+                    clients[0].send(b"still ordering")
+                    for client in clients:
+                        (message,) = await asyncio.wait_for(
+                            client.receive_messages(1), 10
+                        )
+                        assert message.payload == b"still ordering"
+                        await client.close()
+                    for daemon in daemons:
+                        assert daemon.node.transport.datagrams_send_dropped == 0
+                finally:
+                    for daemon in daemons:
+                        await daemon.stop()
+
+        asyncio.run(scenario())
+
+
 class TestSpreadSystem:
     def test_groups_views_and_open_group_send(self):
         async def scenario():

@@ -182,3 +182,60 @@ def test_workload_gives_up_on_a_silent_fleet_at_one_deadline(monkeypatch):
     report = asyncio.run(run_fleet_workload(SilentFleet(), num_clients=2, duration=0.1))
     assert report["messages_sent"] == 2 and report["messages_acked"] == 0
     assert 0.3 <= report["duration_s"] < 3.0
+
+
+def test_default_fleet_coalesces_a_visit_and_keeps_one_order():
+    """Coalescing is live on the default fleet (no config anywhere): with
+    16 messages in flight a token visit's messages share datagrams, and
+    every client still sees the one total order."""
+    clients_n, in_flight, per_client = 4, 4, 150
+
+    async def scenario():
+        fleet = Fleet(num_daemons=3)
+        await fleet.start()
+        try:
+            clients = [
+                await fleet.connect_client(name=f"c{index}")
+                for index in range(clients_n)
+            ]
+            for client in clients:
+                await client.join("batch")
+            for client in clients:
+                await client.wait_for_view("batch", clients_n)
+            orders = [[] for _ in clients]
+
+            async def pump(me):
+                client, order = clients[me], orders[me]
+                mine = b"%d:" % me
+                sent = 0
+
+                def send():
+                    nonlocal sent
+                    client.multicast(["batch"], mine + b"%d" % sent)
+                    sent += 1
+
+                for _ in range(in_flight):
+                    send()
+                while len(order) < clients_n * per_client:
+                    event = await client.receive()
+                    if not hasattr(event, "payload"):
+                        continue  # group view change
+                    order.append(bytes(event.payload))
+                    # Closed loop: my echo releases my next message.
+                    if event.payload.startswith(mine) and sent < per_client:
+                        send()
+
+            await asyncio.wait_for(
+                asyncio.gather(*(pump(me) for me in range(clients_n))), 30
+            )
+            counters = fleet.counters()
+        finally:
+            await fleet.drain_and_stop()
+        assert orders[0] == orders[1] == orders[2] == orders[3]
+        assert len(set(orders[0])) == clients_n * per_client
+        assert counters["batches_sent"] > 0
+        assert counters["batched_messages"] / counters["batches_sent"] >= 4
+        assert counters["datagrams_send_dropped"] == 0
+        assert counters["decode_errors"] == 0
+
+    asyncio.run(scenario())

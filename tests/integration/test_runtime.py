@@ -1,12 +1,17 @@
 """Integration tests for the real asyncio/UDP runtime over loopback."""
 
 import asyncio
+import random
 
+import pytest
 
+from repro.core.codec import TYPE_DATA_BATCH
 from repro.core.messages import DeliveryService
+from repro.core.transport_core import decode_data_port
 from repro.membership.params import MembershipTimeouts
-from repro.runtime.node import RingNode
+from repro.runtime.node import MAX_PAYLOAD, RingNode
 from repro.runtime.ports import ephemeral_ring_addresses
+from repro.util.errors import CodecError
 
 #: Faster wall-clock timeouts so tests stay snappy.
 FAST_TIMEOUTS = MembershipTimeouts(
@@ -47,6 +52,17 @@ async def start_ring(n, **kwargs):
 async def stop_all(nodes):
     for node in nodes:
         await node.stop()
+
+
+def record_data_datagrams(node, sent):
+    """Append every data datagram ``node`` multicasts to ``sent``."""
+    multicast = node.transport.multicast_data
+
+    def recording_multicast(datagram):
+        sent.append(datagram)
+        multicast(datagram)
+
+    node.transport.multicast_data = recording_multicast
 
 
 def test_ring_forms_and_orders_messages():
@@ -96,7 +112,24 @@ def test_crash_reforms_ring_and_traffic_continues():
     asyncio.run(scenario())
 
 
+#: Node 1's loss model.  Its first draw falls below the rate, so the
+#: first data datagram node 1 receives is dropped whatever the
+#: scheduling — and with thirty messages pending everywhere that
+#: datagram is a coalesced run, not a single message.
+LOSS_RATE, LOSS_SEED = 0.2, 1
+
+
+def _messages_in(datagram):
+    decoded = decode_data_port(datagram)
+    return decoded if isinstance(decoded, list) else [decoded]
+
+
 def test_loss_recovered_by_retransmissions():
+    """A dropped batch loses every message in it (the blast radius,
+    PROTOCOL.md §9.1); each one is requested and retransmitted *alone*,
+    and all three nodes still deliver everything in one order."""
+    assert random.Random(LOSS_SEED).random() < LOSS_RATE
+
     async def scenario():
         peers = ephemeral_ring_addresses(range(3))
         nodes = [
@@ -104,11 +137,25 @@ def test_loss_recovered_by_retransmissions():
                 pid,
                 peers,
                 timeouts=FAST_TIMEOUTS,
-                loss_rate=0.10 if pid == 1 else 0.0,
-                loss_seed=pid,
+                loss_rate=LOSS_RATE if pid == 1 else 0.0,
+                loss_seed=LOSS_SEED,
             )
             for pid in range(3)
         ]
+        sent = []  # every data datagram any node multicast, in order
+        for node in nodes:
+            record_data_datagrams(node, sent)
+        lost = []  # messages in each datagram node 1's loss model dropped
+        lossy = nodes[1].transport
+        receive = lossy._receive_data
+
+        def receive_counting_losses(datagram):
+            dropped = lossy.datagrams_dropped
+            receive(datagram)
+            if lossy.datagrams_dropped > dropped:
+                lost.append(len(_messages_in(datagram)))
+
+        lossy._receive_data = receive_counting_losses
         for node in nodes:
             await node.start()
         try:
@@ -124,7 +171,52 @@ def test_loss_recovered_by_retransmissions():
                 timeout=15.0,
             )
             assert done, [len(node.delivered) for node in nodes]
-            assert nodes[1].transport.datagrams_dropped > 0
+            assert lossy.datagrams_dropped == len(lost) > 0
+            assert max(lost) > 1, "no coalesced datagram was dropped"
+            retransmitted = sum(
+                node.controller.ordering.retransmissions_sent for node in nodes
+            )
+            assert retransmitted >= sum(lost)
+            # On the wire a message's second appearance is never inside
+            # a batch frame: ``rtr`` names messages, repairs travel alone.
+            seen = set()
+            for datagram in sent:
+                messages = _messages_in(datagram)
+                keys = [(m.ring_id, m.seq) for m in messages]
+                if datagram[1] == TYPE_DATA_BATCH:
+                    assert seen.isdisjoint(keys)
+                seen.update(keys)
+            assert len(seen) == 90 < sum(len(_messages_in(d)) for d in sent)
+            orders = [
+                [(m.ring_id, m.seq) for m in node.delivered] for node in nodes
+            ]
+            assert orders[0] == orders[1] == orders[2]
+        finally:
+            await stop_all(nodes)
+
+    asyncio.run(scenario())
+
+
+def test_oversized_payload_is_refused_at_submit():
+    """A message that could never leave in one UDP datagram is a
+    ``CodecError`` where it enters — nothing is queued, so the ring goes
+    on ordering; the largest payload that does fit is delivered."""
+
+    async def scenario():
+        nodes = await start_ring(2)
+        try:
+            for too_large in (MAX_PAYLOAD + 1, 70_000):
+                with pytest.raises(CodecError, match="cannot be encoded"):
+                    nodes[0].submit(payload=bytes(too_large))
+            nodes[0].submit(payload=bytes(MAX_PAYLOAD))
+            nodes[0].submit(payload=b"after")
+            done = await wait_until(
+                lambda: all(node.delivered_count == 2 for node in nodes)
+            )
+            assert done, [node.delivered_count for node in nodes]
+            for node in nodes:
+                assert [len(m.payload) for m in node.delivered] == [MAX_PAYLOAD, 5]
+                assert node.transport.datagrams_send_dropped == 0
         finally:
             await stop_all(nodes)
 

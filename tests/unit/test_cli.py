@@ -102,6 +102,19 @@ def test_fleet_parser_defaults():
     assert not args.crash
 
 
+def test_fleet_run_shows_coalescing_and_survives_a_crash(capsys):
+    # The human line says whether coalescing is live (PROTOCOL.md §9.1);
+    # with --crash the ring re-forms and every message is still acked.
+    code = main([
+        "fleet", "run", "--clients", "6", "--pipeline", "4",
+        "--duration", "1.0", "--crash",
+    ])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert "PASS" in out and "datagrams/msg" in out
+    assert float(out.rsplit("msgs/batch", 1)[1]) > 1.0
+
+
 def test_conformance_realtime_parses():
     args = build_parser().parse_args(["conformance", "realtime", "--crash"])
     assert args.mode == "realtime"

@@ -1,12 +1,28 @@
 """Unit tests for runtime components that don't need sockets."""
 
 import asyncio
+from dataclasses import replace
 
 import pytest
 
-from repro.runtime.node import RUNTIME_TIMEOUTS, RingNode
+from repro.core.codec import TYPE_DATA, TYPE_DATA_BATCH, encode_data
+from repro.core.config import ProtocolConfig
+from repro.membership.codec import encode_any
+from repro.membership.messages import RecoveredMessage
+from repro.runtime.node import (
+    MAX_PAYLOAD,
+    RUNTIME_PROTOCOL,
+    RUNTIME_TIMEOUTS,
+    RingNode,
+)
 from repro.runtime.ports import GRANTED_PORTS, ephemeral_ring_addresses
-from repro.runtime.transport import UdpTransport, local_ring_addresses
+from repro.runtime.transport import (
+    DATAGRAM_BUDGET,
+    MAX_UDP_PAYLOAD,
+    UdpTransport,
+    local_ring_addresses,
+)
+from tests.conftest import data_message
 
 
 class TestAddresses:
@@ -133,6 +149,36 @@ class TestRuntimeTimeouts:
         assert scaled.consensus_settle == pytest.approx(
             RUNTIME_TIMEOUTS.consensus_settle * 2
         )
+
+
+class TestRuntimeProtocol:
+    def test_default_is_the_papers_windows_with_only_bytes_binding(self):
+        # A visit never sends more than the personal window, so the
+        # count can never cut a run short: DATAGRAM_BUDGET alone does.
+        assert (
+            RUNTIME_PROTOCOL.messages_per_datagram
+            == RUNTIME_PROTOCOL.personal_window
+        )
+        assert replace(RUNTIME_PROTOCOL, messages_per_datagram=1) == ProtocolConfig()
+
+    def test_a_run_leaves_as_one_datagram_per_sub_run(self):
+        node = RingNode(0, local_ring_addresses([0], base_port=40100))
+        sent = []
+        node.transport.multicast_data = sent.append
+        run = [data_message(seq, payload=bytes(1039)) for seq in range(1, 21)]
+        node.send_data_run(run, False)
+        node.send_data_run((run[0],), True)
+        assert [datagram[1] for datagram in sent] == [TYPE_DATA_BATCH] * 3 + [TYPE_DATA]
+        assert all(len(datagram) <= DATAGRAM_BUDGET for datagram in sent)
+        assert sent[3] == encode_data(run[0])
+        # Counted per datagram actually sent with two or more messages.
+        assert (node.batches_sent, node.batched_messages) == (3, 20)
+
+    def test_largest_payload_fits_a_datagram_even_inside_recovery(self):
+        message = data_message(1, payload=bytes(MAX_PAYLOAD))
+        wrapped = RecoveredMessage(old_ring_id=1, message=message)
+        assert len(encode_any(wrapped)) == MAX_UDP_PAYLOAD
+        assert len(encode_data(message)) < MAX_UDP_PAYLOAD
 
 
 class TestNodeDecodeErrors:
