@@ -20,7 +20,7 @@ Run:  python examples/replicated_ledger.py
 
 import asyncio
 import json
-from typing import Dict
+from typing import Dict, Sequence
 
 from repro.core.messages import DataMessage, DeliveryService
 from repro.runtime.node import RingNode
@@ -34,10 +34,14 @@ class LedgerReplica:
         self.node = node
         self.balances: Dict[str, int] = {}
         self.applied = 0
-        node.on_deliver = self._apply
+        node.on_deliver = self._apply_run
 
-    def _apply(self, message: DataMessage, config_id: int) -> None:
-        command = json.loads(message.payload)
+    def _apply_run(self, messages: Sequence[DataMessage], config_id: int) -> None:
+        """The node hands over a delivered run at a time."""
+        for message in messages:
+            self._apply(json.loads(message.payload))
+
+    def _apply(self, command: dict) -> None:
         if command["op"] == "open":
             self.balances[command["account"]] = command["amount"]
         elif command["op"] == "transfer":

@@ -701,7 +701,9 @@ def _fleet_run(args: argparse.Namespace) -> int:
         counters = report["counters"]
         # Coalescing at a glance (PROTOCOL.md §9.1): when a visit's
         # messages share datagrams, datagrams/msg falls well below 2 and
-        # msgs/batch (1.0 = nothing was ever batched) rises.
+        # msgs/batch (1.0 = nothing was ever batched) rises; the client
+        # side of the same thing is msgs/client-write (1.0 = every
+        # message had a socket write of its own).
         batches = counters["batches_sent"]
         print(
             f"        acked {report['messages_acked']}/"
@@ -709,6 +711,8 @@ def _fleet_run(args: argparse.Namespace) -> int:
             f"{counters['decode_errors']}, dropped_slow="
             f"{counters['clients_dropped_slow']}, datagrams/msg "
             f"{counters['datagrams_sent'] / max(1, report['messages_acked']):.2f}, "
+            f"msgs/client-write "
+            f"{counters['messages_delivered_to_clients'] / max(1, counters['client_writes']):.1f}, "
             f"msgs/batch "
             f"{counters['batched_messages'] / batches if batches else 1.0:.1f}"
         )

@@ -289,8 +289,8 @@ class _RealRing:
             timeouts=REALTIME_TIMEOUTS,
         )
         tap = self.tap
-        node.on_deliver = lambda message, config_id: tap.on_deliver(
-            pid, message, config_id, config_id
+        node.on_deliver = lambda messages, config_id: tap.on_deliver_batch(
+            pid, messages, config_id, config_id
         )
         node.on_config = lambda configuration: tap.on_config(pid, configuration)
         self.nodes[pid] = node

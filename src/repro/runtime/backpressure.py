@@ -64,6 +64,8 @@ class ClientSendQueue:
         self._closing = False
         #: True once this client was dropped for falling behind.
         self.dropped_slow = False
+        #: ``write`` calls made on the socket so far.
+        self.writes = 0
 
     @property
     def closing(self) -> bool:
@@ -75,7 +77,8 @@ class ClientSendQueue:
         return list(self._frames)
 
     def send(self, frame: bytes) -> bool:
-        """Queue ``frame``; False if the client is closing or too slow.
+        """Queue ``frame`` — one frame, or a chunk of whole frames sent
+        as one; False if the client is closing or too slow.
 
         Overflow disconnects the client (fail-fast): delivering a
         truncated stream silently would violate the ordered-delivery
@@ -105,6 +108,7 @@ class ClientSendQueue:
         frames.clear()
         writer = self.writer
         writer.write(data)
+        self.writes += 1
         # The transport tries the socket at once; what it could not send
         # is the backlog.  (Nothing else writes to this transport, and it
         # was empty: no drainer was running.)

@@ -46,8 +46,8 @@ async def _ring_serialized_async(
     target = 0
 
     def consumer(log: List[bytes]) -> Callable[..., None]:
-        def on_deliver(message, config_id) -> None:
-            log.append(bytes(message.payload))
+        def on_deliver(messages, config_id) -> None:
+            log.extend(bytes(message.payload) for message in messages)
             if len(log) >= target:
                 changed.set()
 

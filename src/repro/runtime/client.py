@@ -55,9 +55,13 @@ class DaemonClient:
 
     async def receive(self) -> ClientEvent:
         """Await the next delivery or configuration-change event."""
-        if self._frames is None:
+        frames = self._frames
+        if frames is None:
             raise RuntimeError("client not connected")
-        opcode, body = await self._frames.next()
+        # Frames of the last read are served without a coroutine each.
+        if not frames.ready:
+            await frames.fill()
+        opcode, body = frames.ready.popleft()
         if opcode == ipc.OP_DELIVER:
             return ipc.unpack_deliver(body)
         if opcode == ipc.OP_CONFIG:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import asyncio
 import os
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.core.messages import DataMessage
 from repro.evs.configuration import Configuration
@@ -113,12 +113,15 @@ class DaemonServer:
         queue = ClientSendQueue(writer, self.client_window_bytes, self._unflushed)
         self._clients[writer] = queue
         frames = ipc.FrameReader(reader)
+        ready = frames.ready
         try:
             while True:
-                try:
-                    opcode, body = await frames.next()
-                except (asyncio.IncompleteReadError, ConnectionError, OSError):
-                    break
+                if not ready:
+                    try:
+                        await frames.fill()
+                    except (asyncio.IncompleteReadError, ConnectionError, OSError):
+                        break
+                opcode, body = ready.popleft()
                 if opcode == ipc.OP_SUBMIT:
                     service, payload = ipc.unpack_submit(body)
                     self.node.submit(payload=payload, service=service)
@@ -147,9 +150,16 @@ class DaemonServer:
             for writer in dead:
                 self._clients.pop(writer, None)
 
-    def _deliver(self, message: DataMessage, config_id: int) -> None:
+    def _deliver(self, messages: Sequence[DataMessage], config_id: int) -> None:
+        """One delivered run: its frames, joined, are one send per client."""
+        pack_deliver = ipc.pack_deliver
         self._broadcast(
-            ipc.pack_deliver(message.pid, message.seq, message.service, message.payload)
+            b"".join(
+                [
+                    pack_deliver(message.pid, message.seq, message.service, message.payload)
+                    for message in messages
+                ]
+            )
         )
 
     def _config_changed(self, configuration: Configuration) -> None:

@@ -221,6 +221,7 @@ class Fleet:
         """Fleet-wide health counters (backpressure, codec, batching)."""
         totals = {
             "messages_delivered_to_clients": 0,
+            "client_writes": 0,
             "clients_dropped_slow": 0,
             "clients_dropped_malformed": 0,
             "envelopes_undecodable": 0,
@@ -234,6 +235,7 @@ class Fleet:
             totals["messages_delivered_to_clients"] += (
                 daemon.messages_delivered_to_clients
             )
+            totals["client_writes"] += daemon.client_writes
             totals["clients_dropped_slow"] += daemon.clients_dropped_slow
             totals["clients_dropped_malformed"] += daemon.clients_dropped_malformed
             totals["envelopes_undecodable"] += daemon.envelopes_undecodable

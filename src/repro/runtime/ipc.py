@@ -19,7 +19,7 @@ import asyncio
 import struct
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Tuple, Union
+from typing import Deque, Dict, List, Optional, Tuple, Union
 
 from repro.core.messages import SERVICE_FROM_WIRE, DeliveryService
 from repro.util.errors import CodecError
@@ -119,8 +119,9 @@ _SUBMIT_PREFIX = struct.Struct("!B")
 _CONFIG_PREFIX = struct.Struct("!BI")
 # group-view member count
 _COUNT = struct.Struct("!I")
-# groupcast frame header + the body's service byte
-_GROUPCAST_HEAD = struct.Struct("!BIB")
+#: Groupcast frame header + the body's service byte: what a forwarding
+#: daemon writes in front of an envelope's tail.
+GROUPCAST_HEAD = struct.Struct("!BIB")
 
 MAX_FRAME = 16 * 1024 * 1024
 
@@ -138,13 +139,22 @@ class FrameDecoder:
 
     :meth:`feed` takes whatever a read returned and gives back every
     frame it completed, in order; the bytes of an unfinished frame (down
-    to a partial header) wait for the next call.
+    to a partial header) wait for the next call.  It never raises: at a
+    header announcing more than :data:`MAX_FRAME` bytes it stops, keeps
+    the reason in :attr:`error` and decodes nothing further — the frames
+    complete before the bad header are returned first, wherever the
+    reads cut the stream (PROTOCOL.md §15, "malformed frames").
     """
 
-    __slots__ = ("_buffer",)
+    __slots__ = ("_buffer", "_wanted", "error")
 
     def __init__(self) -> None:
         self._buffer = bytearray()
+        #: Bytes the buffer must hold before parsing it again can get
+        #: further than last time (a large frame arrives in many reads).
+        self._wanted = 0
+        #: Why this stream can no longer be decoded, once it cannot.
+        self.error: Optional[CodecError] = None
 
     @property
     def partial(self) -> bytes:
@@ -152,32 +162,47 @@ class FrameDecoder:
         return bytes(self._buffer)
 
     def feed(self, data: bytes) -> List[Frame]:
-        buffer = self._buffer
-        buffer += data
         frames: List[Frame] = []
+        if self.error is not None:
+            return frames
+        buffer = self._buffer
+        if buffer:
+            # A frame was cut by the last read: parse it joined to this
+            # one.  (Only then; a read that starts on a frame boundary is
+            # parsed where it is and each body copied once.)
+            buffer += data
+            if len(buffer) < self._wanted:
+                return frames
+            data = bytes(buffer)
+            buffer.clear()
+        unpack_header = _FRAME_HEADER.unpack_from
         header_size = _FRAME_HEADER.size
+        end = len(data)
         offset = 0
-        with memoryview(buffer) as view:
-            end = len(view)
-            while end - offset >= header_size:
-                opcode, length = _FRAME_HEADER.unpack_from(view, offset)
-                if length > MAX_FRAME:
-                    raise CodecError(f"frame too large: {length}")
-                body = offset + header_size
-                if body + length > end:
-                    break
-                offset = body + length
-                frames.append((opcode, bytes(view[body:offset])))
-        if offset:
-            del buffer[:offset]
+        wanted = header_size
+        while end - offset >= header_size:
+            opcode, length = unpack_header(data, offset)
+            if length > MAX_FRAME:
+                self.error = CodecError(f"frame too large: {length}")
+                return frames
+            body = offset + header_size
+            if body + length > end:
+                wanted += length
+                break
+            offset = body + length
+            frames.append((opcode, data[body:offset]))
+        if offset < end:
+            buffer += data[offset:]
+            self._wanted = wanted
         return frames
 
 
 class FrameReader:
     """The frames arriving on one connection, over a stream reader.
 
-    :meth:`next` returns without suspending while frames of the last
-    read remain; otherwise it awaits one read and decodes all of it.
+    One read is decoded whole into :attr:`ready`.  A consumer on a hot
+    path pops from the deque itself and awaits :meth:`fill` only when it
+    is empty — no coroutine per frame; :meth:`next` is that in one call.
     """
 
     #: Bytes asked of the stream per read (its buffer limit is 64 KiB).
@@ -186,17 +211,31 @@ class FrameReader:
     def __init__(self, reader: asyncio.StreamReader) -> None:
         self._reader = reader
         self._decoder = FrameDecoder()
-        self._ready: Deque[Frame] = deque()
+        #: Decoded frames not yet consumed, oldest first.
+        self.ready: Deque[Frame] = deque()
 
-    async def next(self) -> Frame:
-        """The next frame; ``IncompleteReadError`` once the peer is gone."""
-        ready = self._ready
+    async def fill(self) -> None:
+        """Return once :attr:`ready` holds a frame.
+
+        Raises ``IncompleteReadError`` once the peer is gone, and the
+        decoder's ``CodecError`` once the frames ahead of a malformed
+        header have all been consumed.
+        """
+        ready = self.ready
+        decoder = self._decoder
         while not ready:
+            if decoder.error is not None:
+                raise decoder.error
             data = await self._reader.read(self.READ_SIZE)
             if not data:
-                raise asyncio.IncompleteReadError(self._decoder.partial, None)
-            ready.extend(self._decoder.feed(data))
-        return ready.popleft()
+                raise asyncio.IncompleteReadError(decoder.partial, None)
+            ready.extend(decoder.feed(data))
+
+    async def next(self) -> Frame:
+        """The next frame (what the hello/welcome handshakes await)."""
+        if not self.ready:
+            await self.fill()
+        return self.ready.popleft()
 
 
 async def read_frame(reader: asyncio.StreamReader) -> Frame:
@@ -352,25 +391,38 @@ class GroupcastHeaders:
     reference :func:`unpack_groupcast` made of them, so a hit means
     *these bytes* passed its bounds, UTF-8 and service checks before,
     and a body it rejects is rejected here, memo warm or cold.
+
+    The header of the last body is tried first, as a prefix: a header is
+    self-delimiting (the count and the name lengths inside it say where
+    it ends), so a body that starts with an accepted header has that
+    header, whatever follows.
     """
 
-    __slots__ = ("_known",)
+    __slots__ = ("_known", "_last_header", "_last")
 
     def __init__(self) -> None:
-        self._known: Dict[bytes, Tuple[Tuple[str, ...], DeliveryService]] = {}
+        self._known: Dict[bytes, Tuple[Tuple[str, ...], DeliveryService, int]] = {}
+        #: ``startswith`` takes a tuple of prefixes: with none to try,
+        #: the first body matches nothing, whatever its bytes.
+        self._last_header: Union[bytes, Tuple[()]] = ()
+        self._last: Optional[Tuple[Tuple[str, ...], DeliveryService, int]] = None
 
     def parse(self, body: bytes) -> Tuple[Tuple[str, ...], DeliveryService, int]:
         """``(groups, service, payload offset)`` of one body."""
+        if body.startswith(self._last_header):
+            return self._last
         end = groupcast_header_end(body)
         header = body[:end]
         known = self._known.get(header)
         if known is None:
             groups, service, _payload = unpack_groupcast(body)
-            known = (tuple(groups), service)
+            known = (tuple(groups), service, end)
             if len(self._known) >= HEADER_MEMO_CAP:
                 self._known.clear()
             self._known[header] = known
-        return known[0], known[1], end
+        self._last_header = header
+        self._last = known
+        return known
 
 
 def groupcast_frame_from_tail(service: DeliveryService, tail: bytes) -> bytes:
@@ -380,7 +432,7 @@ def groupcast_frame_from_tail(service: DeliveryService, tail: bytes) -> bytes:
     after the service byte — taken as it is: the caller forwards bytes
     that :func:`unpack_groupcast` accepted where they entered the system.
     """
-    return _GROUPCAST_HEAD.pack(OP_GROUPCAST, 1 + len(tail), service) + tail
+    return GROUPCAST_HEAD.pack(OP_GROUPCAST, 1 + len(tail), service) + tail
 
 
 def pack_hello(private_name: str) -> bytes:

@@ -29,7 +29,7 @@ loop.
 from __future__ import annotations
 
 import asyncio
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from repro.core.codec import DATA_HEADER_BYTES
 from repro.core.config import ProtocolConfig
@@ -82,7 +82,9 @@ RUNTIME_PROTOCOL = ProtocolConfig(
 #: refuses is a loss that every retransmission repeats.
 MAX_PAYLOAD = MAX_UDP_PAYLOAD - DATA_HEADER_BYTES - RECOVERED_OVERHEAD
 
-DeliverCallback = Callable[[DataMessage, int], None]
+#: Takes one delivered run — the messages a single engine step released,
+#: in order, all in configuration ``config_id`` — never one message.
+DeliverCallback = Callable[[Sequence[DataMessage], int], None]
 ConfigCallback = Callable[[Configuration], None]
 Clock = Callable[[], float]
 
@@ -332,8 +334,7 @@ class RingNode:
         if on_deliver is None:
             self.delivered.extend(messages)
         else:
-            for message in messages:
-                on_deliver(message, config_id)
+            on_deliver(messages, config_id)
 
     def deliver_config(self, configuration: Configuration) -> None:
         self.configurations.append(configuration)

@@ -147,9 +147,13 @@ class SpreadClient:
         self._require().write(ipc.pack_frame(ipc.OP_GROUPCAST, header + payload))
 
     async def receive(self) -> ClientEvent:
-        if self._frames is None:
+        frames = self._frames
+        if frames is None:
             raise RuntimeError("client not connected")
-        opcode, body = await self._frames.next()
+        # Frames of the last read are served without a coroutine each.
+        if not frames.ready:
+            await frames.fill()
+        opcode, body = frames.ready.popleft()
         if opcode == ipc.OP_GROUPCAST:
             groups, service, end = self._received_headers.parse(body)
             return GroupMessage(groups=groups, service=service, payload=body[end:])

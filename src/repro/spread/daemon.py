@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import os
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.messages import DataMessage, DeliveryService
 from repro.evs.configuration import Configuration
@@ -26,7 +26,7 @@ from repro.runtime.node import RingNode
 from repro.runtime.transport import PeerAddress
 from repro.spread.fragmentation import Fragmenter, FragmentReassembler
 from repro.spread.groups import GroupDirectory, qualify
-from repro.spread.packing import Packer, unpack_payload
+from repro.spread.packing import unpack_payload
 from repro.spread.wire import (
     ENV_APP,
     ENV_FRAGMENT,
@@ -46,6 +46,7 @@ from repro.util.errors import CodecError
 ROUTE_MEMO_CAP = 1024
 
 _NO_SENDER = app_data_prefix("")
+_pack_groupcast_head = ipc.GROUPCAST_HEAD.pack
 
 
 class _ClientSession:
@@ -91,7 +92,6 @@ class SpreadDaemon:
         self._unflushed: List[ClientSendQueue] = []
         self.node.on_batch_end = lambda: flush_all(self._unflushed)
         self.directory = GroupDirectory()
-        self.packer = Packer(budget=pack_budget)
         self.fragmenter = Fragmenter(chunk_size=pack_budget)
         self.reassembler = FragmentReassembler()
         self._server: Optional[asyncio.AbstractServer] = None
@@ -104,8 +104,17 @@ class SpreadDaemon:
         #: to, in sorted member order.  Holds only while neither the
         #: directory nor ``_sessions`` changes: see :meth:`_drop_routes`.
         self._routes: Dict[bytes, Tuple[_ClientSession, ...]] = {}
+        #: The chunk being built while a delivered run is applied: the
+        #: client frames (head, tail, head, tail, ...) of consecutive
+        #: messages with one route, sent as one piece (PROTOCOL.md §15,
+        #: "a run at a time").  Empty between runs.
+        self._chunk: List[bytes] = []
+        #: The sessions the chunk is for: the route of the last AppData.
+        self._chunk_route: Tuple[_ClientSession, ...] = ()
         self._client_counter = 0
         self.messages_delivered_to_clients = 0
+        #: Socket writes made for clients that have since disconnected.
+        self._writes_to_gone = 0
         self.clients_dropped_slow = 0
         #: Clients disconnected for sending a frame that does not decode.
         self.clients_dropped_malformed = 0
@@ -164,14 +173,17 @@ class SpreadDaemon:
             self._attach(session)
             session.queue.send(ipc.pack_welcome(member_name))
             flush_all(self._unflushed)
+            ready = frames.ready
             while True:
-                try:
-                    opcode, body = await frames.next()
-                except (asyncio.IncompleteReadError, ConnectionError, OSError):
-                    # A half-closed or reset connection: the client is
-                    # gone (or was dropped for falling behind); clean up
-                    # the session like a voluntary disconnect.
-                    break
+                if not ready:
+                    try:
+                        await frames.fill()
+                    except (asyncio.IncompleteReadError, ConnectionError, OSError):
+                        # A half-closed or reset connection: the client is
+                        # gone (or was dropped for falling behind); clean up
+                        # the session like a voluntary disconnect.
+                        break
+                opcode, body = ready.popleft()
                 self._handle_client_frame(session, opcode, body)
         except CodecError:
             # Disconnect by rule (PROTOCOL.md §15): a frame that does not
@@ -198,8 +210,16 @@ class SpreadDaemon:
         self._drop_routes()
 
     def _detach(self, session: _ClientSession) -> None:
-        self._sessions.pop(session.member_name, None)
+        if self._sessions.pop(session.member_name, None) is not None:
+            self._writes_to_gone += session.queue.writes
         self._drop_routes()
+
+    @property
+    def client_writes(self) -> int:
+        """Socket writes made to clients (a batch of deliveries is one)."""
+        return self._writes_to_gone + sum(
+            session.queue.writes for session in self._sessions.values()
+        )
 
     def _handle_client_frame(
         self, session: _ClientSession, opcode: int, body: bytes
@@ -228,39 +248,47 @@ class SpreadDaemon:
             raise CodecError(f"unexpected client opcode {opcode}")
 
     def _submit_envelope(self, envelope: bytes, service: DeliveryService) -> None:
-        """Fragment if oversized, pack if small, then submit in order."""
-        for piece in self.fragmenter.fragment(envelope):
-            for packet in self.packer.add(piece):
-                self.node.submit(payload=packet, service=service)
-        # Flush eagerly: packing across client calls only pays off under
-        # batching workloads; correctness requires order either way.
-        for packet in self.packer.flush():
-            self.node.submit(payload=packet, service=service)
+        """Submit ``envelope`` whole if it fits the budget, else as its
+        fragments in order.  (Nothing is packed at ingest: an envelope is
+        submitted when it arrives, so there is never a second one to
+        share a packet with — PROTOCOL.md §15, "packing".)"""
+        fragmenter = self.fragmenter
+        if fragmenter.needs_fragmentation(envelope):
+            for piece in fragmenter.fragment(envelope):
+                self.node.submit(payload=piece, service=service)
+        else:
+            self.node.submit(payload=envelope, service=service)
 
     # ------------------------------------------------------------------
     # Ordered delivery side
     # ------------------------------------------------------------------
 
-    def _ordered_delivery(self, message: DataMessage, config_id: int) -> None:
-        """Apply one ordered payload.  Never raises into the ordering
+    def _ordered_delivery(self, messages: Sequence[DataMessage], config_id: int) -> None:
+        """Apply one delivered run.  Never raises into the ordering
         pass: an envelope that does not decode is counted and skipped —
         every daemon sees the same bytes, so all skip alike."""
-        try:
-            envelopes = unpack_payload(message.payload)
-        except CodecError:
-            self.envelopes_undecodable += 1
-            return
-        for envelope in envelopes:
+        forward = self._forward_app_data
+        for message in messages:
+            payload = message.payload
             try:
-                self._apply_envelope(envelope, message)
+                if payload and payload[0] == ENV_APP:
+                    forward(payload, message.service)  # bare: the hot case
+                else:
+                    for envelope in unpack_payload(payload):
+                        try:
+                            self._apply_envelope(envelope, message)
+                        except CodecError:
+                            self.envelopes_undecodable += 1
             except CodecError:
                 self.envelopes_undecodable += 1
+        self._cut_chunk()
 
     def _apply_envelope(
         self, envelope: bytes, message: DataMessage, reassembled: bool = False
     ) -> None:
-        """One envelope, however it arrived: bare, as an item of a packed
-        container, or (``reassembled``) put together from fragments."""
+        """One envelope that did not arrive bare as AppData: an item of
+        a packed container, a fragment or (``reassembled``) what its
+        fragments made, a join, a leave."""
         tag = envelope[0] if envelope else None
         if tag == ENV_APP:
             self._forward_app_data(envelope, message.service)
@@ -279,23 +307,45 @@ class SpreadDaemon:
             raise CodecError(f"unexpected envelope tag {tag}")
 
     def _forward_app_data(self, envelope: bytes, service: DeliveryService) -> None:
-        """Deliver one AppData envelope to the local members of its groups.
+        """Frame one AppData envelope for the local members of its groups.
 
         From its group list on, the envelope is a groupcast body after
         the service byte (the shared tail, PROTOCOL.md §15): the client
-        frame is those bytes behind a new head, built once for all local
-        receivers, and the group-list bytes themselves key the route.
+        frame is those bytes behind a new head, and the group-list bytes
+        themselves key the route.  The frame joins the chunk of the
+        messages before it while the route stays the same; the sessions
+        get it when the chunk is cut.
         """
         start, end = app_data_span(envelope)
         key = envelope[start:end]
         route = self._routes.get(key)
         if route is None:
             route = self._resolve_route(key)
+        if route != self._chunk_route:
+            self._cut_chunk()
+            self._chunk_route = route
         if route:
-            frame = ipc.groupcast_frame_from_tail(service, envelope[start:])
-            for session in route:
-                if session.queue.send(frame):
-                    self.messages_delivered_to_clients += 1
+            # The layout groupcast_frame_from_tail writes, left in two
+            # pieces for the chunk's one join.
+            chunk = self._chunk
+            chunk.append(
+                _pack_groupcast_head(ipc.OP_GROUPCAST, 1 + len(envelope) - start, service)
+            )
+            chunk.append(envelope[start:])
+
+    def _cut_chunk(self) -> None:
+        """Hand the pending chunk to each session of its route: one
+        ``send`` — one closing check, one window reservation — for all
+        its frames.  Everything else that writes to a session (a view)
+        cuts first, so a session's bytes keep the order of the run."""
+        chunk = self._chunk
+        if chunk:
+            data = b"".join(chunk)
+            count = len(chunk) // 2
+            chunk.clear()
+            for session in self._chunk_route:
+                if session.queue.send(data):
+                    self.messages_delivered_to_clients += count
 
     def _resolve_route(self, key: bytes) -> Tuple[_ClientSession, ...]:
         """The route of a group list not seen since the last change: its
@@ -328,7 +378,9 @@ class SpreadDaemon:
         self._notify_views()
 
     def _notify_views(self) -> None:
-        """Runs after every directory change: routes go, views go out."""
+        """Runs after every directory change: routes go, views go out
+        (behind the data ordered before the change)."""
+        self._cut_chunk()
         self._drop_routes()
         for group in self.directory.take_dirty():
             members = list(self.directory.members(group))

@@ -7,6 +7,7 @@ request/response coordination.
 """
 
 import asyncio
+from typing import Sequence
 
 from repro.core.messages import DataMessage, DeliveryService
 from repro.runtime.node import RingNode
@@ -22,9 +23,9 @@ def test_reply_ordered_after_trigger_everywhere():
         # Node 1 replies the moment it delivers the trigger.  (A node
         # with a consumer hands its deliveries over instead of logging
         # them, so the consumer keeps node 1's log.)
-        def reply_on_trigger(message: DataMessage, config_id: int) -> None:
-            nodes[1].delivered.append(message)
-            if message.payload == b"trigger":
+        def reply_on_trigger(messages: Sequence[DataMessage], config_id: int) -> None:
+            nodes[1].delivered.extend(messages)
+            if any(message.payload == b"trigger" for message in messages):
                 nodes[1].submit(payload=b"reply")
 
         nodes[1].on_deliver = reply_on_trigger

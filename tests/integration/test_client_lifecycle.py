@@ -14,6 +14,7 @@ import tempfile
 
 import pytest
 
+from repro.core.messages import DeliveryService
 from repro.runtime import ipc
 from repro.runtime.fleet import Fleet, run_fleet_workload
 from repro.runtime.ports import ephemeral_ring_addresses
@@ -199,6 +200,46 @@ def test_malformed_frame_disconnects_that_client_by_rule(garbage):
                 assert daemons[0].clients_dropped_malformed == 1
                 assert daemons[1].clients_dropped_malformed == 0
                 assert loop_errors == []
+                writer.close()
+                await steady.close()
+            finally:
+                for daemon in daemons:
+                    await daemon.stop()
+
+    asyncio.run(scenario())
+
+
+def test_multicasts_ahead_of_a_malformed_frame_are_delivered_wherever_the_read_cut():
+    """A valid groupcast and a malformed header in *one* write: the
+    groupcast is ordered and reaches the other client, and only then is
+    the sender disconnected by rule and counted once — what the two
+    frames do must not depend on whether the kernel delivered them in
+    one read or two (PROTOCOL.md §15, "malformed frames")."""
+
+    async def scenario():
+        with tempfile.TemporaryDirectory() as tmp:
+            peers, daemons = await _start_pair(tmp)
+            try:
+                steady = SpreadClient(daemons[0].socket_path, name="steady")
+                await steady.connect()
+                await steady.join("g")
+                reader, writer = await asyncio.open_unix_connection(
+                    daemons[0].socket_path
+                )
+                writer.write(ipc.pack_hello("bad"))
+                opcode, _body = await ipc.FrameReader(reader).next()
+                assert opcode == ipc.OP_WELCOME
+                writer.write(ipc.pack_group_op(ipc.OP_JOIN, "g"))
+                await steady.wait_for_view("g", 2)
+                writer.write(
+                    ipc.pack_groupcast(["g"], DeliveryService.AGREED, b"last words")
+                    + MALFORMED_FRAMES["frame-too-large"]
+                )
+                (message,) = await asyncio.wait_for(steady.receive_messages(1), 5.0)
+                assert message.payload == b"last words"
+                await steady.wait_for_view("g", 1)  # the sender's ordered leave
+                assert daemons[0].clients_dropped_malformed == 1
+                assert not any("bad" in name for name in daemons[0]._sessions)
                 writer.close()
                 await steady.close()
             finally:

@@ -232,5 +232,12 @@ def test_closed_loop_fleet_does_not_storm():
         assert datagrams / measured < 3.0, (datagrams, measured)
         for counter in ("decode_errors", "datagrams_send_dropped", "clients_dropped_slow"):
             assert after[counter] == 0, counter
+        # The client side of the same batching: a pass's deliveries to a
+        # client leave in one socket write, so writes trail deliveries.
+        deliveries = (
+            after["messages_delivered_to_clients"] - before["messages_delivered_to_clients"]
+        )
+        writes = after["client_writes"] - before["client_writes"]
+        assert 0 < writes < deliveries / 1.5, (writes, deliveries)
 
     asyncio.run(scenario())

@@ -12,6 +12,7 @@ from; (d) the memos stay bounded.
 """
 
 import asyncio
+from collections import deque
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,20 +20,28 @@ from hypothesis import example, given, settings, strategies as st
 from repro.core.messages import DeliveryService
 from repro.evs.configuration import Configuration
 from repro.runtime import ipc
+from repro.runtime.daemon import DaemonServer
+from repro.runtime.transport import local_ring_addresses
 from repro.spread.client_api import GroupMessage, SpreadClient
-from repro.spread.daemon import ROUTE_MEMO_CAP
+from repro.spread.daemon import ROUTE_MEMO_CAP, SpreadDaemon
+from repro.spread.fragmentation import Fragmenter, FragmentReassembler
+from repro.spread.groups import GroupDirectory
+from repro.spread.packing import Packer, unpack_payload
 from repro.spread.wire import (
     ENV_APP,
     AppData,
+    Fragment,
     GroupJoin,
     GroupLeave,
     Packed,
     app_data_span,
     decode_envelope,
+    encode_fragment,
 )
 from repro.util.errors import CodecError
 from tests.unit.test_spread_daemon_logic import (
     attach_member,
+    deliver,
     frames,
     make_daemon,
     ordered,
@@ -75,8 +84,12 @@ def receive(client, body):
     """What ``SpreadClient.receive`` makes of one groupcast body."""
 
     class _OneFrame:
-        async def next(self):
-            return ipc.OP_GROUPCAST, body
+        """``FrameReader``'s surface with one frame already decoded."""
+
+        ready = deque([(ipc.OP_GROUPCAST, body)])
+
+        async def fill(self):
+            raise AssertionError("a frame was ready")
 
     client._frames = _OneFrame()
     return asyncio.run(client.receive())
@@ -143,14 +156,16 @@ def test_forwarded_frame_is_the_reference_frame_however_the_envelope_travels(
     expected_pieces = {"budget+1": 2, "3xbudget": 3}.get(size, 1)
     assert len(pieces) == expected_pieces
     for seq, (piece, piece_service) in enumerate(pieces, start=1):
-        daemon._ordered_delivery(ordered(piece, seq=seq, service=piece_service), config_id=1)
+        deliver(daemon, ordered(piece, seq=seq, service=piece_service), config_id=1)
     reference = ipc.pack_groupcast(list(groups), service, payload)
     assert frames(session) == [reference]
 
     envelope = AppData(session.member_name, tuple(groups), payload).encode()
     other = AppData("other#1", (groups[0],), b"first").encode()
-    daemon._ordered_delivery(
-        ordered(Packed((other, envelope)).encode(), seq=9, service=service), config_id=1
+    deliver(
+        daemon,
+        ordered(Packed((other, envelope)).encode(), seq=9, service=service),
+        config_id=1,
     )
     assert frames(session)[1:] == [
         ipc.pack_groupcast([groups[0]], service, b"first"),
@@ -269,15 +284,13 @@ def test_forward_accepts_exactly_what_the_reference_accepts(valid, service, how,
         except CodecError:
             return None
         for group in decoded.groups:
-            daemon._ordered_delivery(
-                ordered(GroupJoin("m#0", group).encode()), config_id=1
-            )
+            deliver(daemon, ordered(GroupJoin("m#0", group).encode()), config_id=1)
         return decoded
 
     valid_envelope = bytes([ENV_APP]) + b"\x00\x03s#1" + valid[1:]
     if warm:
         join_all(valid_envelope)
-        daemon._ordered_delivery(ordered(valid_envelope, service=service), config_id=1)
+        deliver(daemon, ordered(valid_envelope, service=service), config_id=1)
     if how[0] == "replace":
         envelope = bytes([ENV_APP]) + how[1]
     else:  # any byte but the tag: another tag is another envelope type
@@ -285,7 +298,7 @@ def test_forward_accepts_exactly_what_the_reference_accepts(valid, service, how,
     decoded = join_all(envelope)
     member.queue._frames.clear()
     undecodable = daemon.envelopes_undecodable
-    daemon._ordered_delivery(ordered(envelope, service=service), config_id=1)
+    deliver(daemon, ordered(envelope, service=service), config_id=1)
     if decoded is None:
         assert frames(member) == []
         assert daemon.envelopes_undecodable == undecodable + 1
@@ -304,6 +317,8 @@ def test_forward_accepts_exactly_what_the_reference_accepts(valid, service, how,
 class _RecordingQueue:
     """Stands in for a session's send queue: one shared log of who was
     sent what, in order."""
+
+    writes = 0  # never touches a socket
 
     def __init__(self, log):
         self.log = log
@@ -361,7 +376,7 @@ def test_route_is_the_from_scratch_resolve_after_every_change(ops):
         ]
         del log[:]
         before = daemon.messages_delivered_to_clients
-        daemon._ordered_delivery(ordered(envelope), config_id=1)
+        deliver(daemon, ordered(envelope), config_id=1)
         assert [queue for queue, _ in log] == expected
         assert all(sent is log[0][1] and sent == frame for _, sent in log)
         assert daemon.messages_delivered_to_clients - before == sum(
@@ -369,7 +384,7 @@ def test_route_is_the_from_scratch_resolve_after_every_change(ops):
         )
 
     connect("a")
-    daemon._ordered_delivery(ordered(GroupJoin("a#0", "g1").encode()), config_id=1)
+    deliver(daemon, ordered(GroupJoin("a#0", "g1").encode()), config_id=1)
     deliver_and_check()  # the memo is warm from here on
     for op in ops:
         kind, name = op[0], f"{op[1]}#0"
@@ -387,13 +402,11 @@ def test_route_is_the_from_scratch_resolve_after_every_change(ops):
             if name in daemon._sessions:
                 daemon._sessions[name].queue.accepting = False
         elif kind == "join":
-            daemon._ordered_delivery(ordered(GroupJoin(name, op[2]).encode()), config_id=1)
+            deliver(daemon, ordered(GroupJoin(name, op[2]).encode()), config_id=1)
         elif kind == "leave":
-            daemon._ordered_delivery(ordered(GroupLeave(name, op[2]).encode()), config_id=1)
+            deliver(daemon, ordered(GroupLeave(name, op[2]).encode()), config_id=1)
         elif kind == "remote-join":
-            daemon._ordered_delivery(
-                ordered(GroupJoin(f"{op[1]}#1", op[2]).encode()), config_id=1
-            )
+            deliver(daemon, ordered(GroupJoin(f"{op[1]}#1", op[2]).encode()), config_id=1)
         else:
             daemon._config_changed(Configuration.regular(7, op[1]))
         deliver_and_check()
@@ -411,7 +424,7 @@ def test_ten_thousand_distinct_headers_leave_every_memo_at_or_under_its_cap():
         (frame,) = written
         written.clear()
         ((envelope, service),) = ingest(daemon, session, frame[BODY_AT:])
-        daemon._ordered_delivery(ordered(envelope, service=service), config_id=1)
+        deliver(daemon, ordered(envelope, service=service), config_id=1)
         receive_body = ipc.groupcast_frame_from_tail(service, frame[BODY_AT + 1 :])[BODY_AT:]
         client._received_headers.parse(receive_body)
     assert 0 < len(daemon._headers._known) <= ipc.HEADER_MEMO_CAP
@@ -419,3 +432,282 @@ def test_ten_thousand_distinct_headers_leave_every_memo_at_or_under_its_cap():
     assert 0 < len(client._received_headers._known) <= ipc.HEADER_MEMO_CAP
     assert 0 < len(client._sent_headers) <= ipc.HEADER_MEMO_CAP
     assert daemon.envelopes_undecodable == 0
+
+
+# -- (e) a run at a time: every session's bytes are the reference's -----
+
+
+class _StreamQueue:
+    """Stands in for a session's send queue: keeps what ``send`` accepted."""
+
+    writes = 0
+    closing = False
+
+    def __init__(self):
+        self.accepted = []
+
+    def send(self, data):
+        self.accepted.append(data)
+        return True
+
+    @property
+    def stream(self) -> bytes:
+        return b"".join(self.accepted)
+
+
+class _PerMessageReference:
+    """What one daemon writes to its local sessions, worked out a message
+    at a time from the reference codec alone: ``unpack_payload`` and
+    ``decode_envelope`` to read, ``pack_groupcast`` / ``pack_group_view``
+    to write, a directory and a reassembler of its own."""
+
+    def __init__(self, local):
+        self.directory = GroupDirectory()
+        self.reassembler = FragmentReassembler()
+        self.streams = {member: [] for member in local}
+        self.delivered = 0
+        self.undecodable = 0
+
+    def apply(self, message):
+        try:
+            envelopes = unpack_payload(message.payload)
+        except CodecError:
+            self.undecodable += 1
+            return
+        for envelope in envelopes:
+            try:
+                self._envelope(decode_envelope(envelope), message)
+            except CodecError:
+                self.undecodable += 1
+
+    def _envelope(self, decoded, message, reassembled=False):
+        if isinstance(decoded, AppData):
+            frame = ipc.pack_groupcast(list(decoded.groups), message.service, decoded.payload)
+            targets = set()
+            for group in decoded.groups:
+                targets.update(self.directory.members(group))
+            self._write(targets, frame)
+            self.delivered += sum(member in self.streams for member in targets)
+        elif isinstance(decoded, Fragment) and not reassembled:
+            whole = self.reassembler.accept(message.pid, decoded)
+            if whole is not None:
+                self._envelope(decode_envelope(whole), message, reassembled=True)
+        elif isinstance(decoded, (GroupJoin, GroupLeave)):
+            if isinstance(decoded, GroupJoin):
+                self.directory.apply_join(decoded.member, decoded.group)
+            else:
+                self.directory.apply_leave(decoded.member, decoded.group)
+            for group in self.directory.take_dirty():
+                members = list(self.directory.members(group))
+                self._write(members, ipc.pack_group_view(group, members))
+        else:
+            raise CodecError("a container in a container, a fragment of a fragment")
+
+    def _write(self, members, frame):
+        for member in sorted(set(members)):
+            if member in self.streams:
+                self.streams[member].append(frame)
+
+
+LOCAL = ("a#0", "b#0", "c#0")
+MEMBERS = LOCAL + ("r#1",)
+GROUPS = ("g1", "g2", "g3")
+group_subsets = st.lists(st.sampled_from(GROUPS), max_size=3).map(tuple)
+app_envelopes = st.builds(
+    lambda sender, groups, payload: AppData(sender, groups, payload).encode(),
+    st.sampled_from(MEMBERS), group_subsets, st.binary(max_size=40),
+)
+changes = st.builds(
+    lambda kind, member, group: kind(member, group).encode(),
+    st.sampled_from([GroupJoin, GroupLeave]), st.sampled_from(MEMBERS), st.sampled_from(GROUPS),
+)
+JUNK = (
+    b"",
+    b"\x09not an envelope",
+    AppData("s#1", ("g1", "g2"), b"").encode()[:-3],  # cut inside the group list
+    Packed((AppData("s#1", ("g1",), b"x").encode(),)).encode()[:-2],  # cut inside an item
+    Packed((Packed((AppData("s#1", ("g1",), b"nested").encode(),)).encode(),)).encode(),
+)
+#: One ordered payload, or (a fragmented envelope) several that other
+#: senders' payloads may come between: ``(origin pid, [payloads])``.
+submissions = st.one_of(
+    st.tuples(st.integers(0, 2), app_envelopes.map(lambda e: [e])),
+    st.tuples(st.integers(0, 2), changes.map(lambda e: [e])),
+    st.tuples(
+        st.integers(0, 2),
+        st.lists(app_envelopes | changes, min_size=2, max_size=4).map(
+            lambda items: [Packed(tuple(items)).encode()]
+        ),
+    ),
+    st.tuples(st.integers(0, 2), st.sampled_from(JUNK).map(lambda junk: [junk])),
+    st.tuples(
+        st.integers(0, 2),
+        st.builds(
+            lambda groups, size, frag_id: [
+                encode_fragment(frag_id, index, -(-size // 48), chunk)
+                for index, chunk in enumerate(
+                    _chunks(AppData("big#1", groups, bytes(size)).encode(), 48)
+                )
+            ],
+            group_subsets, st.integers(60, 200), st.integers(1, 3),
+        ),
+    ),
+)
+
+
+def _chunks(data: bytes, size: int):
+    return [data[at : at + size] for at in range(0, len(data), size)]
+
+
+@st.composite
+def ordered_runs(draw):
+    """A total order of payloads — each submission's payloads in order,
+    submissions interleaved — cut into delivered runs."""
+    pending = [
+        [(pid, payload) for payload in payloads]
+        for pid, payloads in draw(st.lists(submissions, min_size=1, max_size=14))
+    ]
+    order = []
+    while pending:
+        queue = draw(st.sampled_from(pending[:3]))
+        order.append(queue.pop(0))
+        if not queue:
+            pending.remove(queue)
+    messages = [
+        ordered(payload, seq=seq, pid=pid, service=draw(services))
+        for seq, (pid, payload) in enumerate(order, start=1)
+    ]
+    runs = []
+    while messages:
+        size = draw(st.integers(1, 8))
+        runs.append(tuple(messages[:size]))
+        messages = messages[size:]
+    return runs
+
+
+@settings(max_examples=300, deadline=None)
+@given(ordered_runs(), st.lists(st.tuples(st.sampled_from(LOCAL), st.sampled_from(GROUPS)), max_size=5))
+def test_a_run_writes_each_session_the_bytes_of_the_per_message_reference(runs, joined):
+    """Runs mixing bare AppData to several group lists, packed
+    containers, fragments of interleaved senders, joins and leaves
+    mid-run, and payloads that do not decode: for every session, the
+    concatenation of what ``queue.send`` accepted is the concatenation
+    of the frames the reference writes a message at a time — so a view
+    never overtakes data, and no chunk crosses a change of route."""
+    daemon = make_daemon(pid=0)
+    reference = _PerMessageReference(LOCAL)
+    queues = {}
+    for member in LOCAL:
+        session = attach_member(daemon, member)
+        session.queue = queues[member] = _StreamQueue()
+    for member, group in joined:
+        daemon.directory.apply_join(member, group)
+        reference.directory.apply_join(member, group)
+    daemon.directory.take_dirty()
+    reference.directory.take_dirty()
+
+    for run in runs:
+        daemon._ordered_delivery(run, config_id=1)
+        assert daemon._chunk == []  # nothing waits for the next run
+        for message in run:
+            reference.apply(message)
+    for member in LOCAL:
+        assert queues[member].stream == b"".join(reference.streams[member])
+    assert daemon.messages_delivered_to_clients == reference.delivered
+    assert daemon.envelopes_undecodable == reference.undecodable
+
+
+def test_consecutive_messages_with_one_route_are_one_send():
+    """The point of the exercise, pinned: a run of AppData to one group
+    list reaches each session as a single ``send``, a join in the middle
+    of a run cuts it in two around the view."""
+    daemon = make_daemon(pid=0)
+    session = attach_member(daemon, "a#0", groups=["g"])
+    session.queue = queue = _StreamQueue()
+    data = [
+        ordered(AppData(f"s#{pid}", ("g",), b"%d" % seq).encode(), seq=seq, pid=pid)
+        for seq, pid in enumerate((1, 2, 1, 1, 2), start=1)
+    ]
+    frame = {m.seq: ipc.pack_groupcast(["g"], m.service, b"%d" % m.seq) for m in data}
+    daemon._ordered_delivery(tuple(data), config_id=1)
+    assert queue.accepted == [b"".join(frame[seq] for seq in (1, 2, 3, 4, 5))]
+    assert daemon.messages_delivered_to_clients == 5
+
+    del queue.accepted[:]
+    join = ordered(GroupJoin("r#1", "g").encode(), seq=6)
+    daemon._ordered_delivery((data[0], data[1], join, data[2]), config_id=1)
+    assert queue.accepted == [
+        frame[1] + frame[2],
+        ipc.pack_group_view("g", ["a#0", "r#1"]),
+        frame[3],
+    ]
+
+
+deliveries = st.lists(
+    st.builds(
+        lambda pid, service, payload: (pid, service, payload),
+        st.integers(0, 5), services, st.binary(max_size=60),
+    ),
+    min_size=1, max_size=20,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(deliveries, st.lists(st.integers(1, 8), min_size=1, max_size=20))
+def test_daemon_server_writes_a_run_as_the_per_message_deliver_frames(items, sizes):
+    server = DaemonServer(0, local_ring_addresses(range(2), base_port=47000), "/tmp/unused.sock")
+    queues = [_StreamQueue(), _StreamQueue()]
+    server._clients = {object(): queue for queue in queues}
+    messages = [
+        ordered(payload, seq=seq, pid=pid, service=service)
+        for seq, (pid, service, payload) in enumerate(items, start=1)
+    ]
+    sends = 0
+    rest = messages
+    for size in sizes:
+        if not rest:
+            break
+        server._deliver(tuple(rest[:size]), config_id=1)
+        rest = rest[size:]
+        sends += 1
+    reference = b"".join(
+        ipc.pack_deliver(m.pid, m.seq, m.service, m.payload)
+        for m in messages[: len(messages) - len(rest)]
+    )
+    for queue in queues:
+        assert queue.stream == reference
+        assert len(queue.accepted) == sends  # one send per run
+
+
+# -- ingest submits what fragment -> Packer.add -> flush submitted -------
+
+
+def _fragment_pack_flush(fragmenter, packer, envelope):
+    """``_submit_envelope`` as it was while the daemon kept a packer it
+    flushed after every envelope (PROTOCOL.md §15, "packing")."""
+    out = []
+    for piece in fragmenter.fragment(envelope):
+        out.extend(packer.add(piece))
+    out.extend(packer.flush())
+    return out
+
+
+@pytest.mark.parametrize("budget", [64, 200, 1350])
+def test_submit_envelope_submits_what_the_flushed_packer_did(budget):
+    daemon = SpreadDaemon(
+        0, local_ring_addresses(range(2), base_port=47000), "/tmp/unused.sock",
+        pack_budget=budget,
+    )
+    submitted = []
+    daemon.node.submit = lambda payload, service: submitted.append((payload, service))
+    old_fragmenter, old_packer = Fragmenter(chunk_size=budget), Packer(budget=budget)
+    header = len(AppData("c#0", ("g",), b"").encode())
+    sizes = [header, budget - 8, budget - 7, budget - 6, budget - 1, budget, budget + 1,
+             2 * budget, 2 * budget + 1, 5 * budget + 3]
+    for size in sizes:
+        envelope = AppData("c#0", ("g",), bytes(max(0, size - header))).encode()
+        del submitted[:]
+        daemon._submit_envelope(envelope, DeliveryService.SAFE)
+        expected = _fragment_pack_flush(old_fragmenter, old_packer, envelope)
+        assert submitted == [(payload, DeliveryService.SAFE) for payload in expected]
+    assert not hasattr(daemon, "packer")

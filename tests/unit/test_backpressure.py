@@ -53,6 +53,7 @@ def test_flush_writes_the_batch_through_in_one_write(tmp_path):
         queue.flush()
         # Written in the caller's own step: no task, nothing left queued.
         assert writes == [b"helloworld"]
+        assert queue.writes == 1
         assert len(asyncio.all_tasks()) == tasks
         assert queue.pending_frames == []
         assert queue.window.queued_bytes == 0
@@ -60,6 +61,7 @@ def test_flush_writes_the_batch_through_in_one_write(tmp_path):
         assert data == b"helloworld"
         queue.flush()  # nothing queued: no write
         assert writes == [b"helloworld"]
+        assert queue.writes == 1
         await queue.aclose()
         await pipe.close()
 

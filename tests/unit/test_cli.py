@@ -113,6 +113,8 @@ def test_fleet_run_shows_coalescing_and_survives_a_crash(capsys):
     assert code == 0, out
     assert "PASS" in out and "datagrams/msg" in out
     assert float(out.rsplit("msgs/batch", 1)[1]) > 1.0
+    # ... and whether a pass's deliveries still share a client's write.
+    assert float(out.rsplit("msgs/client-write", 1)[1].split(",")[0]) > 1.0
 
 
 def test_conformance_realtime_parses():

@@ -162,10 +162,38 @@ class TestFrameDecoder:
         assert decoder.feed(frame[9:] + frame[:2]) == [(ipc.OP_SUBMIT, frame[5:])]
         assert decoder.partial == frame[:2]
 
+    def test_every_chunking_in_three_yields_the_same_frames(self):
+        """Exhaustive where the property test samples: both cuts at every
+        offset — inside the 5-byte header, around a 0-byte body, on and
+        off frame boundaries — give the frames of one feed."""
+        items = [(ipc.OP_SUBMIT, b"ab"), (ipc.OP_CONFIG, b""), (ipc.OP_DELIVER, b"xyz")]
+        stream = b"".join(ipc.pack_frame(op, body) for op, body in items)
+        assert ipc.FrameDecoder().feed(stream) == items
+        for first in range(len(stream) + 1):
+            for second in range(first, len(stream) + 1):
+                decoder = ipc.FrameDecoder()
+                got = []
+                for piece in (stream[:first], stream[first:second], stream[second:]):
+                    got.extend(decoder.feed(piece))
+                assert got == items, (first, second)
+                assert decoder.partial == b"" and decoder.error is None
+
+    def test_a_frame_of_many_reads_is_assembled_once(self):
+        body = bytes(range(256)) * 1024  # 256 KiB in 1 KiB reads
+        stream = ipc.pack_frame(ipc.OP_SUBMIT, body) + ipc.pack_frame(ipc.OP_CONFIG, b"")
+        decoder = ipc.FrameDecoder()
+        got = []
+        for at in range(0, len(stream), 1024):
+            got.extend(decoder.feed(stream[at : at + 1024]))
+        assert got == [(ipc.OP_SUBMIT, body), (ipc.OP_CONFIG, b"")]
+        assert decoder.partial == b""
+
     def test_oversized_length_is_rejected_before_the_body_arrives(self):
         header = ipc._FRAME_HEADER.pack(ipc.OP_SUBMIT, ipc.MAX_FRAME + 1)
-        with pytest.raises(CodecError, match="frame too large"):
-            ipc.FrameDecoder().feed(header)
+        decoder = ipc.FrameDecoder()
+        assert decoder.feed(header) == []
+        assert isinstance(decoder.error, CodecError)
+        assert "frame too large" in str(decoder.error)
         # The limit itself is a legal length.
         assert ipc.FrameDecoder().feed(
             ipc._FRAME_HEADER.pack(ipc.OP_SUBMIT, ipc.MAX_FRAME)

@@ -130,10 +130,12 @@ class TestDeliveryLog:
 
     def test_node_with_a_consumer_counts_but_does_not_retain(self):
         node = RingNode(0, local_ring_addresses([0], base_port=40100))
-        seen = []
-        node.on_deliver = lambda message, config_id: seen.append(message.seq)
-        node.deliver(self._messages(3), 1, 1)
-        assert seen == [1, 2, 3]
+        runs = []
+        node.on_deliver = lambda messages, config_id: runs.append(
+            ([message.seq for message in messages], config_id)
+        )
+        node.deliver(self._messages(3), 7, 1)
+        assert runs == [([1, 2, 3], 7)]  # the run whole: one call, not three
         assert node.delivered_count == 3
         assert node.delivered == []
 

@@ -7,6 +7,7 @@ updates, client fan-out) is exercised directly with stub sessions.
 
 
 from repro.core.messages import DataMessage, DeliveryService
+from repro.runtime import ipc
 from repro.runtime.transport import local_ring_addresses
 from repro.spread.daemon import SpreadDaemon, _ClientSession
 from repro.spread.wire import AppData, GroupJoin, GroupLeave, Packed
@@ -27,10 +28,16 @@ def frames(session):
     """Frames the daemon enqueued for this client.
 
     Sessions route writes through their ClientSendQueue; with no drain
-    task running (no event loop in these unit tests) accepted frames
-    stay pending, which is exactly what the fan-out logic produced.
+    task running (no event loop in these unit tests) what was accepted
+    stays pending, which is exactly what the fan-out logic produced.
+    The queue holds chunks of whole frames; the client sees their
+    concatenation, so that is what is taken apart here.
     """
-    return session.queue.pending_frames
+    decoder = ipc.FrameDecoder()
+    stream = b"".join(session.queue.pending_frames)
+    out = [ipc.pack_frame(opcode, body) for opcode, body in decoder.feed(stream)]
+    assert decoder.error is None and decoder.partial == b""
+    return out
 
 
 def make_daemon(pid=0):
@@ -40,6 +47,11 @@ def make_daemon(pid=0):
 
 def ordered(payload: bytes, seq=1, pid=1, service=DeliveryService.AGREED):
     return DataMessage(seq=seq, pid=pid, round=1, service=service, payload=payload)
+
+
+def deliver(daemon, *messages, config_id):
+    """Hand the daemon one delivered run, as its node would."""
+    daemon._ordered_delivery(messages, config_id)
 
 
 def attach_member(daemon, name, groups=()):
@@ -58,7 +70,7 @@ class TestOrderedDeliveryPipeline:
         daemon.directory.apply_join("remote#1", "g")  # lives elsewhere
         bystander = attach_member(daemon, "b#0")  # not in the group
         envelope = AppData("sender#1", ("g",), b"payload").encode()
-        daemon._ordered_delivery(ordered(envelope), config_id=1)
+        deliver(daemon, ordered(envelope), config_id=1)
         assert len(frames(local)) == 1
         assert frames(bystander) == []
         assert daemon.messages_delivered_to_clients == 1
@@ -67,7 +79,7 @@ class TestOrderedDeliveryPipeline:
         daemon = make_daemon()
         both = attach_member(daemon, "a#0", groups=["g1", "g2"])
         envelope = AppData("s#1", ("g1", "g2"), b"x").encode()
-        daemon._ordered_delivery(ordered(envelope), config_id=1)
+        deliver(daemon, ordered(envelope), config_id=1)
         assert len(frames(both)) == 1
 
     def test_packed_envelopes_processed_in_order(self):
@@ -76,24 +88,20 @@ class TestOrderedDeliveryPipeline:
         first = AppData("s#1", ("g",), b"1").encode()
         second = AppData("s#1", ("g",), b"2").encode()
         payload = Packed((first, second)).encode()
-        daemon._ordered_delivery(ordered(payload), config_id=1)
+        deliver(daemon, ordered(payload), config_id=1)
         assert len(frames(member)) == 2
 
     def test_ordered_join_updates_directory_and_notifies(self):
         daemon = make_daemon()
         member = attach_member(daemon, "a#0")
-        daemon._ordered_delivery(
-            ordered(GroupJoin("a#0", "g").encode()), config_id=1
-        )
+        deliver(daemon, ordered(GroupJoin("a#0", "g").encode()), config_id=1)
         assert daemon.directory.is_member("a#0", "g")
         assert len(frames(member)) == 1  # the group view
 
     def test_ordered_leave_clears_membership(self):
         daemon = make_daemon()
         attach_member(daemon, "a#0", groups=["g"])
-        daemon._ordered_delivery(
-            ordered(GroupLeave("a#0", "g").encode()), config_id=1
-        )
+        deliver(daemon, ordered(GroupLeave("a#0", "g").encode()), config_id=1)
         assert not daemon.directory.is_member("a#0", "g")
 
     def test_fragments_reassemble_across_orderings(self):
@@ -103,7 +111,7 @@ class TestOrderedDeliveryPipeline:
         pieces = daemon.fragmenter.fragment(big)
         assert len(pieces) > 1
         for index, piece in enumerate(pieces):
-            daemon._ordered_delivery(ordered(piece, seq=index + 1), config_id=1)
+            deliver(daemon, ordered(piece, seq=index + 1), config_id=1)
         assert len(frames(member)) == 1
 
     def test_view_notification_goes_to_members_only(self):
@@ -111,9 +119,7 @@ class TestOrderedDeliveryPipeline:
         inside = attach_member(daemon, "in#0", groups=["g"])
         outside = attach_member(daemon, "out#0")
         daemon.directory.take_dirty()
-        daemon._ordered_delivery(
-            ordered(GroupJoin("late#0", "g").encode()), config_id=1
-        )
+        deliver(daemon, ordered(GroupJoin("late#0", "g").encode()), config_id=1)
         # 'late' has no session (stub only), 'in' gets the view
         assert len(frames(inside)) == 1
         assert frames(outside) == []
@@ -136,4 +142,4 @@ class TestSubmissionPipeline:
         daemon._submit_envelope(big, DeliveryService.SAFE)
         assert len(submitted) >= 4
         for piece in submitted:
-            assert len(piece) <= daemon.packer.budget + 64
+            assert len(piece) <= daemon.fragmenter.chunk_size + 64
