@@ -26,8 +26,6 @@ from repro.util.units import Mbps, seconds_to_usec
 from repro.workloads.generators import ClosedLoopWorkload, FixedRateWorkload
 
 if TYPE_CHECKING:
-    from repro.net.fabric import LeafSpineSpec
-    from repro.net.impair import ImpairmentModel
     from repro.obs.observer import ProtocolObserver
 
 #: Setting REPRO_BENCH_FAST=1 shrinks measurement windows ~3x for smoke runs.
@@ -67,13 +65,16 @@ def _build_ring(
     config: Optional[ProtocolConfig] = None,
     loss_model: Optional[LossModel] = None,
     observer: Optional["ProtocolObserver"] = None,
-    fabric: Optional["LeafSpineSpec"] = None,
-    impair: Optional["ImpairmentModel"] = None,
+    fabric_racks: int = 0,
+    impair: Optional[str] = None,
+    seed: int = 0,
     messages_per_datagram: int = 1,
     num_hosts: int = NUM_HOSTS,
 ) -> RingCluster:
     """The benchmark ring: ``config`` defaults to the paper's window
-    selection for the curve (:func:`~repro.bench.windows.window_for`)."""
+    selection for the curve (:func:`~repro.bench.windows.window_for`);
+    ``fabric_racks`` / ``impair`` / ``seed`` are :meth:`~repro.sim.build.
+    ClusterBuilder.adverse_network`'s."""
     config = config or window_for(profile, params, accelerated, payload_size)
     if messages_per_datagram != 1:
         config = replace(config, messages_per_datagram=messages_per_datagram)
@@ -86,8 +87,7 @@ def _build_ring(
         .config(config)
         .loss(loss_model)
         .observe(observer)
-        .fabric(fabric)
-        .impair(impair)
+        .adverse_network(fabric_racks, impair, seed=seed)
         .build_ring()
     )
 

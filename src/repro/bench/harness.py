@@ -35,11 +35,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.bench.experiments import NUM_HOSTS, _build_ring, run_window
+from repro.bench.experiments import _build_ring, run_window
 from repro.bench.windows import window_for
 from repro.core.messages import DeliveryService
-from repro.net.fabric import LeafSpineSpec
-from repro.net.impair import impairment_from_name
 from repro.net.params import GIGABIT, TEN_GIGABIT, NetworkParams
 from repro.sim.build import ClusterBuilder
 from repro.sim.profiles import LIBRARY
@@ -127,20 +125,14 @@ def _ring_case(
     asserted deterministic and a reused RNG would break that."""
 
     def build(seed: int) -> Tuple[Any, Any]:
-        fabric = impair = None
-        if racks:
-            fabric = LeafSpineSpec(
-                racks=racks, hosts_per_rack=NUM_HOSTS // racks, oversubscription=2.0
-            )
-        if impair_name:
-            impair = impairment_from_name(impair_name, seed=seed)
         cluster = _build_ring(
             True,
             LIBRARY,
             params,
             messages_per_datagram=messages_per_datagram,
-            fabric=fabric,
-            impair=impair,
+            fabric_racks=racks,
+            impair=impair_name,
+            seed=seed,
         )
         if rate_mbps is None:
             return cluster, ClosedLoopWorkload(payload_size=1350, service=service)

@@ -81,8 +81,8 @@ class CoverageObserver(ProtocolObserver):
         else:
             self._hit("data.multicast")
 
-    def on_deliver(self, pid, message, now=None):
-        self._hit("deliver.messages")
+    def on_deliver_batch(self, pid, messages, now=None):
+        self._hit("deliver.messages", len(messages))
 
     def on_retransmit(self, pid, seq, now=None):
         self._hit("retransmit.answered")

@@ -74,24 +74,25 @@ class ConformanceTap(DeliveryTap):
         for pid in pids:
             self._stream(pid).append((MARK, name))
 
-    def on_deliver(self, pid, message, config_id, origin_ring) -> None:
+    def on_deliver_batch(self, pid, messages, config_id, origin_ring) -> None:
         stream = self._stream(pid)
-        payload = bytes(message.payload)
-        if not self.decode:
-            stream.append((MSG, payload))
-            return
-        for envelope_bytes in unpack_payload(payload):
-            envelope = decode_envelope(envelope_bytes)
-            if isinstance(envelope, Fragment):
-                reassembler = self._reassemblers.setdefault(
-                    pid, FragmentReassembler()
-                )
-                whole = reassembler.accept(message.pid, envelope)
-                if whole is None:
-                    continue
-                envelope = decode_envelope(whole)
-            if isinstance(envelope, AppData):
-                stream.append((MSG, envelope.payload))
+        for message in messages:
+            payload = bytes(message.payload)
+            if not self.decode:
+                stream.append((MSG, payload))
+                continue
+            for envelope_bytes in unpack_payload(payload):
+                envelope = decode_envelope(envelope_bytes)
+                if isinstance(envelope, Fragment):
+                    reassembler = self._reassemblers.setdefault(
+                        pid, FragmentReassembler()
+                    )
+                    whole = reassembler.accept(message.pid, envelope)
+                    if whole is None:
+                        continue
+                    envelope = decode_envelope(whole)
+                if isinstance(envelope, AppData):
+                    stream.append((MSG, envelope.payload))
 
     def on_config(self, pid, configuration) -> None:
         self._stream(pid).append(

@@ -10,8 +10,8 @@ The ordering engines' effects are allocated on the benchmark hot path
 (one per multicast / delivery / token send), so they are hand-written
 ``__slots__`` classes rather than dataclasses (Python 3.9 lacks
 ``dataclass(slots=True)``).  Equality and repr match the dataclasses
-they replaced.  The membership controller's effects (control sends,
-timers, attributed deliveries) are off that path and stay dataclasses.
+they replaced.  The membership controller's own effects (control sends,
+timers, configuration deliveries) are off that path and stay dataclasses.
 
 Every effect, from either engine, is executed by the one
 :class:`~repro.core.executor.EffectExecutor`.
@@ -20,7 +20,7 @@ Every effect, from either engine, is executed by the one
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.core.messages import DataMessage
 from repro.core.token import RegularToken
@@ -34,10 +34,11 @@ class Effect:
 
     __slots__ = ()
 
-    #: The in-order run of messages a *delivery* effect hands to the
-    #: application — scalar deliveries expose a 1-tuple, so consumers
-    #: see one shape — and ``()`` for every other effect.
-    delivered: tuple = ()
+    #: The in-order run of messages :class:`Deliver` hands to the
+    #: application (its slot shadows this), and ``()`` for every other
+    #: effect — so a wrapping layer can pick the deliveries out of an
+    #: effect list without dispatching on effect types.
+    messages: tuple = ()
     #: True for the effects that put a frame on the wire.  A layer
     #: wrapping an engine (the membership controller) forwards these
     #: untouched while it re-attributes or withholds the deliveries.
@@ -93,56 +94,48 @@ class SendToken(Effect):
 
 
 class Deliver(Effect):
-    """Deliver a message to the local application (in total order)."""
+    """Deliver an in-order run of messages to the local application.
 
-    __slots__ = ("message",)
+    The only delivery effect.  The engines emit one per advance of the
+    delivery frontier (``_deliver_ready``): ``messages`` is the run it
+    released, a tuple in sequence order — a run of one is a 1-tuple —
+    and the hosting layer performs one observer hook call, one checker
+    append and one driver callback for the whole run.
 
-    def __init__(self, message: DataMessage) -> None:
-        self.message = message
+    ``config_id`` / ``origin_ring`` are ``None`` as the ordering engine
+    emits it.  A membership controller stamps the installed ring's id on
+    the same object before forwarding it, so traces carry the
+    configuration context the EVS checker needs; a run never spans a
+    view change (the engine only releases what it ordered under one
+    ring).
+    """
 
-    @property
-    def delivered(self) -> tuple:
-        return (self.message,)
+    __slots__ = ("messages", "config_id", "origin_ring")
+
+    def __init__(
+        self,
+        messages: tuple,
+        config_id: Optional[int] = None,
+        origin_ring: Optional[int] = None,
+    ) -> None:
+        self.messages = messages
+        self.config_id = config_id
+        self.origin_ring = origin_ring
 
     def __repr__(self) -> str:
-        return f"Deliver(message={self.message!r})"
+        return (
+            f"Deliver(messages={self.messages!r}, config_id={self.config_id!r}, "
+            f"origin_ring={self.origin_ring!r})"
+        )
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not Deliver:
             return NotImplemented
-        return self.message == other.message
-
-    __hash__ = None
-
-
-class DeliverBatch(Effect):
-    """Deliver a contiguous in-order run of messages in one step.
-
-    Emitted by the engines when the delivery frontier advances by more
-    than one message at once (``_deliver_ready`` found a run): the
-    hosting layer performs *one* observer hook call, one checker append,
-    and one driver callback for the whole slice instead of one of each
-    per message.  ``messages`` is a tuple in delivery (sequence) order.
-    Semantically equivalent to that many consecutive :class:`Deliver`
-    effects; single-message runs still use :class:`Deliver`.
-    """
-
-    __slots__ = ("messages",)
-
-    def __init__(self, messages: tuple) -> None:
-        self.messages = messages
-
-    @property
-    def delivered(self) -> tuple:
-        return self.messages
-
-    def __repr__(self) -> str:
-        return f"DeliverBatch(messages={self.messages!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not DeliverBatch:
-            return NotImplemented
-        return self.messages == other.messages
+        return (
+            self.messages == other.messages
+            and self.config_id == other.config_id
+            and self.origin_ring == other.origin_ring
+        )
 
     __hash__ = None
 
@@ -201,42 +194,6 @@ class CancelTimer(Effect):
     """Cancel a named timer if armed."""
 
     name: str
-
-
-@dataclass
-class DeliverMessage(Effect):
-    """Deliver an application message, attributed to a configuration.
-
-    Replaces :class:`Deliver` when a membership controller wraps the
-    ordering engine, so traces carry the configuration context the EVS
-    checker needs.
-    """
-
-    message: DataMessage
-    config_id: int
-    origin_ring: int
-
-    @property
-    def delivered(self) -> tuple:
-        return (self.message,)
-
-
-@dataclass
-class DeliverMessageBatch(Effect):
-    """Deliver a contiguous in-order run of messages at once.
-
-    The membership mirror of :class:`DeliverBatch`: one configuration
-    attribution covers the whole slice (a batch never spans a view
-    change — the engine only batches runs it delivered under one ring).
-    """
-
-    messages: Tuple[DataMessage, ...]
-    config_id: int
-    origin_ring: int
-
-    @property
-    def delivered(self) -> tuple:
-        return self.messages
 
 
 @dataclass

@@ -17,8 +17,8 @@ It owns, once, what is the same everywhere:
   always travel alone;
 * the named-timer table: re-arming a live name is the backend's
   ``reschedule`` (one timer per name, the old deadline never fires);
-* batch-shaped delivery: scalar deliveries reach the backend as
-  1-tuples, so a backend has one delivery path.
+* delivery: a :class:`~repro.core.events.Deliver` is a run, and reaches
+  the backend as one ``deliver`` call, from one site.
 
 What differs per substrate is the *backend* — how a run, a token or a
 control message gets on the wire, how a callback is scheduled, what a
@@ -55,10 +55,7 @@ from typing import Callable, Dict, Iterable, Tuple
 from repro.core.events import (
     CancelTimer,
     Deliver,
-    DeliverBatch,
     DeliverConfiguration,
-    DeliverMessage,
-    DeliverMessageBatch,
     Effect,
     MulticastData,
     SendControl,
@@ -79,13 +76,12 @@ class EffectExecutor:
         #: messages across effect lists.
         self._coalescer = CoalescingAccumulator(messages_per_datagram)
         self._send_run = backend.send_data_run
-        self._deliver = deliver = backend.deliver
+        self._deliver = backend.deliver
         self._timers: Dict[str, object] = {}
         send_token = backend.send_token
         # Deliver (the hottest effect) and MulticastData (whose handling
         # needs the accumulator) are tested for directly in execute().
         handlers: Dict[type, Callable[[Effect], None]] = {
-            DeliverBatch: lambda e: deliver(e.messages, None, None),
             SendToken: lambda e: send_token(e.token, e.destination),
             # Purely informational (garbage-collection notice).
             Stable: lambda e: None,
@@ -110,13 +106,8 @@ class EffectExecutor:
                 else:
                     timers[name] = reschedule(handle, effect.delay, expire, name)
 
-            def deliver_attributed(effect: Effect) -> None:
-                deliver(effect.delivered, effect.config_id, effect.origin_ring)
-
             handlers.update(
                 {
-                    DeliverMessage: deliver_attributed,
-                    DeliverMessageBatch: deliver_attributed,
                     SendControl: lambda e: send_control(e.message, e.destination),
                     SetTimer: set_timer,
                     CancelTimer: lambda e: self.cancel_timer(e.name),
@@ -131,12 +122,12 @@ class EffectExecutor:
         deliver = self._deliver
         for effect in effects:
             kind = effect.__class__
-            # Deliver dominates (one per delivered message vs one
-            # MulticastData per send), so it is tested first.
+            # Deliver dominates at one message per datagram (every
+            # received message releases a run), so it is tested first.
             if kind is Deliver:
                 if acc.group is not None:
                     self._send_run(acc.take(), False)
-                deliver((effect.message,), None, None)
+                deliver(effect.messages, effect.config_id, effect.origin_ring)
             elif kind is MulticastData:
                 if acc.mpd > 1 and not effect.retransmission:
                     # Retransmissions precede new sends in effect order,

@@ -22,7 +22,6 @@ from repro.core.buffer import MessageBuffer
 from repro.core.config import ProtocolConfig, TokenPriorityMethod
 from repro.core.events import (
     Deliver,
-    DeliverBatch,
     Effect,
     MulticastData,
     SendToken,
@@ -349,7 +348,7 @@ class AcceleratedRingParticipant:
 
         Equivalent to calling :meth:`on_data` per message, but the
         delivery scan runs once over the whole batch, so an in-order
-        datagram yields a single :class:`~repro.core.events.DeliverBatch`
+        datagram yields a single :class:`~repro.core.events.Deliver` run
         instead of one effect list per message.
         """
         buffer_insert = self.buffer.insert
@@ -437,7 +436,7 @@ class AcceleratedRingParticipant:
         proves stability (``_safe_limit``), preserving the single total
         order across services.
 
-        Observer note: ``on_deliver`` deliberately does NOT fire here.
+        Observer note: ``on_deliver_batch`` deliberately does NOT fire here.
         Delivery is an application-visible act owned by the hosting layer
         (sim driver, membership controller, runtime node) — the engine
         only *proposes* deliveries via :class:`Deliver` effects, and the
@@ -468,12 +467,9 @@ class AcceleratedRingParticipant:
             return []
         self._last_delivered = last_delivered
         self.messages_delivered += delivered
-        # The whole in-order run is one batched effect: the hosting layer
-        # delivers the slice with a single hook/checker/callback round
-        # instead of one per message.  A run of one keeps the scalar form.
-        if delivered == 1:
-            return [Deliver(run[0])]
-        return [DeliverBatch(tuple(run))]
+        # The whole in-order run is one effect: the hosting layer delivers
+        # it with a single hook/checker/callback round, not one per message.
+        return [Deliver(tuple(run))]
 
     def _maybe_raise_token_priority(self, message: DataMessage) -> None:
         """Paper §III-D: decide when the token outranks data again."""

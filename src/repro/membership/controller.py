@@ -34,9 +34,8 @@ from typing import (
 from repro.core.config import ProtocolConfig
 from repro.core.events import (
     CancelTimer,
+    Deliver,
     DeliverConfiguration,
-    DeliverMessage,
-    DeliverMessageBatch,
     Effect,
     SendControl,
     SendToken,
@@ -349,19 +348,17 @@ class MembershipController:
         return AcceleratedRingParticipant if self.accelerated else OriginalRingParticipant
 
     def _translate(self, core_effects: Sequence[Effect], effects: List[Effect]) -> None:
-        """Attribute the engine's deliveries to the installed ring; wire
-        effects pass through, local notifications (``Stable``) drop."""
+        """Attribute the engine's deliveries to the installed ring (its
+        id is stamped on the engine's own effect); wire effects pass
+        through, local notifications (``Stable``) drop."""
         assert self.ring_config is not None
         config_id = self.ring_config.config_id
         observer = self.observer
         for effect in core_effects:
-            messages = effect.delivered
-            if len(messages) == 1:
-                effects.append(DeliverMessage(messages[0], config_id, config_id))
-                if observer is not None:
-                    observer.on_deliver(self.pid, messages[0], now=self._now())
-            elif messages:
-                effects.append(DeliverMessageBatch(messages, config_id, config_id))
+            messages = effect.messages
+            if messages:
+                effect.config_id = effect.origin_ring = config_id
+                effects.append(effect)
                 if observer is not None:
                     observer.on_deliver_batch(self.pid, messages, now=self._now())
             elif effect.on_wire:
@@ -380,7 +377,7 @@ class MembershipController:
             if effect.on_wire:
                 effects.append(effect)
                 continue
-            messages = effect.delivered
+            messages = effect.messages
             if messages:
                 seqs.append(messages[0].seq)
         if seqs:
@@ -679,9 +676,7 @@ class MembershipController:
             # an endless install/teardown churn loop.
             return
         if self.state not in (MemberState.GATHER, MemberState.COMMIT):
-            if self._rec is not None and token.ring_id == self._rec.new_ring_id:
-                return  # second-pass echo while already recovering
-            return
+            return  # e.g. the second-pass echo while already recovering
         if self.state is MemberState.GATHER and set(token.members) != self._candidates():
             return  # we have not agreed to this membership
         if (
@@ -745,7 +740,7 @@ class MembershipController:
                 for seq in range(low + 1, high + 1)
                 if self.ordering.buffer.get(seq) is not None
             }
-        rec.done = self._recovery_complete(rec)
+        rec.done = not rec.needed()
         self._rec = rec
         if self.observer is not None:
             self.observer.on_recovery_started(
@@ -766,9 +761,6 @@ class MembershipController:
         )
         effects.append(SetTimer(TIMER_RECOVERY, self.timeouts.recovery_timeout))
         self._maybe_finalize(effects)
-
-    def _recovery_complete(self, rec: _RecoveryState) -> bool:
-        return not rec.needed()
 
     def _flood(self, rec: _RecoveryState, seqs: Set[int], effects: List[Effect]) -> None:
         if self.ordering is None:
@@ -1024,6 +1016,16 @@ class MembershipController:
                 return
         self._finalize_recovery(rec, effects)
 
+    def _deliver_recovered(
+        self, message: DataMessage, rec: _RecoveryState, effects: List[Effect]
+    ) -> None:
+        """Deliver one old-ring message, attributed to the ring that
+        ordered it (recovery may skip holes, so each is a run of one)."""
+        run = (message,)
+        effects.append(Deliver(run, rec.my_old_ring, rec.my_old_ring))
+        if self.observer is not None:
+            self.observer.on_deliver_batch(self.pid, run, now=self._now())
+
     def _finalize_recovery(self, rec: _RecoveryState, effects: List[Effect]) -> None:
         """Deliver remaining old-ring messages per EVS, install the ring."""
         old_config = self.ring_config
@@ -1049,24 +1051,15 @@ class MembershipController:
                     break
                 if seq > rec.deliver_high and message.service.requires_stability:
                     break
-                effects.append(
-                    DeliverMessage(
-                        message=message,
-                        config_id=rec.my_old_ring,
-                        origin_ring=rec.my_old_ring,
-                    )
-                )
-                if self.observer is not None:
-                    self.observer.on_deliver(self.pid, message, now=self._now())
+                self._deliver_recovered(message, rec, effects)
                 seq += 1
             # Transitional configuration: my old ring's survivors.
-            transitional_members = [m for m in rec.old_members]
             if old_config is not None:
                 effects.append(
                     DeliverConfiguration(
                         Configuration.transitional_of(
                             encode_transitional_id(rec.my_old_ring, rec.new_ring_id),
-                            transitional_members,
+                            rec.old_members,
                             closes=rec.my_old_ring,
                         )
                     )
@@ -1076,15 +1069,7 @@ class MembershipController:
             while seq <= rec.high:
                 message = ordering.buffer.get(seq)
                 if message is not None:
-                    effects.append(
-                        DeliverMessage(
-                            message=message,
-                            config_id=rec.my_old_ring,
-                            origin_ring=rec.my_old_ring,
-                        )
-                    )
-                    if self.observer is not None:
-                        self.observer.on_deliver(self.pid, message, now=self._now())
+                    self._deliver_recovered(message, rec, effects)
                 seq += 1
             self._old_buffer = ordering.buffer
             self._past_rings.add(ordering.ring_id)

@@ -101,17 +101,7 @@ class GroupStreamTap:
     def _stream(self, pid: int) -> List[tuple]:
         return self.streams.setdefault(pid, [])
 
-    def on_deliver(self, pid, message, config_id, origin_ring) -> None:
-        group, payload = decode_group_payload(bytes(message.payload))
-        self._stream(pid).append((MSG, group, payload))
-        for listener in self.listeners:
-            listener.on_deliver(pid, group, payload, config_id, origin_ring)
-
     def on_deliver_batch(self, pid, messages, config_id, origin_ring) -> None:
-        # Duck-typed taps don't inherit DeliveryTap's fan-out shim, so the
-        # batched hook is spelled out: same per-message decode and
-        # listener order as len(messages) scalar on_deliver calls, one
-        # stream lookup for the run.
         stream_append = self._stream(pid).append
         listeners = self.listeners
         for message in messages:

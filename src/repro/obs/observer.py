@@ -11,10 +11,10 @@ Hook timing:
 * ``on_token_received`` / ``on_token_sent`` / ``on_multicast`` /
   ``on_retransmit`` / ``on_retransmit_requested`` / ``on_flow_control``
   fire inside the sans-io ordering engines at protocol-event time.
-* ``on_deliver`` fires in the layer that owns application delivery (the
-  sim driver or the membership controller), so its count is exactly the
-  application-visible delivery count — the same events the EVS checker
-  records.
+* ``on_deliver_batch`` fires in the layer that owns application delivery
+  (the sim driver or the membership controller), once per delivered run,
+  so its message count is exactly the application-visible delivery
+  count — the same events the EVS checker records.
 * ``on_membership_event`` fires in the membership controller on state
   transitions, ring installs, and token losses.
 
@@ -58,28 +58,15 @@ class ProtocolObserver:
     ) -> None:
         """A data message (new or retransmitted) was multicast."""
 
-    def on_deliver(
-        self, pid: int, message: DataMessage, now: Optional[float] = None
-    ) -> None:
-        """A message was delivered to the local application."""
-
     def on_deliver_batch(
         self,
         pid: int,
         messages: Sequence[DataMessage],
         now: Optional[float] = None,
     ) -> None:
-        """A contiguous in-order run of messages was delivered at once.
-
-        The hosting layers fire this once per delivered batch instead of
-        ``len(messages)`` :meth:`on_deliver` calls.  The base
-        implementation fans out to :meth:`on_deliver` per message, so
-        observers that only override the scalar hook keep seeing every
-        delivery; batch-aware observers override this for one call per
-        slice.
-        """
-        for message in messages:
-            self.on_deliver(pid, message, now=now)
+        """An in-order run of messages was delivered to the local
+        application: the one delivery hook, fired once per run (a run of
+        one is a 1-tuple)."""
 
     def on_retransmit(
         self, pid: int, seq: int, now: Optional[float] = None
@@ -205,10 +192,6 @@ class CompositeObserver(ProtocolObserver):
         for observer in self.observers:
             observer.on_multicast(pid, message, retransmission=retransmission, now=now)
 
-    def on_deliver(self, pid, message, now=None):
-        for observer in self.observers:
-            observer.on_deliver(pid, message, now=now)
-
     def on_deliver_batch(self, pid, messages, now=None):
         for observer in self.observers:
             observer.on_deliver_batch(pid, messages, now=now)
@@ -322,17 +305,8 @@ class MetricsObserver(ProtocolObserver):
         else:
             self.registry.counter("multicast.pre_token").inc()
 
-    def on_deliver(self, pid, message, now=None):
-        self.registry.counter("deliver.messages").inc()
-        if now is not None and message.timestamp is not None:
-            latency = now - message.timestamp
-            if latency >= 0:
-                self.registry.histogram(
-                    "deliver.latency", LATENCY_BOUNDS
-                ).record(latency)
-
     def on_deliver_batch(self, pid, messages, now=None):
-        # One counter bump for the whole slice; the latency histogram
+        # One counter bump for the whole run; the latency histogram
         # still records per message (each message has its own timestamp).
         self.registry.counter("deliver.messages").inc(len(messages))
         if now is None:

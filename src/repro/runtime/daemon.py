@@ -33,49 +33,32 @@ if TYPE_CHECKING:
     from repro.obs.observer import ProtocolObserver
 
 
-class DaemonServer:
-    """A single-group daemon: relays submissions and fan-outs deliveries."""
+class ClientListener:
+    """A ring node serving local clients: the listener lifecycle every
+    daemon shares.  A daemon subclasses this with its own client
+    protocol (``_handle_client``), its own delivery, and
+    :meth:`_detach_clients`."""
 
     def __init__(
         self,
-        pid: int,
-        peers: Dict[int, PeerAddress],
+        node: RingNode,
         socket_path: str,
-        accelerated: bool = True,
-        tcp_port: Optional[int] = None,
-        observer: Optional["ProtocolObserver"] = None,
-        client_window_bytes: int = DEFAULT_CLIENT_WINDOW_BYTES,
-        **node_kwargs,
+        tcp_port: Optional[int],
+        client_window_bytes: int,
     ) -> None:
-        self.pid = pid
+        self.pid = node.pid
+        self.node = node
         self.socket_path = socket_path
         #: Optional TCP listener for remote clients.  The paper notes
         #: Spread supports TCP clients but recommends co-locating clients
         #: with daemons on LANs; we offer the same choice.
         self.tcp_port = tcp_port
         self.client_window_bytes = client_window_bytes
-        # ``clock=`` (and every other RingNode knob) passes through
-        # node_kwargs, so tests can inject a controllable time source
-        # into the daemon's membership timeouts.
-        self.node = RingNode(
-            pid=pid,
-            peers=peers,
-            accelerated=accelerated,
-            observer=observer,
-            **node_kwargs,
-        )
-        self.node.on_deliver = self._deliver
-        self.node.on_config = self._config_changed
         #: Client queues holding frames of the node's current batch.
         self._unflushed: List[ClientSendQueue] = []
-        self.node.on_batch_end = lambda: flush_all(self._unflushed)
+        node.on_batch_end = lambda: flush_all(self._unflushed)
         self._server: Optional[asyncio.AbstractServer] = None
         self._tcp_server: Optional[asyncio.AbstractServer] = None
-        self._clients: Dict[asyncio.StreamWriter, ClientSendQueue] = {}
-        self.messages_relayed = 0
-        self.clients_dropped_slow = 0
-        #: Clients disconnected for sending a frame that does not decode.
-        self.clients_dropped_malformed = 0
 
     async def start(self) -> None:
         if os.path.exists(self.socket_path):
@@ -97,13 +80,60 @@ class DaemonServer:
                 await server.wait_closed()
         self._server = None
         self._tcp_server = None
-        queues = list(self._clients.values())
-        self._clients.clear()
-        for queue in queues:
+        for queue in self._detach_clients():
             await queue.aclose()
         await self.node.stop()
         if os.path.exists(self.socket_path):
             os.unlink(self.socket_path)
+
+    async def _handle_client(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """Serve one client connection until it ends."""
+        raise NotImplementedError
+
+    def _detach_clients(self) -> List[ClientSendQueue]:
+        """Forget every connected client; their queues, for closing."""
+        raise NotImplementedError
+
+
+class DaemonServer(ClientListener):
+    """A single-group daemon: relays submissions and fan-outs deliveries."""
+
+    def __init__(
+        self,
+        pid: int,
+        peers: Dict[int, PeerAddress],
+        socket_path: str,
+        accelerated: bool = True,
+        tcp_port: Optional[int] = None,
+        observer: Optional["ProtocolObserver"] = None,
+        client_window_bytes: int = DEFAULT_CLIENT_WINDOW_BYTES,
+        **node_kwargs,
+    ) -> None:
+        # ``clock=`` (and every other RingNode knob) passes through
+        # node_kwargs, so tests can inject a controllable time source
+        # into the daemon's membership timeouts.
+        node = RingNode(
+            pid=pid,
+            peers=peers,
+            accelerated=accelerated,
+            observer=observer,
+            **node_kwargs,
+        )
+        super().__init__(node, socket_path, tcp_port, client_window_bytes)
+        node.on_deliver = self._deliver
+        node.on_config = self._config_changed
+        self._clients: Dict[asyncio.StreamWriter, ClientSendQueue] = {}
+        self.messages_relayed = 0
+        self.clients_dropped_slow = 0
+        #: Clients disconnected for sending a frame that does not decode.
+        self.clients_dropped_malformed = 0
+
+    def _detach_clients(self) -> List[ClientSendQueue]:
+        queues = list(self._clients.values())
+        self._clients.clear()
+        return queues
 
     # ------------------------------------------------------------------
 

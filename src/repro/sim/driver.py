@@ -39,8 +39,8 @@ class ProtocolHost:
     ``observer`` defaults to the participant's observer; either way the
     participant's clock is bound to simulated time, so every hook the
     engine fires carries a simulated-seconds ``now`` and the driver can
-    report application deliveries (``on_deliver``) at the moment the
-    delivery CPU work actually completes.
+    report application deliveries (``on_deliver_batch``) at the moment
+    the delivery CPU work actually completes.
     """
 
     def __init__(
@@ -102,13 +102,8 @@ class ProtocolHost:
         self._data_ring = host.data_socket._ring
         self.reassembler = new_reassembler(host)
         self.delivered_log: List[DataMessage] = []
-        #: Optional hooks for tracing (see :mod:`repro.sim.trace`).
+        #: Optional hook for tracing (see :mod:`repro.sim.trace`).
         self.on_transmit: Optional[Callable[[Frame], None]] = None
-        self.on_deliver: Optional[Callable[[DataMessage], None]] = None
-        #: Batch form of ``on_deliver``: called once per delivered run
-        #: with the message tuple.  When unset, batches fan out to
-        #: ``on_deliver`` per message, so scalar tracers keep working.
-        self.on_deliver_batch: Optional[Callable[[Tuple[DataMessage, ...]], None]] = None
         #: Bound by the cluster: stop delivering application payloads
         #: (used when an experiment caps message counts).
         self.keep_delivered_log = False
@@ -269,12 +264,11 @@ class ProtocolHost:
         )
 
     def deliver(self, messages: Tuple[DataMessage, ...], config_id, origin_ring) -> None:
-        # One CPU task for the whole run, at the same total cost k
-        # scalar deliveries would charge: the CPU's busy time and every
-        # subsequent task's start time do not depend on how the engine
-        # batched, so transmit timing (and the seeded traces built on
-        # it) stays identical — only the per-message delivery records
-        # move to the batch end.
+        # One CPU task for the whole run, priced per message: the CPU's
+        # busy time and every subsequent task's start time do not depend
+        # on how the engine grouped its deliveries into runs, so transmit
+        # timing (and the seeded traces built on it) does not either —
+        # only the per-message delivery records sit at the run's end.
         self._queue_task(
             (self._deliver_cpu * len(messages), self._run_delivery, (messages,))
         )
@@ -304,20 +298,11 @@ class ProtocolHost:
         self.host.nic.send(frame)
 
     def _run_delivery(self, messages: Tuple[DataMessage, ...]) -> None:
-        # One hook call, one tracer callback, and one stats loop for the
-        # whole in-order run (a scalar delivery is a run of one).
+        # One hook call and one stats loop for the whole in-order run.
         now = self.host.sim.now
         observer = self.observer
         if observer is not None:
             observer.on_deliver_batch(self.participant.pid, messages, now=now)
-        on_batch = self.on_deliver_batch
-        if on_batch is not None:
-            on_batch(messages)
-        else:
-            on_deliver = self.on_deliver
-            if on_deliver is not None:
-                for message in messages:
-                    on_deliver(message)
         if self.keep_delivered_log:
             self.delivered_log.extend(messages)
         self.stats.record_delivery_batch(now, messages, self.measure_from)

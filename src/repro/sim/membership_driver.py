@@ -49,16 +49,10 @@ class DeliveryTap:
     subclass and override.
     """
 
-    def on_deliver(self, pid, message, config_id, origin_ring) -> None:
-        """``pid`` delivered ``message`` (a ``DataMessage``)."""
-
     def on_deliver_batch(self, pid, messages, config_id, origin_ring) -> None:
-        """``pid`` delivered an in-order run of messages under one
-        configuration.  Default fans out to :meth:`on_deliver` per
-        message, so scalar taps keep working unchanged."""
-        on_deliver = self.on_deliver
-        for message in messages:
-            on_deliver(pid, message, config_id, origin_ring)
+        """``pid`` delivered an in-order run of messages (a tuple of
+        ``DataMessage``; a run of one is a 1-tuple) under one
+        configuration."""
 
     def on_config(self, pid, configuration) -> None:
         """``pid`` installed ``configuration``."""

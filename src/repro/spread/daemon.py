@@ -11,7 +11,6 @@ changes at the same point relative to data messages.
 from __future__ import annotations
 
 import asyncio
-import os
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.messages import DataMessage, DeliveryService
@@ -22,6 +21,7 @@ from repro.runtime.backpressure import (
     ClientSendQueue,
     flush_all,
 )
+from repro.runtime.daemon import ClientListener
 from repro.runtime.node import RingNode
 from repro.runtime.transport import PeerAddress
 from repro.spread.fragmentation import Fragmenter, FragmentReassembler
@@ -67,7 +67,7 @@ class _ClientSession:
         self.envelope_prefix = app_data_prefix(member_name)
 
 
-class SpreadDaemon:
+class SpreadDaemon(ClientListener):
     """A group-aware daemon on one server."""
 
     def __init__(
@@ -81,21 +81,13 @@ class SpreadDaemon:
         client_window_bytes: int = DEFAULT_CLIENT_WINDOW_BYTES,
         **node_kwargs,
     ) -> None:
-        self.pid = pid
-        self.socket_path = socket_path
-        self.tcp_port = tcp_port
-        self.client_window_bytes = client_window_bytes
-        self.node = RingNode(pid=pid, peers=peers, accelerated=accelerated, **node_kwargs)
-        self.node.on_deliver = self._ordered_delivery
-        self.node.on_config = self._config_changed
-        #: Client queues holding frames of the node's current batch.
-        self._unflushed: List[ClientSendQueue] = []
-        self.node.on_batch_end = lambda: flush_all(self._unflushed)
+        node = RingNode(pid=pid, peers=peers, accelerated=accelerated, **node_kwargs)
+        super().__init__(node, socket_path, tcp_port, client_window_bytes)
+        node.on_deliver = self._ordered_delivery
+        node.on_config = self._config_changed
         self.directory = GroupDirectory()
         self.fragmenter = Fragmenter(chunk_size=pack_budget)
         self.reassembler = FragmentReassembler()
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._tcp_server: Optional[asyncio.AbstractServer] = None
         self._sessions: Dict[str, _ClientSession] = {}
         #: Validated groupcast headers (ingest side of "validate at
         #: ingest, forward after", PROTOCOL.md §15).
@@ -121,33 +113,11 @@ class SpreadDaemon:
         #: Ordered envelopes skipped because they do not decode.
         self.envelopes_undecodable = 0
 
-    async def start(self) -> None:
-        if os.path.exists(self.socket_path):
-            os.unlink(self.socket_path)
-        await self.node.start()
-        self._server = await asyncio.start_unix_server(
-            self._handle_client, path=self.socket_path
-        )
-        if self.tcp_port is not None:
-            self._tcp_server = await asyncio.start_server(
-                self._handle_client, host="127.0.0.1", port=self.tcp_port
-            )
-
-    async def stop(self) -> None:
-        for server in (self._server, self._tcp_server):
-            if server is not None:
-                server.close()
-                await server.wait_closed()
-        self._server = None
-        self._tcp_server = None
+    def _detach_clients(self) -> List[ClientSendQueue]:
         sessions = list(self._sessions.values())
         self._sessions.clear()
         self._drop_routes()
-        for session in sessions:
-            await session.queue.aclose()
-        await self.node.stop()
-        if os.path.exists(self.socket_path):
-            os.unlink(self.socket_path)
+        return [session.queue for session in sessions]
 
     # ------------------------------------------------------------------
     # Client side

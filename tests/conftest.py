@@ -7,7 +7,7 @@ import random
 import pytest
 
 from repro.core.config import ProtocolConfig
-from repro.core.events import Deliver, DeliverBatch
+from repro.core.events import Deliver
 from repro.core.messages import DataMessage, DeliveryService
 from repro.net.simulator import Simulator
 
@@ -161,18 +161,10 @@ def submit_n(participant, n, service=DeliveryService.AGREED, payload=b"x"):
 
 
 def drain_effects(effects, effect_type):
-    """Messages/tokens of one effect type, in order.
-
-    Asking for ``Deliver`` transparently expands ``DeliverBatch`` runs
-    into per-message ``Deliver`` effects, so delivery-order assertions
-    hold regardless of how the engine chunked the in-order run.
-    """
-    if effect_type is Deliver:
-        out = []
-        for effect in effects:
-            if isinstance(effect, Deliver):
-                out.append(effect)
-            elif isinstance(effect, DeliverBatch):
-                out.extend(Deliver(message) for message in effect.messages)
-        return out
+    """The effects of one type, in order."""
     return [effect for effect in effects if isinstance(effect, effect_type)]
+
+
+def delivered_runs(effects):
+    """The sequence numbers of each ``Deliver`` run, one list per run."""
+    return [[m.seq for m in e.messages] for e in drain_effects(effects, Deliver)]

@@ -54,7 +54,7 @@ def _canonical(effect):
     if type(effect) is MulticastData:
         message = effect.message
         return ("data", message.seq, message.round, message.post_token, effect.retransmission)
-    return (type(effect).__name__, tuple(m.seq for m in effect.delivered), repr(effect))
+    return (type(effect).__name__, tuple(m.seq for m in effect.messages), repr(effect))
 
 
 class _BurstyNetwork(InstantNetwork):

@@ -77,8 +77,8 @@ class _Recorder(NullObserver):
     def on_token_received(self, pid, token, now=None):
         self.events.append(("token", token.token_id))
 
-    def on_deliver(self, pid, message, now=None):
-        self.events.append(("deliver", message.seq))
+    def on_deliver_batch(self, pid, messages, now=None):
+        self.events.extend(("deliver", message.seq) for message in messages)
 
 
 def test_node_handles_queued_data_before_the_token_behind_it():

@@ -7,10 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.events import (
     CancelTimer,
     Deliver,
-    DeliverBatch,
     DeliverConfiguration,
-    DeliverMessage,
-    DeliverMessageBatch,
     MulticastData,
     SendControl,
     SendToken,
@@ -53,39 +50,30 @@ class _Recorder:
         raise AssertionError("no timer fires in this test")
 
     def deliver(self, messages, config_id, origin_ring):
-        self.seen.append((tuple(messages), config_id, origin_ring))
+        self.seen.append(Deliver(messages, config_id, origin_ring))
 
     def deliver_config(self, configuration):
         self.seen.append(DeliverConfiguration(configuration))
 
 
 messages = st.builds(data_message, st.integers(1, 50), pid=st.integers(0, 3))
-runs = st.lists(messages, min_size=2, max_size=4).map(tuple)
+runs = st.lists(messages, min_size=1, max_size=4).map(tuple)
+ring_ids = st.integers(1, 9)
 names = st.sampled_from(["token_loss", "join", "beacon"])
 effects = st.lists(
     st.one_of(
         st.builds(MulticastData, messages, st.booleans()),
         st.builds(SendToken, st.builds(RegularToken, ring_id=st.just(1)), st.integers(0, 3)),
-        st.builds(Deliver, messages),
-        st.builds(DeliverBatch, runs),
+        st.builds(Deliver, runs),
+        st.builds(Deliver, runs, ring_ids, ring_ids),
         st.builds(Stable, st.integers(0, 50)),
         st.builds(SendControl, st.text(max_size=4), st.none() | st.integers(0, 3)),
         st.builds(SetTimer, names, st.floats(0.01, 1.0)),
         st.builds(CancelTimer, names),
-        st.builds(DeliverMessage, messages, st.integers(1, 9), st.integers(1, 9)),
-        st.builds(DeliverMessageBatch, runs, st.integers(1, 9), st.integers(1, 9)),
         st.builds(DeliverConfiguration, st.integers(1, 9)),
     ),
     max_size=40,
 )
-
-
-def _expected(effect):
-    if isinstance(effect, (Deliver, DeliverBatch)):
-        return (effect.delivered, None, None)
-    if isinstance(effect, (DeliverMessage, DeliverMessageBatch)):
-        return (effect.delivered, effect.config_id, effect.origin_ring)
-    return effect
 
 
 @settings(max_examples=200, deadline=None)
@@ -97,7 +85,7 @@ def test_backend_call_sequence_equals_effect_list_at_mpd_1(effect_list):
     # Stable is informational and CancelTimer acts on the executor's own
     # table; every other effect is exactly one backend call.
     visible = [e for e in effect_list if not isinstance(e, (Stable, CancelTimer))]
-    assert backend.seen == [_expected(effect) for effect in visible]
+    assert backend.seen == visible
     armed = set()
     for effect in effect_list:
         if isinstance(effect, SetTimer):

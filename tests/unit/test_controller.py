@@ -20,7 +20,7 @@ from repro.membership.controller import (
 from repro.core.events import (
     CancelTimer,
     DeliverConfiguration,
-    DeliverMessage,
+    Deliver,
     SendControl,
     SetTimer,
 )
@@ -262,8 +262,9 @@ class TestSingletonLifecycle:
         form_singleton(controller)
         token = initial_token(controller.ring_id)
         effects = controller.on_message(token)
-        delivered = [e for e in effects if isinstance(e, DeliverMessage)]
-        assert [d.message.payload for d in delivered] == [b"early"]
+        (run,) = [e for e in effects if isinstance(e, Deliver)]
+        assert [m.payload for m in run.messages] == [b"early"]
+        assert run.config_id == run.origin_ring == controller.ring_id
 
     def test_token_loss_triggers_regather(self):
         controller = make_controller(pid=0)

@@ -10,7 +10,7 @@ from repro.membership.controller import (
     TIMER_CONSENSUS,
     TIMER_SETTLE,
 )
-from repro.core.events import DeliverConfiguration, DeliverMessage, SendControl
+from repro.core.events import Deliver, DeliverConfiguration, SendControl
 from repro.membership.messages import (
     CommitToken,
     JoinMessage,
@@ -61,7 +61,7 @@ def test_recovered_message_outside_window_ignored():
         old_ring_id=encode_ring_id(0, 0), message=data_message(3, pid=1)
     )
     effects = controller.on_message(message)
-    deliveries = [e for e in effects if isinstance(e, DeliverMessage)]
+    deliveries = [e for e in effects if isinstance(e, Deliver)]
     assert deliveries == []
 
 

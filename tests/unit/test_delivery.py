@@ -5,7 +5,7 @@ from repro.core.events import Deliver, Stable
 from repro.core.messages import DeliveryService
 from repro.core.participant import AcceleratedRingParticipant
 from repro.core.token import RegularToken
-from tests.conftest import data_message, drain_effects
+from tests.conftest import data_message, delivered_runs, drain_effects
 
 
 def make_participant(pid=1, n=3):
@@ -17,14 +17,14 @@ class TestAgreedDelivery:
     def test_in_order_delivery_on_receipt(self):
         participant = make_participant()
         effects = participant.on_data(data_message(1, pid=0))
-        assert [e.message.seq for e in drain_effects(effects, Deliver)] == [1]
+        assert delivered_runs(effects) == [[1]]
 
     def test_gap_blocks_delivery(self):
         participant = make_participant()
         effects = participant.on_data(data_message(2, pid=0))
         assert drain_effects(effects, Deliver) == []
         effects = participant.on_data(data_message(1, pid=0))
-        assert [e.message.seq for e in drain_effects(effects, Deliver)] == [1, 2]
+        assert delivered_runs(effects) == [[1, 2]]
 
     def test_duplicate_not_redelivered(self):
         participant = make_participant()
@@ -68,7 +68,7 @@ class TestSafeDelivery:
         token2 = RegularToken(ring_id=1, token_id=5, seq=1, aru=1)
         effects = participant.on_token(token2)
         # now min(1, 1) = 1 -> safe message deliverable
-        assert [e.message.seq for e in drain_effects(effects, Deliver)] == [1]
+        assert delivered_runs(effects) == [[1]]
 
     def test_safe_delivery_unblocks_following_agreed(self):
         participant = make_participant(pid=1)
@@ -76,7 +76,7 @@ class TestSafeDelivery:
         participant.on_data(data_message(2, pid=0))
         participant.on_token(RegularToken(ring_id=1, token_id=1, seq=2, aru=2))
         effects = participant.on_token(RegularToken(ring_id=1, token_id=5, seq=2, aru=2))
-        assert [e.message.seq for e in drain_effects(effects, Deliver)] == [1, 2]
+        assert delivered_runs(effects) == [[1, 2]]
 
 
 class TestDiscard:
@@ -113,5 +113,4 @@ class TestMixedServices:
         assert participant.last_delivered == 1
         participant.on_token(RegularToken(ring_id=1, token_id=1, seq=5, aru=5))
         effects = participant.on_token(RegularToken(ring_id=1, token_id=5, seq=5, aru=5))
-        delivered = [e.message.seq for e in drain_effects(effects, Deliver)]
-        assert delivered == [2, 3, 4, 5]
+        assert delivered_runs(effects) == [[2, 3, 4, 5]]

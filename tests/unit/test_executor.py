@@ -5,10 +5,7 @@ import pytest
 from repro.core.events import (
     CancelTimer,
     Deliver,
-    DeliverBatch,
     DeliverConfiguration,
-    DeliverMessage,
-    DeliverMessageBatch,
     Effect,
     MulticastData,
     SendControl,
@@ -108,12 +105,12 @@ class TestDispatch:
                 *multicasts(1),
                 token(),
                 *multicasts(2),
-                Deliver(data_message(1)),
-                DeliverBatch((data_message(2), data_message(3))),
+                Deliver((data_message(1),)),
+                Deliver((data_message(2), data_message(3))),
                 Stable(3),
                 SendControl("join", None),
-                DeliverMessage(data_message(4), 7, 7),
-                DeliverMessageBatch((data_message(5), data_message(6)), 7, 6),
+                Deliver((data_message(4),), 7, 7),
+                Deliver((data_message(5), data_message(6)), 7, 6),
                 DeliverConfiguration("view"),
             ]
         )
@@ -180,7 +177,7 @@ class TestRunGrouping:
     def test_a_delivery_ends_the_run(self):
         backend = BareBackend()
         EffectExecutor(backend, messages_per_datagram=8).execute(
-            [*multicasts(1, 2), Deliver(data_message(1)), *multicasts(3)]
+            [*multicasts(1, 2), Deliver((data_message(1),)), *multicasts(3)]
         )
         assert [call[0] for call in backend.calls] == ["data", "deliver", "data"]
 

@@ -199,7 +199,7 @@ def test_null_observer_accepts_every_hook():
     observer.on_token_received(0, None)
     observer.on_token_sent(0, None)
     observer.on_multicast(0, _message())
-    observer.on_deliver(0, _message())
+    observer.on_deliver_batch(0, (_message(),))
     observer.on_retransmit(0, 1)
     observer.on_retransmit_requested(0, 1)
     observer.on_flow_control(0, None, 0)
@@ -213,11 +213,11 @@ def test_composite_observer_fans_out_in_order():
         def __init__(self, tag):
             self.tag = tag
 
-        def on_deliver(self, pid, message, now=None):
+        def on_deliver_batch(self, pid, messages, now=None):
             calls.append((self.tag, pid))
 
     composite = CompositeObserver([Recorder("x"), Recorder("y")])
-    composite.on_deliver(3, _message())
+    composite.on_deliver_batch(3, (_message(),))
     assert calls == [("x", 3), ("y", 3)]
 
 
@@ -248,8 +248,8 @@ def test_metrics_observer_multicast_split_and_retransmissions():
 
 def test_metrics_observer_delivery_latency():
     observer = MetricsObserver()
-    observer.on_deliver(0, _message(timestamp=1.0), now=1.25)
-    observer.on_deliver(0, _message(timestamp=None), now=2.0)  # no latency sample
+    observer.on_deliver_batch(0, (_message(timestamp=1.0),), now=1.25)
+    observer.on_deliver_batch(0, (_message(timestamp=None),), now=2.0)  # no latency sample
     snap = observer.snapshot()
     assert snap["counters"]["deliver.messages"] == 2
     latency = snap["histograms"]["deliver.latency"]

@@ -1,12 +1,14 @@
-"""Tripwire: effects have one interpreter, clusters one assembly path,
-benches one gate, checked runs one drive-and-converge loop.
+"""Tripwire: effects have one interpreter, deliveries one shape,
+clusters one assembly path, benches one gate, checked runs one
+drive-and-converge loop.
 
 Scans the package source so that a re-grown effect ladder, a second
-run-grouping accumulator, a new deprecation shim, a copied baseline
-comparator, a bench environment knob, a private convergence poll or a
-second way to arm a fault plan fails tier-1 instead of drifting in
-unnoticed (the shape of the port and unseeded-random tripwires in
-``conftest.py``, applied to the source tree)."""
+delivery effect or a per-message delivery hook, a second run-grouping
+accumulator, a new deprecation shim, a copied baseline comparator, a
+bench environment knob, a private convergence poll or a second way to
+arm a fault plan fails tier-1 instead of drifting in unnoticed (the
+shape of the port and unseeded-random tripwires in ``conftest.py``,
+applied to the source tree)."""
 
 import ast
 import builtins
@@ -17,6 +19,7 @@ import sys
 from pathlib import Path
 
 import repro
+from repro.core.events import Deliver, Effect
 
 SRC = Path(repro.__file__).parent
 #: The only module allowed to dispatch on effect types or to construct
@@ -29,8 +32,8 @@ EXEMPT = {EXECUTOR, SRC / "core" / "events.py"}
 GATE = SRC / "bench" / "harness.py"
 
 _EFFECTS = (
-    "Deliver|DeliverBatch|MulticastData|SendToken|Stable|SendControl|SetTimer|"
-    "CancelTimer|DeliverMessage|DeliverMessageBatch|DeliverConfiguration"
+    "Deliver|MulticastData|SendToken|Stable|SendControl|SetTimer|"
+    "CancelTimer|DeliverConfiguration"
 )
 FORBIDDEN = {
     "dispatches on effect types": re.compile(
@@ -90,7 +93,7 @@ def test_the_tripwire_patterns_bite():
         "elif kind is Deliver:",
         "if type(effect) is SendToken:",
         "if effect.__class__ is not MulticastData:",
-        "if isinstance(item, (Deliver, DeliverBatch)):",
+        "if isinstance(item, (Deliver, DeliverConfiguration)):",
         "seqs = [e for e in core if isinstance(e, Deliver)]",
     ):
         assert dispatch.search(line), line
@@ -99,6 +102,44 @@ def test_the_tripwire_patterns_bite():
     assert not dispatch.search("if payload.__class__ is CoalescedDatagram:")
     # The executor itself is exempt, and does dispatch.
     assert dispatch.search(EXECUTOR.read_text())
+
+
+# ----------------------------------------------------------------------
+# One delivery shape: a run, from _deliver_ready to the application
+# ----------------------------------------------------------------------
+
+#: A per-message delivery hook on an observer or tap.  (The group-decoded
+#: listener interface, ``on_deliver(self, pid, group, payload, ...)``, and
+#: ``RingNode.on_deliver(messages, config_id)`` are other things.)
+SCALAR_HOOK = re.compile(r"def on_deliver\(\s*self,\s*pid(:\s*\w+)?,\s*message\b")
+
+
+def _effect_classes(cls=Effect):
+    for subclass in cls.__subclasses__():
+        yield subclass
+        yield from _effect_classes(subclass)
+
+
+def test_a_delivery_is_one_effect_and_one_hook():
+    # Deliver's slot is the only thing that shadows Effect.messages, and
+    # events.py names nothing else a delivery of messages.
+    assert [c for c in _effect_classes() if "messages" in vars(c)] == [Deliver]
+    assert re.findall(r"^class (Deliver\w*)\(", _sources()["core/events.py"], re.M) == [
+        "Deliver",
+        "DeliverConfiguration",
+    ]
+    scalar = {name for name, text in _sources().items() if SCALAR_HOOK.search(text)}
+    assert scalar == set()
+    # The executor hands a run to its backend from one site.
+    assert _occurrences(r"\bdeliver\(effect\.") == {"core/executor.py": 1}
+    # Only the runtime node has a delivery callback attribute to set.
+    assert set(_occurrences(r"self\.on_deliver(_batch)?\b")) == {"runtime/node.py"}
+    # ...and the patterns bite on what this replaced.
+    assert SCALAR_HOOK.search("def on_deliver(self, pid, message, now=None):")
+    assert SCALAR_HOOK.search("def on_deliver(\n        self, pid: int, message: DataMessage")
+    assert SCALAR_HOOK.search("def on_deliver(self, pid, message, config_id, origin_ring)")
+    assert not SCALAR_HOOK.search("def on_deliver(self, pid, group, payload, config_id")
+    assert not SCALAR_HOOK.search("def on_deliver_batch(self, pid, messages, now=None):")
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ from repro.core.original import OriginalRingParticipant
 from repro.core.participant import AcceleratedRingParticipant
 from repro.core.token import RegularToken, initial_token
 from repro.util.errors import ProtocolError
-from tests.conftest import data_message, drain_effects, submit_n
+from tests.conftest import data_message, delivered_runs, drain_effects, submit_n
 
 
 def make_participant(pid=0, n=3, personal=5, accel=3, ring_id=1):
@@ -45,10 +45,11 @@ class TestTokenHandling:
         kinds = [type(e).__name__ for e in effects]
         token_at = kinds.index("SendToken")
         # pre-token multicasts (5-3=2), token, post-token (3), deliveries
-        # (own 5, as one in-order batched run)
+        # (own 5, as one in-order run)
         assert kinds[:token_at] == ["MulticastData"] * 2
         assert kinds[token_at + 1 : token_at + 4] == ["MulticastData"] * 3
-        assert len(drain_effects(effects, Deliver)) == 5
+        assert kinds[token_at + 4 :] == ["Deliver"]
+        assert delivered_runs(effects) == [[1, 2, 3, 4, 5]]
 
     def test_sequence_numbers_consecutive_from_token_seq(self):
         participant = make_participant()
@@ -256,12 +257,12 @@ class TestRollback:
     def test_rollback_frontier(self):
         participant = make_participant(pid=1)
         effects = participant.on_data(data_message(1, pid=0))
-        assert len(drain_effects(effects, Deliver)) == 1
+        assert delivered_runs(effects) == [[1]]
         participant.rollback_delivery_frontier(0)
         assert participant.last_delivered == 0
         # re-delivery possible
         effects = participant.on_data(data_message(2, pid=0))
-        assert [e.message.seq for e in drain_effects(effects, Deliver)] == [1, 2]
+        assert delivered_runs(effects) == [[1, 2]]
 
     def test_rollback_forward_rejected(self):
         participant = make_participant()
@@ -314,7 +315,7 @@ class TestEmptyVisitGuards:
         first = participant.on_token(RegularToken(ring_id=1, seq=1, aru=1))
         assert drain_effects(first, Deliver) == []  # min(0, 1): one more round
         second = participant.on_token(RegularToken(ring_id=1, token_id=5, seq=1, aru=1))
-        assert [e.message.seq for e in drain_effects(second, Deliver)] == [1]
+        assert delivered_runs(second) == [[1]]
 
     def test_empty_visit_that_makes_messages_stable_emits_stable(self):
         participant = make_participant(pid=1)

@@ -42,7 +42,7 @@ class RecordingRing:
     def submit(self, pid, label):
         self.calls.append(("submit", pid, label))
         for receiver in self.live:
-            self.tap.on_deliver(receiver, _Message(label), 1, 1)
+            self.tap.on_deliver_batch(receiver, (_Message(label),), 1, 1)
 
     async def crash(self, pid):
         self.calls.append(("crash", pid))
