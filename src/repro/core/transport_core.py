@@ -14,8 +14,8 @@ copy of the policy.
 Contents:
 
 * :class:`FrameRing` — the preallocated power-of-2 receive/transmit
-  queue (re-exported by :mod:`repro.net.ring` for the simulator's
-  hot-path inlines).
+  queue (the simulator's socket buffers, NIC queues and switch ports,
+  and the runtime's datagram receive queues).
 * :class:`CoalescingAccumulator` — the run-grouping policy for
   ``MulticastData`` effects ("runs of consecutive new sends pack into
   one datagram, flushed at the first effect of any other kind so the

@@ -1,4 +1,4 @@
-"""The membership state machine: Operational / Gather / Commit / Recover.
+"""The membership state machine, as one transition table.
 
 The controller wraps an ordering participant (accelerated or original)
 and supplies everything the paper's §III defers to the membership
@@ -10,6 +10,15 @@ regular configurations per Extended Virtual Synchrony.
 Like the ordering engines, the controller is sans-io: it consumes
 messages and timer fires, and emits effects (including the core ordering
 effects, which pass through).
+
+What each (state, event) pair does is said in one place, the tables at
+the bottom of this module (docs/PROTOCOL.md §6 renders them): ``TABLE``
+maps a pair to its :class:`Row`, ``DROPPED`` lists the pairs dropped by
+rule, and every pair is in exactly one of the two.  ``TRANSITIONS`` has
+the nine legal edges and what ``_enter`` — the only way to change state
+— cancels on each.  The ``QUIRK_*`` names mark where something outlives
+the state that owns it: accidents of the scattered form this table
+replaced, kept so that it behaves exactly as its predecessor did.
 """
 
 from __future__ import annotations
@@ -23,14 +32,17 @@ from typing import (
     Callable,
     Deque,
     Dict,
+    FrozenSet,
+    Iterable,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
     Tuple,
-    Type,
 )
 
+from repro.core.buffer import MessageBuffer
 from repro.core.config import ProtocolConfig
 from repro.core.events import (
     CancelTimer,
@@ -74,6 +86,10 @@ TIMER_BEACON = "beacon"
 TIMER_SETTLE = "settle"
 TIMER_GATHER_RESTART = "gather_restart"
 
+#: Event key of :meth:`MembershipController.on_data_batch` (the other
+#: events are the message classes and the timer names).
+DATA_BATCH = (DataMessage,)
+
 
 class MemberState(Enum):
     OPERATIONAL = "operational"
@@ -82,17 +98,58 @@ class MemberState(Enum):
     RECOVER = "recover"
 
 
+_O, _G, _C, _R = MemberState
+
+#: The timers each state owns: armed only while in it, cancelled by
+#: ``_enter`` on the way out (``TRANSITIONS`` has the exceptions).
+OWNS: Dict[MemberState, Tuple[str, ...]] = {
+    _G: (TIMER_JOIN, TIMER_CONSENSUS, TIMER_GATHER_RESTART, TIMER_SETTLE),
+    _C: (TIMER_COMMIT,),
+    _R: (TIMER_RECOVERY_STATUS, TIMER_RECOVERY),
+    _O: (TIMER_TOKEN_LOSS, TIMER_BEACON),
+}
+
+#: ``settle`` is not cancelled when Gather is left for Commit or Recover:
+#: it fires wherever the controller then is and only clears a flag.
+QUIRK_SETTLE = "settle-survives-gather"
+#: ``gather_restart`` is not cancelled when a *received* commit token
+#: takes Gather to Commit: it is ignored if it fires there.
+QUIRK_GATHER_RESTART = "gather-restart-survives-received-commit"
+#: The stash is not cleared when the recovery it was kept for aborts: the
+#: next install replays it, and a token of the abandoned ring, a foreign
+#: ring by then, sends the new ring straight back to Gather.
+QUIRK_STASH = "stash-survives-aborted-recovery"
+
+#: The legal edges, each with the timers ``_enter`` cancels on it: what
+#: the state being left owns, but for the survivors the quirks name —
+#: which end where a later edge cancels them instead.
+TRANSITIONS: Dict[Tuple[MemberState, MemberState], Tuple[str, ...]] = {
+    (_G, _G): OWNS[_G],
+    (_G, _C): (TIMER_JOIN, TIMER_CONSENSUS, TIMER_GATHER_RESTART),  # not settle: QUIRK_SETTLE
+    (_G, _R): (TIMER_JOIN, TIMER_CONSENSUS, TIMER_GATHER_RESTART),  # not settle: QUIRK_SETTLE
+    (_C, _C): OWNS[_C],
+    (_C, _R): OWNS[_C] + (TIMER_GATHER_RESTART,),
+    (_C, _G): OWNS[_C] + (TIMER_GATHER_RESTART, TIMER_SETTLE),
+    (_R, _O): OWNS[_R],
+    (_R, _G): OWNS[_R] + (TIMER_SETTLE,),
+    (_O, _G): OWNS[_O] + (TIMER_SETTLE,),
+}
+
+
 @dataclass
 class _RecoveryState:
     """Per-view-change recovery bookkeeping."""
 
     new_ring_id: int
     members: Tuple[int, ...]
-    infos: Dict[int, MemberInfo]
     my_old_ring: int
     old_members: Tuple[int, ...]  # members of my old ring present in the new ring
     low: int
     high: int
+    #: My old ring's message buffer (``None``: there was no old ring):
+    #: what recovery floods from and fills, kept after the install to
+    #: help stragglers.
+    buffer: Optional[MessageBuffer]
     #: Highest old-ring seq any old-ring survivor already delivered to its
     #: application.  All survivors must deliver up to here in the old
     #: *regular* configuration (even Safe messages: a survivor's delivery
@@ -111,14 +168,9 @@ class _RecoveryState:
     status_attempt: Dict[int, int] = field(default_factory=dict)
     suspects: Set[int] = field(default_factory=set)
 
-    def available(self) -> Set[int]:
-        union = set(self.my_have)
-        for have in self.peer_have.values():
-            union |= have
-        return union
-
     def needed(self) -> Set[int]:
-        return self.available() - self.my_have
+        """What some peer holds and we do not."""
+        return set().union(*self.peer_have.values()) - self.my_have
 
 
 class MembershipController:
@@ -155,7 +207,10 @@ class MembershipController:
         self.observer = observer
         self.clock = clock
 
+        #: Changed only by ``_enter``, together with ``_rows`` (the
+        #: current state's column of the table).
         self.state = MemberState.GATHER
+        self._rows = _ROWS_OF[MemberState.GATHER]
         self.ordering: Optional[AcceleratedRingParticipant] = None
         self.ring_config: Optional[Configuration] = None
         #: Highest ring sequence number ever observed.  A recovering
@@ -172,9 +227,8 @@ class MembershipController:
         self._expected_members: Optional[Tuple[int, ...]] = None
         self._rec: Optional[_RecoveryState] = None
         self._final_recovery: Optional[_RecoveryState] = None
-        self._old_buffer = None  # previous ring's MessageBuffer, kept to help stragglers
-        #: Straggler-help damping (see _on_status): when the current ring
-        #: was installed, and when each peer was last sent a help reply.
+        #: Straggler-help damping (see _help_straggler): when the current
+        #: ring was installed, and when each peer was last sent a help reply.
         self._installed_at: Optional[float] = None
         self._help_sent: Dict[int, float] = {}
         self._past_rings: Set[int] = set()
@@ -216,33 +270,14 @@ class MembershipController:
     def members(self) -> Tuple[int, ...]:
         return self.ring_config.sorted_members() if self.ring_config else ()
 
-    def _jittered(self, delay: float) -> float:
-        """Gather-phase timers get +/-25% deterministic jitter (see __init__)."""
-        return delay * self._rng.uniform(0.75, 1.25)
-
-    def _now(self) -> Optional[float]:
-        return self.clock() if self.clock is not None else None
-
-    def _set_state(self, new_state: MemberState) -> None:
-        """Transition the membership state, notifying the observer.
-
-        Same-state transitions (e.g. a gather restart) are reported too:
-        they mark real protocol events, not bookkeeping noise.
-        """
-        old_state = self.state
-        self.state = new_state
-        if self.observer is not None:
-            self.observer.on_membership_event(
-                self.pid,
-                "state_change",
-                detail={"from": old_state.value, "to": new_state.value},
-                now=self._now(),
-            )
+    @property
+    def token_has_priority(self) -> bool:
+        return self.ordering.token_has_priority if self.ordering else True
 
     def start(self) -> List[Effect]:
         """Begin membership: gather a first ring."""
         effects: List[Effect] = []
-        self._enter_gather(effects)
+        self._gather(effects)
         return effects
 
     def submit(
@@ -260,92 +295,79 @@ class MembershipController:
             self._pre_ring_pending.append((payload, service, timestamp, payload_size))
 
     def on_message(self, message: object) -> List[Effect]:
-        """Dispatch one received message (any protocol or control type)."""
+        """Handle one received message (any protocol or control type)."""
+        try:
+            handler = self._rows[message.__class__]
+        except KeyError:
+            raise TypeError(f"unknown message type {type(message).__name__}") from None
         effects: List[Effect] = []
-        if isinstance(message, RegularToken):
-            self._on_regular_token(message, effects)
-        elif isinstance(message, DataMessage):
-            self._on_data(message, effects)
-        elif isinstance(message, JoinMessage):
-            self._on_join(message, effects)
-        elif isinstance(message, CommitToken):
-            self._on_commit_token(message, effects)
-        elif isinstance(message, RecoveredMessage):
-            self._on_recovered(message, effects)
-        elif isinstance(message, RecoveryStatus):
-            self._on_status(message, effects)
-        elif isinstance(message, BeaconMessage):
-            self._on_beacon(message, effects)
-        else:
-            raise TypeError(f"unknown message type {type(message).__name__}")
+        if handler is not None:
+            handler(self, message, effects)
+        return effects
+
+    def on_data_batch(self, messages: Sequence[DataMessage]) -> List[Effect]:
+        """Handle one coalesced datagram's worth of data messages."""
+        effects: List[Effect] = []
+        self._rows[DATA_BATCH](self, messages, effects)
         return effects
 
     def on_timer(self, name: str) -> List[Effect]:
         """Handle a timer the controller previously armed via SetTimer."""
+        try:
+            handler = self._rows[name]
+        except KeyError:
+            raise ValueError(f"unknown timer {name!r}") from None
         effects: List[Effect] = []
-        if name == TIMER_TOKEN_LOSS:
-            if self.state is MemberState.OPERATIONAL:
-                self.token_losses += 1
-                if self.observer is not None:
-                    self.observer.on_membership_event(
-                        self.pid,
-                        "token_loss",
-                        detail={"ring_id": self.ring_id},
-                        now=self._now(),
-                    )
-                self._enter_gather(effects)
-        elif name == TIMER_JOIN:
-            if self.state is MemberState.GATHER:
-                self._send_join(effects)
-                effects.append(SetTimer(TIMER_JOIN, self._jittered(self.timeouts.join_interval)))
-        elif name == TIMER_CONSENSUS:
-            if self.state is MemberState.GATHER:
-                self._consensus_timeout(effects)
-        elif name == TIMER_COMMIT:
-            if self.state is MemberState.COMMIT:
-                self._enter_gather(effects)
-        elif name == TIMER_RECOVERY_STATUS:
-            if self.state is MemberState.RECOVER:
-                self._recovery_gossip(effects)
-                effects.append(
-                    SetTimer(TIMER_RECOVERY_STATUS, self.timeouts.recovery_status_interval)
-                )
-        elif name == TIMER_RECOVERY:
-            # Idempotent by construction: a stray or deferred firing after
-            # the recovery completed or aborted finds state != RECOVER (or
-            # no recovery in flight) and is a no-op.
-            if self.state is MemberState.RECOVER and self._rec is not None:
-                self._on_recovery_timeout(effects)
-        elif name == TIMER_BEACON:
-            if self.state is MemberState.OPERATIONAL:
-                effects.append(
-                    SendControl(BeaconMessage(sender=self.pid, ring_id=self.ring_id))
-                )
-                effects.append(SetTimer(TIMER_BEACON, self.timeouts.beacon_interval))
-        elif name == TIMER_SETTLE:
-            self._settle_armed = False
-            if self.state is MemberState.GATHER:
-                self._commit_if_consensus(effects)
-        elif name == TIMER_GATHER_RESTART:
-            if self.state is MemberState.GATHER:
-                # The gather stalled (e.g. contradictory fail verdicts from
-                # interleaved attempts).  Start over with a clean slate —
-                # fail verdicts are re-derived from scratch.
-                self._enter_gather(effects)
-        else:
-            raise ValueError(f"unknown timer {name!r}")
+        if handler is not None:
+            handler(self, name, effects)
         return effects
 
     # ------------------------------------------------------------------
-    # Operational: route through the ordering engine
+    # Transitions
     # ------------------------------------------------------------------
 
-    @property
-    def token_has_priority(self) -> bool:
-        return self.ordering.token_has_priority if self.ordering else True
+    def _enter(
+        self, state: MemberState, effects: List[Effect], survivors: Tuple[str, ...] = ()
+    ) -> None:
+        """The only way to change state: assert the edge, cancel what it
+        cancels (``survivors`` excepted), reset the fields that do not
+        outlive it, notify the observer — of same-state transitions (a
+        gather restart, a commit token's second pass) too: they mark
+        real protocol events, not bookkeeping noise."""
+        old = self.state
+        cancelled = TRANSITIONS.get((old, state))
+        assert cancelled is not None, f"illegal transition {old.value} -> {state.value}"
+        for name in cancelled:
+            if name not in survivors:
+                effects.append(CancelTimer(name))
+        # Whichever edge this is, the recovery ``_rec`` described is over
+        # (or, entering Recover, about to be set) — its stash is not: QUIRK_STASH.
+        self._rec = None
+        if state is MemberState.GATHER:
+            # A clean slate: fail verdicts are re-derived from scratch.
+            self._expected_members = None
+            self._proc_set = {self.pid, *self.members}
+            self._joins = {}
+            self._settle_armed = False
+            self._consensus_strikes = 0
+        self.state = state
+        self._rows = _ROWS_OF[state]
+        self._notify("on_membership_event", "state_change", **{"from": old.value, "to": state.value})
 
-    def _participant_class(self) -> Type[AcceleratedRingParticipant]:
-        return AcceleratedRingParticipant if self.accelerated else OriginalRingParticipant
+    def _notify(self, hook: str, *event: str, **detail: object) -> None:
+        if self.observer is not None:
+            getattr(self.observer, hook)(self.pid, *event, detail=detail, now=self._now())
+
+    def _jittered(self, delay: float) -> float:
+        """Gather-phase timers get +/-25% deterministic jitter (see __init__)."""
+        return delay * self._rng.uniform(0.75, 1.25)
+
+    def _now(self) -> Optional[float]:
+        return self.clock() if self.clock is not None else None
+
+    # ------------------------------------------------------------------
+    # Ring-scoped traffic: tokens and data
+    # ------------------------------------------------------------------
 
     def _translate(self, core_effects: Sequence[Effect], effects: List[Effect]) -> None:
         """Attribute the engine's deliveries to the installed ring (its
@@ -364,14 +386,11 @@ class MembershipController:
             elif effect.on_wire:
                 effects.append(effect)
 
-    def _withhold_deliveries(
-        self, core_effects: Sequence[Effect], effects: List[Effect]
-    ) -> None:
+    def _withhold_deliveries(self, core_effects: Sequence[Effect], effects: List[Effect]) -> None:
         """While not Operational, recovery owns delivery attribution:
         forward only the engine's wire effects, and undo the delivery
         frontier advance.  The engine has no un-deliver operation, so
         its frontier is rolled back instead."""
-        assert self.ordering is not None
         seqs = []
         for effect in core_effects:
             if effect.on_wire:
@@ -383,93 +402,101 @@ class MembershipController:
         if seqs:
             self.ordering.rollback_delivery_frontier(min(seqs) - 1)
 
-    def _on_regular_token(self, token: RegularToken, effects: List[Effect]) -> None:
-        if self.state is MemberState.OPERATIONAL and token.ring_id == self.ring_id:
-            assert self.ordering is not None
+    def _route_by_ring(self, item: object, effects: List[Effect]) -> bool:
+        """Ring-scoped routing of a token or a data message, decided
+        here and nowhere else.  True: ``item`` is stamped with the
+        current ring and the caller feeds it to the engine.  Otherwise
+        it is disposed of: stashed for the ring under recovery, dropped
+        as stale traffic of a ring we have left, or — a foreign ring,
+        evidence of a partition healing — answered by re-gathering if
+        Operational."""
+        ordering = self.ordering
+        ring_id = item.ring_id
+        if ordering is not None and ring_id == ordering.ring_id:
+            return True
+        rec = self._rec
+        if rec is not None and ring_id == rec.new_ring_id:
+            self._stash.append(item)
+        elif ring_id not in self._past_rings and self.state is MemberState.OPERATIONAL:
+            self._gather(effects)
+        return False
+
+    def _token(self, token: RegularToken, effects: List[Effect]) -> None:
+        if self._route_by_ring(token, effects):
             self._translate(self.ordering.on_token(token), effects)
             # Re-arms the live timer: SetTimer replaces a name's deadline.
             effects.append(SetTimer(TIMER_TOKEN_LOSS, self.timeouts.token_loss))
-            return
-        if self._rec is not None and token.ring_id == self._rec.new_ring_id:
-            self._stash.append(token)
-            return
-        if token.ring_id in self._past_rings or token.ring_id == self.ring_id:
-            return  # stale traffic from a ring we have left (or are leaving)
-        # Foreign ring: evidence of a partition healing — re-gather.
-        if self.state is MemberState.OPERATIONAL:
-            self._enter_gather(effects)
 
-    def _on_data(self, message: DataMessage, effects: List[Effect]) -> None:
-        if self.ordering is not None and message.ring_id == self.ordering.ring_id:
-            # Accept data for the current ring in every state: during
-            # Gather/Commit it still fills recovery holes.
-            core = self.ordering.on_data(message)
-            if self.state is MemberState.OPERATIONAL:
-                self._translate(core, effects)
-            else:
-                self._withhold_deliveries(core, effects)
-            return
-        if self._rec is not None and message.ring_id == self._rec.new_ring_id:
-            self._stash.append(message)
-            return
-        if message.ring_id in self._past_rings:
-            return
-        if self.state is MemberState.OPERATIONAL:
-            self._enter_gather(effects)
+    def _data(self, message: DataMessage, effects: List[Effect]) -> None:
+        if self._route_by_ring(message, effects):
+            self._translate(self.ordering.on_data(message), effects)
 
-    def on_data_batch(self, messages: Sequence[DataMessage]) -> List[Effect]:
-        """Handle one coalesced datagram's worth of data messages.
+    def _data_withheld(self, message: DataMessage, effects: List[Effect]) -> None:
+        # Data for the current ring is accepted in every state: during
+        # Gather/Commit it still fills recovery holes.
+        if self._route_by_ring(message, effects):
+            self._withhold_deliveries(self.ordering.on_data(message), effects)
 
-        The homogeneous case (every message for the current ring — the
-        only batch a peer on the same ring ever emits) routes through
-        the ordering engine's batch entry point so delivery runs stay
-        batched end to end; anything else (mixed or foreign rings, e.g.
-        a batch straggling across a configuration change) falls back to
-        the per-message path, which already handles stashing, stale
-        rings, and gather triggers.
-        """
-        effects: List[Effect] = []
+    def _engine_batch(
+        self, messages: Sequence[DataMessage], effects: List[Effect]
+    ) -> Sequence[Effect]:
+        """The engine's effects for a batch wholly of the current ring
+        (the only batch a peer on the same ring ever emits), through its
+        batch entry point so delivery runs stay batched end to end.  A
+        mixed or foreign batch (e.g. one straggling across a
+        configuration change) goes through the table message by message
+        instead — the state may change under it."""
         ordering = self.ordering
-        if ordering is not None and all(
-            m.ring_id == ordering.ring_id for m in messages
-        ):
-            core = ordering.on_data_batch(messages)
-            if self.state is MemberState.OPERATIONAL:
-                self._translate(core, effects)
+        if ordering is not None:
+            ring_id = ordering.ring_id
+            for message in messages:
+                if message.ring_id != ring_id:
+                    break
             else:
-                self._withhold_deliveries(core, effects)
-            return effects
+                return ordering.on_data_batch(messages)
         for message in messages:
-            self._on_data(message, effects)
-        return effects
+            self._rows[DataMessage](self, message, effects)
+        return ()
+
+    def _batch(self, messages: Sequence[DataMessage], effects: List[Effect]) -> None:
+        self._translate(self._engine_batch(messages, effects), effects)
+
+    def _batch_withheld(self, messages: Sequence[DataMessage], effects: List[Effect]) -> None:
+        self._withhold_deliveries(self._engine_batch(messages, effects), effects)
+
+    def _token_lost(self, _name: str, effects: List[Effect]) -> None:
+        self.token_losses += 1
+        self._notify("on_membership_event", "token_loss", ring_id=self.ring_id)
+        self._gather(effects)
+
+    def _beacon_due(self, _name: str, effects: List[Effect]) -> None:
+        effects.append(SendControl(BeaconMessage(sender=self.pid, ring_id=self.ring_id)))
+        effects.append(SetTimer(TIMER_BEACON, self.timeouts.beacon_interval))
+
+    def _adopt_epoch(self, beacon: BeaconMessage, effects: List[Effect]) -> None:
+        # Beacons carry the sender's ring epoch; adopting it ensures our
+        # next joins are not dismissed as stale by that ring's members.
+        beacon_seq, _rep = decode_ring_id(beacon.ring_id)
+        self.highest_ring_seq = max(self.highest_ring_seq, beacon_seq)
+
+    def _beacon(self, beacon: BeaconMessage, effects: List[Effect]) -> None:
+        self._adopt_epoch(beacon, effects)
+        if beacon.ring_id != self.ring_id and beacon.ring_id not in self._past_rings:
+            # A foreign operational ring exists: merge.
+            self._gather(effects)
 
     # ------------------------------------------------------------------
     # Gather
     # ------------------------------------------------------------------
 
-    def _enter_gather(
-        self, effects: List[Effect], pre_failed: Optional[Set[int]] = None
-    ) -> None:
-        self._set_state(MemberState.GATHER)
-        self._expected_members = None
-        self._rec = None
-        self._proc_set = {self.pid}
-        if self.ring_config is not None:
-            self._proc_set |= set(self.ring_config.members)
-        # ``pre_failed`` seeds the fail set: peers an aborted recovery
-        # proved unresponsive start this gather already condemned, so
-        # consensus does not stall waiting for them again (graceful
-        # degradation — the candidate set shrinks instead of hanging).
-        self._fail_set = set(pre_failed or ()) - {self.pid}
-        self._joins = {}
-        self._settle_armed = False
-        self._consensus_strikes = 0
-        effects.append(CancelTimer(TIMER_SETTLE))
-        effects.append(CancelTimer(TIMER_TOKEN_LOSS))
-        effects.append(CancelTimer(TIMER_COMMIT))
-        effects.append(CancelTimer(TIMER_RECOVERY_STATUS))
-        effects.append(CancelTimer(TIMER_RECOVERY))
-        effects.append(CancelTimer(TIMER_BEACON))
+    def _gather(self, effects: List[Effect], pre_failed: Iterable[int] = ()) -> None:
+        """Enter Gather.  ``pre_failed`` seeds the fail set: peers an
+        aborted recovery proved unresponsive start this gather already
+        condemned, so consensus does not stall waiting for them again
+        (graceful degradation — the candidate set shrinks instead of
+        hanging)."""
+        self._enter(MemberState.GATHER, effects)
+        self._fail_set = set(pre_failed) - {self.pid}
         self._send_join(effects)
         effects.append(SetTimer(TIMER_JOIN, self._jittered(self.timeouts.join_interval)))
         effects.append(SetTimer(TIMER_CONSENSUS, self._jittered(self.timeouts.consensus_timeout)))
@@ -481,6 +508,11 @@ class MembershipController:
         # from peers (including the one that triggered this gather) a
         # chance to arrive first.
 
+    def _regather(self, _name: str, effects: List[Effect]) -> None:
+        # A commit token that never came, or a gather that stalled (e.g.
+        # contradictory fail verdicts from interleaved attempts).
+        self._gather(effects)
+
     def _send_join(self, effects: List[Effect]) -> None:
         join = JoinMessage(
             sender=self.pid,
@@ -491,37 +523,44 @@ class MembershipController:
         self.joins_sent += 1
         effects.append(SendControl(join))
 
-    def _on_join(self, join: JoinMessage, effects: List[Effect]) -> None:
+    def _join_due(self, _name: str, effects: List[Effect]) -> None:
+        self._send_join(effects)
+        effects.append(SetTimer(TIMER_JOIN, self._jittered(self.timeouts.join_interval)))
+
+    def _join_operational(self, join: JoinMessage, effects: List[Effect]) -> None:
         if join.sender == self.pid:
             return
-        if self.state is MemberState.OPERATIONAL:
-            # Stale joins from the gather that produced the current ring
-            # must not tear it down again.  Only joins from our *members*
-            # can be such stragglers; a member in genuine distress has seen
-            # this ring, so its ring_seq is >= ours.  A join from a
-            # non-member is always a real merge request (a recovered
-            # process or a foreign partition), whatever its epoch.
-            if join.sender in self.ring_config.members:
-                my_seq, _rep = decode_ring_id(self.ring_id)
-                if join.ring_seq < my_seq:
-                    return
-            self._enter_gather(effects)
-        if self.state is MemberState.RECOVER and self._rec is not None:
-            # A join from a member of the ring under recovery, at or past
-            # that ring's epoch, is explicit evidence the exchange is dead:
-            # joins are only sent while gathering, so the sender abandoned
-            # this recovery and can never answer its status exchange.
-            # Abort now — cheaper and faster than burning the whole retry
-            # budget on a peer that told us it left.  (Joins from before
-            # the commit carry an older ring_seq and do not trigger this.)
-            new_seq, _rep = decode_ring_id(self._rec.new_ring_id)
-            if join.sender in self._rec.members and join.ring_seq >= new_seq:
-                self._abort_recovery(
-                    self._rec, effects, reason="peer_regathered"
-                )
-                # State is Gather now; fall through and process the join.
-        if self.state is not MemberState.GATHER:
-            return  # committing/recovering: let timeouts sort out failures
+        # Stale joins from the gather that produced the current ring
+        # must not tear it down again.  Only joins from our *members*
+        # can be such stragglers; a member in genuine distress has seen
+        # this ring, so its ring_seq is >= ours.  A join from a
+        # non-member is always a real merge request (a recovered
+        # process or a foreign partition), whatever its epoch.
+        if join.sender in self.ring_config.members:
+            my_seq, _rep = decode_ring_id(self.ring_id)
+            if join.ring_seq < my_seq:
+                return
+        self._gather(effects)
+        self._join(join, effects)
+
+    def _join_recovering(self, join: JoinMessage, effects: List[Effect]) -> None:
+        # A join from a member of the ring under recovery, at or past
+        # that ring's epoch, is explicit evidence the exchange is dead:
+        # joins are only sent while gathering, so the sender abandoned
+        # this recovery and can never answer its status exchange.
+        # Abort now — cheaper and faster than burning the whole retry
+        # budget on a peer that told us it left.  (Joins from before
+        # the commit carry an older ring_seq and do not trigger this;
+        # like any other join they are then left to the timeouts.)
+        rec = self._rec
+        new_seq, _rep = decode_ring_id(rec.new_ring_id)
+        if join.sender != self.pid and join.sender in rec.members and join.ring_seq >= new_seq:
+            self._abort_recovery(rec, effects, reason="peer_regathered")
+            self._join(join, effects)
+
+    def _join(self, join: JoinMessage, effects: List[Effect]) -> None:
+        if join.sender == self.pid:
+            return
         # Epoch scoping: fail verdicts and views from an older epoch are
         # dead history — a ring has formed since they were uttered.
         # Accepting them (or even retaliating against them) lets abandoned
@@ -550,9 +589,10 @@ class MembershipController:
             self._proc_set = merged_proc
             self._fail_set = merged_fail
             self._send_join(effects)
-            effects.append(CancelTimer(TIMER_CONSENSUS))
             effects.append(SetTimer(TIMER_CONSENSUS, self._jittered(self.timeouts.consensus_timeout)))
             if self._settle_armed:
+                # The one cancel outside _enter: the view changed under
+                # a settle window, which no longer vouches for it.
                 self._settle_armed = False
                 effects.append(CancelTimer(TIMER_SETTLE))
         self._check_consensus(effects)
@@ -565,27 +605,25 @@ class MembershipController:
         if not candidates or candidates == {self.pid}:
             return False
         my_view = (frozenset(self._proc_set), frozenset(self._fail_set))
-        return all(
-            self._joins.get(peer) == my_view
-            for peer in candidates
-            if peer != self.pid
-        )
+        return all(self._joins.get(peer) == my_view for peer in candidates if peer != self.pid)
 
     def _check_consensus(self, effects: List[Effect]) -> None:
         """When everyone agrees, wait a short settle window before
         committing: during merges, joins from slightly-later arrivals
         would otherwise race a premature smaller ring into existence."""
-        if not self._consensus_holds():
-            return
-        if not self._settle_armed:
+        if not self._settle_armed and self._consensus_holds():
             self._settle_armed = True
             effects.append(SetTimer(TIMER_SETTLE, self._jittered(self.timeouts.consensus_settle)))
 
-    def _commit_if_consensus(self, effects: List[Effect]) -> None:
+    def _settled(self, _name: str, effects: List[Effect]) -> None:
+        self._settle_armed = False
         if self._consensus_holds():
-            self._enter_commit(sorted(self._candidates()), effects)
+            self._propose(sorted(self._candidates()), effects)
 
-    def _consensus_timeout(self, effects: List[Effect]) -> None:
+    def _settle_stray(self, _name: str, effects: List[Effect]) -> None:
+        self._settle_armed = False
+
+    def _consensus_timeout(self, _name: str, effects: List[Effect]) -> None:
         # Patience: declare a candidate failed only on the second
         # consecutive timeout without a join from it.  A live peer can be
         # legitimately silent for one window while it finishes committing
@@ -594,23 +632,12 @@ class MembershipController:
         # fail verdicts that take far longer to clear than the wait.
         self._consensus_strikes += 1
         if self._consensus_strikes >= 2:
-            unresponsive = {
-                peer
-                for peer in self._candidates()
-                if peer != self.pid and peer not in self._joins
-            }
-            if unresponsive:
-                self._fail_set |= unresponsive
-                self._joins = {
-                    peer: view
-                    for peer, view in self._joins.items()
-                    if peer not in unresponsive
-                }
+            self._fail_set |= self._candidates() - set(self._joins) - {self.pid}
         self._send_join(effects)
         effects.append(SetTimer(TIMER_CONSENSUS, self._jittered(self.timeouts.consensus_timeout)))
         if self._candidates() == {self.pid}:
             # Alone after the wait: form a singleton ring.
-            self._form_singleton(effects)
+            self._recover(self._new_commit_token([self.pid]), effects)
         else:
             self._check_consensus(effects)
 
@@ -620,9 +647,7 @@ class MembershipController:
 
     def _my_info(self) -> MemberInfo:
         if self.ordering is None:
-            return MemberInfo(
-                old_ring_id=encode_ring_id(0, self.pid), old_aru=0, high_seq=0
-            )
+            return MemberInfo(old_ring_id=encode_ring_id(0, self.pid), old_aru=0, high_seq=0)
         # ``last_delivered`` is the application-visible frontier: while
         # not Operational the controller rolls speculative deliveries
         # back (_withhold_deliveries), so this is exactly what the local
@@ -634,90 +659,69 @@ class MembershipController:
             last_delivered=self.ordering.last_delivered,
         )
 
-    def _form_singleton(self, effects: List[Effect]) -> None:
-        new_seq = self.highest_ring_seq + 1
-        ring_id = encode_ring_id(new_seq, self.pid)
-        self.highest_ring_seq = new_seq
-        token = CommitToken(ring_id=ring_id, members=(self.pid,))
-        token.infos[self.pid] = self._my_info()
-        effects.append(CancelTimer(TIMER_JOIN))
-        effects.append(CancelTimer(TIMER_CONSENSUS))
-        self._enter_recover(token, effects)
-
-    def _enter_commit(self, members: List[int], effects: List[Effect]) -> None:
-        self._set_state(MemberState.COMMIT)
+    def _propose(self, members: List[int], effects: List[Effect]) -> None:
+        """Enter Commit on our own consensus; the representative starts
+        the commit token, everyone else waits for it."""
+        self._enter(MemberState.COMMIT, effects)
         self._expected_members = tuple(members)
-        effects.append(CancelTimer(TIMER_GATHER_RESTART))
-        effects.append(CancelTimer(TIMER_JOIN))
-        effects.append(CancelTimer(TIMER_CONSENSUS))
         effects.append(SetTimer(TIMER_COMMIT, self.timeouts.commit_timeout))
-        representative = members[0]
-        if self.pid != representative:
-            return  # wait for the commit token
-        new_seq = self.highest_ring_seq + 1
-        ring_id = encode_ring_id(new_seq, representative)
-        self.highest_ring_seq = new_seq
+        if self.pid == members[0]:
+            token = self._new_commit_token(members)
+            effects.append(SendControl(token, destination=token.successor_of(self.pid)))
+
+    def _new_commit_token(self, members: List[int]) -> CommitToken:
+        """A commit token for the next ring this process represents,
+        carrying its own old-ring state."""
+        self.highest_ring_seq += 1
+        ring_id = encode_ring_id(self.highest_ring_seq, self.pid)
         token = CommitToken(ring_id=ring_id, members=tuple(members))
         token.infos[self.pid] = self._my_info()
-        effects.append(SendControl(token, destination=token.successor_of(self.pid)))
+        return token
 
-    def _on_commit_token(self, token: CommitToken, effects: List[Effect]) -> None:
-        if self.pid not in token.members:
-            return
+    def _commit_token_gathering(self, token: CommitToken, effects: List[Effect]) -> None:
+        if set(token.members) == self._candidates():  # the membership we have agreed to
+            self._forward_commit_token(token, effects, survivors=(TIMER_GATHER_RESTART,))
+
+    def _commit_token_committing(self, token: CommitToken, effects: List[Effect]) -> None:
+        if self._expected_members in (None, tuple(token.members)):  # not an earlier proposal's
+            self._forward_commit_token(token, effects)
+
+    def _forward_commit_token(
+        self, token: CommitToken, effects: List[Effect], survivors: Tuple[str, ...] = ()
+    ) -> None:
         if (
-            token.ring_id == self.ring_id
+            self.pid not in token.members
+            or token.ring_id == self.ring_id
             or token.ring_id in self._past_rings
             or token.ring_id in self._attempted_rings
         ):
-            # A stale echo still circulating for a ring we already
+            # Not ours, or an echo still circulating for a ring we already
             # installed, left, or abandoned mid-recovery.  Ring ids are
-            # never reused, so this can only be dead history; accepting it
+            # never reused, so that can only be dead history; accepting it
             # would re-run recovery (re-delivering its configurations) in
             # an endless install/teardown churn loop.
             return
-        if self.state not in (MemberState.GATHER, MemberState.COMMIT):
-            return  # e.g. the second-pass echo while already recovering
-        if self.state is MemberState.GATHER and set(token.members) != self._candidates():
-            return  # we have not agreed to this membership
-        if (
-            self.state is MemberState.COMMIT
-            and self._expected_members is not None
-            and tuple(token.members) != self._expected_members
-        ):
-            return  # stale commit token from an earlier proposal
         token = token.copy()
         seq, _rep = decode_ring_id(token.ring_id)
         self.highest_ring_seq = max(self.highest_ring_seq, seq)
         if self.pid not in token.infos:
             token.infos[self.pid] = self._my_info()
-        self._set_state(MemberState.COMMIT)
-        effects.append(CancelTimer(TIMER_JOIN))
-        effects.append(CancelTimer(TIMER_CONSENSUS))
-        effects.append(CancelTimer(TIMER_COMMIT))
+        self._enter(MemberState.COMMIT, effects, survivors)
         effects.append(SetTimer(TIMER_COMMIT, self.timeouts.commit_timeout))
-        effects.append(
-            SendControl(token.copy(), destination=token.successor_of(self.pid))
-        )
+        effects.append(SendControl(token.copy(), destination=token.successor_of(self.pid)))
         if token.complete:
-            self._enter_recover(token, effects)
+            self._recover(token, effects)
 
     # ------------------------------------------------------------------
     # Recovery
     # ------------------------------------------------------------------
 
-    def _enter_recover(self, token: CommitToken, effects: List[Effect]) -> None:
-        self._set_state(MemberState.RECOVER)
+    def _recover(self, token: CommitToken, effects: List[Effect]) -> None:
+        """Enter Recover on a complete commit token."""
+        self._enter(MemberState.RECOVER, effects)
         self._attempted_rings.add(token.ring_id)
-        effects.append(CancelTimer(TIMER_COMMIT))
-        effects.append(CancelTimer(TIMER_GATHER_RESTART))
-        effects.append(CancelTimer(TIMER_JOIN))
-        my_info = token.infos[self.pid]
-        old_ring = my_info.old_ring_id
-        old_members = tuple(
-            member
-            for member in token.members
-            if token.infos[member].old_ring_id == old_ring
-        )
+        old_ring = token.infos[self.pid].old_ring_id
+        old_members = tuple(m for m in token.members if token.infos[m].old_ring_id == old_ring)
         low = min(token.infos[m].old_aru for m in old_members)
         high = max(token.infos[m].high_seq for m in old_members)
         # The commit token is identical at every member, so every old-ring
@@ -727,190 +731,137 @@ class MembershipController:
         rec = _RecoveryState(
             new_ring_id=token.ring_id,
             members=token.members,
-            infos=dict(token.infos),
             my_old_ring=old_ring,
             old_members=old_members,
             low=low,
             high=high,
+            buffer=self.ordering.buffer if self.ordering is not None else None,
             deliver_high=deliver_high,
         )
-        if self.ordering is not None:
+        if rec.buffer is not None:
             rec.my_have = {
-                seq
-                for seq in range(low + 1, high + 1)
-                if self.ordering.buffer.get(seq) is not None
+                seq for seq in range(low + 1, high + 1) if rec.buffer.get(seq) is not None
             }
         rec.done = not rec.needed()
         self._rec = rec
-        if self.observer is not None:
-            self.observer.on_recovery_started(
-                self.pid,
-                detail={
-                    "ring_id": rec.new_ring_id,
-                    "old_ring_id": rec.my_old_ring,
-                    "old_members": sorted(rec.old_members),
-                    "window": [rec.low, rec.high],
-                    "deliver_high": rec.deliver_high,
-                },
-                now=self._now(),
-            )
+        self._notify(
+            "on_recovery_started",
+            ring_id=rec.new_ring_id,
+            old_ring_id=rec.my_old_ring,
+            old_members=sorted(rec.old_members),
+            window=[rec.low, rec.high],
+            deliver_high=rec.deliver_high,
+        )
         self._flood(rec, rec.my_have, effects)
         self._send_status(rec, effects)
-        effects.append(
-            SetTimer(TIMER_RECOVERY_STATUS, self.timeouts.recovery_status_interval)
-        )
+        effects.append(SetTimer(TIMER_RECOVERY_STATUS, self.timeouts.recovery_status_interval))
         effects.append(SetTimer(TIMER_RECOVERY, self.timeouts.recovery_timeout))
         self._maybe_finalize(effects)
 
-    def _flood(self, rec: _RecoveryState, seqs: Set[int], effects: List[Effect]) -> None:
-        if self.ordering is None:
-            return
+    def _flood(
+        self, rec: _RecoveryState, seqs: Set[int], effects: List[Effect], to: Optional[int] = None
+    ) -> None:
+        # ``seqs`` is empty when there was no old ring, hence no buffer.
         for seq in sorted(seqs):
-            message = self.ordering.buffer.get(seq)
+            message = rec.buffer.get(seq)
             if message is not None:
-                effects.append(
-                    SendControl(RecoveredMessage(rec.my_old_ring, message))
-                )
+                effects.append(SendControl(RecoveredMessage(rec.my_old_ring, message), to))
 
-    def _send_status(self, rec: _RecoveryState, effects: List[Effect]) -> None:
-        effects.append(
-            SendControl(
-                RecoveryStatus(
-                    sender=self.pid,
-                    new_ring_id=rec.new_ring_id,
-                    old_ring_id=rec.my_old_ring,
-                    have=tuple(sorted(rec.my_have)),
-                    complete=rec.done,
-                )
-            )
+    def _send_status(
+        self, rec: _RecoveryState, effects: List[Effect], to: Optional[int] = None
+    ) -> None:
+        status = RecoveryStatus(
+            sender=self.pid,
+            new_ring_id=rec.new_ring_id,
+            old_ring_id=rec.my_old_ring,
+            have=tuple(sorted(rec.my_have)),
+            complete=rec.done,
         )
+        effects.append(SendControl(status, to))
 
-    def _on_recovered(self, message: RecoveredMessage, effects: List[Effect]) -> None:
+    def _recovered(self, message: RecoveredMessage, effects: List[Effect]) -> None:
         rec = self._rec
-        if (
-            self.state is not MemberState.RECOVER
-            or rec is None
-            or message.old_ring_id != rec.my_old_ring
-            or self.ordering is None
-        ):
+        if message.old_ring_id != rec.my_old_ring or rec.buffer is None:
             return
         if not (rec.low < message.message.seq <= rec.high):
             return
-        if self.ordering.buffer.insert(message.message):
+        if rec.buffer.insert(message.message):
             rec.my_have.add(message.message.seq)
-            if not rec.done and not rec.needed():
-                rec.done = True
-                self._send_status(rec, effects)
-            self._maybe_finalize(effects)
+            self._progress(rec, effects)
 
-    def _on_status(self, status: RecoveryStatus, effects: List[Effect]) -> None:
+    def _status(self, status: RecoveryStatus, effects: List[Effect]) -> None:
         rec = self._rec
-        if self.state is MemberState.RECOVER and rec is not None:
-            if status.new_ring_id != rec.new_ring_id:
-                return
-            if status.old_ring_id != rec.my_old_ring:
-                return  # another old ring's exchange; not our concern
-            rec.peer_have[status.sender] = set(status.have)
-            # Liveness: any status is proof of life for this retry round.
-            rec.status_attempt[status.sender] = rec.attempt
-            rec.suspects.discard(status.sender)
-            if status.complete:
-                rec.complete_peers.add(status.sender)
-            else:
-                rec.complete_peers.discard(status.sender)
-            if not rec.done and not rec.needed():
-                rec.done = True
-                self._send_status(rec, effects)
-            self._maybe_finalize(effects)
+        if status.new_ring_id != rec.new_ring_id:
             return
-        # Help stragglers after we have installed the new ring: a member
-        # still gossiping recovery status for our ring missed our final
-        # status (e.g. it was still in Commit when we sent it) — re-send
-        # it, and re-flood anything it lacks.
-        if (
-            self.state is MemberState.OPERATIONAL
-            and status.new_ring_id == self.ring_id
-            and status.sender != self.pid
-            and self._final_recovery is not None
-            and status.old_ring_id == self._final_recovery.my_old_ring
-        ):
-            # Echo control.  An operational member answering a status is a
-            # positive-feedback loop if the answer is itself a status every
-            # other operational member answers: multicast replies made each
-            # status seen by the other N-1 members spawn N-1 more — an
-            # exponential storm (for N > 2) that starved the token on the
-            # shared control port until the token-loss timer split the
-            # ring.  Three dampers make help loop-free while keeping a real
-            # straggler unblocked: the reply goes unicast to the straggler
-            # (operational peers never see it, so never re-answer it), each
-            # peer is helped at most once per status interval (the
-            # straggler's own re-gossip rate, so nothing is lost), and help
-            # stops recovery_timeout after install — by then any straggler
-            # has timed out into a fresh gather and needs a join exchange,
-            # not an old status.
-            now = self._now()
-            if now is not None:
-                if (
-                    self._installed_at is not None
-                    and now - self._installed_at > self.timeouts.recovery_timeout
-                ):
-                    return
-                last = self._help_sent.get(status.sender)
-                if (
-                    last is not None
-                    and now - last < self.timeouts.recovery_status_interval
-                ):
-                    return
-                self._help_sent[status.sender] = now
-            final = self._final_recovery
-            missing = final.my_have - set(status.have)
-            if missing and self._old_buffer is not None:
-                for seq in sorted(missing):
-                    message = self._old_buffer.get(seq)
-                    if message is not None:
-                        effects.append(
-                            SendControl(
-                                RecoveredMessage(final.my_old_ring, message),
-                                destination=status.sender,
-                            )
-                        )
-            effects.append(
-                SendControl(
-                    RecoveryStatus(
-                        sender=self.pid,
-                        new_ring_id=final.new_ring_id,
-                        old_ring_id=final.my_old_ring,
-                        have=tuple(sorted(final.my_have)),
-                        complete=True,
-                    ),
-                    destination=status.sender,
-                )
-            )
+        if status.old_ring_id != rec.my_old_ring:
+            return  # another old ring's exchange; not our concern
+        rec.peer_have[status.sender] = set(status.have)
+        # Liveness: any status is proof of life for this retry round.
+        rec.status_attempt[status.sender] = rec.attempt
+        rec.suspects.discard(status.sender)
+        if status.complete:
+            rec.complete_peers.add(status.sender)
+        else:
+            rec.complete_peers.discard(status.sender)
+        self._progress(rec, effects)
 
-    def _on_beacon(self, beacon: BeaconMessage, effects: List[Effect]) -> None:
-        # Beacons carry the sender's ring epoch; adopting it ensures our
-        # next joins are not dismissed as stale by that ring's members.
-        beacon_seq, _rep = decode_ring_id(beacon.ring_id)
-        self.highest_ring_seq = max(self.highest_ring_seq, beacon_seq)
-        if self.state is not MemberState.OPERATIONAL:
+    def _progress(self, rec: _RecoveryState, effects: List[Effect]) -> None:
+        if not rec.done and not rec.needed():
+            rec.done = True
+            self._send_status(rec, effects)
+        self._maybe_finalize(effects)
+
+    def _help_straggler(self, status: RecoveryStatus, effects: List[Effect]) -> None:
+        """After we have installed the new ring, a member still
+        gossiping recovery status for it missed our final status (e.g.
+        it was still in Commit when we sent it) — re-send it, and
+        re-flood anything it lacks."""
+        final = self._final_recovery
+        if (
+            status.new_ring_id != self.ring_id
+            or status.sender == self.pid
+            or status.old_ring_id != final.my_old_ring
+        ):
             return
-        if beacon.ring_id == self.ring_id or beacon.ring_id in self._past_rings:
-            return
-        # A foreign operational ring exists: merge.
-        self._enter_gather(effects)
+        # Echo control.  An operational member answering a status is a
+        # positive-feedback loop if the answer is itself a status every
+        # other operational member answers: multicast replies made each
+        # status seen by the other N-1 members spawn N-1 more — an
+        # exponential storm (for N > 2) that starved the token on the
+        # shared control port until the token-loss timer split the
+        # ring.  Three dampers make help loop-free while keeping a real
+        # straggler unblocked: the reply goes unicast to the straggler
+        # (operational peers never see it, so never re-answer it), each
+        # peer is helped at most once per status interval (the
+        # straggler's own re-gossip rate, so nothing is lost), and help
+        # stops recovery_timeout after install — by then any straggler
+        # has timed out into a fresh gather and needs a join exchange,
+        # not an old status.
+        now = self._now()
+        if now is not None:
+            if now - self._installed_at > self.timeouts.recovery_timeout:
+                return
+            last = self._help_sent.get(status.sender)
+            if last is not None and now - last < self.timeouts.recovery_status_interval:
+                return
+            self._help_sent[status.sender] = now
+        self._flood(final, final.my_have - set(status.have), effects, status.sender)
+        self._send_status(final, effects, status.sender)
 
     def _recovery_gossip(self, effects: List[Effect]) -> None:
         rec = self._rec
-        assert rec is not None
         self._send_status(rec, effects)
         # Re-flood what known peers are missing (unknown peers will ask by
         # sending their first status).
-        known = [rec.peer_have[p] for p in rec.old_members if p in rec.peer_have and p != self.pid]
-        if known:
-            missing_somewhere = set()
-            for have in known:
-                missing_somewhere |= rec.my_have - have
-            self._flood(rec, missing_somewhere, effects)
+        missing_somewhere: Set[int] = set()
+        for peer in rec.old_members:
+            if peer != self.pid and peer in rec.peer_have:
+                missing_somewhere |= rec.my_have - rec.peer_have[peer]
+        self._flood(rec, missing_somewhere, effects)
+
+    def _gossip_due(self, _name: str, effects: List[Effect]) -> None:
+        self._recovery_gossip(effects)
+        effects.append(SetTimer(TIMER_RECOVERY_STATUS, self.timeouts.recovery_status_interval))
 
     # -- self-healing: retry / backoff / abort-and-regather ------------
 
@@ -939,7 +890,7 @@ class MembershipController:
             and rec.attempt - rec.status_attempt.get(peer, 0) >= threshold
         }
 
-    def _on_recovery_timeout(self, effects: List[Effect]) -> None:
+    def _recovery_timeout(self, _name: str, effects: List[Effect]) -> None:
         """A recovery round expired without finalizing.
 
         Instead of tearing the exchange down on the first deadline (the
@@ -951,7 +902,6 @@ class MembershipController:
         around them rather than stalling on them again.
         """
         rec = self._rec
-        assert rec is not None
         rec.attempt += 1
         rec.suspects = self._recovery_suspects(rec)
         if rec.attempt > self.timeouts.recovery_retries:
@@ -959,19 +909,15 @@ class MembershipController:
             return
         self.recovery_retries += 1
         delay = self._recovery_backoff_delay(rec.attempt)
-        if self.observer is not None:
-            self.observer.on_recovery_retry(
-                self.pid,
-                detail={
-                    "ring_id": rec.new_ring_id,
-                    "attempt": rec.attempt,
-                    "retries_left": self.timeouts.recovery_retries - rec.attempt,
-                    "next_delay": delay,
-                    "missing": len(rec.needed()),
-                    "suspects": sorted(rec.suspects),
-                },
-                now=self._now(),
-            )
+        self._notify(
+            "on_recovery_retry",
+            ring_id=rec.new_ring_id,
+            attempt=rec.attempt,
+            retries_left=self.timeouts.recovery_retries - rec.attempt,
+            next_delay=delay,
+            missing=len(rec.needed()),
+            suspects=sorted(rec.suspects),
+        )
         # Unanswered flood/status round: say it all again, louder.  The
         # status re-announces our holdings (prompting peers to flood what
         # we lack); the flood re-sends everything known peers lack.
@@ -979,10 +925,7 @@ class MembershipController:
         effects.append(SetTimer(TIMER_RECOVERY, delay))
 
     def _abort_recovery(
-        self,
-        rec: _RecoveryState,
-        effects: List[Effect],
-        reason: str = "retry_budget",
+        self, rec: _RecoveryState, effects: List[Effect], reason: str = "retry_budget"
     ) -> None:
         """Give up on this exchange and regather — because the retry
         budget ran out, or because a recovery peer demonstrably abandoned
@@ -992,29 +935,20 @@ class MembershipController:
         delivered here.  Suspected-dead peers seed the new gather's fail
         set, shrinking the candidate set (graceful degradation)."""
         self.recovery_aborts += 1
-        if self.observer is not None:
-            self.observer.on_recovery_aborted(
-                self.pid,
-                detail={
-                    "ring_id": rec.new_ring_id,
-                    "attempts": rec.attempt,
-                    "missing": len(rec.needed()),
-                    "suspects": sorted(rec.suspects),
-                    "reason": reason,
-                },
-                now=self._now(),
-            )
-        self._enter_gather(effects, pre_failed=rec.suspects)
+        self._notify(
+            "on_recovery_aborted",
+            ring_id=rec.new_ring_id,
+            attempts=rec.attempt,
+            missing=len(rec.needed()),
+            suspects=sorted(rec.suspects),
+            reason=reason,
+        )
+        self._gather(effects, pre_failed=rec.suspects)
 
     def _maybe_finalize(self, effects: List[Effect]) -> None:
         rec = self._rec
-        assert rec is not None
-        if not rec.done:
-            return
-        for peer in rec.old_members:
-            if peer != self.pid and peer not in rec.complete_peers:
-                return
-        self._finalize_recovery(rec, effects)
+        if rec.done and rec.complete_peers | {self.pid} >= set(rec.old_members):
+            self._finalize_recovery(rec, effects)
 
     def _deliver_recovered(
         self, message: DataMessage, rec: _RecoveryState, effects: List[Effect]
@@ -1028,7 +962,6 @@ class MembershipController:
 
     def _finalize_recovery(self, rec: _RecoveryState, effects: List[Effect]) -> None:
         """Deliver remaining old-ring messages per EVS, install the ring."""
-        old_config = self.ring_config
         if self.ordering is not None:
             ordering = self.ordering
             # Phase 1: messages still deliverable in the old regular
@@ -1054,16 +987,12 @@ class MembershipController:
                 self._deliver_recovered(message, rec, effects)
                 seq += 1
             # Transitional configuration: my old ring's survivors.
-            if old_config is not None:
-                effects.append(
-                    DeliverConfiguration(
-                        Configuration.transitional_of(
-                            encode_transitional_id(rec.my_old_ring, rec.new_ring_id),
-                            rec.old_members,
-                            closes=rec.my_old_ring,
-                        )
-                    )
-                )
+            transitional = Configuration.transitional_of(
+                encode_transitional_id(rec.my_old_ring, rec.new_ring_id),
+                rec.old_members,
+                closes=rec.my_old_ring,
+            )
+            effects.append(DeliverConfiguration(transitional))
             # Phase 2: everything else recovered, gaps skipped (EVS allows
             # delivery past holes only in the transitional configuration).
             while seq <= rec.high:
@@ -1071,15 +1000,14 @@ class MembershipController:
                 if message is not None:
                     self._deliver_recovered(message, rec, effects)
                 seq += 1
-            self._old_buffer = ordering.buffer
             self._past_rings.add(ordering.ring_id)
 
         # Install the new ring.
         members = sorted(rec.members)
         new_config = Configuration.regular(rec.new_ring_id, members)
         effects.append(DeliverConfiguration(new_config))
-        carried = self.ordering.pending if self.ordering is not None else deque()
-        participant = self._participant_class()(
+        engine = AcceleratedRingParticipant if self.accelerated else OriginalRingParticipant
+        participant = engine(
             pid=self.pid,
             ring=members,
             config=self.protocol_config,
@@ -1087,44 +1015,23 @@ class MembershipController:
             observer=self.observer,
             clock=self.clock,
         )
-        participant.pending = carried
+        if self.ordering is not None:
+            participant.pending = self.ordering.pending
         while self._pre_ring_pending:
             payload, service, timestamp, size = self._pre_ring_pending.popleft()
             participant.submit(payload, service, timestamp, size)
         self.ordering = participant
         self.ring_config = new_config
-        self._set_state(MemberState.OPERATIONAL)
+        self._enter(MemberState.OPERATIONAL, effects)
         self.view_changes += 1
         self.recoveries_completed += 1
-        if self.observer is not None:
-            now = self._now()
-            self.observer.on_recovery_completed(
-                self.pid,
-                detail={
-                    "ring_id": rec.new_ring_id,
-                    "attempts": rec.attempt,
-                    "members": list(members),
-                },
-                now=now,
-            )
-            self.observer.on_membership_event(
-                self.pid,
-                "ring_installed",
-                detail={"ring_id": rec.new_ring_id, "members": list(members)},
-                now=now,
-            )
-            self.observer.on_membership_event(
-                self.pid,
-                "view_change",
-                detail={"ring_id": rec.new_ring_id},
-                now=now,
-            )
+        ring_id = rec.new_ring_id
+        self._notify("on_recovery_completed", ring_id=ring_id, attempts=rec.attempt, members=members)
+        self._notify("on_membership_event", "ring_installed", ring_id=ring_id, members=list(members))
+        self._notify("on_membership_event", "view_change", ring_id=ring_id)
         self._final_recovery = rec
         self._installed_at = self._now()
         self._help_sent = {}
-        self._rec = None
-        effects.append(CancelTimer(TIMER_RECOVERY_STATUS))
-        effects.append(CancelTimer(TIMER_RECOVERY))
         effects.append(SetTimer(TIMER_TOKEN_LOSS, self.timeouts.token_loss))
         effects.append(SetTimer(TIMER_BEACON, self.timeouts.beacon_interval))
         if self.pid == members[0]:
@@ -1135,3 +1042,97 @@ class MembershipController:
         stash, self._stash = self._stash, []
         for message in stash:
             effects.extend(self.on_message(message))
+
+
+# ----------------------------------------------------------------------
+# The transition table
+# ----------------------------------------------------------------------
+
+
+class Row(NamedTuple):
+    """What one (state, event) pair does."""
+
+    #: ``handler(controller, message | messages | timer name, effects)``.
+    handler: Callable[[MembershipController, object, List[Effect]], object]
+    #: The states the call may enter, any number of them in a chain.
+    enters: Tuple[MemberState, ...] = ()
+    #: The named quirk this row exists for, or takes part in.
+    quirk: Optional[str] = None
+
+
+_M = MembershipController
+#: What installing a ring may enter: Operational, and Gather again when
+#: the replayed stash holds a foreign ring's traffic.
+_INSTALLS = (_O, _G)
+
+TABLE: Dict[Tuple[MemberState, object], Row] = {
+    (_O, RegularToken): Row(_M._token, (_G,)),
+    (_R, RegularToken): Row(_M._route_by_ring),  # stashed if stamped with the new ring
+    (_O, DataMessage): Row(_M._data, (_G,)),
+    (_G, DataMessage): Row(_M._data_withheld),
+    (_C, DataMessage): Row(_M._data_withheld),
+    (_R, DataMessage): Row(_M._data_withheld),
+    (_O, DATA_BATCH): Row(_M._batch, (_G,)),
+    (_G, DATA_BATCH): Row(_M._batch_withheld),
+    (_C, DATA_BATCH): Row(_M._batch_withheld),
+    (_R, DATA_BATCH): Row(_M._batch_withheld),
+    (_O, JoinMessage): Row(_M._join_operational, (_G,)),
+    (_G, JoinMessage): Row(_M._join),
+    (_R, JoinMessage): Row(_M._join_recovering, (_G,), QUIRK_STASH),
+    (_G, CommitToken): Row(_M._commit_token_gathering, (_C, _R) + _INSTALLS, QUIRK_GATHER_RESTART),
+    (_C, CommitToken): Row(_M._commit_token_committing, (_C, _R) + _INSTALLS),
+    (_R, RecoveredMessage): Row(_M._recovered, _INSTALLS),
+    (_R, RecoveryStatus): Row(_M._status, _INSTALLS),
+    (_O, RecoveryStatus): Row(_M._help_straggler),
+    (_O, BeaconMessage): Row(_M._beacon, (_G,)),
+    (_G, BeaconMessage): Row(_M._adopt_epoch),
+    (_C, BeaconMessage): Row(_M._adopt_epoch),
+    (_R, BeaconMessage): Row(_M._adopt_epoch),
+    # Timers, each in the state that owns it...
+    (_O, TIMER_TOKEN_LOSS): Row(_M._token_lost, (_G,)),
+    (_O, TIMER_BEACON): Row(_M._beacon_due),
+    (_G, TIMER_JOIN): Row(_M._join_due),
+    (_G, TIMER_CONSENSUS): Row(_M._consensus_timeout, (_R,) + _INSTALLS),
+    (_G, TIMER_SETTLE): Row(_M._settled, (_C,)),
+    (_G, TIMER_GATHER_RESTART): Row(_M._regather, (_G,)),
+    (_C, TIMER_COMMIT): Row(_M._regather, (_G,)),
+    (_R, TIMER_RECOVERY_STATUS): Row(_M._gossip_due),
+    (_R, TIMER_RECOVERY): Row(_M._recovery_timeout, (_G,), QUIRK_STASH),
+    # ...and the one that outlives its state.
+    **{(state, TIMER_SETTLE): Row(_M._settle_stray, quirk=QUIRK_SETTLE) for state in (_C, _R, _O)},
+}
+
+#: Dropped by rule: the call returns ``[]`` and changes nothing.
+DROPPED: FrozenSet[Tuple[MemberState, object]] = frozenset(
+    (state, event)
+    for event, states in {
+        # Only Recover has a ring to stash a token for, only Operational
+        # answers a foreign one, and only Operational runs the engine.
+        RegularToken: (_G, _C),
+        JoinMessage: (_C,),  # committing: let the timeouts sort out failures
+        CommitToken: (_R, _O),  # e.g. the second-pass echo while already recovering
+        RecoveredMessage: (_O, _G, _C),
+        RecoveryStatus: (_G, _C),
+        # A timer outside the state that owns it: a stray or deferred
+        # firing (a stalled process runs its timers late) is a no-op.
+        TIMER_TOKEN_LOSS: (_G, _C, _R),
+        TIMER_BEACON: (_G, _C, _R),
+        TIMER_JOIN: (_O, _C, _R),
+        TIMER_CONSENSUS: (_O, _C, _R),
+        TIMER_GATHER_RESTART: (_O, _C, _R),  # in Commit it may really be armed (QUIRK_GATHER_RESTART)
+        TIMER_COMMIT: (_O, _G, _R),
+        TIMER_RECOVERY_STATUS: (_O, _G, _C),
+        TIMER_RECOVERY: (_O, _G, _C),
+    }.items()
+    for state in states
+)
+
+#: state → event → handler (``None``: dropped): the column of the table
+#: that ``on_message`` / ``on_data_batch`` / ``on_timer`` look an event up in.
+_ROWS_OF: Dict[MemberState, Dict[object, Optional[Callable[..., object]]]] = {
+    state: {
+        **{event: None for at, event in DROPPED if at is state},
+        **{event: row.handler for (at, event), row in TABLE.items() if at is state},
+    }
+    for state in MemberState
+}

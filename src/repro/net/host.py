@@ -13,13 +13,12 @@ from collections import deque
 from heapq import heappush
 from typing import Callable, Deque, Optional, List
 
-from repro.core.transport_core import ByteWindow
+from repro.core.transport_core import ByteWindow, FrameRing
 from repro.net.fragment import fragment_datagram
 from repro.net.loss import LossModel, NoLoss
 from repro.net.nic import Nic
 from repro.net.packet import Frame, PortKind
 from repro.net.params import NetworkParams
-from repro.net.ring import FrameRing
 from repro.net.simulator import Simulator
 
 # Hoisted enum member for the receive hot path (one global load instead of

@@ -11,9 +11,9 @@ from __future__ import annotations
 from heapq import heappush
 from typing import Callable, Optional
 
+from repro.core.transport_core import FrameRing
 from repro.net.packet import Frame
 from repro.net.params import NetworkParams
-from repro.net.ring import FrameRing
 from repro.net.simulator import Simulator
 
 

@@ -14,9 +14,9 @@ from __future__ import annotations
 from heapq import heappush
 from typing import Callable, Dict, List, Tuple
 
+from repro.core.transport_core import FrameRing
 from repro.net.packet import Frame
 from repro.net.params import NetworkParams
-from repro.net.ring import FrameRing
 from repro.net.simulator import Simulator
 
 

@@ -3,7 +3,12 @@ EVS guarantees checked on every trace."""
 
 
 from repro.core.messages import DeliveryService
+from repro.membership.controller import MemberState
+from repro.membership.messages import RecoveredMessage
+from repro.net.packet import PortKind
+from repro.obs.observer import ProtocolObserver
 from repro.sim.build import ClusterBuilder
+from repro.sim.membership_driver import DeliveryTap
 
 
 def boot(n=4, accelerated=True):
@@ -205,6 +210,91 @@ class TestRecovery:
                 for m in cluster.hosts[pid].delivered
             )
         cluster.checker.check(crashed={1})
+
+
+class _RecoveryWindows(ProtocolObserver):
+    def __init__(self):
+        self.windows = {}
+
+    def on_recovery_started(self, pid, detail=None, now=None):
+        self.windows[pid] = tuple(detail["window"])
+
+
+class _Tape(DeliveryTap):
+    """Per pid, deliveries and configurations in delivery order."""
+
+    def __init__(self):
+        self.events = {}
+
+    def on_deliver_batch(self, pid, messages, config_id, origin_ring):
+        self.events.setdefault(pid, []).extend(
+            ("message", origin_ring, m.pid, m.seq) for m in messages
+        )
+
+    def on_config(self, pid, configuration):
+        kind = "transitional" if configuration.transitional else "regular"
+        self.events.setdefault(pid, []).append((kind, configuration.config_id))
+
+
+class TestRecoveryFlood:
+    def test_a_hole_only_recovery_can_fill_is_filled(self):
+        # Every recovery of the chaos library has an empty window
+        # (high == low), so nothing else reaches the (Recover,
+        # RecoveredMessage) row.  Here the sender's last messages never
+        # reach its ring predecessor, and the token that carries the
+        # predecessor's retransmission request dies at the crashed
+        # sender: the request reaches nobody who could answer it, and
+        # only the recovery flood can fill the hole.
+        sender, receiver = 3, 2
+        windows, tape = _RecoveryWindows(), _Tape()
+        cluster = (
+            ClusterBuilder().hosts(4).membership().observe(windows).tap(tape).build()
+        )
+        cluster.start()
+        cluster.run(0.06)
+        assert set(cluster.rings().values()) == {(0, 1, 2, 3)}
+        old_ring = cluster.hosts[receiver].controller.ring_id
+        flooded = []
+
+        def lose_the_senders_data(frame, dst):
+            if frame.payload.__class__ is RecoveredMessage:
+                flooded.append((frame.src, dst, frame.payload.message.seq))
+            return frame.src == sender and frame.kind is PortKind.DATA and dst == receiver
+
+        cluster.topology.switch.add_filter(lose_the_senders_data)
+        controller = cluster.hosts[receiver].controller
+        received = []
+        on_message = controller.on_message
+
+        def spy(message):
+            received.append((controller.state, type(message)))
+            return on_message(message)
+
+        controller.on_message = spy
+        for _ in range(3):
+            cluster.hosts[sender].submit(payload_size=64)
+        cluster.run(0.002)
+        assert {p: len(h.delivered) for p, h in cluster.hosts.items()} == {
+            0: 3, 1: 3, receiver: 0, sender: 3,
+        }
+        cluster.crash(sender)
+        wait_for_rings(cluster, {(0, 1, 2)})
+
+        survivors = (0, 1, 2)
+        for pid in survivors:
+            low, high = windows.windows[pid]
+            assert high > low
+        assert {dst for _src, dst, _seq in flooded} >= {receiver}
+        assert (MemberState.RECOVER, RecoveredMessage) in received
+        lost = [("message", old_ring, sender, seq) for seq in (1, 2, 3)]
+        for pid in survivors:
+            events = tape.events[pid]
+            closing = next(i for i, e in enumerate(events) if e[0] == "transitional")
+            # The same old-ring set, all of it ahead of the transitional
+            # configuration that closes the old ring.
+            assert [e for e in events[:closing] if e[0] == "message"] == lost
+            assert [e for e in events[closing:] if e[0] == "message"] == []
+        cluster.checker.check(crashed={sender})
 
 
 class TestChurn:

@@ -6,7 +6,7 @@ sites must also avoid), so wraparound-then-grow gets explicit coverage.
 
 import pytest
 
-from repro.net.ring import FrameRing
+from repro.core.transport_core import FrameRing
 
 
 def test_fifo_order_and_len():

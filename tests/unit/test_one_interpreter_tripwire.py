@@ -1,12 +1,13 @@
 """Tripwire: effects have one interpreter, deliveries one shape,
 clusters one assembly path, benches one gate, checked runs one
-drive-and-converge loop.
+drive-and-converge loop, the membership controller one transition table.
 
 Scans the package source so that a re-grown effect ladder, a second
 delivery effect or a per-message delivery hook, a second run-grouping
 accumulator, a new deprecation shim, a copied baseline comparator, a
 bench environment knob, a private convergence poll or a second way to
-arm a fault plan fails tier-1 instead of drifting in unnoticed (the
+arm a fault plan, or a dispatch ladder or hand-placed timer cancel in
+the membership controller fails tier-1 instead of drifting in unnoticed (the
 shape of the port and unseeded-random tripwires in ``conftest.py``,
 applied to the source tree)."""
 
@@ -46,6 +47,8 @@ FORBIDDEN = {
     "reads a bench environment knob": re.compile(r"REPRO_BENCH_(?!FAST\b)"),
 }
 GATE_ONLY = re.compile(r"^\s*def (compare_\w*|baseline_path)\(", re.MULTILINE)
+#: Re-export shims that were deleted: their importers name the real home.
+DELETED_SHIMS = ("net/ring.py",)
 
 
 def _violations():
@@ -84,6 +87,7 @@ def test_one_bench_gate():
 
 def test_only_the_executor_interprets_effects():
     assert _violations() == []
+    assert not set(DELETED_SHIMS) & set(_sources())
 
 
 def test_the_tripwire_patterns_bite():
@@ -234,6 +238,45 @@ def test_the_only_polling_loop_is_drive_poll():
     old = "for _ in range(_MAX_POLLS):\n    cluster.run(_POLL_SLICE)\n    if ok(): break"
     assert _loops_that_run_a_cluster(ast.parse(old)) == [1]
     assert _loops_that_run_a_cluster(ast.parse("for case in cases:\n    case.run(seed)")) == []
+
+
+# ----------------------------------------------------------------------
+# One transition table (membership/controller.py, docs/PROTOCOL.md §6)
+# ----------------------------------------------------------------------
+
+#: A per-type or per-name dispatch ladder: what the table replaced.
+CONTROLLER_LADDER = re.compile(r"isinstance\(\s*message\s*,|\bname\s*==\s*TIMER_\w+")
+
+
+def _cancel_sites(source):
+    """function name → number of ``CancelTimer(...)`` calls in its body."""
+    sites = {}
+    for function in ast.walk(ast.parse(source)):
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            calls = sum(
+                isinstance(node, ast.Call) and getattr(node.func, "id", None) == "CancelTimer"
+                for node in ast.walk(function)
+            )
+            if calls:
+                sites[function.name] = calls
+    return sites
+
+
+def test_the_controller_dispatches_and_cancels_through_its_table():
+    controller = _sources()["membership/controller.py"]
+    assert not CONTROLLER_LADDER.search(controller)
+    # _enter cancels what an edge cancels; the one in-state cancel is
+    # `settle` when the view changes under a settle window.
+    assert _cancel_sites(controller) == {"_enter": 1, "_join": 1}
+    # ...and the patterns bite on what this replaced.
+    assert CONTROLLER_LADDER.search("        elif isinstance(message, JoinMessage):")
+    assert CONTROLLER_LADDER.search("        elif name == TIMER_COMMIT:")
+    old = (
+        "def _enter_recover(self, token, effects):\n"
+        "    effects.append(CancelTimer(TIMER_COMMIT))\n"
+        "    effects.append(CancelTimer(TIMER_JOIN))\n"
+    )
+    assert _cancel_sites(old) == {"_enter_recover": 2}
 
 
 # ----------------------------------------------------------------------
