@@ -29,6 +29,8 @@ _TOKEN_HEADER = struct.Struct("!BBQQQQqIQI")
 # as a 4-byte length prefix + one complete TYPE_DATA encoding.
 _BATCH_HEADER = struct.Struct("!BBH")
 _ITEM_PREFIX = struct.Struct("!I")
+# One batch item's length prefix and data header, read in one unpack.
+_ITEM_HEAD = struct.Struct("!IBBBBQIQQdI")
 
 #: Per-item wire overhead of a coalesced frame (the length prefix), and
 #: the fixed per-frame overhead (the batch header).  Exposed so the
@@ -142,36 +144,33 @@ def encode_data_batch(messages: Sequence[DataMessage]) -> bytes:
 def decode_data_batch(data: bytes) -> List[DataMessage]:
     """Decode a coalesced frame into its data messages, in order.
 
-    Items are parsed in place by offset arithmetic over one memoryview —
-    the only copies made are the payload slices that end up owned by the
-    returned messages.
+    An item's length prefix and data header are one unpack, and each
+    message is built positionally (``DataMessage``'s parameter order);
+    the only copies made are the payload slices the returned messages
+    own.  Every malformation — a cut anywhere, a bad magic or type, a
+    prefix that disagrees with the header, a payload running past the
+    frame, bytes after the last item — is a :class:`CodecError`.
     """
-    if len(data) < _BATCH_HEADER.size:
-        raise CodecError(f"datagram too short: {len(data)} bytes")
+    end = len(data)
+    if end < _BATCH_HEADER.size:
+        raise CodecError(f"datagram too short: {end} bytes")
     magic, msg_type, count = _BATCH_HEADER.unpack_from(data)
     if magic != MAGIC:
         raise CodecError(f"bad magic byte {magic:#x}")
     if msg_type != TYPE_DATA_BATCH:
         raise CodecError(f"not a data batch: type {msg_type}")
-    view = memoryview(data)
-    end = len(data)
-    header_size = _DATA_HEADER.size
-    prefix_size = _ITEM_PREFIX.size
-    unpack_prefix = _ITEM_PREFIX.unpack_from
-    unpack_header = _DATA_HEADER.unpack_from
+    head_size = _ITEM_HEAD.size
+    unpack_head = _ITEM_HEAD.unpack_from
+    services = SERVICE_FROM_WIRE
     offset = _BATCH_HEADER.size
     messages: List[DataMessage] = []
     append = messages.append
     for _ in range(count):
-        if offset + prefix_size > end:
-            raise CodecError("truncated batch item prefix")
-        (item_size,) = unpack_prefix(view, offset)
-        offset += prefix_size
-        if item_size < header_size or offset + item_size > end:
-            raise CodecError(
-                f"truncated batch item: need {item_size}, have {end - offset}"
-            )
+        start = offset + head_size  # where the item's payload starts
+        if start > end:
+            raise CodecError(f"truncated batch item header at offset {offset}")
         (
+            item_size,
             item_magic,
             item_type,
             service,
@@ -182,28 +181,32 @@ def decode_data_batch(data: bytes) -> List[DataMessage]:
             ring_id,
             timestamp,
             payload_len,
-        ) = unpack_header(view, offset)
+        ) = unpack_head(data, offset)
         if item_magic != MAGIC or item_type != TYPE_DATA:
             raise CodecError(f"bad batch item header at offset {offset}")
-        if header_size + payload_len != item_size:
+        if item_size != DATA_HEADER_BYTES + payload_len:
             raise CodecError(
                 f"batch item length mismatch: prefix {item_size}, "
-                f"header {header_size + payload_len}"
+                f"header {DATA_HEADER_BYTES + payload_len}"
             )
-        payload_start = offset + header_size
+        offset = start + payload_len
+        if offset > end:
+            raise CodecError(
+                f"truncated batch item: need {payload_len}, have {end - start}"
+            )
         append(
             DataMessage(
-                seq=seq,
-                pid=pid,
-                round=round_,
-                service=SERVICE_FROM_WIRE[service],
-                payload=bytes(view[payload_start : payload_start + payload_len]),
-                post_token=bool(post_token),
-                timestamp=None if timestamp < 0 else timestamp,
-                ring_id=ring_id,
+                seq,
+                pid,
+                round_,
+                services[service],
+                data[start:offset],
+                post_token != 0,
+                payload_len,
+                None if timestamp < 0 else timestamp,
+                ring_id,
             )
         )
-        offset += item_size
     if offset != end:
         raise CodecError(f"{end - offset} trailing bytes after batch")
     return messages
@@ -232,7 +235,10 @@ def decode(data: bytes) -> WireMessage:
 
 
 def _decode_data(data: bytes) -> DataMessage:
-    if len(data) < _DATA_HEADER.size:
+    """One data message; its length must account for every byte, as an
+    item's must in a batch (PROTOCOL.md §15, "malformed datagrams")."""
+    size = len(data)
+    if size < DATA_HEADER_BYTES:
         raise CodecError("truncated data message header")
     (
         _magic,
@@ -246,20 +252,24 @@ def _decode_data(data: bytes) -> DataMessage:
         timestamp,
         payload_len,
     ) = _DATA_HEADER.unpack_from(data)
-    payload = data[_DATA_HEADER.size : _DATA_HEADER.size + payload_len]
-    if len(payload) != payload_len:
+    if size != DATA_HEADER_BYTES + payload_len:
+        if size < DATA_HEADER_BYTES + payload_len:
+            raise CodecError(
+                f"truncated payload: expected {payload_len}, got {size - DATA_HEADER_BYTES}"
+            )
         raise CodecError(
-            f"truncated payload: expected {payload_len}, got {len(payload)}"
+            f"{size - DATA_HEADER_BYTES - payload_len} trailing bytes after data message"
         )
     return DataMessage(
-        seq=seq,
-        pid=pid,
-        round=round_,
-        service=SERVICE_FROM_WIRE[service],
-        payload=payload,
-        post_token=bool(post_token),
-        timestamp=None if timestamp < 0 else timestamp,
-        ring_id=ring_id,
+        seq,
+        pid,
+        round_,
+        SERVICE_FROM_WIRE[service],
+        data[DATA_HEADER_BYTES:],
+        post_token != 0,
+        payload_len,
+        None if timestamp < 0 else timestamp,
+        ring_id,
     )
 
 

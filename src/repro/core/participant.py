@@ -379,20 +379,26 @@ class AcceleratedRingParticipant:
         buffer: it trivially "has" them, so they count toward its local aru.
         """
         messages: List[DataMessage] = []
+        popleft = self.pending.popleft
+        insert = self.buffer.insert
+        pid, round_, ring_id = self.pid, self.round, self.ring_id
         for index in range(num_to_send):
-            pending = self.pending.popleft()
+            pending = popleft()
+            # Positional, in DataMessage's parameter order: seq, pid,
+            # round, service, payload, post_token, payload_size,
+            # timestamp, ring_id.
             message = DataMessage(
-                seq=start_seq + 1 + index,
-                pid=self.pid,
-                round=self.round,
-                service=pending.service,
-                payload=pending.payload,
-                post_token=index >= pre_token,
-                payload_size=pending.payload_size,
-                timestamp=pending.timestamp,
-                ring_id=self.ring_id,
+                start_seq + 1 + index,
+                pid,
+                round_,
+                pending.service,
+                pending.payload,
+                index >= pre_token,
+                pending.payload_size,
+                pending.timestamp,
+                ring_id,
             )
-            self.buffer.insert(message)
+            insert(message)
             messages.append(message)
         self.messages_originated += num_to_send
         return messages

@@ -175,8 +175,23 @@ def encode_any(message: Any) -> bytes:
     raise CodecError(f"cannot encode {type(message).__name__}")
 
 
+_DECODERS = {
+    TYPE_JOIN: _decode_join,
+    TYPE_COMMIT: _decode_commit,
+    TYPE_RECOVERED: _decode_recovered,
+    TYPE_STATUS: _decode_status,
+    TYPE_BEACON: _decode_beacon,
+}
+
+
 def decode_any(data: bytes) -> Any:
-    """Decode any wire message (core or membership)."""
+    """Decode any wire message (core or membership).
+
+    Anything malformed is a :class:`CodecError` — a membership message
+    cut short included, wherever the cut falls — so the token port's
+    receive path counts it and goes on (PROTOCOL.md §15, "malformed
+    datagrams").
+    """
     if len(data) < 2:
         raise CodecError(f"datagram too short: {len(data)} bytes")
     if data[0] != MAGIC:
@@ -184,14 +199,10 @@ def decode_any(data: bytes) -> Any:
     msg_type = data[1]
     if msg_type in (TYPE_DATA, TYPE_TOKEN):
         return core_codec.decode(data)
-    if msg_type == TYPE_JOIN:
-        return _decode_join(data)
-    if msg_type == TYPE_COMMIT:
-        return _decode_commit(data)
-    if msg_type == TYPE_RECOVERED:
-        return _decode_recovered(data)
-    if msg_type == TYPE_STATUS:
-        return _decode_status(data)
-    if msg_type == TYPE_BEACON:
-        return _decode_beacon(data)
-    raise CodecError(f"unknown message type {msg_type}")
+    decoder = _DECODERS.get(msg_type)
+    if decoder is None:
+        raise CodecError(f"unknown message type {msg_type}")
+    try:
+        return decoder(data)
+    except struct.error as exc:
+        raise CodecError(f"truncated type-{msg_type} message: {exc}") from None

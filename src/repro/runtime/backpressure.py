@@ -26,9 +26,12 @@ is.
 from __future__ import annotations
 
 import asyncio
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.core.transport_core import ByteWindow
+
+if TYPE_CHECKING:
+    from repro.runtime.ipc import FrameProtocol
 
 #: Default per-client window: generous for loopback benches, small
 #: enough that a stalled client is cut off long before it matters.
@@ -44,11 +47,15 @@ class ClientSendQueue:
     its last flush, so the owner flushes exactly the clients a batch
     touched (:func:`flush_all`).  Overflow is fail-fast: the client is
     marked slow and its connection torn down.
+
+    ``writer`` is an ``asyncio.StreamWriter`` or anything with the part
+    of its surface used here — a daemon passes its client connection,
+    a :class:`~repro.runtime.ipc.FrameProtocol`.
     """
 
     def __init__(
         self,
-        writer: asyncio.StreamWriter,
+        writer: "asyncio.StreamWriter | FrameProtocol",
         capacity_bytes: int = DEFAULT_CLIENT_WINDOW_BYTES,
         unflushed: Optional[List["ClientSendQueue"]] = None,
     ) -> None:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import asyncio
 from typing import List, Optional, Tuple, Union
 
 from repro.core.messages import DeliveryService
@@ -26,22 +25,22 @@ class DaemonClient:
 
     def __init__(self, endpoint: EndpointSpec) -> None:
         self.endpoint: Endpoint = ipc.parse_endpoint(endpoint)
-        self._frames: Optional[ipc.FrameReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
+        #: The connection to the daemon: frames are read from it and
+        #: written to it.
+        self._connection: Optional[ipc.FrameProtocol] = None
 
     async def connect(self) -> None:
-        reader, self._writer = await self.endpoint.open()
-        self._frames = ipc.FrameReader(reader)
+        self._connection = await self.endpoint.open()
 
     async def close(self) -> None:
-        if self._writer is not None:
-            self._writer.close()
+        connection = self._connection
+        if connection is not None:
+            connection.close()
             try:
-                await self._writer.wait_closed()
+                await connection.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
                 pass
-            self._writer = None
-            self._frames = None
+            self._connection = None
 
     def send(
         self,
@@ -49,19 +48,20 @@ class DaemonClient:
         service: DeliveryService = DeliveryService.AGREED,
     ) -> None:
         """Submit one message for totally ordered multicast."""
-        if self._writer is None:
+        if self._connection is None:
             raise RuntimeError("client not connected")
-        self._writer.write(ipc.pack_submit(service, payload))
+        self._connection.write(ipc.pack_submit(service, payload))
 
     async def receive(self) -> ClientEvent:
         """Await the next delivery or configuration-change event."""
-        frames = self._frames
-        if frames is None:
+        connection = self._connection
+        if connection is None:
             raise RuntimeError("client not connected")
         # Frames of the last read are served without a coroutine each.
-        if not frames.ready:
-            await frames.fill()
-        opcode, body = frames.ready.popleft()
+        ready = connection.ready
+        if not ready:
+            await connection.wait()
+        opcode, body = ready.popleft()
         if opcode == ipc.OP_DELIVER:
             return ipc.unpack_deliver(body)
         if opcode == ipc.OP_CONFIG:

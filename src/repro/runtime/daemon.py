@@ -9,13 +9,19 @@ Client fan-out is byte-bounded: each connection owns a
 :class:`~repro.runtime.backpressure.ClientSendQueue`, so a client that
 stops reading is disconnected when it falls a window behind rather than
 growing the daemon's heap without limit.
+
+A client connection is an :class:`~repro.runtime.ipc.FrameProtocol`:
+its frames are handled in the read's own callback, and a task exists
+only for the asynchronous part of a disconnect (writing out what is
+queued, then closing).
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import os
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
 
 from repro.core.messages import DataMessage
 from repro.evs.configuration import Configuration
@@ -36,7 +42,8 @@ if TYPE_CHECKING:
 class ClientListener:
     """A ring node serving local clients: the listener lifecycle every
     daemon shares.  A daemon subclasses this with its own client
-    protocol (``_handle_client``), its own delivery, and
+    protocol (:meth:`_client_connected`, which installs the connection's
+    frame and end handlers), its own delivery, and
     :meth:`_detach_clients`."""
 
     def __init__(
@@ -59,17 +66,22 @@ class ClientListener:
         node.on_batch_end = lambda: flush_all(self._unflushed)
         self._server: Optional[asyncio.AbstractServer] = None
         self._tcp_server: Optional[asyncio.AbstractServer] = None
+        #: Disconnects still writing out their queue.
+        self._disconnecting: Set[asyncio.Task] = set()
+        self.clients_dropped_slow = 0
+        #: Clients disconnected for sending a frame that does not decode.
+        self.clients_dropped_malformed = 0
 
     async def start(self) -> None:
         if os.path.exists(self.socket_path):
             os.unlink(self.socket_path)
         await self.node.start()
-        self._server = await asyncio.start_unix_server(
-            self._handle_client, path=self.socket_path
-        )
+        loop = asyncio.get_running_loop()
+        connection = functools.partial(ipc.FrameProtocol, self._client_connected)
+        self._server = await loop.create_unix_server(connection, path=self.socket_path)
         if self.tcp_port is not None:
-            self._tcp_server = await asyncio.start_server(
-                self._handle_client, host="127.0.0.1", port=self.tcp_port
+            self._tcp_server = await loop.create_server(
+                connection, host="127.0.0.1", port=self.tcp_port
             )
 
     async def stop(self) -> None:
@@ -82,19 +94,34 @@ class ClientListener:
         self._tcp_server = None
         for queue in self._detach_clients():
             await queue.aclose()
+        # The disconnects those closes set off, and any still writing out.
+        await asyncio.gather(*self._disconnecting)
         await self.node.stop()
         if os.path.exists(self.socket_path):
             os.unlink(self.socket_path)
 
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """Serve one client connection until it ends."""
+    def _client_connected(self, connection: ipc.FrameProtocol) -> None:
+        """A client connected: set ``connection.on_frame`` / ``on_end``."""
         raise NotImplementedError
 
     def _detach_clients(self) -> List[ClientSendQueue]:
         """Forget every connected client; their queues, for closing."""
         raise NotImplementedError
+
+    def _client_gone(self, queue: ClientSendQueue, reason: BaseException) -> None:
+        """The synchronous end of a disconnect, once the daemon has
+        forgotten the client: count a malformed frame (disconnect by rule,
+        PROTOCOL.md §15), then write out the queue and close in a task."""
+        if isinstance(reason, CodecError):
+            self.clients_dropped_malformed += 1
+        task = asyncio.get_running_loop().create_task(self._close_queue(queue))
+        self._disconnecting.add(task)
+        task.add_done_callback(self._disconnecting.discard)
+
+    async def _close_queue(self, queue: ClientSendQueue) -> None:
+        await queue.drain_and_close()
+        if queue.dropped_slow:
+            self.clients_dropped_slow += 1
 
 
 class DaemonServer(ClientListener):
@@ -124,11 +151,8 @@ class DaemonServer(ClientListener):
         super().__init__(node, socket_path, tcp_port, client_window_bytes)
         node.on_deliver = self._deliver
         node.on_config = self._config_changed
-        self._clients: Dict[asyncio.StreamWriter, ClientSendQueue] = {}
+        self._clients: Dict[ipc.FrameProtocol, ClientSendQueue] = {}
         self.messages_relayed = 0
-        self.clients_dropped_slow = 0
-        #: Clients disconnected for sending a frame that does not decode.
-        self.clients_dropped_malformed = 0
 
     def _detach_clients(self) -> List[ClientSendQueue]:
         queues = list(self._clients.values())
@@ -137,36 +161,24 @@ class DaemonServer(ClientListener):
 
     # ------------------------------------------------------------------
 
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    def _client_connected(self, connection: ipc.FrameProtocol) -> None:
+        queue = ClientSendQueue(connection, self.client_window_bytes, self._unflushed)
+        self._clients[connection] = queue
+        connection.on_frame = self._client_frame
+        connection.on_end = functools.partial(self._disconnected, connection, queue)
+
+    def _client_frame(self, opcode: int, body: bytes) -> None:
+        if opcode != ipc.OP_SUBMIT:
+            raise CodecError(f"unexpected client opcode {opcode}")
+        service, payload = ipc.unpack_submit(body)
+        self.node.submit(payload=payload, service=service)
+        self.messages_relayed += 1
+
+    def _disconnected(
+        self, connection: ipc.FrameProtocol, queue: ClientSendQueue, reason: BaseException
     ) -> None:
-        queue = ClientSendQueue(writer, self.client_window_bytes, self._unflushed)
-        self._clients[writer] = queue
-        frames = ipc.FrameReader(reader)
-        ready = frames.ready
-        try:
-            while True:
-                if not ready:
-                    try:
-                        await frames.fill()
-                    except (asyncio.IncompleteReadError, ConnectionError, OSError):
-                        break
-                opcode, body = ready.popleft()
-                if opcode == ipc.OP_SUBMIT:
-                    service, payload = ipc.unpack_submit(body)
-                    self.node.submit(payload=payload, service=service)
-                    self.messages_relayed += 1
-                else:
-                    raise CodecError(f"unexpected client opcode {opcode}")
-        except CodecError:
-            # Disconnect by rule: a frame that does not decode ends the
-            # connection like any other disconnect (PROTOCOL.md §15).
-            self.clients_dropped_malformed += 1
-        finally:
-            self._clients.pop(writer, None)
-            await queue.drain_and_close()
-            if queue.dropped_slow:
-                self.clients_dropped_slow += 1
+        self._clients.pop(connection, None)
+        self._client_gone(queue, reason)
 
     def _broadcast(self, frame: bytes) -> None:
         dead = None

@@ -3,9 +3,10 @@
 Daemons and their local clients talk over a unix stream socket using
 length-prefixed frames: ``!BI`` (opcode, body length) followed by the
 body.  Mirrors Spread's IPC-socket client communication (paper §III-E).
-Both ends parse with the sans-io :class:`FrameDecoder`, which yields
-every complete frame a read returned — a burst of deliveries costs its
-receiver one wakeup, not two awaits per frame.
+Both ends are a :class:`FrameProtocol`: the sans-io :class:`FrameDecoder`
+fed from ``data_received``, so every complete frame a read returned is
+parsed in the read's own callback — no stream reader, no task per
+connection, and a burst of deliveries costs its receiver one wakeup.
 
 Where a client connects is described by an :data:`Endpoint` — either a
 :class:`UnixEndpoint` (co-located client, the paper's recommended LAN
@@ -19,7 +20,7 @@ import asyncio
 import struct
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple, Union
+from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
 
 from repro.core.messages import SERVICE_FROM_WIRE, DeliveryService
 from repro.util.errors import CodecError
@@ -35,8 +36,10 @@ class UnixEndpoint:
         if not isinstance(self.path, str) or not self.path:
             raise ValueError(f"unix endpoint needs a non-empty path, got {self.path!r}")
 
-    async def open(self) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-        return await asyncio.open_unix_connection(self.path)
+    async def open(self) -> "FrameProtocol":
+        loop = asyncio.get_running_loop()
+        _transport, connection = await loop.create_unix_connection(FrameProtocol, self.path)
+        return connection
 
     def __str__(self) -> str:
         return f"unix://{self.path}"
@@ -59,8 +62,12 @@ class TcpEndpoint:
         ):
             raise ValueError(f"tcp endpoint needs a port in 1..65535, got {self.port!r}")
 
-    async def open(self) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-        return await asyncio.open_connection(self.host, self.port)
+    async def open(self) -> "FrameProtocol":
+        loop = asyncio.get_running_loop()
+        _transport, connection = await loop.create_connection(
+            FrameProtocol, self.host, self.port
+        )
+        return connection
 
     def __str__(self) -> str:
         return f"tcp://{self.host}:{self.port}"
@@ -197,52 +204,193 @@ class FrameDecoder:
         return frames
 
 
-class FrameReader:
-    """The frames arriving on one connection, over a stream reader.
+#: Handles one frame where it was decoded; a ``CodecError`` it raises
+#: ends the connection by rule.
+FrameHandler = Callable[[int, bytes], None]
 
-    One read is decoded whole into :attr:`ready`.  A consumer on a hot
-    path pops from the deque itself and awaits :meth:`fill` only when it
-    is empty — no coroutine per frame; :meth:`next` is that in one call.
+#: Bytes a consumer may fall behind its connection before reading stops
+#: (what ``asyncio.StreamReader`` buffers at its default limit).
+READ_LIMIT = 1 << 17
+
+
+class FrameProtocol(asyncio.Protocol):
+    """One IPC connection, either end: frames decoded in ``data_received``.
+
+    Every read is fed to a :class:`FrameDecoder` in the transport's own
+    callback.  What happens to the frames it completed is set per
+    connection:
+
+    * with :attr:`on_frame` set (a daemon's client connection), each
+      frame is handled right there, in order.  A ``CodecError`` from the
+      handler, or a header the decoder rejects, ends the stream by rule
+      after the frames ahead of it (PROTOCOL.md §15, "malformed frames");
+    * without it (a client's connection to its daemon), frames wait in
+      :attr:`ready`: the consumer pops them and awaits :meth:`wait` only
+      when it is empty — one future per empty wait, none per frame.  A
+      consumer :data:`READ_LIMIT` bytes behind stops the reading until
+      it has caught up.
+
+    :attr:`on_end` hears once that no more frames will be handled, and
+    why: the peer's EOF (``IncompleteReadError``) or reset, a malformed
+    frame (its ``CodecError``), or the connection closing.  The writing
+    half is the part of ``asyncio.StreamWriter`` a
+    :class:`~repro.runtime.backpressure.ClientSendQueue` uses — ``write``,
+    ``transport``, ``is_closing``, ``drain``, ``close``, ``wait_closed`` —
+    so a daemon's send queue writes to its connection directly.
     """
 
-    #: Bytes asked of the stream per read (its buffer limit is 64 KiB).
-    READ_SIZE = 1 << 16
-
-    def __init__(self, reader: asyncio.StreamReader) -> None:
-        self._reader = reader
-        self._decoder = FrameDecoder()
-        #: Decoded frames not yet consumed, oldest first.
+    def __init__(self, on_open: Optional[Callable[["FrameProtocol"], None]] = None) -> None:
+        #: Called with this connection once it is up: where a daemon sets
+        #: :attr:`on_frame` and :attr:`on_end`.
+        self._on_open = on_open
+        self.on_frame: Optional[FrameHandler] = None
+        self.on_end: Optional[Callable[[BaseException], None]] = None
+        #: Decoded frames not yet consumed, oldest first (no ``on_frame``).
         self.ready: Deque[Frame] = deque()
+        self.transport: Optional[asyncio.Transport] = None
+        self._decoder = FrameDecoder()
+        #: Bytes read since the consumer last found ``ready`` empty.
+        self._unread = 0
+        #: Why no more frames will come, once none will.
+        self._end: Optional[BaseException] = None
+        self._waiter: Optional[asyncio.Future] = None
+        self._writing_paused = False
+        self._drain_waiter: Optional[asyncio.Future] = None
+        self._lost = False
 
-    async def fill(self) -> None:
-        """Return once :attr:`ready` holds a frame.
+    # -- the asyncio.Protocol callbacks -------------------------------------
 
-        Raises ``IncompleteReadError`` once the peer is gone, and the
-        decoder's ``CodecError`` once the frames ahead of a malformed
-        header have all been consumed.
-        """
-        ready = self.ready
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport
+        self._loop = asyncio.get_running_loop()
+        self._closed = self._loop.create_future()
+        # The transport's own bound methods: a write or a closing check
+        # is one call, not one more Python frame around it.
+        self.write: Callable[[bytes], None] = transport.write
+        self.is_closing: Callable[[], bool] = transport.is_closing
+        if self._on_open is not None:
+            self._on_open(self)
+
+    def data_received(self, data: bytes) -> None:
+        if self._end is not None:
+            return  # ended by rule: nothing after the malformed frame is read
         decoder = self._decoder
-        while not ready:
-            if decoder.error is not None:
-                raise decoder.error
-            data = await self._reader.read(self.READ_SIZE)
-            if not data:
-                raise asyncio.IncompleteReadError(decoder.partial, None)
-            ready.extend(decoder.feed(data))
+        frames = decoder.feed(data)
+        if self.on_frame is None:
+            ready = self.ready
+            if frames:
+                ready.extend(frames)
+                waiter = self._waiter
+                if waiter is not None:
+                    self._waiter = None
+                    if not waiter.done():
+                        waiter.set_result(None)
+            self._unread += len(data)
+            if self._unread > READ_LIMIT and ready:
+                # The consumer is this far behind: stop reading until it
+                # has caught up (wait()), so a client that never reads
+                # backs up its daemon's send window, as a stream reader's
+                # buffer limit does.
+                self.transport.pause_reading()
+        else:
+            try:
+                for opcode, body in frames:
+                    # Looked up per frame: a hello installs the session's
+                    # handler for the frames behind it in the same read.
+                    self.on_frame(opcode, body)
+            except CodecError as error:
+                self._finish(error)
+                return
+        if decoder.error is not None:
+            self._finish(decoder.error)
 
-    async def next(self) -> Frame:
-        """The next frame (what the hello/welcome handshakes await)."""
-        if not self.ready:
-            await self.fill()
-        return self.ready.popleft()
+    def eof_received(self) -> bool:
+        self._finish(asyncio.IncompleteReadError(self._decoder.partial, None))
+        return True  # the owner closes: a daemon writes out its queue first
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._lost = True
+        self._finish(
+            exc if exc is not None else asyncio.IncompleteReadError(self._decoder.partial, None)
+        )
+        waiter = self._drain_waiter
+        if waiter is not None and not waiter.done():
+            if exc is None:
+                waiter.set_result(None)
+            else:
+                waiter.set_exception(exc)
+        if not self._closed.done():
+            self._closed.set_result(None)
+
+    def pause_writing(self) -> None:
+        self._writing_paused = True
+
+    def resume_writing(self) -> None:
+        self._writing_paused = False
+        waiter = self._drain_waiter
+        if waiter is not None and not waiter.done():
+            waiter.set_result(None)
+
+    def _finish(self, reason: BaseException) -> None:
+        if self._end is not None:
+            return
+        self._end = reason
+        waiter = self._waiter
+        if waiter is not None:
+            # A waiter exists only while ``ready`` is empty.
+            self._waiter = None
+            if not waiter.done():
+                waiter.set_exception(reason)
+        if self.on_end is not None:
+            self.on_end(reason)
+
+    # -- the reading consumer -------------------------------------------
+
+    def wait(self) -> "asyncio.Future[None]":
+        """A future that completes once :attr:`ready` holds a frame.
+
+        Await it only when :attr:`ready` is empty.  It fails with the
+        reason the stream ended (``IncompleteReadError`` once the peer is
+        gone, the decoder's ``CodecError`` after a malformed header) once
+        every frame ahead of the end has been consumed.
+        """
+        if self._unread > READ_LIMIT:
+            self.transport.resume_reading()
+        self._unread = 0  # everything read so far has been consumed
+        waiter = self._loop.create_future()
+        if self._end is not None:
+            waiter.set_exception(self._end)
+        elif self._waiter is not None and not self._waiter.done():
+            raise RuntimeError("another consumer is already waiting for frames")
+        else:
+            self._waiter = waiter
+        return waiter
+
+    # -- the writing half (StreamWriter's, as ClientSendQueue uses it) --
+
+    async def drain(self) -> None:
+        """Return once the transport is below its high-water mark."""
+        if self.transport.is_closing():
+            # Let connection_lost run first, as StreamWriter.drain does.
+            await asyncio.sleep(0)
+        if self._lost:
+            raise ConnectionResetError("Connection lost")
+        if self._writing_paused:
+            self._drain_waiter = self._loop.create_future()
+            await self._drain_waiter
+
+    def close(self) -> None:
+        self.transport.close()
+
+    async def wait_closed(self) -> None:
+        await asyncio.shield(self._closed)
 
 
 async def read_frame(reader: asyncio.StreamReader) -> Frame:
     """One frame straight off ``reader``, two awaits and no decoder state.
 
-    Not used by the runtime (see :class:`FrameReader`); kept because the
-    frozen ``benchmarks/e2e/micro.py`` times it.
+    Not used by the runtime (see :class:`FrameProtocol`); kept because
+    ``benchmarks/e2e/micro.py`` times it.
     """
     header = await reader.readexactly(_FRAME_HEADER.size)
     opcode, length = _FRAME_HEADER.unpack(header)

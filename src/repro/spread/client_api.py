@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.core.messages import DeliveryService
 from repro.multiring.shard_map import ShardMap
@@ -28,13 +28,22 @@ from repro.runtime.ipc import Endpoint, EndpointSpec
 from repro.util.errors import CodecError, ConfigurationError
 
 
-@dataclass(frozen=True)
-class GroupMessage:
-    """An ordered message delivered to a group member."""
+class GroupMessage(NamedTuple):
+    """An ordered message delivered to a group member.
+
+    A tuple, not a dataclass: one is built per message per receiving
+    client, and :meth:`SpreadClient.receive` builds it with
+    ``tuple.__new__`` — no Python ``__init__`` frame.  Field names and
+    order, keyword construction, equality, hashing and immutability are
+    the frozen dataclass's it replaced.
+    """
 
     groups: Tuple[str, ...]
     service: DeliveryService
     payload: bytes
+
+
+_new_tuple = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -78,8 +87,12 @@ class SpreadClient:
         #: Optional group → ring map for sharded deployments; without
         #: one, every group lives on this client's single daemon.
         self.shard_map = shard_map
-        self._frames: Optional[ipc.FrameReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
+        #: The connection: read through ``_frames``, written through
+        #: ``_writer``, always the same object.  The two names stay
+        #: because tests substitute a fake reader and a fake writer
+        #: separately, and abort ``_writer.transport`` directly.
+        self._frames: Optional[ipc.FrameProtocol] = None
+        self._writer: Optional[ipc.FrameProtocol] = None
         #: Headers of received groupcasts, decoded once each.
         self._received_headers = ipc.GroupcastHeaders()
         #: ``(groups, service)`` -> the packed header :meth:`multicast`
@@ -96,10 +109,11 @@ class SpreadClient:
 
     async def connect(self) -> str:
         """Connect and return the daemon-qualified member name."""
-        reader, self._writer = await self.endpoint.open()
-        self._frames = ipc.FrameReader(reader)
-        self._writer.write(ipc.pack_hello(self.private_name))
-        opcode, body = await self._frames.next()
+        connection = self._frames = self._writer = await self.endpoint.open()
+        connection.write(ipc.pack_hello(self.private_name))
+        if not connection.ready:
+            await connection.wait()
+        opcode, body = connection.ready.popleft()
         if opcode != ipc.OP_WELCOME:
             raise CodecError(f"expected welcome, got opcode {opcode}")
         self.member_name = ipc.unpack_welcome(body)
@@ -115,7 +129,7 @@ class SpreadClient:
             self._writer = None
             self._frames = None
 
-    def _require(self) -> asyncio.StreamWriter:
+    def _require(self) -> ipc.FrameProtocol:
         if self._writer is None:
             raise RuntimeError("client not connected")
         return self._writer
@@ -151,12 +165,13 @@ class SpreadClient:
         if frames is None:
             raise RuntimeError("client not connected")
         # Frames of the last read are served without a coroutine each.
-        if not frames.ready:
-            await frames.fill()
-        opcode, body = frames.ready.popleft()
+        ready = frames.ready
+        if not ready:
+            await frames.wait()
+        opcode, body = ready.popleft()
         if opcode == ipc.OP_GROUPCAST:
             groups, service, end = self._received_headers.parse(body)
-            return GroupMessage(groups=groups, service=service, payload=body[end:])
+            return _new_tuple(GroupMessage, (groups, service, body[end:]))
         if opcode == ipc.OP_GROUP_VIEW:
             group, members = ipc.unpack_group_view(body)
             return GroupView(group=group, members=tuple(members))

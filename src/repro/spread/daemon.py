@@ -10,8 +10,8 @@ changes at the same point relative to data messages.
 
 from __future__ import annotations
 
-import asyncio
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+import functools
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.messages import DataMessage, DeliveryService
 from repro.evs.configuration import Configuration
@@ -55,13 +55,12 @@ class _ClientSession:
     def __init__(
         self,
         member_name: str,
-        writer: asyncio.StreamWriter,
+        connection: ipc.FrameProtocol,
         window_bytes: int = DEFAULT_CLIENT_WINDOW_BYTES,
         unflushed: Optional[List[ClientSendQueue]] = None,
     ) -> None:
         self.member_name = member_name
-        self.writer = writer
-        self.queue = ClientSendQueue(writer, window_bytes, unflushed)
+        self.queue = ClientSendQueue(connection, window_bytes, unflushed)
         self.joined: Set[str] = set()
         #: How every AppData envelope this client sends begins.
         self.envelope_prefix = app_data_prefix(member_name)
@@ -96,6 +95,13 @@ class SpreadDaemon(ClientListener):
         #: to, in sorted member order.  Holds only while neither the
         #: directory nor ``_sessions`` changes: see :meth:`_drop_routes`.
         self._routes: Dict[bytes, Tuple[_ClientSession, ...]] = {}
+        #: The last forwarded envelope's tag + sender + group list, where
+        #: its group list starts, and its route: the next envelope that
+        #: starts with the same bytes has the same span and route.
+        #: ``startswith(())`` matches nothing, so an empty memo misses.
+        self._last_prefix: Union[bytes, Tuple[()]] = ()
+        self._last_start = 0
+        self._last_route: Tuple[_ClientSession, ...] = ()
         #: The chunk being built while a delivered run is applied: the
         #: client frames (head, tail, head, tail, ...) of consecutive
         #: messages with one route, sent as one piece (PROTOCOL.md §15,
@@ -107,9 +113,6 @@ class SpreadDaemon(ClientListener):
         self.messages_delivered_to_clients = 0
         #: Socket writes made for clients that have since disconnected.
         self._writes_to_gone = 0
-        self.clients_dropped_slow = 0
-        #: Clients disconnected for sending a frame that does not decode.
-        self.clients_dropped_malformed = 0
         #: Ordered envelopes skipped because they do not decode.
         self.envelopes_undecodable = 0
 
@@ -123,57 +126,51 @@ class SpreadDaemon(ClientListener):
     # Client side
     # ------------------------------------------------------------------
 
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    def _client_connected(self, connection: ipc.FrameProtocol) -> None:
+        connection.on_frame = functools.partial(self._hello, connection)
+        connection.on_end = functools.partial(self._gone_before_hello, connection)
+
+    def _hello(self, connection: ipc.FrameProtocol, opcode: int, body: bytes) -> None:
+        """The first frame: name the session, welcome it, and hand the
+        connection's later frames — the rest of this read included — to
+        :meth:`_handle_client_frame`."""
+        if opcode != ipc.OP_HELLO:
+            raise CodecError("client must introduce itself first")
+        self._client_counter += 1
+        private = ipc.unpack_hello(body) or f"client{self._client_counter}"
+        member_name = qualify(private, self.pid)
+        if member_name in self._sessions:
+            member_name = qualify(f"{private}.{self._client_counter}", self.pid)
+        session = _ClientSession(
+            member_name, connection, self.client_window_bytes, self._unflushed
+        )
+        self._attach(session)
+        connection.on_frame = functools.partial(self._handle_client_frame, session)
+        connection.on_end = functools.partial(self._session_gone, session)
+        session.queue.send(ipc.pack_welcome(member_name))
+        flush_all(self._unflushed)
+
+    def _gone_before_hello(
+        self, connection: ipc.FrameProtocol, reason: BaseException
     ) -> None:
-        session: Optional[_ClientSession] = None
-        frames = ipc.FrameReader(reader)
-        try:
-            opcode, body = await frames.next()
-            if opcode != ipc.OP_HELLO:
-                raise CodecError("client must introduce itself first")
-            self._client_counter += 1
-            private = ipc.unpack_hello(body) or f"client{self._client_counter}"
-            member_name = qualify(private, self.pid)
-            if member_name in self._sessions:
-                member_name = qualify(f"{private}.{self._client_counter}", self.pid)
-            session = _ClientSession(
-                member_name, writer, self.client_window_bytes, self._unflushed
-            )
-            self._attach(session)
-            session.queue.send(ipc.pack_welcome(member_name))
-            flush_all(self._unflushed)
-            ready = frames.ready
-            while True:
-                if not ready:
-                    try:
-                        await frames.fill()
-                    except (asyncio.IncompleteReadError, ConnectionError, OSError):
-                        # A half-closed or reset connection: the client is
-                        # gone (or was dropped for falling behind); clean up
-                        # the session like a voluntary disconnect.
-                        break
-                opcode, body = ready.popleft()
-                self._handle_client_frame(session, opcode, body)
-        except CodecError:
-            # Disconnect by rule (PROTOCOL.md §15): a frame that does not
-            # decode ends the session exactly like a voluntary disconnect.
+        """A connection that ended without a session: closed, and counted
+        if it ended on a malformed frame (any frame before the hello)."""
+        if isinstance(reason, CodecError):
             self.clients_dropped_malformed += 1
-        except (asyncio.IncompleteReadError, ConnectionError, OSError):
-            pass  # disconnect during the hello handshake
-        finally:
-            if session is not None:
-                self._detach(session)
-                for group in sorted(session.joined):
-                    self._submit_envelope(
-                        GroupLeave(member=session.member_name, group=group).encode(),
-                        DeliveryService.AGREED,
-                    )
-                await session.queue.drain_and_close()
-                if session.queue.dropped_slow:
-                    self.clients_dropped_slow += 1
-            else:
-                writer.close()
+        connection.close()
+
+    def _session_gone(self, session: _ClientSession, reason: BaseException) -> None:
+        """A half-closed, reset, dropped or malformed connection: the
+        session ends exactly like a voluntary disconnect (PROTOCOL.md
+        §15) — forgotten, its groups left in the total order, its queue
+        written out and closed."""
+        self._detach(session)
+        for group in sorted(session.joined):
+            self._submit_envelope(
+                GroupLeave(member=session.member_name, group=group).encode(),
+                DeliveryService.AGREED,
+            )
+        self._client_gone(session.queue, reason)
 
     def _attach(self, session: _ClientSession) -> None:
         self._sessions[session.member_name] = session
@@ -194,7 +191,13 @@ class SpreadDaemon(ClientListener):
     def _handle_client_frame(
         self, session: _ClientSession, opcode: int, body: bytes
     ) -> None:
-        if opcode == ipc.OP_JOIN:
+        if opcode == ipc.OP_GROUPCAST:  # the hot case, tested first
+            # Validate here, forward after: the header is checked (once
+            # per distinct header) and the body after its service byte
+            # is, byte for byte, the envelope after its sender.
+            _groups, service, _end = self._headers.parse(body)
+            self._submit_envelope(session.envelope_prefix + body[1:], service)
+        elif opcode == ipc.OP_JOIN:
             group = ipc.unpack_group_op(body)
             session.joined.add(group)
             self._submit_envelope(
@@ -208,12 +211,6 @@ class SpreadDaemon(ClientListener):
                 GroupLeave(member=session.member_name, group=group).encode(),
                 DeliveryService.AGREED,
             )
-        elif opcode == ipc.OP_GROUPCAST:
-            # Validate here, forward after: the header is checked (once
-            # per distinct header) and the body after its service byte
-            # is, byte for byte, the envelope after its sender.
-            _groups, service, _end = self._headers.parse(body)
-            self._submit_envelope(session.envelope_prefix + body[1:], service)
         else:
             raise CodecError(f"unexpected client opcode {opcode}")
 
@@ -285,12 +282,26 @@ class SpreadDaemon(ClientListener):
         themselves key the route.  The frame joins the chunk of the
         messages before it while the route stays the same; the sessions
         get it when the chunk is cut.
+
+        The envelope is first tried against the last one's prefix (tag,
+        sender, group list): that prefix is self-delimiting — its length
+        fields say where it ends, as a groupcast header's do
+        (:class:`~repro.runtime.ipc.GroupcastHeaders`) — so an envelope
+        that starts with it has its span, and, until the next change
+        (:meth:`_drop_routes`), its route.
         """
-        start, end = app_data_span(envelope)
-        key = envelope[start:end]
-        route = self._routes.get(key)
-        if route is None:
-            route = self._resolve_route(key)
+        if envelope.startswith(self._last_prefix):
+            start = self._last_start
+            route = self._last_route
+        else:
+            start, end = app_data_span(envelope)
+            key = envelope[start:end]
+            route = self._routes.get(key)
+            if route is None:
+                route = self._resolve_route(key)
+            self._last_prefix = envelope[:end]
+            self._last_start = start
+            self._last_route = route
         if route != self._chunk_route:
             self._cut_chunk()
             self._chunk_route = route
@@ -340,6 +351,8 @@ class SpreadDaemon(ClientListener):
         ``_sessions`` (connect, disconnect, including a reconnect under
         the same name: a route holds sessions, not names)."""
         self._routes.clear()
+        self._last_prefix = ()
+        self._last_route = ()
 
     def _config_changed(self, configuration: Configuration) -> None:
         if configuration.transitional:

@@ -21,6 +21,7 @@ from repro.runtime.ports import ephemeral_ring_addresses
 from repro.spread.client_api import SpreadClient
 from repro.spread.daemon import SpreadDaemon
 from tests.integration.test_runtime import FAST_TIMEOUTS, wait_until
+from tests.unit.test_ipc import next_frame
 
 
 async def _start_pair(tmp):
@@ -172,14 +173,11 @@ def test_malformed_frame_disconnects_that_client_by_rule(garbage):
                 steady = SpreadClient(daemons[0].socket_path, name="steady")
                 await steady.connect()
                 await steady.join("g")
-                reader, writer = await asyncio.open_unix_connection(
-                    daemons[0].socket_path
-                )
-                writer.write(ipc.pack_hello("bad"))
-                frames = ipc.FrameReader(reader)
-                opcode, _body = await frames.next()
+                raw = await ipc.UnixEndpoint(daemons[0].socket_path).open()
+                raw.write(ipc.pack_hello("bad"))
+                opcode, _body = await next_frame(raw)
                 assert opcode == ipc.OP_WELCOME
-                writer.write(ipc.pack_group_op(ipc.OP_JOIN, "g"))
+                raw.write(ipc.pack_group_op(ipc.OP_JOIN, "g"))
                 await steady.wait_for_view("g", 2)
 
                 async def closed_loop(first, count):
@@ -189,10 +187,10 @@ def test_malformed_frame_disconnects_that_client_by_rule(garbage):
                         assert echo.payload == b"%d" % index
 
                 await closed_loop(0, 5)
-                writer.write(garbage)
+                raw.write(garbage)
                 with pytest.raises(asyncio.IncompleteReadError):
                     while True:  # views and echoes, then the daemon's close
-                        await asyncio.wait_for(frames.next(), 5.0)
+                        await asyncio.wait_for(next_frame(raw), 5.0)
                 assert daemons[0].clients_dropped_malformed == 1
                 assert not any("bad" in name for name in daemons[0]._sessions)
                 await steady.wait_for_view("g", 1)
@@ -200,7 +198,7 @@ def test_malformed_frame_disconnects_that_client_by_rule(garbage):
                 assert daemons[0].clients_dropped_malformed == 1
                 assert daemons[1].clients_dropped_malformed == 0
                 assert loop_errors == []
-                writer.close()
+                raw.close()
                 await steady.close()
             finally:
                 for daemon in daemons:
@@ -223,15 +221,13 @@ def test_multicasts_ahead_of_a_malformed_frame_are_delivered_wherever_the_read_c
                 steady = SpreadClient(daemons[0].socket_path, name="steady")
                 await steady.connect()
                 await steady.join("g")
-                reader, writer = await asyncio.open_unix_connection(
-                    daemons[0].socket_path
-                )
-                writer.write(ipc.pack_hello("bad"))
-                opcode, _body = await ipc.FrameReader(reader).next()
+                raw = await ipc.UnixEndpoint(daemons[0].socket_path).open()
+                raw.write(ipc.pack_hello("bad"))
+                opcode, _body = await next_frame(raw)
                 assert opcode == ipc.OP_WELCOME
-                writer.write(ipc.pack_group_op(ipc.OP_JOIN, "g"))
+                raw.write(ipc.pack_group_op(ipc.OP_JOIN, "g"))
                 await steady.wait_for_view("g", 2)
-                writer.write(
+                raw.write(
                     ipc.pack_groupcast(["g"], DeliveryService.AGREED, b"last words")
                     + MALFORMED_FRAMES["frame-too-large"]
                 )
@@ -240,7 +236,7 @@ def test_multicasts_ahead_of_a_malformed_frame_are_delivered_wherever_the_read_c
                 await steady.wait_for_view("g", 1)  # the sender's ordered leave
                 assert daemons[0].clients_dropped_malformed == 1
                 assert not any("bad" in name for name in daemons[0]._sessions)
-                writer.close()
+                raw.close()
                 await steady.close()
             finally:
                 for daemon in daemons:
@@ -257,25 +253,23 @@ def test_half_closed_connection_is_reaped():
         with tempfile.TemporaryDirectory() as tmp:
             peers, daemons = await _start_pair(tmp)
             try:
-                reader, writer = await asyncio.open_unix_connection(
-                    daemons[0].socket_path
-                )
-                writer.write(ipc.pack_hello("half"))
-                opcode, body = await ipc.FrameReader(reader).next()
+                raw = await ipc.UnixEndpoint(daemons[0].socket_path).open()
+                raw.write(ipc.pack_hello("half"))
+                opcode, body = await next_frame(raw)
                 assert opcode == ipc.OP_WELCOME
                 assert await wait_until(
                     lambda: any(
                         "half" in name for name in daemons[0]._sessions
                     )
                 )
-                writer.write_eof()
+                raw.transport.write_eof()
                 assert await wait_until(
                     lambda: not any(
                         "half" in name for name in daemons[0]._sessions
                     )
                 )
-                writer.close()
-                await writer.wait_closed()
+                raw.close()
+                await raw.wait_closed()
             finally:
                 for daemon in daemons:
                     await daemon.stop()

@@ -84,11 +84,11 @@ def receive(client, body):
     """What ``SpreadClient.receive`` makes of one groupcast body."""
 
     class _OneFrame:
-        """``FrameReader``'s surface with one frame already decoded."""
+        """A connection's reading surface with one frame already decoded."""
 
         ready = deque([(ipc.OP_GROUPCAST, body)])
 
-        async def fill(self):
+        def wait(self):
             raise AssertionError("a frame was ready")
 
     client._frames = _OneFrame()
@@ -540,6 +540,18 @@ submissions = st.one_of(
         ),
     ),
     st.tuples(st.integers(0, 2), st.sampled_from(JUNK).map(lambda junk: [junk])),
+    # One sender and one group list again and again, joins and leaves in
+    # between: the forwarder's last-prefix memo hits, and must not outlive
+    # the route a join or leave between two of them ends.
+    st.tuples(
+        st.integers(0, 2),
+        st.lists(
+            st.binary(max_size=20).map(lambda p: AppData("s#1", ("g1", "g2"), p).encode())
+            | changes,
+            min_size=2,
+            max_size=6,
+        ),
+    ),
     st.tuples(
         st.integers(0, 2),
         st.builds(
@@ -613,6 +625,56 @@ def test_a_run_writes_each_session_the_bytes_of_the_per_message_reference(runs, 
             reference.apply(message)
     for member in LOCAL:
         assert queues[member].stream == b"".join(reference.streams[member])
+    assert daemon.messages_delivered_to_clients == reference.delivered
+    assert daemon.envelopes_undecodable == reference.undecodable
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ordered_runs(),
+    st.lists(st.tuples(st.sampled_from(["connect", "disconnect"]), st.sampled_from(LOCAL))),
+    st.lists(st.tuples(st.sampled_from(LOCAL), st.sampled_from(GROUPS)), max_size=5),
+)
+def test_a_route_memo_does_not_outlive_a_connect_or_disconnect(runs, events, joined):
+    """The run-stream property again, with clients connecting and
+    disconnecting (a reconnect is a new session under an old name) between
+    runs — a connect or a disconnect is its own callback, so it lands
+    between two delivered runs.  Every session, gone or still connected,
+    got exactly the bytes the per-message reference writes to it while it
+    was there."""
+    daemon = make_daemon(pid=0)
+    reference = _PerMessageReference(())
+    streams = []  # (the session's queue, the reference's stream for it)
+
+    def connect(member):
+        session = attach_member(daemon, member)
+        session.queue = queue = _StreamQueue()
+        reference.streams[member] = []
+        streams.append((queue, reference.streams[member]))
+
+    for member in LOCAL[:2]:
+        connect(member)
+    for member, group in joined:
+        daemon.directory.apply_join(member, group)
+        reference.directory.apply_join(member, group)
+    daemon.directory.take_dirty()
+    reference.directory.take_dirty()
+
+    for index, run in enumerate(runs):
+        if index < len(events):
+            kind, member = events[index]
+            if kind == "connect":
+                if member in daemon._sessions:  # a reconnect
+                    daemon._detach(daemon._sessions[member])
+                connect(member)
+            elif member in daemon._sessions:
+                daemon._detach(daemon._sessions[member])
+                del reference.streams[member]
+        daemon._ordered_delivery(run, config_id=1)
+        for message in run:
+            reference.apply(message)
+    for queue, expected in streams:
+        assert queue.stream == b"".join(expected)
     assert daemon.messages_delivered_to_clients == reference.delivered
     assert daemon.envelopes_undecodable == reference.undecodable
 

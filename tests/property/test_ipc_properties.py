@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro.core.messages import DeliveryService
 from repro.runtime import ipc
 from repro.util.errors import CodecError
+from tests.unit.test_ipc import connected_protocol, next_frame
 
 frames = st.lists(
     st.tuples(st.integers(min_value=0, max_value=255), st.binary(max_size=300)),
@@ -71,7 +72,8 @@ def test_a_length_past_max_frame_raises_after_the_good_frames(items, excess):
 @settings(max_examples=25, deadline=None)
 @given(frames, st.integers(min_value=0))
 def test_a_reader_serves_the_good_frames_then_raises(items, cut):
-    """The same rule one level up: ``FrameReader`` hands out every frame
+    """The same rule one level up: a client's connection
+    (``FrameProtocol``'s ``ready`` / ``wait()``) hands out every frame
     ahead of the malformed header, then raises ``CodecError`` — whether
     the bad header arrived in the read that held them or in a later one."""
     bad = ipc._FRAME_HEADER.pack(1, ipc.MAX_FRAME + 1)
@@ -79,23 +81,22 @@ def test_a_reader_serves_the_good_frames_then_raises(items, cut):
     cut %= len(stream) + 1
 
     async def run():
-        reader = asyncio.StreamReader()
-        frames_in = ipc.FrameReader(reader)
-        reader.feed_data(stream[:cut])
+        frames_in = connected_protocol()
+        frames_in.data_received(stream[:cut])
         got = []
         feeder = asyncio.get_running_loop().call_later(
-            0.001, reader.feed_data, stream[cut:]
+            0.001, frames_in.data_received, stream[cut:]
         )
         try:
             while True:
-                got.append(await asyncio.wait_for(frames_in.next(), 5.0))
+                got.append(await asyncio.wait_for(next_frame(frames_in), 5.0))
         except CodecError:
             pass
         finally:
             feeder.cancel()
         assert got == items
         with pytest.raises(CodecError):  # and it stays ended
-            await frames_in.fill()
+            await frames_in.wait()
 
     asyncio.run(run())
 

@@ -5,6 +5,7 @@ import pytest
 from repro.core.codec import decode, decode_data_batch, encode, encode_data_batch
 from repro.core.messages import DataMessage, DeliveryService
 from repro.core.token import RegularToken
+from repro.core.transport_core import decode_data_port
 from repro.membership.codec import decode_any, encode_any
 from repro.membership.messages import (
     BeaconMessage,
@@ -14,6 +15,8 @@ from repro.membership.messages import (
     RecoveredMessage,
     RecoveryStatus,
 )
+from repro.runtime.node import RingNode
+from repro.runtime.ports import ephemeral_ring_addresses
 from repro.util.errors import CodecError
 
 
@@ -177,3 +180,50 @@ class TestMembershipCodecs:
         encoded[1] = 200
         with pytest.raises(CodecError):
             decode_any(bytes(encoded))
+
+
+#: One of each membership message, every variable part non-empty.
+MEMBERSHIP_SAMPLES = {
+    "join": JoinMessage(sender=3, proc_set=frozenset({1, 2, 3}), fail_set=frozenset({9}),
+                        ring_seq=17),
+    "commit": CommitToken(
+        ring_id=3000009,
+        members=(1, 2, 5),
+        infos={1: MemberInfo(old_ring_id=1000003, old_aru=10, high_seq=14, last_delivered=12)},
+        rotation=1,
+    ),
+    "recovered": RecoveredMessage(old_ring_id=5, message=sample_data()),
+    "status": RecoveryStatus(sender=2, new_ring_id=12, old_ring_id=5, have=(3, 4, 9),
+                             complete=True),
+    "beacon": BeaconMessage(sender=6, ring_id=4000001),
+}
+
+
+@pytest.mark.parametrize("message", MEMBERSHIP_SAMPLES.values(), ids=MEMBERSHIP_SAMPLES.keys())
+def test_every_truncation_of_a_membership_message_is_a_codec_error(message):
+    # Once a struct.error, which RingNode._handle_token does not catch: it
+    # left the pass mid-way and skipped the batch end.
+    encoded = encode_any(message)
+    decode_any(encoded)  # the whole message decodes
+    for cut in range(len(encoded)):
+        with pytest.raises(CodecError):
+            decode_any(encoded[:cut])
+
+
+def test_bytes_a_data_message_does_not_account_for_are_a_codec_error():
+    """One rule for the data port: a single message, like a batch, is
+    rejected when its lengths leave bytes over (PROTOCOL.md §15)."""
+    single = encode(sample_data())
+    batch = encode_data_batch([sample_data(), sample_data(seq=2)])
+    assert decode(single) == sample_data()
+    node = RingNode(0, ephemeral_ring_addresses([0]))
+    for decoder, data in ((decode, single), (decode_data_batch, batch)):
+        for junk in (b"\x00", b"junk"):
+            with pytest.raises(CodecError, match="trailing bytes"):
+                decoder(data + junk)
+            with pytest.raises(CodecError, match="trailing bytes"):
+                decode_data_port(data + junk)
+            # ... which the node's data port counts and goes on from.
+            errors = node.decode_errors
+            node._handle_data(data + junk)
+            assert node.decode_errors == errors + 1

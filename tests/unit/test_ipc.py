@@ -200,29 +200,66 @@ class TestFrameDecoder:
         ) == []
 
 
+class _ReadTransport:
+    """What a reading :class:`ipc.FrameProtocol` asks of its transport."""
+
+    def __init__(self) -> None:
+        self.reading = True
+
+    def write(self, data: bytes) -> None:
+        pass
+
+    def is_closing(self) -> bool:
+        return False
+
+    def pause_reading(self) -> None:
+        self.reading = False
+
+    def resume_reading(self) -> None:
+        self.reading = True
+
+
+def connected_protocol() -> ipc.FrameProtocol:
+    """A client's end of a connection on an in-memory transport: each
+    ``data_received`` call is one read.  Call inside a running loop."""
+    connection = ipc.FrameProtocol()
+    connection.connection_made(_ReadTransport())
+    return connection
+
+
+async def next_frame(connection: ipc.FrameProtocol) -> ipc.Frame:
+    """The next frame, taken as the clients take it: popped from
+    ``ready``, with ``wait()`` awaited only when that is empty."""
+    if not connection.ready:
+        await connection.wait()
+    return connection.ready.popleft()
+
+
 class TestFrameReader:
+    """A connection as its client reads it: :class:`ipc.FrameProtocol`
+    without ``on_frame``, consumed through ``ready`` and ``wait()``."""
+
     def test_one_read_serves_every_frame_it_contained(self):
         async def run():
-            reader = asyncio.StreamReader()
-            reads = 0
-            real_read = reader.read
+            frames = connected_protocol()
+            waits = 0
+            real_wait = frames.wait
 
-            async def counting_read(n):
-                nonlocal reads
-                reads += 1
-                return await real_read(n)
+            def counting_wait():
+                nonlocal waits
+                waits += 1
+                return real_wait()
 
-            reader.read = counting_read
-            frames = ipc.FrameReader(reader)
+            frames.wait = counting_wait
             burst = [ipc.pack_submit(DeliveryService.AGREED, b"%d" % i) for i in range(5)]
-            reader.feed_data(b"".join(burst) + burst[0][:4])
-            got = [await frames.next() for _ in range(5)]
+            frames.data_received(b"".join(burst) + burst[0][:4])
+            got = [await next_frame(frames) for _ in range(5)]
             assert [body[1:] for _op, body in got] == [b"0", b"1", b"2", b"3", b"4"]
-            assert reads == 1
+            assert waits == 0
             # The peer goes away mid-frame: the partial bytes are reported.
-            reader.feed_eof()
+            frames.eof_received()
             with pytest.raises(asyncio.IncompleteReadError) as caught:
-                await frames.next()
+                await next_frame(frames)
             assert caught.value.partial == burst[0][:4]
 
         asyncio.run(run())
@@ -232,14 +269,32 @@ class TestFrameReader:
         while a frame is half-arrived must not desynchronise the stream."""
 
         async def run():
-            reader = asyncio.StreamReader()
-            frames = ipc.FrameReader(reader)
+            frames = connected_protocol()
             frame = ipc.pack_submit(DeliveryService.SAFE, b"split")
-            reader.feed_data(frame[:7])
+            frames.data_received(frame[:7])
             with pytest.raises(asyncio.TimeoutError):
-                await asyncio.wait_for(frames.next(), 0.01)
-            reader.feed_data(frame[7:])
-            assert await frames.next() == (ipc.OP_SUBMIT, frame[5:])
+                await asyncio.wait_for(next_frame(frames), 0.01)
+            frames.data_received(frame[7:])
+            assert await next_frame(frames) == (ipc.OP_SUBMIT, frame[5:])
+
+        asyncio.run(run())
+
+    def test_a_consumer_far_behind_stops_the_reading_until_it_catches_up(self):
+        async def run():
+            frames = connected_protocol()
+            frame = ipc.pack_submit(DeliveryService.AGREED, bytes(1000))
+            count = ipc.READ_LIMIT // len(frame) + 1
+            for _ in range(count):
+                frames.data_received(frame)
+            assert not frames.transport.reading
+            got = [await next_frame(frames) for _ in range(count)]
+            assert got == [(ipc.OP_SUBMIT, frame[5:])] * count
+            assert not frames.transport.reading  # nothing has waited yet
+            waiting = asyncio.ensure_future(next_frame(frames))
+            await asyncio.sleep(0)
+            assert frames.transport.reading
+            frames.data_received(frame)
+            assert await waiting == (ipc.OP_SUBMIT, frame[5:])
 
         asyncio.run(run())
 

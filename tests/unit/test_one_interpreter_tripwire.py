@@ -280,6 +280,50 @@ def test_the_controller_dispatches_and_cancels_through_its_table():
 
 
 # ----------------------------------------------------------------------
+# Client frames are decoded where a read lands (runtime/ipc.py)
+# ----------------------------------------------------------------------
+
+#: Both ends of the daemon–client boundary.
+CLIENT_BOUNDARY = (
+    "spread/daemon.py",
+    "runtime/daemon.py",
+    "spread/client_api.py",
+    "runtime/client.py",
+)
+#: Reading client frames through a stream reader and a task: what
+#: ``ipc.FrameProtocol`` replaced on both ends.
+STREAM_READ = re.compile(
+    r"\bStreamReader\b|\bFrameReader\b|\.fill\(\)"
+    r"|\b(open_unix_connection|open_connection|start_unix_server|start_server)\("
+)
+
+
+def test_client_frames_are_decoded_in_data_received_on_both_ends():
+    sources = _sources()
+    found = [
+        f"{name}: {line.strip()}"
+        for name in CLIENT_BOUNDARY
+        for line in sources[name].splitlines()
+        if STREAM_READ.search(line)
+    ]
+    assert found == []
+    # The servers and the clients' endpoints build the one protocol.
+    assert "ipc.FrameProtocol" in sources["runtime/daemon.py"]
+    assert len(re.findall(r"\(\s*FrameProtocol\b", sources["runtime/ipc.py"])) == 2
+    # ...and the pattern bites on what this replaced.
+    for line in (
+        "        frames = ipc.FrameReader(reader)",
+        "                        await frames.fill()",
+        "        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter",
+        "        self._server = await asyncio.start_unix_server(",
+        "            self._tcp_server = await asyncio.start_server(",
+        "        return await asyncio.open_unix_connection(self.path)",
+    ):
+        assert STREAM_READ.search(line), line
+    assert not STREAM_READ.search("        await frames.wait()")
+
+
+# ----------------------------------------------------------------------
 # Annotations name things their module binds (pyflakes F821, offline)
 # ----------------------------------------------------------------------
 
