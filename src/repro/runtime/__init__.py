@@ -10,22 +10,22 @@ sockets, at laptop scale:
 * :class:`~repro.runtime.node.RingNode` — a full protocol stack
   (membership + ordering) on one asyncio loop: the *library-based
   prototype*.
-* :class:`~repro.runtime.daemon.DaemonServer` /
-  :class:`~repro.runtime.client.DaemonClient` — the *daemon-based
-  prototype*: daemons accept local clients over unix sockets and relay
-  submissions/deliveries, mirroring Spread's client-daemon architecture.
+* The *daemon-based* and *Spread* prototypes are both
+  :class:`~repro.spread.daemon.SpreadDaemon` +
+  :class:`~repro.spread.client_api.SpreadClient`: daemons accept local
+  clients over unix sockets (remote ones over TCP) and speak the one
+  client protocol of :mod:`repro.runtime.ipc`, mirroring Spread's
+  client-daemon architecture.  What separates the paper's daemon and
+  Spread numbers — per-message overheads only — is the ``DAEMON`` vs
+  ``SPREAD`` cost profile (DESIGN.md §2), not a second daemon.
 """
 
 from repro.runtime.transport import PeerAddress, UdpTransport, local_ring_addresses
 from repro.runtime.node import RingNode
-from repro.runtime.daemon import DaemonServer
-from repro.runtime.client import DaemonClient
 
 __all__ = [
     "PeerAddress",
     "UdpTransport",
     "local_ring_addresses",
     "RingNode",
-    "DaemonServer",
-    "DaemonClient",
 ]

@@ -107,9 +107,9 @@ def parse_endpoint(spec: EndpointSpec) -> Endpoint:
     raise ValueError(f"cannot interpret {spec!r} as an endpoint")
 
 
-OP_SUBMIT = 1
-OP_DELIVER = 2
-OP_CONFIG = 3
+# Opcodes 1-3 belonged to a retired single-group client protocol (submit,
+# deliver, config): they are never reused, and a client that sends one is
+# disconnected by rule.
 OP_JOIN = 4
 OP_LEAVE = 5
 OP_GROUPCAST = 6
@@ -118,12 +118,6 @@ OP_HELLO = 8
 OP_WELCOME = 9
 
 _FRAME_HEADER = struct.Struct("!BI")
-# deliver body prefix: sender, seq, service
-_DELIVER_PREFIX = struct.Struct("!IQB")
-# submit body prefix: service
-_SUBMIT_PREFIX = struct.Struct("!B")
-# config body prefix: transitional, member count
-_CONFIG_PREFIX = struct.Struct("!BI")
 # group-view member count
 _COUNT = struct.Struct("!I")
 #: Groupcast frame header + the body's service byte: what a forwarding
@@ -400,58 +394,12 @@ async def read_frame(reader: asyncio.StreamReader) -> Frame:
     return opcode, body
 
 
-def pack_submit(service: DeliveryService, payload: bytes) -> bytes:
-    return pack_frame(OP_SUBMIT, _SUBMIT_PREFIX.pack(int(service)) + payload)
-
-
 def _unpack_prefix(layout: struct.Struct, body: bytes, offset: int = 0) -> tuple:
     """``layout`` read from ``body``; a body too short for it is malformed."""
     try:
         return layout.unpack_from(body, offset)
     except struct.error:
         raise CodecError(f"truncated frame body: {len(body)} bytes") from None
-
-
-def unpack_submit(body: bytes) -> Tuple[DeliveryService, bytes]:
-    (service,) = _unpack_prefix(_SUBMIT_PREFIX, body)
-    return SERVICE_FROM_WIRE[service], body[_SUBMIT_PREFIX.size :]
-
-
-def pack_deliver(sender: int, seq: int, service: DeliveryService, payload: bytes) -> bytes:
-    return pack_frame(OP_DELIVER, _DELIVER_PREFIX.pack(sender, seq, int(service)) + payload)
-
-
-@dataclass(frozen=True)
-class Delivery:
-    """One message as seen by a receiving client."""
-
-    sender: int
-    seq: int
-    service: DeliveryService
-    payload: bytes
-
-
-def unpack_deliver(body: bytes) -> Delivery:
-    sender, seq, service = _unpack_prefix(_DELIVER_PREFIX, body)
-    return Delivery(
-        sender=sender,
-        seq=seq,
-        service=SERVICE_FROM_WIRE[service],
-        payload=body[_DELIVER_PREFIX.size :],
-    )
-
-
-def pack_config(members: List[int], transitional: bool) -> bytes:
-    body = struct.pack(f"!BI{len(members)}I", 1 if transitional else 0, len(members), *members)
-    return pack_frame(OP_CONFIG, body)
-
-
-def unpack_config(body: bytes) -> Tuple[List[int], bool]:
-    transitional, count = _unpack_prefix(_CONFIG_PREFIX, body)
-    if _CONFIG_PREFIX.size + 4 * count > len(body):
-        raise CodecError(f"truncated member list: {count} members")
-    members = list(struct.unpack_from(f"!{count}I", body, _CONFIG_PREFIX.size))
-    return members, bool(transitional)
 
 
 def _pack_str(value: str) -> bytes:

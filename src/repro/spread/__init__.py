@@ -18,7 +18,10 @@ This package implements that layer on top of the ordering stack:
 * :mod:`repro.spread.fragmentation` — application-level fragmentation
   and reassembly of large messages.
 * :mod:`repro.spread.daemon` / :mod:`repro.spread.client_api` — the
-  daemon and client library speaking the group-aware IPC protocol.
+  runtime's one daemon and one client library, speaking the one
+  client protocol (:mod:`repro.runtime.ipc`).  They stand for both the
+  paper's daemon-based and its Spread prototype; the per-message cost
+  that tells those apart is the ``DAEMON`` vs ``SPREAD`` profile.
 """
 
 from repro.spread.wire import AppData, GroupJoin, GroupLeave, Fragment, Packed

@@ -87,12 +87,9 @@ class SpreadClient:
         #: Optional group → ring map for sharded deployments; without
         #: one, every group lives on this client's single daemon.
         self.shard_map = shard_map
-        #: The connection: read through ``_frames``, written through
-        #: ``_writer``, always the same object.  The two names stay
-        #: because tests substitute a fake reader and a fake writer
-        #: separately, and abort ``_writer.transport`` directly.
-        self._frames: Optional[ipc.FrameProtocol] = None
-        self._writer: Optional[ipc.FrameProtocol] = None
+        #: The connection to the daemon: frames are read from it and
+        #: written to it.
+        self._connection: Optional[ipc.FrameProtocol] = None
         #: Headers of received groupcasts, decoded once each.
         self._received_headers = ipc.GroupcastHeaders()
         #: ``(groups, service)`` -> the packed header :meth:`multicast`
@@ -109,7 +106,7 @@ class SpreadClient:
 
     async def connect(self) -> str:
         """Connect and return the daemon-qualified member name."""
-        connection = self._frames = self._writer = await self.endpoint.open()
+        connection = self._connection = await self.endpoint.open()
         connection.write(ipc.pack_hello(self.private_name))
         if not connection.ready:
             await connection.wait()
@@ -120,19 +117,19 @@ class SpreadClient:
         return self.member_name
 
     async def close(self) -> None:
-        if self._writer is not None:
-            self._writer.close()
+        connection = self._connection
+        if connection is not None:
+            connection.close()
             try:
-                await self._writer.wait_closed()
+                await connection.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
                 pass
-            self._writer = None
-            self._frames = None
+            self._connection = None
 
     def _require(self) -> ipc.FrameProtocol:
-        if self._writer is None:
+        if self._connection is None:
             raise RuntimeError("client not connected")
-        return self._writer
+        return self._connection
 
     async def join(self, group: str) -> None:
         self._require().write(ipc.pack_group_op(ipc.OP_JOIN, group))
@@ -161,13 +158,13 @@ class SpreadClient:
         self._require().write(ipc.pack_frame(ipc.OP_GROUPCAST, header + payload))
 
     async def receive(self) -> ClientEvent:
-        frames = self._frames
-        if frames is None:
+        connection = self._connection
+        if connection is None:
             raise RuntimeError("client not connected")
         # Frames of the last read are served without a coroutine each.
-        ready = frames.ready
+        ready = connection.ready
         if not ready:
-            await frames.wait()
+            await connection.wait()
         opcode, body = ready.popleft()
         if opcode == ipc.OP_GROUPCAST:
             groups, service, end = self._received_headers.parse(body)

@@ -6,11 +6,25 @@ separation between middleware and application, lets one set of daemons
 serve several applications, and enables open-group semantics.  Every
 group operation rides the total order, so all daemons apply membership
 changes at the same point relative to data messages.
+
+One daemon runs per server, serving its local clients over a unix socket
+(and, optionally, remote ones over TCP): paper §IV-A, "each of the 8
+participating servers ran one daemon, one sending client ... and one
+receiving client".  A client connection is an
+:class:`~repro.runtime.ipc.FrameProtocol`: its frames are handled in the
+read's own callback, and a task exists only for the asynchronous part of
+a disconnect (writing out what is queued, then closing).  Client fan-out
+is byte-bounded: each session owns a
+:class:`~repro.runtime.backpressure.ClientSendQueue`, so a client that
+stops reading is disconnected when it falls a window behind rather than
+growing the daemon's heap without limit.
 """
 
 from __future__ import annotations
 
+import asyncio
 import functools
+import os
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.messages import DataMessage, DeliveryService
@@ -21,7 +35,6 @@ from repro.runtime.backpressure import (
     ClientSendQueue,
     flush_all,
 )
-from repro.runtime.daemon import ClientListener
 from repro.runtime.node import RingNode
 from repro.runtime.transport import PeerAddress
 from repro.spread.fragmentation import Fragmenter, FragmentReassembler
@@ -66,8 +79,9 @@ class _ClientSession:
         self.envelope_prefix = app_data_prefix(member_name)
 
 
-class SpreadDaemon(ClientListener):
-    """A group-aware daemon on one server."""
+class SpreadDaemon:
+    """A group-aware daemon on one server: a ring node serving local
+    clients."""
 
     def __init__(
         self,
@@ -80,10 +94,33 @@ class SpreadDaemon(ClientListener):
         client_window_bytes: int = DEFAULT_CLIENT_WINDOW_BYTES,
         **node_kwargs,
     ) -> None:
+        # ``clock=`` (and every other RingNode knob) passes through
+        # node_kwargs, so tests can inject a controllable time source
+        # into the daemon's membership timeouts.
         node = RingNode(pid=pid, peers=peers, accelerated=accelerated, **node_kwargs)
-        super().__init__(node, socket_path, tcp_port, client_window_bytes)
+        self.pid = node.pid
+        self.node = node
+        self.socket_path = socket_path
+        #: Optional TCP listener for remote clients.  The paper notes
+        #: Spread supports TCP clients but recommends co-locating clients
+        #: with daemons on LANs; we offer the same choice.
+        self.tcp_port = tcp_port
+        self.client_window_bytes = client_window_bytes
+        #: Client queues holding frames of the node's current batch.
+        self._unflushed: List[ClientSendQueue] = []
+        node.on_batch_end = lambda: flush_all(self._unflushed)
         node.on_deliver = self._ordered_delivery
         node.on_config = self._config_changed
+        self._server: Optional[asyncio.AbstractServer] = None
+        self._tcp_server: Optional[asyncio.AbstractServer] = None
+        #: Connections that have not sent their hello yet: no session
+        #: tracks them, so :meth:`stop` closes them from here.
+        self._awaiting_hello: Set[ipc.FrameProtocol] = set()
+        #: Disconnects still writing out their queue.
+        self._disconnecting: Set[asyncio.Task] = set()
+        self.clients_dropped_slow = 0
+        #: Clients disconnected for sending a frame that does not decode.
+        self.clients_dropped_malformed = 0
         self.directory = GroupDirectory()
         self.fragmenter = Fragmenter(chunk_size=pack_budget)
         self.reassembler = FragmentReassembler()
@@ -116,17 +153,50 @@ class SpreadDaemon(ClientListener):
         #: Ordered envelopes skipped because they do not decode.
         self.envelopes_undecodable = 0
 
-    def _detach_clients(self) -> List[ClientSendQueue]:
+    async def start(self) -> None:
+        if os.path.exists(self.socket_path):
+            os.unlink(self.socket_path)
+        await self.node.start()
+        loop = asyncio.get_running_loop()
+        connection = functools.partial(ipc.FrameProtocol, self._client_connected)
+        self._server = await loop.create_unix_server(connection, path=self.socket_path)
+        if self.tcp_port is not None:
+            self._tcp_server = await loop.create_server(
+                connection, host="127.0.0.1", port=self.tcp_port
+            )
+
+    async def stop(self) -> None:
+        """Stop serving: close every client connection, then fail-stop
+        the node."""
+        servers = [s for s in (self._server, self._tcp_server) if s is not None]
+        self._server = None
+        self._tcp_server = None
+        for server in servers:
+            server.close()
+        # Every accepted connection is closed before the servers are
+        # awaited: from Python 3.12.1, ``wait_closed`` waits for them.
+        for connection in self._awaiting_hello:
+            connection.close()
+        self._awaiting_hello.clear()
         sessions = list(self._sessions.values())
         self._sessions.clear()
         self._drop_routes()
-        return [session.queue for session in sessions]
+        for session in sessions:
+            await session.queue.aclose()
+        for server in servers:
+            await server.wait_closed()
+        # The disconnects those closes set off, and any still writing out.
+        await asyncio.gather(*self._disconnecting)
+        await self.node.stop()
+        if os.path.exists(self.socket_path):
+            os.unlink(self.socket_path)
 
     # ------------------------------------------------------------------
     # Client side
     # ------------------------------------------------------------------
 
     def _client_connected(self, connection: ipc.FrameProtocol) -> None:
+        self._awaiting_hello.add(connection)
         connection.on_frame = functools.partial(self._hello, connection)
         connection.on_end = functools.partial(self._gone_before_hello, connection)
 
@@ -136,6 +206,7 @@ class SpreadDaemon(ClientListener):
         :meth:`_handle_client_frame`."""
         if opcode != ipc.OP_HELLO:
             raise CodecError("client must introduce itself first")
+        self._awaiting_hello.discard(connection)
         self._client_counter += 1
         private = ipc.unpack_hello(body) or f"client{self._client_counter}"
         member_name = qualify(private, self.pid)
@@ -155,6 +226,7 @@ class SpreadDaemon(ClientListener):
     ) -> None:
         """A connection that ended without a session: closed, and counted
         if it ended on a malformed frame (any frame before the hello)."""
+        self._awaiting_hello.discard(connection)
         if isinstance(reason, CodecError):
             self.clients_dropped_malformed += 1
         connection.close()
@@ -162,15 +234,25 @@ class SpreadDaemon(ClientListener):
     def _session_gone(self, session: _ClientSession, reason: BaseException) -> None:
         """A half-closed, reset, dropped or malformed connection: the
         session ends exactly like a voluntary disconnect (PROTOCOL.md
-        §15) — forgotten, its groups left in the total order, its queue
-        written out and closed."""
+        §15) — forgotten, its groups left in the total order, counted if
+        it ended on a malformed frame, its queue written out and closed
+        in a task."""
         self._detach(session)
         for group in sorted(session.joined):
             self._submit_envelope(
                 GroupLeave(member=session.member_name, group=group).encode(),
                 DeliveryService.AGREED,
             )
-        self._client_gone(session.queue, reason)
+        if isinstance(reason, CodecError):
+            self.clients_dropped_malformed += 1
+        task = asyncio.get_running_loop().create_task(self._close_queue(session.queue))
+        self._disconnecting.add(task)
+        task.add_done_callback(self._disconnecting.discard)
+
+    async def _close_queue(self, queue: ClientSendQueue) -> None:
+        await queue.drain_and_close()
+        if queue.dropped_slow:
+            self.clients_dropped_slow += 1
 
     def _attach(self, session: _ClientSession) -> None:
         self._sessions[session.member_name] = session

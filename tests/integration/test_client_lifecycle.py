@@ -123,7 +123,7 @@ def test_disconnect_mid_multicast():
                     noisy.multicast(["g"], b"burst:%d" % index)
                 # Abort, don't close: the frames may still sit in the
                 # stream buffers when the connection dies.
-                noisy._writer.transport.abort()
+                noisy._connection.transport.abort()
 
                 got = await asyncio.wait_for(steady.receive_messages(20), 15)
                 assert [m.payload for m in got] == [
@@ -271,6 +271,31 @@ def test_half_closed_connection_is_reaped():
                 raw.close()
                 await raw.wait_closed()
             finally:
+                for daemon in daemons:
+                    await daemon.stop()
+
+    asyncio.run(scenario())
+
+
+def test_stop_closes_a_connection_that_never_said_hello():
+    """A peer that connected and sent nothing is not a session yet, but
+    it is the daemon's: ``stop()`` closes it, so it reads EOF instead of
+    waiting forever for a welcome."""
+
+    async def scenario():
+        with tempfile.TemporaryDirectory() as tmp:
+            peers, daemons = await _start_pair(tmp)
+            raw = None
+            try:
+                raw = await ipc.UnixEndpoint(daemons[0].socket_path).open()
+                await asyncio.sleep(0.05)  # the daemon accepts it
+                await daemons[0].stop()
+                with pytest.raises(asyncio.IncompleteReadError):
+                    await asyncio.wait_for(next_frame(raw), 2.0)
+            finally:
+                if raw is not None:
+                    raw.close()
+                    await raw.wait_closed()
                 for daemon in daemons:
                     await daemon.stop()
 

@@ -1,25 +1,24 @@
-"""Integration tests: daemon/client architecture and the Spread layer."""
+"""Integration tests: the daemon/client architecture and the Spread layer."""
 
 import asyncio
 import os
 import tempfile
 
+import pytest
 
 from repro.core.messages import DeliveryService
 from repro.runtime import ipc
-from repro.runtime.client import DaemonClient
-from repro.runtime.daemon import DaemonServer
-from repro.runtime.ipc import Delivery
 from repro.spread.client_api import SpreadClient
 from repro.spread.daemon import SpreadDaemon
 from repro.runtime.ports import ephemeral_ring_addresses
 from tests.integration.test_runtime import FAST_TIMEOUTS, wait_until
+from tests.unit.test_ipc import next_frame
 
 
-async def start_daemons(cls, n, tmpdir, **kwargs):
+async def start_daemons(n, tmpdir, **kwargs):
     peers = ephemeral_ring_addresses(range(n))
     daemons = [
-        cls(
+        SpreadDaemon(
             pid,
             peers,
             os.path.join(tmpdir, f"daemon{pid}.sock"),
@@ -37,24 +36,48 @@ async def start_daemons(cls, n, tmpdir, **kwargs):
     return daemons
 
 
+async def connect_all(daemons, group):
+    """One client per daemon, each a member of ``group``, every view in."""
+    clients = [
+        SpreadClient(d.socket_path, name=f"c{i}") for i, d in enumerate(daemons)
+    ]
+    for client in clients:
+        await client.connect()
+        await client.join(group)
+    for client in clients:
+        await client.wait_for_view(group, len(clients))
+    return clients
+
+
+async def hello_then(path, garbage):
+    """A raw client that is welcomed, then writes ``garbage``; returns
+    once the daemon has closed the connection."""
+    raw = await ipc.UnixEndpoint(path).open()
+    raw.write(ipc.pack_hello("bad"))
+    opcode, _body = await next_frame(raw)
+    assert opcode == ipc.OP_WELCOME
+    raw.write(garbage)
+    with pytest.raises(asyncio.IncompleteReadError):
+        while True:  # views, then the daemon's close
+            await asyncio.wait_for(next_frame(raw), 5.0)
+    raw.close()
+
+
 class TestDaemonPrototype:
     def test_client_submissions_reach_all_receivers(self):
         async def scenario():
             with tempfile.TemporaryDirectory() as tmp:
-                daemons = await start_daemons(DaemonServer, 3, tmp)
+                daemons = await start_daemons(3, tmp)
                 try:
-                    clients = [DaemonClient(d.socket_path) for d in daemons]
-                    for client in clients:
-                        await client.connect()
+                    clients = await connect_all(daemons, "all")
                     for index, client in enumerate(clients):
-                        client.send(f"m{index}".encode())
+                        client.multicast(["all"], f"m{index}".encode())
                     for client in clients:
                         messages = await asyncio.wait_for(
                             client.receive_messages(3), 10
                         )
                         payloads = sorted(m.payload for m in messages)
                         assert payloads == [b"m0", b"m1", b"m2"]
-                    # all receivers observed the same order
                     for client in clients:
                         await client.close()
                 finally:
@@ -66,22 +89,22 @@ class TestDaemonPrototype:
     def test_same_total_order_at_every_client(self):
         async def scenario():
             with tempfile.TemporaryDirectory() as tmp:
-                daemons = await start_daemons(DaemonServer, 3, tmp)
+                daemons = await start_daemons(3, tmp)
                 try:
-                    clients = [DaemonClient(d.socket_path) for d in daemons]
-                    for client in clients:
-                        await client.connect()
+                    clients = await connect_all(daemons, "all")
                     for burst in range(5):
-                        for client in clients:
-                            client.send(f"{burst}".encode(),
-                                        DeliveryService.AGREED)
+                        for index, client in enumerate(clients):
+                            client.multicast(
+                                ["all"], f"{index}:{burst}".encode(), DeliveryService.AGREED
+                            )
                     logs = []
                     for client in clients:
                         messages = await asyncio.wait_for(
                             client.receive_messages(15), 10
                         )
-                        logs.append([(m.sender, m.seq) for m in messages])
+                        logs.append([m.payload for m in messages])
                     assert logs[0] == logs[1] == logs[2]
+                    assert len(set(logs[0])) == 15
                     for client in clients:
                         await client.close()
                 finally:
@@ -92,33 +115,28 @@ class TestDaemonPrototype:
 
 
     def test_malformed_submit_disconnects_that_client_only(self):
-        """An empty submit body and a service byte that names no service
-        each end their connection by rule — counted, nothing thrown at
-        the event loop — while another client keeps being served."""
+        """A retired opcode (1, the old submit), an empty groupcast body
+        and a service byte that names no service each end their
+        connection by rule — counted, nothing thrown at the event loop —
+        while another client keeps being served."""
 
         async def scenario():
             with tempfile.TemporaryDirectory() as tmp:
-                daemons = await start_daemons(DaemonServer, 1, tmp)
+                daemons = await start_daemons(1, tmp)
                 loop_errors = []
                 asyncio.get_running_loop().set_exception_handler(
                     lambda loop, context: loop_errors.append(context)
                 )
                 try:
-                    steady = DaemonClient(daemons[0].socket_path)
-                    await steady.connect()
+                    (steady,) = await connect_all(daemons, "g")
                     for garbage in (
-                        ipc.pack_frame(ipc.OP_SUBMIT, b""),
-                        ipc.pack_frame(ipc.OP_SUBMIT, b"\x09payload"),
-                        ipc.pack_frame(ipc.OP_JOIN, b"\x00\x01g"),
+                        ipc.pack_frame(1, b"\x01payload"),
+                        ipc.pack_frame(ipc.OP_GROUPCAST, b""),
+                        ipc.pack_frame(ipc.OP_GROUPCAST, b"\x09\x01\x00\x01gpayload"),
                     ):
-                        reader, writer = await asyncio.open_unix_connection(
-                            daemons[0].socket_path
-                        )
-                        writer.write(garbage)
-                        await asyncio.wait_for(reader.read(), 5.0)  # to the daemon's close
-                        writer.close()
+                        await hello_then(daemons[0].socket_path, garbage)
                     assert daemons[0].clients_dropped_malformed == 3
-                    steady.send(b"still here")
+                    steady.multicast(["g"], b"still here")
                     (message,) = await asyncio.wait_for(steady.receive_messages(1), 10)
                     assert message.payload == b"still here"
                     assert loop_errors == []
@@ -131,28 +149,22 @@ class TestDaemonPrototype:
 
 
     def test_oversized_submit_disconnects_that_client_only(self):
-        """A submit no UDP datagram can carry is refused where it enters
-        (PROTOCOL.md §15): that client is closed and counted, nothing is
-        queued, and the ring keeps ordering everyone else's messages."""
+        """A frame header announcing more than ``MAX_FRAME`` bytes is
+        refused before its body arrives (PROTOCOL.md §15): that client is
+        closed and counted, and the ring keeps ordering everyone else's
+        messages."""
 
         async def scenario():
             with tempfile.TemporaryDirectory() as tmp:
-                daemons = await start_daemons(DaemonServer, 2, tmp)
+                daemons = await start_daemons(2, tmp)
                 try:
-                    clients = [DaemonClient(d.socket_path) for d in daemons]
-                    for client in clients:
-                        await client.connect()
-                    reader, writer = await asyncio.open_unix_connection(
-                        daemons[0].socket_path
+                    clients = await connect_all(daemons, "g")
+                    await hello_then(
+                        daemons[0].socket_path,
+                        ipc._FRAME_HEADER.pack(ipc.OP_GROUPCAST, ipc.MAX_FRAME + 1),
                     )
-                    writer.write(
-                        ipc.pack_submit(DeliveryService.AGREED, bytes(70_000))
-                    )
-                    await asyncio.wait_for(reader.read(), 5.0)  # to the daemon's close
-                    writer.close()
                     assert daemons[0].clients_dropped_malformed == 1
-                    assert daemons[0].messages_relayed == 0
-                    clients[0].send(b"still ordering")
+                    clients[0].multicast(["g"], b"still ordering")
                     for client in clients:
                         (message,) = await asyncio.wait_for(
                             client.receive_messages(1), 10
@@ -172,7 +184,7 @@ class TestSpreadSystem:
     def test_groups_views_and_open_group_send(self):
         async def scenario():
             with tempfile.TemporaryDirectory() as tmp:
-                daemons = await start_daemons(SpreadDaemon, 3, tmp)
+                daemons = await start_daemons(3, tmp)
                 try:
                     alice = SpreadClient(daemons[0].socket_path, name="alice")
                     bob = SpreadClient(daemons[1].socket_path, name="bob")
@@ -203,7 +215,7 @@ class TestSpreadSystem:
     def test_multigroup_multicast_delivered_once_per_member(self):
         async def scenario():
             with tempfile.TemporaryDirectory() as tmp:
-                daemons = await start_daemons(SpreadDaemon, 2, tmp)
+                daemons = await start_daemons(2, tmp)
                 try:
                     alice = SpreadClient(daemons[0].socket_path, name="alice")
                     bob = SpreadClient(daemons[1].socket_path, name="bob")
@@ -232,7 +244,7 @@ class TestSpreadSystem:
     def test_large_message_fragmentation_roundtrip(self):
         async def scenario():
             with tempfile.TemporaryDirectory() as tmp:
-                daemons = await start_daemons(SpreadDaemon, 2, tmp)
+                daemons = await start_daemons(2, tmp)
                 try:
                     alice = SpreadClient(daemons[0].socket_path, name="alice")
                     bob = SpreadClient(daemons[1].socket_path, name="bob")
@@ -255,7 +267,7 @@ class TestSpreadSystem:
     def test_client_disconnect_leaves_groups(self):
         async def scenario():
             with tempfile.TemporaryDirectory() as tmp:
-                daemons = await start_daemons(SpreadDaemon, 2, tmp)
+                daemons = await start_daemons(2, tmp)
                 try:
                     alice = SpreadClient(daemons[0].socket_path, name="alice")
                     bob = SpreadClient(daemons[1].socket_path, name="bob")
@@ -277,7 +289,7 @@ class TestSpreadSystem:
     def test_ordered_group_membership_is_identical_across_daemons(self):
         async def scenario():
             with tempfile.TemporaryDirectory() as tmp:
-                daemons = await start_daemons(SpreadDaemon, 3, tmp)
+                daemons = await start_daemons(3, tmp)
                 try:
                     clients = [
                         SpreadClient(d.socket_path, name=f"c{i}")

@@ -12,8 +12,6 @@ import tempfile
 import pytest
 
 from repro.core.messages import DeliveryService
-from repro.runtime.client import DaemonClient
-from repro.runtime.daemon import DaemonServer
 from repro.spread.client_api import SpreadClient
 from repro.spread.daemon import SpreadDaemon
 from repro.runtime.ports import ephemeral_ring_addresses, reserve_tcp_port
@@ -22,9 +20,9 @@ from tests.integration.test_runtime import FAST_TIMEOUTS, wait_until
 
 def test_client_constructor_validation():
     with pytest.raises(TypeError):
-        DaemonClient()
-    with pytest.raises(TypeError):
         SpreadClient()
+    with pytest.raises(TypeError):
+        SpreadClient(name="no-endpoint")
 
 
 def test_tcp_client_sends_and_receives():
@@ -33,7 +31,7 @@ def test_tcp_client_sends_and_receives():
             peers = ephemeral_ring_addresses(range(2))
             tcp_ports = [reserve_tcp_port(), reserve_tcp_port()]
             daemons = [
-                DaemonServer(
+                SpreadDaemon(
                     pid,
                     peers,
                     os.path.join(tmp, f"d{pid}.sock"),
@@ -48,13 +46,18 @@ def test_tcp_client_sends_and_receives():
                 assert await wait_until(
                     lambda: all(len(d.node.members) == 2 for d in daemons)
                 )
-                remote = DaemonClient(("127.0.0.1", tcp_ports[0]))
-                local = DaemonClient(daemons[1].socket_path)
+                remote = SpreadClient(("127.0.0.1", tcp_ports[0]))
+                local = SpreadClient(daemons[1].socket_path)
                 await remote.connect()
                 await local.connect()
-                remote.send(b"from-remote", DeliveryService.SAFE)
+                await remote.join("all")
+                await local.join("all")
+                await remote.wait_for_view("all", 2)
+                await local.wait_for_view("all", 2)
+                remote.multicast(["all"], b"from-remote", DeliveryService.SAFE)
                 (delivery,) = await asyncio.wait_for(local.receive_messages(1), 10)
                 assert delivery.payload == b"from-remote"
+                assert delivery.service is DeliveryService.SAFE
                 (echo,) = await asyncio.wait_for(remote.receive_messages(1), 10)
                 assert echo.payload == b"from-remote"
                 await remote.close()

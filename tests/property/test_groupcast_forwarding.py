@@ -20,7 +20,6 @@ from hypothesis import example, given, settings, strategies as st
 from repro.core.messages import DeliveryService
 from repro.evs.configuration import Configuration
 from repro.runtime import ipc
-from repro.runtime.daemon import DaemonServer
 from repro.runtime.transport import local_ring_addresses
 from repro.spread.client_api import GroupMessage, SpreadClient
 from repro.spread.daemon import ROUTE_MEMO_CAP, SpreadDaemon
@@ -68,30 +67,31 @@ def ingest(daemon, session, body):
     return submitted
 
 
+class _Connection:
+    """A client's connection in memory: what it writes lands in
+    ``written``, frames put in ``ready`` are what it reads."""
+
+    def __init__(self):
+        self.written = []
+        self.write = self.written.append
+        self.ready = deque()
+
+    def wait(self):
+        raise AssertionError("a frame was ready")
+
+
 def unconnected_client():
     """A client whose writes land in a list: ``(client, written)``."""
     client = SpreadClient("/tmp/unused.sock")
-    written = []
-
-    class _Writer:
-        write = staticmethod(written.append)
-
-    client._writer = _Writer()
-    return client, written
+    client._connection = _Connection()
+    return client, client._connection.written
 
 
 def receive(client, body):
     """What ``SpreadClient.receive`` makes of one groupcast body."""
-
-    class _OneFrame:
-        """A connection's reading surface with one frame already decoded."""
-
-        ready = deque([(ipc.OP_GROUPCAST, body)])
-
-        def wait(self):
-            raise AssertionError("a frame was ready")
-
-    client._frames = _OneFrame()
+    if client._connection is None:
+        client._connection = _Connection()
+    client._connection.ready.append((ipc.OP_GROUPCAST, body))
     return asyncio.run(client.receive())
 
 
@@ -717,11 +717,16 @@ deliveries = st.lists(
 @settings(max_examples=100, deadline=None)
 @given(deliveries, st.lists(st.integers(1, 8), min_size=1, max_size=20))
 def test_daemon_server_writes_a_run_as_the_per_message_deliver_frames(items, sizes):
-    server = DaemonServer(0, local_ring_addresses(range(2), base_port=47000), "/tmp/unused.sock")
-    queues = [_StreamQueue(), _StreamQueue()]
-    server._clients = {object(): queue for queue in queues}
+    """One delivered run of AppData to one group list is one ``send``
+    per session, and the sends concatenate to the per-message frames."""
+    daemon = make_daemon(pid=0)
+    queues = []
+    for member in ("a#0", "b#0"):
+        session = attach_member(daemon, member, groups=["g"])
+        session.queue = _StreamQueue()
+        queues.append(session.queue)
     messages = [
-        ordered(payload, seq=seq, pid=pid, service=service)
+        ordered(AppData(f"s#{pid}", ("g",), payload).encode(), seq=seq, pid=pid, service=service)
         for seq, (pid, service, payload) in enumerate(items, start=1)
     ]
     sends = 0
@@ -729,12 +734,12 @@ def test_daemon_server_writes_a_run_as_the_per_message_deliver_frames(items, siz
     for size in sizes:
         if not rest:
             break
-        server._deliver(tuple(rest[:size]), config_id=1)
+        daemon._ordered_delivery(tuple(rest[:size]), config_id=1)
         rest = rest[size:]
         sends += 1
     reference = b"".join(
-        ipc.pack_deliver(m.pid, m.seq, m.service, m.payload)
-        for m in messages[: len(messages) - len(rest)]
+        ipc.pack_groupcast(["g"], service, payload)
+        for _pid, service, payload in items[: len(messages) - len(rest)]
     )
     for queue in queues:
         assert queue.stream == reference

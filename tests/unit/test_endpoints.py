@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.runtime.client import DaemonClient
 from repro.runtime.ipc import (
     TcpEndpoint,
     UnixEndpoint,
@@ -73,13 +72,13 @@ def test_parse_rejects_malformed_specs():
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("cls", [DaemonClient, SpreadClient])
+@pytest.mark.parametrize("cls", [SpreadClient])
 def test_clients_require_an_endpoint(cls):
     with pytest.raises(TypeError):
         cls()
 
 
-@pytest.mark.parametrize("cls", [DaemonClient, SpreadClient])
+@pytest.mark.parametrize("cls", [SpreadClient])
 def test_clients_accept_endpoint_specs(cls):
     assert cls("/tmp/d.sock").endpoint == UnixEndpoint("/tmp/d.sock")
     assert cls(TcpEndpoint("h", 9)).endpoint == TcpEndpoint("h", 9)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.messages import DeliveryService
 from repro.runtime import ipc
+from repro.spread.wire import AppData, app_data_span
 from repro.util.errors import CodecError
 
 
@@ -18,30 +19,37 @@ def roundtrip_frames(*frames: bytes):
 
 
 def test_submit_roundtrip():
-    frame = ipc.pack_submit(DeliveryService.SAFE, b"payload")
+    """What a client submits: its groupcast frame, as ingest parses it."""
+    frame = ipc.pack_groupcast(["chat"], DeliveryService.SAFE, b"payload")
     ((opcode, body),) = roundtrip_frames(frame)
-    assert opcode == ipc.OP_SUBMIT
-    service, payload = ipc.unpack_submit(body)
+    assert opcode == ipc.OP_GROUPCAST
+    groups, service, end = ipc.GroupcastHeaders().parse(body)
+    assert groups == ("chat",)
     assert service is DeliveryService.SAFE
-    assert payload == b"payload"
+    assert body[end:] == b"payload"
 
 
 def test_deliver_roundtrip():
-    frame = ipc.pack_deliver(3, 99, DeliveryService.AGREED, b"data")
-    ((_, body),) = roundtrip_frames(frame)
-    delivery = ipc.unpack_deliver(body)
-    assert delivery.sender == 3
-    assert delivery.seq == 99
-    assert delivery.service is DeliveryService.AGREED
-    assert delivery.payload == b"data"
+    """What a daemon delivers: an ordered envelope's tail behind a new
+    head, as the client parses it."""
+    envelope = AppData("s#3", ("a", "b"), b"data").encode()
+    start, _end = app_data_span(envelope)
+    frame = ipc.groupcast_frame_from_tail(DeliveryService.AGREED, envelope[start:])
+    ((opcode, body),) = roundtrip_frames(frame)
+    assert opcode == ipc.OP_GROUPCAST
+    groups, service, end = ipc.GroupcastHeaders().parse(body)
+    assert groups == ("a", "b")
+    assert service is DeliveryService.AGREED
+    assert body[end:] == b"data"
 
 
 def test_config_roundtrip():
-    frame = ipc.pack_config([0, 2, 5], transitional=True)
-    ((_, body),) = roundtrip_frames(frame)
-    members, transitional = ipc.unpack_config(body)
-    assert members == [0, 2, 5]
-    assert transitional
+    """A membership change reaches a client as a group view, empty once
+    the last member has gone."""
+    for members in (["a#0", "b#2", "c#5"], []):
+        ((opcode, body),) = roundtrip_frames(ipc.pack_group_view("chat", members))
+        assert opcode == ipc.OP_GROUP_VIEW
+        assert ipc.unpack_group_view(body) == ("chat", members)
 
 
 def test_group_op_roundtrip():
@@ -78,9 +86,6 @@ def test_hello_welcome_roundtrip():
 #: ``(unpacker, a valid body that is all header)``: payloads are empty, so
 #: every strict prefix of the body cuts something the unpacker needs.
 _BODIES = [
-    (ipc.unpack_submit, ipc.pack_submit(DeliveryService.SAFE, b"")),
-    (ipc.unpack_deliver, ipc.pack_deliver(3, 99, DeliveryService.AGREED, b"")),
-    (ipc.unpack_config, ipc.pack_config([0, 2, 5], transitional=True)),
     (ipc.unpack_group_op, ipc.pack_group_op(ipc.OP_JOIN, "chat")),
     (ipc.unpack_groupcast, ipc.pack_groupcast(["a", "bc"], DeliveryService.SAFE, b"")),
     (ipc.unpack_group_view, ipc.pack_group_view("chat", ["a#0", "b#1"])),
@@ -99,7 +104,7 @@ def test_every_truncation_of_a_body_is_a_codec_error(unpack, body):
             unpack(body[:cut])
 
 
-@pytest.mark.parametrize("unpack,body", _BODIES[3:], ids=_UNPACKER_IDS[3:])
+@pytest.mark.parametrize("unpack,body", _BODIES, ids=_UNPACKER_IDS)
 def test_a_name_that_is_not_utf8_is_a_codec_error(unpack, body):
     with pytest.raises(CodecError):
         unpack(body[:-1] + b"\xff")  # every such body ends inside a name
@@ -108,8 +113,13 @@ def test_a_name_that_is_not_utf8_is_a_codec_error(unpack, body):
 @pytest.mark.parametrize(
     "unpack,body",
     [
-        (ipc.unpack_submit, b"\x09payload"),
-        (ipc.unpack_deliver, ipc._DELIVER_PREFIX.pack(3, 99, 0) + b"payload"),
+        # A client's groupcast body, as ingest parses it.
+        (ipc.GroupcastHeaders().parse, b"\x09\x01\x00\x01gpayload"),
+        # A forwarded frame's body, as the client parses it.
+        (
+            ipc.GroupcastHeaders().parse,
+            ipc.groupcast_frame_from_tail(9, b"\x01\x00\x01gpayload")[ipc._FRAME_HEADER.size :],
+        ),
         (ipc.unpack_groupcast, b"\x09\x01\x00\x01gpayload"),
     ],
     ids=["submit", "deliver", "groupcast"],
@@ -137,36 +147,36 @@ def test_groupcast_rejects_more_groups_than_its_count_byte_holds():
 
 def test_multiple_frames_stream():
     frames = [
-        ipc.pack_submit(DeliveryService.AGREED, b"1"),
-        ipc.pack_submit(DeliveryService.AGREED, b"2"),
+        ipc.pack_groupcast(["g"], DeliveryService.AGREED, b"1"),
+        ipc.pack_groupcast(["g"], DeliveryService.AGREED, b"2"),
         ipc.pack_group_op(ipc.OP_LEAVE, "g"),
     ]
     decoded = roundtrip_frames(*frames)
-    assert [op for op, _ in decoded] == [ipc.OP_SUBMIT, ipc.OP_SUBMIT, ipc.OP_LEAVE]
+    assert [op for op, _ in decoded] == [ipc.OP_GROUPCAST, ipc.OP_GROUPCAST, ipc.OP_LEAVE]
 
 
 def test_empty_body_frame():
-    frame = ipc.pack_frame(ipc.OP_CONFIG, b"")
+    frame = ipc.pack_frame(ipc.OP_GROUP_VIEW, b"")
     ((opcode, body),) = roundtrip_frames(frame)
-    assert opcode == ipc.OP_CONFIG
+    assert opcode == ipc.OP_GROUP_VIEW
     assert body == b""
 
 
 class TestFrameDecoder:
     def test_partial_header_and_body_wait_for_more(self):
-        frame = ipc.pack_submit(DeliveryService.AGREED, b"payload")
+        frame = ipc.pack_groupcast(["g"], DeliveryService.AGREED, b"payload")
         decoder = ipc.FrameDecoder()
         assert decoder.feed(frame[:3]) == []  # inside the 5-byte header
         assert decoder.partial == frame[:3]
         assert decoder.feed(frame[3:9]) == []  # header complete, body not
-        assert decoder.feed(frame[9:] + frame[:2]) == [(ipc.OP_SUBMIT, frame[5:])]
+        assert decoder.feed(frame[9:] + frame[:2]) == [(ipc.OP_GROUPCAST, frame[5:])]
         assert decoder.partial == frame[:2]
 
     def test_every_chunking_in_three_yields_the_same_frames(self):
         """Exhaustive where the property test samples: both cuts at every
         offset — inside the 5-byte header, around a 0-byte body, on and
         off frame boundaries — give the frames of one feed."""
-        items = [(ipc.OP_SUBMIT, b"ab"), (ipc.OP_CONFIG, b""), (ipc.OP_DELIVER, b"xyz")]
+        items = [(ipc.OP_GROUPCAST, b"ab"), (ipc.OP_GROUP_VIEW, b""), (ipc.OP_JOIN, b"xyz")]
         stream = b"".join(ipc.pack_frame(op, body) for op, body in items)
         assert ipc.FrameDecoder().feed(stream) == items
         for first in range(len(stream) + 1):
@@ -180,23 +190,23 @@ class TestFrameDecoder:
 
     def test_a_frame_of_many_reads_is_assembled_once(self):
         body = bytes(range(256)) * 1024  # 256 KiB in 1 KiB reads
-        stream = ipc.pack_frame(ipc.OP_SUBMIT, body) + ipc.pack_frame(ipc.OP_CONFIG, b"")
+        stream = ipc.pack_frame(ipc.OP_GROUPCAST, body) + ipc.pack_frame(ipc.OP_GROUP_VIEW, b"")
         decoder = ipc.FrameDecoder()
         got = []
         for at in range(0, len(stream), 1024):
             got.extend(decoder.feed(stream[at : at + 1024]))
-        assert got == [(ipc.OP_SUBMIT, body), (ipc.OP_CONFIG, b"")]
+        assert got == [(ipc.OP_GROUPCAST, body), (ipc.OP_GROUP_VIEW, b"")]
         assert decoder.partial == b""
 
     def test_oversized_length_is_rejected_before_the_body_arrives(self):
-        header = ipc._FRAME_HEADER.pack(ipc.OP_SUBMIT, ipc.MAX_FRAME + 1)
+        header = ipc._FRAME_HEADER.pack(ipc.OP_GROUPCAST, ipc.MAX_FRAME + 1)
         decoder = ipc.FrameDecoder()
         assert decoder.feed(header) == []
         assert isinstance(decoder.error, CodecError)
         assert "frame too large" in str(decoder.error)
         # The limit itself is a legal length.
         assert ipc.FrameDecoder().feed(
-            ipc._FRAME_HEADER.pack(ipc.OP_SUBMIT, ipc.MAX_FRAME)
+            ipc._FRAME_HEADER.pack(ipc.OP_GROUPCAST, ipc.MAX_FRAME)
         ) == []
 
 
@@ -251,10 +261,10 @@ class TestFrameReader:
                 return real_wait()
 
             frames.wait = counting_wait
-            burst = [ipc.pack_submit(DeliveryService.AGREED, b"%d" % i) for i in range(5)]
+            burst = [ipc.pack_groupcast([], DeliveryService.AGREED, b"%d" % i) for i in range(5)]
             frames.data_received(b"".join(burst) + burst[0][:4])
             got = [await next_frame(frames) for _ in range(5)]
-            assert [body[1:] for _op, body in got] == [b"0", b"1", b"2", b"3", b"4"]
+            assert [body[2:] for _op, body in got] == [b"0", b"1", b"2", b"3", b"4"]
             assert waits == 0
             # The peer goes away mid-frame: the partial bytes are reported.
             frames.eof_received()
@@ -270,31 +280,31 @@ class TestFrameReader:
 
         async def run():
             frames = connected_protocol()
-            frame = ipc.pack_submit(DeliveryService.SAFE, b"split")
+            frame = ipc.pack_groupcast(["g"], DeliveryService.SAFE, b"split")
             frames.data_received(frame[:7])
             with pytest.raises(asyncio.TimeoutError):
                 await asyncio.wait_for(next_frame(frames), 0.01)
             frames.data_received(frame[7:])
-            assert await next_frame(frames) == (ipc.OP_SUBMIT, frame[5:])
+            assert await next_frame(frames) == (ipc.OP_GROUPCAST, frame[5:])
 
         asyncio.run(run())
 
     def test_a_consumer_far_behind_stops_the_reading_until_it_catches_up(self):
         async def run():
             frames = connected_protocol()
-            frame = ipc.pack_submit(DeliveryService.AGREED, bytes(1000))
+            frame = ipc.pack_groupcast(["g"], DeliveryService.AGREED, bytes(1000))
             count = ipc.READ_LIMIT // len(frame) + 1
             for _ in range(count):
                 frames.data_received(frame)
             assert not frames.transport.reading
             got = [await next_frame(frames) for _ in range(count)]
-            assert got == [(ipc.OP_SUBMIT, frame[5:])] * count
+            assert got == [(ipc.OP_GROUPCAST, frame[5:])] * count
             assert not frames.transport.reading  # nothing has waited yet
             waiting = asyncio.ensure_future(next_frame(frames))
             await asyncio.sleep(0)
             assert frames.transport.reading
             frames.data_received(frame)
-            assert await waiting == (ipc.OP_SUBMIT, frame[5:])
+            assert await waiting == (ipc.OP_GROUPCAST, frame[5:])
 
         asyncio.run(run())
 

@@ -1,13 +1,15 @@
 """Tripwire: effects have one interpreter, deliveries one shape,
 clusters one assembly path, benches one gate, checked runs one
-drive-and-converge loop, the membership controller one transition table.
+drive-and-converge loop, the membership controller one transition table,
+the runtime one daemon, one client and one client protocol.
 
 Scans the package source so that a re-grown effect ladder, a second
 delivery effect or a per-message delivery hook, a second run-grouping
 accumulator, a new deprecation shim, a copied baseline comparator, a
 bench environment knob, a private convergence poll or a second way to
-arm a fault plan, or a dispatch ladder or hand-placed timer cancel in
-the membership controller fails tier-1 instead of drifting in unnoticed (the
+arm a fault plan, a dispatch ladder or hand-placed timer cancel in
+the membership controller, or a second daemon or client protocol fails
+tier-1 instead of drifting in unnoticed (the
 shape of the port and unseeded-random tripwires in ``conftest.py``,
 applied to the source tree)."""
 
@@ -47,8 +49,9 @@ FORBIDDEN = {
     "reads a bench environment knob": re.compile(r"REPRO_BENCH_(?!FAST\b)"),
 }
 GATE_ONLY = re.compile(r"^\s*def (compare_\w*|baseline_path)\(", re.MULTILINE)
-#: Re-export shims that were deleted: their importers name the real home.
-DELETED_SHIMS = ("net/ring.py",)
+#: Modules that were deleted: a re-export shim (its importers name the
+#: real home), and the second daemon and client (``spread/`` has the one).
+DELETED_SHIMS = ("net/ring.py", "runtime/daemon.py", "runtime/client.py")
 
 
 def _violations():
@@ -284,12 +287,7 @@ def test_the_controller_dispatches_and_cancels_through_its_table():
 # ----------------------------------------------------------------------
 
 #: Both ends of the daemon–client boundary.
-CLIENT_BOUNDARY = (
-    "spread/daemon.py",
-    "runtime/daemon.py",
-    "spread/client_api.py",
-    "runtime/client.py",
-)
+CLIENT_BOUNDARY = ("spread/daemon.py", "spread/client_api.py")
 #: Reading client frames through a stream reader and a task: what
 #: ``ipc.FrameProtocol`` replaced on both ends.
 STREAM_READ = re.compile(
@@ -308,7 +306,7 @@ def test_client_frames_are_decoded_in_data_received_on_both_ends():
     ]
     assert found == []
     # The servers and the clients' endpoints build the one protocol.
-    assert "ipc.FrameProtocol" in sources["runtime/daemon.py"]
+    assert "ipc.FrameProtocol" in sources["spread/daemon.py"]
     assert len(re.findall(r"\(\s*FrameProtocol\b", sources["runtime/ipc.py"])) == 2
     # ...and the pattern bites on what this replaced.
     for line in (
@@ -321,6 +319,63 @@ def test_client_frames_are_decoded_in_data_received_on_both_ends():
     ):
         assert STREAM_READ.search(line), line
     assert not STREAM_READ.search("        await frames.wait()")
+
+
+# ----------------------------------------------------------------------
+# One daemon, one client, one client protocol (spread/, runtime/ipc.py)
+# ----------------------------------------------------------------------
+
+#: The retired single-group client protocol's names.
+RETIRED_CLIENT_PROTOCOL = re.compile(r"\bOP_(SUBMIT|DELIVER|CONFIG)\b|\bpack_deliver\b")
+
+
+def _classes_holding_a_send_queue(source):
+    """Names of the classes that construct a ``ClientSendQueue``: each
+    is a daemon's per-client state."""
+    return [
+        cls.name
+        for cls in ast.walk(ast.parse(source))
+        if isinstance(cls, ast.ClassDef)
+        and any(
+            isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ClientSendQueue"
+            for node in ast.walk(cls)
+        )
+    ]
+
+
+def test_one_daemon_one_client_one_client_protocol():
+    from repro.runtime import ipc
+
+    assert _occurrences(RETIRED_CLIENT_PROTOCOL.pattern) == {}
+    opcodes = {name: value for name, value in vars(ipc).items() if name.startswith("OP_")}
+    assert opcodes == {
+        "OP_JOIN": 4, "OP_LEAVE": 5, "OP_GROUPCAST": 6,
+        "OP_GROUP_VIEW": 7, "OP_HELLO": 8, "OP_WELCOME": 9,
+    }
+    holders = {
+        name: classes
+        for name, text in _sources().items()
+        if (classes := _classes_holding_a_send_queue(text))
+    }
+    assert holders == {"spread/daemon.py": ["_ClientSession"]}
+    # ...and the patterns bite on what this replaced.
+    for line in (
+        "        if opcode != ipc.OP_SUBMIT:",
+        "        if opcode == ipc.OP_DELIVER:",
+        "        if opcode == ipc.OP_CONFIG:",
+        "        pack_deliver = ipc.pack_deliver",
+    ):
+        assert RETIRED_CLIENT_PROTOCOL.search(line), line
+    assert not RETIRED_CLIENT_PROTOCOL.search("        if opcode == ipc.OP_GROUPCAST:")
+    assert not RETIRED_CLIENT_PROTOCOL.search("    return ipc.groupcast_frame_from_tail(s, t)")
+    old = (
+        "class DaemonServer(ClientListener):\n"
+        "    def _client_connected(self, connection):\n"
+        "        queue = ClientSendQueue(connection, self.client_window_bytes, self._unflushed)\n"
+        "        self._clients[connection] = queue\n"
+    )
+    assert _classes_holding_a_send_queue(old) == ["DaemonServer"]
+    assert _classes_holding_a_send_queue("class ClientSendQueue:\n    pass\n") == []
 
 
 # ----------------------------------------------------------------------
