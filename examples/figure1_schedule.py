@@ -10,43 +10,13 @@ sequence numbers.
 Run:  python examples/figure1_schedule.py
 """
 
-from repro.core.config import ProtocolConfig
-from repro.net.params import GIGABIT
-from repro.sim.build import ClusterBuilder
-from repro.sim.profiles import LIBRARY
-from repro.sim.trace import ScheduleTrace
-
-
-def run_schedule(accelerated: bool) -> ScheduleTrace:
-    config = ProtocolConfig(
-        personal_window=5,
-        accelerated_window=3 if accelerated else 0,
-        global_window=100,
-    )
-    cluster = (
-        ClusterBuilder()
-        .hosts(3)
-        .accelerated(accelerated)
-        .profile(LIBRARY)
-        .network(GIGABIT)
-        .config(config)
-        .build()
-    )
-    trace = ScheduleTrace()
-    trace.attach(cluster)
-    # Participant A sends in rounds 1 and 2; B and C once each (20 total).
-    for pid, count in {0: 10, 1: 5, 2: 5}.items():
-        for _ in range(count):
-            cluster.driver(pid).client_submit(payload_size=1350)
-    cluster.start()
-    cluster.run(0.01)
-    return trace
+from repro.bench.tables import schedule_trace
 
 
 def main() -> None:
     for accelerated, title in ((False, "(a) Original Ring Protocol"),
                                (True, "(b) Accelerated Ring Protocol")):
-        trace = run_schedule(accelerated)
+        trace = schedule_trace(accelerated)
         print(title)
         for pid, label in enumerate("ABC"):
             schedule = trace.sequence_of(pid)[:8]

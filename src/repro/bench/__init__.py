@@ -1,10 +1,12 @@
 """Benchmark harness regenerating every figure in the paper.
 
-Each figure has a definition in :mod:`repro.bench.figures`, an execution
-engine in :mod:`repro.bench.experiments`, and a pytest-benchmark target
-under ``benchmarks/``.  Results are printed as paper-style series and
-saved under ``benchmarks/results/``; EXPERIMENTS.md records paper-vs-
-measured for each.
+Each committed result under ``benchmarks/results/`` is one entry of
+:data:`repro.bench.figures.FIGURES`: its producer (curves run on the
+engine in :mod:`repro.bench.experiments`, tables in
+:mod:`repro.bench.tables`, ablations in :mod:`repro.bench.ablations`)
+and its shape checks.  ``python -m repro figure <key>|all`` prints,
+saves and checks them; EXPERIMENTS.md records paper-vs-measured for
+each.  The bench gate (``repro bench``) is :mod:`repro.bench.harness`.
 """
 
 from repro.bench.experiments import (

@@ -9,7 +9,6 @@ mean over the worst 5% of messages from each sender.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, List, Optional, Sequence
@@ -28,11 +27,8 @@ from repro.workloads.generators import ClosedLoopWorkload, FixedRateWorkload
 if TYPE_CHECKING:
     from repro.obs.observer import ProtocolObserver
 
-#: Setting REPRO_BENCH_FAST=1 shrinks measurement windows ~3x for smoke runs.
-FAST = bool(int(os.environ.get("REPRO_BENCH_FAST", "0")))
-
-WARMUP = 0.02 if FAST else 0.04
-MEASURE = 0.03 if FAST else 0.08
+WARMUP = 0.04
+MEASURE = 0.08
 NUM_HOSTS = 8
 
 
@@ -46,10 +42,18 @@ class ExperimentPoint:
     worst5_us: float
     retransmissions: int
     token_rounds: int
+    #: Where the point sits on its figure's x-axis: the offered rate
+    #: unless a sweep varies something else (loss % in Figs. 9-12, ring
+    #: distance in Fig. 13).
+    x: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if self.x is None:
+            object.__setattr__(self, "x", self.rate_mbps)
 
     def row(self) -> List[str]:
         return [
-            f"{self.rate_mbps:8.0f}",
+            f"{self.x:8.0f}",
             f"{self.goodput_mbps:9.1f}",
             f"{self.latency_us:9.1f}",
             f"{self.worst5_us:9.1f}",
@@ -249,14 +253,18 @@ def loss_sweep(
     profile: ImplementationProfile,
     service: DeliveryService = DeliveryService.AGREED,
 ) -> List[ExperimentPoint]:
+    """Figs. 9-12: one point per loss rate, each at ``x`` = loss %."""
     return [
-        run_loss_point(
-            accelerated=accelerated,
-            params=params,
-            rate_mbps=rate_mbps,
-            loss_rate=loss,
-            profile=profile,
-            service=service,
+        replace(
+            run_loss_point(
+                accelerated=accelerated,
+                params=params,
+                rate_mbps=rate_mbps,
+                loss_rate=loss,
+                profile=profile,
+                service=service,
+            ),
+            x=100 * loss,
         )
         for loss in loss_rates
     ]
@@ -272,7 +280,8 @@ def positional_loss_sweep(
     loss_rate: float = 0.2,
 ) -> List[ExperimentPoint]:
     """Fig. 13: each daemon loses ``loss_rate`` of the messages sent by
-    the daemon ``distance`` ring positions before it."""
+    the daemon ``distance`` ring positions before it; each point is at
+    ``x`` = ``distance``."""
     points = []
     ring_order = list(range(NUM_HOSTS))
     for distance in distances:
@@ -289,5 +298,5 @@ def positional_loss_sweep(
             service=service,
         )
         point = _run_cluster(cluster, workload, WARMUP, MEASURE * 2)
-        points.append(point)
+        points.append(replace(point, x=distance))
     return points

@@ -18,8 +18,8 @@ is ``run(seed) -> {"deterministic": {...}, "wall": {...}}``:
 Performance proper — normalised by machine speed, with spread, A/B
 against a parent commit — is ``benchmarks/e2e``'s job, not this gate's.
 
-Suites hardcode their measurement windows rather than reading
-``REPRO_BENCH_FAST`` so the deterministic metrics in a committed baseline
+Suites hardcode their measurement windows, and no environment variable
+shortens them, so the deterministic metrics in a committed baseline
 mean the same thing on every machine and in CI.
 """
 
@@ -200,7 +200,7 @@ SUITES: Dict[str, List[BenchCase]] = {
         _ring_case("leafspine-reorder", GIGABIT, 0.01, 0.02, racks=2, impair_name="reorder"),
     ],
     # Multi-ring scaling: the same closed-loop engine at 1, 2, and 4
-    # rings; benchmarks/bench_scaling.py asserts the ratios.
+    # rings; ``repro figure scaling-rings`` checks the ratios.
     "scaling": [_multiring_case(1), _multiring_case(2), _multiring_case(4)],
 }
 

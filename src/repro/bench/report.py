@@ -9,13 +9,21 @@ during a benchmark run can be rendered alongside the result tables
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Sequence
+from typing import Dict, List, NamedTuple, Sequence
 
 from repro.bench.experiments import ExperimentPoint
 from repro.obs.export import render_table, save_json
 
 RESULTS_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.dirname(os.path.abspath(__file__))))), "benchmarks", "results")
+
+
+class Table(NamedTuple):
+    """A result that is not a set of curves: column headers and rows of
+    rendered cells."""
+
+    headers: Sequence[str]
+    rows: List[List[str]]
 
 
 def format_table(title: str, headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:

@@ -5,7 +5,8 @@
 * ``demo`` — the quickstart comparison at one operating point.
 * ``sweep`` — a latency-vs-throughput sweep (mini Fig. 2/4).
 * ``maxtp`` — the headline maximum-throughput table.
-* ``figure`` — regenerate one paper figure by number.
+* ``figure`` — regenerate a committed result (or ``all``), save it under
+  ``benchmarks/results/`` and check its shape against the paper's.
 * ``chaos`` — run a named fault-injection scenario under EVS checking.
 * ``soak`` — run many seeded random fault plans under EVS checking.
 * ``conformance`` — differential oracle + bounded schedule exploration
@@ -25,7 +26,7 @@ import sys
 from typing import Callable, List, Optional, Sequence
 
 from repro.bench.experiments import run_max_throughput, run_point
-from repro.bench.report import format_metrics, format_series, save_metrics_json
+from repro.bench.report import format_metrics, format_series, save_metrics_json, save_results
 from repro.obs.observer import MetricsObserver
 from repro.core.messages import DeliveryService
 from repro.net.params import GIGABIT, TEN_GIGABIT
@@ -123,27 +124,23 @@ def cmd_maxtp(args: argparse.Namespace) -> int:
 def cmd_figure(args: argparse.Namespace) -> int:
     from repro.bench.figures import FIGURES
 
-    if args.number not in FIGURES:
-        print(f"unknown figure {args.number!r}; choose from {sorted(FIGURES)}",
+    if args.key != "all" and args.key not in FIGURES:
+        print(f"unknown figure {args.key!r}; choose from {list(FIGURES)} or 'all'",
               file=sys.stderr)
         return 2
-    title, series = FIGURES[args.number][0]()
-    print(format_series(title, series))
-    return 0
-
-
-def cmd_verify(args: argparse.Namespace) -> int:
-    from repro.bench.acceptance import verify
-
-    passed, failed, skipped = verify()
-    for line in passed:
-        print(f"  PASS  {line}")
-    for line in skipped:
-        print(f"  SKIP  {line}")
-    for line in failed:
-        print(f"  FAIL  {line}")
-    print()
-    print(f"{len(passed)} passed, {len(failed)} failed, {len(skipped)} skipped")
+    keys = list(FIGURES) if args.key == "all" else [args.key]
+    failed = 0
+    for key in keys:
+        figure = FIGURES[key]
+        title, data = figure.run()
+        text = figure.render(title, data)
+        print(text)
+        print(f"saved {save_results(figure.filename, text)}")
+        for description, ok in figure.check(data):
+            print(f"  {'PASS' if ok else 'FAIL'}  {key}: {description}")
+            failed += not ok
+        print()
+    print(f"{len(keys)} figure(s), {failed} failed check(s)")
     return 1 if failed else 0
 
 
@@ -833,15 +830,13 @@ def build_parser() -> argparse.ArgumentParser:
     maxtp.add_argument("--payload", type=int, default=1350)
     maxtp.set_defaults(func=cmd_maxtp)
 
-    figure = sub.add_parser("figure", help="regenerate one paper figure")
-    figure.add_argument("number", help="2..13 or 'headline'")
-    figure.set_defaults(func=cmd_figure)
-
-    verify = sub.add_parser(
-        "verify",
-        help="check saved benchmark results against the paper's shape criteria",
+    figure = sub.add_parser(
+        "figure",
+        help="regenerate a committed result, save it and check its shape",
     )
-    verify.set_defaults(func=cmd_verify)
+    figure.add_argument("key", help="1..13, headline, mechanism, ablation-*, "
+                                    "scaling, scaling-rings, or 'all'")
+    figure.set_defaults(func=cmd_figure)
 
     chaos = sub.add_parser(
         "chaos",

@@ -4,7 +4,12 @@ import os
 
 import pytest
 
-from repro.bench.experiments import ExperimentPoint, run_point
+from repro.bench.experiments import (
+    ExperimentPoint,
+    loss_sweep,
+    positional_loss_sweep,
+    run_point,
+)
 from repro.bench.report import format_series, format_table, save_results
 from repro.bench.windows import window_for
 from repro.net.params import GIGABIT, TEN_GIGABIT
@@ -69,6 +74,17 @@ class TestRunPoint:
         assert point.goodput_mbps == pytest.approx(100, rel=0.1)
         assert point.latency_us > 0
         assert point.retransmissions == 0
+
+    def test_loss_sweeps_plot_the_swept_value(self):
+        # Figs. 9-12 are plotted against loss %, Fig. 13 against ring
+        # distance: the rows name those, not the (fixed) offered rate.
+        losses = loss_sweep(accelerated=True, params=GIGABIT, rate_mbps=50,
+                            loss_rates=(0.0, 0.05), profile=LIBRARY)
+        distances = positional_loss_sweep(accelerated=True, params=GIGABIT, rate_mbps=50,
+                                          distances=(1, 3), profile=LIBRARY)
+        assert [point.row()[0].strip() for point in losses] == ["0", "5"]
+        assert [point.row()[0].strip() for point in distances] == ["1", "3"]
+        assert {point.rate_mbps for point in losses + distances} == {50}
 
     def test_row_format(self):
         point = ExperimentPoint(

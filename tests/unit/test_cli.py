@@ -37,6 +37,28 @@ def test_unknown_figure_fails_cleanly(capsys):
     assert "unknown figure" in capsys.readouterr().err
 
 
+def test_verify_is_gone_and_figure_all_parses():
+    parser = build_parser()
+    assert parser.parse_args(["figure", "all"]).key == "all"
+    with pytest.raises(SystemExit):
+        parser.parse_args(["verify"])
+
+
+def test_figure_saves_prints_and_exits_1_on_a_failed_check(tmp_path, monkeypatch, capsys):
+    from repro.bench import figures, report
+
+    monkeypatch.setattr(report, "RESULTS_DIR", str(tmp_path))
+    table = report.Table(["n"], [["1"]])
+    monkeypatch.setitem(figures.FIGURES, "x", figures.Figure("x.txt", lambda: ("X", table), (
+        ("n is 1", lambda t: t.rows[0][0] == "1"),
+        ("n is 2", lambda t: t.rows[0][0] == "2"),
+    )))
+    assert main(["figure", "x"]) == 1
+    out = capsys.readouterr().out
+    assert "PASS  x: n is 1" in out and "FAIL  x: n is 2" in out
+    assert (tmp_path / "x.txt").read_text() == "X\n-\nn\n1\n"
+
+
 def test_missing_subcommand_errors():
     with pytest.raises(SystemExit):
         main([])

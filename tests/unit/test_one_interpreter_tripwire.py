@@ -1,15 +1,16 @@
 """Tripwire: effects have one interpreter, deliveries one shape,
 clusters one assembly path, benches one gate, checked runs one
 drive-and-converge loop, the membership controller one transition table,
-the runtime one daemon, one client and one client protocol.
+the runtime one daemon, one client and one client protocol, the
+committed results one producer.
 
 Scans the package source so that a re-grown effect ladder, a second
 delivery effect or a per-message delivery hook, a second run-grouping
 accumulator, a new deprecation shim, a copied baseline comparator, a
 bench environment knob, a private convergence poll or a second way to
 arm a fault plan, a dispatch ladder or hand-placed timer cancel in
-the membership controller, or a second daemon or client protocol fails
-tier-1 instead of drifting in unnoticed (the
+the membership controller, a second daemon or client protocol, or a
+second figure harness fails tier-1 instead of drifting in unnoticed (the
 shape of the port and unseeded-random tripwires in ``conftest.py``,
 applied to the source tree)."""
 
@@ -46,12 +47,20 @@ FORBIDDEN = {
     ),
     "constructs a CoalescingAccumulator": re.compile(r"\bCoalescingAccumulator\("),
     "keeps a deprecation shim": re.compile(r"DeprecationWarning|_from_builder"),
-    "reads a bench environment knob": re.compile(r"REPRO_BENCH_(?!FAST\b)"),
+    "reads a bench environment knob": re.compile(r"REPRO_BENCH_"),
 }
 GATE_ONLY = re.compile(r"^\s*def (compare_\w*|baseline_path)\(", re.MULTILINE)
 #: Modules that were deleted: a re-export shim (its importers name the
-#: real home), and the second daemon and client (``spread/`` has the one).
-DELETED_SHIMS = ("net/ring.py", "runtime/daemon.py", "runtime/client.py")
+#: real home), the second daemon and client (``spread/`` has the one), and
+#: the pytest-benchmark glue and the results-text re-parser
+#: (``bench/figures.py`` produces and checks every result).
+DELETED_SHIMS = (
+    "net/ring.py",
+    "runtime/daemon.py",
+    "runtime/client.py",
+    "bench/runner.py",
+    "bench/acceptance.py",
+)
 
 
 def _violations():
@@ -79,13 +88,32 @@ def test_one_bench_gate():
     ]
     knob = FORBIDDEN["reads a bench environment knob"]
     assert knob.search('os.environ.get("REPRO_BENCH_WALL_TOL", "0.5")')
-    assert not knob.search('os.environ.get("REPRO_BENCH_FAST", "0")')
+    assert knob.search('os.environ.get("REPRO_BENCH_FAST", "0")')
     # The KV and runtime suites resolve lazily: the gate itself stays light.
     loaded = subprocess.run(
         [sys.executable, "-c", "import sys, repro.bench.harness; print(*sys.modules)"],
         capture_output=True, text=True, check=True, env={"PYTHONPATH": str(SRC.parent)},
     ).stdout.split()
     assert not {"asyncio", "repro.apps.kv", "repro.runtime"} & set(loaded)
+
+
+#: A pytest-benchmark round: the shape of the retired figure harness.
+PEDANTIC = re.compile(r"\bbenchmark\.pedantic\(")
+REPO = SRC.parent.parent
+
+
+def test_one_figure_producer():
+    assert sorted(REPO.glob("benchmarks/bench_*.py")) == []
+    found = [
+        str(path.relative_to(REPO))
+        for path in sorted(REPO.rglob("*.py"))
+        if path != Path(__file__)
+        and not any(part.startswith(".") for part in path.relative_to(REPO).parts)
+        and PEDANTIC.search(path.read_text())
+    ]
+    assert found == []
+    # ...and the pattern bites on what this replaced.
+    assert PEDANTIC.search("    title, series = benchmark.pedantic(figure_fn, rounds=1)")
 
 
 def test_only_the_executor_interprets_effects():
