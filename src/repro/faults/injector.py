@@ -2,8 +2,8 @@
 
 :class:`FaultInjector` compiles a validated :class:`~repro.faults.plan.
 FaultPlan` into simulator events against a cluster.  It works through
-first-class injection points — the switch's frame filters
-(:meth:`repro.net.switch.Switch.add_filter`), the hosts' receive
+first-class injection points — the fabric's frame filters
+(:meth:`repro.net.fabric.Fabric.add_filter`), the hosts' receive
 interceptors (:meth:`repro.net.host.SimHost.add_interceptor`), and the
 cluster fault surface (``crash``/``restart``/``pause``/``resume``/
 ``partition``/``heal``) — never by monkey-patching protocol internals,
@@ -136,12 +136,7 @@ class FaultInjector:
         """Crash every member of the rack; returns the resolved pids."""
         pids = event.pids
         if pids is None:
-            racks = getattr(self.cluster.topology, "racks", None)
-            if racks is None:
-                raise FaultError(
-                    "rack_power_loss without explicit pids needs a fabric "
-                    "topology with a rack map; pass pids= on star topologies"
-                )
+            racks = self.cluster.topology.racks
             try:
                 pids = racks[event.rack]
             except KeyError:

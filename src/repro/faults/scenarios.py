@@ -66,7 +66,7 @@ class ScenarioSpec:
     traffic: List[tuple] = field(default_factory=list)
     #: Optional background loss model sharing the scenario RNG.
     loss_model: Optional[Callable[[random.Random], LossModel]] = None
-    #: Optional leaf–spine fabric in place of the default star switch.
+    #: Optional leaf–spine fabric in place of the default one-rack star.
     fabric: Optional[LeafSpineSpec] = None
     #: Optional impairment model factory sharing the scenario RNG
     #: (applied to every host's delivery path).
@@ -387,10 +387,11 @@ def run_scenario(name: str, seed: int = 0) -> ScenarioReport:
         }
     )
     # Fabric congestion counters (deterministic, so they belong in the
-    # byte-identical report); only present on multi-switch topologies,
-    # leaving star-scenario reports unchanged.
-    switch = cluster.topology.switch
-    if hasattr(switch, "frames_transited"):
+    # byte-identical report); only present on multi-rack fabrics, leaving
+    # one-rack (star) scenario reports unchanged.
+    topology = cluster.topology
+    if topology.spec.racks > 1:
+        switch = topology.switch
         fault_metrics["fabric.frames_transited"] = switch.frames_transited
         fault_metrics["fabric.peak_trunk_queue_bytes"] = (
             switch.peak_trunk_queue_bytes

@@ -4,10 +4,14 @@ This package stands in for the paper's physical testbed (8 servers on a
 1 GbE Cisco Catalyst 2960 or a 10 GbE Arista 7100T switch).  It models the
 pieces of that environment that drive the paper's results:
 
-* link serialization delay (bytes / bit-rate) at the sending NIC and at
-  each switch output port (store-and-forward),
-* bounded per-port switch buffering — the buffering that the Accelerated
-  Ring protocol exploits to overlap senders,
+* one link model (:class:`Link`) for every serializing hop — the host
+  NIC, each switch output port and each trunk: serialization delay
+  (bytes / bit-rate), propagation, bounded tail-dropping buffers — the
+  switch buffering that the Accelerated Ring protocol exploits to overlap
+  senders,
+* one switching model (:class:`Fabric`): leaf switches joined by a spine;
+  the paper's single-switch star is the one-rack fabric that
+  :func:`build_topology` builds by default,
 * a single-threaded host CPU with per-message processing costs,
 * separate token and data sockets with bounded receive buffers, enabling
   the priority discipline of paper §III-D,
@@ -18,8 +22,7 @@ pieces of that environment that drive the paper's results:
 from repro.net.simulator import Simulator, EventHandle
 from repro.net.packet import Frame, PortKind
 from repro.net.params import NetworkParams, GIGABIT, TEN_GIGABIT
-from repro.net.nic import Nic
-from repro.net.switch import Switch
+from repro.net.link import Link
 from repro.net.host import SimHost, SocketBuffer, Cpu
 from repro.net.loss import (
     LossModel,
@@ -29,7 +32,7 @@ from repro.net.loss import (
     BurstLoss,
 )
 from repro.net.fragment import fragment_datagram, Reassembler
-from repro.net.topology import StarTopology, build_star
+from repro.net.fabric import Fabric, FabricTopology, LeafSpineSpec, build_topology
 
 __all__ = [
     "Simulator",
@@ -39,8 +42,7 @@ __all__ = [
     "NetworkParams",
     "GIGABIT",
     "TEN_GIGABIT",
-    "Nic",
-    "Switch",
+    "Link",
     "SimHost",
     "SocketBuffer",
     "Cpu",
@@ -51,6 +53,8 @@ __all__ = [
     "BurstLoss",
     "fragment_datagram",
     "Reassembler",
-    "StarTopology",
-    "build_star",
+    "Fabric",
+    "FabricTopology",
+    "LeafSpineSpec",
+    "build_topology",
 ]

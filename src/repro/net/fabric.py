@@ -1,47 +1,46 @@
-"""Leaf–spine fabric topologies: multi-switch data-center networks.
+"""The testbed network: hosts on leaf switches, racks joined by a spine.
 
-The paper's testbed is one switch; real data centers are fabrics.  Hosts
-attach to their rack's leaf (top-of-rack) switch, and racks interconnect
-through a spine layer over trunk links that are usually *oversubscribed*:
-a rack of eight 1G hosts might share a single 4G trunk, so cross-rack
-incast congests the trunk long before any host link saturates.
+Hosts attach to their rack's leaf (top-of-rack) switch, and racks
+interconnect through a spine layer over trunk links that are usually
+*oversubscribed*: a rack of eight 1G hosts might share a single 4G
+trunk, so cross-rack incast congests the trunk long before any host link
+saturates.  The paper's testbed — 8 servers on one switch — is the
+one-rack fabric: a single leaf with no trunks, which is what
+:func:`build_topology` builds when no :class:`LeafSpineSpec` is given.
 
-:class:`LeafSpineSpec` declares such a fabric — rack count, hosts per
-rack, trunk oversubscription, per-rack link parameters (mixed 1G/10G
-hosts on one ring), and per-rack extra trunk propagation (cross-rack
-latency asymmetry) — and :func:`build_leaf_spine` assembles it from the
-same :class:`~repro.net.switch.OutputPort` building blocks the star
-switch uses, so serialization, propagation, and tail-drop behaviour
-price identically per hop.
+:class:`LeafSpineSpec` declares a fabric — rack count, hosts per rack,
+trunk oversubscription, per-rack link parameters (mixed 1G/10G hosts on
+one ring), and per-rack extra trunk propagation (cross-rack latency
+asymmetry).  Every serializing hop — host NIC, leaf host port, uplink,
+downlink — is one :class:`~repro.net.link.Link`, so serialization,
+propagation, and tail-drop behaviour price identically per hop.
 
-Fault-surface parity with the star switch is deliberate and exact: the
-:class:`Fabric` facade exposes the same ``set_partition`` / ``heal`` /
-``add_filter`` / ``remove_filter`` / ``port`` / ``total_drops`` API as
-:class:`~repro.net.switch.Switch`, and partitions/filters are consulted
-exactly once per (frame, destination) — at the destination leaf's host
-port, the same logical point the star switch consults them — so a fault
-plan or chaos scenario means the same thing on either topology, and the
-fault injector works unchanged.
+The :class:`Fabric` fault surface is ``set_partition`` / ``heal`` /
+``add_filter`` / ``remove_filter`` / ``port`` / ``total_drops``.
+Partitions and filters are consulted exactly once per (frame,
+destination), at the destination leaf's host port, so a fault plan or
+chaos scenario means the same thing on one rack or many.
 
-Frame lifetime through the fabric mirrors the star switch's pooling
-discipline: local fan-out enqueues per-destination ``clone_for`` copies;
-the multicast original travels up the trunk (or is recycled when there
-is nowhere further to go); the spine clones once per remote rack and
-recycles; each remote leaf clones per local host and recycles.
+Frame lifetime follows the frame pool's discipline: local fan-out
+enqueues per-destination ``clone_for`` copies; the multicast original
+travels up the trunk (or is recycled when there is nowhere further to
+go); the spine clones once per remote rack and recycles; each remote
+leaf clones per local host and recycles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from heapq import heappush
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.net.host import SimHost
 from repro.net.impair import ImpairmentModel
+from repro.net.link import Link
 from repro.net.loss import LossModel
 from repro.net.packet import Frame
 from repro.net.params import NetworkParams
 from repro.net.simulator import Simulator
-from repro.net.switch import OutputPort
 
 
 @dataclass(frozen=True)
@@ -152,6 +151,12 @@ def _trunk_clone(frame: Frame) -> Frame:
     return clone
 
 
+def _switch_port(sim: Simulator, params: NetworkParams, deliver: Callable[[Frame], None]) -> Link:
+    """A switch output port (host port or trunk): a link with the
+    switch's per-port buffer."""
+    return Link(sim, params, deliver, params.switch_buffer_bytes)
+
+
 class _LeafSwitch:
     """One top-of-rack switch: local host ports plus an optional uplink."""
 
@@ -160,10 +165,13 @@ class _LeafSwitch:
         self._sim = fabric._sim
         self._rack = rack
         self._latency = latency
-        self._ports: Dict[int, OutputPort] = {}
-        self._fanout: Tuple[Tuple[int, OutputPort], ...] = ()
+        self._ports: Dict[int, Link] = {}
+        #: (host_id, port) pairs frozen at attach time; the multicast
+        #: fan-out loop iterates this tuple instead of a dict view (one
+        #: fewer iterator protocol round-trip per ingress frame).
+        self._fanout: Tuple[Tuple[int, Link], ...] = ()
         #: Trunk to the spine; ``None`` in a single-rack fabric.
-        self._uplink: Optional[OutputPort] = None
+        self._uplink: Optional[Link] = None
 
     def attach(
         self,
@@ -173,13 +181,18 @@ class _LeafSwitch:
     ) -> None:
         if host_id in self._ports:
             raise ValueError(f"host {host_id} already attached")
-        self._ports[host_id] = OutputPort(self._sim, params, deliver)
+        self._ports[host_id] = _switch_port(self._sim, params, deliver)
         self._fanout = tuple(self._ports.items())
 
     def ingress(self, frame: Frame) -> None:
         """A frame has fully arrived from a local host NIC."""
         self._fabric.frames_received += 1
-        self._sim.post(self._latency, self._forward_origin, frame)
+        sim = self._sim
+        sim._seq = seq = sim._seq + 1
+        heappush(
+            sim._queue,
+            (sim.now + self._latency, seq, self._forward_origin, (frame,)),
+        )
 
     def trunk_ingress(self, frame: Frame) -> None:
         """A frame has fully arrived over the spine downlink."""
@@ -187,55 +200,75 @@ class _LeafSwitch:
         self._sim.post(self._latency, self._forward_remote, frame)
 
     def _forward_origin(self, frame: Frame) -> None:
+        # Hot path (on one rack, the whole switch): the partition and
+        # filter checks cost no call until a fault installs one.
         fabric = self._fabric
+        partition = fabric._partition
+        filters = fabric._filters
         if frame.dst is None:
             src = frame.src
             clone_for = frame.clone_for
             for host_id, port in self._fanout:
                 if host_id == src:
                     continue
-                if fabric._deliverable(frame, host_id):
-                    port.enqueue(clone_for(host_id))
+                if partition and not fabric._connected(src, host_id):
+                    continue
+                if filters and fabric._filtered(frame, host_id):
+                    continue
+                port.send(clone_for(host_id))
             if self._uplink is not None:
                 # The ingress original continues up the trunk; the local
                 # deliveries above were per-destination clones.
-                self._uplink.enqueue(frame)
+                self._uplink.send(frame)
             else:
                 frame.recycle()
         else:
-            port = self._ports.get(frame.dst)
+            dst = frame.dst
+            port = self._ports.get(dst)
             if port is not None:
-                if fabric._deliverable(frame, frame.dst):
-                    port.enqueue(frame)
+                if partition and not fabric._connected(frame.src, dst):
+                    return
+                if filters and fabric._filtered(frame, dst):
+                    return
+                port.send(frame)
             elif self._uplink is not None:
-                self._uplink.enqueue(frame)
+                self._uplink.send(frame)
             else:
-                raise KeyError(f"frame for unattached host {frame.dst}")
+                raise KeyError(f"frame for unattached host {dst}")
 
     def _forward_remote(self, frame: Frame) -> None:
         fabric = self._fabric
+        partition = fabric._partition
+        filters = fabric._filters
         if frame.dst is None:
+            src = frame.src
             clone_for = frame.clone_for
             for host_id, port in self._fanout:
-                if fabric._deliverable(frame, host_id):
-                    port.enqueue(clone_for(host_id))
+                if partition and not fabric._connected(src, host_id):
+                    continue
+                if filters and fabric._filtered(frame, host_id):
+                    continue
+                port.send(clone_for(host_id))
             frame.recycle()
         else:
-            port = self._ports.get(frame.dst)
+            dst = frame.dst
+            port = self._ports.get(dst)
             if port is None:
-                raise KeyError(f"frame for unattached host {frame.dst}")
-            if fabric._deliverable(frame, frame.dst):
-                port.enqueue(frame)
+                raise KeyError(f"frame for unattached host {dst}")
+            if partition and not fabric._connected(frame.src, dst):
+                return
+            if filters and fabric._filtered(frame, dst):
+                return
+            port.send(frame)
 
 
 class Fabric:
-    """Leaf–spine fabric with the single-switch fault surface.
+    """The switching network: leaf switches, and a spine when there is
+    more than one rack.
 
-    Drop-in for :class:`~repro.net.switch.Switch` wherever the cluster
-    and fault layers touch the network: partitions, filters, per-port
-    counters, and ``total_drops`` behave identically, with partition and
-    filter checks applied once per (frame, destination) at the
-    destination leaf's host port.
+    Partitions and filters apply once per (frame, destination), at the
+    destination leaf's host port, so they cut cross-rack and intra-rack
+    traffic alike.
     """
 
     def __init__(self, sim: Simulator, spec: LeafSpineSpec, params: NetworkParams) -> None:
@@ -246,13 +279,17 @@ class Fabric:
         #: rack's own host-link params).
         self._latency = params.switch_latency
         self._leaves: List[_LeafSwitch] = []
-        self._downlinks: List[OutputPort] = []
+        self._downlinks: List[Link] = []
         self.frames_received = 0
         #: Frames that crossed the spine into a remote rack.
         self.frames_transited = 0
         self.frames_partitioned = 0
         self.frames_filtered = 0
         self._partition: Dict[int, int] = {}  # host -> partition group
+        #: Frame filters: callables ``fn(frame, dst) -> bool`` consulted once
+        #: per (frame, destination) pair during forwarding; any True drops
+        #: that copy.  The fault injector installs these for token drops and
+        #: link-level loss without monkey-patching the forwarding path.
         self._filters: List[Callable[[Frame, int], bool]] = []
 
         for rack in range(spec.racks):
@@ -261,10 +298,8 @@ class Fabric:
         if spec.racks > 1:
             for rack, leaf in enumerate(self._leaves):
                 trunk = spec.trunk_params_for(rack, params)
-                leaf._uplink = OutputPort(
-                    sim, trunk, self._uplink_deliver(rack)
-                )
-                self._downlinks.append(OutputPort(sim, trunk, leaf.trunk_ingress))
+                leaf._uplink = _switch_port(sim, trunk, self._uplink_deliver(rack))
+                self._downlinks.append(_switch_port(sim, trunk, leaf.trunk_ingress))
 
     def _uplink_deliver(self, rack: int) -> Callable[[Frame], None]:
         def deliver(frame: Frame) -> None:
@@ -284,21 +319,21 @@ class Fabric:
             for rack, downlink in enumerate(self._downlinks):
                 if rack == from_rack:
                     continue
-                downlink.enqueue(_trunk_clone(frame))
+                downlink.send(_trunk_clone(frame))
             frame.recycle()
         else:
-            self._downlinks[self.spec.rack_of(frame.dst)].enqueue(frame)
+            self._downlinks[self.spec.rack_of(frame.dst)].send(frame)
 
     # ------------------------------------------------------------------
-    # Switch-compatible fault surface
+    # Fault surface
     # ------------------------------------------------------------------
 
     def set_partition(self, *groups) -> None:
         """Partition the network: frames cross only within a group.
 
-        Same semantics as the star switch — the check happens at the
-        destination host's leaf port, so a partition cuts cross-rack and
-        intra-rack traffic alike.
+        Hosts not named in any group form an implicit group of their own.
+        Call :meth:`heal` to restore full connectivity — the membership
+        layer will then merge the rings.
         """
         self._partition = {}
         for index, group in enumerate(groups):
@@ -310,7 +345,7 @@ class Fabric:
         self._partition = {}
 
     def add_filter(self, fn: Callable[[Frame, int], bool]) -> None:
-        """Install a drop filter (consulted once per (frame, destination))."""
+        """Install a drop filter (see ``_filters``)."""
         self._filters.append(fn)
 
     def remove_filter(self, fn: Callable[[Frame, int], bool]) -> None:
@@ -320,19 +355,22 @@ class Fabric:
         except ValueError:
             pass
 
-    def _deliverable(self, frame: Frame, dst: int) -> bool:
+    def _connected(self, src: int, dst: int) -> bool:
+        """Whether a partition lets ``src`` reach ``dst``; counts a cut copy."""
+        default = -1
         partition = self._partition
-        if partition:
-            default = -1
-            if partition.get(frame.src, default) != partition.get(dst, default):
-                self.frames_partitioned += 1
-                return False
-        if self._filters:
-            for fn in list(self._filters):
-                if fn(frame, dst):
-                    self.frames_filtered += 1
-                    return False
+        if partition.get(src, default) != partition.get(dst, default):
+            self.frames_partitioned += 1
+            return False
         return True
+
+    def _filtered(self, frame: Frame, dst: int) -> bool:
+        """Whether a filter drops this copy; counts a dropped copy."""
+        for fn in list(self._filters):
+            if fn(frame, dst):
+                self.frames_filtered += 1
+                return True
+        return False
 
     def attach(self, host_id: int, deliver: Callable[[Frame], None]) -> None:
         rack = self.spec.rack_of(host_id)
@@ -344,11 +382,11 @@ class Fabric:
         """The ``on_wire`` entry point for one host (its leaf's ingress)."""
         return self._leaves[self.spec.rack_of(host_id)].ingress
 
-    def port(self, host_id: int) -> OutputPort:
+    def port(self, host_id: int) -> Link:
         """The destination-side host port (where drops/queueing surface)."""
         return self._leaves[self.spec.rack_of(host_id)]._ports[host_id]
 
-    def trunk(self, rack: int) -> Tuple[OutputPort, OutputPort]:
+    def trunk(self, rack: int) -> Tuple[Link, Link]:
         """(uplink, downlink) trunk ports for one rack (multi-rack only)."""
         uplink = self._leaves[rack]._uplink
         if uplink is None:
@@ -378,13 +416,8 @@ class Fabric:
 
 @dataclass
 class FabricTopology:
-    """A leaf–spine fabric plus its attached hosts.
-
-    Duck-types :class:`~repro.net.topology.StarTopology` (``sim`` /
-    ``params`` / ``switch`` / ``hosts`` / ``host_ids`` / ``host``) so the
-    cluster drivers and fault injector work unchanged, and adds the rack
-    map that correlated-failure events resolve against.
-    """
+    """A fabric plus its attached hosts, and the rack map that
+    correlated-failure events resolve against."""
 
     sim: Simulator
     params: NetworkParams
@@ -407,26 +440,40 @@ class FabricTopology:
         }
 
 
-def build_leaf_spine(
+def build_topology(
     sim: Simulator,
-    spec: LeafSpineSpec,
+    num_hosts: int,
     params: NetworkParams,
+    fabric: Optional[LeafSpineSpec] = None,
     loss_model: Optional[LossModel] = None,
     loss_models: Optional[Mapping[int, LossModel]] = None,
     impairment: Optional[ImpairmentModel] = None,
     impairments: Optional[Mapping[int, ImpairmentModel]] = None,
 ) -> FabricTopology:
-    """Build a leaf–spine fabric and its hosts.
+    """Build ``num_hosts`` hosts on a fabric.
 
-    ``loss_model`` is the shared receiver-side model (as in
-    :func:`~repro.net.topology.build_star`); ``loss_models`` overrides it
-    per host id.  ``impairment`` / ``impairments`` wrap each host's
-    delivery path analogously (see :mod:`repro.net.impair`).
+    ``fabric`` declares the racks; without one, every host sits on one
+    leaf — the paper's single-switch testbed.  Hosts are attached in id
+    order, which also defines the default ring order used by the
+    protocol layer.
+
+    The same ``loss_model`` instance is shared by every host; models keyed
+    on receiver id (all of ours) behave independently per host.
+    ``loss_models`` overrides the shared model for specific host ids.
+    ``impairment`` wraps every host's delivery path with one shared
+    :class:`~repro.net.impair.ImpairmentModel`; ``impairments`` overrides
+    it per host id.
     """
+    spec = fabric if fabric is not None else LeafSpineSpec(racks=1, hosts_per_rack=num_hosts)
     spec.validate()
-    fabric = Fabric(sim, spec, params)
-    topology = FabricTopology(sim=sim, params=params, switch=fabric, spec=spec)
-    for host_id in range(spec.num_hosts):
+    if spec.num_hosts != num_hosts:
+        raise ValueError(
+            f"fabric defines {spec.num_hosts} hosts but the cluster "
+            f"wants {num_hosts}"
+        )
+    switch = Fabric(sim, spec, params)
+    topology = FabricTopology(sim=sim, params=params, switch=switch, spec=spec)
+    for host_id in range(num_hosts):
         rack = spec.rack_of(host_id)
         host_loss = loss_model
         if loss_models is not None and host_id in loss_models:
@@ -435,7 +482,7 @@ def build_leaf_spine(
             host_id=host_id,
             sim=sim,
             params=spec.host_params_for(rack, params),
-            on_wire=fabric.leaf_ingress(host_id),
+            on_wire=switch.leaf_ingress(host_id),
             loss_model=host_loss,
         )
         deliver: Callable[[Frame], None] = host.receive
@@ -446,50 +493,6 @@ def build_leaf_spine(
             model = impairment
         if model is not None:
             deliver = model.wrap(host_id, deliver, sim)
-        fabric.attach(host_id, deliver)
+        switch.attach(host_id, deliver)
         topology.hosts[host_id] = host
     return topology
-
-
-def build_topology(
-    sim: Simulator,
-    num_hosts: int,
-    params: NetworkParams,
-    fabric: Optional[LeafSpineSpec] = None,
-    loss_model: Optional[LossModel] = None,
-    loss_models: Optional[Mapping[int, LossModel]] = None,
-    impairment: Optional[ImpairmentModel] = None,
-    impairments: Optional[Mapping[int, ImpairmentModel]] = None,
-):
-    """Dispatch between the star default and a leaf–spine fabric.
-
-    With no fabric spec and no per-host models this is exactly
-    ``build_star(sim, num_hosts, params, loss_model)`` — the event
-    schedule (and therefore every golden trace) is unchanged.
-    """
-    from repro.net.topology import build_star
-
-    if fabric is not None:
-        if fabric.num_hosts != num_hosts:
-            raise ValueError(
-                f"fabric defines {fabric.num_hosts} hosts but the cluster "
-                f"wants {num_hosts}"
-            )
-        return build_leaf_spine(
-            sim,
-            fabric,
-            params,
-            loss_model=loss_model,
-            loss_models=loss_models,
-            impairment=impairment,
-            impairments=impairments,
-        )
-    return build_star(
-        sim,
-        num_hosts,
-        params,
-        loss_model=loss_model,
-        loss_models=loss_models,
-        impairment=impairment,
-        impairments=impairments,
-    )

@@ -16,7 +16,7 @@ from typing import Callable, Deque, Optional, List
 from repro.core.transport_core import ByteWindow, FrameRing
 from repro.net.fragment import fragment_datagram
 from repro.net.loss import LossModel, NoLoss
-from repro.net.nic import Nic
+from repro.net.link import NIC_QUEUE_BYTES, Link
 from repro.net.packet import Frame, PortKind
 from repro.net.params import NetworkParams
 from repro.net.simulator import Simulator
@@ -196,7 +196,7 @@ class SimHost:
         self.host_id = host_id
         self.sim = sim
         self.params = params
-        self.nic = Nic(sim, params, on_wire)
+        self.nic = Link(sim, params, on_wire, NIC_QUEUE_BYTES)
         self.cpu = Cpu(sim)
         self.token_socket = SocketBuffer(params.socket_buffer_bytes)
         self.data_socket = SocketBuffer(params.socket_buffer_bytes)

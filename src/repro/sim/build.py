@@ -64,9 +64,10 @@ class TopologySpec:
     #: membership, LIBRARY for protocol).
     profile: Optional[ImplementationProfile] = None
     params: NetworkParams = GIGABIT
-    #: Multi-switch fabric (leaf–spine) in place of the default
-    #: single-switch star; ``hosts_per_ring`` must equal the fabric's
-    #: host count.  See :mod:`repro.net.fabric`.
+    #: Leaf–spine fabric; ``None`` is the one-rack fabric (the paper's
+    #: single-switch star) of ``hosts_per_ring`` hosts.  A declared
+    #: fabric's host count must equal ``hosts_per_ring``.  See
+    #: :mod:`repro.net.fabric`.
     fabric: Optional[LeafSpineSpec] = None
     config: Optional[ProtocolConfig] = None
     timeouts: Optional[MembershipTimeouts] = None
@@ -190,7 +191,8 @@ class ClusterBuilder:
     def fabric(self, spec: Optional[LeafSpineSpec]) -> "ClusterBuilder":
         """Build on a leaf–spine fabric; the host count follows the spec.
 
-        Pass ``None`` to return to the default single-switch star.
+        Pass ``None`` to return to the default: every host on one leaf
+        (the one-rack fabric, the paper's single-switch star).
         """
         if spec is None:
             return self._set(fabric=None)
@@ -294,7 +296,7 @@ class ClusterBuilder:
 
     @staticmethod
     def _build_topology(sim: Simulator, spec: TopologySpec):
-        """Star or fabric, per the spec.  Default star wiring is untouched."""
+        """The spec's fabric, or the one-rack fabric of its hosts."""
         return build_topology(
             sim,
             spec.hosts_per_ring,

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional
 
 from repro.core.token import initial_token
 from repro.net.simulator import Simulator
-from repro.net.topology import StarTopology
+from repro.net.fabric import FabricTopology
 from repro.obs.observer import ProtocolObserver
 from repro.sim.driver import ProtocolHost
 from repro.util.errors import FaultError
@@ -44,7 +44,7 @@ class RingCluster:
     def __init__(
         self,
         sim: Simulator,
-        topology: StarTopology,
+        topology: FabricTopology,
         drivers: Dict[int, ProtocolHost],
         ring_id: int = 1,
         observer: Optional[ProtocolObserver] = None,

@@ -24,7 +24,7 @@ from repro.membership.params import MembershipTimeouts
 from repro.net.fragment import CoalescedDatagram, pack_run
 from repro.net.host import SimHost
 from repro.net.packet import Frame, PortKind
-from repro.net.topology import StarTopology
+from repro.net.fabric import FabricTopology
 from repro.sim.driver import new_reassembler
 from repro.sim.profiles import ImplementationProfile
 from repro.util.errors import FaultError
@@ -274,14 +274,14 @@ class MembershipCluster:
     """A set of membership hosts on one network, plus fault injection.
 
     Assembled by :class:`repro.sim.build.ClusterBuilder`, which supplies
-    the prebuilt ``topology`` (a star, or a leaf–spine fabric; several
+    the prebuilt ``topology`` (a fabric, one rack unless declared; several
     clusters — the rings of a MultiRingCluster — may share its
     simulator).
     """
 
     def __init__(
         self,
-        topology: StarTopology,
+        topology: FabricTopology,
         accelerated: bool,
         profile: ImplementationProfile,
         config: Optional[ProtocolConfig] = None,

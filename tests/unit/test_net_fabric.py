@@ -2,23 +2,21 @@
 
 import pytest
 
-from repro.net.fabric import (
-    FabricTopology,
-    LeafSpineSpec,
-    build_leaf_spine,
-    build_topology,
-)
+from repro.net.fabric import FabricTopology, LeafSpineSpec, build_topology
 from repro.net.loss import UniformLoss
 from repro.net.packet import Frame, PortKind
 from repro.net.params import GIGABIT, TEN_GIGABIT
 from repro.net.simulator import Simulator
-from repro.net.topology import StarTopology
 
 
 def _spec(**overrides):
     base = dict(racks=2, hosts_per_rack=2, oversubscription=2.0)
     base.update(overrides)
     return LeafSpineSpec(**base)
+
+
+def _build(sim, spec, **models):
+    return build_topology(sim, spec.num_hosts, GIGABIT, fabric=spec, **models)
 
 
 def _data(src, dst=None, size=500, payload="x"):
@@ -90,7 +88,7 @@ def test_mixed_speed_rack_params():
 
 def test_intra_rack_unicast_stays_off_the_trunk():
     sim = Simulator()
-    topo = build_leaf_spine(sim, _spec(), GIGABIT)
+    topo = _build(sim, _spec())
     topo.host(0).nic.send(_data(0, dst=1))
     sim.run_until_idle()
     assert len(topo.host(1).data_socket) == 1
@@ -99,7 +97,7 @@ def test_intra_rack_unicast_stays_off_the_trunk():
 
 def test_cross_rack_unicast_transits_the_spine():
     sim = Simulator()
-    topo = build_leaf_spine(sim, _spec(), GIGABIT)
+    topo = _build(sim, _spec())
     topo.host(0).nic.send(_data(0, dst=3))
     sim.run_until_idle()
     assert len(topo.host(3).data_socket) == 1
@@ -108,9 +106,7 @@ def test_cross_rack_unicast_transits_the_spine():
 
 def test_multicast_reaches_everyone_but_the_sender():
     sim = Simulator()
-    topo = build_leaf_spine(
-        sim, LeafSpineSpec(racks=2, hosts_per_rack=4, oversubscription=2.0), GIGABIT
-    )
+    topo = _build(sim, LeafSpineSpec(racks=2, hosts_per_rack=4, oversubscription=2.0))
     topo.host(0).nic.send(_data(0))
     sim.run_until_idle()
     assert len(topo.host(0).data_socket) == 0
@@ -120,7 +116,7 @@ def test_multicast_reaches_everyone_but_the_sender():
 
 def test_cross_rack_multicast_takes_longer_than_local():
     sim = Simulator()
-    topo = build_leaf_spine(sim, _spec(), GIGABIT)
+    topo = _build(sim, _spec())
     arrivals = {}
 
     real = {pid: topo.host(pid).receive for pid in (1, 2)}
@@ -136,7 +132,7 @@ def test_cross_rack_multicast_takes_longer_than_local():
 
 def test_single_rack_fabric_has_no_trunks():
     sim = Simulator()
-    topo = build_leaf_spine(sim, LeafSpineSpec(racks=1, hosts_per_rack=3), GIGABIT)
+    topo = _build(sim, LeafSpineSpec(racks=1, hosts_per_rack=3))
     with pytest.raises(ValueError):
         topo.switch.trunk(0)
     topo.host(0).nic.send(_data(0))
@@ -147,13 +143,13 @@ def test_single_rack_fabric_has_no_trunks():
 
 
 # ----------------------------------------------------------------------
-# Fault surface parity with the star switch
+# Fault surface
 # ----------------------------------------------------------------------
 
 
 def test_partition_blocks_cross_group_frames_and_counts():
     sim = Simulator()
-    topo = build_leaf_spine(sim, _spec(), GIGABIT)
+    topo = _build(sim, _spec())
     topo.switch.set_partition({0, 1}, {2, 3})
     topo.host(0).nic.send(_data(0))
     sim.run_until_idle()
@@ -170,7 +166,7 @@ def test_partition_blocks_cross_group_frames_and_counts():
 def test_filter_consulted_once_per_destination():
     sim = Simulator()
     spec = LeafSpineSpec(racks=2, hosts_per_rack=4, oversubscription=2.0)
-    topo = build_leaf_spine(sim, spec, GIGABIT)
+    topo = _build(sim, spec)
     checks = []
 
     def drop_all(frame, dst):
@@ -189,9 +185,7 @@ def test_filter_consulted_once_per_destination():
 
 
 def test_rack_map_exposed_for_correlated_faults():
-    topo = build_leaf_spine(
-        Simulator(), LeafSpineSpec(racks=2, hosts_per_rack=4), GIGABIT
-    )
+    topo = _build(Simulator(), LeafSpineSpec(racks=2, hosts_per_rack=4))
     assert topo.racks == {0: (0, 1, 2, 3), 1: (4, 5, 6, 7)}
     assert topo.host_ids == list(range(8))
 
@@ -199,9 +193,7 @@ def test_rack_map_exposed_for_correlated_faults():
 def test_per_host_loss_models():
     sim = Simulator()
     lossy = UniformLoss(rate=0.9999999, seed=2)
-    topo = build_leaf_spine(
-        sim, _spec(), GIGABIT, loss_models={3: lossy}
-    )
+    topo = _build(sim, _spec(), loss_models={3: lossy})
     topo.host(0).nic.send(_data(0))
     sim.run_until_idle()
     assert len(topo.host(1).data_socket) == 1
@@ -215,7 +207,7 @@ def test_oversubscribed_trunk_queues_under_incast():
     # queue (the incast signal) while host ports barely do.
     sim = Simulator()
     spec = LeafSpineSpec(racks=2, hosts_per_rack=4, oversubscription=4.0)
-    topo = build_leaf_spine(sim, spec, GIGABIT)
+    topo = _build(sim, spec)
     for pid in range(4):
         for _ in range(4):
             topo.host(pid).nic.send(_data(pid, size=1400))
@@ -231,13 +223,20 @@ def test_oversubscribed_trunk_queues_under_incast():
 
 
 def test_build_topology_defaults_to_star():
+    # The paper's star is the one-rack fabric: one leaf, no trunks.
     topo = build_topology(Simulator(), 4, GIGABIT)
-    assert isinstance(topo, StarTopology)
+    assert isinstance(topo, FabricTopology)
+    assert topo.spec == LeafSpineSpec(racks=1, hosts_per_rack=4)
+    assert topo.racks == {0: (0, 1, 2, 3)}
+    with pytest.raises(ValueError, match="no trunks"):
+        topo.switch.trunk(0)
 
 
 def test_build_topology_with_fabric_spec():
     topo = build_topology(Simulator(), 4, GIGABIT, fabric=_spec())
     assert isinstance(topo, FabricTopology)
+    assert topo.spec == _spec()
+    assert len(topo.switch.trunk(1)) == 2
 
 
 def test_build_topology_rejects_host_count_mismatch():

@@ -1,17 +1,17 @@
-"""Unit tests for the host NIC transmit path."""
+"""Unit tests for the link as a host NIC's transmit path."""
 
 import pytest
 
-from repro.net.nic import Nic
+from repro.net.link import NIC_QUEUE_BYTES, Link
 from repro.net.packet import Frame, PortKind
 from repro.net.params import GIGABIT
 from repro.net.simulator import Simulator
 
 
-def make_nic(**kwargs):
+def make_nic(capacity=NIC_QUEUE_BYTES):
     sim = Simulator()
     wire = []
-    nic = Nic(sim, GIGABIT, wire.append, **kwargs)
+    nic = Link(sim, GIGABIT, wire.append, capacity)
     return sim, nic, wire
 
 
@@ -50,7 +50,7 @@ def test_fifo_order_preserved():
 
 
 def test_tx_queue_overflow_drops():
-    sim, nic, wire = make_nic(tx_queue_bytes=2500)
+    sim, nic, wire = make_nic(capacity=2500)
     assert nic.send(frame(1400))
     assert nic.send(frame(1400))  # first is in flight, queue holds this one
     assert not nic.send(frame(1400))
@@ -66,4 +66,5 @@ def test_counters():
     sim.run_until_idle()
     assert nic.frames_sent == 2
     assert nic.bytes_sent == 1000
-    assert nic.queue_depth == 0
+    assert nic.queued_bytes == 0
+    assert nic.peak_queue_bytes == 700  # the first frame, before it left

@@ -2,15 +2,16 @@
 clusters one assembly path, benches one gate, checked runs one
 drive-and-converge loop, the membership controller one transition table,
 the runtime one daemon, one client and one client protocol, the
-committed results one producer.
+committed results one producer, the network one link and one topology.
 
 Scans the package source so that a re-grown effect ladder, a second
 delivery effect or a per-message delivery hook, a second run-grouping
 accumulator, a new deprecation shim, a copied baseline comparator, a
 bench environment knob, a private convergence poll or a second way to
 arm a fault plan, a dispatch ladder or hand-placed timer cancel in
-the membership controller, a second daemon or client protocol, or a
-second figure harness fails tier-1 instead of drifting in unnoticed (the
+the membership controller, a second daemon or client protocol, a
+second figure harness, a second serializing queue or a probe telling two
+topologies apart fails tier-1 instead of drifting in unnoticed (the
 shape of the port and unseeded-random tripwires in ``conftest.py``,
 applied to the source tree)."""
 
@@ -53,13 +54,17 @@ GATE_ONLY = re.compile(r"^\s*def (compare_\w*|baseline_path)\(", re.MULTILINE)
 #: Modules that were deleted: a re-export shim (its importers name the
 #: real home), the second daemon and client (``spread/`` has the one), and
 #: the pytest-benchmark glue and the results-text re-parser
-#: (``bench/figures.py`` produces and checks every result).
+#: (``bench/figures.py`` produces and checks every result), and the star
+#: network (``net/link.py`` and ``net/fabric.py`` are the one model).
 DELETED_SHIMS = (
     "net/ring.py",
     "runtime/daemon.py",
     "runtime/client.py",
     "bench/runner.py",
     "bench/acceptance.py",
+    "net/nic.py",
+    "net/switch.py",
+    "net/topology.py",
 )
 
 
@@ -404,6 +409,51 @@ def test_one_daemon_one_client_one_client_protocol():
     )
     assert _classes_holding_a_send_queue(old) == ["DaemonServer"]
     assert _classes_holding_a_send_queue("class ClientSendQueue:\n    pass\n") == []
+
+
+# ----------------------------------------------------------------------
+# One network model: one link, one topology (net/link.py, net/fabric.py)
+# ----------------------------------------------------------------------
+
+#: Scheduling a frame's serialization: what every serializing queue does.
+SERIALIZES = re.compile(r"\* 8\.0 / self\._rate_bps\b")
+#: Telling a switch or topology apart by what attributes it happens to have.
+TOPOLOGY_PROBE = re.compile(r"\b(hasattr|getattr)\(\s*[\w.]*(switch|topology|fabric)\b")
+
+
+def _classes_matching(source, pattern):
+    """Names of the classes whose body matches ``pattern``."""
+    lines = source.splitlines()
+    return [
+        cls.name
+        for cls in ast.walk(ast.parse(source))
+        if isinstance(cls, ast.ClassDef)
+        and pattern.search("\n".join(lines[cls.lineno - 1 : cls.end_lineno]))
+    ]
+
+
+def test_one_link_and_no_topology_probe():
+    serializers = {
+        name: classes
+        for name, text in _sources().items()
+        if name.startswith("net/") and (classes := _classes_matching(text, SERIALIZES))
+    }
+    assert serializers == {"net/link.py": ["Link"]}
+    assert _occurrences(TOPOLOGY_PROBE.pattern) == {}
+    # ...and the patterns bite on what this replaced.
+    nic = (
+        "class Nic:\n"
+        "    def _start_next(self):\n"
+        "        heappush(q, (sim.now + (size + self._overhead) * 8.0 / self._rate_bps, seq))\n"
+    )
+    assert _classes_matching(nic, SERIALIZES) == ["Nic"]
+    assert _classes_matching(nic.replace("Nic", "OutputPort"), SERIALIZES) == ["OutputPort"]
+    for line in (
+        '    if hasattr(switch, "frames_transited"):',
+        '            racks = getattr(self.cluster.topology, "racks", None)',
+    ):
+        assert TOPOLOGY_PROBE.search(line), line
+    assert not TOPOLOGY_PROBE.search('        restart = getattr(self.cluster, "restart", None)')
 
 
 # ----------------------------------------------------------------------

@@ -112,10 +112,18 @@ class TestInjector:
         assert injector.applied[0]["pids"] == [2, 3]
 
     def test_wildcard_on_star_raises(self):
+        # The star is the one-rack fabric: rack 0 is every host, and
+        # there is no rack 1.
         cluster = _star_cluster(4)
         plan = PlanBuilder().rack_power_loss(0, at=0.01).build(num_hosts=4)
+        injector = FaultInjector(cluster, plan).arm()
+        cluster.run(0.05)
+        assert injector.applied[0]["pids"] == [0, 1, 2, 3]
+        assert set(cluster.live_pids()) == set()
+        cluster = _star_cluster(4)
+        plan = PlanBuilder().rack_power_loss(1, at=0.01).build(num_hosts=4)
         FaultInjector(cluster, plan).arm()
-        with pytest.raises(FaultError, match="rack map"):
+        with pytest.raises(FaultError, match=r"rack 1 not in the fabric rack map \(racks \[0\]\)"):
             cluster.run(0.05)
 
     def test_unknown_rack_raises(self):

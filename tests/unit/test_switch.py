@@ -1,21 +1,26 @@
-"""Unit tests for the buffered switch."""
+"""Unit tests for the buffered switch: the one-rack fabric's leaf."""
 
 import pytest
 
+from repro.net.fabric import Fabric, LeafSpineSpec
 from repro.net.packet import Frame, PortKind
 from repro.net.params import GIGABIT, NetworkParams
 from repro.net.simulator import Simulator
-from repro.net.switch import Switch
 from repro.util.units import usec
 
 
 def build_switch(num_hosts=3, params=GIGABIT):
     sim = Simulator()
-    switch = Switch(sim, params)
+    switch = Fabric(sim, LeafSpineSpec(racks=1, hosts_per_rack=num_hosts), params)
     inboxes = {h: [] for h in range(num_hosts)}
     for host in range(num_hosts):
         switch.attach(host, inboxes[host].append)
     return sim, switch, inboxes
+
+
+def ingress(switch, arrived):
+    """A frame has fully arrived from its sender's NIC."""
+    switch.leaf_ingress(arrived.src)(arrived)
 
 
 def frame(src, dst, size=1000, kind=PortKind.DATA):
@@ -24,7 +29,7 @@ def frame(src, dst, size=1000, kind=PortKind.DATA):
 
 def test_unicast_reaches_only_destination():
     sim, switch, inboxes = build_switch()
-    switch.ingress(frame(0, 2))
+    ingress(switch, frame(0, 2))
     sim.run_until_idle()
     assert len(inboxes[2]) == 1
     assert inboxes[0] == [] and inboxes[1] == []
@@ -32,7 +37,7 @@ def test_unicast_reaches_only_destination():
 
 def test_multicast_reaches_all_but_sender():
     sim, switch, inboxes = build_switch()
-    switch.ingress(frame(1, None))
+    ingress(switch, frame(1, None))
     sim.run_until_idle()
     assert len(inboxes[0]) == 1 and len(inboxes[2]) == 1
     assert inboxes[1] == []
@@ -40,7 +45,7 @@ def test_multicast_reaches_all_but_sender():
 
 def test_multicast_clones_share_frame_id():
     sim, switch, inboxes = build_switch()
-    switch.ingress(frame(0, None))
+    ingress(switch, frame(0, None))
     sim.run_until_idle()
     assert inboxes[1][0].frame_id == inboxes[2][0].frame_id
 
@@ -48,21 +53,21 @@ def test_multicast_clones_share_frame_id():
 def test_unicast_to_self_loops_back():
     # A singleton ring passes the token to itself through the switch.
     sim, switch, inboxes = build_switch()
-    switch.ingress(frame(0, 0, kind=PortKind.TOKEN))
+    ingress(switch, frame(0, 0, kind=PortKind.TOKEN))
     sim.run_until_idle()
     assert len(inboxes[0]) == 1
 
 
 def test_unknown_destination_raises():
     sim, switch, _ = build_switch()
-    switch.ingress(frame(0, 99))
+    ingress(switch, frame(0, 99))
     with pytest.raises(KeyError):
         sim.run_until_idle()
 
 
 def test_forwarding_delay_includes_store_and_forward():
     sim, switch, inboxes = build_switch()
-    switch.ingress(frame(0, 1, size=1500))
+    ingress(switch, frame(0, 1, size=1500))
     sim.run_until_idle()
     # switch latency + egress serialization + propagation
     expected = (
@@ -75,8 +80,8 @@ def test_forwarding_delay_includes_store_and_forward():
 
 def test_output_port_serializes_fifo():
     sim, switch, inboxes = build_switch()
-    switch.ingress(frame(0, 1, size=1500))
-    switch.ingress(frame(2, 1, size=100))
+    ingress(switch, frame(0, 1, size=1500))
+    ingress(switch, frame(2, 1, size=100))
     sim.run_until_idle()
     sizes = [f.size for f in inboxes[1]]
     assert sizes == [1500, 100]  # first in, first out despite size
@@ -92,7 +97,7 @@ def test_buffer_overflow_drops_tail():
     )
     sim, switch, inboxes = build_switch(params=params)
     for _ in range(10):
-        switch.ingress(frame(0, 1, size=1400))
+        ingress(switch, frame(0, 1, size=1400))
     sim.run_until_idle()
     port = switch.port(1)
     assert port.frames_dropped > 0
@@ -103,7 +108,7 @@ def test_buffer_overflow_drops_tail():
 def test_peak_queue_tracked():
     sim, switch, _ = build_switch()
     for _ in range(5):
-        switch.ingress(frame(0, 1, size=1000))
+        ingress(switch, frame(0, 1, size=1000))
     sim.run_until_idle()
     assert switch.port(1).peak_queue_bytes >= 1000
 
@@ -111,8 +116,8 @@ def test_peak_queue_tracked():
 def test_partition_blocks_cross_group_traffic():
     sim, switch, inboxes = build_switch()
     switch.set_partition({0, 1}, {2})
-    switch.ingress(frame(0, None))
-    switch.ingress(frame(2, 1))
+    ingress(switch, frame(0, None))
+    ingress(switch, frame(2, 1))
     sim.run_until_idle()
     assert len(inboxes[1]) == 1  # multicast from 0 reached group mate
     assert inboxes[2] == []  # but not across the partition
@@ -122,11 +127,11 @@ def test_partition_blocks_cross_group_traffic():
 def test_heal_restores_connectivity():
     sim, switch, inboxes = build_switch()
     switch.set_partition({0}, {1, 2})
-    switch.ingress(frame(0, 1))
+    ingress(switch, frame(0, 1))
     sim.run_until_idle()
     assert inboxes[1] == []
     switch.heal()
-    switch.ingress(frame(0, 1))
+    ingress(switch, frame(0, 1))
     sim.run_until_idle()
     assert len(inboxes[1]) == 1
 
@@ -134,7 +139,7 @@ def test_heal_restores_connectivity():
 def test_unlisted_hosts_form_implicit_group():
     sim, switch, inboxes = build_switch(num_hosts=4)
     switch.set_partition({0, 1})  # 2 and 3 unlisted
-    switch.ingress(frame(2, 3))
+    ingress(switch, frame(2, 3))
     sim.run_until_idle()
     assert len(inboxes[3]) == 1
 
