@@ -69,20 +69,22 @@ from repro.core.transport_core import CoalescingAccumulator
 class EffectExecutor:
     """Executes effect lists against one backend (see module docstring)."""
 
-    __slots__ = ("_coalescer", "_send_run", "_deliver", "_handlers", "_timers")
+    __slots__ = (
+        "_coalescer", "_send_run", "_send_token", "_deliver", "_handlers", "_timers"
+    )
 
     def __init__(self, backend: object, messages_per_datagram: int = 1) -> None:
         #: Drained before :meth:`execute` returns, so it never holds
         #: messages across effect lists.
         self._coalescer = CoalescingAccumulator(messages_per_datagram)
         self._send_run = backend.send_data_run
+        self._send_token = backend.send_token
         self._deliver = backend.deliver
         self._timers: Dict[str, object] = {}
-        send_token = backend.send_token
-        # Deliver (the hottest effect) and MulticastData (whose handling
-        # needs the accumulator) are tested for directly in execute().
+        # Deliver (the hottest effect), MulticastData (whose handling
+        # needs the accumulator) and SendToken (one per visit) are tested
+        # for directly in execute().
         handlers: Dict[type, Callable[[Effect], None]] = {
-            SendToken: lambda e: send_token(e.token, e.destination),
             # Purely informational (garbage-collection notice).
             Stable: lambda e: None,
         }
@@ -140,6 +142,11 @@ class EffectExecutor:
                 if acc.group is not None:
                     self._send_run(acc.take(), False)
                 self._send_run((effect.message,), effect.retransmission)
+            elif kind is SendToken:
+                # The token must not overtake pre-token sends.
+                if acc.group is not None:
+                    self._send_run(acc.take(), False)
+                self._send_token(effect.token, effect.destination)
             else:
                 # A run of coalescible multicasts ends at the first
                 # effect of any other kind.

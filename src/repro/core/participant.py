@@ -302,7 +302,8 @@ class AcceleratedRingParticipant:
             effects.extend(self._deliver_ready())
             last_delivered = self._last_delivered
         discard_limit = safe_limit if safe_limit < last_delivered else last_delivered
-        if buffer.discard_up_to(discard_limit):
+        # A limit at or below the last discard covers nothing still held.
+        if discard_limit > buffer._discarded_up_to and buffer.discard_up_to(discard_limit):
             effects.append(Stable(discard_limit))
 
         # Bookkeeping for the accelerated request rule and §III-D priority.

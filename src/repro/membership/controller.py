@@ -204,6 +204,9 @@ class MembershipController:
         self.accelerated = accelerated
         self.protocol_config = (protocol_config or ProtocolConfig()).validate()
         self.timeouts = (timeouts or MembershipTimeouts()).validate()
+        #: Every token visit re-arms the same timer with the same delay
+        #: (``timeouts`` is never reassigned), so one effect serves them all.
+        self._token_loss_timer = SetTimer(TIMER_TOKEN_LOSS, self.timeouts.token_loss)
         self.observer = observer
         self.clock = clock
 
@@ -425,7 +428,7 @@ class MembershipController:
         if self._route_by_ring(token, effects):
             self._translate(self.ordering.on_token(token), effects)
             # Re-arms the live timer: SetTimer replaces a name's deadline.
-            effects.append(SetTimer(TIMER_TOKEN_LOSS, self.timeouts.token_loss))
+            effects.append(self._token_loss_timer)
 
     def _data(self, message: DataMessage, effects: List[Effect]) -> None:
         if self._route_by_ring(message, effects):

@@ -65,10 +65,26 @@ class Link:
         not happen, and tests assert it does not; on a switch port it is
         the tail drop of an overrun buffer.
         """
-        queued = self._queued_bytes + frame.size
+        size = frame.size
+        queued = self._queued_bytes + size
         if queued > self._capacity:
             self.frames_dropped += 1
             return False
+        if queued > self.peak_queue_bytes:
+            self.peak_queue_bytes = queued
+        if not self._busy:
+            # An idle link holds nothing (it goes idle only on an empty
+            # ring), so the frame starts serializing at once: the push,
+            # the pop and the byte count would cancel out.  Same sequence
+            # number and finish-time expression as _finish's next start.
+            self._busy = True
+            sim = self._sim
+            sim._seq = seq = sim._seq + 1
+            heappush(
+                sim._queue,
+                (sim.now + (size + self._overhead) * 8.0 / self._rate_bps, seq, self._finish, (frame,)),
+            )
+            return True
         # FrameRing.push inlined (one call per frame saved); must mirror
         # the method exactly.
         ring = self._ring
@@ -79,32 +95,7 @@ class Link:
         ring._slots[tail & ring._mask] = frame
         ring._tail = tail + 1
         self._queued_bytes = queued
-        if queued > self.peak_queue_bytes:
-            self.peak_queue_bytes = queued
-        if not self._busy:
-            self._start_next()
         return True
-
-    def _start_next(self) -> None:
-        ring = self._ring
-        head = ring._head
-        if head == ring._tail:
-            self._busy = False
-            return
-        self._busy = True
-        slots = ring._slots
-        index = head & ring._mask
-        frame = slots[index]
-        slots[index] = None
-        ring._head = head + 1
-        size = frame.size
-        self._queued_bytes -= size
-        sim = self._sim
-        sim._seq = seq = sim._seq + 1
-        heappush(
-            sim._queue,
-            (sim.now + (size + self._overhead) * 8.0 / self._rate_bps, seq, self._finish, (frame,)),
-        )
 
     def _finish(self, frame: Frame) -> None:
         # Hot path (one call per frame serialized): the propagation post

@@ -35,6 +35,9 @@ if TYPE_CHECKING:
 #: CPU cost charged for handling one membership control message.
 _CONTROL_CPU = 3e-6
 
+# Hoisted enum member for the per-visit token send.
+_TOKEN = PortKind.TOKEN
+
 
 class DeliveryTap:
     """Optional per-delivery callback surface for a membership host.
@@ -86,6 +89,13 @@ class MembershipHost:
         self.delivered: List[object] = []
         self.configurations: List[object] = []
         self.reassembler = new_reassembler(host)
+        # The socket rings and the NIC are stable for the host's lifetime
+        # (crash/clear mutate them in place), as in ProtocolHost.
+        self._token_socket = host.token_socket
+        self._data_socket = host.data_socket
+        self._token_ring = host.token_socket._ring
+        self._data_ring = host.data_socket._ring
+        self._nic_send = host.nic.send
         #: Backend ``schedule`` / ``reschedule``: timers are simulator
         #: events, and a live one moves in place.
         self.schedule = host.sim.schedule
@@ -168,27 +178,51 @@ class MembershipHost:
     def _select_work(self) -> Optional[Tuple[float, object, tuple]]:
         if self._dead or self.host.crashed:
             return None
-        tokens = self.host.token_socket
-        data = self.host.data_socket
-        if len(tokens) and (self.controller.token_has_priority or not len(data)):
-            return (_CONTROL_CPU, self._process, (tokens.pop().payload,))
-        # This host's cost model charges one receive per datagram handed
-        # to the process (sends, deliveries and kernel reassembly are
-        # free here; the bare driver's finer model prices them), so
-        # non-final fragments are absorbed until a datagram completes.
-        while len(data):
-            frame = data.pop()
-            datagram = self.reassembler.accept(frame)
-            frame.recycle()
-            if datagram is not None:
-                profile = self.profile
-                cost = profile.recv_cost(
-                    profile.data_header_bytes + int(datagram.payload_size)
-                )
-                return (cost, self._process, (datagram,))
-        if len(tokens):  # only fragments were waiting ahead of the token
-            return (_CONTROL_CPU, self._process, (tokens.pop().payload,))
-        return None
+        # Emptiness tests and pops go straight to the rings (index
+        # arithmetic inlined, mirroring FrameRing.pop): this hook runs
+        # once per frame processed and method calls dominate its cost.
+        token_ring = self._token_ring
+        data_ring = self._data_ring
+        token_waiting = token_ring._tail != token_ring._head
+        # With no ring formed the token port (membership traffic) goes
+        # first; after a visit data does, until the engine raises the
+        # token's priority (§III-D).
+        ordering = self.controller.ordering
+        if not token_waiting or (ordering is not None and not ordering.token_has_priority):
+            # This host's cost model charges one receive per datagram
+            # handed to the process (sends, deliveries and kernel
+            # reassembly are free here; the bare driver's finer model
+            # prices them), so non-final fragments are absorbed until a
+            # datagram completes.
+            while data_ring._tail != data_ring._head:
+                head = data_ring._head
+                slots = data_ring._slots
+                index = head & data_ring._mask
+                frame = slots[index]
+                slots[index] = None
+                data_ring._head = head + 1
+                self._data_socket._queued_bytes -= frame.size
+                datagram = self.reassembler.accept(frame)
+                frame.recycle()
+                if datagram is not None:
+                    profile = self.profile
+                    cost = profile.recv_cost(
+                        profile.data_header_bytes + int(datagram.payload_size)
+                    )
+                    return (cost, self._process, (datagram,))
+            if not token_waiting:
+                return None
+            # Only fragments were waiting ahead of the token.
+        head = token_ring._head
+        slots = token_ring._slots
+        index = head & token_ring._mask
+        frame = slots[index]
+        slots[index] = None
+        token_ring._head = head + 1
+        self._token_socket._queued_bytes -= frame.size
+        payload = frame.payload
+        frame.recycle()
+        return (_CONTROL_CPU, self._process, (payload,))
 
     def _process(self, payload: object) -> None:
         # A CPU task in flight when the process crashed still completes
@@ -219,7 +253,9 @@ class MembershipHost:
         self.host.multicast_datagram(payload, size)
 
     def send_token(self, token, destination: int) -> None:
-        self._send_on_token_port(token, destination, token.wire_size())
+        self._nic_send(
+            Frame.acquire(self.controller.pid, destination, _TOKEN, token.wire_size(), token)
+        )
 
     def send_control(self, message, destination: Optional[int]) -> None:
         # Every control message sizes itself; only a recovered data

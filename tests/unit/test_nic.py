@@ -1,7 +1,11 @@
 """Unit tests for the link as a host NIC's transmit path."""
 
+import random
+from heapq import heappush
+
 import pytest
 
+from repro.core.transport_core import FrameRing
 from repro.net.link import NIC_QUEUE_BYTES, Link
 from repro.net.packet import Frame, PortKind
 from repro.net.params import GIGABIT
@@ -68,3 +72,145 @@ def test_counters():
     assert nic.bytes_sent == 1000
     assert nic.queued_bytes == 0
     assert nic.peak_queue_bytes == 700  # the first frame, before it left
+
+
+# ----------------------------------------------------------------------
+# Differential: the idle link starts a frame at once
+# ----------------------------------------------------------------------
+
+
+class RingLink:
+    """The reference link: every frame goes through the ring, and an idle
+    link pops it again at once.  ``Link.send`` skips that push and pop
+    when idle; everything observable must stay the same."""
+
+    def __init__(self, sim, params, deliver, capacity):
+        self._sim = sim
+        self._deliver = deliver
+        self._ring = FrameRing()
+        self._queued_bytes = 0
+        self._capacity = capacity
+        self._busy = False
+        self._overhead = params.per_frame_overhead
+        self._rate_bps = params.rate_bps
+        self._propagation = params.propagation
+        self.frames_sent = 0
+        self.bytes_sent = 0
+        self.frames_dropped = 0
+        self.peak_queue_bytes = 0
+
+    def send(self, frame):
+        queued = self._queued_bytes + frame.size
+        if queued > self._capacity:
+            self.frames_dropped += 1
+            return False
+        self._ring.push(frame)
+        self._queued_bytes = queued
+        if queued > self.peak_queue_bytes:
+            self.peak_queue_bytes = queued
+        if not self._busy:
+            self._start_next()
+        return True
+
+    def _start_next(self):
+        if not self._ring:
+            self._busy = False
+            return
+        self._busy = True
+        frame = self._ring.pop()
+        size = frame.size
+        self._queued_bytes -= size
+        sim = self._sim
+        sim._seq = seq = sim._seq + 1
+        heappush(
+            sim._queue,
+            (sim.now + (size + self._overhead) * 8.0 / self._rate_bps, seq, self._finish, (frame,)),
+        )
+
+    def _finish(self, frame):
+        self.frames_sent += 1
+        self.bytes_sent += frame.size
+        sim = self._sim
+        sim._seq = seq = sim._seq + 1
+        heappush(sim._queue, (sim.now + self._propagation, seq, self._deliver, (frame,)))
+        self._start_next()
+
+
+def drive(link_class, seed):
+    """Run one seeded send schedule through a fresh link; everything a
+    caller can observe of it."""
+    rng = random.Random(seed)
+    sim = Simulator()
+    delivered = []
+    capacity = rng.choice((3000, 6000, NIC_QUEUE_BYTES))
+    #: (time, link busy before the send, accepted) per send.
+    sends = []
+    ids = iter(range(1, 1_000_000))
+
+    def send_burst(count):
+        for _ in range(count):
+            size = rng.choice((64, 100, 700, 1500))
+            busy = link._busy
+            accepted = link.send(Frame(0, 1, PortKind.DATA, size, None, frame_id=next(ids)))
+            sends.append((sim.now, busy, accepted))
+        if not sparse and rng.random() < 0.3:
+            # Another send at the very instant a frame finishes
+            # serializing: it runs after the finish (higher seq), when
+            # the link may just have gone idle.
+            finishing = [entry[0] for entry in sim._queue if entry[2] == link._finish]
+            if finishing:
+                sim.post_at(rng.choice(finishing), send_burst, 1)
+
+    def on_wire(frame):
+        # A send from inside the delivery.
+        if not sparse and rng.random() < 0.3:
+            send_burst(rng.randint(1, 3))
+
+    link = link_class(sim, GIGABIT, on_wire, capacity)
+    # Sparse schedules space single sends wider than a frame's
+    # serialization, so every send finds the link idle.  Dense ones
+    # queue, burst and overrun the small capacities, on a time grid
+    # coarse enough that several sends often share one instant.
+    sparse = rng.random() < 0.3
+    if sparse:
+        for slot in rng.sample(range(40), 15):
+            sim.post_at(slot * 40e-6, send_burst, 1)
+    else:
+        for _ in range(60):
+            sim.post_at(rng.randrange(40) * 2e-6, send_burst, rng.choice((1, 1, 2, 5, 12)))
+    finished = []
+    while sim._queue:
+        time, seq, callback, args = sim._queue[0]
+        if callback == link._deliver:
+            delivered.append((time, seq, args[0].frame_id))
+        elif callback == link._finish:
+            finished.append((time, seq, args[0].frame_id))
+        sim.step()
+    counters = (link.frames_sent, link.bytes_sent, link.frames_dropped, link.peak_queue_bytes)
+    return delivered, finished, sends, counters, sim._seq
+
+
+SEEDS = range(40)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_idle_start_matches_the_ring_path(seed):
+    reference = drive(RingLink, seed)
+    assert drive(Link, seed) == reference
+    delivered, finished, sends, counters, _ = reference
+    assert len(delivered) == len(finished) == counters[0]
+    assert counters[0] == [accepted for _, _, accepted in sends].count(True)
+
+
+def test_the_schedules_reach_every_case():
+    runs = [drive(RingLink, seed) for seed in SEEDS]
+    sends = [send for run in runs for send in run[2]]
+    assert any(not busy for _, busy, _ in sends)  # idle starts
+    assert any(busy and accepted for _, busy, accepted in sends)  # queued behind
+    assert any(not accepted for _, _, accepted in sends)  # tail drops
+    times = [time for time, _, _ in sends]
+    assert len(set(times)) < len(times)  # several sends at one instant
+    finish_times = {time for run in runs for time, _, _ in run[1]}
+    # A send at the instant a frame finishes, one of them to a link
+    # that just went idle.
+    assert any(time in finish_times and not busy for time, busy, _ in sends)

@@ -327,6 +327,25 @@ class TestEmptyVisitGuards:
         assert [e.seq for e in drain_effects(second, Stable)] == [2]
         assert len(participant.buffer) == 0
 
+    def test_discard_only_when_the_limit_passes_the_last_discard(self):
+        participant = make_participant(pid=1)
+        for seq in (1, 2):
+            participant.on_data(data_message(seq, pid=0))
+        participant.on_token(RegularToken(ring_id=1, token_id=3, seq=2, aru=2))
+        second = participant.on_token(RegularToken(ring_id=1, token_id=5, seq=2, aru=2))
+        assert [e.seq for e in drain_effects(second, Stable)] == [2]
+        # The limit stays at 2: nothing is left below it to drop.
+        third = participant.on_token(RegularToken(ring_id=1, token_id=7, seq=2, aru=2))
+        assert [type(e) for e in third] == [SendToken]
+        participant.on_data(data_message(3, pid=0))  # delivered on arrival
+        fourth = participant.on_token(RegularToken(ring_id=1, token_id=9, seq=3, aru=3))
+        assert drain_effects(fourth, Stable) == []  # min(2, 3): one more round
+        # A visit that sends and delivers nothing but moves the limit.
+        fifth = participant.on_token(RegularToken(ring_id=1, token_id=11, seq=3, aru=3))
+        assert drain_effects(fifth, MulticastData) == drain_effects(fifth, Deliver) == []
+        assert [e.seq for e in drain_effects(fifth, Stable)] == [3]
+        assert len(participant.buffer) == 0
+
     def test_pending_but_zero_global_headroom_sends_nothing_and_keeps_the_queue(self):
         config = ProtocolConfig(personal_window=5, accelerated_window=3, global_window=10)
         participant = AcceleratedRingParticipant(1, [0, 1, 2], config)
