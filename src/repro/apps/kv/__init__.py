@@ -21,10 +21,9 @@ Accelerated Ring stack (docs/PROTOCOL.md §13):
   transfer at EVS configuration changes.
 * **Checker** (:mod:`~repro.apps.kv.checker`) — a per-partition
   linearizability checker over client-observed histories.
-* **Chaos + bench** (:mod:`~repro.apps.kv.chaos`,
-  :mod:`~repro.apps.kv.bench`) — seeded fault scenarios (including
-  crash-between-WAL-append-and-apply) with byte-identical JSON
-  reports, and a skewed-workload benchmark.
+* **Chaos** (:mod:`~repro.apps.kv.chaos`) — seeded fault scenarios
+  (including crash-between-WAL-append-and-apply) with byte-identical
+  JSON reports.
 """
 
 from repro.apps.kv.commands import (

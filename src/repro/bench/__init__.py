@@ -6,7 +6,9 @@ engine in :mod:`repro.bench.experiments`, tables in
 :mod:`repro.bench.tables`, ablations in :mod:`repro.bench.ablations`)
 and its shape checks.  ``python -m repro figure <key>|all`` prints,
 saves and checks them; EXPERIMENTS.md records paper-vs-measured for
-each.  The bench gate (``repro bench``) is :mod:`repro.bench.harness`.
+each.  Performance is measured by ``benchmarks/e2e``; the seeded
+benchmark windows behind the figures are pinned, like every other
+seeded run, by ``tests/golden/scenario_digests.json`` (``bench/``).
 """
 
 from repro.bench.experiments import (

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from repro.bench.windows import window_for
 from repro.core.config import ProtocolConfig
@@ -69,19 +69,11 @@ def _build_ring(
     config: Optional[ProtocolConfig] = None,
     loss_model: Optional[LossModel] = None,
     observer: Optional["ProtocolObserver"] = None,
-    fabric_racks: int = 0,
-    impair: Optional[str] = None,
-    seed: int = 0,
-    messages_per_datagram: int = 1,
     num_hosts: int = NUM_HOSTS,
 ) -> RingCluster:
     """The benchmark ring: ``config`` defaults to the paper's window
-    selection for the curve (:func:`~repro.bench.windows.window_for`);
-    ``fabric_racks`` / ``impair`` / ``seed`` are :meth:`~repro.sim.build.
-    ClusterBuilder.adverse_network`'s."""
+    selection for the curve (:func:`~repro.bench.windows.window_for`)."""
     config = config or window_for(profile, params, accelerated, payload_size)
-    if messages_per_datagram != 1:
-        config = replace(config, messages_per_datagram=messages_per_datagram)
     return (
         ClusterBuilder()
         .hosts(num_hosts)
@@ -91,7 +83,6 @@ def _build_ring(
         .config(config)
         .loss(loss_model)
         .observe(observer)
-        .adverse_network(fabric_racks, impair, seed=seed)
         .build_ring()
     )
 
@@ -112,6 +103,19 @@ def run_window(cluster, workload, warmup: float, measure: float) -> float:
     t0 = time.perf_counter()
     cluster.run(stop + 0.01)
     return time.perf_counter() - t0
+
+
+def window_summary(cluster, workload, warmup: float, measure: float) -> Dict[str, Any]:
+    """Drive the benchmark window (:func:`run_window`) and return what it
+    reproduces on any machine: simulated events processed, goodput in
+    Mbit/s and mean latency in µs, the last two rounded to 3 places."""
+    run_window(cluster, workload, warmup, measure)
+    stats = cluster.aggregate()
+    return {
+        "events_processed": cluster.sim.events_processed,
+        "goodput_mbps": round(stats.goodput_bps / 1e6, 3),
+        "latency_us": round(stats.mean_latency * 1e6, 3),
+    }
 
 
 def _run_cluster(

@@ -13,8 +13,9 @@
   overlaps, so its advantage should grow with the ring.  Ring count:
   sharding groups over N independent rings (docs/PROTOCOL.md §11) should
   order close to N× the work of one ring in the same simulated window,
-  read from the deterministic metrics the ``scaling`` bench suite pins
-  (wall clock cannot speed up on one interpreter).
+  read from simulated events and goodput (wall clock cannot speed up on
+  one interpreter); ``tests/golden/scenario_digests.json`` pins each
+  count's window (``bench/scaling/rings-N``).
 
 The four producers return ``(title, Table)`` for
 :data:`repro.bench.figures.FIGURES`; :func:`schedule_trace` is Fig. 1's run.
@@ -22,19 +23,25 @@ The four producers return ``(title, Table)`` for
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Any, Dict, Tuple
 
 from repro.analysis import RoundAnalyzer, WireAnalyzer
-from repro.bench.experiments import MEASURE, WARMUP, _build_ring, _run_cluster
-from repro.bench.harness import SUITES, run_case
+from repro.bench.experiments import (
+    MEASURE,
+    WARMUP,
+    _build_ring,
+    _run_cluster,
+    window_summary,
+)
 from repro.bench.report import Table
+from repro.bench.windows import window_for
 from repro.core.config import ProtocolConfig
 from repro.net.params import GIGABIT
 from repro.sim.build import ClusterBuilder
 from repro.sim.profiles import DAEMON, LIBRARY, SPREAD
 from repro.sim.trace import ScheduleTrace
 from repro.util.units import Mbps, seconds_to_usec
-from repro.workloads.generators import FixedRateWorkload
+from repro.workloads.generators import ClosedLoopWorkload, FixedRateWorkload
 
 #: Entries of each participant's schedule shown in Fig. 1.
 SCHEDULE_LENGTH = 8
@@ -43,6 +50,8 @@ MECHANISM_RATES = (300, 500, 700)
 #: Ring sizes of the scaling table, at a fixed aggregate rate (Mbps).
 RING_SIZES = (2, 4, 8, 12, 16)
 SCALING_RATE_MBPS = 400
+#: Ring counts of the ring-count table.
+RING_COUNTS = (1, 2, 4)
 
 
 def schedule_trace(accelerated: bool) -> ScheduleTrace:
@@ -167,16 +176,30 @@ def scaling_ring_size() -> Tuple[str, Table]:
     )
 
 
+def ring_count_window(num_rings: int) -> Dict[str, Any]:
+    """``num_rings`` independent 4-host rings sharing one simulator, every
+    sender saturated, through a 30 ms window: N rings should process
+    close to N× the events and goodput of one (wall clock cannot scale
+    on one interpreter)."""
+    cluster = (
+        ClusterBuilder()
+        .rings(num_rings)
+        .hosts(4)
+        .protocol()
+        .profile(LIBRARY)
+        .network(GIGABIT)
+        .config(window_for(LIBRARY, GIGABIT, True, 1350))
+        .build_multiring()
+    )
+    return window_summary(cluster, ClosedLoopWorkload(payload_size=1350), 0.01, 0.02)
+
+
 def scaling_ring_count() -> Tuple[str, Table]:
-    """Ordering work of 1, 2 and 4 rings: the ``scaling`` bench suite's
-    cases, one repeat each."""
-    results = {
-        case.name: run_case(case, repeats=1)["deterministic"] for case in SUITES["scaling"]
-    }
-    base = results["rings-1"]
+    """Ordering work of 1, 2 and 4 rings (:func:`ring_count_window`)."""
+    results = {rings: ring_count_window(rings) for rings in RING_COUNTS}
+    base = results[1]
     rows = []
-    for rings in (1, 2, 4):
-        result = results[f"rings-{rings}"]
+    for rings, result in results.items():
         rows.append(
             [
                 f"{rings}",

@@ -11,10 +11,10 @@
 * ``soak`` — run many seeded random fault plans under EVS checking.
 * ``conformance`` — differential oracle + bounded schedule exploration
   across the protocol variants.
-* ``bench`` — run a benchmark suite (sim, KV or real-runtime cases),
-  gated on a committed baseline.
 * ``kv`` — the replicated KV store: fault-free runs, chaos scenarios
   with linearizability checking, WAL recover-replay.
+* ``fleet run`` — real daemons on loopback under closed-loop clients;
+  fails unless every message is acked and the health counters are 0.
 * ``daemon`` — run a real daemon (UDP ring + unix client socket).
 """
 
@@ -455,6 +455,7 @@ def cmd_conformance(args: argparse.Namespace) -> int:
             report,
             f"sim vs real  hosts={workload.num_hosts} "
             f"crash={args.crash} deliveries={report.deliveries} "
+            f"decode_errors={report.decode_errors} "
             f"real_wall={report.real_wall_s:.2f}s",
             "conformance_realtime.json",
             _divergence_lines(report.divergences),
@@ -683,10 +684,17 @@ def _fleet_run(args: argparse.Namespace) -> int:
             await fleet.drain_and_stop()
 
     report = asyncio.run(run())
+    counters = report["counters"]
+    # PROTOCOL.md §15: every message acked, and no malformed datagram or
+    # slow-client drop on the way, whatever the speed.
+    ok = (
+        report["messages_acked"] == report["messages_sent"]
+        and counters["decode_errors"] == 0
+        and counters["clients_dropped_slow"] == 0
+    )
     if args.json:
         print(_json.dumps(report, indent=2, sort_keys=True))
     else:
-        ok = report["messages_acked"] == report["messages_sent"]
         print(
             f"  {'PASS' if ok else 'FAIL'}  {args.daemons} daemon(s), "
             f"{args.clients} client(s), {report['duration_s']:.2f}s: "
@@ -695,7 +703,6 @@ def _fleet_run(args: argparse.Namespace) -> int:
             f"p99 {report['latency_p99_ms']:.1f}ms, "
             f"{report['reconnects']} reconnect(s)"
         )
-        counters = report["counters"]
         # Coalescing at a glance (PROTOCOL.md §9.1): when a visit's
         # messages share datagrams, datagrams/msg falls well below 2 and
         # msgs/batch (1.0 = nothing was ever batched) rises; the client
@@ -713,7 +720,7 @@ def _fleet_run(args: argparse.Namespace) -> int:
             f"msgs/batch "
             f"{counters['batched_messages'] / batches if batches else 1.0:.1f}"
         )
-    return 0 if report["messages_acked"] == report["messages_sent"] else 1
+    return 0 if ok else 1
 
 
 def cmd_daemon(args: argparse.Namespace) -> int:
@@ -763,24 +770,6 @@ def cmd_daemon(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         pass
     return 0
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.bench.harness import DEFAULT_REPEATS, run_from_args
-
-    return run_from_args(
-        suite=args.suite,
-        seed=args.seed,
-        repeats=args.repeats if args.repeats is not None else DEFAULT_REPEATS,
-        output=Path(args.output) if args.output is not None else None,
-        baseline=Path(args.baseline) if args.baseline is not None else None,
-        check_baseline=args.check_baseline,
-        update_baseline=args.update_baseline,
-        cases=args.cases.split(",") if args.cases else None,
-        profile=args.profile,
-    )
 
 
 def _add_library_arguments(parser: argparse.ArgumentParser, job: str) -> None:
@@ -949,38 +938,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="write report (and divergence) JSON "
                                   "artifacts into DIR")
     conformance.set_defaults(func=cmd_conformance)
-
-    bench = sub.add_parser(
-        "bench",
-        help="run a benchmark suite; optionally gate on a committed baseline",
-    )
-    bench.add_argument("--suite", default="smoke",
-                       help="suite name (smoke, headline, scaling, fabric, "
-                            "kv, runtime)")
-    bench.add_argument("--cases", default=None,
-                       help="comma-separated case names to run (default: "
-                            "whole suite); baseline compare restricts "
-                            "itself to the selection")
-    bench.add_argument("--seed", type=int, default=0,
-                       help="workload seed; the committed baselines are "
-                            "recorded at 0 and only gate seed-0 runs")
-    bench.add_argument("--repeats", type=int, default=None,
-                       help="repetitions per case: deterministic blocks "
-                            "must agree, wall metrics are medians")
-    bench.add_argument("--output", default=None,
-                       help="results file (default BENCH_<suite>.json)")
-    bench.add_argument("--baseline", default=None,
-                       help="baseline file (default "
-                            "benchmarks/baselines/BENCH_<suite>.json)")
-    bench.add_argument("--check-baseline", action="store_true",
-                       help="compare against the baseline; exit 1 on regression")
-    bench.add_argument("--profile", action="store_true",
-                       help="additionally cProfile one repetition per case; "
-                            "writes PROFILE_<suite>_<case>.txt next to the "
-                            "results file")
-    bench.add_argument("--update-baseline", action="store_true",
-                       help="write the results as the new baseline")
-    bench.set_defaults(func=cmd_bench)
 
     kv = sub.add_parser(
         "kv",

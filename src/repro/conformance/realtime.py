@@ -280,6 +280,8 @@ class _RealRing:
         self.accelerated = accelerated
         self.addresses = ephemeral_ring_addresses(range(workload.num_hosts))
         self.nodes: Dict[int, RingNode] = {}
+        #: Summed over every node stopped so far, crashed ones included.
+        self.decode_errors = 0
 
     async def spawn(self, pid: int) -> None:
         node = RingNode(
@@ -299,12 +301,15 @@ class _RealRing:
     async def stop(self) -> None:
         for node in self.nodes.values():
             await node.stop()
+            self.decode_errors += node.decode_errors
 
     def submit(self, pid: int, label: bytes) -> None:
         self.nodes[pid].submit(payload=label)
 
     async def crash(self, pid: int) -> None:
-        await self.nodes.pop(pid).stop()
+        node = self.nodes.pop(pid)
+        await node.stop()
+        self.decode_errors += node.decode_errors
 
     async def restart(self, pid: int) -> None:
         self.tap.on_restart(pid)
@@ -376,6 +381,7 @@ async def _run_real_serialized_async(
         traffic_base=0.0,
         sim_time=time.monotonic() - started,
         crashed_pids=crashed,
+        decode_errors=ring.decode_errors,
     )
 
 
@@ -401,10 +407,17 @@ class RealtimeReport(JsonReport):
     deliveries: Dict[str, int] = field(default_factory=dict)
     converged: Dict[str, bool] = field(default_factory=dict)
     real_wall_s: float = 0.0
+    #: The real nodes' summed ``decode_errors``: a malformed datagram is
+    #: a failure here whatever the streams say.
+    decode_errors: int = 0
 
     @property
     def ok(self) -> bool:
-        return not self.divergences and all(self.converged.values())
+        return (
+            not self.divergences
+            and all(self.converged.values())
+            and self.decode_errors == 0
+        )
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -415,6 +428,7 @@ class RealtimeReport(JsonReport):
             "deliveries": dict(self.deliveries),
             "converged": dict(self.converged),
             "real_wall_s": round(self.real_wall_s, 3),
+            "decode_errors": self.decode_errors,
             "ok": self.ok,
         }
 
@@ -430,6 +444,7 @@ class RealtimeReport(JsonReport):
             deliveries={k: int(v) for k, v in payload.get("deliveries", {}).items()},
             converged={k: bool(v) for k, v in payload.get("converged", {}).items()},
             real_wall_s=float(payload.get("real_wall_s", 0.0)),
+            decode_errors=int(payload.get("decode_errors", 0)),
         )
 
 
@@ -471,4 +486,5 @@ def run_realtime_differential(
         deliveries={run.variant: run.deliveries for run in (sim_run, real_run)},
         converged={run.variant: run.converged for run in (sim_run, real_run)},
         real_wall_s=real_run.sim_time,
+        decode_errors=real_run.decode_errors,
     )

@@ -119,6 +119,9 @@ class VariantRun:
     sim_time: float
     crashed_pids: frozenset = frozenset()
     cluster: Optional[MembershipCluster] = field(default=None, repr=False)
+    #: Malformed datagrams the run's real nodes dropped, summed (the
+    #: simulator has none).
+    decode_errors: int = 0
 
     @classmethod
     def judged(

@@ -23,7 +23,7 @@ Two modes, one fabric:
 * **protocol mode** (``membership=False``) — bare ordering engines
   (:class:`~repro.sim.cluster.RingCluster` per ring) for the scaling
   benchmarks; exposes the same ``drivers``/``aggregate()`` surface the
-  single-ring workload generators and the bench harness already use,
+  single-ring workload generators and the benchmark window already use,
   with globally unique pids ``ring_index * hosts_per_ring + local``.
 
 Build through :class:`repro.sim.build.ClusterBuilder` — a single ring

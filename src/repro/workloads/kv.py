@@ -16,7 +16,7 @@ Two generators that compose into the KV bench and chaos suites:
 
 Both are pure (no simulator dependency): they produce keys and
 timestamps; :class:`KvOpMix` turns them into a concrete schedule of
-client operations that the bench harness and the chaos scenarios feed
+client operations that ``repro kv run`` and the chaos scenarios feed
 to :class:`~repro.apps.kv.cluster.KvClient` handles.  Everything is
 seeded — the same spec yields the identical schedule, which is what
 keeps KV chaos reports byte-identical per seed.

@@ -128,14 +128,11 @@ def test_protocol_mode_scaling_is_near_linear():
     # events and ~N× the aggregate goodput of one ring (same per-ring
     # size, same workload per ring).  Wall-clock is irrelevant here —
     # the simulator is single-threaded; capacity is what shards buy.
-    from repro.bench.harness import SUITES, run_case
+    from repro.bench.tables import ring_count_window
 
-    results = {
-        case.name: run_case(case, repeats=1)["deterministic"]
-        for case in SUITES["scaling"]
-    }
-    events = {n: results[f"rings-{n}"]["events_processed"] for n in (1, 2, 4)}
-    goodput = {n: results[f"rings-{n}"]["goodput_mbps"] for n in (1, 2, 4)}
+    results = {n: ring_count_window(n) for n in (1, 2, 4)}
+    events = {n: results[n]["events_processed"] for n in results}
+    goodput = {n: results[n]["goodput_mbps"] for n in results}
     assert events[2] >= 1.7 * events[1]
     assert events[4] > events[2]
     assert goodput[2] >= 1.7 * goodput[1]

@@ -61,3 +61,15 @@ def test_report_json_roundtrip():
     assert rebuilt.ok == report.ok
     assert rebuilt.workload == report.workload
     assert rebuilt.deliveries == report.deliveries
+
+
+def test_a_decode_error_on_a_real_node_fails_the_report():
+    sim = run_sim_serialized(WORKLOAD, crash=False)
+    for errors, ok in ((0, True), (1, False)):
+        real = dataclasses.replace(sim, variant="real", decode_errors=errors)
+        report = run_realtime_differential(
+            workload=WORKLOAD, crash=False, sim_run=sim, real_run=real
+        )
+        assert report.divergences == [] and report.ok is ok
+        rebuilt = RealtimeReport.from_json(report.to_json())
+        assert (rebuilt.decode_errors, rebuilt.ok) == (errors, ok)

@@ -145,14 +145,47 @@ def test_conformance_realtime_parses():
     assert args.crash
 
 
-def test_bench_is_the_only_bench_entry_point(capsys):
-    for gone in (["kv", "bench"], ["fleet", "bench"], ["bench", "--wall-tol", "0.7"]):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(gone)
-    capsys.readouterr()
-    # The committed baselines gate seed-0 runs only; refused before running.
-    assert main(["bench", "--suite", "kv", "--seed", "3", "--check-baseline"]) == 2
-    assert "seed" in capsys.readouterr().out
+def _stub_fleet(monkeypatch, **counters):
+    """``fleet run`` against a stub fleet whose workload reports every
+    message acked and ``counters`` (the rest 0)."""
+    from repro.runtime import fleet
+
+    class StubFleet:
+        def __init__(self, **kwargs):
+            pass
+
+        async def start(self):
+            pass
+
+        async def drain_and_stop(self):
+            pass
+
+    async def workload(fleet, **kwargs):
+        return {
+            "messages_sent": 10, "messages_acked": 10, "duration_s": 1.0,
+            "msgs_per_sec": 10.0, "latency_p50_ms": 1.0, "latency_p99_ms": 2.0,
+            "reconnects": 0,
+            "counters": {
+                "decode_errors": 0, "clients_dropped_slow": 0, "batches_sent": 0,
+                "batched_messages": 0, "datagrams_sent": 10,
+                "messages_delivered_to_clients": 10, "client_writes": 10,
+                **counters,
+            },
+        }
+
+    monkeypatch.setattr(fleet, "Fleet", StubFleet)
+    monkeypatch.setattr(fleet, "run_fleet_workload", workload)
+
+
+@pytest.mark.parametrize("counter", ["decode_errors", "clients_dropped_slow"])
+def test_fleet_run_fails_on_a_nonzero_health_counter(monkeypatch, capsys, counter):
+    _stub_fleet(monkeypatch)
+    assert main(["fleet", "run"]) == 0
+    assert "PASS" in capsys.readouterr().out
+    _stub_fleet(monkeypatch, **{counter: 1})
+    assert main(["fleet", "run"]) == 1
+    assert "FAIL" in capsys.readouterr().out
+    assert main(["fleet", "run", "--json"]) == 1
 
 
 class _Report:

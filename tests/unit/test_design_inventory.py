@@ -61,5 +61,5 @@ def test_the_cli_row_lists_every_subcommand():
         for action in build_parser()._actions
         if isinstance(action, argparse._SubParsersAction)
     )
-    assert len(subparsers.choices) == 11
+    assert len(subparsers.choices) == 10
     assert set(subparsers.choices) <= listed

@@ -1,13 +1,13 @@
 """Tripwire: effects have one interpreter, deliveries one shape,
-clusters one assembly path, benches one gate, checked runs one
-drive-and-converge loop, the membership controller one transition table,
+clusters one assembly path, seeded behaviour one pin (the goldens),
+checked runs one drive-and-converge loop, the membership controller one transition table,
 the runtime one daemon, one client and one client protocol, the
 committed results one producer, the network one link and one topology.
 
 Scans the package source so that a re-grown effect ladder, a second
 delivery effect or a per-message delivery hook, a second run-grouping
-accumulator, a new deprecation shim, a copied baseline comparator, a
-bench environment knob, a private convergence poll or a second way to
+accumulator, a new deprecation shim, a bench baseline or a comparator
+against one, a bench environment knob, a private convergence poll or a second way to
 arm a fault plan, a dispatch ladder or hand-placed timer cancel in
 the membership controller, a second daemon or client protocol, a
 second figure harness, a second serializing queue or a probe telling two
@@ -15,27 +15,23 @@ topologies apart fails tier-1 instead of drifting in unnoticed (the
 shape of the port and unseeded-random tripwires in ``conftest.py``,
 applied to the source tree)."""
 
+import argparse
 import ast
 import builtins
 import functools
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import repro
 from repro.core.events import Deliver, Effect
 
 SRC = Path(repro.__file__).parent
+REPO = SRC.parent.parent
 #: The only module allowed to dispatch on effect types or to construct
 #: the coalescing accumulator.
 EXECUTOR = SRC / "core" / "executor.py"
 #: The effect classes' own ``__eq__`` methods compare classes.
 EXEMPT = {EXECUTOR, SRC / "core" / "events.py"}
-#: The only module allowed to compare a bench report with a baseline
-#: (``conformance/`` compares delivery orders, a different job).
-GATE = SRC / "bench" / "harness.py"
-
 _EFFECTS = (
     "Deliver|MulticastData|SendToken|Stable|SendControl|SetTimer|"
     "CancelTimer|DeliverConfiguration"
@@ -50,12 +46,16 @@ FORBIDDEN = {
     "keeps a deprecation shim": re.compile(r"DeprecationWarning|_from_builder"),
     "reads a bench environment knob": re.compile(r"REPRO_BENCH_"),
 }
-GATE_ONLY = re.compile(r"^\s*def (compare_\w*|baseline_path)\(", re.MULTILINE)
+#: A report-vs-baseline comparator: what ``repro bench`` gated with
+#: (``conformance/`` compares delivery orders, a different job).
+BASELINE_GATE = re.compile(r"^\s*def (compare_\w*|baseline_path)\(", re.MULTILINE)
 #: Modules that were deleted: a re-export shim (its importers name the
-#: real home), the second daemon and client (``spread/`` has the one), and
+#: real home), the second daemon and client (``spread/`` has the one),
 #: the pytest-benchmark glue and the results-text re-parser
-#: (``bench/figures.py`` produces and checks every result), and the star
-#: network (``net/link.py`` and ``net/fabric.py`` are the one model).
+#: (``bench/figures.py`` produces and checks every result), the star
+#: network (``net/link.py`` and ``net/fabric.py`` are the one model), and
+#: ``repro bench``'s harness and suites (``tests/golden/`` pins their
+#: seeded windows, ``benchmarks/e2e`` measures).
 DELETED_SHIMS = (
     "net/ring.py",
     "runtime/daemon.py",
@@ -65,6 +65,9 @@ DELETED_SHIMS = (
     "net/nic.py",
     "net/switch.py",
     "net/topology.py",
+    "bench/harness.py",
+    "runtime/bench.py",
+    "apps/kv/bench.py",
 )
 
 
@@ -80,31 +83,35 @@ def _violations():
     return found
 
 
-def test_one_bench_gate():
+def test_one_behaviour_pin():
+    # Seeded behaviour is pinned by tests/golden/ alone: no committed
+    # bench baselines, no `bench` subcommand, no comparator against one.
+    from repro.cli import build_parser
+
+    assert not (REPO / "benchmarks" / "baselines").exists()
+    (commands,) = [
+        action.choices
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    assert "bench" not in commands
     definitions = [
-        (str(path.relative_to(SRC)), match.group(1))
-        for path in sorted(SRC.rglob("*.py"))
-        if "conformance" not in path.parts
-        for match in GATE_ONLY.finditer(path.read_text())
+        f"{name}: {match.group(1)}"
+        for name, text in _sources().items()
+        if not name.startswith("conformance/")
+        for match in BASELINE_GATE.finditer(text)
     ]
-    assert definitions == [
-        ("bench/harness.py", "compare_reports"),
-        ("bench/harness.py", "baseline_path"),
-    ]
+    assert definitions == []
+    # ...and the patterns bite on what this replaced.
+    assert BASELINE_GATE.search("def compare_reports(current: Report, baseline: Report):")
+    assert BASELINE_GATE.search("def baseline_path(suite: str, root=None) -> Path:")
     knob = FORBIDDEN["reads a bench environment knob"]
     assert knob.search('os.environ.get("REPRO_BENCH_WALL_TOL", "0.5")')
     assert knob.search('os.environ.get("REPRO_BENCH_FAST", "0")')
-    # The KV and runtime suites resolve lazily: the gate itself stays light.
-    loaded = subprocess.run(
-        [sys.executable, "-c", "import sys, repro.bench.harness; print(*sys.modules)"],
-        capture_output=True, text=True, check=True, env={"PYTHONPATH": str(SRC.parent)},
-    ).stdout.split()
-    assert not {"asyncio", "repro.apps.kv", "repro.runtime"} & set(loaded)
 
 
 #: A pytest-benchmark round: the shape of the retired figure harness.
 PEDANTIC = re.compile(r"\bbenchmark\.pedantic\(")
-REPO = SRC.parent.parent
 
 
 def test_one_figure_producer():
