@@ -21,6 +21,7 @@
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from typing import Callable, List, Optional, Sequence
@@ -233,7 +234,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def cmd_soak(args: argparse.Namespace) -> int:
-    from repro.faults.soak import Counterexample, run_soak
+    from repro.faults.soak import Counterexample, counterexamples, run_soak
 
     if args.replay is not None:
         with open(args.replay, "r", encoding="utf-8") as handle:
@@ -253,12 +254,6 @@ def cmd_soak(args: argparse.Namespace) -> int:
             print(f"        {line}")
         return 1
 
-    def progress(case) -> None:
-        if case.violation is not None:
-            print(f"  case {case.index}: VIOLATION (seed={case.seed})")
-        elif (case.index + 1) % 25 == 0 or case.index + 1 == args.plans:
-            print(f"  {case.index + 1}/{args.plans} plans checked")
-
     report = run_soak(
         plans=args.plans,
         num_hosts=args.hosts,
@@ -267,31 +262,27 @@ def cmd_soak(args: argparse.Namespace) -> int:
         minimize=not args.no_minimize,
         fabric_racks=args.fabric_racks,
         impair=args.impair,
-        progress=progress,
+        progress=_progress,
     )
-    if args.out is not None:
-        path = _write_artifact(args.out, "soak_report.json", report.to_json())
-        print(f"report written to {path}")
-        for counterexample in report.counterexamples:
-            path = _write_artifact(
-                args.out,
-                f"counterexample_{counterexample.index}.json",
-                counterexample.to_json(),
-            )
-            print(f"counterexample written to {path}")
-    print()
-    print(
-        f"{report.plans - report.failures}/{report.plans} plans passed, "
-        f"{report.failures} EVS violation(s)"
-    )
-    for counterexample in report.counterexamples:
-        print(
+    found = counterexamples(report)
+    code = _emit(
+        args,
+        report,
+        f"{report.ran - len(found)}/{report.ran} plans passed, {len(found)} EVS violation(s)",
+        "soak_report.json",
+        [
             f"  case {counterexample.index}: seed={counterexample.seed} "
             f"minimized to {len(counterexample.minimized_steps)} step(s); "
             f"replay with: python -m repro soak --replay "
             f"counterexample_{counterexample.index}.json"
-        )
-    return 1 if report.failures else 0
+            for counterexample in found
+        ],
+    )
+    for counterexample in found if args.out is not None else ():
+        name = f"counterexample_{counterexample.index}.json"
+        path = _write_artifact(args.out, name, counterexample.to_json())
+        print(f"counterexample written to {path}")
+    return code
 
 
 def _conformance_workload(args: argparse.Namespace):
@@ -315,61 +306,98 @@ def _divergence_lines(divergences) -> List[str]:
     ]
 
 
-def _print_divergences(divergences) -> None:
-    for line in _divergence_lines(divergences):
-        print(line)
+def _case_name(case) -> str:
+    return f"{json.dumps(case.label)} seed={case.seed} ring={case.ring}"
+
+
+def _progress(report, case) -> None:
+    """Explorer progress: every failing case, and every tenth run."""
+    if not case.ok:
+        print(f"  case {_case_name(case)}: FAIL")
+    elif report.ran % 10 == 0:
+        print(f"  {report.ran} case(s) checked")
+
+
+def _exploration_line(report) -> str:
+    return (
+        f"{report.source}: enumerated={report.enumerated} deduped={report.deduped} "
+        f"ran={report.ran} skipped_budget={report.skipped_budget} "
+        f"failures={len(report.failures)}"
+    )
 
 
 def _exploration_details(report) -> List[str]:
-    """Each divergent schedule's divergences, then the coverage table."""
+    """Each failing case, shrunk, with what its oracle found — the
+    differential's divergences, the per-shard EVS verdicts or soak's
+    violation — then the merged coverage table."""
+    from repro.conformance.differ import ConformanceDivergence
+
     details: List[str] = []
-    for case in report.divergent:
-        details.append(
-            f"  divergent schedule minimized to "
-            f"{len(case.minimized_steps)} step(s):"
-        )
-        details.extend(_divergence_lines(case.report.divergences))
+    for case in report.failures:
+        found = case.report
+        shrunk = len(case.minimized_steps)
+        details.append(f"  case {_case_name(case)} minimized to {shrunk} step(s):")
+        divergences = map(ConformanceDivergence.from_dict, found.get("divergences", []))
+        details += _divergence_lines(divergences)
+        details += [f"        ring {ring}: {text}" for ring, text in found.get("evs", {}).items()]
+        if found.get("converged") is False:
+            details.append("        the cluster did not reconverge")
+        details += [f"        {line}" for line in (found.get("violation") or "").splitlines()]
     if report.coverage is not None:
         details.append(report.coverage.format())
     return details
 
 
+def _print_artifact(args: argparse.Namespace) -> int:
+    """``conformance report``: print a saved exploration (any source,
+    soak's included), differential, sharded or realtime report."""
+    from repro.conformance.differ import ConformanceReport
+    from repro.conformance.multiring import ShardedReport
+    from repro.conformance.realtime import RealtimeReport
+    from repro.faults.explorer import ExplorationReport
+
+    with open(args.artifact, "r", encoding="utf-8") as handle:
+        data = json.load(handle)
+    keys = set(data) if isinstance(data, dict) else set()
+    name = os.path.basename(args.artifact)
+    if {"source", "cases"} <= keys:
+        report = ExplorationReport.from_dict(data)
+        return _emit(args, report, _exploration_line(report), name, _exploration_details(report))
+    for needs, kind, line in (
+        ({"ring_counts"}, ShardedReport, "sharded: rings={0.ring_counts} seed={0.seed} "
+         "deliveries={0.deliveries}"),
+        ({"real_wall_s"}, RealtimeReport, "realtime: crash={0.crash} "
+         "deliveries={0.deliveries} decode_errors={0.decode_errors}"),
+        ({"plan", "variants"}, ConformanceReport, "differential: variants={0.variants} "
+         "seed={0.seed}"),
+    ):
+        if needs <= keys:
+            report = kind.from_dict(data)
+            coverage = getattr(report, "coverage", None)
+            details = _divergence_lines(report.divergences)
+            details += [coverage.format()] if coverage else []
+            return _emit(args, report, line.format(report), name, details)
+    print(
+        f"{args.artifact}: not a report this reads (an exploration or soak "
+        "report, or a differential, sharded or realtime report)",
+        file=sys.stderr,
+    )
+    return 2
+
+
 def cmd_conformance(args: argparse.Namespace) -> int:
     from repro.conformance.differ import ConformanceReport, run_differential
-    from repro.conformance.explorer import ExplorationReport, explore
+    from repro.conformance.explorer import explore_instants
     from repro.faults.plan import FaultPlan
 
     variants = tuple(args.variants.split(","))
+    progress = None if args.json else _progress
 
     if args.mode == "report":
         if args.artifact is None:
             print("conformance report needs an artifact file", file=sys.stderr)
             return 2
-        with open(args.artifact, "r", encoding="utf-8") as handle:
-            payload = handle.read()
-        import json as _json
-
-        data = _json.loads(payload)
-        if "divergent" in data:
-            report = ExplorationReport.from_json(payload)
-            print(
-                f"exploration: depth={report.depth} budget={report.budget} "
-                f"enumerated={report.enumerated} deduped={report.deduped} "
-                f"ran={report.ran} skipped={report.skipped_budget} "
-                f"{'PASS' if report.ok else 'FAIL'}"
-            )
-            for line in _exploration_details(report):
-                print(line)
-            return 0 if report.ok else 1
-        report = ConformanceReport.from_json(payload)
-        print(
-            f"differential: variants={','.join(report.variants)} "
-            f"seed={report.seed} {'PASS' if report.ok else 'FAIL'}"
-        )
-        _print_divergences(report.divergences)
-        if report.coverage is not None:
-            print(report.coverage.format())
-        return 0 if report.ok else 1
+        return _print_artifact(args)
 
     if args.mode == "replay":
         if args.artifact is None:
@@ -391,13 +419,13 @@ def cmd_conformance(args: argparse.Namespace) -> int:
             print("  PASS  no divergence reproduces")
             return 0
         print(f"  FAIL  {len(report.divergences)} divergence(s) reproduce:")
-        _print_divergences(report.divergences)
+        print("\n".join(_divergence_lines(report.divergences)))
         return 1
 
     if args.mode in ("sharded", "sharded-explore"):
         from repro.conformance.multiring import (
             ShardedWorkload,
-            explore_sharded,
+            explore_grid,
             run_sharded_differential,
         )
 
@@ -419,25 +447,20 @@ def cmd_conformance(args: argparse.Namespace) -> int:
                 _divergence_lines(report.divergences),
             )
 
-        num_rings = max(ring_counts)
-        explore_report = explore_sharded(
-            num_rings=num_rings,
+        report = explore_grid(
+            num_rings=max(ring_counts),
             workload=sharded_workload,
             seed=args.seed,
-            progress=None if args.json else print,
+            budget=args.budget,
+            minimize=not args.no_minimize,
+            progress=progress,
         )
         return _emit(
             args,
-            explore_report,
-            f"rings={num_rings} cases={len(explore_report.cases)} "
-            f"failures={len(explore_report.failures)}",
+            report,
+            _exploration_line(report),
             "conformance_sharded_explore.json",
-            [
-                f"        ring {case['ring']} {case['kind']} "
-                f"pid {case['pid']} @{case['at']}: "
-                f"converged={case['converged']} evs={case['evs']}"
-                for case in explore_report.failures
-            ],
+            _exploration_details(report),
         )
 
     if args.mode == "realtime":
@@ -466,10 +489,8 @@ def cmd_conformance(args: argparse.Namespace) -> int:
     if args.mode == "run":
         plan = None
         if args.plan is not None:
-            import json as _json
-
             with open(args.plan, "r", encoding="utf-8") as handle:
-                plan = FaultPlan.from_dicts(_json.load(handle))
+                plan = FaultPlan.from_dicts(json.load(handle))
         report = run_differential(
             workload, plan=plan, seed=args.seed, variants=variants
         )
@@ -485,14 +506,7 @@ def cmd_conformance(args: argparse.Namespace) -> int:
         )
 
     if args.mode == "explore":
-
-        def progress(ran: int, total: int, diverged: bool) -> None:
-            if diverged:
-                print(f"  schedule {ran}: DIVERGENCE")
-            elif ran % 5 == 0 or ran == total:
-                print(f"  {ran} schedule(s) checked")
-
-        report = explore(
+        report = explore_instants(
             workload,
             depth=args.depth,
             budget=args.budget,
@@ -505,18 +519,14 @@ def cmd_conformance(args: argparse.Namespace) -> int:
         code = _emit(
             args,
             report,
-            f"depth={report.depth} "
-            f"enumerated={report.enumerated} deduped={report.deduped} "
-            f"ran={report.ran} skipped_budget={report.skipped_budget} "
-            f"divergent={len(report.divergent)}",
+            _exploration_line(report),
             "conformance_explore.json",
             _exploration_details(report),
         )
         if args.out is not None:
-            for index, case in enumerate(report.divergent):
-                path = _write_artifact(
-                    args.out, f"divergence_{index}.json", case.report.to_json()
-                )
+            for index, case in enumerate(report.failures):
+                divergence = ConformanceReport.from_dict(case.report).to_json()
+                path = _write_artifact(args.out, f"divergence_{index}.json", divergence)
                 print(f"divergence written to {path}")
         return code
 
@@ -525,8 +535,6 @@ def cmd_conformance(args: argparse.Namespace) -> int:
 
 
 def _kv_run(args: argparse.Namespace) -> int:
-    import json as _json
-
     from repro.apps.kv.cluster import KvCluster
     from repro.faults.drive import boot
     from repro.workloads.kv import (
@@ -569,7 +577,7 @@ def _kv_run(args: argparse.Namespace) -> int:
     }
     ok = doc["stores_converged"] and lin.ok and lin.decided
     if args.json:
-        print(_json.dumps(doc, indent=2, sort_keys=True))
+        print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         print(
             f"  {'PASS' if ok else 'FAIL'}  {args.rings}x{args.hosts} "
@@ -664,8 +672,6 @@ def cmd_kv(args: argparse.Namespace) -> int:
 
 def _fleet_run(args: argparse.Namespace) -> int:
     import asyncio
-    import json as _json
-
     from repro.runtime.fleet import Fleet, run_fleet_workload
 
     async def run() -> dict:
@@ -693,7 +699,7 @@ def _fleet_run(args: argparse.Namespace) -> int:
         and counters["clients_dropped_slow"] == 0
     )
     if args.json:
-        print(_json.dumps(report, indent=2, sort_keys=True))
+        print(json.dumps(report, indent=2, sort_keys=True))
     else:
         print(
             f"  {'PASS' if ok else 'FAIL'}  {args.daemons} daemon(s), "
@@ -861,7 +867,7 @@ def build_parser() -> argparse.ArgumentParser:
     soak.add_argument("--replay", default=None, metavar="FILE",
                       help="replay a counterexample_<n>.json artifact instead "
                            "of generating plans")
-    soak.set_defaults(func=cmd_soak)
+    soak.set_defaults(func=cmd_soak, json=False)
 
     conformance = sub.add_parser(
         "conformance",
@@ -916,7 +922,7 @@ def build_parser() -> argparse.ArgumentParser:
     conformance.add_argument("--depth", type=int, default=2,
                              help="explore mode: max fault atoms per schedule")
     conformance.add_argument("--budget", type=int, default=24,
-                             help="explore mode: max differential runs")
+                             help="explore modes: max oracle runs")
     conformance.add_argument("--max-instants", type=int, default=4,
                              help="explore mode: harvested instants kept")
     conformance.add_argument("--fabric-racks", type=int, default=0, metavar="N",
@@ -930,7 +936,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="realtime mode: crash and restart one "
                                   "daemon at the scripted barriers")
     conformance.add_argument("--no-minimize", action="store_true",
-                             help="explore mode: keep divergent schedules "
+                             help="explore modes: keep failing schedules "
                                   "as enumerated (skip shrinking)")
     conformance.add_argument("--json", action="store_true",
                              help="print the full report as JSON")

@@ -10,56 +10,54 @@ into tooling:
   one workload + fault plan through the original, accelerated, and
   Spread-daemon variants on the deterministic simulator and compares
   the per-participant delivery sequences.
-* :mod:`repro.conformance.explorer` — a bounded schedule explorer that
+* :mod:`repro.conformance.explorer` — a schedule source that
   systematically enumerates small fault schedules anchored at
   protocol-meaningful instants (token arrivals) instead of sampling
-  them randomly like ``repro soak``.
-* :mod:`repro.conformance.coverage` — protocol-branch coverage counters
-  built on the :mod:`repro.obs` observer hooks, so exploration runs
-  report which protocol branches were actually exercised.
+  them randomly like ``repro soak``, judged by the differential.
 * :mod:`repro.conformance.multiring` — the sharded-ordering oracle:
   per-group streams must be identical across ring counts (fault-free),
   identical from every vantage, and per-shard EVS must stay clean
-  under a depth-1 fault sweep.
+  under a per-ring depth-1 fault grid.
+
+Both searches, like ``repro soak``, run on the one explorer
+(:mod:`repro.faults.explorer`), which merges the protocol-branch
+coverage of :mod:`repro.obs.coverage` over every run.
 
 Everything is seeded and deterministic; divergences serialize to JSON
 artifacts that replay with ``python -m repro conformance replay``.
 """
 
-from repro.conformance.coverage import CoverageObserver, CoverageReport
 from repro.conformance.differ import (
     ConformanceDivergence,
     ConformanceReport,
     run_differential,
 )
-from repro.conformance.explorer import ExplorationReport, explore
+from repro.conformance.explorer import explore_instants
 from repro.conformance.multiring import (
-    ShardedExplorationReport,
     ShardedReport,
     ShardedRun,
     ShardedWorkload,
-    explore_sharded,
+    explore_grid,
     run_sharded,
     run_sharded_differential,
 )
 from repro.conformance.variants import VARIANT_NAMES, VariantRun, run_variant
 from repro.conformance.workload import Workload, make_label, parse_label
+from repro.obs.coverage import CoverageObserver, CoverageReport
 
 __all__ = [
     "ConformanceDivergence",
     "ConformanceReport",
     "CoverageObserver",
     "CoverageReport",
-    "ExplorationReport",
-    "ShardedExplorationReport",
     "ShardedReport",
     "ShardedRun",
     "ShardedWorkload",
     "VARIANT_NAMES",
     "VariantRun",
     "Workload",
-    "explore",
-    "explore_sharded",
+    "explore_grid",
+    "explore_instants",
     "make_label",
     "parse_label",
     "run_differential",

@@ -23,10 +23,10 @@ EvsChecker's debuggable virtual-synchrony reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.conformance.coverage import CoverageObserver, CoverageReport
+from repro.obs.coverage import CoverageObserver, CoverageReport
 from repro.conformance.variants import (
     PHASE_PROBE,
     VARIANT_NAMES,
@@ -96,38 +96,16 @@ class ConformanceDivergence:
         return "\n".join(lines)
 
     def to_dict(self) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {
-            "kind": self.kind,
-            "variant_a": self.variant_a,
-            "variant_b": self.variant_b,
-            "phase": self.phase,
-            "detail": self.detail,
+        """Every field but an unset position, label or excerpt."""
+        return {
+            key: value
+            for key, value in asdict(self).items()
+            if value is not None and value != []
         }
-        for name in ("pid", "seq", "expected", "actual"):
-            value = getattr(self, name)
-            if value is not None:
-                payload[name] = value
-        if self.excerpt_a:
-            payload["excerpt_a"] = self.excerpt_a
-        if self.excerpt_b:
-            payload["excerpt_b"] = self.excerpt_b
-        return payload
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "ConformanceDivergence":
-        return cls(
-            kind=str(payload["kind"]),
-            variant_a=str(payload["variant_a"]),
-            variant_b=str(payload["variant_b"]),
-            phase=str(payload["phase"]),
-            pid=payload.get("pid"),
-            seq=payload.get("seq"),
-            expected=payload.get("expected"),
-            actual=payload.get("actual"),
-            detail=str(payload.get("detail", "")),
-            excerpt_a=list(payload.get("excerpt_a", [])),
-            excerpt_b=list(payload.get("excerpt_b", [])),
-        )
+        return cls(**payload)
 
 
 def _excerpt(labels: Sequence[bytes], position: int) -> List[str]:
@@ -320,22 +298,14 @@ class ConformanceReport(JsonReport):
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "ConformanceReport":
-        coverage = payload.get("coverage")
-        return cls(
-            workload=Workload.from_dict(payload["workload"]),
-            plan_events=list(payload.get("plan", [])),
-            seed=int(payload["seed"]),
-            variants=tuple(payload["variants"]),
-            divergences=[
-                ConformanceDivergence.from_dict(entry)
-                for entry in payload.get("divergences", [])
-            ],
-            coverage=(
-                CoverageReport.from_dict(coverage) if coverage else None
-            ),
-            deliveries=dict(payload.get("deliveries", {})),
-            converged=dict(payload.get("converged", {})),
-        )
+        fields = {key: value for key, value in payload.items() if key != "ok"}
+        report = cls(plan_events=fields.pop("plan", []), **fields)
+        report.workload = Workload.from_dict(report.workload)
+        report.variants = tuple(report.variants)
+        report.divergences = [ConformanceDivergence.from_dict(d) for d in report.divergences]
+        if report.coverage:
+            report.coverage = CoverageReport.from_dict(report.coverage)
+        return report
 
 
 def run_differential(

@@ -1,39 +1,36 @@
-"""Bounded, systematic exploration of small fault schedules.
+"""Harvested fault instants: the differential's schedule source.
 
-``repro soak`` samples the fault-schedule space at random; the explorer
+``repro soak`` samples the fault-schedule space at random; this source
 covers it *systematically* at small depth.  Fault instants are not drawn
 from a grid but harvested from the protocol itself: a fault-free probe
 run records the simulated times of ``on_token_received`` (and, under a
 plan, ``on_fault``) observer events, and those instants — the moments
 the protocol is actually doing something — anchor the schedules.  Every
-combination of up to ``depth`` fault atoms at those instants is
-enumerated, folded through the same validity state machine the soak
-generator uses (:func:`repro.faults.generator.build_plan`), deduplicated
-by the resulting plan, and run through the differential oracle up to a
-run budget.  Divergent schedules shrink with the same greedy minimizer
-as soak counterexamples (:func:`repro.faults.soak.greedy_minimize`).
+combination of up to ``depth`` fault atoms at those instants is one
+schedule; :func:`explore_instants` runs them through the one explorer
+(:func:`repro.faults.explorer.explore`), which folds, dedups, budgets,
+judges each with the differential oracle and shrinks divergences like
+soak counterexamples.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.conformance.coverage import CoverageReport
 from repro.conformance.differ import ConformanceReport, run_differential
 from repro.conformance.variants import run_variant
 from repro.conformance.workload import Workload
-from repro.faults.generator import (
-    Step,
-    build_plan,
-    steps_from_lists,
-    steps_to_lists,
+from repro.faults.explorer import (
+    ExplorationCase,
+    ExplorationReport,
+    Schedule,
+    ScheduleSource,
+    explore,
 )
-from repro.faults.soak import greedy_minimize
+from repro.faults.generator import Step
+from repro.faults.plan import FaultPlan
 from repro.obs.observer import ProtocolObserver
-from repro.util.jsonreport import JsonReport
 
 #: One schedule atom: a fault ``action`` against ``pid`` at ``at_ms``
 #: (milliseconds after traffic start).
@@ -153,102 +150,7 @@ def enumerate_schedules(
     return schedules
 
 
-@dataclass
-class ExplorationCase:
-    """One schedule that diverged, shrunk to a minimal reproducer."""
-
-    atoms: List[Atom]
-    steps: List[Step]
-    minimized_steps: List[Step]
-    report: ConformanceReport
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "atoms": [list(atom) for atom in self.atoms],
-            "steps": steps_to_lists(self.steps),
-            "minimized_steps": steps_to_lists(self.minimized_steps),
-            "report": self.report.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "ExplorationCase":
-        return cls(
-            atoms=[tuple(atom) for atom in payload.get("atoms", [])],
-            steps=steps_from_lists(payload["steps"]),
-            minimized_steps=steps_from_lists(payload["minimized_steps"]),
-            report=ConformanceReport.from_dict(payload["report"]),
-        )
-
-
-@dataclass
-class ExplorationReport(JsonReport):
-    """Summary of one bounded exploration, JSON-ready for CI artifacts.
-
-    ``enumerated``/``deduped``/``ran``/``skipped_budget`` account for
-    every schedule: nothing is dropped silently — a schedule is either
-    run, collapsed into an equivalent one, or explicitly counted against
-    the budget.
-    """
-
-    workload: Workload
-    seed: int
-    depth: int
-    budget: int
-    variants: Tuple[str, ...]
-    instants: List[int] = field(default_factory=list)
-    enumerated: int = 0
-    deduped: int = 0
-    ran: int = 0
-    skipped_budget: int = 0
-    divergent: List[ExplorationCase] = field(default_factory=list)
-    coverage: Optional[CoverageReport] = None
-
-    @property
-    def ok(self) -> bool:
-        return not self.divergent
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "workload": self.workload.to_dict(),
-            "seed": self.seed,
-            "depth": self.depth,
-            "budget": self.budget,
-            "variants": list(self.variants),
-            "instants": list(self.instants),
-            "enumerated": self.enumerated,
-            "deduped": self.deduped,
-            "ran": self.ran,
-            "skipped_budget": self.skipped_budget,
-            "ok": self.ok,
-            "divergent": [case.to_dict() for case in self.divergent],
-            "coverage": self.coverage.to_dict() if self.coverage else None,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "ExplorationReport":
-        coverage = payload.get("coverage")
-        report = cls(
-            workload=Workload.from_dict(payload["workload"]),
-            seed=int(payload["seed"]),
-            depth=int(payload["depth"]),
-            budget=int(payload["budget"]),
-            variants=tuple(payload["variants"]),
-            instants=[int(value) for value in payload.get("instants", [])],
-            enumerated=int(payload.get("enumerated", 0)),
-            deduped=int(payload.get("deduped", 0)),
-            ran=int(payload.get("ran", 0)),
-            skipped_budget=int(payload.get("skipped_budget", 0)),
-            divergent=[
-                ExplorationCase.from_dict(entry)
-                for entry in payload.get("divergent", [])
-            ],
-        )
-        if coverage:
-            report.coverage = CoverageReport.from_dict(coverage)
-        return report
-
-
-def explore(
+def explore_instants(
     workload: Workload,
     depth: int = 2,
     budget: int = DEFAULT_BUDGET,
@@ -258,77 +160,25 @@ def explore(
     max_instants: int = DEFAULT_MAX_INSTANTS,
     pids: Optional[Sequence[int]] = None,
     minimize: bool = True,
-    progress: Optional[Callable[[int, int, bool], None]] = None,
+    progress: Optional[Callable[[ExplorationReport, ExplorationCase], None]] = None,
 ) -> ExplorationReport:
-    """Systematically test fault schedules up to ``depth`` atoms.
-
-    Schedules whose folded plans coincide are run once; runs stop at
-    ``budget`` differential runs, with the remainder counted in
-    ``skipped_budget``.  ``progress`` is called after each run with
-    ``(ran, total_candidates, diverged)``.
-    """
+    """Every schedule of up to ``depth`` atoms at the harvested instants
+    through the one explorer, at most ``budget`` differential runs of
+    ``variants``; a case's label is its atom list.  A fabric workload
+    with the default ``actions`` adds ``rack_power_loss``."""
     racks = workload.fabric_racks
     if racks and tuple(actions) == DEFAULT_ACTIONS:
         actions = FABRIC_EXPLORE_ACTIONS
-    instants = harvest_instants(
-        workload, seed=seed, max_instants=max_instants
-    )
-    report = ExplorationReport(
-        workload=workload,
-        seed=seed,
-        depth=depth,
-        budget=budget,
-        variants=tuple(variants),
-        instants=instants,
-    )
-    coverage = CoverageReport({})
-    schedules = enumerate_schedules(
-        instants, workload.num_hosts, depth, actions=actions, pids=pids
-    )
-    report.enumerated = len(schedules)
-    seen: set = set()
-    for atoms in schedules:
-        steps = schedule_to_steps(atoms)
-        plan = build_plan(steps, workload.num_hosts, racks=racks)
-        signature = json.dumps(plan.to_dicts(), sort_keys=True)
-        if signature in seen:
-            report.deduped += 1
-            continue
-        seen.add(signature)
-        if report.ran >= budget:
-            report.skipped_budget += 1
-            continue
-        case_report = run_differential(
-            workload, plan=plan, seed=seed, variants=variants
-        )
-        report.ran += 1
-        if case_report.coverage is not None:
-            coverage = coverage.merge(case_report.coverage)
-        if not case_report.ok:
-            minimized = steps
-            if minimize:
+    instants = harvest_instants(workload, seed=seed, max_instants=max_instants)
+    schedules = [
+        Schedule(schedule_to_steps(atoms), seed, label=[list(atom) for atom in atoms])
+        for atoms in enumerate_schedules(instants, workload.num_hosts, depth, actions, pids)
+    ]
+    params = {"workload": workload.to_dict(), "seed": seed, "depth": depth,
+              "variants": list(variants), "instants": instants}
+    source = ScheduleSource("instants", params, workload.num_hosts, schedules, racks)
 
-                def still_diverges(candidate: List[Step]) -> bool:
-                    candidate_plan = build_plan(
-                        candidate, workload.num_hosts, racks=racks
-                    )
-                    return not run_differential(
-                        workload,
-                        plan=candidate_plan,
-                        seed=seed,
-                        variants=variants,
-                    ).ok
+    def oracle(plan: FaultPlan, seed: int, ring: int) -> ConformanceReport:
+        return run_differential(workload, plan=plan, seed=seed, variants=variants)
 
-                minimized = greedy_minimize(steps, still_diverges)
-            report.divergent.append(
-                ExplorationCase(
-                    atoms=list(atoms),
-                    steps=steps,
-                    minimized_steps=minimized,
-                    report=case_report,
-                )
-            )
-        if progress is not None:
-            progress(report.ran, min(len(seen), budget), not case_report.ok)
-    report.coverage = coverage
-    return report
+    return explore(oracle, source, budget=budget, minimize=minimize, progress=progress)

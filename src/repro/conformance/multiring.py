@@ -21,12 +21,14 @@ This module turns both into oracles in the style of
 * :func:`run_sharded_differential` compares those streams across ring
   counts (1 vs 2 by default) and across vantages, reporting structured
   :class:`~repro.conformance.differ.ConformanceDivergence` records.
-* :func:`explore_sharded` enumerates a bounded depth-1 fault schedule
-  grid (crash+recover, pause+resume, token drop — per ring, per
-  anchor) and checks that every ring's EVS suite stays clean and the
-  cluster reconverges.  Cross-ring-count equality is *not* asserted
-  under faults — fault timing legitimately changes delivery sets — so
-  the explorer checks the per-shard guarantees only.
+* :func:`explore_grid` runs a bounded depth-1 fault schedule grid
+  (crash+recover, pause+resume, token drop — per ring, per anchor)
+  through the one explorer (:mod:`repro.faults.explorer`), with
+  :func:`run_sharded` on the faulted ring as the oracle: every ring's
+  EVS suite must stay clean and the cluster reconverge.  Cross-ring-count
+  equality is *not* asserted under faults — fault timing legitimately
+  changes delivery sets — so the grid checks the per-shard guarantees
+  only.
 
 The workload submits each group's messages from one canonical sender
 in strict sequence (the single-sender discipline of
@@ -38,8 +40,8 @@ comparison unambiguous.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.conformance.differ import (
     ConformanceDivergence,
@@ -47,9 +49,19 @@ from repro.conformance.differ import (
     health_divergences,
 )
 from repro.faults.drive import boot, wait_converged
+from repro.faults.explorer import (
+    ExplorationCase,
+    ExplorationReport,
+    Schedule,
+    ScheduleSource,
+    explore,
+)
+from repro.faults.generator import Step
 from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultPlan, PlanBuilder
+from repro.faults.plan import FaultPlan
 from repro.multiring.cluster import MultiRingCluster
+from repro.obs.coverage import CoverageObserver, CoverageReport
+from repro.obs.observer import ProtocolObserver
 from repro.sim.build import ClusterBuilder
 from repro.util.errors import ConfigurationError
 from repro.util.jsonreport import JsonReport
@@ -88,21 +100,11 @@ class ShardedWorkload:
         return self.num_groups * self.messages_per_group * self.spacing
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "num_groups": self.num_groups,
-            "messages_per_group": self.messages_per_group,
-            "hosts_per_ring": self.hosts_per_ring,
-            "spacing": self.spacing,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "ShardedWorkload":
-        return cls(
-            num_groups=int(payload["num_groups"]),
-            messages_per_group=int(payload["messages_per_group"]),
-            hosts_per_ring=int(payload["hosts_per_ring"]),
-            spacing=float(payload["spacing"]),
-        )
+        return cls(**payload)
 
 
 @dataclass
@@ -125,10 +127,25 @@ class ShardedRun:
     crashed_pids: frozenset
     deliveries: int
     cluster: MultiRingCluster
+    #: Protocol-branch coverage, when the run was observed for it.
+    coverage: Optional[CoverageReport] = None
 
     @property
     def name(self) -> str:
         return f"rings-{self.num_rings}"
+
+    @property
+    def ok(self) -> bool:
+        """The per-shard verdict: every ring EVS-clean, all converged."""
+        return not self.evs_violations and self.converged
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {
+            "ok": self.ok,
+            "converged": self.converged,
+            "evs": {str(ring): text for ring, text in sorted(self.evs_violations.items())},
+            "deliveries": self.deliveries,
+        }
 
 
 def run_sharded(
@@ -137,26 +154,25 @@ def run_sharded(
     seed: int = 0,
     plan: Optional[FaultPlan] = None,
     plan_ring: int = 0,
+    observer: Optional[ProtocolObserver] = None,
 ) -> ShardedRun:
     """Drive ``workload`` through an ``num_rings``-ring cluster.
 
     ``plan`` (optional) is armed against ring ``plan_ring`` after boot,
     exactly as the single-ring conformance driver arms its plans; the
     other rings see no injected faults, which is itself part of what
-    the per-shard EVS check verifies (fault isolation).
+    the per-shard EVS check verifies (fault isolation).  ``observer``
+    (optional) watches every ring.
     """
     workload = workload if workload is not None else ShardedWorkload()
     if plan is not None and not 0 <= plan_ring < num_rings:
         raise ConfigurationError(
             f"plan_ring {plan_ring} out of range for {num_rings} rings"
         )
-    cluster = (
-        ClusterBuilder()
-        .rings(num_rings)
-        .hosts(workload.hosts_per_ring)
-        .membership()
-        .build_multiring()
-    )
+    builder = ClusterBuilder().rings(num_rings).hosts(workload.hosts_per_ring)
+    if observer is not None:
+        builder.observe(observer)
+    cluster = builder.membership().build_multiring()
     base = boot(cluster)
 
     armed = plan is not None and len(plan) > 0
@@ -254,45 +270,24 @@ class ShardedReport(JsonReport):
         return not self.divergences
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "workload": self.workload.to_dict(),
-            "seed": self.seed,
-            "ring_counts": list(self.ring_counts),
-            "ok": self.ok,
-            "divergences": [d.to_dict() for d in self.divergences],
-            "deliveries": dict(sorted(self.deliveries.items())),
-            "evs": {
-                name: {str(ring): text for ring, text in sorted(violations.items())}
-                for name, violations in sorted(self.evs.items())
-            },
-            "converged": dict(sorted(self.converged.items())),
-            "shards": {
-                name: dict(sorted(mapping.items()))
-                for name, mapping in sorted(self.shards.items())
-            },
+        divergences = [divergence.to_dict() for divergence in self.divergences]
+        evs = {
+            name: {str(ring): text for ring, text in violations.items()}
+            for name, violations in self.evs.items()
         }
+        return {**asdict(self), "ok": self.ok, "divergences": divergences, "evs": evs}
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "ShardedReport":
-        return cls(
-            workload=ShardedWorkload.from_dict(payload["workload"]),
-            seed=int(payload["seed"]),
-            ring_counts=tuple(int(n) for n in payload["ring_counts"]),
-            divergences=[
-                ConformanceDivergence.from_dict(entry)
-                for entry in payload.get("divergences", [])
-            ],
-            deliveries=dict(payload.get("deliveries", {})),
-            evs={
-                name: {int(ring): text for ring, text in violations.items()}
-                for name, violations in payload.get("evs", {}).items()
-            },
-            converged=dict(payload.get("converged", {})),
-            shards={
-                name: dict(mapping)
-                for name, mapping in payload.get("shards", {}).items()
-            },
-        )
+        report = cls(**{key: value for key, value in payload.items() if key != "ok"})
+        report.workload = ShardedWorkload.from_dict(report.workload)
+        report.ring_counts = tuple(report.ring_counts)
+        report.divergences = [ConformanceDivergence.from_dict(d) for d in report.divergences]
+        report.evs = {
+            name: {int(ring): text for ring, text in violations.items()}
+            for name, violations in report.evs.items()
+        }
+        return report
 
 
 def _check_run_consistency(run: ShardedRun) -> List[ConformanceDivergence]:
@@ -392,109 +387,55 @@ def run_sharded_differential(
 
 
 # ----------------------------------------------------------------------
-# Depth-1 fault exploration (per-shard EVS under faults)
+# The per-ring depth-1 grid (per-shard EVS under faults)
 # ----------------------------------------------------------------------
 
-#: Depth-1 schedule kinds explored per (ring, anchor).
-EXPLORE_KINDS: Tuple[str, ...] = ("crash-recover", "pause-resume", "token-drop")
+#: Depth-1 schedule kinds as integer-ms steps at ``at`` against ``pid``:
+#: each fault is followed by its repair, 300 ms (recover) or 150 ms
+#: (resume) later.
+DEPTH1_STEPS: Dict[str, Callable[[int, int], List[Step]]] = {
+    "crash-recover": lambda at, pid: [(at, "crash", pid), (300, "recover", pid)],
+    "pause-resume": lambda at, pid: [(at, "pause", pid), (150, "resume", pid)],
+    "token-drop": lambda at, pid: [(at, "token_drop", 0)],
+}
 
 
-def _depth1_plan(kind: str, pid: int, at: float) -> FaultPlan:
-    builder = PlanBuilder()
-    if kind == "crash-recover":
-        builder.crash(pid, at=at).recover(pid, at=at + 0.3)
-    elif kind == "pause-resume":
-        builder.pause(pid, at=at).resume(pid, at=at + 0.15)
-    elif kind == "token-drop":
-        builder.token_drop(at=at)
-    else:
-        raise ConfigurationError(f"unknown schedule kind {kind!r}")
-    return builder.build()
-
-
-@dataclass
-class ShardedExplorationReport(JsonReport):
-    """Outcome of a depth-1 sweep: per-case EVS + convergence verdicts."""
-
-    num_rings: int
-    workload: ShardedWorkload
-    seed: int
-    cases: List[Dict[str, Any]] = field(default_factory=list)
-
-    @property
-    def failures(self) -> List[Dict[str, Any]]:
-        return [case for case in self.cases if not case["ok"]]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "num_rings": self.num_rings,
-            "workload": self.workload.to_dict(),
-            "seed": self.seed,
-            "ok": self.ok,
-            "cases": self.cases,
-        }
-
-
-def explore_sharded(
+def explore_grid(
     num_rings: int = 2,
     workload: Optional[ShardedWorkload] = None,
     seed: int = 0,
-    kinds: Sequence[str] = EXPLORE_KINDS,
+    kinds: Sequence[str] = tuple(DEPTH1_STEPS),
     anchors: Sequence[float] = (0.25, 0.6),
     pids: Sequence[int] = (0,),
-    progress=None,
-) -> ShardedExplorationReport:
+    budget: Optional[int] = None,
+    minimize: bool = True,
+    progress: Optional[Callable[[ExplorationReport, ExplorationCase], None]] = None,
+) -> ExplorationReport:
     """Sweep every depth-1 schedule over every ring.
 
     Each case injects one minimal fault schedule into exactly one ring
     and checks the per-shard guarantees: every ring's EVS suite passes
     (crashed incarnations waived on the faulted ring only) and the
-    whole cluster reconverges.  The grid is
-    ``rings × kinds × anchors × pids``; anchors are fractions of the
-    traffic span.
+    whole cluster reconverges.  The grid is ``rings × kinds × anchors ×
+    pids`` (token drops at pid 0 only); an anchor is a fraction of the
+    traffic span, rounded to whole ms.  A case's label is its kind, pid
+    and ``at`` in seconds.
     """
     workload = workload if workload is not None else ShardedWorkload()
-    report = ShardedExplorationReport(
-        num_rings=num_rings, workload=workload, seed=seed
-    )
-    for ring_index in range(num_rings):
-        for kind in kinds:
-            for anchor in anchors:
-                at = round(anchor * workload.traffic_span, 6)
-                for pid in pids if kind != "token-drop" else (0,):
-                    plan = _depth1_plan(kind, pid, at)
-                    run = run_sharded(
-                        num_rings,
-                        workload,
-                        seed=seed,
-                        plan=plan,
-                        plan_ring=ring_index,
-                    )
-                    ok = not run.evs_violations and run.converged
-                    case = {
-                        "ring": ring_index,
-                        "kind": kind,
-                        "pid": pid,
-                        "at": at,
-                        "ok": ok,
-                        "converged": run.converged,
-                        "evs": {
-                            str(ring): text
-                            for ring, text in sorted(
-                                run.evs_violations.items()
-                            )
-                        },
-                        "deliveries": run.deliveries,
-                    }
-                    report.cases.append(case)
-                    if progress is not None:
-                        status = "ok" if ok else "FAIL"
-                        progress(
-                            f"  ring {ring_index} {kind} pid {pid} "
-                            f"@{at:.3f}: {status}"
-                        )
-    return report
+    schedules = [
+        Schedule(DEPTH1_STEPS[kind](at, pid), seed, ring, dict(kind=kind, pid=pid, at=at / 1000))
+        for ring in range(num_rings)
+        for kind in kinds
+        for at in [round(anchor * workload.traffic_span * 1000) for anchor in anchors]
+        for pid in (pids if kind != "token-drop" else (0,))
+    ]
+    params = {"num_rings": num_rings, "workload": workload.to_dict(), "seed": seed}
+    source = ScheduleSource("ring-grid", params, workload.hosts_per_ring, schedules)
+
+    def oracle(plan: FaultPlan, seed: int, ring: int) -> ShardedRun:
+        observer = CoverageObserver()
+        run = run_sharded(num_rings, workload, seed, plan, ring, observer)
+        run.coverage = observer.report()
+        return run
+
+    return explore(oracle, source, budget=budget, minimize=minimize, progress=progress)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.conformance.differ import (
@@ -95,20 +95,11 @@ class RealtimeWorkload:
     restart_burst: int = 4
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "num_hosts": self.num_hosts,
-            "bursts": self.bursts,
-            "burst_size": self.burst_size,
-            "payload_size": self.payload_size,
-            "probe_bursts": self.probe_bursts,
-            "probe_burst_size": self.probe_burst_size,
-            "crash_burst": self.crash_burst,
-            "restart_burst": self.restart_burst,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "RealtimeWorkload":
-        return cls(**{key: int(payload[key]) for key in cls().to_dict()})
+        return cls(**payload)
 
 
 def build_schedule(
@@ -434,18 +425,11 @@ class RealtimeReport(JsonReport):
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "RealtimeReport":
-        return cls(
-            workload=RealtimeWorkload.from_dict(payload["workload"]),
-            crash=bool(payload["crash"]),
-            divergences=[
-                ConformanceDivergence.from_dict(entry)
-                for entry in payload.get("divergences", [])
-            ],
-            deliveries={k: int(v) for k, v in payload.get("deliveries", {}).items()},
-            converged={k: bool(v) for k, v in payload.get("converged", {}).items()},
-            real_wall_s=float(payload.get("real_wall_s", 0.0)),
-            decode_errors=int(payload.get("decode_errors", 0)),
-        )
+        derived = ("ok", "variants")
+        report = cls(**{key: value for key, value in payload.items() if key not in derived})
+        report.workload = RealtimeWorkload.from_dict(report.workload)
+        report.divergences = [ConformanceDivergence.from_dict(d) for d in report.divergences]
+        return report
 
 
 def run_realtime_differential(

@@ -17,6 +17,8 @@ reproducible chaos experiments:
   reports are EVS-checked and byte-identical per seed.
 * :mod:`repro.faults.generator` — seeded random *valid* fault-plan
   generation, shared by the hypothesis suite and the soak harness.
+* :mod:`repro.faults.explorer` — the one explorer: every schedule
+  search (soak, both conformance searches) is one loop and one report.
 * :mod:`repro.faults.soak` — the soak harness: N seeded random plans
   under full EVS checking, with minimized replayable counterexamples
   (``python -m repro soak``).
@@ -50,16 +52,14 @@ from repro.faults.events import (
     TokenDrop,
     event_from_dict,
 )
+from repro.faults.explorer import ExplorationReport, explore
 from repro.faults.generator import build_plan, random_plan, random_steps
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, PlanBuilder
 from repro.faults.soak import (
     Counterexample,
-    SoakCase,
-    SoakReport,
     check_plan,
     drive_plan,
-    minimize_steps,
     run_soak,
 )
 from repro.faults.scenarios import (
@@ -74,6 +74,7 @@ __all__ = [
     "Counterexample",
     "Crash",
     "EVENT_TYPES",
+    "ExplorationReport",
     "FaultEvent",
     "FaultInjector",
     "FaultPlan",
@@ -88,14 +89,12 @@ __all__ = [
     "SCENARIOS",
     "ScenarioReport",
     "ScenarioSpec",
-    "SoakCase",
-    "SoakReport",
     "TokenDrop",
     "build_plan",
     "check_plan",
     "drive_plan",
     "event_from_dict",
-    "minimize_steps",
+    "explore",
     "random_plan",
     "random_steps",
     "run_all",

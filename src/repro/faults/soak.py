@@ -1,14 +1,15 @@
 """Randomized soak testing for the membership/recovery protocol.
 
 A soak run generates N seeded random fault plans
-(:mod:`repro.faults.generator`), drives each through a live
+(:mod:`repro.faults.generator`) and runs them through the one explorer
+(:mod:`repro.faults.explorer`): each drives a live
 :class:`~repro.sim.membership_driver.MembershipCluster` with traffic
-spread over the chaos window, and checks every delivery trace against
-the full EVS property suite.  The output is a JSON
-:class:`SoakReport`; every failing case additionally produces a
-:class:`Counterexample` artifact — a *minimized*, replayable fault plan
-plus the exact seed — so a violation found at 3am by the nightly CI job
-reproduces with one command::
+spread over the chaos window and checks every delivery trace against the
+full EVS property suite.  The output is the explorer's JSON
+:class:`~repro.faults.explorer.ExplorationReport`; every failing case
+additionally produces a :class:`Counterexample` artifact — a
+*minimized*, replayable fault plan plus the exact seed — so a violation
+found at 3am by the nightly CI job reproduces with one command::
 
     python -m repro soak --replay counterexample_17.json
 
@@ -23,11 +24,18 @@ random schedule.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.messages import DeliveryService
 from repro.faults.drive import boot
+from repro.faults.explorer import (
+    ExplorationCase,
+    ExplorationReport,
+    Schedule,
+    ScheduleSource,
+    explore,
+)
 from repro.faults.generator import (
     ACTIONS,
     FABRIC_ACTIONS,
@@ -35,7 +43,6 @@ from repro.faults.generator import (
     build_plan,
     random_steps,
     steps_from_lists,
-    steps_to_lists,
 )
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
@@ -132,59 +139,6 @@ def check_plan(
     return cluster.checker.violation(crashed=plan.crashed_pids())
 
 
-def greedy_minimize(items: List, still_fails: Callable[[List], bool]) -> List:
-    """Greedy single-deletion shrinking of a failing item sequence.
-
-    Repeatedly deletes single items as long as ``still_fails`` holds for
-    the shortened sequence (the same shrink direction hypothesis uses).
-    The result is a local minimum: removing any one remaining item makes
-    the failure disappear.  Shared by the soak minimizer and the
-    conformance explorer (:mod:`repro.conformance.explorer`), which
-    plug in their respective failure predicates.
-    """
-    current = list(items)
-    shrunk = True
-    while shrunk:
-        shrunk = False
-        for index in range(len(current)):
-            candidate = current[:index] + current[index + 1 :]
-            if still_fails(candidate):
-                current = candidate
-                shrunk = True
-                break
-    return current
-
-
-def minimize_steps(
-    steps: List[Step],
-    num_hosts: int,
-    seed: int,
-    fabric_racks: int = 0,
-    impair: Optional[str] = None,
-) -> List[Step]:
-    """Greedily shrink a failing step sequence.
-
-    Because :func:`build_plan` folds any step sequence through the
-    validity state machine, every candidate subsequence yields a valid
-    plan — no repair pass needed.
-    """
-
-    def still_fails(candidate: List[Step]) -> bool:
-        plan = build_plan(candidate, num_hosts, racks=fabric_racks)
-        return (
-            check_plan(
-                plan,
-                num_hosts=num_hosts,
-                seed=seed,
-                fabric_racks=fabric_racks,
-                impair=impair,
-            )
-            is not None
-        )
-
-    return greedy_minimize(steps, still_fails)
-
-
 @dataclass
 class Counterexample(JsonReport):
     """A replayable failing soak case.
@@ -223,89 +177,28 @@ class Counterexample(JsonReport):
         )
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "soak_seed": self.soak_seed,
-            "index": self.index,
-            "seed": self.seed,
-            "num_hosts": self.num_hosts,
-            "fabric_racks": self.fabric_racks,
-            "impair": self.impair,
-            "violation": self.violation,
-            "steps": steps_to_lists(self.steps),
-            "minimized_steps": steps_to_lists(self.minimized_steps),
-            "plan": self.plan.to_dicts(),
-        }
+        return {**asdict(self), "plan": self.plan.to_dicts()}
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "Counterexample":
-        impair = payload.get("impair")
-        return cls(
-            soak_seed=int(payload["soak_seed"]),
-            index=int(payload["index"]),
-            seed=int(payload["seed"]),
-            num_hosts=int(payload["num_hosts"]),
-            violation=str(payload["violation"]),
-            steps=steps_from_lists(payload["steps"]),
-            minimized_steps=steps_from_lists(payload["minimized_steps"]),
-            fabric_racks=int(payload.get("fabric_racks", 0)),
-            impair=None if impair is None else str(impair),
-        )
+        fields = {key: value for key, value in payload.items() if key != "plan"}
+        for key in ("steps", "minimized_steps"):
+            fields[key] = steps_from_lists(fields[key])
+        return cls(**fields)
 
 
-@dataclass
-class SoakCase:
-    """One plan's outcome inside a soak report."""
+@dataclass(frozen=True)
+class Verdict:
+    """The soak oracle's report: the EVS violation, or ``None``."""
 
-    index: int
-    seed: int
-    events: int
     violation: Optional[str] = None
 
-    def to_dict(self) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {
-            "index": self.index,
-            "seed": self.seed,
-            "events": self.events,
-        }
-        if self.violation is not None:
-            payload["violation"] = self.violation
-        return payload
-
-
-@dataclass
-class SoakReport(JsonReport):
-    """Summary of a whole soak run, JSON-serializable for CI artifacts."""
-
-    seed: int
-    num_hosts: int
-    plans: int
-    max_steps: int
-    fabric_racks: int = 0
-    impair: Optional[str] = None
-    cases: List[SoakCase] = field(default_factory=list)
-    counterexamples: List[Counterexample] = field(default_factory=list)
-
     @property
-    def failures(self) -> int:
-        return len(self.counterexamples)
-
-    @property
-    def passed(self) -> bool:
-        return self.failures == 0
+    def ok(self) -> bool:
+        return self.violation is None
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "num_hosts": self.num_hosts,
-            "plans": self.plans,
-            "max_steps": self.max_steps,
-            "fabric_racks": self.fabric_racks,
-            "impair": self.impair,
-            "failures": self.failures,
-            "passed": self.passed,
-            "cases": [case.to_dict() for case in self.cases],
-            "counterexamples": [ce.to_dict() for ce in self.counterexamples],
-        }
+        return {"ok": self.ok, "violation": self.violation}
 
 
 def run_soak(
@@ -316,71 +209,45 @@ def run_soak(
     minimize: bool = True,
     fabric_racks: int = 0,
     impair: Optional[str] = None,
-    progress: Optional[Callable[[SoakCase], None]] = None,
-) -> SoakReport:
+    progress: Optional[Callable[[ExplorationReport, ExplorationCase], None]] = None,
+) -> ExplorationReport:
     """Run ``plans`` seeded random fault plans and EVS-check each one.
 
-    Every case derives its own seed from ``(seed, index)`` via
-    :func:`case_seed`, used both to generate the plan and to drive the
-    injector, so any case replays standalone.  Failing cases are
-    minimized (unless ``minimize=False``) and recorded as
-    :class:`Counterexample` artifacts on the report.  ``progress`` is
-    called after each case (CLI progress lines).
+    Case ``index`` draws its steps from, and drives its injector with,
+    :func:`case_seed` ``(seed, index)``, so any case replays standalone
+    (and none dedups).  :func:`counterexamples` turns the failures,
+    minimized unless ``minimize=False``, into replayable artifacts.
 
     ``fabric_racks > 0`` soaks on a leaf–spine fabric and widens the
     action vocabulary with correlated ``rack_power_loss`` events;
     ``impair`` layers a named impairment preset under every plan.
     """
-    report = SoakReport(
-        seed=seed,
-        num_hosts=num_hosts,
-        plans=plans,
-        max_steps=max_steps,
-        fabric_racks=fabric_racks,
-        impair=impair,
-    )
     actions = FABRIC_ACTIONS if fabric_racks else ACTIONS
+    params = dict(seed=seed, num_hosts=num_hosts, plans=plans, max_steps=max_steps,
+                  fabric_racks=fabric_racks, impair=impair)
+    schedules = []
     for index in range(plans):
         derived = case_seed(seed, index)
-        rng = random.Random(derived)
-        steps = random_steps(rng, num_hosts, max_steps=max_steps, actions=actions)
-        plan = build_plan(steps, num_hosts, racks=fabric_racks)
-        violation = check_plan(
-            plan,
-            num_hosts=num_hosts,
-            seed=derived,
-            fabric_racks=fabric_racks,
-            impair=impair,
+        steps = random_steps(random.Random(derived), num_hosts, max_steps, actions)
+        schedules.append(Schedule(steps, derived, label=index))
+
+    def oracle(plan: FaultPlan, derived: int, ring: int) -> Verdict:
+        return Verdict(
+            check_plan(plan, num_hosts, derived, fabric_racks=fabric_racks, impair=impair)
         )
-        case = SoakCase(
-            index=index, seed=derived, events=len(plan), violation=violation
+
+    source = ScheduleSource("soak", params, num_hosts, schedules, racks=fabric_racks)
+    return explore(oracle, source, minimize=minimize, progress=progress)
+
+
+def counterexamples(report: ExplorationReport) -> List[Counterexample]:
+    """One replayable artifact per failing case of a soak report."""
+    params = report.params
+    return [
+        Counterexample(
+            params["seed"], case.label, case.seed, params["num_hosts"],
+            case.report["violation"], case.steps, case.minimized_steps,
+            fabric_racks=params["fabric_racks"], impair=params["impair"],
         )
-        report.cases.append(case)
-        if violation is not None:
-            minimized = (
-                minimize_steps(
-                    steps,
-                    num_hosts=num_hosts,
-                    seed=derived,
-                    fabric_racks=fabric_racks,
-                    impair=impair,
-                )
-                if minimize
-                else list(steps)
-            )
-            report.counterexamples.append(
-                Counterexample(
-                    soak_seed=seed,
-                    index=index,
-                    seed=derived,
-                    num_hosts=num_hosts,
-                    violation=violation,
-                    steps=list(steps),
-                    minimized_steps=minimized,
-                    fabric_racks=fabric_racks,
-                    impair=impair,
-                )
-            )
-        if progress is not None:
-            progress(case)
-    return report
+        for case in report.failures
+    ]

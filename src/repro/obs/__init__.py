@@ -1,6 +1,6 @@
 """Protocol observability: metrics, observer hooks, and exporters.
 
-The observability layer has three parts:
+The observability layer has four parts:
 
 * :mod:`repro.obs.metrics` — zero-dependency counters, gauges, and
   HDR-style fixed-bucket histograms with deterministic snapshots.
@@ -8,6 +8,9 @@ The observability layer has three parts:
   interface threaded through every layer of the stack, plus
   :class:`MetricsObserver` which turns hooks into metrics.
 * :mod:`repro.obs.export` — JSON and table exporters for snapshots.
+* :mod:`repro.obs.coverage` — :class:`CoverageObserver` counts which
+  protocol branches a run reached; the conformance oracles and the
+  fault explorer report it.
 
 Quickstart::
 

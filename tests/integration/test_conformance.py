@@ -11,7 +11,7 @@ import copy
 import pytest
 
 from repro.conformance.differ import run_differential
-from repro.conformance.explorer import explore, harvest_instants
+from repro.conformance.explorer import explore_instants, harvest_instants
 from repro.conformance.variants import MSG, VARIANT_NAMES, run_variant
 from repro.conformance.workload import Workload
 from repro.faults.generator import build_plan
@@ -151,7 +151,7 @@ def test_harvested_instants_fall_inside_the_traffic_window():
 
 
 def test_small_exploration_finds_no_divergence_and_accounts_schedules():
-    report = explore(
+    report = explore_instants(
         SMALL,
         depth=1,
         budget=2,

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.conformance.coverage import CoverageObserver
+from repro.obs.coverage import CoverageObserver
 from repro.faults import scenarios
 from repro.membership.controller import DATA_BATCH, TABLE, TRANSITIONS, MemberState
 from repro.obs.observer import MetricsObserver

@@ -9,11 +9,13 @@ of per-group streams.
 import pytest
 
 from repro.conformance.multiring import (
+    DEPTH1_STEPS,
     ShardedWorkload,
-    explore_sharded,
+    explore_grid,
     run_sharded,
     run_sharded_differential,
 )
+from repro.faults.generator import build_plan
 from repro.multiring import ShardMap
 from repro.sim.build import ClusterBuilder
 from repro.util.errors import ConfigurationError
@@ -98,9 +100,7 @@ def test_per_shard_evs_clean_under_depth1_fault():
     # One representative depth-1 case inline (the full grid runs in the
     # nightly explorer): crash+recover on ring 0 must leave both rings'
     # EVS clean and the cluster reconverged.
-    from repro.conformance.multiring import _depth1_plan
-
-    plan = _depth1_plan("crash-recover", pid=0, at=0.05)
+    plan = build_plan(DEPTH1_STEPS["crash-recover"](50, 0), WORKLOAD.hosts_per_ring)
     run = run_sharded(2, WORKLOAD, plan=plan, plan_ring=0)
     assert run.converged
     assert run.evs_violations == {}
@@ -110,8 +110,8 @@ def test_per_shard_evs_clean_under_depth1_fault():
         assert len(run.group_streams[group]) == WORKLOAD.messages_per_group
 
 
-def test_explore_sharded_smoke_token_drop():
-    report = explore_sharded(
+def test_explore_grid_smoke_token_drop():
+    report = explore_grid(
         num_rings=2,
         workload=ShardedWorkload(
             num_groups=6, messages_per_group=2, hosts_per_ring=4
@@ -119,8 +119,13 @@ def test_explore_sharded_smoke_token_drop():
         kinds=("token-drop",),
         anchors=(0.5,),
     )
-    assert len(report.cases) == 2  # one per ring
+    assert [case.ring for case in report.cases] == [0, 1]  # one per ring
     assert report.ok, report.to_json()
+    assert report.enumerated == report.ran == 2
+    # Coverage is merged over both runs: the dropped token is visible.
+    assert report.coverage.hit("coverage.fault.token_drop") == 2
+    assert report.coverage.hit("coverage.membership.token_loss") > 0
+    assert report.coverage.hit("coverage.deliver.messages") > 0
 
 
 def test_protocol_mode_scaling_is_near_linear():

@@ -5,10 +5,10 @@ of its canonical JSON document (``indent=2, sort_keys=True``, no
 trailing newline).  Where the two chaos goldens pin two reports byte
 for byte, this file pins *every* runner that boots a cluster, arms a
 plan, quiesces, polls for convergence and judges the traces — chaos,
-KV chaos, the three oracles, both explorers and the soak drive — so a
-change to how a run is driven (a poll cadence, a window, a quiesce
-rule) shows up as a moved ``sim_time``, event count or stream, not
-merely as "still passes".  The ``bench/`` entries pin the seeded
+KV chaos, the three oracles, both conformance explorations and the soak
+drive — so a change to how a run is driven (a poll cadence, a window, a
+quiesce rule) shows up as a moved ``sim_time``, event count or stream,
+not merely as "still passes".  The ``bench/`` entries pin the seeded
 benchmark windows behind the paper's numbers: the accelerated ring at
 maximum throughput, fixed rates, Safe delivery, datagram coalescing and
 on a leaf–spine fabric, 1/2/4 sharded rings, and the KV store and
@@ -43,8 +43,8 @@ from repro.bench.experiments import window_summary
 from repro.bench.tables import ring_count_window
 from repro.bench.windows import window_for
 from repro.conformance import differ
-from repro.conformance.explorer import explore
-from repro.conformance.multiring import explore_sharded, run_sharded_differential
+from repro.conformance.explorer import explore_instants
+from repro.conformance.multiring import explore_grid, run_sharded_differential
 from repro.conformance.realtime import RealtimeWorkload, run_sim_serialized
 from repro.conformance.variants import VARIANT_NAMES
 from repro.conformance.workload import Workload
@@ -176,6 +176,57 @@ def _soak_case(index: int, fabric_racks: int = 0, impair=None) -> dict:
             for pid, host in sorted(cluster.hosts.items())
         },
         "verdict": verdict,
+    }
+
+
+# The two exploration entries were recorded from the report types the
+# one explorer replaced; each producer projects the one report onto that
+# document by selecting and renaming its fields.
+
+
+def _sharded_explore() -> dict:
+    """The per-ring depth-1 grid on 2 rings at the 0.25 anchor."""
+    report = explore_grid(num_rings=2, anchors=(0.25,)).to_dict()
+    params = report["params"]
+    return {
+        "num_rings": params["num_rings"],
+        "workload": params["workload"],
+        "seed": params["seed"],
+        "ok": report["ok"],
+        "cases": [
+            {
+                "ring": case["ring"],
+                "kind": case["label"]["kind"],
+                "pid": case["label"]["pid"],
+                "at": case["label"]["at"],
+                "ok": case["ok"],
+                "converged": case["report"]["converged"],
+                "evs": case["report"]["evs"],
+                "deliveries": case["report"]["deliveries"],
+            }
+            for case in report["cases"]
+        ],
+    }
+
+
+def _instants_explore() -> dict:
+    """Harvested instants at depth 1, five differential runs."""
+    report = explore_instants(Workload(), depth=1, budget=5).to_dict()
+    source = ("workload", "seed", "depth", "variants", "instants")
+    counts = ("budget", "enumerated", "deduped", "ran", "skipped_budget", "ok", "coverage")
+    return {
+        **{key: report["params"][key] for key in source},
+        **{key: report[key] for key in counts},
+        "divergent": [
+            {
+                "atoms": case["label"],
+                "steps": case["steps"],
+                "minimized_steps": case["minimized_steps"],
+                "report": case["report"],
+            }
+            for case in report["cases"]
+            if not case["ok"]
+        ],
     }
 
 
@@ -313,12 +364,8 @@ for _name in sorted(KV_SCENARIOS):
 for _name, _plan in DIFFERENTIAL_PLANS.items():
     PRODUCERS[f"differential/{_name}"] = lambda plan=_plan: _differential(plan)
 PRODUCERS["sharded/differential"] = lambda: run_sharded_differential().to_dict()
-PRODUCERS["sharded/explore"] = (
-    lambda: explore_sharded(num_rings=2, anchors=(0.25,)).to_dict()
-)
-PRODUCERS["explore/depth1-budget5"] = (
-    lambda: explore(Workload(), depth=1, budget=5).to_dict()
-)
+PRODUCERS["sharded/explore"] = _sharded_explore
+PRODUCERS["explore/depth1-budget5"] = _instants_explore
 for _crash in (False, True):
     PRODUCERS[f"realtime-sim/{'crash' if _crash else 'fault-free'}"] = (
         lambda crash=_crash: _run_document(

@@ -15,17 +15,18 @@ NUM_HOSTS = 4
 
 def test_small_soak_runs_clean():
     report = run_soak(plans=3, num_hosts=NUM_HOSTS, seed=1)
-    assert report.passed, report.to_json()
-    assert [case.index for case in report.cases] == [0, 1, 2]
-    assert all(case.violation is None for case in report.cases)
+    assert report.ok, report.to_json()
+    assert [case.label for case in report.cases] == [0, 1, 2]
+    assert [case.seed for case in report.cases] == [case_seed(1, i) for i in range(3)]
+    assert all(case.report["violation"] is None for case in report.cases)
 
 
 def test_small_fabric_soak_runs_clean():
     report = run_soak(
         plans=2, num_hosts=8, seed=1, fabric_racks=2, impair="reorder"
     )
-    assert report.passed, report.to_json()
-    assert report.fabric_racks == 2 and report.impair == "reorder"
+    assert report.ok, report.to_json()
+    assert report.params["fabric_racks"] == 2 and report.params["impair"] == "reorder"
 
 
 def test_soak_cli_fabric_flags(tmp_path, capsys):
@@ -35,9 +36,9 @@ def test_soak_cli_fabric_flags(tmp_path, capsys):
     )
     assert code == 0
     payload = json.loads((tmp_path / "soak_report.json").read_text())
-    assert payload["passed"] is True
-    assert payload["fabric_racks"] == 2
-    assert payload["impair"] == "jitter"
+    assert payload["ok"] is True
+    assert payload["params"]["fabric_racks"] == 2
+    assert payload["params"]["impair"] == "jitter"
 
 
 def test_soak_cli_writes_report_artifact(tmp_path, capsys):
@@ -47,8 +48,9 @@ def test_soak_cli_writes_report_artifact(tmp_path, capsys):
     )
     assert code == 0
     payload = json.loads((tmp_path / "soak_report.json").read_text())
-    assert payload["passed"] is True
-    assert payload["plans"] == 2
+    assert payload["ok"] is True
+    assert payload["params"]["plans"] == 2
+    assert len(payload["cases"]) == 2
     assert "2/2 plans passed" in capsys.readouterr().out
 
 

@@ -116,6 +116,91 @@ def test_conformance_run_and_report_round_trip(tmp_path, capsys):
     assert "coverage.deliver.messages" in out
 
 
+def _divergence(detail):
+    from repro.conformance.differ import ConformanceDivergence
+
+    return ConformanceDivergence(
+        kind="evs", variant_a="a", variant_b="b", phase="main", detail=detail
+    )
+
+
+def _exploration(source, report):
+    from repro.faults.explorer import ExplorationCase, ExplorationReport
+    from repro.obs.coverage import CoverageReport
+
+    failing = ExplorationCase(
+        label=0, seed=1, ring=1, steps=[(10, "crash", 1), (10, "heal", 0)], events=1,
+        ok=False, report=report, minimized_steps=[(10, "crash", 1)],
+    )
+    passing = ExplorationCase(
+        label=1, seed=2, ring=0, steps=[], events=0, ok=True, report={"ok": True}
+    )
+    return ExplorationReport(
+        source, {}, enumerated=2, ran=2, cases=[failing, passing],
+        coverage=CoverageReport({"coverage.token.sent": 4}),
+    )
+
+
+@pytest.mark.parametrize(
+    "source, report, finding",
+    [
+        ("instants", {"ok": False, "divergences": [_divergence("lost").to_dict()]},
+         "EVS violation in b: lost"),
+        ("ring-grid", {"ok": False, "converged": False, "evs": {"1": "gap"},
+                       "deliveries": 3}, "ring 1: gap"),
+        ("soak", {"ok": False, "violation": "virtual synchrony"}, "virtual synchrony"),
+    ],
+)
+def test_conformance_report_reads_an_exploration_from_any_source(
+    tmp_path, capsys, source, report, finding
+):
+    artifact = tmp_path / "exploration.json"
+    artifact.write_text(_exploration(source, report).to_json())
+    assert main(["conformance", "report", str(artifact)]) == 1
+    out = capsys.readouterr().out
+    assert f"FAIL  {source}: enumerated=2 deduped=0 ran=2" in out
+    assert "case 0 seed=1 ring=1 minimized to 1 step(s):" in out
+    assert finding in out
+    assert "coverage.token.sent" in out
+
+
+def test_conformance_report_reads_a_sharded_report(tmp_path, capsys):
+    from repro.conformance.multiring import ShardedReport, ShardedWorkload
+
+    report = ShardedReport(
+        workload=ShardedWorkload(), seed=0, ring_counts=(1, 2),
+        divergences=[_divergence("ring 0 lost g1.3")], deliveries={"rings-1": 36},
+    )
+    artifact = tmp_path / "conformance_sharded.json"
+    artifact.write_text(report.to_json())
+    assert main(["conformance", "report", str(artifact)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  sharded: rings=(1, 2) seed=0" in out
+    assert "ring 0 lost g1.3" in out
+
+
+def test_conformance_report_reads_a_realtime_report(tmp_path, capsys):
+    from repro.conformance.realtime import RealtimeReport, RealtimeWorkload
+
+    report = RealtimeReport(
+        workload=RealtimeWorkload(), crash=True, deliveries={"sim": 9, "real": 9},
+        converged={"sim": True, "real": True},
+    )
+    artifact = tmp_path / "conformance_realtime.json"
+    artifact.write_text(report.to_json())
+    assert main(["conformance", "report", str(artifact)]) == 0
+    assert "PASS  realtime: crash=True" in capsys.readouterr().out
+
+
+def test_conformance_report_rejects_other_documents(tmp_path, capsys):
+    artifact = tmp_path / "fleet_smoke.json"
+    artifact.write_text('{"acked": 12}')
+    assert main(["conformance", "report", str(artifact)]) == 2
+    err = capsys.readouterr().err
+    assert "exploration or soak report" in err
+    assert "differential, sharded or realtime report" in err
+
+
 def test_fleet_parser_defaults():
     args = build_parser().parse_args(["fleet", "run"])
     assert args.fleet_mode == "run"

@@ -2,7 +2,7 @@
 
 from types import SimpleNamespace
 
-from repro.conformance.coverage import (
+from repro.obs.coverage import (
     CORE_BRANCHES,
     CoverageObserver,
     CoverageReport,

@@ -1,16 +1,15 @@
-"""Unit tests for schedule enumeration, dedup plumbing, and the shared
-greedy minimizer (no simulator runs — the integration suite covers the
-full explore loop)."""
+"""Unit tests for the harvested-instant schedule source, its dedup
+plumbing, and the shared greedy minimizer (no simulator runs — the
+integration suite covers the full explore loop)."""
 
 from repro.conformance.explorer import (
-    ExplorationReport,
     atom_steps,
     enumerate_schedules,
     schedule_to_steps,
 )
 from repro.conformance.workload import Workload
+from repro.faults.explorer import ExplorationCase, ExplorationReport, greedy_minimize
 from repro.faults.generator import build_plan
-from repro.faults.soak import greedy_minimize
 
 
 def test_atoms_expand_with_paired_repairs():
@@ -95,18 +94,34 @@ def test_fabric_workload_widens_actions_and_round_trips():
 
 def test_exploration_report_round_trips():
     report = ExplorationReport(
-        workload=Workload(num_hosts=4),
-        seed=5,
-        depth=2,
+        source="instants",
+        params={
+            "workload": Workload(num_hosts=4).to_dict(),
+            "seed": 5,
+            "depth": 2,
+            "variants": ["original", "accelerated"],
+            "instants": [12, 34],
+        },
         budget=10,
-        variants=("original", "accelerated"),
-        instants=[12, 34],
         enumerated=40,
         deduped=8,
         ran=10,
         skipped_budget=22,
+        cases=[
+            ExplorationCase(
+                label=[[12, "crash", 1]],
+                seed=5,
+                ring=0,
+                steps=[(12, "crash", 1), (60, "recover", 1)],
+                events=2,
+                ok=False,
+                report={"ok": False, "divergences": []},
+                minimized_steps=[(12, "crash", 1)],
+            )
+        ],
     )
     clone = ExplorationReport.from_json(report.to_json())
     assert clone.to_json() == report.to_json()
-    assert clone.ok
-    assert clone.instants == [12, 34]
+    assert clone == report
+    assert not clone.ok and clone.failures == clone.cases
+    assert clone.params["instants"] == [12, 34]

@@ -2,7 +2,8 @@
 clusters one assembly path, seeded behaviour one pin (the goldens),
 checked runs one drive-and-converge loop, the membership controller one transition table,
 the runtime one daemon, one client and one client protocol, the
-committed results one producer, the network one link and one topology.
+committed results one producer, the network one link and one topology,
+fault-schedule searches one explorer.
 
 Scans the package source so that a re-grown effect ladder, a second
 delivery effect or a per-message delivery hook, a second run-grouping
@@ -10,8 +11,8 @@ accumulator, a new deprecation shim, a bench baseline or a comparator
 against one, a bench environment knob, a private convergence poll or a second way to
 arm a fault plan, a dispatch ladder or hand-placed timer cancel in
 the membership controller, a second daemon or client protocol, a
-second figure harness, a second serializing queue or a probe telling two
-topologies apart fails tier-1 instead of drifting in unnoticed (the
+second figure harness, a second serializing queue, a probe telling two
+topologies apart or a second exploration loop fails tier-1 instead of drifting in unnoticed (the
 shape of the port and unseeded-random tripwires in ``conftest.py``,
 applied to the source tree)."""
 
@@ -461,6 +462,42 @@ def test_one_link_and_no_topology_probe():
     ):
         assert TOPOLOGY_PROBE.search(line), line
     assert not TOPOLOGY_PROBE.search('        restart = getattr(self.cluster, "restart", None)')
+
+
+# ----------------------------------------------------------------------
+# One explorer: every schedule search is one loop (faults/explorer.py)
+# ----------------------------------------------------------------------
+
+#: A call of the shared shrinker: only the one exploration loop shrinks.
+SHRINKS = re.compile(r"(?<!def )\bgreedy_minimize\(")
+#: The loops and report types the one explorer replaced.
+RETIRED_EXPLORERS = re.compile(
+    r"^\s*(def|class) (explore_sharded|ShardedExplorationReport|SoakReport|SoakCase"
+    r"|minimize_steps|_depth1_plan)\b",
+    re.MULTILINE,
+)
+
+
+def test_one_explorer():
+    assert _occurrences(SHRINKS.pattern) == {"faults/explorer.py": 1}
+    assert _occurrences(RETIRED_EXPLORERS.pattern) == {}
+    # ...and the patterns bite on what this replaced.
+    for line in (
+        "    return greedy_minimize(steps, still_fails)",
+        "                minimized = greedy_minimize(steps, still_diverges)",
+    ):
+        assert SHRINKS.search(line), line
+    assert not SHRINKS.search("def greedy_minimize(items: List, still_fails) -> List:")
+    for line in (
+        "def explore_sharded(",
+        "class ShardedExplorationReport(JsonReport):",
+        "class SoakReport(JsonReport):",
+        "class SoakCase:",
+        "def minimize_steps(",
+        "def _depth1_plan(kind: str, pid: int, at: float) -> FaultPlan:",
+    ):
+        assert RETIRED_EXPLORERS.search(line), line
+    assert not RETIRED_EXPLORERS.search("def explore_grid(")
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Unit tests for the soak harness: generation determinism, the greedy
-minimizer, counterexample round-trips, and report bookkeeping.
+"""Unit tests for the soak harness: generation determinism,
+counterexample round-trips, and report bookkeeping.
 
 The expensive part — actually driving a cluster — is covered by
 ``tests/integration/test_evs_regressions.py`` and the property suite;
@@ -8,8 +8,6 @@ in milliseconds.
 """
 
 import random
-
-import pytest
 
 from repro.faults.generator import (
     ACTIONS,
@@ -22,7 +20,7 @@ from repro.faults.generator import (
 from repro.faults.soak import (
     Counterexample,
     case_seed,
-    minimize_steps,
+    counterexamples,
     run_soak,
 )
 
@@ -79,53 +77,6 @@ def test_case_seeds_are_distinct_across_cases_and_soaks():
     assert len(seeds) == 600
 
 
-# -- minimizer ----------------------------------------------------------
-
-
-def fails_when(predicate):
-    """A stand-in for ``check_plan`` driven by a plan predicate."""
-
-    def check(plan, num_hosts, seed, **kwargs):
-        return "violation" if predicate(plan) else None
-
-    return check
-
-
-def test_minimizer_reduces_to_the_culprit_steps(monkeypatch):
-    # "Fails" iff the plan still contains a crash AND a token drop.
-    monkeypatch.setattr(
-        "repro.faults.soak.check_plan",
-        fails_when(
-            lambda plan: {"crash", "token_drop"}
-            <= {event.kind for event in plan}
-        ),
-    )
-    steps = [
-        (10, "pause", 2),
-        (10, "crash", 1),
-        (10, "loss_burst", 0),
-        (10, "token_drop", 0),
-        (10, "resume", 2),
-        (10, "heal", 3),
-    ]
-    minimized = minimize_steps(steps, num_hosts=NUM_HOSTS, seed=1)
-    assert [action for _, action, _ in minimized] == ["crash", "token_drop"]
-
-
-def test_minimizer_keeps_steps_the_failure_depends_on(monkeypatch):
-    # Recover(1) is only valid after crash(1): a failure that needs the
-    # recover event transitively needs the crash too.
-    monkeypatch.setattr(
-        "repro.faults.soak.check_plan",
-        fails_when(
-            lambda plan: any(event.kind == "recover" for event in plan)
-        ),
-    )
-    steps = [(10, "crash", 1), (10, "token_drop", 0), (10, "recover", 1)]
-    minimized = minimize_steps(steps, num_hosts=NUM_HOSTS, seed=1)
-    assert [action for _, action, _ in minimized] == ["crash", "recover"]
-
-
 # -- run_soak orchestration --------------------------------------------
 
 
@@ -144,13 +95,15 @@ def test_run_soak_records_cases_and_counterexamples(monkeypatch):
         num_hosts=NUM_HOSTS,
         seed=9,
         minimize=False,
-        progress=progressed.append,
+        progress=lambda report, case: progressed.append(case),
     )
-    assert report.plans == 5 and len(report.cases) == 5
-    assert report.failures == 1 and not report.passed
-    assert len(progressed) == 5
-    failing = report.counterexamples[0]
+    assert report.params["plans"] == 5 and len(report.cases) == 5
+    assert [case.label for case in report.cases] == [0, 1, 2, 3, 4]
+    assert len(report.failures) == 1 and not report.ok
+    assert progressed == report.cases
+    (failing,) = counterexamples(report)
     assert failing.index == 2
+    assert failing.minimized_steps == failing.steps
     assert failing.seed == case_seed(9, 2)
     assert failing.violation == "boom"
     # Every case used its derived seed (replayable standalone).
@@ -163,12 +116,16 @@ def test_clean_soak_report_shape(monkeypatch):
         lambda plan, num_hosts, seed, **kwargs: None,
     )
     report = run_soak(plans=3, num_hosts=NUM_HOSTS, seed=1)
-    assert report.passed
+    assert report.ok
     payload = report.to_dict()
-    assert payload["passed"] is True
-    assert payload["failures"] == 0
-    assert len(payload["cases"]) == 3
-    assert payload["counterexamples"] == []
+    assert payload["ok"] is True
+    assert payload["source"] == "soak"
+    assert (payload["enumerated"], payload["ran"], payload["deduped"]) == (3, 3, 0)
+    assert [case["report"] for case in payload["cases"]] == [
+        {"ok": True, "violation": None}
+    ] * 3
+    assert all(case["minimized_steps"] is None for case in payload["cases"])
+    assert counterexamples(report) == []
 
 
 # -- counterexample artifacts ------------------------------------------
@@ -208,10 +165,11 @@ def test_fabric_soak_threads_dimensions_into_report(monkeypatch):
         impair="reorder",
     )
     assert seen == [(2, "reorder")] * 2
-    assert report.fabric_racks == 2 and report.impair == "reorder"
+    assert report.params["fabric_racks"] == 2 and report.params["impair"] == "reorder"
     payload = report.to_dict()
-    assert payload["fabric_racks"] == 2 and payload["impair"] == "reorder"
-    failing = report.counterexamples[0]
+    assert payload["params"]["fabric_racks"] == 2
+    assert payload["params"]["impair"] == "reorder"
+    failing = counterexamples(report)[0]
     assert failing.fabric_racks == 2 and failing.impair == "reorder"
     restored = Counterexample.from_json(failing.to_json())
     assert restored == failing
