@@ -713,8 +713,11 @@ def _fleet_run(args: argparse.Namespace) -> int:
         # messages share datagrams, datagrams/msg falls well below 2 and
         # msgs/batch (1.0 = nothing was ever batched) rises; the client
         # side of the same thing is msgs/client-write (1.0 = every
-        # message had a socket write of its own).
+        # message had a socket write of its own).  Packing (PROTOCOL.md
+        # §15) is envelopes/container: 1.0 = nothing was ever packed,
+        # as at one message in flight per client.
         batches = counters["batches_sent"]
+        containers = counters["containers_sent"]
         print(
             f"        acked {report['messages_acked']}/"
             f"{report['messages_sent']}, decode_errors="
@@ -724,7 +727,9 @@ def _fleet_run(args: argparse.Namespace) -> int:
             f"msgs/client-write "
             f"{counters['messages_delivered_to_clients'] / max(1, counters['client_writes']):.1f}, "
             f"msgs/batch "
-            f"{counters['batched_messages'] / batches if batches else 1.0:.1f}"
+            f"{counters['batched_messages'] / batches if batches else 1.0:.1f}, "
+            f"envelopes/container "
+            f"{counters['envelopes_packed'] / containers if containers else 1.0:.1f}"
         )
     return 0 if ok else 1
 

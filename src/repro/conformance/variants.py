@@ -184,8 +184,12 @@ class VariantRun:
 
 
 class _SpreadPipeline:
-    """Per-sender packing + fragmentation, mirroring the daemon's
-    eager-flush submit path (:meth:`SpreadDaemon._submit_envelope`)."""
+    """Per-sender packing + fragmentation, mirroring what a daemon
+    submits for a client read of one groupcast
+    (:meth:`SpreadDaemon._handle_client_read`): the packer is flushed
+    after every envelope, so a label is one bare envelope or its
+    fragments.  Its payloads must not change: the three-variant
+    differential digests are recorded over them."""
 
     def __init__(self, num_hosts: int) -> None:
         self.packers = {pid: Packer() for pid in range(num_hosts)}

@@ -218,7 +218,8 @@ class Fleet:
                 pass
 
     def counters(self) -> Dict[str, int]:
-        """Fleet-wide health counters (backpressure, codec, batching)."""
+        """Fleet-wide health counters (backpressure, codec, batching,
+        packing)."""
         totals = {
             "messages_delivered_to_clients": 0,
             "client_writes": 0,
@@ -230,6 +231,8 @@ class Fleet:
             "batched_messages": 0,
             "datagrams_sent": 0,
             "datagrams_send_dropped": 0,
+            "containers_sent": 0,
+            "envelopes_packed": 0,
         }
         for daemon in self.daemons.values():
             totals["messages_delivered_to_clients"] += (
@@ -246,6 +249,8 @@ class Fleet:
             totals["datagrams_send_dropped"] += (
                 daemon.node.transport.datagrams_send_dropped
             )
+            totals["containers_sent"] += daemon.containers_sent
+            totals["envelopes_packed"] += daemon.envelopes_packed
         return totals
 
 

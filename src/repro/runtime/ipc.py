@@ -198,9 +198,10 @@ class FrameDecoder:
         return frames
 
 
-#: Handles one frame where it was decoded; a ``CodecError`` it raises
-#: ends the connection by rule.
-FrameHandler = Callable[[int, bytes], None]
+#: Handles the frames one read completed, in order, where they were
+#: decoded; a ``CodecError`` it raises ends the connection by rule (after
+#: it has dealt with the frames ahead of the one it refused).
+FramesHandler = Callable[[List[Frame]], None]
 
 #: Bytes a consumer may fall behind its connection before reading stops
 #: (what ``asyncio.StreamReader`` buffers at its default limit).
@@ -214,8 +215,10 @@ class FrameProtocol(asyncio.Protocol):
     callback.  What happens to the frames it completed is set per
     connection:
 
-    * with :attr:`on_frame` set (a daemon's client connection), each
-      frame is handled right there, in order.  A ``CodecError`` from the
+    * with :attr:`on_frames` set (a daemon's client connection), the
+      frames of one read are handed over together, right there — as one
+      wakeup's datagrams reach a node's pass — so the daemon can pack
+      them (PROTOCOL.md §15, "packing").  A ``CodecError`` from the
       handler, or a header the decoder rejects, ends the stream by rule
       after the frames ahead of it (PROTOCOL.md §15, "malformed frames");
     * without it (a client's connection to its daemon), frames wait in
@@ -235,11 +238,11 @@ class FrameProtocol(asyncio.Protocol):
 
     def __init__(self, on_open: Optional[Callable[["FrameProtocol"], None]] = None) -> None:
         #: Called with this connection once it is up: where a daemon sets
-        #: :attr:`on_frame` and :attr:`on_end`.
+        #: :attr:`on_frames` and :attr:`on_end`.
         self._on_open = on_open
-        self.on_frame: Optional[FrameHandler] = None
+        self.on_frames: Optional[FramesHandler] = None
         self.on_end: Optional[Callable[[BaseException], None]] = None
-        #: Decoded frames not yet consumed, oldest first (no ``on_frame``).
+        #: Decoded frames not yet consumed, oldest first (no ``on_frames``).
         self.ready: Deque[Frame] = deque()
         self.transport: Optional[asyncio.Transport] = None
         self._decoder = FrameDecoder()
@@ -270,7 +273,8 @@ class FrameProtocol(asyncio.Protocol):
             return  # ended by rule: nothing after the malformed frame is read
         decoder = self._decoder
         frames = decoder.feed(data)
-        if self.on_frame is None:
+        on_frames = self.on_frames
+        if on_frames is None:
             ready = self.ready
             if frames:
                 ready.extend(frames)
@@ -286,12 +290,9 @@ class FrameProtocol(asyncio.Protocol):
                 # backs up its daemon's send window, as a stream reader's
                 # buffer limit does.
                 self.transport.pause_reading()
-        else:
+        elif frames:
             try:
-                for opcode, body in frames:
-                    # Looked up per frame: a hello installs the session's
-                    # handler for the frames behind it in the same read.
-                    self.on_frame(opcode, body)
+                on_frames(frames)
             except CodecError as error:
                 self._finish(error)
                 return

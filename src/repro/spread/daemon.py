@@ -11,9 +11,11 @@ One daemon runs per server, serving its local clients over a unix socket
 (and, optionally, remote ones over TCP): paper §IV-A, "each of the 8
 participating servers ran one daemon, one sending client ... and one
 receiving client".  A client connection is an
-:class:`~repro.runtime.ipc.FrameProtocol`: its frames are handled in the
-read's own callback, and a task exists only for the asynchronous part of
-a disconnect (writing out what is queued, then closing).  Client fan-out
+:class:`~repro.runtime.ipc.FrameProtocol`: the frames of one read are
+handled together in the read's own callback — its groupcasts packed into
+as few ordered messages as fit one datagram (paper §IV-A3) — and a task
+exists only for the asynchronous part of a disconnect (writing out what
+is queued, then closing).  Client fan-out
 is byte-bounded: each session owns a
 :class:`~repro.runtime.backpressure.ClientSendQueue`, so a client that
 stops reading is disconnected when it falls a window behind rather than
@@ -27,6 +29,7 @@ import functools
 import os
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
+from repro.core.codec import DATA_HEADER_BYTES
 from repro.core.messages import DataMessage, DeliveryService
 from repro.evs.configuration import Configuration
 from repro.runtime import ipc
@@ -36,20 +39,22 @@ from repro.runtime.backpressure import (
     flush_all,
 )
 from repro.runtime.node import RingNode
-from repro.runtime.transport import PeerAddress
+from repro.runtime.transport import DATAGRAM_BUDGET, PeerAddress
 from repro.spread.fragmentation import Fragmenter, FragmentReassembler
 from repro.spread.groups import GroupDirectory, qualify
-from repro.spread.packing import unpack_payload
+from repro.spread.packing import Packer
 from repro.spread.wire import (
     ENV_APP,
     ENV_FRAGMENT,
     ENV_JOIN,
     ENV_LEAVE,
+    ENV_PACKED,
     GroupJoin,
     GroupLeave,
     app_data_prefix,
     app_data_span,
     decode_envelope,
+    packed_item_spans,
 )
 from repro.util.errors import CodecError
 
@@ -57,6 +62,10 @@ from repro.util.errors import CodecError
 #: lists come from clients, so the memo is bounded: at the cap it starts
 #: over.
 ROUTE_MEMO_CAP = 1024
+
+#: Bytes one packed container may take: what one data datagram carries
+#: of a single message's payload (PROTOCOL.md §15, "packing").
+CONTAINER_BUDGET = DATAGRAM_BUDGET - DATA_HEADER_BYTES
 
 _NO_SENDER = app_data_prefix("")
 _pack_groupcast_head = ipc.GROUPCAST_HEAD.pack
@@ -81,7 +90,13 @@ class _ClientSession:
 
 class SpreadDaemon:
     """A group-aware daemon on one server: a ring node serving local
-    clients."""
+    clients.
+
+    ``pack_budget`` is only the fragment chunk size: an envelope longer
+    than it is ordered as its fragments.  It is not the budget of a
+    packed container — that is :data:`CONTAINER_BUDGET`, derived from
+    the datagram budget and not an option (PROTOCOL.md §15, "packing").
+    """
 
     def __init__(
         self,
@@ -123,6 +138,13 @@ class SpreadDaemon:
         self.clients_dropped_malformed = 0
         self.directory = GroupDirectory()
         self.fragmenter = Fragmenter(chunk_size=pack_budget)
+        #: Packs the groupcasts of one client read; empty between reads.
+        self.packer = Packer(budget=CONTAINER_BUDGET)
+        #: The service of every envelope the packer holds.
+        self._packing_service = DeliveryService.AGREED
+        #: Packed containers submitted, and the envelopes inside them.
+        self.containers_sent = 0
+        self.envelopes_packed = 0
         self.reassembler = FragmentReassembler()
         self._sessions: Dict[str, _ClientSession] = {}
         #: Validated groupcast headers (ingest side of "validate at
@@ -133,8 +155,9 @@ class SpreadDaemon:
         #: directory nor ``_sessions`` changes: see :meth:`_drop_routes`.
         self._routes: Dict[bytes, Tuple[_ClientSession, ...]] = {}
         #: The last forwarded envelope's tag + sender + group list, where
-        #: its group list starts, and its route: the next envelope that
-        #: starts with the same bytes has the same span and route.
+        #: its group list starts (counted from the envelope's first byte),
+        #: and its route: the next envelope that starts with the same
+        #: bytes has the same span and route.
         #: ``startswith(())`` matches nothing, so an empty memo misses.
         self._last_prefix: Union[bytes, Tuple[()]] = ()
         self._last_start = 0
@@ -197,13 +220,14 @@ class SpreadDaemon:
 
     def _client_connected(self, connection: ipc.FrameProtocol) -> None:
         self._awaiting_hello.add(connection)
-        connection.on_frame = functools.partial(self._hello, connection)
+        connection.on_frames = functools.partial(self._hello, connection)
         connection.on_end = functools.partial(self._gone_before_hello, connection)
 
-    def _hello(self, connection: ipc.FrameProtocol, opcode: int, body: bytes) -> None:
+    def _hello(self, connection: ipc.FrameProtocol, frames: List[ipc.Frame]) -> None:
         """The first frame: name the session, welcome it, and hand the
         connection's later frames — the rest of this read included — to
-        :meth:`_handle_client_frame`."""
+        :meth:`_handle_client_read`."""
+        opcode, body = frames[0]
         if opcode != ipc.OP_HELLO:
             raise CodecError("client must introduce itself first")
         self._awaiting_hello.discard(connection)
@@ -216,10 +240,12 @@ class SpreadDaemon:
             member_name, connection, self.client_window_bytes, self._unflushed
         )
         self._attach(session)
-        connection.on_frame = functools.partial(self._handle_client_frame, session)
+        connection.on_frames = functools.partial(self._handle_client_read, session)
         connection.on_end = functools.partial(self._session_gone, session)
         session.queue.send(ipc.pack_welcome(member_name))
         flush_all(self._unflushed)
+        if len(frames) > 1:
+            self._handle_client_read(session, frames[1:])
 
     def _gone_before_hello(
         self, connection: ipc.FrameProtocol, reason: BaseException
@@ -270,43 +296,76 @@ class SpreadDaemon:
             session.queue.writes for session in self._sessions.values()
         )
 
-    def _handle_client_frame(
-        self, session: _ClientSession, opcode: int, body: bytes
+    def _handle_client_read(
+        self, session: _ClientSession, frames: List[ipc.Frame]
     ) -> None:
-        if opcode == ipc.OP_GROUPCAST:  # the hot case, tested first
-            # Validate here, forward after: the header is checked (once
-            # per distinct header) and the body after its service byte
-            # is, byte for byte, the envelope after its sender.
-            _groups, service, _end = self._headers.parse(body)
-            self._submit_envelope(session.envelope_prefix + body[1:], service)
-        elif opcode == ipc.OP_JOIN:
-            group = ipc.unpack_group_op(body)
-            session.joined.add(group)
-            self._submit_envelope(
-                GroupJoin(member=session.member_name, group=group).encode(),
-                DeliveryService.AGREED,
-            )
-        elif opcode == ipc.OP_LEAVE:
-            group = ipc.unpack_group_op(body)
-            session.joined.discard(group)
-            self._submit_envelope(
-                GroupLeave(member=session.member_name, group=group).encode(),
-                DeliveryService.AGREED,
-            )
-        else:
-            raise CodecError(f"unexpected client opcode {opcode}")
+        """The frames one read of ``session``'s connection completed, in
+        order (PROTOCOL.md §15, "packing").  Groupcasts are packed into as
+        few ordered payloads as fit :data:`CONTAINER_BUDGET`; the packer is
+        flushed on a change of service, before a join or a leave, before
+        an envelope that must fragment, and at the end of the read — a
+        ``CodecError`` included, so the frames ahead of a malformed one
+        are ordered before the session's leaves."""
+        packer = self.packer
+        needs_fragmentation = self.fragmenter.needs_fragmentation
+        try:
+            for opcode, body in frames:
+                if opcode == ipc.OP_GROUPCAST:  # the hot case, tested first
+                    # Validate here, forward after: the header is checked
+                    # (once per distinct header) and the body after its
+                    # service byte is, byte for byte, the envelope after
+                    # its sender.
+                    _groups, service, _end = self._headers.parse(body)
+                    envelope = session.envelope_prefix + body[1:]
+                    if service is not self._packing_service:
+                        self._flush_packer()
+                        self._packing_service = service
+                    if needs_fragmentation(envelope):
+                        self._submit_envelope(envelope, service)
+                    else:
+                        for payload in packer.add(envelope):
+                            self._submit(payload, service)
+                elif opcode == ipc.OP_JOIN:
+                    group = ipc.unpack_group_op(body)
+                    session.joined.add(group)
+                    self._submit_envelope(
+                        GroupJoin(member=session.member_name, group=group).encode(),
+                        DeliveryService.AGREED,
+                    )
+                elif opcode == ipc.OP_LEAVE:
+                    group = ipc.unpack_group_op(body)
+                    session.joined.discard(group)
+                    self._submit_envelope(
+                        GroupLeave(member=session.member_name, group=group).encode(),
+                        DeliveryService.AGREED,
+                    )
+                else:
+                    raise CodecError(f"unexpected client opcode {opcode}")
+        finally:
+            self._flush_packer()
+
+    def _flush_packer(self) -> None:
+        for payload in self.packer.flush():
+            self._submit(payload, self._packing_service)
 
     def _submit_envelope(self, envelope: bytes, service: DeliveryService) -> None:
-        """Submit ``envelope`` whole if it fits the budget, else as its
-        fragments in order.  (Nothing is packed at ingest: an envelope is
-        submitted when it arrives, so there is never a second one to
-        share a packet with — PROTOCOL.md §15, "packing".)"""
+        """Submit ``envelope`` now, behind whatever the packer held: whole
+        if it fits the fragment chunk size, else as its fragments in
+        order."""
+        self._flush_packer()
         fragmenter = self.fragmenter
         if fragmenter.needs_fragmentation(envelope):
             for piece in fragmenter.fragment(envelope):
-                self.node.submit(payload=piece, service=service)
+                self._submit(piece, service)
         else:
-            self.node.submit(payload=envelope, service=service)
+            self._submit(envelope, service)
+
+    def _submit(self, payload: bytes, service: DeliveryService) -> None:
+        """Submit one ordered payload, counting it if it is a container."""
+        if payload[0] == ENV_PACKED:
+            self.containers_sent += 1
+            self.envelopes_packed += (payload[1] << 8) | payload[2]
+        self.node.submit(payload=payload, service=service)
 
     # ------------------------------------------------------------------
     # Ordered delivery side
@@ -320,27 +379,44 @@ class SpreadDaemon:
         for message in messages:
             payload = message.payload
             try:
-                if payload and payload[0] == ENV_APP:
-                    forward(payload, message.service)  # bare: the hot case
+                tag = payload[0] if payload else None
+                if tag == ENV_APP:  # bare: one client's read held one groupcast
+                    forward(payload, message.service, 0, len(payload))
+                elif tag == ENV_PACKED:  # the hot case under load
+                    self._apply_container(payload, message)
                 else:
-                    for envelope in unpack_payload(payload):
-                        try:
-                            self._apply_envelope(envelope, message)
-                        except CodecError:
-                            self.envelopes_undecodable += 1
+                    self._apply_envelope(payload, message)
             except CodecError:
                 self.envelopes_undecodable += 1
         self._cut_chunk()
 
+    def _apply_container(self, container: bytes, message: DataMessage) -> None:
+        """Each item of a packed container, in order.  An AppData item is
+        forwarded straight from the container's bytes; any other item is
+        applied as an envelope of its own.  A container whose items do not
+        all fit raises before any item is applied; an item that does not
+        decode is counted and skipped."""
+        spans = packed_item_spans(container)
+        forward = self._forward_app_data
+        service = message.service
+        for start, end in spans:
+            try:
+                if start < end and container[start] == ENV_APP:
+                    forward(container, service, start, end)
+                else:
+                    self._apply_envelope(container[start:end], message)
+            except CodecError:
+                self.envelopes_undecodable += 1
+
     def _apply_envelope(
         self, envelope: bytes, message: DataMessage, reassembled: bool = False
     ) -> None:
-        """One envelope that did not arrive bare as AppData: an item of
-        a packed container, a fragment or (``reassembled``) what its
-        fragments made, a join, a leave."""
+        """One envelope that is not AppData straight off the order: a
+        fragment or (``reassembled``) what its fragments made, a join, a
+        leave, an item of a container that is not AppData."""
         tag = envelope[0] if envelope else None
         if tag == ENV_APP:
-            self._forward_app_data(envelope, message.service)
+            self._forward_app_data(envelope, message.service, 0, len(envelope))
         elif tag == ENV_FRAGMENT and not reassembled:
             whole = self.reassembler.accept(message.pid, decode_envelope(envelope))
             if whole is not None:
@@ -355,8 +431,12 @@ class SpreadDaemon:
         else:
             raise CodecError(f"unexpected envelope tag {tag}")
 
-    def _forward_app_data(self, envelope: bytes, service: DeliveryService) -> None:
-        """Frame one AppData envelope for the local members of its groups.
+    def _forward_app_data(
+        self, data: bytes, service: DeliveryService, at: int, end: int
+    ) -> None:
+        """Frame the AppData envelope ``data[at:end]`` for the local
+        members of its groups (the whole of ``data``, or one item of a
+        packed container, which is not copied out first).
 
         From its group list on, the envelope is a groupcast body after
         the service byte (the shared tail, PROTOCOL.md §15): the client
@@ -372,17 +452,17 @@ class SpreadDaemon:
         that starts with it has its span, and, until the next change
         (:meth:`_drop_routes`), its route.
         """
-        if envelope.startswith(self._last_prefix):
-            start = self._last_start
+        if data.startswith(self._last_prefix, at, end):
+            start = at + self._last_start
             route = self._last_route
         else:
-            start, end = app_data_span(envelope)
-            key = envelope[start:end]
+            start, groups_end = app_data_span(data, at, end)
+            key = data[start:groups_end]
             route = self._routes.get(key)
             if route is None:
                 route = self._resolve_route(key)
-            self._last_prefix = envelope[:end]
-            self._last_start = start
+            self._last_prefix = data[at:groups_end]
+            self._last_start = start - at
             self._last_route = route
         if route != self._chunk_route:
             self._cut_chunk()
@@ -391,10 +471,8 @@ class SpreadDaemon:
             # The layout groupcast_frame_from_tail writes, left in two
             # pieces for the chunk's one join.
             chunk = self._chunk
-            chunk.append(
-                _pack_groupcast_head(ipc.OP_GROUPCAST, 1 + len(envelope) - start, service)
-            )
-            chunk.append(envelope[start:])
+            chunk.append(_pack_groupcast_head(ipc.OP_GROUPCAST, 1 + end - start, service))
+            chunk.append(data[start:end])
 
     def _cut_chunk(self) -> None:
         """Hand the pending chunk to each session of its route: one

@@ -4,7 +4,9 @@ Paper §IV-A3: "Spread includes a built-in ability to pack small messages
 into a single protocol packet, but the size of a protocol packet is
 limited to fit within a standard 1500-byte MTU."  The packer batches
 encoded envelopes greedily, preserving order; each flush yields payloads
-that fit the protocol-packet budget.
+that fit the protocol-packet budget.  A ``SpreadDaemon`` runs one over
+the groupcasts of each client read, with a budget of one jumbo datagram
+rather than one MTU (PROTOCOL.md §15, "packing").
 """
 
 from __future__ import annotations
@@ -38,32 +40,33 @@ class Packer:
         An envelope that alone exceeds the budget is emitted unpacked
         (the fragmentation layer is responsible for splitting it).
         """
-        emitted: List[bytes] = []
         cost = len(envelope_bytes) + _ITEM_OVERHEAD
-        if len(envelope_bytes) + _CONTAINER_OVERHEAD + _ITEM_OVERHEAD > self.budget:
-            emitted.extend(self.flush())
+        if cost + _CONTAINER_OVERHEAD > self.budget:
+            emitted = self.flush()
             emitted.append(envelope_bytes)
             self.packets_emitted += 1
             self.envelopes_packed += 1
             return emitted
         if self._pending_size + cost > self.budget:
-            emitted.extend(self.flush())
+            emitted = self.flush()
+        else:
+            emitted = []
         self._pending.append(envelope_bytes)
         self._pending_size += cost
         return emitted
 
     def flush(self) -> List[bytes]:
         """Emit whatever is pending as one packet (or nothing)."""
-        if not self._pending:
+        pending = self._pending
+        if not pending:
             return []
-        items = tuple(self._pending)
         self._pending = []
         self._pending_size = _CONTAINER_OVERHEAD
         self.packets_emitted += 1
-        self.envelopes_packed += len(items)
-        if len(items) == 1:
-            return [items[0]]  # no container needed for a single envelope
-        return [Packed(items).encode()]
+        self.envelopes_packed += len(pending)
+        if len(pending) == 1:
+            return pending  # no container needed for a single envelope
+        return [Packed(tuple(pending)).encode()]
 
 
 def unpack_payload(payload: bytes) -> List[bytes]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import List, Tuple, Union
 
 from repro.util.errors import CodecError
 
@@ -23,6 +23,7 @@ ENV_FRAGMENT = 5
 
 _TAG = struct.Struct("!B")
 _FRAGMENT_HEADER = struct.Struct("!BQII")
+_ITEM_LENGTH = struct.Struct("!I")
 
 
 def _pack_str(value: str) -> bytes:
@@ -46,18 +47,21 @@ def app_data_prefix(sender: str) -> bytes:
     return _TAG.pack(ENV_APP) + _pack_str(sender)
 
 
-def app_data_span(envelope: bytes) -> Tuple[int, int]:
+def app_data_span(envelope: bytes, at: int = 0, size: int = -1) -> Tuple[int, int]:
     """``(start, end)`` of the group list of an ``ENV_APP`` envelope.
 
     ``envelope[start:end]`` is ``[B count]{[!H len][group]}*`` and the
     payload follows at ``end``.  Only lengths are walked (and checked
     against the envelope's size); :func:`decode_envelope` is what decodes
-    and validates the names.
+    and validates the names.  The envelope may be ``envelope[at:size]``
+    inside a larger buffer (an item of a packed container): the offsets
+    returned are then the buffer's.
     """
-    size = len(envelope)
-    if size < 3:
-        raise CodecError(f"truncated app-data envelope: {size} bytes")
-    start = 3 + ((envelope[1] << 8) | envelope[2])
+    if size < 0:
+        size = len(envelope)
+    if size - at < 3:
+        raise CodecError(f"truncated app-data envelope: {size - at} bytes")
+    start = at + 3 + ((envelope[at + 1] << 8) | envelope[at + 2])
     if start >= size:
         raise CodecError("truncated sender")
     end = start + 1
@@ -68,6 +72,31 @@ def app_data_span(envelope: bytes) -> Tuple[int, int]:
     if end > size:
         raise CodecError("truncated group name")
     return start, end
+
+
+def packed_item_spans(container: bytes) -> List[Tuple[int, int]]:
+    """``(start, end)`` of every item of an ``ENV_PACKED`` container.
+
+    ``[B ENV_PACKED][!H count]{[!I len][item]}*``: the lengths are walked
+    and checked against the container's size, and a container whose
+    items do not all fit is a :class:`CodecError` as a whole.  (Bytes
+    after the last item are not looked at.)
+    """
+    size = len(container)
+    if size < 3:
+        raise CodecError(f"truncated packed container: {size} bytes")
+    unpack_len = _ITEM_LENGTH.unpack_from
+    spans = []
+    offset = 3
+    for _ in range((container[1] << 8) | container[2]):
+        start = offset + 4
+        if start > size:
+            raise CodecError("truncated packed item length")
+        offset = start + unpack_len(container, offset)[0]
+        if offset > size:
+            raise CodecError("truncated packed item")
+        spans.append((start, offset))
+    return spans
 
 
 @dataclass(frozen=True)
@@ -223,24 +252,12 @@ def decode_envelope(data: bytes) -> Envelope:
             group, _ = _unpack_str(data, offset)
             return GroupLeave(member=member, group=group)
         if tag == ENV_PACKED:
-            (count,) = struct.unpack_from("!H", data, 1)
-            # Offset arithmetic over one memoryview; the only copies are the
-            # per-item bytes() the returned container owns (each item is
-            # decoded again downstream, so it must not alias the datagram).
-            view = memoryview(data)
-            end = len(data)
-            offset = 3
-            items = []
-            append = items.append
-            unpack_len = struct.unpack_from
-            for _ in range(count):
-                (length,) = unpack_len("!I", view, offset)
-                offset += 4
-                if offset + length > end:
-                    raise CodecError("truncated packed item")
-                append(bytes(view[offset : offset + length]))
-                offset += length
-            return Packed(items=tuple(items))
+            # Each item is copied out once: the container owns its items
+            # (each is decoded again downstream, so it must not alias the
+            # datagram).
+            return Packed(
+                items=tuple(data[start:end] for start, end in packed_item_spans(data))
+            )
         if tag == ENV_FRAGMENT:
             _t, frag_id, index, total = _FRAGMENT_HEADER.unpack_from(data)
             return Fragment(

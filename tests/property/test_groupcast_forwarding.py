@@ -60,10 +60,11 @@ def body_of(groups, service, payload) -> bytes:
 
 
 def ingest(daemon, session, body):
-    """What the daemon submits to the ring for one client groupcast body."""
+    """What the daemon submits to the ring for one client groupcast body,
+    read alone (a read of one frame)."""
     submitted = []
     daemon.node.submit = lambda payload, service: submitted.append((payload, service))
-    daemon._handle_client_frame(session, ipc.OP_GROUPCAST, body)
+    daemon._handle_client_read(session, [(ipc.OP_GROUPCAST, body)])
     return submitted
 
 
@@ -746,7 +747,7 @@ def test_daemon_server_writes_a_run_as_the_per_message_deliver_frames(items, siz
         assert len(queue.accepted) == sends  # one send per run
 
 
-# -- ingest submits what fragment -> Packer.add -> flush submitted -------
+# -- a one-envelope read submits what fragment -> Packer.add -> flush did --
 
 
 def _fragment_pack_flush(fragmenter, packer, envelope):
@@ -761,20 +762,22 @@ def _fragment_pack_flush(fragmenter, packer, envelope):
 
 @pytest.mark.parametrize("budget", [64, 200, 1350])
 def test_submit_envelope_submits_what_the_flushed_packer_did(budget):
+    """A read of one groupcast submits, around the fragment budget, the
+    payloads the flush-after-every-envelope packer did: packing a read
+    changes nothing for a read that holds one envelope."""
     daemon = SpreadDaemon(
         0, local_ring_addresses(range(2), base_port=47000), "/tmp/unused.sock",
         pack_budget=budget,
     )
-    submitted = []
-    daemon.node.submit = lambda payload, service: submitted.append((payload, service))
+    session = attach_member(daemon, "c#0")
     old_fragmenter, old_packer = Fragmenter(chunk_size=budget), Packer(budget=budget)
     header = len(AppData("c#0", ("g",), b"").encode())
     sizes = [header, budget - 8, budget - 7, budget - 6, budget - 1, budget, budget + 1,
              2 * budget, 2 * budget + 1, 5 * budget + 3]
     for size in sizes:
-        envelope = AppData("c#0", ("g",), bytes(max(0, size - header))).encode()
-        del submitted[:]
-        daemon._submit_envelope(envelope, DeliveryService.SAFE)
+        payload = bytes(max(0, size - header))
+        envelope = AppData("c#0", ("g",), payload).encode()
+        submitted = ingest(daemon, session, body_of(["g"], DeliveryService.SAFE, payload))
         expected = _fragment_pack_flush(old_fragmenter, old_packer, envelope)
-        assert submitted == [(payload, DeliveryService.SAFE) for payload in expected]
-    assert not hasattr(daemon, "packer")
+        assert submitted == [(piece, DeliveryService.SAFE) for piece in expected]
+    assert daemon.containers_sent == daemon.envelopes_packed == 0

@@ -247,7 +247,7 @@ async def next_frame(connection: ipc.FrameProtocol) -> ipc.Frame:
 
 class TestFrameReader:
     """A connection as its client reads it: :class:`ipc.FrameProtocol`
-    without ``on_frame``, consumed through ``ready`` and ``wait()``."""
+    without ``on_frames``, consumed through ``ready`` and ``wait()``."""
 
     def test_one_read_serves_every_frame_it_contained(self):
         async def run():
