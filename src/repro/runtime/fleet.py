@@ -79,6 +79,9 @@ class Fleet:
         self.clients: List[SpreadClient] = []
         self._next_placement = 0
         self._started = False
+        #: Counters of every daemon crashed so far, summed at the crash: a
+        #: restarted daemon counts from zero.
+        self._retired: Dict[str, int] = dict.fromkeys(COUNTERS, 0)
         #: Set whenever any daemon's node installs a configuration.
         self._ring_changed: Optional[asyncio.Event] = None
 
@@ -152,6 +155,8 @@ class Fleet:
         """Fail-stop one daemon; its clients see their connection die."""
         daemon = self.daemons.pop(pid)
         await daemon.stop()
+        for name, value in _daemon_counters(daemon).items():
+            self._retired[name] += value
 
     async def restart_daemon(self, pid: int, form_timeout: float = 10.0) -> None:
         """Bring a crashed daemon back on its original addresses."""
@@ -219,39 +224,47 @@ class Fleet:
 
     def counters(self) -> Dict[str, int]:
         """Fleet-wide health counters (backpressure, codec, batching,
-        packing)."""
-        totals = {
-            "messages_delivered_to_clients": 0,
-            "client_writes": 0,
-            "clients_dropped_slow": 0,
-            "clients_dropped_malformed": 0,
-            "envelopes_undecodable": 0,
-            "decode_errors": 0,
-            "batches_sent": 0,
-            "batched_messages": 0,
-            "datagrams_sent": 0,
-            "datagrams_send_dropped": 0,
-            "containers_sent": 0,
-            "envelopes_packed": 0,
-        }
+        packing), crashed daemons' included."""
+        totals = dict(self._retired)
         for daemon in self.daemons.values():
-            totals["messages_delivered_to_clients"] += (
-                daemon.messages_delivered_to_clients
-            )
-            totals["client_writes"] += daemon.client_writes
-            totals["clients_dropped_slow"] += daemon.clients_dropped_slow
-            totals["clients_dropped_malformed"] += daemon.clients_dropped_malformed
-            totals["envelopes_undecodable"] += daemon.envelopes_undecodable
-            totals["decode_errors"] += daemon.node.decode_errors
-            totals["batches_sent"] += daemon.node.batches_sent
-            totals["batched_messages"] += daemon.node.batched_messages
-            totals["datagrams_sent"] += daemon.node.transport.datagrams_sent
-            totals["datagrams_send_dropped"] += (
-                daemon.node.transport.datagrams_send_dropped
-            )
-            totals["containers_sent"] += daemon.containers_sent
-            totals["envelopes_packed"] += daemon.envelopes_packed
+            for name, value in _daemon_counters(daemon).items():
+                totals[name] += value
         return totals
+
+
+#: What :meth:`Fleet.counters` sums over the daemons.
+COUNTERS = (
+    "messages_delivered_to_clients",
+    "client_writes",
+    "clients_dropped_slow",
+    "clients_dropped_malformed",
+    "envelopes_undecodable",
+    "decode_errors",
+    "batches_sent",
+    "batched_messages",
+    "datagrams_sent",
+    "datagrams_send_dropped",
+    "containers_sent",
+    "envelopes_packed",
+)
+
+
+def _daemon_counters(daemon: SpreadDaemon) -> Dict[str, int]:
+    node = daemon.node
+    return {
+        "messages_delivered_to_clients": daemon.messages_delivered_to_clients,
+        "client_writes": daemon.client_writes,
+        "clients_dropped_slow": daemon.clients_dropped_slow,
+        "clients_dropped_malformed": daemon.clients_dropped_malformed,
+        "envelopes_undecodable": daemon.envelopes_undecodable,
+        "decode_errors": node.decode_errors,
+        "batches_sent": node.batches_sent,
+        "batched_messages": node.batched_messages,
+        "datagrams_sent": node.transport.datagrams_sent,
+        "datagrams_send_dropped": node.transport.datagrams_send_dropped,
+        "containers_sent": daemon.containers_sent,
+        "envelopes_packed": daemon.envelopes_packed,
+    }
 
 
 # ----------------------------------------------------------------------

@@ -117,18 +117,19 @@ OP_GROUP_VIEW = 7
 OP_HELLO = 8
 OP_WELCOME = 9
 
-_FRAME_HEADER = struct.Struct("!BI")
+#: ``[B opcode][!I body length]`` in front of every frame body.
+FRAME_HEADER = struct.Struct("!BI")
 # group-view member count
 _COUNT = struct.Struct("!I")
 #: Groupcast frame header + the body's service byte: what a forwarding
-#: daemon writes in front of an envelope's tail.
+#: daemon writes in front of a bare envelope's tail.
 GROUPCAST_HEAD = struct.Struct("!BIB")
 
 MAX_FRAME = 16 * 1024 * 1024
 
 
 def pack_frame(opcode: int, body: bytes) -> bytes:
-    return _FRAME_HEADER.pack(opcode, len(body)) + body
+    return FRAME_HEADER.pack(opcode, len(body)) + body
 
 
 #: One decoded frame: ``(opcode, body)``.
@@ -176,8 +177,8 @@ class FrameDecoder:
                 return frames
             data = bytes(buffer)
             buffer.clear()
-        unpack_header = _FRAME_HEADER.unpack_from
-        header_size = _FRAME_HEADER.size
+        unpack_header = FRAME_HEADER.unpack_from
+        header_size = FRAME_HEADER.size
         end = len(data)
         offset = 0
         wanted = header_size
@@ -387,8 +388,8 @@ async def read_frame(reader: asyncio.StreamReader) -> Frame:
     Not used by the runtime (see :class:`FrameProtocol`); kept because
     ``benchmarks/e2e/micro.py`` times it.
     """
-    header = await reader.readexactly(_FRAME_HEADER.size)
-    opcode, length = _FRAME_HEADER.unpack(header)
+    header = await reader.readexactly(FRAME_HEADER.size)
+    opcode, length = FRAME_HEADER.unpack(header)
     if length > MAX_FRAME:
         raise CodecError(f"frame too large: {length}")
     body = await reader.readexactly(length) if length else b""

@@ -12,8 +12,9 @@ One daemon runs per server, serving its local clients over a unix socket
 participating servers ran one daemon, one sending client ... and one
 receiving client".  A client connection is an
 :class:`~repro.runtime.ipc.FrameProtocol`: the frames of one read are
-handled together in the read's own callback — its groupcasts packed into
-as few ordered messages as fit one datagram (paper §IV-A3) — and a task
+handled together in the read's own callback — its groupcasts packed, as
+the client wrote them, into as few ordered messages as fit one datagram
+(paper §IV-A3) — and a task
 exists only for the asynchronous part of a disconnect (writing out what
 is queued, then closing).  Client fan-out
 is byte-bounded: each session owns a
@@ -27,6 +28,7 @@ from __future__ import annotations
 import asyncio
 import functools
 import os
+import struct
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.codec import DATA_HEADER_BYTES
@@ -42,19 +44,18 @@ from repro.runtime.node import RingNode
 from repro.runtime.transport import DATAGRAM_BUDGET, PeerAddress
 from repro.spread.fragmentation import Fragmenter, FragmentReassembler
 from repro.spread.groups import GroupDirectory, qualify
-from repro.spread.packing import Packer
 from repro.spread.wire import (
     ENV_APP,
     ENV_FRAGMENT,
+    ENV_FRAMES,
     ENV_JOIN,
     ENV_LEAVE,
-    ENV_PACKED,
     GroupJoin,
     GroupLeave,
     app_data_prefix,
-    app_data_span,
     decode_envelope,
-    packed_item_spans,
+    frames_prefix,
+    group_list_end,
 )
 from repro.util.errors import CodecError
 
@@ -63,12 +64,16 @@ from repro.util.errors import CodecError
 #: over.
 ROUTE_MEMO_CAP = 1024
 
-#: Bytes one packed container may take: what one data datagram carries
+#: Bytes one frames container may take: what one data datagram carries
 #: of a single message's payload (PROTOCOL.md §15, "packing").
 CONTAINER_BUDGET = DATAGRAM_BUDGET - DATA_HEADER_BYTES
 
 _NO_SENDER = app_data_prefix("")
+_OP_GROUPCAST = ipc.OP_GROUPCAST
 _pack_groupcast_head = ipc.GROUPCAST_HEAD.pack
+_pack_frame_header = ipc.FRAME_HEADER.pack
+_unpack_frame_header = ipc.FRAME_HEADER.unpack_from
+_FRAME_HEADER_SIZE = ipc.FRAME_HEADER.size
 
 
 class _ClientSession:
@@ -84,8 +89,10 @@ class _ClientSession:
         self.member_name = member_name
         self.queue = ClientSendQueue(connection, window_bytes, unflushed)
         self.joined: Set[str] = set()
-        #: How every AppData envelope this client sends begins.
+        #: How every AppData envelope and every frames container this
+        #: client sends begins.
         self.envelope_prefix = app_data_prefix(member_name)
+        self.frames_prefix = frames_prefix(member_name)
 
 
 class SpreadDaemon:
@@ -94,7 +101,7 @@ class SpreadDaemon:
 
     ``pack_budget`` is only the fragment chunk size: an envelope longer
     than it is ordered as its fragments.  It is not the budget of a
-    packed container — that is :data:`CONTAINER_BUDGET`, derived from
+    frames container — that is :data:`CONTAINER_BUDGET`, derived from
     the datagram budget and not an option (PROTOCOL.md §15, "packing").
     """
 
@@ -138,11 +145,14 @@ class SpreadDaemon:
         self.clients_dropped_malformed = 0
         self.directory = GroupDirectory()
         self.fragmenter = Fragmenter(chunk_size=pack_budget)
-        #: Packs the groupcasts of one client read; empty between reads.
-        self.packer = Packer(budget=CONTAINER_BUDGET)
-        #: The service of every envelope the packer holds.
-        self._packing_service = DeliveryService.AGREED
-        #: Packed containers submitted, and the envelopes inside them.
+        #: The groupcast frames of one client read not yet submitted,
+        #: head and body each (empty between reads), their bytes, their
+        #: service and their client.
+        self._pending: List[bytes] = []
+        self._pending_size = 0
+        self._pending_service = DeliveryService.AGREED
+        self._pending_session: Optional[_ClientSession] = None
+        #: Frames containers submitted, and the groupcasts inside them.
         self.containers_sent = 0
         self.envelopes_packed = 0
         self.reassembler = FragmentReassembler()
@@ -154,20 +164,21 @@ class SpreadDaemon:
         #: to, in sorted member order.  Holds only while neither the
         #: directory nor ``_sessions`` changes: see :meth:`_drop_routes`.
         self._routes: Dict[bytes, Tuple[_ClientSession, ...]] = {}
-        #: The last forwarded envelope's tag + sender + group list, where
-        #: its group list starts (counted from the envelope's first byte),
-        #: and its route: the next envelope that starts with the same
-        #: bytes has the same span and route.
+        #: The group list last forwarded and its route: group lists are
+        #: self-delimiting, so a frame or envelope whose group list starts
+        #: with these bytes has this route.
         #: ``startswith(())`` matches nothing, so an empty memo misses.
-        self._last_prefix: Union[bytes, Tuple[()]] = ()
-        self._last_start = 0
+        self._last_groups: Union[bytes, Tuple[()]] = ()
         self._last_route: Tuple[_ClientSession, ...] = ()
         #: The chunk being built while a delivered run is applied: the
-        #: client frames (head, tail, head, tail, ...) of consecutive
-        #: messages with one route, sent as one piece (PROTOCOL.md §15,
-        #: "a run at a time").  Empty between runs.
+        #: client frames of consecutive messages with one route — a bare
+        #: envelope's as head and tail, a container's as one slice — sent
+        #: as one piece (PROTOCOL.md §15, "a run at a time").  Empty
+        #: between runs.
         self._chunk: List[bytes] = []
-        #: The sessions the chunk is for: the route of the last AppData.
+        #: The messages the chunk holds.
+        self._chunk_count = 0
+        #: The sessions the chunk is for: the route of the last frames.
         self._chunk_route: Tuple[_ClientSession, ...] = ()
         self._client_counter = 0
         self.messages_delivered_to_clients = 0
@@ -206,6 +217,7 @@ class SpreadDaemon:
         self._drop_routes()
         for session in sessions:
             await session.queue.aclose()
+            self._writes_to_gone += session.queue.writes
         for server in servers:
             await server.wait_closed()
         # The disconnects those closes set off, and any still writing out.
@@ -300,31 +312,39 @@ class SpreadDaemon:
         self, session: _ClientSession, frames: List[ipc.Frame]
     ) -> None:
         """The frames one read of ``session``'s connection completed, in
-        order (PROTOCOL.md §15, "packing").  Groupcasts are packed into as
-        few ordered payloads as fit :data:`CONTAINER_BUDGET`; the packer is
-        flushed on a change of service, before a join or a leave, before
-        an envelope that must fragment, and at the end of the read — a
+        order (PROTOCOL.md §15, "packing").  Each groupcast is validated
+        and its frame kept as the client wrote it, to be submitted with
+        the read's others as one frames container of at most
+        :data:`CONTAINER_BUDGET` bytes; the frames kept are submitted on a
+        change of service, before a join or a leave, before a groupcast
+        whose envelope must fragment, and at the end of the read — a
         ``CodecError`` included, so the frames ahead of a malformed one
         are ordered before the session's leaves."""
-        packer = self.packer
-        needs_fragmentation = self.fragmenter.needs_fragmentation
+        pending = self._pending
+        parse = self._headers.parse
+        self._pending_session = session
+        # An envelope is the prefix and the body after its service byte.
+        envelope_extra = len(session.envelope_prefix) - 1
+        largest = self.fragmenter.chunk_size - envelope_extra
+        room = CONTAINER_BUDGET - len(session.frames_prefix) - _FRAME_HEADER_SIZE
         try:
             for opcode, body in frames:
-                if opcode == ipc.OP_GROUPCAST:  # the hot case, tested first
+                if opcode == _OP_GROUPCAST:  # the hot case, tested first
                     # Validate here, forward after: the header is checked
-                    # (once per distinct header) and the body after its
-                    # service byte is, byte for byte, the envelope after
-                    # its sender.
-                    _groups, service, _end = self._headers.parse(body)
-                    envelope = session.envelope_prefix + body[1:]
-                    if service is not self._packing_service:
-                        self._flush_packer()
-                        self._packing_service = service
-                    if needs_fragmentation(envelope):
-                        self._submit_envelope(envelope, service)
-                    else:
-                        for payload in packer.add(envelope):
-                            self._submit(payload, service)
+                    # (once per distinct header) and the frame is kept
+                    # byte for byte.
+                    _groups, service, _end = parse(body)
+                    if service is not self._pending_service:
+                        self._flush_pending()
+                        self._pending_service = service
+                    size = len(body)
+                    if size > largest:
+                        self._submit_envelope(session.envelope_prefix + body[1:], service)
+                        continue
+                    if self._pending_size + size > room:
+                        self._flush_pending()
+                    pending += (_pack_frame_header(_OP_GROUPCAST, size), body)
+                    self._pending_size += _FRAME_HEADER_SIZE + size
                 elif opcode == ipc.OP_JOIN:
                     group = ipc.unpack_group_op(body)
                     session.joined.add(group)
@@ -342,30 +362,34 @@ class SpreadDaemon:
                 else:
                     raise CodecError(f"unexpected client opcode {opcode}")
         finally:
-            self._flush_packer()
+            self._flush_pending()
 
-    def _flush_packer(self) -> None:
-        for payload in self.packer.flush():
-            self._submit(payload, self._packing_service)
+    def _flush_pending(self) -> None:
+        """Submit the frames kept: one groupcast as the bare AppData
+        envelope (the bytes a read of one groupcast always submitted),
+        several as one frames container."""
+        pending = self._pending
+        if not pending:
+            return
+        session = self._pending_session
+        if len(pending) == 2:
+            payload = session.envelope_prefix + pending[1][1:]
+        else:
+            self.containers_sent += 1
+            self.envelopes_packed += len(pending) >> 1
+            pending.insert(0, session.frames_prefix)
+            payload = b"".join(pending)
+        pending.clear()
+        self._pending_size = 0
+        self.node.submit(payload=payload, service=self._pending_service)
 
     def _submit_envelope(self, envelope: bytes, service: DeliveryService) -> None:
-        """Submit ``envelope`` now, behind whatever the packer held: whole
-        if it fits the fragment chunk size, else as its fragments in
-        order."""
-        self._flush_packer()
-        fragmenter = self.fragmenter
-        if fragmenter.needs_fragmentation(envelope):
-            for piece in fragmenter.fragment(envelope):
-                self._submit(piece, service)
-        else:
-            self._submit(envelope, service)
-
-    def _submit(self, payload: bytes, service: DeliveryService) -> None:
-        """Submit one ordered payload, counting it if it is a container."""
-        if payload[0] == ENV_PACKED:
-            self.containers_sent += 1
-            self.envelopes_packed += (payload[1] << 8) | payload[2]
-        self.node.submit(payload=payload, service=service)
+        """Submit ``envelope`` now, behind the frames kept: whole if it
+        fits the fragment chunk size, else as its fragments in order."""
+        self._flush_pending()
+        submit = self.node.submit
+        for piece in self.fragmenter.fragment(envelope):
+            submit(payload=piece, service=service)
 
     # ------------------------------------------------------------------
     # Ordered delivery side
@@ -375,48 +399,29 @@ class SpreadDaemon:
         """Apply one delivered run.  Never raises into the ordering
         pass: an envelope that does not decode is counted and skipped —
         every daemon sees the same bytes, so all skip alike."""
-        forward = self._forward_app_data
         for message in messages:
             payload = message.payload
             try:
                 tag = payload[0] if payload else None
-                if tag == ENV_APP:  # bare: one client's read held one groupcast
-                    forward(payload, message.service, 0, len(payload))
-                elif tag == ENV_PACKED:  # the hot case under load
-                    self._apply_container(payload, message)
+                if tag == ENV_FRAMES:  # the hot case under load
+                    self._forward_frames(payload, message.service)
+                elif tag == ENV_APP:  # bare: a read of one groupcast
+                    self._forward_app_data(payload, message.service)
                 else:
                     self._apply_envelope(payload, message)
             except CodecError:
                 self.envelopes_undecodable += 1
         self._cut_chunk()
 
-    def _apply_container(self, container: bytes, message: DataMessage) -> None:
-        """Each item of a packed container, in order.  An AppData item is
-        forwarded straight from the container's bytes; any other item is
-        applied as an envelope of its own.  A container whose items do not
-        all fit raises before any item is applied; an item that does not
-        decode is counted and skipped."""
-        spans = packed_item_spans(container)
-        forward = self._forward_app_data
-        service = message.service
-        for start, end in spans:
-            try:
-                if start < end and container[start] == ENV_APP:
-                    forward(container, service, start, end)
-                else:
-                    self._apply_envelope(container[start:end], message)
-            except CodecError:
-                self.envelopes_undecodable += 1
-
     def _apply_envelope(
         self, envelope: bytes, message: DataMessage, reassembled: bool = False
     ) -> None:
-        """One envelope that is not AppData straight off the order: a
-        fragment or (``reassembled``) what its fragments made, a join, a
-        leave, an item of a container that is not AppData."""
+        """One envelope that is neither a frames container nor AppData
+        straight off the order: a fragment or (``reassembled``) what its
+        fragments made, a join, a leave."""
         tag = envelope[0] if envelope else None
         if tag == ENV_APP:
-            self._forward_app_data(envelope, message.service, 0, len(envelope))
+            self._forward_app_data(envelope, message.service)
         elif tag == ENV_FRAGMENT and not reassembled:
             whole = self.reassembler.accept(message.pid, decode_envelope(envelope))
             if whole is not None:
@@ -431,39 +436,102 @@ class SpreadDaemon:
         else:
             raise CodecError(f"unexpected envelope tag {tag}")
 
-    def _forward_app_data(
-        self, data: bytes, service: DeliveryService, at: int, end: int
-    ) -> None:
-        """Frame the AppData envelope ``data[at:end]`` for the local
-        members of its groups (the whole of ``data``, or one item of a
-        packed container, which is not copied out first).
+    def _forward_frames(self, container: bytes, service: DeliveryService) -> None:
+        """Forward the groupcast frames of a frames container, each run of
+        consecutive frames with one route as one slice of the container.
+
+        The container is walked once, before anything is forwarded: a
+        frame running past it makes the whole container a ``CodecError``;
+        a frame that is not a groupcast under the container's service, or
+        whose group list does not decode, is counted undecodable and
+        skipped, and the frames around it are forwarded.  The forwarder
+        reads neither the sender nor the payloads.
+        """
+        size = len(container)
+        if size < 3:
+            raise CodecError(f"truncated frames container: {size} bytes")
+        at = 3 + ((container[1] << 8) | container[2])
+        if at > size:
+            raise CodecError("truncated sender")
+        service_byte = bytes((service,))
+        last_groups = self._last_groups
+        last_route = self._last_route
+        # A groupcast body that starts with this has the last route.
+        expect = service_byte + last_groups if last_groups else ()
+        # (route, start, end, frames) of each run of one route.
+        runs = []
+        route = None
+        first = count = skipped = 0
+        try:
+            while at < size:
+                opcode, length = _unpack_frame_header(container, at)
+                body = at + _FRAME_HEADER_SIZE
+                end = body + length
+                if end > size:
+                    raise CodecError("truncated frame")
+                if opcode == _OP_GROUPCAST and container.startswith(expect, body, end):
+                    frame_route = last_route
+                else:
+                    frame_route = self._frame_route(container, opcode, body, end, service)
+                    last_groups = self._last_groups
+                    last_route = self._last_route
+                    expect = service_byte + last_groups if last_groups else ()
+                if frame_route is not route:
+                    if count:
+                        runs.append((route, first, at, count))
+                    route = frame_route
+                    first = at
+                    count = 0
+                if frame_route is None:
+                    skipped += 1
+                else:
+                    count += 1
+                at = end
+        except struct.error:
+            raise CodecError("truncated frame header") from None
+        if count:
+            runs.append((route, first, at, count))
+        self.envelopes_undecodable += skipped
+        chunk = self._chunk
+        for route, first, end, count in runs:
+            if route != self._chunk_route:
+                self._cut_chunk()
+                self._chunk_route = route
+            if route:
+                chunk.append(container[first:end])
+                self._chunk_count += count
+
+    def _frame_route(
+        self, container: bytes, opcode: int, body: int, end: int, service: DeliveryService
+    ) -> Optional[Tuple[_ClientSession, ...]]:
+        """The route of the frame whose body is ``container[body:end]``,
+        its group list not the last one forwarded; ``None`` if it is not a
+        groupcast under ``service`` or its group list does not decode."""
+        if opcode != _OP_GROUPCAST or body == end or container[body] != service:
+            return None
+        try:
+            return self._route_at(container, body + 1, end)
+        except CodecError:
+            return None
+
+    def _forward_app_data(self, data: bytes, service: DeliveryService) -> None:
+        """Frame the bare AppData envelope ``data`` for the local members
+        of its groups.
 
         From its group list on, the envelope is a groupcast body after
         the service byte (the shared tail, PROTOCOL.md §15): the client
-        frame is those bytes behind a new head, and the group-list bytes
-        themselves key the route.  The frame joins the chunk of the
-        messages before it while the route stays the same; the sessions
-        get it when the chunk is cut.
-
-        The envelope is first tried against the last one's prefix (tag,
-        sender, group list): that prefix is self-delimiting — its length
-        fields say where it ends, as a groupcast header's do
-        (:class:`~repro.runtime.ipc.GroupcastHeaders`) — so an envelope
-        that starts with it has its span, and, until the next change
-        (:meth:`_drop_routes`), its route.
+        frame is those bytes behind a new head.  The frame joins the
+        chunk of the messages before it while the route stays the same;
+        the sessions get it when the chunk is cut.
         """
-        if data.startswith(self._last_prefix, at, end):
-            start = at + self._last_start
+        size = len(data)
+        if size < 3:
+            raise CodecError(f"truncated app-data envelope: {size} bytes")
+        start = 3 + ((data[1] << 8) | data[2])
+        if data.startswith(self._last_groups, start):
             route = self._last_route
         else:
-            start, groups_end = app_data_span(data, at, end)
-            key = data[start:groups_end]
-            route = self._routes.get(key)
-            if route is None:
-                route = self._resolve_route(key)
-            self._last_prefix = data[at:groups_end]
-            self._last_start = start - at
-            self._last_route = route
+            route = self._route_at(data, start, size)
         if route != self._chunk_route:
             self._cut_chunk()
             self._chunk_route = route
@@ -471,8 +539,20 @@ class SpreadDaemon:
             # The layout groupcast_frame_from_tail writes, left in two
             # pieces for the chunk's one join.
             chunk = self._chunk
-            chunk.append(_pack_groupcast_head(ipc.OP_GROUPCAST, 1 + end - start, service))
-            chunk.append(data[start:end])
+            chunk.append(_pack_groupcast_head(_OP_GROUPCAST, 1 + size - start, service))
+            chunk.append(data[start:])
+            self._chunk_count += 1
+
+    def _route_at(self, data: bytes, start: int, end: int) -> Tuple[_ClientSession, ...]:
+        """The route of the group list at ``data[start:]``, which must end
+        by ``end``; remembered as the last one forwarded."""
+        key = data[start : group_list_end(data, start, end)]
+        route = self._routes.get(key)
+        if route is None:
+            route = self._resolve_route(key)
+        self._last_groups = key
+        self._last_route = route
+        return route
 
     def _cut_chunk(self) -> None:
         """Hand the pending chunk to each session of its route: one
@@ -482,8 +562,9 @@ class SpreadDaemon:
         chunk = self._chunk
         if chunk:
             data = b"".join(chunk)
-            count = len(chunk) // 2
+            count = self._chunk_count
             chunk.clear()
+            self._chunk_count = 0
             for session in self._chunk_route:
                 if session.queue.send(data):
                     self.messages_delivered_to_clients += count
@@ -511,7 +592,7 @@ class SpreadDaemon:
         ``_sessions`` (connect, disconnect, including a reconnect under
         the same name: a route holds sessions, not names)."""
         self._routes.clear()
-        self._last_prefix = ()
+        self._last_groups = ()
         self._last_route = ()
 
     def _config_changed(self, configuration: Configuration) -> None:

@@ -4,9 +4,16 @@ Paper §IV-A3: "Spread includes a built-in ability to pack small messages
 into a single protocol packet, but the size of a protocol packet is
 limited to fit within a standard 1500-byte MTU."  The packer batches
 encoded envelopes greedily, preserving order; each flush yields payloads
-that fit the protocol-packet budget.  A ``SpreadDaemon`` runs one over
-the groupcasts of each client read, with a budget of one jumbo datagram
-rather than one MTU (PROTOCOL.md §15, "packing").
+that fit the protocol-packet budget.
+
+This is the reference codec's packing, not the daemon's: a
+``SpreadDaemon`` packs the groupcast frames of a client read, as the
+client wrote them, into an ``ENV_FRAMES`` container (PROTOCOL.md §15,
+"packing") and neither submits nor forwards a ``Packed`` one.  What
+still imports this module: the conformance spread mirror
+(``conformance/variants.py``, which flushes after every envelope, so it
+orders no container), the frozen ``spread.packing.pack_ns_per_msg``
+micro, and the codec tests.
 """
 
 from __future__ import annotations

@@ -3,8 +3,9 @@
 The ordering layer treats payloads as opaque (paper §III-C: "This is not
 inspected or used by the protocol"); the toolkit layer structures them as
 envelopes: application data targeted at groups, group membership
-operations, packed containers of several small envelopes, and fragments
-of large messages.
+operations, frames containers of one client's groupcasts, and fragments
+of large messages.  ``Packed`` containers of encoded envelopes are the
+reference codec's older container: no daemon submits or forwards one.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ ENV_JOIN = 2
 ENV_LEAVE = 3
 ENV_PACKED = 4
 ENV_FRAGMENT = 5
+ENV_FRAMES = 6
 
 _TAG = struct.Struct("!B")
 _FRAGMENT_HEADER = struct.Struct("!BQII")
@@ -47,31 +49,39 @@ def app_data_prefix(sender: str) -> bytes:
     return _TAG.pack(ENV_APP) + _pack_str(sender)
 
 
-def app_data_span(envelope: bytes, at: int = 0, size: int = -1) -> Tuple[int, int]:
-    """``(start, end)`` of the group list of an ``ENV_APP`` envelope.
+def frames_prefix(sender: str) -> bytes:
+    """The bytes of an ``ENV_FRAMES`` container before its frames: the
+    tag and the sender.  The frames follow as the client wrote them,
+    ``{[!BI OP_GROUPCAST, n][service][B count]{[!H len][group]}*[payload]}*``
+    (PROTOCOL.md §15, "packing")."""
+    return _TAG.pack(ENV_FRAMES) + _pack_str(sender)
 
-    ``envelope[start:end]`` is ``[B count]{[!H len][group]}*`` and the
-    payload follows at ``end``.  Only lengths are walked (and checked
-    against the envelope's size); :func:`decode_envelope` is what decodes
-    and validates the names.  The envelope may be ``envelope[at:size]``
-    inside a larger buffer (an item of a packed container): the offsets
-    returned are then the buffer's.
-    """
-    if size < 0:
-        size = len(envelope)
-    if size - at < 3:
-        raise CodecError(f"truncated app-data envelope: {size - at} bytes")
-    start = at + 3 + ((envelope[at + 1] << 8) | envelope[at + 2])
+
+def group_list_end(data: bytes, start: int, size: int) -> int:
+    """Where the group list ``[B count]{[!H len][group]}*`` at
+    ``data[start:]`` ends.  Only lengths are walked, and checked against
+    ``size``; :func:`decode_envelope` is what decodes the names."""
     if start >= size:
-        raise CodecError("truncated sender")
+        raise CodecError("truncated group count")
     end = start + 1
-    for _ in range(envelope[start]):
+    for _ in range(data[start]):
         if end + 2 > size:
             raise CodecError("truncated group name length")
-        end += 2 + ((envelope[end] << 8) | envelope[end + 1])
+        end += 2 + ((data[end] << 8) | data[end + 1])
     if end > size:
         raise CodecError("truncated group name")
-    return start, end
+    return end
+
+
+def app_data_span(envelope: bytes) -> Tuple[int, int]:
+    """``(start, end)`` of the group list of an ``ENV_APP`` envelope:
+    ``envelope[start:end]`` is ``[B count]{[!H len][group]}*`` and the
+    payload follows at ``end``."""
+    size = len(envelope)
+    if size < 3:
+        raise CodecError(f"truncated app-data envelope: {size} bytes")
+    start = 3 + ((envelope[1] << 8) | envelope[2])
+    return start, group_list_end(envelope, start, size)
 
 
 def packed_item_spans(container: bytes) -> List[Tuple[int, int]]:

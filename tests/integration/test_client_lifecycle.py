@@ -151,7 +151,7 @@ MALFORMED_FRAMES = {
     "groupcast-name-overruns": ipc.pack_frame(ipc.OP_GROUPCAST, b"\x04\x01\x00\x09g"),
     "groupcast-not-utf8": ipc.pack_frame(ipc.OP_GROUPCAST, b"\x04\x01\x00\x01\xffpayload"),
     "groupcast-no-such-service": ipc.pack_frame(ipc.OP_GROUPCAST, b"\x09\x01\x00\x01gpayload"),
-    "frame-too-large": ipc._FRAME_HEADER.pack(ipc.OP_GROUPCAST, ipc.MAX_FRAME + 1),
+    "frame-too-large": ipc.FRAME_HEADER.pack(ipc.OP_GROUPCAST, ipc.MAX_FRAME + 1),
 }
 
 

@@ -161,7 +161,7 @@ class TestDaemonPrototype:
                     clients = await connect_all(daemons, "g")
                     await hello_then(
                         daemons[0].socket_path,
-                        ipc._FRAME_HEADER.pack(ipc.OP_GROUPCAST, ipc.MAX_FRAME + 1),
+                        ipc.FRAME_HEADER.pack(ipc.OP_GROUPCAST, ipc.MAX_FRAME + 1),
                     )
                     assert daemons[0].clients_dropped_malformed == 1
                     clients[0].multicast(["g"], b"still ordering")

@@ -7,10 +7,12 @@ message comes back through the total order).
 """
 
 import asyncio
+import socket
 
 import pytest
 
 from repro.runtime.fleet import Fleet, FleetError, run_fleet_workload
+from tests.integration.test_runtime import wait_until
 
 
 def test_fleet_sustains_fifty_concurrent_clients():
@@ -97,6 +99,32 @@ def test_wait_for_ring_wakes_on_the_configuration_change_and_times_out():
                 for daemon in fleet.daemons.values()
             )
         finally:
+            await fleet.drain_and_stop()
+
+    asyncio.run(scenario())
+
+
+def test_counters_keep_what_a_crashed_daemon_counted():
+    """A crash does not forget what the crashed daemon counted: a junk
+    datagram on its data port is still a decode error in ``counters()``
+    after the daemon is crashed and restarted, so ``repro fleet run
+    --crash`` fails on it as ``repro conformance realtime`` does."""
+
+    async def scenario():
+        fleet = Fleet(num_daemons=3)
+        await fleet.start()
+        sender = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        try:
+            address = fleet.addresses[2]
+            node = fleet.daemons[2].node
+            sender.sendto(b"\xffjunk", (address.host, address.data_port))
+            assert await wait_until(lambda: node.decode_errors == 1, timeout=5.0)
+            await fleet.crash_daemon(2)
+            await fleet.restart_daemon(2)
+            assert fleet.daemons[2].node.decode_errors == 0  # counts from zero
+            assert fleet.counters()["decode_errors"] >= 1
+        finally:
+            sender.close()
             await fleet.drain_and_stop()
 
     asyncio.run(scenario())

@@ -25,9 +25,10 @@ from repro.spread.client_api import GroupMessage, SpreadClient
 from repro.spread.daemon import ROUTE_MEMO_CAP, SpreadDaemon
 from repro.spread.fragmentation import Fragmenter, FragmentReassembler
 from repro.spread.groups import GroupDirectory
-from repro.spread.packing import Packer, unpack_payload
+from repro.spread.packing import Packer
 from repro.spread.wire import (
     ENV_APP,
+    ENV_FRAMES,
     AppData,
     Fragment,
     GroupJoin,
@@ -36,6 +37,7 @@ from repro.spread.wire import (
     app_data_span,
     decode_envelope,
     encode_fragment,
+    frames_prefix,
 )
 from repro.util.errors import CodecError
 from tests.unit.test_spread_daemon_logic import (
@@ -46,7 +48,7 @@ from tests.unit.test_spread_daemon_logic import (
     ordered,
 )
 
-BODY_AT = ipc._FRAME_HEADER.size
+BODY_AT = ipc.FRAME_HEADER.size
 
 names = st.text(max_size=12)
 private_names = names.filter(lambda name: "#" not in name)
@@ -57,6 +59,19 @@ payloads = st.binary(max_size=300)
 
 def body_of(groups, service, payload) -> bytes:
     return ipc.pack_groupcast(list(groups), service, payload)[BODY_AT:]
+
+
+def frames_of(container: bytes):
+    """The reference reading of a frames container: ``(frames, whole)``,
+    the ``(opcode, body)`` of every frame after the sender, and whether
+    they account for every byte of the container."""
+    sender_end = 3 + int.from_bytes(container[1:3], "big")
+    decoder = ipc.FrameDecoder()
+    found = decoder.feed(container[sender_end:])
+    whole = (
+        len(container) >= sender_end and decoder.error is None and decoder.partial == b""
+    )
+    return found, whole
 
 
 def ingest(daemon, session, body):
@@ -142,8 +157,8 @@ def test_forwarded_frame_is_the_reference_frame_however_the_envelope_travels(
     sender, groups, service, size, payload
 ):
     """One daemon, the whole trip: ingest, the real fragmenter at the
-    real budget, ordered delivery — and the same envelope once more as
-    an item of a packed container.  The receiver's frame is
+    real budget, ordered delivery — and the same groupcast once more as
+    a frame of a frames container.  The receiver's frame is
     ``pack_groupcast`` of what the sender passed to ``multicast``."""
     daemon = make_daemon()
     budget = daemon.fragmenter.chunk_size
@@ -161,17 +176,10 @@ def test_forwarded_frame_is_the_reference_frame_however_the_envelope_travels(
     reference = ipc.pack_groupcast(list(groups), service, payload)
     assert frames(session) == [reference]
 
-    envelope = AppData(session.member_name, tuple(groups), payload).encode()
-    other = AppData("other#1", (groups[0],), b"first").encode()
-    deliver(
-        daemon,
-        ordered(Packed((other, envelope)).encode(), seq=9, service=service),
-        config_id=1,
-    )
-    assert frames(session)[1:] == [
-        ipc.pack_groupcast([groups[0]], service, b"first"),
-        reference,
-    ]
+    first = ipc.pack_groupcast([groups[0]], service, b"first")
+    container = frames_prefix(session.member_name) + first + reference
+    deliver(daemon, ordered(container, seq=9, service=service), config_id=1)
+    assert frames(session)[1:] == [first, reference]
     assert daemon.messages_delivered_to_clients == 3
     assert daemon.envelopes_undecodable == 0
 
@@ -458,9 +466,13 @@ class _StreamQueue:
 
 class _PerMessageReference:
     """What one daemon writes to its local sessions, worked out a message
-    at a time from the reference codec alone: ``unpack_payload`` and
-    ``decode_envelope`` to read, ``pack_groupcast`` / ``pack_group_view``
-    to write, a directory and a reassembler of its own."""
+    at a time from the reference codec alone: :func:`frames_of`,
+    ``unpack_groupcast`` and ``decode_envelope`` to read,
+    ``pack_groupcast`` / ``pack_group_view`` to write, a directory and a
+    reassembler of its own.  A frames container whose frames do not all
+    fit is one undecodable payload; a frame in it that is not a groupcast
+    under the container's service is one and is skipped; a ``Packed``
+    container is one (no daemon forwards its items)."""
 
     def __init__(self, local):
         self.directory = GroupDirectory()
@@ -470,25 +482,37 @@ class _PerMessageReference:
         self.undecodable = 0
 
     def apply(self, message):
-        try:
-            envelopes = unpack_payload(message.payload)
-        except CodecError:
-            self.undecodable += 1
-            return
-        for envelope in envelopes:
+        payload = message.payload
+        if payload[:1] != bytes([ENV_FRAMES]):
             try:
-                self._envelope(decode_envelope(envelope), message)
+                self._envelope(decode_envelope(payload), message)
             except CodecError:
                 self.undecodable += 1
+            return
+        found, whole = frames_of(payload)
+        if not whole:
+            self.undecodable += 1
+            return
+        for opcode, body in found:
+            try:
+                if opcode != ipc.OP_GROUPCAST or body[:1] != bytes([message.service]):
+                    raise CodecError("not a groupcast under the container's service")
+                groups, service, data = ipc.unpack_groupcast(body)
+            except CodecError:
+                self.undecodable += 1
+                continue
+            self._groupcast(groups, service, data)
+
+    def _groupcast(self, groups, service, payload):
+        targets = set()
+        for group in groups:
+            targets.update(self.directory.members(group))
+        self._write(targets, ipc.pack_groupcast(list(groups), service, payload))
+        self.delivered += sum(member in self.streams for member in targets)
 
     def _envelope(self, decoded, message, reassembled=False):
         if isinstance(decoded, AppData):
-            frame = ipc.pack_groupcast(list(decoded.groups), message.service, decoded.payload)
-            targets = set()
-            for group in decoded.groups:
-                targets.update(self.directory.members(group))
-            self._write(targets, frame)
-            self.delivered += sum(member in self.streams for member in targets)
+            self._groupcast(decoded.groups, message.service, decoded.payload)
         elif isinstance(decoded, Fragment) and not reassembled:
             whole = self.reassembler.accept(message.pid, decoded)
             if whole is not None:
@@ -522,33 +546,80 @@ changes = st.builds(
     lambda kind, member, group: kind(member, group).encode(),
     st.sampled_from([GroupJoin, GroupLeave]), st.sampled_from(MEMBERS), st.sampled_from(GROUPS),
 )
+AGREED = DeliveryService.AGREED
+SAFE = DeliveryService.SAFE
+
+
+def frames_container(sender, casts, service=AGREED):
+    """A frames container of ``(groups, payload)`` groupcasts, as ingest
+    builds one from a read."""
+    return frames_prefix(sender) + b"".join(
+        ipc.pack_groupcast(list(groups), service, payload) for groups, payload in casts
+    )
+
+
+_GOOD = ipc.pack_groupcast(["g1"], AGREED, b"good")
+#: Ordered payloads the daemon must count and skip, with the service
+#: they are ordered under: ``(payload, service)``.
 JUNK = (
-    b"",
-    b"\x09not an envelope",
-    AppData("s#1", ("g1", "g2"), b"").encode()[:-3],  # cut inside the group list
-    Packed((AppData("s#1", ("g1",), b"x").encode(),)).encode()[:-2],  # cut inside an item
-    Packed((Packed((AppData("s#1", ("g1",), b"nested").encode(),)).encode(),)).encode(),
+    (b"", None),
+    (b"\x09not an envelope", None),
+    (AppData("s#1", ("g1", "g2"), b"").encode()[:-3], None),  # cut inside the group list
+    # The reference codec's container: no daemon forwards its items.
+    (Packed((AppData("s#1", ("g1",), b"x").encode(),)).encode(), None),
+    # Frames containers: a frame running past the end (whole container
+    # one undecodable, nothing written) ...
+    (frames_container("s#1", [(("g1",), b"a"), (("g2",), b"b")])[:-1], AGREED),
+    (frames_prefix("s#1")[:-1], AGREED),  # cut inside the sender
+    (frames_prefix("s#1") + _GOOD + _GOOD[:3], AGREED),  # cut inside a frame header
+    # ... and frames skipped alone, the ones around them forwarded: not
+    # a groupcast, another service, an empty body, a group name that is
+    # not UTF-8, a group list that runs past its frame.
+    (frames_prefix("s#1") + _GOOD + ipc.pack_group_op(ipc.OP_JOIN, "g1") + _GOOD, AGREED),
+    (frames_prefix("s#1") + _GOOD + ipc.pack_groupcast(["g1"], SAFE, b"x") + _GOOD, AGREED),
+    (frames_prefix("s#1") + _GOOD + ipc.pack_frame(ipc.OP_GROUPCAST, b"") + _GOOD, AGREED),
+    (
+        frames_prefix("s#1") + _GOOD
+        + ipc.pack_frame(ipc.OP_GROUPCAST, bytes((AGREED, 1, 0, 1)) + b"\xff") + _GOOD,
+        AGREED,
+    ),
+    (
+        frames_prefix("s#1") + _GOOD
+        + ipc.pack_frame(ipc.OP_GROUPCAST, bytes((AGREED, 2, 0, 2)) + b"g1") + _GOOD,
+        AGREED,
+    ),
 )
 #: One ordered payload, or (a fragmented envelope) several that other
-#: senders' payloads may come between: ``(origin pid, [payloads])``.
+#: senders' payloads may come between: ``(origin pid, [(payload,
+#: service)])``, the service ``None`` where any will do.
+any_service = st.just(None)
 submissions = st.one_of(
-    st.tuples(st.integers(0, 2), app_envelopes.map(lambda e: [e])),
-    st.tuples(st.integers(0, 2), changes.map(lambda e: [e])),
+    st.tuples(st.integers(0, 2), st.tuples(app_envelopes, any_service).map(lambda e: [e])),
+    st.tuples(st.integers(0, 2), st.tuples(changes, any_service).map(lambda e: [e])),
     st.tuples(
         st.integers(0, 2),
-        st.lists(app_envelopes | changes, min_size=2, max_size=4).map(
-            lambda items: [Packed(tuple(items)).encode()]
+        st.builds(
+            lambda sender, casts, service: [(frames_container(sender, casts, service), service)],
+            st.sampled_from(MEMBERS),
+            st.lists(st.tuples(group_subsets, st.binary(max_size=40)), min_size=2, max_size=4),
+            services,
         ),
     ),
     st.tuples(st.integers(0, 2), st.sampled_from(JUNK).map(lambda junk: [junk])),
     # One sender and one group list again and again, joins and leaves in
-    # between: the forwarder's last-prefix memo hits, and must not outlive
-    # the route a join or leave between two of them ends.
+    # between: the forwarder's last-group-list memo hits, and must not
+    # outlive the route a join or leave between two of them ends.
     st.tuples(
         st.integers(0, 2),
         st.lists(
-            st.binary(max_size=20).map(lambda p: AppData("s#1", ("g1", "g2"), p).encode())
-            | changes,
+            st.tuples(
+                st.binary(max_size=20).map(lambda p: AppData("s#1", ("g1", "g2"), p).encode())
+                | changes
+                | st.lists(st.binary(max_size=20), min_size=2, max_size=3).map(
+                    lambda ps: frames_container("s#1", [(("g1", "g2"), p) for p in ps])
+                ),
+                st.just(AGREED),
+            ),
             min_size=2,
             max_size=6,
         ),
@@ -557,7 +628,7 @@ submissions = st.one_of(
         st.integers(0, 2),
         st.builds(
             lambda groups, size, frag_id: [
-                encode_fragment(frag_id, index, -(-size // 48), chunk)
+                (encode_fragment(frag_id, index, -(-size // 48), chunk), None)
                 for index, chunk in enumerate(
                     _chunks(AppData("big#1", groups, bytes(size)).encode(), 48)
                 )
@@ -587,8 +658,8 @@ def ordered_runs(draw):
         if not queue:
             pending.remove(queue)
     messages = [
-        ordered(payload, seq=seq, pid=pid, service=draw(services))
-        for seq, (pid, payload) in enumerate(order, start=1)
+        ordered(payload, seq=seq, pid=pid, service=draw(services) if service is None else service)
+        for seq, (pid, (payload, service)) in enumerate(order, start=1)
     ]
     runs = []
     while messages:
@@ -601,9 +672,9 @@ def ordered_runs(draw):
 @settings(max_examples=300, deadline=None)
 @given(ordered_runs(), st.lists(st.tuples(st.sampled_from(LOCAL), st.sampled_from(GROUPS)), max_size=5))
 def test_a_run_writes_each_session_the_bytes_of_the_per_message_reference(runs, joined):
-    """Runs mixing bare AppData to several group lists, packed
+    """Runs mixing bare AppData to several group lists, frames
     containers, fragments of interleaved senders, joins and leaves
-    mid-run, and payloads that do not decode: for every session, the
+    mid-run, and payloads or frames that do not decode: for every session, the
     concatenation of what ``queue.send`` accepted is the concatenation
     of the frames the reference writes a message at a time — so a view
     never overtakes data, and no chunk crosses a change of route."""
@@ -704,6 +775,42 @@ def test_consecutive_messages_with_one_route_are_one_send():
         ipc.pack_group_view("g", ["a#0", "r#1"]),
         frame[3],
     ]
+
+
+def test_a_frames_container_is_one_slice_and_its_bad_frames_are_skipped_alone():
+    """A container's frames with one route reach a session as one piece,
+    byte for byte as written; a frame running past the container makes
+    it one undecodable payload that writes nothing; a frame that is not
+    a groupcast under the container's service, or whose group list does
+    not decode, is one undecodable frame, and the frames around it are
+    still forwarded."""
+    daemon = make_daemon(pid=0)
+    session = attach_member(daemon, "a#0", groups=["g"])
+    session.queue = queue = _StreamQueue()
+    casts = [ipc.pack_groupcast(["g"], AGREED, b"%d" % index) for index in range(4)]
+    container = frames_container("s#1", [(("g",), b"%d" % index) for index in range(4)])
+    assert container == frames_prefix("s#1") + b"".join(casts)
+    daemon._ordered_delivery((ordered(container),), config_id=1)
+    assert queue.accepted == [b"".join(casts)]
+    assert daemon.messages_delivered_to_clients == 4
+
+    for cut in (1, 4, len(casts[-1]) - 2):  # cut in the body or the head
+        daemon._ordered_delivery((ordered(container[:-cut], seq=2),), config_id=1)
+    assert len(queue.accepted) == 1
+    assert daemon.envelopes_undecodable == 3
+
+    bad = [
+        ipc.pack_group_op(ipc.OP_JOIN, "g"),
+        ipc.pack_groupcast(["g"], SAFE, b"safe"),
+        ipc.pack_frame(ipc.OP_GROUPCAST, b""),
+        ipc.pack_frame(ipc.OP_GROUPCAST, bytes((AGREED, 1, 0, 1)) + b"\xff"),
+        ipc.pack_frame(ipc.OP_GROUPCAST, bytes((AGREED, 1, 0, 9)) + b"g"),
+    ]
+    mixed = frames_prefix("s#1") + casts[0] + b"".join(bad) + casts[1] + bad[1] + casts[2]
+    daemon._ordered_delivery((ordered(mixed, seq=3),), config_id=1)
+    assert queue.accepted[1:] == [casts[0] + casts[1] + casts[2]]
+    assert daemon.envelopes_undecodable == 3 + 6
+    assert daemon.messages_delivered_to_clients == 4 + 3
 
 
 deliveries = st.lists(

@@ -54,7 +54,7 @@ def test_a_length_past_max_frame_raises_after_the_good_frames(items, excess):
     """Wherever the reads cut ``good frames + bad header``, the decoder
     yields exactly the good frames and then holds the error; nothing fed
     afterwards is decoded (PROTOCOL.md §15, "malformed frames")."""
-    bad = ipc._FRAME_HEADER.pack(1, ipc.MAX_FRAME + excess)
+    bad = ipc.FRAME_HEADER.pack(1, ipc.MAX_FRAME + excess)
     good = b"".join(ipc.pack_frame(op, body) for op, body in items)
     stream = good + bad
     chunkings = [[stream], [bytes([byte]) for byte in stream]]
@@ -76,7 +76,7 @@ def test_a_reader_serves_the_good_frames_then_raises(items, cut):
     (``FrameProtocol``'s ``ready`` / ``wait()``) hands out every frame
     ahead of the malformed header, then raises ``CodecError`` — whether
     the bad header arrived in the read that held them or in a later one."""
-    bad = ipc._FRAME_HEADER.pack(1, ipc.MAX_FRAME + 1)
+    bad = ipc.FRAME_HEADER.pack(1, ipc.MAX_FRAME + 1)
     stream = b"".join(ipc.pack_frame(op, body) for op, body in items) + bad
     cut %= len(stream) + 1
 
@@ -108,7 +108,7 @@ services = st.sampled_from(list(DeliveryService))
 
 
 def _body(groups, service, payload) -> bytes:
-    return ipc.pack_groupcast(groups, service, payload)[ipc._FRAME_HEADER.size :]
+    return ipc.pack_groupcast(groups, service, payload)[ipc.FRAME_HEADER.size :]
 
 
 valid_bodies = st.builds(_body, st.lists(names, max_size=3), services, st.binary(max_size=20))

@@ -1,14 +1,16 @@
 """Property tests for packing a client read (PROTOCOL.md §15, "packing").
 
-A daemon packs the groupcasts one read of a client's socket completed
-into as few ordered payloads as fit :data:`CONTAINER_BUDGET`.  Client
-frame streams — groupcasts of every size around the fragment budget,
-joins, leaves, both services, at most one malformed frame — are cut into
-reads at arbitrary byte positions and fed, interleaved across clients
-and daemons, through the real :class:`~repro.runtime.ipc.FrameProtocol`
-entry point.  The same frames fed one per read, in the order the cut
-reads completed them, are the reference: a read of one frame submits
-exactly what the daemon submitted before packing existed.
+A daemon packs the groupcast frames one read of a client's socket
+completed, as the client wrote them, into as few ordered payloads as fit
+:data:`CONTAINER_BUDGET`.  Client frame streams — groupcasts of every
+size around the fragment budget, joins, leaves, both services, at most
+one malformed frame — are cut into reads at arbitrary byte positions and
+fed, interleaved across clients and daemons, through the real
+:class:`~repro.runtime.ipc.FrameProtocol` entry point.  The same frames
+fed one per read, in the order the cut reads completed them, are the
+reference: a read of one frame submits exactly what the daemon submitted
+before packing existed.  What every session then receives is checked
+against the per-message reference codec, byte for byte.
 """
 
 import asyncio
@@ -20,16 +22,20 @@ from repro.core.codec import encode_data
 from repro.core.messages import DataMessage, DeliveryService
 from repro.runtime import ipc
 from repro.runtime.transport import DATAGRAM_BUDGET
-from repro.spread.packing import unpack_payload
+from repro.spread.daemon import CONTAINER_BUDGET
 from repro.spread.wire import (
+    ENV_APP,
     ENV_FRAGMENT,
-    ENV_JOIN,
-    ENV_LEAVE,
-    ENV_PACKED,
+    ENV_FRAMES,
     AppData,
     decode_envelope,
+    frames_prefix,
 )
-from tests.property.test_groupcast_forwarding import _StreamQueue
+from tests.property.test_groupcast_forwarding import (
+    _PerMessageReference,
+    _StreamQueue,
+    frames_of,
+)
 from tests.unit.test_spread_daemon_logic import attach_member, make_daemon
 
 #: ``(member, daemon pid)`` of every client: two share daemon 0.
@@ -41,11 +47,19 @@ PACK_BUDGET = 1350  # SpreadDaemon's default fragment chunk size
 MALFORMED = {
     "retired opcode": ipc.pack_frame(1, b"submit"),
     "cut groupcast": ipc.pack_frame(ipc.OP_GROUPCAST, bytes((1, 1, 0, 9)) + b"g"),
-    "oversized header": ipc._FRAME_HEADER.pack(ipc.OP_GROUPCAST, ipc.MAX_FRAME + 1),
+    "oversized header": ipc.FRAME_HEADER.pack(ipc.OP_GROUPCAST, ipc.MAX_FRAME + 1),
 }
 
 CAST_THEN_MALFORMED = (
     ipc.pack_groupcast(["g1"], DeliveryService.AGREED, b"x") + MALFORMED["retired opcode"]
+)
+#: Seven groupcasts that all but fill a container, a join, the read cut
+#: inside the eighth: the container and the join keep their order.
+NEAR_BUDGET = b"".join(
+    [ipc.pack_groupcast(["g1", "g2"], DeliveryService.AGREED, bytes(1240))] * 7
+    + [ipc.pack_group_op(ipc.OP_JOIN, "g2")]
+    + [ipc.pack_groupcast(["g2"], DeliveryService.AGREED, bytes(size)) for size in (1, 1300)]
+    + [ipc.pack_groupcast(["g1"], DeliveryService.SAFE, bytes(900))] * 2
 )
 
 sizes = st.one_of(
@@ -86,6 +100,7 @@ class _Fleet:
     daemon's submissions go to one shared total order."""
 
     def __init__(self, joined):
+        self.joined = joined
         self.daemons = {pid: make_daemon(pid) for pid in (0, 1)}
         self.order = []  # (origin pid, payload, service), in submission order
         self.connections = {}
@@ -125,6 +140,20 @@ class _Fleet:
     def streams(self):
         return {member: b"".join(queue.accepted) for member, queue in self.queues.items()}
 
+    def reference(self, pid):
+        """What the per-message reference codec writes to the sessions
+        daemon ``pid`` still holds, handed this fleet's total order."""
+        daemon = self.daemons[pid]
+        reference = _PerMessageReference(sorted(daemon._sessions))
+        for member, group in self.joined:
+            reference.directory.apply_join(member, group)
+        reference.directory.take_dirty()
+        for seq, (origin, payload, service) in enumerate(self.order, start=1):
+            reference.apply(
+                DataMessage(seq=seq, pid=origin, round=1, service=service, payload=payload)
+            )
+        return reference
+
 
 def cut(streams, reads):
     """``(member, data, frames)`` per read: the bytes the read returns
@@ -147,14 +176,21 @@ def cut(streams, reads):
     return out
 
 
+def opened(payload):
+    """A submitted payload as the envelopes it stands for: a frames
+    container's frames as the AppData envelopes of their sender."""
+    if payload[0] != ENV_FRAMES:
+        return [payload]
+    found, whole = frames_of(payload)
+    assert whole
+    envelope_prefix = bytes([ENV_APP]) + payload[1 : 3 + int.from_bytes(payload[1:3], "big")]
+    return [envelope_prefix + body[1:] for _opcode, body in found]
+
+
 def flattened(order):
     """Every envelope or fragment submitted, containers opened: what
     one-frame-per-read ingest submitted, payload for payload."""
-    return [
-        (pid, item, service)
-        for pid, payload, service in order
-        for item in (unpack_payload(payload) if payload[0] == ENV_PACKED else [payload])
-    ]
+    return [(pid, item, service) for pid, payload, service in order for item in opened(payload)]
 
 
 @st.composite
@@ -205,6 +241,9 @@ async def _run(streams, reads, joined):
 # group: no leave follows to flush the groupcast, the end of the read must.
 @example(({"a#0": CAST_THEN_MALFORMED, "b#0": b"", "c#1": b""},
           [("a#0", len(CAST_THEN_MALFORMED))], []))
+@example(({"a#0": NEAR_BUDGET, "b#0": b"", "c#1": NEAR_BUDGET},
+          [("a#0", 8000), ("c#1", len(NEAR_BUDGET)), ("a#0", len(NEAR_BUDGET) - 8000)],
+          [("a#0", "g1"), ("b#0", "g2"), ("c#1", "g1")]))
 def test_packed_reads_order_what_one_frame_reads_did(scenario):
     streams, reads, joined = scenario
     # _run checks that, opened, the containers are the one-frame-per-read
@@ -213,27 +252,42 @@ def test_packed_reads_order_what_one_frame_reads_did(scenario):
     # dropped client's leaves come after the frames ahead of its
     # malformed one ...
     packed, reference = asyncio.run(_run(streams, reads, joined))
-    # ... so every daemon's clients receive the same bytes.
-    assert packed.streams() == reference.streams()
+    # ... so every daemon's clients receive the same bytes ...
+    streams = packed.streams()
+    assert streams == reference.streams()
+    written = {frame for stream in scenario[0].values() for frame in _frames(stream)}
     for pid, daemon in packed.daemons.items():
         other = reference.daemons[pid]
         assert daemon.messages_delivered_to_clients == other.messages_delivered_to_clients
         assert daemon.envelopes_undecodable == other.envelopes_undecodable == 0
         assert daemon.clients_dropped_malformed == other.clients_dropped_malformed
         assert sorted(daemon._sessions) == sorted(other._sessions)
+        # ... which are, byte for byte, what the per-message reference
+        # codec writes to each session still connected (nothing to one
+        # dropped before the order was delivered), every groupcast frame
+        # in them one that a client wrote, and each counted once.
+        codec = packed.reference(pid)
+        for member, member_pid in CLIENTS:
+            if member_pid == pid:
+                assert streams[member] == b"".join(codec.streams.get(member, []))
+                for frame in _frames(streams[member]):
+                    assert frame[0] != ipc.OP_GROUPCAST or frame in written
+        assert daemon.messages_delivered_to_clients == codec.delivered
 
     fragment_ids = []
     for pid, payload, service in packed.order:
-        if payload[0] == ENV_PACKED:
-            items = unpack_payload(payload)
+        if payload[0] == ENV_FRAMES:
+            found, whole = frames_of(payload)
             # A container is one ordered message that fits one datagram.
             message = DataMessage(seq=1, pid=pid, round=1, service=service, payload=payload)
             assert len(encode_data(message)) <= DATAGRAM_BUDGET
-            assert len(items) > 1
-            # Only groupcasts that fit the fragment budget are packed.
-            for item in items:
-                assert item[0] not in (ENV_FRAGMENT, ENV_JOIN, ENV_LEAVE)
+            assert whole and len(found) > 1
+            # Only groupcasts that fit the fragment budget are packed,
+            # each under the container's service.
+            for item in opened(payload):
                 assert len(item) <= PACK_BUDGET
+            for opcode, body in found:
+                assert opcode == ipc.OP_GROUPCAST and body[0] == service
         elif payload[0] == ENV_FRAGMENT:
             fragment_ids.append((pid, decode_envelope(payload).frag_id))
     # A fragmenting envelope travels alone, as its fragments: nothing
@@ -241,6 +295,11 @@ def test_packed_reads_order_what_one_frame_reads_did(scenario):
     runs = [key for index, key in enumerate(fragment_ids)
             if index == 0 or fragment_ids[index - 1] != key]
     assert len(runs) == len(set(runs))
+
+
+def _frames(stream):
+    """The whole frames of a byte stream, each as written."""
+    return [ipc.pack_frame(opcode, body) for opcode, body in ipc.FrameDecoder().feed(stream)]
 
 
 def test_a_read_of_sixteen_kib_groupcasts_is_two_containers_of_eight():
@@ -258,7 +317,12 @@ def test_a_read_of_sixteen_kib_groupcasts_is_two_containers_of_eight():
         return fleet, frames, order
 
     fleet, frames, order = asyncio.run(run())
-    assert [len(unpack_payload(payload)) for _pid, payload, _service in order] == [8, 8]
+    assert [len(frames_of(payload)[0]) for _pid, payload, _service in order] == [8, 8]
+    # Each container is the sender once and then eight frames as written.
+    assert [payload for _pid, payload, _service in order] == [
+        frames_prefix("a#0") + b"".join(frames[:8]),
+        frames_prefix("a#0") + b"".join(frames[8:]),
+    ]
     assert fleet.streams()["a#0"] == b"".join(frames)
     daemon = fleet.daemons[0]
     assert (daemon.containers_sent, daemon.envelopes_packed) == (2, 16)
@@ -276,10 +340,11 @@ def test_a_container_is_at_most_one_datagram():
     """Groupcasts that make a container exactly one datagram long are one
     container; one byte more and the last of them waits for the next."""
     header = len(encode_data(_message(b"")))
-    envelope = len(AppData("a#0", ("g1",), b"").encode())
-    # [tag][count], then [length][envelope] per item.
-    seven = 3 + 7 * (4 + envelope + 1200)
-    exact = DATAGRAM_BUDGET - header - seven - 4 - envelope
+    frame = len(ipc.pack_groupcast(["g1"], DeliveryService.AGREED, b""))
+    # The tag and the sender once, then each frame as the client wrote it.
+    seven = len(frames_prefix("a#0")) + 7 * (frame + 1200)
+    exact = DATAGRAM_BUDGET - header - seven - frame
+    assert DATAGRAM_BUDGET - header == CONTAINER_BUDGET
 
     def read(last):
         fleet = _Fleet([])
@@ -290,8 +355,8 @@ def test_a_container_is_at_most_one_datagram():
         return [payload for _pid, payload, _service in fleet.order]
 
     (container,) = read(exact)
-    assert len(unpack_payload(container)) == 8
+    assert len(frames_of(container)[0]) == 8
     assert len(encode_data(_message(container))) == DATAGRAM_BUDGET
     first, second = read(exact + 1)
-    assert len(unpack_payload(first)) == 7
+    assert len(frames_of(first)[0]) == 7
     assert second == AppData("a#0", ("g1",), bytes(exact + 1)).encode()

@@ -92,7 +92,7 @@ _BODIES = [
     (ipc.unpack_hello, ipc.pack_hello("alice")),
     (ipc.unpack_welcome, ipc.pack_welcome("alice#4")),
 ]
-_BODIES = [(unpack, frame[ipc._FRAME_HEADER.size :]) for unpack, frame in _BODIES]
+_BODIES = [(unpack, frame[ipc.FRAME_HEADER.size :]) for unpack, frame in _BODIES]
 _UNPACKER_IDS = [unpack.__name__ for unpack, _ in _BODIES]
 
 
@@ -118,7 +118,7 @@ def test_a_name_that_is_not_utf8_is_a_codec_error(unpack, body):
         # A forwarded frame's body, as the client parses it.
         (
             ipc.GroupcastHeaders().parse,
-            ipc.groupcast_frame_from_tail(9, b"\x01\x00\x01gpayload")[ipc._FRAME_HEADER.size :],
+            ipc.groupcast_frame_from_tail(9, b"\x01\x00\x01gpayload")[ipc.FRAME_HEADER.size :],
         ),
         (ipc.unpack_groupcast, b"\x09\x01\x00\x01gpayload"),
     ],
@@ -199,14 +199,14 @@ class TestFrameDecoder:
         assert decoder.partial == b""
 
     def test_oversized_length_is_rejected_before_the_body_arrives(self):
-        header = ipc._FRAME_HEADER.pack(ipc.OP_GROUPCAST, ipc.MAX_FRAME + 1)
+        header = ipc.FRAME_HEADER.pack(ipc.OP_GROUPCAST, ipc.MAX_FRAME + 1)
         decoder = ipc.FrameDecoder()
         assert decoder.feed(header) == []
         assert isinstance(decoder.error, CodecError)
         assert "frame too large" in str(decoder.error)
         # The limit itself is a legal length.
         assert ipc.FrameDecoder().feed(
-            ipc._FRAME_HEADER.pack(ipc.OP_GROUPCAST, ipc.MAX_FRAME)
+            ipc.FRAME_HEADER.pack(ipc.OP_GROUPCAST, ipc.MAX_FRAME)
         ) == []
 
 

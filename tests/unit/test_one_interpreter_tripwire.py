@@ -2,6 +2,7 @@
 clusters one assembly path, seeded behaviour one pin (the goldens),
 checked runs one drive-and-converge loop, the membership controller one transition table,
 the runtime one daemon, one client and one client protocol, the
+daemon one container path, the
 committed results one producer, the network one link and one topology,
 fault-schedule searches one explorer.
 
@@ -12,7 +13,8 @@ against one, a bench environment knob, a private convergence poll or a second wa
 arm a fault plan, a dispatch ladder or hand-placed timer cancel in
 the membership controller, a second daemon or client protocol, a
 second figure harness, a second serializing queue, a probe telling two
-topologies apart or a second exploration loop fails tier-1 instead of drifting in unnoticed (the
+topologies apart, a second exploration loop or the daemon forwarding a
+packed container again fails tier-1 instead of drifting in unnoticed (the
 shape of the port and unseeded-random tripwires in ``conftest.py``,
 applied to the source tree)."""
 
@@ -417,6 +419,43 @@ def test_one_daemon_one_client_one_client_protocol():
     )
     assert _classes_holding_a_send_queue(old) == ["DaemonServer"]
     assert _classes_holding_a_send_queue("class ClientSendQueue:\n    pass\n") == []
+
+
+#: The reference codec's packed container: the daemon neither packs nor
+#: forwards one, its one container being the frames container.
+PACKED_CONTAINER = {
+    "repro.spread.packing", "Packer", "Packed", "packed_item_spans", "unpack_payload",
+    "ENV_PACKED",
+}
+
+
+def _names_used(source):
+    """Every module, name and attribute a module imports or refers to."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+            names.add(getattr(node, "module", None))
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_one_container_path_in_the_daemon():
+    assert _names_used(_sources()["spread/daemon.py"]) & PACKED_CONTAINER == set()
+    # ...and the check bites on what this replaced.
+    old = (
+        "from repro.spread.packing import Packer\n"
+        "from repro.spread.wire import ENV_PACKED, packed_item_spans\n"
+        "def _apply_container(self, container, message):\n"
+        "    for start, end in wire.packed_item_spans(container):\n"
+        "        pass\n"
+    )
+    assert _names_used(old) & PACKED_CONTAINER == {
+        "repro.spread.packing", "Packer", "ENV_PACKED", "packed_item_spans",
+    }
 
 
 # ----------------------------------------------------------------------

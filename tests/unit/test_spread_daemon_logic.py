@@ -1,6 +1,6 @@
 """Unit tests for SpreadDaemon's envelope pipeline, without sockets.
 
-The daemon's delivery-side logic (unpacking, fragment reassembly, group
+The daemon's delivery-side logic (frames containers, fragment reassembly, group
 updates, client fan-out) is exercised directly with stub sessions.
 """
 
@@ -10,7 +10,7 @@ from repro.core.messages import DataMessage, DeliveryService
 from repro.runtime import ipc
 from repro.runtime.transport import local_ring_addresses
 from repro.spread.daemon import SpreadDaemon, _ClientSession
-from repro.spread.wire import AppData, GroupJoin, GroupLeave, Packed
+from repro.spread.wire import AppData, GroupJoin, GroupLeave, frames_prefix
 
 
 class _StubWriter:
@@ -85,11 +85,11 @@ class TestOrderedDeliveryPipeline:
     def test_packed_envelopes_processed_in_order(self):
         daemon = make_daemon()
         member = attach_member(daemon, "a#0", groups=["g"])
-        first = AppData("s#1", ("g",), b"1").encode()
-        second = AppData("s#1", ("g",), b"2").encode()
-        payload = Packed((first, second)).encode()
+        first = ipc.pack_groupcast(["g"], DeliveryService.AGREED, b"1")
+        second = ipc.pack_groupcast(["g"], DeliveryService.AGREED, b"2")
+        payload = frames_prefix("s#1") + first + second
         deliver(daemon, ordered(payload), config_id=1)
-        assert len(frames(member)) == 2
+        assert frames(member) == [first, second]
 
     def test_ordered_join_updates_directory_and_notifies(self):
         daemon = make_daemon()
