@@ -184,12 +184,13 @@ class VariantRun:
 
 
 class _SpreadPipeline:
-    """Per-sender packing + fragmentation, mirroring what a daemon
-    submits for a client read of one groupcast
-    (:meth:`SpreadDaemon._handle_client_read`): the packer is flushed
-    after every envelope, so a label is one bare envelope or its
-    fragments.  Its payloads must not change: the three-variant
-    differential digests are recorded over them."""
+    """Per-sender packing + fragmentation in the reference codec: the
+    packer is flushed after every envelope, so a label is one bare
+    ``AppData`` envelope or its fragments.  A daemon orders a groupcast
+    as a frames container instead
+    (:meth:`SpreadDaemon._handle_client_read`); this mirror keeps the
+    reference codec because the three-variant differential digests are
+    recorded over its payloads, which must not change."""
 
     def __init__(self, num_hosts: int) -> None:
         self.packers = {pid: Packer() for pid in range(num_hosts)}

@@ -121,9 +121,6 @@ OP_WELCOME = 9
 FRAME_HEADER = struct.Struct("!BI")
 # group-view member count
 _COUNT = struct.Struct("!I")
-#: Groupcast frame header + the body's service byte: what a forwarding
-#: daemon writes in front of a bare envelope's tail.
-GROUPCAST_HEAD = struct.Struct("!BIB")
 
 MAX_FRAME = 16 * 1024 * 1024
 
@@ -406,6 +403,8 @@ def _unpack_prefix(layout: struct.Struct, body: bytes, offset: int = 0) -> tuple
 
 def _pack_str(value: str) -> bytes:
     raw = value.encode("utf-8")
+    if len(raw) > 0xFFFF:
+        raise CodecError(f"string too long: {len(raw)} bytes")
     return struct.pack("!H", len(raw)) + raw
 
 
@@ -456,21 +455,22 @@ def unpack_groupcast(body: bytes) -> Tuple[List[str], DeliveryService, bytes]:
     return groups, service, body[offset:]
 
 
-def groupcast_header_end(body: bytes) -> int:
-    """Where the payload of an ``OP_GROUPCAST`` body starts.
+def group_list_end(data: bytes, start: int, size: int) -> int:
+    """Where the group list ``[B count]{[!H len][group]}*`` at
+    ``data[start:]`` ends: at ``start = 1`` of an ``OP_GROUPCAST`` body,
+    where its payload starts.
 
-    Walks the count and the name lengths only — bounds are checked,
+    Walks the count and the name lengths only, checked against ``size``;
     names and service are not looked at (:func:`unpack_groupcast` does
     that; :class:`GroupcastHeaders` runs it once per distinct header).
     """
-    size = len(body)
-    if size < 2:
-        raise CodecError(f"truncated groupcast header: {size} bytes")
-    end = 2
-    for _ in range(body[1]):
+    if start >= size:
+        raise CodecError("truncated group count")
+    end = start + 1
+    for _ in range(data[start]):
         if end + 2 > size:
             raise CodecError("truncated group name length")
-        end += 2 + ((body[end] << 8) | body[end + 1])
+        end += 2 + ((data[end] << 8) | data[end + 1])
     if end > size:
         raise CodecError("truncated group name")
     return end
@@ -509,7 +509,7 @@ class GroupcastHeaders:
         """``(groups, service, payload offset)`` of one body."""
         if body.startswith(self._last_header):
             return self._last
-        end = groupcast_header_end(body)
+        end = group_list_end(body, 1, len(body))
         header = body[:end]
         known = self._known.get(header)
         if known is None:
@@ -521,16 +521,6 @@ class GroupcastHeaders:
         self._last_header = header
         self._last = known
         return known
-
-
-def groupcast_frame_from_tail(service: DeliveryService, tail: bytes) -> bytes:
-    """The ``OP_GROUPCAST`` frame whose body is ``[service] + tail``.
-
-    ``tail`` is ``[B count]{[!H len][group]}*[payload]`` — everything
-    after the service byte — taken as it is: the caller forwards bytes
-    that :func:`unpack_groupcast` accepted where they entered the system.
-    """
-    return GROUPCAST_HEAD.pack(OP_GROUPCAST, 1 + len(tail), service) + tail
 
 
 def pack_hello(private_name: str) -> bytes:

@@ -45,17 +45,14 @@ from repro.runtime.transport import DATAGRAM_BUDGET, PeerAddress
 from repro.spread.fragmentation import Fragmenter, FragmentReassembler
 from repro.spread.groups import GroupDirectory, qualify
 from repro.spread.wire import (
-    ENV_APP,
     ENV_FRAGMENT,
     ENV_FRAMES,
     ENV_JOIN,
     ENV_LEAVE,
     GroupJoin,
     GroupLeave,
-    app_data_prefix,
     decode_envelope,
     frames_prefix,
-    group_list_end,
 )
 from repro.util.errors import CodecError
 
@@ -68,9 +65,8 @@ ROUTE_MEMO_CAP = 1024
 #: of a single message's payload (PROTOCOL.md §15, "packing").
 CONTAINER_BUDGET = DATAGRAM_BUDGET - DATA_HEADER_BYTES
 
-_NO_SENDER = app_data_prefix("")
 _OP_GROUPCAST = ipc.OP_GROUPCAST
-_pack_groupcast_head = ipc.GROUPCAST_HEAD.pack
+_group_list_end = ipc.group_list_end
 _pack_frame_header = ipc.FRAME_HEADER.pack
 _unpack_frame_header = ipc.FRAME_HEADER.unpack_from
 _FRAME_HEADER_SIZE = ipc.FRAME_HEADER.size
@@ -89,9 +85,7 @@ class _ClientSession:
         self.member_name = member_name
         self.queue = ClientSendQueue(connection, window_bytes, unflushed)
         self.joined: Set[str] = set()
-        #: How every AppData envelope and every frames container this
-        #: client sends begins.
-        self.envelope_prefix = app_data_prefix(member_name)
+        #: How every frames container this client sends begins.
         self.frames_prefix = frames_prefix(member_name)
 
 
@@ -99,9 +93,10 @@ class SpreadDaemon:
     """A group-aware daemon on one server: a ring node serving local
     clients.
 
-    ``pack_budget`` is only the fragment chunk size: an envelope longer
-    than it is ordered as its fragments.  It is not the budget of a
-    frames container — that is :data:`CONTAINER_BUDGET`, derived from
+    ``pack_budget`` is only the fragment chunk size: a groupcast whose
+    one-frame container is longer than it is ordered as that container's
+    fragments, and so is a longer join or leave.  It is not the budget of
+    a frames container — that is :data:`CONTAINER_BUDGET`, derived from
     the datagram budget and not an option (PROTOCOL.md §15, "packing").
     """
 
@@ -160,21 +155,21 @@ class SpreadDaemon:
         #: Validated groupcast headers (ingest side of "validate at
         #: ingest, forward after", PROTOCOL.md §15).
         self._headers = ipc.GroupcastHeaders()
-        #: Group-list bytes of an envelope -> the local sessions it goes
-        #: to, in sorted member order.  Holds only while neither the
-        #: directory nor ``_sessions`` changes: see :meth:`_drop_routes`.
+        #: Groupcast header bytes ``[service][count]{groups}`` -> the
+        #: local sessions of its groups, in sorted member order.  Holds
+        #: only while neither the directory nor ``_sessions`` changes: see
+        #: :meth:`_drop_routes`.
         self._routes: Dict[bytes, Tuple[_ClientSession, ...]] = {}
-        #: The group list last forwarded and its route: group lists are
-        #: self-delimiting, so a frame or envelope whose group list starts
-        #: with these bytes has this route.
+        #: The header last forwarded and its route: headers are
+        #: self-delimiting, so a frame whose body starts with these bytes
+        #: has this route.
         #: ``startswith(())`` matches nothing, so an empty memo misses.
-        self._last_groups: Union[bytes, Tuple[()]] = ()
+        self._last_header: Union[bytes, Tuple[()]] = ()
         self._last_route: Tuple[_ClientSession, ...] = ()
         #: The chunk being built while a delivered run is applied: the
-        #: client frames of consecutive messages with one route — a bare
-        #: envelope's as head and tail, a container's as one slice — sent
-        #: as one piece (PROTOCOL.md §15, "a run at a time").  Empty
-        #: between runs.
+        #: client frames of consecutive messages with one route, a slice
+        #: of a container each, sent as one piece (PROTOCOL.md §15, "a
+        #: run at a time").  Empty between runs.
         self._chunk: List[bytes] = []
         #: The messages the chunk holds.
         self._chunk_count = 0
@@ -315,18 +310,19 @@ class SpreadDaemon:
         order (PROTOCOL.md §15, "packing").  Each groupcast is validated
         and its frame kept as the client wrote it, to be submitted with
         the read's others as one frames container of at most
-        :data:`CONTAINER_BUDGET` bytes; the frames kept are submitted on a
-        change of service, before a join or a leave, before a groupcast
-        whose envelope must fragment, and at the end of the read — a
+        :data:`CONTAINER_BUDGET` bytes — a read of one groupcast is a
+        container of one frame; the frames kept are submitted on a change
+        of service, before a join or a leave, before a groupcast whose
+        one-frame container must fragment, and at the end of the read — a
         ``CodecError`` included, so the frames ahead of a malformed one
         are ordered before the session's leaves."""
         pending = self._pending
         parse = self._headers.parse
         self._pending_session = session
-        # An envelope is the prefix and the body after its service byte.
-        envelope_extra = len(session.envelope_prefix) - 1
-        largest = self.fragmenter.chunk_size - envelope_extra
-        room = CONTAINER_BUDGET - len(session.frames_prefix) - _FRAME_HEADER_SIZE
+        prefix = session.frames_prefix
+        room = CONTAINER_BUDGET - len(prefix)
+        # The longest frame whose one-frame container is one fragment.
+        largest = self.fragmenter.chunk_size - len(prefix)
         try:
             for opcode, body in frames:
                 if opcode == _OP_GROUPCAST:  # the hot case, tested first
@@ -337,14 +333,19 @@ class SpreadDaemon:
                     if service is not self._pending_service:
                         self._flush_pending()
                         self._pending_service = service
-                    size = len(body)
+                    length = len(body)
+                    head = _pack_frame_header(_OP_GROUPCAST, length)
+                    size = _FRAME_HEADER_SIZE + length
                     if size > largest:
-                        self._submit_envelope(session.envelope_prefix + body[1:], service)
+                        # Alone, as the fragments of its one-frame container.
+                        self._submit_envelope(prefix + head + body, service)
+                        self.containers_sent += 1
+                        self.envelopes_packed += 1
                         continue
                     if self._pending_size + size > room:
                         self._flush_pending()
-                    pending += (_pack_frame_header(_OP_GROUPCAST, size), body)
-                    self._pending_size += _FRAME_HEADER_SIZE + size
+                    pending += (head, body)
+                    self._pending_size += size
                 elif opcode == ipc.OP_JOIN:
                     group = ipc.unpack_group_op(body)
                     session.joined.add(group)
@@ -365,20 +366,14 @@ class SpreadDaemon:
             self._flush_pending()
 
     def _flush_pending(self) -> None:
-        """Submit the frames kept: one groupcast as the bare AppData
-        envelope (the bytes a read of one groupcast always submitted),
-        several as one frames container."""
+        """Submit the frames kept as one frames container."""
         pending = self._pending
         if not pending:
             return
-        session = self._pending_session
-        if len(pending) == 2:
-            payload = session.envelope_prefix + pending[1][1:]
-        else:
-            self.containers_sent += 1
-            self.envelopes_packed += len(pending) >> 1
-            pending.insert(0, session.frames_prefix)
-            payload = b"".join(pending)
+        self.containers_sent += 1
+        self.envelopes_packed += len(pending) >> 1
+        pending.insert(0, self._pending_session.frames_prefix)
+        payload = b"".join(pending)
         pending.clear()
         self._pending_size = 0
         self.node.submit(payload=payload, service=self._pending_service)
@@ -402,11 +397,8 @@ class SpreadDaemon:
         for message in messages:
             payload = message.payload
             try:
-                tag = payload[0] if payload else None
-                if tag == ENV_FRAMES:  # the hot case under load
+                if payload and payload[0] == ENV_FRAMES:  # the hot case
                     self._forward_frames(payload, message.service)
-                elif tag == ENV_APP:  # bare: a read of one groupcast
-                    self._forward_app_data(payload, message.service)
                 else:
                     self._apply_envelope(payload, message)
             except CodecError:
@@ -416,16 +408,16 @@ class SpreadDaemon:
     def _apply_envelope(
         self, envelope: bytes, message: DataMessage, reassembled: bool = False
     ) -> None:
-        """One envelope that is neither a frames container nor AppData
-        straight off the order: a fragment or (``reassembled``) what its
-        fragments made, a join, a leave."""
+        """One envelope that is not a frames container straight off the
+        order: a fragment or (``reassembled``) what its fragments made, a
+        join, a leave."""
         tag = envelope[0] if envelope else None
-        if tag == ENV_APP:
-            self._forward_app_data(envelope, message.service)
-        elif tag == ENV_FRAGMENT and not reassembled:
+        if tag == ENV_FRAGMENT and not reassembled:
             whole = self.reassembler.accept(message.pid, decode_envelope(envelope))
             if whole is not None:
                 self._apply_envelope(whole, message, reassembled=True)
+        elif tag == ENV_FRAMES:  # reassembled: a groupcast past one fragment
+            self._forward_frames(envelope, message.service)
         elif tag == ENV_JOIN or tag == ENV_LEAVE:
             change = decode_envelope(envelope)
             if isinstance(change, GroupJoin):
@@ -453,15 +445,19 @@ class SpreadDaemon:
         at = 3 + ((container[1] << 8) | container[2])
         if at > size:
             raise CodecError("truncated sender")
-        service_byte = bytes((service,))
-        last_groups = self._last_groups
         last_route = self._last_route
-        # A groupcast body that starts with this has the last route.
-        expect = service_byte + last_groups if last_groups else ()
-        # (route, start, end, frames) of each run of one route.
+        # A groupcast body that starts with this has the last route.  A
+        # header begins with its service byte: one under another service
+        # than the container's would pass frames that must be skipped.
+        expect = self._last_header
+        if not expect or expect[0] != service:
+            expect = ()
+        # (route, start, end, frames) of each run of one route; the first
+        # run starts here, on the last route until a frame says otherwise.
         runs = []
-        route = None
-        first = count = skipped = 0
+        route = last_route
+        first = at
+        count = skipped = 0
         try:
             while at < size:
                 opcode, length = _unpack_frame_header(container, at)
@@ -473,9 +469,9 @@ class SpreadDaemon:
                     frame_route = last_route
                 else:
                     frame_route = self._frame_route(container, opcode, body, end, service)
-                    last_groups = self._last_groups
-                    last_route = self._last_route
-                    expect = service_byte + last_groups if last_groups else ()
+                    if frame_route is not None:
+                        expect = self._last_header
+                        last_route = frame_route
                 if frame_route is not route:
                     if count:
                         runs.append((route, first, at, count))
@@ -491,7 +487,8 @@ class SpreadDaemon:
             raise CodecError("truncated frame header") from None
         if count:
             runs.append((route, first, at, count))
-        self.envelopes_undecodable += skipped
+        if skipped:
+            self.envelopes_undecodable += skipped
         chunk = self._chunk
         for route, first, end, count in runs:
             if route != self._chunk_route:
@@ -505,52 +502,19 @@ class SpreadDaemon:
         self, container: bytes, opcode: int, body: int, end: int, service: DeliveryService
     ) -> Optional[Tuple[_ClientSession, ...]]:
         """The route of the frame whose body is ``container[body:end]``,
-        its group list not the last one forwarded; ``None`` if it is not a
-        groupcast under ``service`` or its group list does not decode."""
+        its header not the last one forwarded, remembered as the last one;
+        ``None`` if it is not a groupcast under ``service`` or its group
+        list does not decode."""
         if opcode != _OP_GROUPCAST or body == end or container[body] != service:
             return None
         try:
-            return self._route_at(container, body + 1, end)
+            header = container[body : _group_list_end(container, body + 1, end)]
+            route = self._routes.get(header)
+            if route is None:
+                route = self._resolve_route(header)
         except CodecError:
             return None
-
-    def _forward_app_data(self, data: bytes, service: DeliveryService) -> None:
-        """Frame the bare AppData envelope ``data`` for the local members
-        of its groups.
-
-        From its group list on, the envelope is a groupcast body after
-        the service byte (the shared tail, PROTOCOL.md §15): the client
-        frame is those bytes behind a new head.  The frame joins the
-        chunk of the messages before it while the route stays the same;
-        the sessions get it when the chunk is cut.
-        """
-        size = len(data)
-        if size < 3:
-            raise CodecError(f"truncated app-data envelope: {size} bytes")
-        start = 3 + ((data[1] << 8) | data[2])
-        if data.startswith(self._last_groups, start):
-            route = self._last_route
-        else:
-            route = self._route_at(data, start, size)
-        if route != self._chunk_route:
-            self._cut_chunk()
-            self._chunk_route = route
-        if route:
-            # The layout groupcast_frame_from_tail writes, left in two
-            # pieces for the chunk's one join.
-            chunk = self._chunk
-            chunk.append(_pack_groupcast_head(_OP_GROUPCAST, 1 + size - start, service))
-            chunk.append(data[start:])
-            self._chunk_count += 1
-
-    def _route_at(self, data: bytes, start: int, end: int) -> Tuple[_ClientSession, ...]:
-        """The route of the group list at ``data[start:]``, which must end
-        by ``end``; remembered as the last one forwarded."""
-        key = data[start : group_list_end(data, start, end)]
-        route = self._routes.get(key)
-        if route is None:
-            route = self._resolve_route(key)
-        self._last_groups = key
+        self._last_header = header
         self._last_route = route
         return route
 
@@ -569,13 +533,13 @@ class SpreadDaemon:
                 if session.queue.send(data):
                     self.messages_delivered_to_clients += count
 
-    def _resolve_route(self, key: bytes) -> Tuple[_ClientSession, ...]:
-        """The route of a group list not seen since the last change: its
-        names decoded by the reference codec (from an envelope that is
-        only them — the forwarder reads neither sender nor payload) and
-        resolved in the directory."""
+    def _resolve_route(self, header: bytes) -> Tuple[_ClientSession, ...]:
+        """The route of a groupcast header not seen since the last change:
+        its names decoded by the reference decoder and resolved in the
+        directory."""
         targets: Set[str] = set()
-        for group in decode_envelope(_NO_SENDER + key).groups:
+        groups, _service, _payload = ipc.unpack_groupcast(header)
+        for group in groups:
             targets.update(self.directory.members(group))
         sessions = self._sessions
         # Sorted, so the write order to local sessions is the same on
@@ -583,7 +547,7 @@ class SpreadDaemon:
         route = tuple(sessions[member] for member in sorted(targets) if member in sessions)
         if len(self._routes) >= ROUTE_MEMO_CAP:
             self._routes.clear()
-        self._routes[key] = route
+        self._routes[header] = route
         return route
 
     def _drop_routes(self) -> None:
@@ -592,7 +556,7 @@ class SpreadDaemon:
         ``_sessions`` (connect, disconnect, including a reconnect under
         the same name: a route holds sessions, not names)."""
         self._routes.clear()
-        self._last_groups = ()
+        self._last_header = ()
         self._last_route = ()
 
     def _config_changed(self, configuration: Configuration) -> None:

@@ -7,13 +7,13 @@ encoded envelopes greedily, preserving order; each flush yields payloads
 that fit the protocol-packet budget.
 
 This is the reference codec's packing, not the daemon's: a
-``SpreadDaemon`` packs the groupcast frames of a client read, as the
-client wrote them, into an ``ENV_FRAMES`` container (PROTOCOL.md §15,
-"packing") and neither submits nor forwards a ``Packed`` one.  What
-still imports this module: the conformance spread mirror
-(``conformance/variants.py``, which flushes after every envelope, so it
-orders no container), the frozen ``spread.packing.pack_ns_per_msg``
-micro, and the codec tests.
+``SpreadDaemon`` orders every client groupcast, as the client wrote it,
+inside an ``ENV_FRAMES`` container — one per read, a read of one
+groupcast a container of one frame (PROTOCOL.md §15, "packing") — and
+neither submits nor forwards a ``Packed`` one.  What still imports this
+module: the conformance spread mirror (``conformance/variants.py``,
+which flushes after every envelope, so it orders no container), the
+frozen ``spread.packing.pack_ns_per_msg`` micro, and the codec tests.
 """
 
 from __future__ import annotations

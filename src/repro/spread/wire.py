@@ -2,10 +2,13 @@
 
 The ordering layer treats payloads as opaque (paper §III-C: "This is not
 inspected or used by the protocol"); the toolkit layer structures them as
-envelopes: application data targeted at groups, group membership
-operations, frames containers of one client's groupcasts, and fragments
-of large messages.  ``Packed`` containers of encoded envelopes are the
-reference codec's older container: no daemon submits or forwards one.
+envelopes: frames containers of one client's groupcasts, group
+membership operations, and fragments of large messages.  A daemon orders
+every client groupcast inside a frames container (PROTOCOL.md §15,
+"packing").  The bare ``AppData`` envelope and the ``Packed`` container
+of encoded envelopes are the reference codec: the conformance spread
+mirror, the frozen micros and the tests speak them, and no daemon
+submits or forwards either.
 """
 
 from __future__ import annotations
@@ -43,45 +46,12 @@ def _unpack_str(data: bytes, offset: int) -> Tuple[str, int]:
     return data[start : start + length].decode("utf-8"), start + length
 
 
-def app_data_prefix(sender: str) -> bytes:
-    """The bytes of an :class:`AppData` envelope before its group list:
-    the tag and the sender.  One sender's envelopes all start with it."""
-    return _TAG.pack(ENV_APP) + _pack_str(sender)
-
-
 def frames_prefix(sender: str) -> bytes:
     """The bytes of an ``ENV_FRAMES`` container before its frames: the
     tag and the sender.  The frames follow as the client wrote them,
     ``{[!BI OP_GROUPCAST, n][service][B count]{[!H len][group]}*[payload]}*``
     (PROTOCOL.md §15, "packing")."""
     return _TAG.pack(ENV_FRAMES) + _pack_str(sender)
-
-
-def group_list_end(data: bytes, start: int, size: int) -> int:
-    """Where the group list ``[B count]{[!H len][group]}*`` at
-    ``data[start:]`` ends.  Only lengths are walked, and checked against
-    ``size``; :func:`decode_envelope` is what decodes the names."""
-    if start >= size:
-        raise CodecError("truncated group count")
-    end = start + 1
-    for _ in range(data[start]):
-        if end + 2 > size:
-            raise CodecError("truncated group name length")
-        end += 2 + ((data[end] << 8) | data[end + 1])
-    if end > size:
-        raise CodecError("truncated group name")
-    return end
-
-
-def app_data_span(envelope: bytes) -> Tuple[int, int]:
-    """``(start, end)`` of the group list of an ``ENV_APP`` envelope:
-    ``envelope[start:end]`` is ``[B count]{[!H len][group]}*`` and the
-    payload follows at ``end``."""
-    size = len(envelope)
-    if size < 3:
-        raise CodecError(f"truncated app-data envelope: {size} bytes")
-    start = 3 + ((envelope[1] << 8) | envelope[2])
-    return start, group_list_end(envelope, start, size)
 
 
 def packed_item_spans(container: bytes) -> List[Tuple[int, int]]:

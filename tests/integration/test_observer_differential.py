@@ -15,7 +15,6 @@ import pytest
 
 from repro.core.config import ProtocolConfig
 from repro.core.events import MulticastData, SendToken
-from repro.core.harness import InstantNetwork
 from repro.core.messages import DeliveryService
 from repro.core.original import OriginalRingParticipant
 from repro.core.participant import AcceleratedRingParticipant
@@ -23,6 +22,7 @@ from repro.net.loss import UniformLoss
 from repro.obs.observer import ProtocolObserver
 from repro.sim.build import ClusterBuilder
 from repro.sim.membership_driver import MembershipHost
+from tests.instant_network import InstantNetwork
 
 
 class CountingObserver(ProtocolObserver):

@@ -13,9 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.config import ProtocolConfig
 from repro.core.events import SendToken
-from repro.core.harness import InstantNetwork
 from repro.core.messages import DeliveryService
 from repro.core.participant import AcceleratedRingParticipant
+from tests.instant_network import InstantNetwork
 
 
 class _AruSpy(InstantNetwork):

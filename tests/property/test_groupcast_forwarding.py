@@ -1,14 +1,13 @@
 """Property tests for "validate at ingest, forward after" (PROTOCOL.md §15).
 
-The daemon no longer rebuilds a groupcast at each hop: the body a client
-wrote is, after its service byte, the tail of the ordered envelope, and
-that tail is what every daemon puts behind a new frame head.  These pin
-that (a) every byte is what the reference codec
-(``AppData.encode`` / ``decode_envelope`` / ``pack_groupcast`` /
-``unpack_groupcast``) would have written, however the envelope travels;
-(b) nothing the reference rejects is accepted, memo cold or warm;
-(c) a remembered route is never used past a change to what it was made
-from; (d) the memos stay bounded.
+The daemon never rebuilds a groupcast: the frame a client wrote is
+ordered inside a frames container, behind its sender, and every daemon
+hands it to its local members as a slice of that container.  These pin
+that (a) every byte is what the reference codec (``frames_prefix`` /
+``pack_groupcast`` / ``unpack_groupcast`` / ``decode_envelope``) would
+have written, however the container travels; (b) nothing the reference
+rejects is accepted, memo cold or warm; (c) a remembered route is never
+used past a change to what it was made from; (d) the memos stay bounded.
 """
 
 import asyncio
@@ -27,14 +26,12 @@ from repro.spread.fragmentation import Fragmenter, FragmentReassembler
 from repro.spread.groups import GroupDirectory
 from repro.spread.packing import Packer
 from repro.spread.wire import (
-    ENV_APP,
     ENV_FRAMES,
     AppData,
     Fragment,
     GroupJoin,
     GroupLeave,
     Packed,
-    app_data_span,
     decode_envelope,
     encode_fragment,
     frames_prefix,
@@ -45,6 +42,7 @@ from tests.unit.test_spread_daemon_logic import (
     deliver,
     frames,
     make_daemon,
+    one_frame,
     ordered,
 )
 
@@ -111,21 +109,23 @@ def receive(client, body):
     return asyncio.run(client.receive())
 
 
-# -- the shared tail ----------------------------------------------------
+# -- the one group-list walker -------------------------------------------
 
 
 @settings(max_examples=100, deadline=None)
 @given(private_names, group_lists, services, payloads)
 def test_envelope_and_groupcast_body_share_their_tail(sender, groups, service, payload):
-    """The fact everything else rests on, stated once: from the group
-    count on, an AppData envelope and a groupcast body are the same
-    bytes, and the two walkers agree on where the payload starts."""
+    """From the group count on, the reference codec's bare envelope and a
+    groupcast body are the same bytes, and ``ipc.group_list_end`` — the
+    one walker, which the daemon runs on the frames of a container —
+    finds where the payload starts in both."""
     envelope = AppData(f"{sender}#0", tuple(groups), payload).encode()
     body = body_of(groups, service, payload)
-    start, end = app_data_span(envelope)
+    start = 3 + int.from_bytes(envelope[1:3], "big")
     assert envelope[start:] == body[1:]
-    assert end - start == ipc.groupcast_header_end(body) - 1
-    assert envelope[end:] == payload
+    end = ipc.group_list_end(body, 1, len(body))
+    assert ipc.group_list_end(envelope, start, len(envelope)) - start == end - 1
+    assert body[end:] == payload
 
 
 # -- (a) every byte is the reference codec's ----------------------------
@@ -135,10 +135,12 @@ def test_envelope_and_groupcast_body_share_their_tail(sender, groups, service, p
 @given(private_names, group_lists, services, payloads)
 @example("c", ["g"] * 255, DeliveryService.SAFE, b"x")
 def test_ingest_envelope_is_the_reference_encoding(sender, groups, service, payload):
+    """A read of one groupcast is ordered as a container of one frame:
+    the sender once, then the frame as the client wrote it."""
     daemon = make_daemon()
-    daemon.fragmenter.chunk_size = 1 << 20  # look at the envelope whole
+    daemon.fragmenter.chunk_size = 1 << 20  # look at the container whole
     session = attach_member(daemon, f"{sender}#0")
-    reference = AppData(session.member_name, tuple(groups), payload).encode()
+    reference = one_frame(session.member_name, groups, payload, service)
     for _ in range(2):  # memo cold, then warm
         assert ingest(daemon, session, body_of(groups, service, payload)) == [
             (reference, service)
@@ -158,12 +160,12 @@ def test_forwarded_frame_is_the_reference_frame_however_the_envelope_travels(
 ):
     """One daemon, the whole trip: ingest, the real fragmenter at the
     real budget, ordered delivery — and the same groupcast once more as
-    a frame of a frames container.  The receiver's frame is
+    the second frame of a frames container.  The receiver's frame is
     ``pack_groupcast`` of what the sender passed to ``multicast``."""
     daemon = make_daemon()
     budget = daemon.fragmenter.chunk_size
     session = attach_member(daemon, f"{sender}#0", groups=[groups[0]])
-    header = len(AppData(session.member_name, tuple(groups), b"").encode())
+    header = len(one_frame(session.member_name, groups, b"", service))
     if size != "small":
         target = {"budget-1": budget - 1, "budget": budget, "budget+1": budget + 1,
                   "3xbudget": 3 * budget}[size]
@@ -244,7 +246,7 @@ def test_ingest_accepts_exactly_what_the_reference_accepts(valid, how, warm):
     else:
         groups, service, payload = reference
         assert ingest(daemon, session, body) == [
-            (AppData("c#0", groups, payload).encode(), service)
+            (one_frame("c#0", groups, payload, service), service)
         ]
 
 
@@ -263,61 +265,68 @@ def test_receive_accepts_exactly_what_the_reference_accepts(valid, how, warm):
         assert receive(client, body) == GroupMessage(*reference)
 
 
-def sender_blind(envelope: bytes) -> bytes:
-    """``envelope`` with its sender's bytes made valid UTF-8.
-
-    The forwarder never reads the sender — no client frame carries it,
-    and its UTF-8 is settled where it is written (ingest encodes a
-    ``str``) — so it is compared with the reference on an envelope that
-    differs only there."""
-    if len(envelope) >= 3:
-        length = (envelope[1] << 8) | envelope[2]
-        if 3 + length <= len(envelope):
-            return envelope[:3] + b"s" * length + envelope[3 + length :]
-    return envelope
+def reference_forward(container: bytes, service):
+    """What the reference reading of a frames container ordered under
+    ``service`` forwards: ``(groupcasts, skipped)``, the ``(groups,
+    payload)`` of each frame it delivers and the frames it skips; ``None``
+    if the container does not hold whole frames."""
+    found, whole = frames_of(container)
+    if not whole:
+        return None
+    groupcasts, skipped = [], 0
+    for opcode, body in found:
+        try:
+            if opcode != ipc.OP_GROUPCAST or body[:1] != bytes([service]):
+                raise CodecError("not a groupcast under the container's service")
+            groups, _service, payload = ipc.unpack_groupcast(body)
+        except CodecError:
+            skipped += 1
+            continue
+        groupcasts.append((groups, payload))
+    return groupcasts, skipped
 
 
 @settings(max_examples=300, deadline=None)
 @given(bodies, services, breakage, st.booleans())
 def test_forward_accepts_exactly_what_the_reference_accepts(valid, service, how, warm):
-    """Ordered bytes tagged ENV_APP either reach the local members of
-    the groups the reference decodes, as the reference frame, or are
-    counted undecodable and reach no one."""
+    """Ordered bytes tagged ENV_FRAMES either reach the local members of
+    the groups the reference decodes, as the reference frames, or are
+    counted undecodable — the whole container, or each frame the
+    reference skips — and reach no one."""
     daemon = make_daemon()
     member = attach_member(daemon, "m#0")
 
-    def join_all(envelope: bytes):
+    def join_all(container: bytes):
         """Put the member in every group the reference reads from it."""
-        try:
-            decoded = decode_envelope(sender_blind(envelope))
-        except CodecError:
-            return None
-        for group in decoded.groups:
-            deliver(daemon, ordered(GroupJoin("m#0", group).encode()), config_id=1)
-        return decoded
+        forwarded = reference_forward(container, service)
+        for groups, _payload in forwarded[0] if forwarded else ():
+            for group in groups:
+                deliver(daemon, ordered(GroupJoin("m#0", group).encode()), config_id=1)
+        return forwarded
 
-    valid_envelope = bytes([ENV_APP]) + b"\x00\x03s#1" + valid[1:]
+    valid_container = frames_prefix("s#1") + ipc.pack_frame(ipc.OP_GROUPCAST, valid)
     if warm:
-        join_all(valid_envelope)
-        deliver(daemon, ordered(valid_envelope, service=service), config_id=1)
+        join_all(valid_container)
+        deliver(daemon, ordered(valid_container, service=service), config_id=1)
     if how[0] == "replace":
-        envelope = bytes([ENV_APP]) + how[1]
+        container = bytes([ENV_FRAMES]) + how[1]
     else:  # any byte but the tag: another tag is another envelope type
-        envelope = valid_envelope[:1] + mutated(valid_envelope[1:], how[1], how[2])
-    decoded = join_all(envelope)
+        container = valid_container[:1] + mutated(valid_container[1:], how[1], how[2])
+    forwarded = join_all(container)
     member.queue._frames.clear()
     undecodable = daemon.envelopes_undecodable
-    deliver(daemon, ordered(envelope, service=service), config_id=1)
-    if decoded is None:
+    deliver(daemon, ordered(container, service=service), config_id=1)
+    if forwarded is None:
         assert frames(member) == []
         assert daemon.envelopes_undecodable == undecodable + 1
     else:
-        assert frames(member) == (
-            [ipc.pack_groupcast(list(decoded.groups), service, decoded.payload)]
-            if decoded.groups
-            else []
-        )
-        assert daemon.envelopes_undecodable == undecodable
+        groupcasts, skipped = forwarded
+        assert frames(member) == [
+            ipc.pack_groupcast(groups, service, payload)
+            for groups, payload in groupcasts
+            if groups
+        ]
+        assert daemon.envelopes_undecodable == undecodable + skipped
 
 
 # -- (c) a route is never used past a change ----------------------------
@@ -367,7 +376,7 @@ def test_route_is_the_from_scratch_resolve_after_every_change(ops):
     and ``messages_delivered_to_clients`` counts the accepted sends."""
     daemon = make_daemon(pid=0)
     log = []
-    envelope = AppData("s#1", TARGET, b"payload").encode()
+    container = one_frame("s#1", TARGET, b"payload")
     frame = ipc.pack_groupcast(list(TARGET), DeliveryService.AGREED, b"payload")
 
     def connect(name):
@@ -385,7 +394,7 @@ def test_route_is_the_from_scratch_resolve_after_every_change(ops):
         ]
         del log[:]
         before = daemon.messages_delivered_to_clients
-        deliver(daemon, ordered(envelope), config_id=1)
+        deliver(daemon, ordered(container), config_id=1)
         assert [queue for queue, _ in log] == expected
         assert all(sent is log[0][1] and sent == frame for _, sent in log)
         assert daemon.messages_delivered_to_clients - before == sum(
@@ -432,10 +441,9 @@ def test_ten_thousand_distinct_headers_leave_every_memo_at_or_under_its_cap():
         client.multicast([f"group-{index}"], b"x")
         (frame,) = written
         written.clear()
-        ((envelope, service),) = ingest(daemon, session, frame[BODY_AT:])
-        deliver(daemon, ordered(envelope, service=service), config_id=1)
-        receive_body = ipc.groupcast_frame_from_tail(service, frame[BODY_AT + 1 :])[BODY_AT:]
-        client._received_headers.parse(receive_body)
+        ((container, service),) = ingest(daemon, session, frame[BODY_AT:])
+        deliver(daemon, ordered(container, service=service), config_id=1)
+        client._received_headers.parse(frame[BODY_AT:])
     assert 0 < len(daemon._headers._known) <= ipc.HEADER_MEMO_CAP
     assert 0 < len(daemon._routes) <= ROUTE_MEMO_CAP
     assert 0 < len(client._received_headers._known) <= ipc.HEADER_MEMO_CAP
@@ -466,13 +474,14 @@ class _StreamQueue:
 
 class _PerMessageReference:
     """What one daemon writes to its local sessions, worked out a message
-    at a time from the reference codec alone: :func:`frames_of`,
-    ``unpack_groupcast`` and ``decode_envelope`` to read,
-    ``pack_groupcast`` / ``pack_group_view`` to write, a directory and a
-    reassembler of its own.  A frames container whose frames do not all
-    fit is one undecodable payload; a frame in it that is not a groupcast
-    under the container's service is one and is skipped; a ``Packed``
-    container is one (no daemon forwards its items)."""
+    at a time from the reference codec alone: :func:`reference_forward`
+    and ``decode_envelope`` to read, ``pack_groupcast`` /
+    ``pack_group_view`` to write, a directory and a reassembler of its
+    own.  A frames container whose frames do not all fit is one
+    undecodable payload; a frame in it that is not a groupcast under the
+    container's service is one and is skipped; a bare ``AppData``
+    envelope and a ``Packed`` container are one each (every groupcast is
+    ordered in a frames container)."""
 
     def __init__(self, local):
         self.directory = GroupDirectory()
@@ -481,27 +490,37 @@ class _PerMessageReference:
         self.delivered = 0
         self.undecodable = 0
 
-    def apply(self, message):
-        payload = message.payload
-        if payload[:1] != bytes([ENV_FRAMES]):
-            try:
-                self._envelope(decode_envelope(payload), message)
-            except CodecError:
+    def apply(self, message, payload=None, reassembled=False):
+        payload = message.payload if payload is None else payload
+        if payload[:1] == bytes([ENV_FRAMES]):
+            forwarded = reference_forward(payload, message.service)
+            if forwarded is None:
                 self.undecodable += 1
+                return
+            groupcasts, skipped = forwarded
+            self.undecodable += skipped
+            for groups, data in groupcasts:
+                self._groupcast(groups, message.service, data)
             return
-        found, whole = frames_of(payload)
-        if not whole:
+        try:
+            decoded = decode_envelope(payload)
+            if isinstance(decoded, Fragment) and not reassembled:
+                whole = self.reassembler.accept(message.pid, decoded)
+                if whole is not None:
+                    self.apply(message, whole, reassembled=True)
+                return
+            if not isinstance(decoded, (GroupJoin, GroupLeave)):
+                raise CodecError("bare AppData, a Packed container, a fragment of a fragment")
+        except CodecError:
             self.undecodable += 1
             return
-        for opcode, body in found:
-            try:
-                if opcode != ipc.OP_GROUPCAST or body[:1] != bytes([message.service]):
-                    raise CodecError("not a groupcast under the container's service")
-                groups, service, data = ipc.unpack_groupcast(body)
-            except CodecError:
-                self.undecodable += 1
-                continue
-            self._groupcast(groups, service, data)
+        if isinstance(decoded, GroupJoin):
+            self.directory.apply_join(decoded.member, decoded.group)
+        else:
+            self.directory.apply_leave(decoded.member, decoded.group)
+        for group in self.directory.take_dirty():
+            members = list(self.directory.members(group))
+            self._write(members, ipc.pack_group_view(group, members))
 
     def _groupcast(self, groups, service, payload):
         targets = set()
@@ -509,24 +528,6 @@ class _PerMessageReference:
             targets.update(self.directory.members(group))
         self._write(targets, ipc.pack_groupcast(list(groups), service, payload))
         self.delivered += sum(member in self.streams for member in targets)
-
-    def _envelope(self, decoded, message, reassembled=False):
-        if isinstance(decoded, AppData):
-            self._groupcast(decoded.groups, message.service, decoded.payload)
-        elif isinstance(decoded, Fragment) and not reassembled:
-            whole = self.reassembler.accept(message.pid, decoded)
-            if whole is not None:
-                self._envelope(decode_envelope(whole), message, reassembled=True)
-        elif isinstance(decoded, (GroupJoin, GroupLeave)):
-            if isinstance(decoded, GroupJoin):
-                self.directory.apply_join(decoded.member, decoded.group)
-            else:
-                self.directory.apply_leave(decoded.member, decoded.group)
-            for group in self.directory.take_dirty():
-                members = list(self.directory.members(group))
-                self._write(members, ipc.pack_group_view(group, members))
-        else:
-            raise CodecError("a container in a container, a fragment of a fragment")
 
     def _write(self, members, frame):
         for member in sorted(set(members)):
@@ -538,9 +539,9 @@ LOCAL = ("a#0", "b#0", "c#0")
 MEMBERS = LOCAL + ("r#1",)
 GROUPS = ("g1", "g2", "g3")
 group_subsets = st.lists(st.sampled_from(GROUPS), max_size=3).map(tuple)
-app_envelopes = st.builds(
-    lambda sender, groups, payload: AppData(sender, groups, payload).encode(),
-    st.sampled_from(MEMBERS), group_subsets, st.binary(max_size=40),
+one_frames = st.builds(
+    lambda sender, groups, payload, service: (one_frame(sender, groups, payload, service), service),
+    st.sampled_from(MEMBERS), group_subsets, st.binary(max_size=40), services,
 )
 changes = st.builds(
     lambda kind, member, group: kind(member, group).encode(),
@@ -564,9 +565,18 @@ _GOOD = ipc.pack_groupcast(["g1"], AGREED, b"good")
 JUNK = (
     (b"", None),
     (b"\x09not an envelope", None),
+    # The reference codec's bare envelope and its container: every
+    # groupcast is ordered in a frames container, so no daemon forwards
+    # either, whole or cut.
+    (AppData("s#1", ("g1",), b"bare").encode(), None),
     (AppData("s#1", ("g1", "g2"), b"").encode()[:-3], None),  # cut inside the group list
-    # The reference codec's container: no daemon forwards its items.
     (Packed((AppData("s#1", ("g1",), b"x").encode(),)).encode(), None),
+    # One-frame containers: cut in the frame, under another service, a
+    # frame that is not a groupcast.
+    (one_frame("s#1", ("g1",), b"x")[:-1], AGREED),
+    (one_frame("s#1", ("g1",), b"x", SAFE), AGREED),
+    (one_frame("s#1", ("g1",), b"x"), SAFE),
+    (frames_prefix("s#1") + ipc.pack_group_op(ipc.OP_JOIN, "g1"), AGREED),
     # Frames containers: a frame running past the end (whole container
     # one undecodable, nothing written) ...
     (frames_container("s#1", [(("g1",), b"a"), (("g2",), b"b")])[:-1], AGREED),
@@ -594,7 +604,7 @@ JUNK = (
 #: service)])``, the service ``None`` where any will do.
 any_service = st.just(None)
 submissions = st.one_of(
-    st.tuples(st.integers(0, 2), st.tuples(app_envelopes, any_service).map(lambda e: [e])),
+    st.tuples(st.integers(0, 2), one_frames.map(lambda e: [e])),
     st.tuples(st.integers(0, 2), st.tuples(changes, any_service).map(lambda e: [e])),
     st.tuples(
         st.integers(0, 2),
@@ -613,7 +623,7 @@ submissions = st.one_of(
         st.integers(0, 2),
         st.lists(
             st.tuples(
-                st.binary(max_size=20).map(lambda p: AppData("s#1", ("g1", "g2"), p).encode())
+                st.binary(max_size=20).map(lambda p: one_frame("s#1", ("g1", "g2"), p))
                 | changes
                 | st.lists(st.binary(max_size=20), min_size=2, max_size=3).map(
                     lambda ps: frames_container("s#1", [(("g1", "g2"), p) for p in ps])
@@ -624,16 +634,17 @@ submissions = st.one_of(
             max_size=6,
         ),
     ),
+    # A groupcast too long for one fragment: its one-frame container's
+    # fragments, all under the frame's service.
     st.tuples(
         st.integers(0, 2),
         st.builds(
-            lambda groups, size, frag_id: [
-                (encode_fragment(frag_id, index, -(-size // 48), chunk), None)
-                for index, chunk in enumerate(
-                    _chunks(AppData("big#1", groups, bytes(size)).encode(), 48)
-                )
+            lambda groups, size, frag_id, service: [
+                (encode_fragment(frag_id, index, len(chunks), chunk), service)
+                for chunks in [_chunks(one_frame("big#1", groups, bytes(size), service), 48)]
+                for index, chunk in enumerate(chunks)
             ],
-            group_subsets, st.integers(60, 200), st.integers(1, 3),
+            group_subsets, st.integers(60, 200), st.integers(1, 3), services,
         ),
     ),
 )
@@ -672,8 +683,8 @@ def ordered_runs(draw):
 @settings(max_examples=300, deadline=None)
 @given(ordered_runs(), st.lists(st.tuples(st.sampled_from(LOCAL), st.sampled_from(GROUPS)), max_size=5))
 def test_a_run_writes_each_session_the_bytes_of_the_per_message_reference(runs, joined):
-    """Runs mixing bare AppData to several group lists, frames
-    containers, fragments of interleaved senders, joins and leaves
+    """Runs mixing one-frame containers to several group lists, longer
+    frames containers, fragments of interleaved senders, joins and leaves
     mid-run, and payloads or frames that do not decode: for every session, the
     concatenation of what ``queue.send`` accepted is the concatenation
     of the frames the reference writes a message at a time — so a view
@@ -752,14 +763,14 @@ def test_a_route_memo_does_not_outlive_a_connect_or_disconnect(runs, events, joi
 
 
 def test_consecutive_messages_with_one_route_are_one_send():
-    """The point of the exercise, pinned: a run of AppData to one group
-    list reaches each session as a single ``send``, a join in the middle
-    of a run cuts it in two around the view."""
+    """The point of the exercise, pinned: a run of one-frame containers
+    to one group list reaches each session as a single ``send``, a join
+    in the middle of a run cuts it in two around the view."""
     daemon = make_daemon(pid=0)
     session = attach_member(daemon, "a#0", groups=["g"])
     session.queue = queue = _StreamQueue()
     data = [
-        ordered(AppData(f"s#{pid}", ("g",), b"%d" % seq).encode(), seq=seq, pid=pid)
+        ordered(one_frame(f"s#{pid}", ("g",), b"%d" % seq), seq=seq, pid=pid)
         for seq, pid in enumerate((1, 2, 1, 1, 2), start=1)
     ]
     frame = {m.seq: ipc.pack_groupcast(["g"], m.service, b"%d" % m.seq) for m in data}
@@ -812,6 +823,13 @@ def test_a_frames_container_is_one_slice_and_its_bad_frames_are_skipped_alone():
     assert daemon.envelopes_undecodable == 3 + 6
     assert daemon.messages_delivered_to_clients == 4 + 3
 
+    # A frame's service byte is checked against its container's even when
+    # its header is the one the container before forwarded.
+    other = ordered(frames_prefix("s#1") + casts[0], seq=4, service=SAFE)
+    daemon._ordered_delivery((other,), config_id=1)
+    assert len(queue.accepted) == 2
+    assert daemon.envelopes_undecodable == 3 + 6 + 1
+
 
 deliveries = st.lists(
     st.builds(
@@ -825,8 +843,9 @@ deliveries = st.lists(
 @settings(max_examples=100, deadline=None)
 @given(deliveries, st.lists(st.integers(1, 8), min_size=1, max_size=20))
 def test_daemon_server_writes_a_run_as_the_per_message_deliver_frames(items, sizes):
-    """One delivered run of AppData to one group list is one ``send``
-    per session, and the sends concatenate to the per-message frames."""
+    """One delivered run of one-frame containers to one group list is one
+    ``send`` per session, and the sends concatenate to the per-message
+    frames."""
     daemon = make_daemon(pid=0)
     queues = []
     for member in ("a#0", "b#0"):
@@ -834,7 +853,7 @@ def test_daemon_server_writes_a_run_as_the_per_message_deliver_frames(items, siz
         session.queue = _StreamQueue()
         queues.append(session.queue)
     messages = [
-        ordered(AppData(f"s#{pid}", ("g",), payload).encode(), seq=seq, pid=pid, service=service)
+        ordered(one_frame(f"s#{pid}", ("g",), payload, service), seq=seq, pid=pid, service=service)
         for seq, (pid, service, payload) in enumerate(items, start=1)
     ]
     sends = 0
@@ -854,7 +873,7 @@ def test_daemon_server_writes_a_run_as_the_per_message_deliver_frames(items, siz
         assert len(queue.accepted) == sends  # one send per run
 
 
-# -- a one-envelope read submits what fragment -> Packer.add -> flush did --
+# -- a one-groupcast read submits what fragment -> Packer.add -> flush did --
 
 
 def _fragment_pack_flush(fragmenter, packer, envelope):
@@ -869,22 +888,27 @@ def _fragment_pack_flush(fragmenter, packer, envelope):
 
 @pytest.mark.parametrize("budget", [64, 200, 1350])
 def test_submit_envelope_submits_what_the_flushed_packer_did(budget):
-    """A read of one groupcast submits, around the fragment budget, the
-    payloads the flush-after-every-envelope packer did: packing a read
-    changes nothing for a read that holds one envelope."""
+    """A read of one groupcast submits, around the fragment budget, what
+    the flush-after-every-envelope packer made of its one-frame
+    container: the container whole while it fits the budget, its
+    fragments once it does not.  The container is 6 bytes longer than
+    the bare envelope a read of one groupcast used to be ordered as, so
+    the fragment fence sits 6 bytes lower in payload bytes."""
     daemon = SpreadDaemon(
         0, local_ring_addresses(range(2), base_port=47000), "/tmp/unused.sock",
         pack_budget=budget,
     )
     session = attach_member(daemon, "c#0")
     old_fragmenter, old_packer = Fragmenter(chunk_size=budget), Packer(budget=budget)
-    header = len(AppData("c#0", ("g",), b"").encode())
+    header = len(one_frame("c#0", ("g",), b"", DeliveryService.SAFE))
+    assert header - len(AppData("c#0", ("g",), b"").encode()) == 6
     sizes = [header, budget - 8, budget - 7, budget - 6, budget - 1, budget, budget + 1,
              2 * budget, 2 * budget + 1, 5 * budget + 3]
     for size in sizes:
         payload = bytes(max(0, size - header))
-        envelope = AppData("c#0", ("g",), payload).encode()
+        container = one_frame("c#0", ("g",), payload, DeliveryService.SAFE)
         submitted = ingest(daemon, session, body_of(["g"], DeliveryService.SAFE, payload))
-        expected = _fragment_pack_flush(old_fragmenter, old_packer, envelope)
+        expected = _fragment_pack_flush(old_fragmenter, old_packer, container)
         assert submitted == [(piece, DeliveryService.SAFE) for piece in expected]
-    assert daemon.containers_sent == daemon.envelopes_packed == 0
+        assert (len(submitted) > 1) == (len(container) > budget)
+    assert daemon.containers_sent == daemon.envelopes_packed == len(sizes)

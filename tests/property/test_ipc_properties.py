@@ -130,7 +130,7 @@ def body_sequences(draw):
             continue
         previous = bodies[-1]
         try:
-            header = previous[: ipc.groupcast_header_end(previous)]
+            header = previous[: ipc.group_list_end(previous, 1, len(previous))]
         except CodecError:
             header = previous
         if kind == "same-header":

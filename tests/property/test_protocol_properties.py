@@ -15,10 +15,10 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import ProtocolConfig, TokenPriorityMethod
-from repro.core.harness import InstantNetwork
 from repro.core.messages import DeliveryService
 from repro.core.original import OriginalRingParticipant
 from repro.core.participant import AcceleratedRingParticipant
+from tests.instant_network import InstantNetwork
 
 windows = st.integers(min_value=1, max_value=8).flatmap(
     lambda personal: st.tuples(

@@ -8,9 +8,10 @@ one malformed frame — are cut into reads at arbitrary byte positions and
 fed, interleaved across clients and daemons, through the real
 :class:`~repro.runtime.ipc.FrameProtocol` entry point.  The same frames
 fed one per read, in the order the cut reads completed them, are the
-reference: a read of one frame submits exactly what the daemon submitted
-before packing existed.  What every session then receives is checked
-against the per-message reference codec, byte for byte.
+reference: a read of one groupcast submits a container of that one frame
+(or, past the fragment budget, its fragments).  What every session then
+receives is checked against the per-message reference codec, byte for
+byte.
 """
 
 import asyncio
@@ -23,20 +24,13 @@ from repro.core.messages import DataMessage, DeliveryService
 from repro.runtime import ipc
 from repro.runtime.transport import DATAGRAM_BUDGET
 from repro.spread.daemon import CONTAINER_BUDGET
-from repro.spread.wire import (
-    ENV_APP,
-    ENV_FRAGMENT,
-    ENV_FRAMES,
-    AppData,
-    decode_envelope,
-    frames_prefix,
-)
+from repro.spread.wire import ENV_FRAGMENT, ENV_FRAMES, decode_envelope, frames_prefix
 from tests.property.test_groupcast_forwarding import (
     _PerMessageReference,
     _StreamQueue,
     frames_of,
 )
-from tests.unit.test_spread_daemon_logic import attach_member, make_daemon
+from tests.unit.test_spread_daemon_logic import attach_member, make_daemon, one_frame
 
 #: ``(member, daemon pid)`` of every client: two share daemon 0.
 CLIENTS = (("a#0", 0), ("b#0", 0), ("c#1", 1))
@@ -177,19 +171,20 @@ def cut(streams, reads):
 
 
 def opened(payload):
-    """A submitted payload as the envelopes it stands for: a frames
-    container's frames as the AppData envelopes of their sender."""
+    """A submitted payload as the one-frame containers it stands for:
+    each frame of a frames container behind their sender."""
     if payload[0] != ENV_FRAMES:
         return [payload]
     found, whole = frames_of(payload)
     assert whole
-    envelope_prefix = bytes([ENV_APP]) + payload[1 : 3 + int.from_bytes(payload[1:3], "big")]
-    return [envelope_prefix + body[1:] for _opcode, body in found]
+    prefix = payload[: 3 + int.from_bytes(payload[1:3], "big")]
+    return [prefix + ipc.pack_frame(opcode, body) for opcode, body in found]
 
 
 def flattened(order):
-    """Every envelope or fragment submitted, containers opened: what
-    one-frame-per-read ingest submitted, payload for payload."""
+    """Every container or fragment submitted, containers opened into
+    one-frame ones: what one-frame-per-read ingest submitted, payload for
+    payload."""
     return [(pid, item, service) for pid, payload, service in order for item in opened(payload)]
 
 
@@ -281,17 +276,18 @@ def test_packed_reads_order_what_one_frame_reads_did(scenario):
             # A container is one ordered message that fits one datagram.
             message = DataMessage(seq=1, pid=pid, round=1, service=service, payload=payload)
             assert len(encode_data(message)) <= DATAGRAM_BUDGET
-            assert whole and len(found) > 1
-            # Only groupcasts that fit the fragment budget are packed,
-            # each under the container's service.
+            assert whole and found
+            # Only groupcasts whose one-frame container fits the fragment
+            # budget are packed, each under the container's service.
             for item in opened(payload):
                 assert len(item) <= PACK_BUDGET
             for opcode, body in found:
                 assert opcode == ipc.OP_GROUPCAST and body[0] == service
         elif payload[0] == ENV_FRAGMENT:
             fragment_ids.append((pid, decode_envelope(payload).frag_id))
-    # A fragmenting envelope travels alone, as its fragments: nothing
-    # comes between two fragments of one envelope.
+    # A fragmenting groupcast travels alone, as its one-frame
+    # container's fragments: nothing comes between two fragments of one
+    # container.
     runs = [key for index, key in enumerate(fragment_ids)
             if index == 0 or fragment_ids[index - 1] != key]
     assert len(runs) == len(set(runs))
@@ -327,7 +323,7 @@ def test_a_read_of_sixteen_kib_groupcasts_is_two_containers_of_eight():
     daemon = fleet.daemons[0]
     assert (daemon.containers_sent, daemon.envelopes_packed) == (2, 16)
     assert flattened(order) == [
-        (0, AppData("a#0", ("g1",), bytes([index]) * 1024).encode(), DeliveryService.AGREED)
+        (0, one_frame("a#0", ("g1",), bytes([index]) * 1024), DeliveryService.AGREED)
         for index in range(16)
     ]
 
@@ -359,4 +355,4 @@ def test_a_container_is_at_most_one_datagram():
     assert len(encode_data(_message(container))) == DATAGRAM_BUDGET
     first, second = read(exact + 1)
     assert len(frames_of(first)[0]) == 7
-    assert second == AppData("a#0", ("g1",), bytes(exact + 1)).encode()
+    assert second == one_frame("a#0", ("g1",), bytes(exact + 1))

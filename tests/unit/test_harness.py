@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.core.harness import InstantNetwork
 from repro.core.original import OriginalRingParticipant
 from repro.core.participant import AcceleratedRingParticipant
 from tests.conftest import make_ring, submit_n
+from tests.instant_network import InstantNetwork
 
 
 def run_ring(cls, n=3, per_sender=7, drop=None, max_rounds=100):

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.messages import DeliveryService
 from repro.runtime import ipc
-from repro.spread.wire import AppData, app_data_span
+from repro.spread.wire import frames_prefix
 from repro.util.errors import CodecError
 
 
@@ -30,12 +30,11 @@ def test_submit_roundtrip():
 
 
 def test_deliver_roundtrip():
-    """What a daemon delivers: an ordered envelope's tail behind a new
-    head, as the client parses it."""
-    envelope = AppData("s#3", ("a", "b"), b"data").encode()
-    start, _end = app_data_span(envelope)
-    frame = ipc.groupcast_frame_from_tail(DeliveryService.AGREED, envelope[start:])
-    ((opcode, body),) = roundtrip_frames(frame)
+    """What a daemon delivers: the frame its sender wrote, a slice of
+    the ordered frames container, as the client parses it."""
+    prefix = frames_prefix("s#3")
+    container = prefix + ipc.pack_groupcast(["a", "b"], DeliveryService.AGREED, b"data")
+    ((opcode, body),) = roundtrip_frames(container[len(prefix) :])
     assert opcode == ipc.OP_GROUPCAST
     groups, service, end = ipc.GroupcastHeaders().parse(body)
     assert groups == ("a", "b")
@@ -115,10 +114,11 @@ def test_a_name_that_is_not_utf8_is_a_codec_error(unpack, body):
     [
         # A client's groupcast body, as ingest parses it.
         (ipc.GroupcastHeaders().parse, b"\x09\x01\x00\x01gpayload"),
-        # A forwarded frame's body, as the client parses it.
+        # A forwarded frame's body (the frame its sender wrote, sliced out
+        # of the ordered container), as the client parses it.
         (
             ipc.GroupcastHeaders().parse,
-            ipc.groupcast_frame_from_tail(9, b"\x01\x00\x01gpayload")[ipc.FRAME_HEADER.size :],
+            ipc.pack_frame(ipc.OP_GROUPCAST, b"\x09\x01\x00\x01gpayload")[ipc.FRAME_HEADER.size :],
         ),
         (ipc.unpack_groupcast, b"\x09\x01\x00\x01gpayload"),
     ],
@@ -134,7 +134,24 @@ def test_a_name_length_running_past_the_body_is_a_codec_error():
     with pytest.raises(CodecError):
         ipc.unpack_groupcast(b"\x04\x01\x00\x09g")
     with pytest.raises(CodecError):
-        ipc.groupcast_header_end(b"\x04\x01\x00\x09g")
+        ipc.group_list_end(b"\x04\x01\x00\x09g", 1, 5)
+
+
+def test_a_name_over_65535_bytes_is_a_codec_error():
+    """A name's length is two bytes: one that does not fit is refused as
+    every other unencodable name is, not with ``struct.error``."""
+    name = "é" * 32768  # 65 536 UTF-8 bytes
+    for pack in (
+        lambda: ipc.pack_group_op(ipc.OP_JOIN, name),
+        lambda: ipc.pack_group_op(ipc.OP_LEAVE, name),
+        lambda: ipc.pack_groupcast([name], DeliveryService.AGREED, b"x"),
+        lambda: ipc.pack_hello(name),
+    ):
+        with pytest.raises(CodecError):
+            pack()
+    assert ipc.unpack_hello(ipc.pack_hello(name[:-1] + "x")[ipc.FRAME_HEADER.size :]) == (
+        name[:-1] + "x"
+    )
 
 
 def test_groupcast_rejects_more_groups_than_its_count_byte_holds():

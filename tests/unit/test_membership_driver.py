@@ -1,7 +1,5 @@
 """Unit tests for the sim membership driver plumbing."""
 
-from types import SimpleNamespace
-
 from repro.net import packet
 from repro.net.packet import Frame, PortKind
 from repro.sim.build import ClusterBuilder
@@ -86,7 +84,8 @@ def test_control_messages_cost_cpu():
 
 
 # ----------------------------------------------------------------------
-# Receive selection: which socket the idle CPU reads next
+# Receive selection: which socket the idle CPU reads next (the §III-D
+# rule itself is one table for every host: tests/unit/test_receive_rule.py)
 # ----------------------------------------------------------------------
 
 
@@ -99,72 +98,10 @@ def idle_host(cluster, pid=0):
     return member
 
 
-def queue_token(member, payload):
-    member.host.token_socket.push(Frame(1, member.pid, PortKind.TOKEN, 64, payload))
-
-
-def queue_data(member, payload_size=100, fragment=None):
-    datagram = SimpleNamespace(payload_size=payload_size)
-    member.host.data_socket.push(
-        Frame(1, None, PortKind.DATA, payload_size, datagram, fragment=fragment)
-    )
-    return datagram
-
-
 def selected(member):
     """The payload the next CPU task hands the process (None: no task)."""
     task = member._select_work()
     return None if task is None else task[2][0]
-
-
-def test_no_ring_formed_takes_the_token_port_first():
-    cluster = ClusterBuilder().hosts(3).membership().build()  # never started
-    member = idle_host(cluster)
-    assert member.controller.ordering is None
-    datagram = queue_data(member)
-    queue_token(member, "join")
-    assert selected(member) == "join"
-    assert selected(member) is datagram
-    assert selected(member) is None
-
-
-def test_data_first_after_a_visit():
-    member = idle_host(booted(3))
-    member.controller.ordering.token_has_priority = False
-    datagram = queue_data(member)
-    queue_token(member, "token")
-    assert selected(member) is datagram
-    assert selected(member) == "token"
-
-
-def test_raised_token_priority_takes_the_token_ahead_of_data():
-    member = idle_host(booted(3))
-    member.controller.ordering.token_has_priority = True
-    datagram = queue_data(member)
-    queue_token(member, "token")
-    assert selected(member) == "token"
-    assert selected(member) is datagram
-
-
-def test_token_alone_is_taken_whatever_the_priority():
-    member = idle_host(booted(3))
-    member.controller.ordering.token_has_priority = False
-    queue_token(member, "token")
-    assert selected(member) == "token"
-    assert selected(member) is None
-
-
-def test_token_taken_after_fragments_that_complete_nothing():
-    member = idle_host(booted(3))
-    member.controller.ordering.token_has_priority = False
-    # The first two of three fragments: absorbed, no datagram completes.
-    queue_data(member, fragment=(99, 0, 3))
-    queue_data(member, fragment=(99, 1, 3))
-    queue_token(member, "token")
-    assert selected(member) == "token"
-    assert len(member.host.data_socket) == 0
-    assert member.host.data_socket.queued_bytes == 0
-    assert member.host.token_socket.queued_bytes == 0
 
 
 def test_a_recycled_token_frame_holds_no_payload():

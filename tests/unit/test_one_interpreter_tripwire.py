@@ -410,7 +410,7 @@ def test_one_daemon_one_client_one_client_protocol():
     ):
         assert RETIRED_CLIENT_PROTOCOL.search(line), line
     assert not RETIRED_CLIENT_PROTOCOL.search("        if opcode == ipc.OP_GROUPCAST:")
-    assert not RETIRED_CLIENT_PROTOCOL.search("    return ipc.groupcast_frame_from_tail(s, t)")
+    assert not RETIRED_CLIENT_PROTOCOL.search("    return ipc.pack_groupcast(groups, service, payload)")
     old = (
         "class DaemonServer(ClientListener):\n"
         "    def _client_connected(self, connection):\n"
@@ -421,16 +421,19 @@ def test_one_daemon_one_client_one_client_protocol():
     assert _classes_holding_a_send_queue("class ClientSendQueue:\n    pass\n") == []
 
 
-#: The reference codec's packed container: the daemon neither packs nor
-#: forwards one, its one container being the frames container.
-PACKED_CONTAINER = {
+#: The reference codec's packed container and its bare envelope: the
+#: daemon orders every groupcast in a frames container, so it neither
+#: packs, builds nor forwards either.
+OTHER_GROUPCAST_LAYOUTS = {
     "repro.spread.packing", "Packer", "Packed", "packed_item_spans", "unpack_payload",
     "ENV_PACKED",
+    "ENV_APP", "AppData", "app_data_prefix", "envelope_prefix", "_forward_app_data",
 }
 
 
 def _names_used(source):
-    """Every module, name and attribute a module imports or refers to."""
+    """Every module, name and attribute a module imports, defines or
+    refers to."""
     names = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -440,22 +443,32 @@ def _names_used(source):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
     return names
 
 
 def test_one_container_path_in_the_daemon():
-    assert _names_used(_sources()["spread/daemon.py"]) & PACKED_CONTAINER == set()
-    # ...and the check bites on what this replaced.
-    old = (
+    assert _names_used(_sources()["spread/daemon.py"]) & OTHER_GROUPCAST_LAYOUTS == set()
+    # ...and the check bites on what this replaced: the Packed path ...
+    packed = (
         "from repro.spread.packing import Packer\n"
         "from repro.spread.wire import ENV_PACKED, packed_item_spans\n"
         "def _apply_container(self, container, message):\n"
         "    for start, end in wire.packed_item_spans(container):\n"
         "        pass\n"
     )
-    assert _names_used(old) & PACKED_CONTAINER == {
+    assert _names_used(packed) & OTHER_GROUPCAST_LAYOUTS == {
         "repro.spread.packing", "Packer", "ENV_PACKED", "packed_item_spans",
     }
+    # ... and the bare AppData path, even with nothing of it imported.
+    bare = (
+        "def _forward_app_data(self, data, service):\n"
+        "    start = 3 + ((data[1] << 8) | data[2])\n"
+    )
+    assert _names_used(bare) & OTHER_GROUPCAST_LAYOUTS == {"_forward_app_data"}
+    submit = "self._submit_envelope(session.envelope_prefix + body[1:], service)\n"
+    assert _names_used(submit) & OTHER_GROUPCAST_LAYOUTS == {"envelope_prefix"}
 
 
 # ----------------------------------------------------------------------

@@ -9,9 +9,9 @@ senders share capacity fairly.
 
 from repro.core.config import ProtocolConfig
 from repro.core.events import SendToken
-from repro.core.harness import InstantNetwork
 from repro.core.participant import AcceleratedRingParticipant
 from tests.conftest import submit_n
+from tests.instant_network import InstantNetwork
 
 
 def build_backlogged_ring(n=4, personal=5, global_window=12, backlog=40):

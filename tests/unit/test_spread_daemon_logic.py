@@ -49,6 +49,12 @@ def ordered(payload: bytes, seq=1, pid=1, service=DeliveryService.AGREED):
     return DataMessage(seq=seq, pid=pid, round=1, service=service, payload=payload)
 
 
+def one_frame(sender, groups, payload, service=DeliveryService.AGREED):
+    """The frames container a read of one groupcast is ordered as: the
+    sender once, then the frame as the client wrote it."""
+    return frames_prefix(sender) + ipc.pack_groupcast(list(groups), service, payload)
+
+
 def deliver(daemon, *messages, config_id):
     """Hand the daemon one delivered run, as its node would."""
     daemon._ordered_delivery(messages, config_id)
@@ -69,17 +75,17 @@ class TestOrderedDeliveryPipeline:
         local = attach_member(daemon, "a#0", groups=["g"])
         daemon.directory.apply_join("remote#1", "g")  # lives elsewhere
         bystander = attach_member(daemon, "b#0")  # not in the group
-        envelope = AppData("sender#1", ("g",), b"payload").encode()
-        deliver(daemon, ordered(envelope), config_id=1)
-        assert len(frames(local)) == 1
+        container = one_frame("sender#1", ("g",), b"payload")
+        deliver(daemon, ordered(container), config_id=1)
+        assert frames(local) == [ipc.pack_groupcast(["g"], DeliveryService.AGREED, b"payload")]
         assert frames(bystander) == []
         assert daemon.messages_delivered_to_clients == 1
 
     def test_member_in_two_target_groups_gets_one_copy(self):
         daemon = make_daemon()
         both = attach_member(daemon, "a#0", groups=["g1", "g2"])
-        envelope = AppData("s#1", ("g1", "g2"), b"x").encode()
-        deliver(daemon, ordered(envelope), config_id=1)
+        container = one_frame("s#1", ("g1", "g2"), b"x")
+        deliver(daemon, ordered(container), config_id=1)
         assert len(frames(both)) == 1
 
     def test_packed_envelopes_processed_in_order(self):
@@ -90,6 +96,18 @@ class TestOrderedDeliveryPipeline:
         payload = frames_prefix("s#1") + first + second
         deliver(daemon, ordered(payload), config_id=1)
         assert frames(member) == [first, second]
+
+    def test_a_bare_app_data_envelope_is_one_undecodable(self):
+        """Every groupcast is ordered in a frames container: the reference
+        codec's bare envelope, whole or reassembled, reaches no one."""
+        daemon = make_daemon()
+        member = attach_member(daemon, "a#0", groups=["g"])
+        bare = AppData("s#1", ("g",), b"x").encode()
+        pieces = daemon.fragmenter.fragment(AppData("s#1", ("g",), bytes(3000)).encode())
+        deliver(daemon, ordered(bare), *(ordered(piece, seq=2) for piece in pieces),
+                config_id=1)
+        assert frames(member) == []
+        assert daemon.envelopes_undecodable == 2
 
     def test_ordered_join_updates_directory_and_notifies(self):
         daemon = make_daemon()
@@ -107,12 +125,12 @@ class TestOrderedDeliveryPipeline:
     def test_fragments_reassemble_across_orderings(self):
         daemon = make_daemon()
         member = attach_member(daemon, "a#0", groups=["g"])
-        big = AppData("s#1", ("g",), bytes(3000)).encode()
+        big = one_frame("s#1", ("g",), bytes(3000))
         pieces = daemon.fragmenter.fragment(big)
         assert len(pieces) > 1
         for index, piece in enumerate(pieces):
             deliver(daemon, ordered(piece, seq=index + 1), config_id=1)
-        assert len(frames(member)) == 1
+        assert frames(member) == [big[len(frames_prefix("s#1")) :]]
 
     def test_view_notification_goes_to_members_only(self):
         daemon = make_daemon()
@@ -130,15 +148,14 @@ class TestSubmissionPipeline:
         daemon = make_daemon()
         submitted = []
         daemon.node.submit = lambda payload, service: submitted.append(payload)
-        daemon._submit_envelope(AppData("a#0", ("g",), b"small").encode(),
-                                DeliveryService.AGREED)
+        daemon._submit_envelope(one_frame("a#0", ("g",), b"small"), DeliveryService.AGREED)
         assert len(submitted) == 1
 
     def test_large_payload_fragmented_on_submit(self):
         daemon = make_daemon()
         submitted = []
         daemon.node.submit = lambda payload, service: submitted.append(payload)
-        big = AppData("a#0", ("g",), bytes(5000)).encode()
+        big = one_frame("a#0", ("g",), bytes(5000))
         daemon._submit_envelope(big, DeliveryService.SAFE)
         assert len(submitted) >= 4
         for piece in submitted:
