@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Anatomy of a token round: why the accelerated protocol wins.
 
-Instruments the simulated cluster with the analysis package and prints
-the mechanism quantities behind the paper's §III-A argument, side by
-side for both protocols at the same offered load:
+Records what every simulated host hands its NIC in a transmit ledger
+(``repro.analysis.ledger``) and prints the mechanism quantities behind
+the paper's §III-A argument, side by side for both protocols at the
+same offered load:
 
 * token rotation time (the accelerated token comes back sooner),
 * dead-air fraction (periods in which nobody is sending shrink),
@@ -12,11 +13,12 @@ side for both protocols at the same offered load:
 Run:  python examples/round_anatomy.py
 """
 
-from repro.analysis import CpuAnalyzer, RoundAnalyzer, WireAnalyzer
+from repro.analysis.ledger import TransmitLedger
 from repro.core.config import ProtocolConfig
 from repro.net.params import GIGABIT
 from repro.sim.build import ClusterBuilder
 from repro.sim.profiles import SPREAD
+from repro.util.stats import percentile
 from repro.util.units import Mbps, seconds_to_usec
 from repro.workloads import FixedRateWorkload
 
@@ -39,26 +41,24 @@ def measure(accelerated: bool) -> dict:
         .config(config)
         .build()
     )
-    rounds, wire, cpu = RoundAnalyzer(), WireAnalyzer(), CpuAnalyzer()
-    for analyzer in (rounds, wire, cpu):
-        analyzer.attach(cluster)
+    ledger = TransmitLedger(cluster.topology)
     workload = FixedRateWorkload(payload_size=1350,
                                  aggregate_rate_bps=Mbps(RATE_MBPS))
     workload.attach(cluster, start=0.001, stop=DURATION)
     cluster.set_measure_from(0.02)
     cluster.start()
     cluster.sim.run(until=0.02)
-    cpu.mark()
+    ledger.mark()
     cluster.run(DURATION - 0.02)
     stats = cluster.aggregate()
-    round_stats = rounds.stats()
-    wire_stats = wire.stats(0.02, DURATION)
+    rotations = ledger.rotation_times(0)
+    wire_stats = ledger.wire_stats(0.02, DURATION)
     return {
-        "round_mean_us": seconds_to_usec(round_stats.mean),
-        "round_p99_us": seconds_to_usec(round_stats.quantile(0.99)),
+        "round_mean_us": seconds_to_usec(ledger.mean_rotation(0)),
+        "round_p99_us": seconds_to_usec(percentile(rotations, 0.99)),
         "dead_air_pct": 100 * wire_stats.dead_air_fraction,
         "longest_gap_us": seconds_to_usec(wire_stats.longest_gap),
-        "cpu_peak_pct": 100 * cpu.stats().peak,
+        "cpu_peak_pct": 100 * max(ledger.cpu_share().values()),
         "latency_us": seconds_to_usec(stats.mean_latency),
     }
 

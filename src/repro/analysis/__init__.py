@@ -1,25 +1,6 @@
-"""Trace analysis: measuring the mechanisms behind the numbers.
+"""Measuring the mechanisms behind the numbers (paper §III-A).
 
-The paper explains *why* the Accelerated Ring protocol wins (§III-A):
-the token completes each rotation sooner, and the periods in which no
-participant is sending ("dead air") shrink or disappear.  This package
-instruments a simulated cluster and extracts those quantities directly:
-
-* :class:`RoundAnalyzer` — per-rotation token round times;
-* :class:`WireAnalyzer` — wire busy/idle periods and dead-air fraction;
-* :class:`CpuAnalyzer` — per-host CPU utilization (the paper's
-  single-core budget).
+:mod:`repro.analysis.ledger` records what every simulated host hands its
+NIC and derives from it the Fig. 1 schedule, token rotation times, dead
+air on the wire and per-host CPU share.
 """
-
-from repro.analysis.rounds import RoundAnalyzer, RoundStats
-from repro.analysis.wire import WireAnalyzer, WireStats
-from repro.analysis.cpu import CpuAnalyzer, CpuStats
-
-__all__ = [
-    "RoundAnalyzer",
-    "RoundStats",
-    "WireAnalyzer",
-    "WireStats",
-    "CpuAnalyzer",
-    "CpuStats",
-]

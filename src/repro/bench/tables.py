@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Tuple
 
-from repro.analysis import RoundAnalyzer, WireAnalyzer
+from repro.analysis.ledger import TransmitLedger
 from repro.bench.experiments import (
     MEASURE,
     WARMUP,
@@ -39,7 +39,6 @@ from repro.core.config import ProtocolConfig
 from repro.net.params import GIGABIT
 from repro.sim.build import ClusterBuilder
 from repro.sim.profiles import DAEMON, LIBRARY, SPREAD
-from repro.sim.trace import ScheduleTrace
 from repro.util.units import Mbps, seconds_to_usec
 from repro.workloads.generators import ClosedLoopWorkload, FixedRateWorkload
 
@@ -54,9 +53,9 @@ SCALING_RATE_MBPS = 400
 RING_COUNTS = (1, 2, 4)
 
 
-def schedule_trace(accelerated: bool) -> ScheduleTrace:
+def schedule_trace(accelerated: bool) -> TransmitLedger:
     """Fig. 1's run: participant 0 sends in rounds 1 and 2 (ten
-    messages), participants 1 and 2 five each; returns every transmission."""
+    messages), participants 1 and 2 five each; returns its transmit ledger."""
     config = ProtocolConfig(
         personal_window=5,
         accelerated_window=3 if accelerated else 0,
@@ -71,14 +70,13 @@ def schedule_trace(accelerated: bool) -> ScheduleTrace:
         .config(config)
         .build()
     )
-    trace = ScheduleTrace()
-    trace.attach(cluster)
+    ledger = TransmitLedger(cluster.topology)
     for pid, count in {0: 10, 1: 5, 2: 5}.items():
         for _ in range(count):
             cluster.driver(pid).client_submit(payload_size=1350)
     cluster.start()
     cluster.run(0.01)
-    return trace
+    return ledger
 
 
 def fig01_schedule() -> Tuple[str, Table]:
@@ -114,16 +112,14 @@ def _rounds_and_dead_air(accelerated: bool, rate: float) -> Tuple[float, float]:
         .config(config)
         .build()
     )
-    rounds, wire = RoundAnalyzer(), WireAnalyzer()
-    rounds.attach(cluster)
-    wire.attach(cluster)
+    ledger = TransmitLedger(cluster.topology)
     workload = FixedRateWorkload(payload_size=1350, aggregate_rate_bps=Mbps(rate))
     workload.attach(cluster, start=0.001, stop=0.06)
     cluster.start()
     cluster.run(0.06)
     return (
-        seconds_to_usec(rounds.stats().mean),
-        100.0 * wire.stats(0.02, 0.06).dead_air_fraction,
+        seconds_to_usec(ledger.mean_rotation(0)),
+        100.0 * ledger.wire_stats(0.02, 0.06).dead_air_fraction,
     )
 
 

@@ -2,8 +2,8 @@
 
 A *variant* is one implementation the paper compares: the original Totem
 ring, the Accelerated Ring, and the Spread-daemon path (accelerated
-protocol, Spread CPU-cost profile, and the toolkit's packing +
-fragmentation layers between the application payload and the ordered
+protocol, Spread CPU-cost profile, and the daemon's frames container
+and fragmentation between the application payload and the ordered
 message).  Every variant runs the identical
 :class:`~repro.conformance.workload.Workload` and fault plan on the
 deterministic simulator; a :class:`ConformanceTap` records each
@@ -26,12 +26,12 @@ from repro.faults.drive import boot, wait_converged
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.obs.observer import ProtocolObserver
+from repro.runtime import ipc
 from repro.sim.build import ClusterBuilder
 from repro.sim.membership_driver import DeliveryTap, MembershipCluster
 from repro.sim.profiles import DAEMON, SPREAD
 from repro.spread.fragmentation import Fragmenter, FragmentReassembler
-from repro.spread.packing import Packer, unpack_payload
-from repro.spread.wire import AppData, Fragment, decode_envelope
+from repro.spread.wire import ENV_FRAGMENT, decode_envelope, frames_prefix
 from repro.conformance.workload import Workload, make_label
 from repro.util.errors import ConfigurationError
 
@@ -55,11 +55,11 @@ class ConformanceTap(DeliveryTap):
     Stream events are tuples: ``("m", label)`` for an application
     payload, ``("c", config_id, transitional)`` for a configuration
     install, ``("r",)`` for a process restart, and ``("mark", name)``
-    for a harness phase boundary.  With ``decode=True`` the tap runs the
-    Spread unpacking pipeline — containers are expanded and fragments
-    reassembled (per receiving participant, keyed by origin) — so the
-    recorded labels are application-level regardless of how the toolkit
-    layered them onto ordered messages.
+    for a harness phase boundary.  With ``decode=True`` the tap undoes
+    what a daemon orders — fragments are reassembled (per receiving
+    participant, keyed by origin) and a frames container's groupcasts
+    are walked — so the recorded labels are application-level regardless
+    of how the toolkit layered them onto ordered messages.
     """
 
     def __init__(self, decode: bool = False) -> None:
@@ -81,18 +81,12 @@ class ConformanceTap(DeliveryTap):
             if not self.decode:
                 stream.append((MSG, payload))
                 continue
-            for envelope_bytes in unpack_payload(payload):
-                envelope = decode_envelope(envelope_bytes)
-                if isinstance(envelope, Fragment):
-                    reassembler = self._reassemblers.setdefault(
-                        pid, FragmentReassembler()
-                    )
-                    whole = reassembler.accept(message.pid, envelope)
-                    if whole is None:
-                        continue
-                    envelope = decode_envelope(whole)
-                if isinstance(envelope, AppData):
-                    stream.append((MSG, envelope.payload))
+            if payload[0] == ENV_FRAGMENT:
+                reassembler = self._reassemblers.setdefault(pid, FragmentReassembler())
+                payload = reassembler.accept(message.pid, decode_envelope(payload))
+                if payload is None:
+                    continue
+            stream.extend((MSG, label) for label in _groupcast_payloads(payload))
 
     def on_config(self, pid, configuration) -> None:
         self._stream(pid).append(
@@ -183,32 +177,38 @@ class VariantRun:
         return out
 
 
+def _groupcast_payloads(container: bytes) -> List[bytes]:
+    """The payloads of a frames container's groupcasts, in order:
+    ``[B ENV_FRAMES][!H len][sender]`` and then the frames as a client
+    wrote them (PROTOCOL.md §15, "packing")."""
+    at = 3 + int.from_bytes(container[1:3], "big")
+    payloads = []
+    while at < len(container):
+        _opcode, length = ipc.FRAME_HEADER.unpack_from(container, at)
+        at += ipc.FRAME_HEADER.size
+        _groups, _service, payload = ipc.unpack_groupcast(container[at : at + length])
+        payloads.append(payload)
+        at += length
+    return payloads
+
+
 class _SpreadPipeline:
-    """Per-sender packing + fragmentation in the reference codec: the
-    packer is flushed after every envelope, so a label is one bare
-    ``AppData`` envelope or its fragments.  A daemon orders a groupcast
-    as a frames container instead
-    (:meth:`SpreadDaemon._handle_client_read`); this mirror keeps the
-    reference codec because the three-variant differential digests are
-    recorded over its payloads, which must not change."""
+    """Per-sender framing and fragmentation as a daemon orders a
+    groupcast (:meth:`SpreadDaemon._handle_client_read`): a label is the
+    groupcast frame a client writes, in a frames container of one frame,
+    or that container's fragments when it is longer than one."""
 
     def __init__(self, num_hosts: int) -> None:
-        self.packers = {pid: Packer() for pid in range(num_hosts)}
         # Fragment ids persist across restarts on purpose: a restarted
         # daemon must not reuse a frag id its old incarnation already
         # put into the order.
         self.fragmenters = {pid: Fragmenter() for pid in range(num_hosts)}
 
     def payloads(self, pid: int, label: bytes) -> List[bytes]:
-        envelope = AppData(
-            sender=f"h{pid}", groups=("conformance",), payload=label
-        ).encode()
-        out: List[bytes] = []
-        packer = self.packers[pid]
-        for piece in self.fragmenters[pid].fragment(envelope):
-            out.extend(packer.add(piece))
-        out.extend(packer.flush())
-        return out
+        container = frames_prefix(f"h{pid}") + ipc.pack_groupcast(
+            ["conformance"], DeliveryService.AGREED, label
+        )
+        return self.fragmenters[pid].fragment(container)
 
 
 def run_variant(

@@ -264,20 +264,13 @@ class SimHost:
         if not cpu._busy:
             cpu._start_next()
 
-    def multicast_datagram(
-        self,
-        payload: object,
-        size: int,
-        on_transmit: Optional[Callable[[Frame], None]] = None,
-    ) -> None:
+    def multicast_datagram(self, payload: object, size: int) -> None:
         """Multicast one data-port UDP datagram of ``size`` wire bytes,
         fragmented at the MTU like the kernel would (paper §IV-A3)."""
         send = self.nic.send
         for frame in fragment_datagram(
             self.host_id, None, _DATA, size, payload, self.params.mtu
         ):
-            if on_transmit is not None:
-                on_transmit(frame)
             send(frame)
 
     def crash(self) -> None:

@@ -15,7 +15,7 @@ protocol's controlled parallelism.
 from __future__ import annotations
 
 from heapq import heappush
-from typing import Callable
+from typing import Callable, Optional
 
 from repro.core.transport_core import FrameRing
 from repro.net.packet import Frame
@@ -52,6 +52,10 @@ class Link:
         self.bytes_sent = 0
         self.frames_dropped = 0
         self.peak_queue_bytes = 0
+        #: Shown every frame :meth:`send` is handed, before the queue
+        #: sees it (a host NIC's transmit record; see
+        #: :mod:`repro.analysis.ledger`, the only module that sets it).
+        self.tap: Optional[Callable[[Frame], None]] = None
 
     @property
     def queued_bytes(self) -> int:
@@ -65,6 +69,8 @@ class Link:
         not happen, and tests assert it does not; on a switch port it is
         the tail drop of an overrun buffer.
         """
+        if self.tap is not None:
+            self.tap(frame)
         size = frame.size
         queued = self._queued_bytes + size
         if queued > self._capacity:

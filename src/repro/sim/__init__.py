@@ -12,7 +12,6 @@ from repro.sim.profiles import ImplementationProfile, LIBRARY, DAEMON, SPREAD
 from repro.sim.driver import ProtocolHost
 from repro.sim.cluster import RingCluster
 from repro.sim.build import TopologySpec, ClusterBuilder
-from repro.sim.trace import ScheduleTrace, TraceEvent
 
 __all__ = [
     "ImplementationProfile",
@@ -23,6 +22,4 @@ __all__ = [
     "RingCluster",
     "TopologySpec",
     "ClusterBuilder",
-    "ScheduleTrace",
-    "TraceEvent",
 ]

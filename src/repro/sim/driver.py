@@ -102,8 +102,6 @@ class ProtocolHost:
         self._data_ring = host.data_socket._ring
         self.reassembler = new_reassembler(host)
         self.delivered_log: List[DataMessage] = []
-        #: Optional hook for tracing (see :mod:`repro.sim.trace`).
-        self.on_transmit: Optional[Callable[[Frame], None]] = None
         #: Bound by the cluster: stop delivering application payloads
         #: (used when an experiment caps message counts).
         self.keep_delivered_log = False
@@ -278,7 +276,7 @@ class ProtocolHost:
     # ------------------------------------------------------------------
 
     def _run_multicast(self, payload, size: int, retransmission: bool) -> None:
-        self.host.multicast_datagram(payload, size, self.on_transmit)
+        self.host.multicast_datagram(payload, size)
         if retransmission:
             self.stats.retransmissions += 1
         elif payload.__class__ is CoalescedDatagram:
@@ -293,8 +291,6 @@ class ProtocolHost:
             token.wire_size(),
             token,
         )
-        if self.on_transmit is not None:
-            self.on_transmit(frame)
         self.host.nic.send(frame)
 
     def _run_delivery(self, messages: Tuple[DataMessage, ...]) -> None:

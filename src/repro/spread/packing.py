@@ -11,9 +11,8 @@ This is the reference codec's packing, not the daemon's: a
 inside an ``ENV_FRAMES`` container — one per read, a read of one
 groupcast a container of one frame (PROTOCOL.md §15, "packing") — and
 neither submits nor forwards a ``Packed`` one.  What still imports this
-module: the conformance spread mirror (``conformance/variants.py``,
-which flushes after every envelope, so it orders no container), the
-frozen ``spread.packing.pack_ns_per_msg`` micro, and the codec tests.
+module: the frozen ``spread.packing.pack_ns_per_msg`` micro and the
+codec tests.
 """
 
 from __future__ import annotations

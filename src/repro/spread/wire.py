@@ -6,9 +6,9 @@ envelopes: frames containers of one client's groupcasts, group
 membership operations, and fragments of large messages.  A daemon orders
 every client groupcast inside a frames container (PROTOCOL.md §15,
 "packing").  The bare ``AppData`` envelope and the ``Packed`` container
-of encoded envelopes are the reference codec: the conformance spread
-mirror, the frozen micros and the tests speak them, and no daemon
-submits or forwards either.
+of encoded envelopes are the reference codec: the frozen micros and
+the tests speak them, and no daemon (nor the conformance spread
+mirror) submits or forwards either.
 """
 
 from __future__ import annotations

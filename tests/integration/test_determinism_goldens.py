@@ -20,12 +20,13 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.ledger import TransmitLedger
 from repro.core.messages import DeliveryService
 from repro.faults.scenarios import run_scenario
+from repro.net.packet import PortKind
 from repro.net.params import GIGABIT
 from repro.sim.build import ClusterBuilder
 from repro.sim.profiles import SPREAD
-from repro.sim.trace import ScheduleTrace
 from repro.util.units import Mbps
 from repro.workloads.generators import FixedRateWorkload
 
@@ -49,8 +50,7 @@ def _render_trace() -> str:
         .network(GIGABIT)
         .build()
     )
-    trace = ScheduleTrace()
-    trace.attach(cluster)
+    ledger = TransmitLedger(cluster.topology)
     workload = FixedRateWorkload(
         payload_size=1350,
         aggregate_rate_bps=Mbps(200),
@@ -66,10 +66,11 @@ def _render_trace() -> str:
         f"now={cluster.sim.now!r}",
     ]
     for pid in cluster.ring:
-        lines.append(f"host {pid}: " + ",".join(trace.sequence_of(pid)))
-    for ev in trace.events:
+        lines.append(f"host {pid}: " + ",".join(ledger.sequence_of(pid)))
+    for row, mark in ledger.schedule():
+        kind = "token" if row.port is PortKind.TOKEN else "data"
         lines.append(
-            f"{ev.time!r} {ev.host} {ev.kind} {ev.seq} {int(ev.post_token)} {ev.round}"
+            f"{row.time!r} {row.host} {kind} {mark.seq} {int(mark.post_token)} {mark.round}"
         )
     return "\n".join(lines) + "\n"
 

@@ -4,7 +4,8 @@ checked runs one drive-and-converge loop, the membership controller one transiti
 the runtime one daemon, one client and one client protocol, the
 daemon one container path, the
 committed results one producer, the network one link and one topology,
-fault-schedule searches one explorer.
+fault-schedule searches one explorer, the simulator one transmit
+instrument, the differential's spread variant the daemon's layout.
 
 Scans the package source so that a re-grown effect ladder, a second
 delivery effect or a per-message delivery hook, a second run-grouping
@@ -13,8 +14,9 @@ against one, a bench environment knob, a private convergence poll or a second wa
 arm a fault plan, a dispatch ladder or hand-placed timer cancel in
 the membership controller, a second daemon or client protocol, a
 second figure harness, a second serializing queue, a probe telling two
-topologies apart, a second exploration loop or the daemon forwarding a
-packed container again fails tier-1 instead of drifting in unnoticed (the
+topologies apart, a second exploration loop, the daemon forwarding a
+packed container, a second transmit callback or the spread mirror
+ordering the reference codec's layout again fails tier-1 instead of drifting in unnoticed (the
 shape of the port and unseeded-random tripwires in ``conftest.py``,
 applied to the source tree)."""
 
@@ -550,6 +552,55 @@ def test_one_explorer():
     ):
         assert RETIRED_EXPLORERS.search(line), line
     assert not RETIRED_EXPLORERS.search("def explore_grid(")
+
+
+# ----------------------------------------------------------------------
+# One transmit instrument on the simulator (analysis/ledger.py)
+# ----------------------------------------------------------------------
+
+#: The per-driver transmit callback the ledger replaced.
+TRANSMIT_CALLBACK = re.compile(r"\bon_transmit\b")
+#: Setting another object's tap: a link's, from outside it.  (Its
+#: declaration in net/link.py is annotated; a host or harness keeps its
+#: own delivery tap as ``self.tap``.)
+SETS_A_TAP = re.compile(r"(?<!\bself)\.tap\s*=(?!=)")
+#: The reference codec's layout, which no daemon orders.
+REFERENCE_CODEC = {"Packer", "unpack_payload", "AppData"}
+
+
+def test_one_transmit_instrument():
+    assert _occurrences(TRANSMIT_CALLBACK.pattern) == {}
+    assert _occurrences(SETS_A_TAP.pattern) == {"analysis/ledger.py": 1}
+    assert "self.tap: Optional[Callable[[Frame], None]] = None" in _sources()["net/link.py"]
+
+
+def test_the_spread_mirror_orders_what_a_daemon_orders():
+    found = {
+        name: used
+        for name, text in _sources().items()
+        if name.startswith("conformance/")
+        and (used := _names_used(text) & REFERENCE_CODEC)
+    }
+    assert found == {}
+
+
+def test_the_transmit_and_mirror_patterns_bite():
+    for line in (
+        "        self.host.multicast_datagram(payload, size, self.on_transmit)",
+        "            driver.on_transmit = self._make_hook(cluster, pid)",
+    ):
+        assert TRANSMIT_CALLBACK.search(line), line
+    assert SETS_A_TAP.search("            host.nic.tap = self._recorder(host_id)")
+    assert SETS_A_TAP.search("        cluster.topology.hosts[0].nic.tap=hook")
+    assert not SETS_A_TAP.search("        if self.tap is not None:")
+    assert not SETS_A_TAP.search("        if link.tap == hook:")
+    assert not SETS_A_TAP.search("        self.tap = ConformanceTap()")
+    old = (
+        "from repro.spread.packing import Packer, unpack_payload\n"
+        "from repro.spread.wire import AppData, Fragment, decode_envelope\n"
+        "packers = {pid: Packer() for pid in range(num_hosts)}\n"
+    )
+    assert _names_used(old) & REFERENCE_CODEC == REFERENCE_CODEC
 
 
 # ----------------------------------------------------------------------

@@ -1,13 +1,15 @@
-"""Unit tests for the sim driver, cluster builder, profiles, and trace."""
+"""Unit tests for the sim driver, cluster builder, profiles, and the
+transmit schedule."""
 
 import pytest
 
+from repro.analysis.ledger import TransmitLedger
 from repro.core.config import ProtocolConfig
 from repro.core.messages import DeliveryService
+from repro.net.packet import PortKind
 from repro.net.params import GIGABIT
 from repro.sim.build import ClusterBuilder
 from repro.sim.profiles import DAEMON, LIBRARY, PROFILES, SPREAD
-from repro.sim.trace import ScheduleTrace
 
 
 class TestProfiles:
@@ -107,16 +109,15 @@ class TestCluster:
         assert run(DeliveryService.SAFE) > run(DeliveryService.AGREED)
 
 
-class TestScheduleTrace:
+class TestTransmitSchedule:
     def test_trace_captures_token_and_data(self):
         cluster = ClusterBuilder().hosts(3).profile(LIBRARY).build()
-        trace = ScheduleTrace()
-        trace.attach(cluster)
+        ledger = TransmitLedger(cluster.topology)
         cluster.driver(0).client_submit(payload_size=100)
         cluster.start()
         cluster.run(0.002)
-        kinds = {event.kind for event in trace.events}
-        assert kinds == {"token", "data"}
+        kinds = {row.port for row, _ in ledger.schedule()}
+        assert kinds == {PortKind.TOKEN, PortKind.DATA}
 
     def test_sequence_of_interleaves_in_time_order(self):
         cluster = (
@@ -127,23 +128,10 @@ class TestScheduleTrace:
                                   global_window=50))
             .build()
         )
-        trace = ScheduleTrace()
-        trace.attach(cluster)
+        ledger = TransmitLedger(cluster.topology)
         for _ in range(5):
             cluster.driver(0).client_submit(payload_size=100)
         cluster.start()
         cluster.run(0.002)
-        schedule = trace.sequence_of(0)
+        schedule = ledger.sequence_of(0)
         assert schedule[:6] == ["1", "2", "T5", "3", "4", "5"]
-
-    def test_render_ascii_nonempty(self):
-        cluster = ClusterBuilder().hosts(2).profile(LIBRARY).build()
-        trace = ScheduleTrace()
-        trace.attach(cluster)
-        cluster.driver(0).client_submit(payload_size=100)
-        cluster.start()
-        cluster.run(0.002)
-        assert "host 0" in trace.render_ascii()
-
-    def test_empty_trace_renders_placeholder(self):
-        assert ScheduleTrace().render_ascii() == "(no events)"
