@@ -5,7 +5,8 @@ the runtime one daemon, one client and one client protocol, the
 daemon one container path, the
 committed results one producer, the network one link and one topology,
 fault-schedule searches one explorer, the simulator one transmit
-instrument, the differential's spread variant the daemon's layout.
+instrument, the differential's spread variant the daemon's layout,
+latency samples one unboxed store.
 
 Scans the package source so that a re-grown effect ladder, a second
 delivery effect or a per-message delivery hook, a second run-grouping
@@ -15,20 +16,26 @@ arm a fault plan, a dispatch ladder or hand-placed timer cancel in
 the membership controller, a second daemon or client protocol, a
 second figure harness, a second serializing queue, a probe telling two
 topologies apart, a second exploration loop, the daemon forwarding a
-packed container, a second transmit callback or the spread mirror
-ordering the reference codec's layout again fails tier-1 instead of drifting in unnoticed (the
+packed container, a second transmit callback, the spread mirror
+ordering the reference codec's layout or a per-sender latency store
+kept beside the pooled samples again fails tier-1 instead of drifting in unnoticed (the
 shape of the port and unseeded-random tripwires in ``conftest.py``,
 applied to the source tree)."""
 
 import argparse
 import ast
 import builtins
+import dataclasses
 import functools
 import re
+from array import array
 from pathlib import Path
+from typing import Dict, List
 
 import repro
 from repro.core.events import Deliver, Effect
+from repro.sim.cluster import ClusterStats
+from repro.util.stats import LatencyStats, RunStats
 
 SRC = Path(repro.__file__).parent
 REPO = SRC.parent.parent
@@ -601,6 +608,60 @@ def test_the_transmit_and_mirror_patterns_bite():
         "packers = {pid: Packer() for pid in range(num_hosts)}\n"
     )
     assert _names_used(old) & REFERENCE_CODEC == REFERENCE_CODEC
+
+
+# ----------------------------------------------------------------------
+# One store of latency samples (util/stats.py)
+# ----------------------------------------------------------------------
+
+#: A pid-keyed container of latencies: the per-sender store ``RunStats``
+#: kept beside the pooled samples until they became two arrays.
+PER_SENDER_STORE = re.compile(
+    r"\b(Dict|DefaultDict|Mapping|dict|defaultdict)\[\s*int\s*,\s*[\w.]*?"
+    r"(LatencyStats|List\[float\]|list\[float\])"
+)
+#: Boxed samples: a list of floats where the ``array('d')`` belongs.
+BOXED_SAMPLES = re.compile(r"\b(List|list)\[float\]")
+
+
+def _boxed_or_per_sender_fields(cls):
+    return [
+        field.name
+        for field in dataclasses.fields(cls)
+        if PER_SENDER_STORE.search(str(field.type))
+        or BOXED_SAMPLES.search(str(field.type))
+    ]
+
+
+def test_one_store_of_latency_samples():
+    samples = LatencyStats().samples
+    assert isinstance(samples, array) and samples.typecode == "d"
+    for cls in (LatencyStats, RunStats, ClusterStats):
+        assert _boxed_or_per_sender_fields(cls) == [], cls
+    # The per-sender view is derived on read: the property's return type
+    # and its local are the only pid-keyed latency containers in src/.
+    assert isinstance(vars(RunStats)["per_sender_latency"], property)
+    assert _occurrences(PER_SENDER_STORE.pattern) == {"util/stats.py": 2}
+
+
+def test_the_latency_store_patterns_bite():
+    @dataclasses.dataclass
+    class Boxed:
+        samples: List[float] = dataclasses.field(default_factory=list)
+        per_sender_latency: Dict[int, LatencyStats] = dataclasses.field(
+            default_factory=dict
+        )
+        per_sender_worst_5pct_mean: float = 0.0
+
+    assert _boxed_or_per_sender_fields(Boxed) == ["samples", "per_sender_latency"]
+    for line in (
+        "    per_sender_latency: Dict[int, LatencyStats] = field(default_factory=dict)",
+        "        self.by_sender: Dict[int, List[float]] = {}",
+        "    worst: defaultdict[int, list[float]]",
+    ):
+        assert PER_SENDER_STORE.search(line), line
+    assert not PER_SENDER_STORE.search("    drivers: Dict[int, ProtocolHost]")
+    assert not PER_SENDER_STORE.search('    senders: "array[int]" = field(default_factory=f)')
 
 
 # ----------------------------------------------------------------------

@@ -23,6 +23,7 @@ from repro.runtime.transport import (
     local_ring_addresses,
 )
 from tests.conftest import data_message
+from tests.unit.test_conftest_guard import hard_coded
 
 
 class TestAddresses:
@@ -109,7 +110,8 @@ class TestTransportValidation:
             await transport.start()
 
         with pytest.raises(pytest.fail.Exception, match="hard-coded port"):
-            asyncio.run(scenario())
+            with hard_coded(40100, 40101):
+                asyncio.run(scenario())
 
 
 class TestDeliveryLog:
