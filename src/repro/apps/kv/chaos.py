@@ -325,8 +325,3 @@ def run_kv_scenario(name: str, seed: int = 0, config=None) -> KvChaosReport:
         sim_time=kv.sim.now,
     )
 
-
-def run_all_kv(seed: int = 0) -> List[KvChaosReport]:
-    """Run the whole KV scenario library (CI's kv-smoke job)."""
-    return [run_kv_scenario(name, seed=seed) for name in sorted(SCENARIOS)]
-

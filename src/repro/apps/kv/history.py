@@ -16,10 +16,10 @@ home replica died first).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.apps.kv.commands import KvCommand, KvResult, Op
+from repro.apps.kv.commands import KvResult, Op
 
 
 @dataclass
@@ -101,13 +101,6 @@ class History:
             return
         operation.response = when
         operation.result = result
-
-    def command_of(self, operation: Operation) -> KvCommand:
-        return KvCommand(
-            client_id=operation.client_id,
-            request_id=operation.request_id,
-            ops=operation.ops,
-        )
 
     # ------------------------------------------------------------------
 

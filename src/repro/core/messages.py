@@ -131,6 +131,3 @@ class DataMessage:
         """Bytes this message occupies in a UDP datagram, given the
         implementation's protocol header size."""
         return header_bytes + int(self.payload_size)
-
-    def sort_key(self) -> int:
-        return self.seq

@@ -120,9 +120,6 @@ class EvsChecker:
 
     # ------------------------------------------------------------------
 
-    def _message_events(self, pid: int) -> List[MessageDelivery]:
-        return [e for e in self.traces[pid] if isinstance(e, MessageDelivery)]
-
     def _key(self, event: MessageDelivery) -> MessageKey:
         ring = event.origin_ring if event.origin_ring is not None else event.config_id
         return (ring, event.seq)

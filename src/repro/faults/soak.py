@@ -11,7 +11,7 @@ additionally produces a :class:`Counterexample` artifact — a
 *minimized*, replayable fault plan plus the exact seed — so a violation
 found at 3am by the nightly CI job reproduces with one command::
 
-    python -m repro soak --replay counterexample_17.json
+    python -m repro conformance replay counterexample_17.json
 
 Everything is deterministic: case ``index`` of a soak with seed ``S``
 always generates the same plan and the same injector randomness, on any
@@ -158,6 +158,11 @@ class Counterexample(JsonReport):
     #: The soak's topology dimension; needed for a faithful replay.
     fabric_racks: int = 0
     impair: Optional[str] = None
+
+    @property
+    def ok(self) -> bool:
+        """A counterexample records a failure: read back, it is a FAIL."""
+        return not self.violation
 
     @property
     def plan(self) -> FaultPlan:

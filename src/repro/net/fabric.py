@@ -446,7 +446,6 @@ def build_topology(
     params: NetworkParams,
     fabric: Optional[LeafSpineSpec] = None,
     loss_model: Optional[LossModel] = None,
-    loss_models: Optional[Mapping[int, LossModel]] = None,
     impairment: Optional[ImpairmentModel] = None,
     impairments: Optional[Mapping[int, ImpairmentModel]] = None,
 ) -> FabricTopology:
@@ -459,7 +458,6 @@ def build_topology(
 
     The same ``loss_model`` instance is shared by every host; models keyed
     on receiver id (all of ours) behave independently per host.
-    ``loss_models`` overrides the shared model for specific host ids.
     ``impairment`` wraps every host's delivery path with one shared
     :class:`~repro.net.impair.ImpairmentModel`; ``impairments`` overrides
     it per host id.
@@ -475,15 +473,12 @@ def build_topology(
     topology = FabricTopology(sim=sim, params=params, switch=switch, spec=spec)
     for host_id in range(num_hosts):
         rack = spec.rack_of(host_id)
-        host_loss = loss_model
-        if loss_models is not None and host_id in loss_models:
-            host_loss = loss_models[host_id]
         host = SimHost(
             host_id=host_id,
             sim=sim,
             params=spec.host_params_for(rack, params),
             on_wire=switch.leaf_ingress(host_id),
-            loss_model=host_loss,
+            loss_model=loss_model,
         )
         deliver: Callable[[Frame], None] = host.receive
         model = None

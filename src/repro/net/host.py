@@ -212,9 +212,6 @@ class SimHost:
         #: injector installs these for loss bursts scoped to one host.
         self._interceptors: List[Callable[[Frame], bool]] = []
 
-    def socket_for(self, kind: PortKind) -> SocketBuffer:
-        return self.token_socket if kind is PortKind.TOKEN else self.data_socket
-
     def add_interceptor(self, fn: Callable[[Frame], bool]) -> None:
         """Install a receive-side drop interceptor (see ``_interceptors``)."""
         self._interceptors.append(fn)

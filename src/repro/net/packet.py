@@ -129,9 +129,6 @@ class Frame:
 
     # ------------------------------------------------------------------
 
-    def is_multicast(self) -> bool:
-        return self.dst is None
-
     def clone_for(self, dst: int) -> "Frame":
         """A per-destination copy of a multicast frame (same frame_id)."""
         if _pool:

@@ -34,6 +34,7 @@ from repro.runtime.ports import ephemeral_ring_addresses
 from repro.runtime.transport import PeerAddress
 from repro.spread.client_api import SpreadClient
 from repro.spread.daemon import SpreadDaemon
+from repro.util.errors import ConfigurationError
 
 #: Membership timeouts for loopback fleets: tight enough that a 3-daemon
 #: ring forms in well under a second and reforms quickly after a crash,
@@ -66,7 +67,7 @@ class Fleet:
         **daemon_kwargs,
     ) -> None:
         if num_daemons < 1:
-            raise ValueError("a fleet needs at least one daemon")
+            raise ConfigurationError(f"a fleet needs at least one daemon, got {num_daemons}")
         self.num_daemons = num_daemons
         self.accelerated = accelerated
         self.timeouts = timeouts or FLEET_TIMEOUTS
@@ -192,11 +193,6 @@ class Fleet:
         await client.connect()
         self.clients.append(client)
         return client
-
-    async def disconnect_client(self, client: SpreadClient) -> None:
-        if client in self.clients:
-            self.clients.remove(client)
-        await client.close()
 
     # ------------------------------------------------------------------
     # Shutdown and observability
@@ -325,8 +321,15 @@ async def run_fleet_workload(
     budget and :data:`SILENT_GRACE` — rather than a timeout around every
     receive, which would put the driver's own timer churn into the
     numbers it reports.  A fleet that goes silent ends the run at the
-    deadline with ``messages_acked < messages_sent``.
+    deadline with ``messages_acked < messages_sent``.  A run that could
+    send nothing (no client, or none in flight) raises
+    :class:`~repro.util.errors.ConfigurationError`.
     """
+    if num_clients < 1 or pipeline < 1:
+        raise ConfigurationError(
+            f"a fleet workload needs at least one client and one message in "
+            f"flight, got {num_clients} client(s) x pipeline {pipeline}"
+        )
     states: List[_ClientLoopState] = []
     for index in range(num_clients):
         client = await fleet.connect_client(name=f"w{index}")

@@ -72,9 +72,6 @@ class TopologySpec:
     config: Optional[ProtocolConfig] = None
     timeouts: Optional[MembershipTimeouts] = None
     loss_model: Optional[LossModel] = None
-    #: Per-host loss overrides; hosts absent from the mapping fall back
-    #: to the shared ``loss_model``.
-    loss_models: Optional[Mapping[int, LossModel]] = None
     #: Shared impairment model wrapped around every host's delivery path
     #: (see :mod:`repro.net.impair`); ``impairments`` overrides per host.
     impairment: Optional[ImpairmentModel] = None
@@ -130,14 +127,8 @@ class TopologySpec:
                     f"fabric defines {self.fabric.num_hosts} hosts but the "
                     f"spec declares {self.hosts_per_ring} per ring"
                 )
-        if self.rings > 1 and (
-            self.loss_models is not None
-            or self.impairment is not None
-            or self.impairments is not None
-        ):
-            raise ConfigurationError(
-                "per-host loss/impairment models are single-ring only"
-            )
+        if self.rings > 1 and (self.impairment is not None or self.impairments is not None):
+            raise ConfigurationError("impairment models are single-ring only")
         return self
 
 
@@ -233,10 +224,6 @@ class ClusterBuilder:
     def loss(self, model: Optional[LossModel]) -> "ClusterBuilder":
         return self._set(loss_model=model)
 
-    def loss_map(self, models: Mapping[int, LossModel]) -> "ClusterBuilder":
-        """Per-host loss overrides (hosts not listed keep the shared model)."""
-        return self._set(loss_models=dict(models))
-
     def impair(self, model: Optional[ImpairmentModel]) -> "ClusterBuilder":
         """Wrap every host's delivery path with one impairment model."""
         return self._set(impairment=model)
@@ -303,7 +290,6 @@ class ClusterBuilder:
             spec.params,
             fabric=spec.fabric,
             loss_model=spec.loss_model,
-            loss_models=spec.loss_models,
             impairment=spec.impairment,
             impairments=spec.impairments,
         )

@@ -19,10 +19,6 @@ class CodecError(ReproError):
     """A wire message could not be encoded or decoded."""
 
 
-class MembershipError(ReproError):
-    """The membership algorithm reached an inconsistent state."""
-
-
 class FaultError(ReproError):
     """A fault-injection request was invalid (unknown pid, bad plan,
     or an unsupported operation for the targeted cluster)."""

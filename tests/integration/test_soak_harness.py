@@ -2,7 +2,8 @@
 
 Kept deliberately small (a handful of plans) — the full-size soak is the
 nightly CI job (``python -m repro soak --plans 200``); this just proves
-the pipeline works end to end: generate, drive, check, report, replay.
+the pipeline works end to end: generate, drive, check, report, replay
+(``conformance replay`` re-runs a counterexample).
 """
 
 import json
@@ -51,7 +52,9 @@ def test_soak_cli_writes_report_artifact(tmp_path, capsys):
     assert payload["ok"] is True
     assert payload["params"]["plans"] == 2
     assert len(payload["cases"]) == 2
-    assert "2/2 plans passed" in capsys.readouterr().out
+    assert "PASS  soak: enumerated=2 deduped=0 ran=2 skipped_budget=0 failures=0" in (
+        capsys.readouterr().out
+    )
 
 
 def test_soak_cli_replays_counterexample_artifact(tmp_path, capsys):
@@ -68,5 +71,5 @@ def test_soak_cli_replays_counterexample_artifact(tmp_path, capsys):
     path.write_text(artifact.to_json())
     # The schedule it captures no longer violates EVS (that is the point
     # of shipping the fix with the artifact): replay reports clean.
-    assert main(["soak", "--replay", str(path)]) == 0
+    assert main(["conformance", "replay", str(path)]) == 0
     assert "no longer reproduces" in capsys.readouterr().out

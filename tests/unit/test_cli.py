@@ -7,14 +7,17 @@ from repro.cli import build_parser, main
 
 def test_parser_builds_all_subcommands():
     parser = build_parser()
-    for command in ("demo", "sweep", "maxtp", "figure", "daemon", "soak",
-                    "conformance"):
+    for command in ("demo", "figure", "chaos", "soak", "conformance", "kv", "fleet",
+                    "daemon"):
         args = parser.parse_args([command] + (
             ["--pid", "0"] if command == "daemon" else
             (["2"] if command == "figure" else
-             (["run"] if command == "conformance" else []))
+             (["run"] if command in ("conformance", "kv", "fleet") else []))
         ))
         assert args.command == command
+    for retired in ("sweep", "maxtp"):
+        with pytest.raises(SystemExit):
+            parser.parse_args([retired])
 
 
 def test_soak_defaults_match_the_nightly_invocation():
@@ -22,7 +25,6 @@ def test_soak_defaults_match_the_nightly_invocation():
     assert args.plans == 200
     assert args.hosts == 4
     assert args.seed == 1
-    assert args.replay is None
 
 
 def test_demo_defaults():
@@ -74,16 +76,6 @@ def test_demo_runs_end_to_end(capsys):
     out = capsys.readouterr().out
     assert "original" in out and "accelerated" in out
     assert "Mbps" in out
-
-
-def test_sweep_runs_end_to_end(capsys):
-    code = main([
-        "sweep", "--profile", "library", "--rates", "100,200",
-    ])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "original" in out and "accelerated" in out
-    assert out.count("100") >= 2
 
 
 def test_conformance_defaults_match_the_nightly_invocation():
@@ -192,6 +184,72 @@ def test_conformance_report_reads_a_realtime_report(tmp_path, capsys):
     assert "PASS  realtime: crash=True" in capsys.readouterr().out
 
 
+def _status_lines(out):
+    return [line for line in out.splitlines() if line.startswith(("  PASS  ", "  FAIL  "))]
+
+
+@pytest.mark.parametrize("command, artifact", [
+    (["soak", "--plans", "1", "--hosts", "3", "--seed", "2"], "soak_report.json"),
+    (["conformance", "run", "--rounds", "1", "--burst-size", "4", "--probe-burst", "2"],
+     "conformance_report.json"),
+    (["conformance", "sharded", "--rings", "1,2", "--groups", "2"],
+     "conformance_sharded.json"),
+    (["conformance", "realtime"], "conformance_realtime.json"),
+])
+def test_a_report_reads_back_with_the_status_line_it_was_written_with(
+    tmp_path, capsys, command, artifact
+):
+    # At the parent each producer formatted its own line, and `report`
+    # a different one for the same document.
+    assert main(command + ["--out", str(tmp_path)]) == 0
+    (written,) = _status_lines(capsys.readouterr().out)
+    assert main(["conformance", "report", str(tmp_path / artifact)]) == 0
+    assert _status_lines(capsys.readouterr().out) == [written]
+
+
+def test_report_and_replay_read_a_soak_counterexample(tmp_path, capsys):
+    # At the parent `report` rejected it ("not a report this reads", exit
+    # 2) and only `soak --replay` read it.
+    from repro.faults.soak import Counterexample, case_seed
+
+    artifact = tmp_path / "counterexample_0.json"
+    artifact.write_text(Counterexample(
+        soak_seed=1, index=0, seed=case_seed(1, 0), num_hosts=4,
+        violation="virtual synchrony\nat pid 2", steps=[(10, "token_drop", 0)],
+        minimized_steps=[(10, "token_drop", 0)],
+    ).to_json())
+    assert main(["conformance", "report", str(artifact)]) == 1
+    line = "counterexample: soak seed=1 case=0 seed=1000003 hosts=4 events=1"
+    assert capsys.readouterr().out.splitlines()[:3] == [
+        f"  FAIL  {line}", "        virtual synchrony", "        at pid 2",
+    ]
+    # The recorded schedule no longer violates EVS: replay says so.
+    assert main(["conformance", "replay", str(artifact)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"replaying {line}", "  PASS  the failure no longer reproduces",
+    ]
+
+
+def test_replay_rejects_a_kind_that_does_not_replay(tmp_path, capsys):
+    artifact = tmp_path / "exploration.json"
+    artifact.write_text(_exploration("soak", {"ok": False, "violation": "x"}).to_json())
+    assert main(["conformance", "replay", str(artifact)]) == 2
+    assert "a differential or a soak counterexample" in capsys.readouterr().err
+
+
+def test_a_bad_ring_count_exits_2_with_one_line(capsys):
+    # At the parent `--rings 1,x` died in a ValueError traceback.
+    with pytest.raises(SystemExit) as exited:
+        main(["conformance", "sharded", "--rings", "1,x"])
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == (
+        "accelring conformance: error: argument --rings: "
+        "expected comma-separated ring counts, got '1,x'"
+    )
+
+
 def test_conformance_report_rejects_other_documents(tmp_path, capsys):
     artifact = tmp_path / "fleet_smoke.json"
     artifact.write_text('{"acked": 12}')
@@ -207,6 +265,21 @@ def test_fleet_parser_defaults():
     assert args.daemons == 3
     assert args.clients == 8
     assert not args.crash
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--daemons", "0"], "a fleet needs at least one daemon, got 0"),
+    (["--clients", "0"], "got 0 client(s) x pipeline 1"),
+    (["--pipeline", "0"], "got 8 client(s) x pipeline 0"),
+])
+def test_a_fleet_run_that_sends_nothing_exits_2_with_one_line(capsys, flags, message):
+    # At the parent --clients 0 / --pipeline 0 passed ("acked 0/0") after
+    # waiting out the deadline, and --daemons 0 died in a traceback.
+    assert main(["fleet", "run", "--duration", "0.2"] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert message in captured.err
+    assert "PASS" not in captured.out
 
 
 def test_fleet_run_shows_coalescing_and_survives_a_crash(capsys):
@@ -292,7 +365,7 @@ def _emit_args(json=False, out=None):
 def test_emit_prints_the_status_line_then_details_and_returns_the_exit_code(
     capsys, ok, code, status
 ):
-    from repro.cli import _emit
+    from repro.cli.checks import _emit
 
     details = ["        first detail", "  second, indented as given"]
     assert _emit(_emit_args(), _Report(ok), "fields=1", "r.json", details) == code
@@ -301,7 +374,7 @@ def test_emit_prints_the_status_line_then_details_and_returns_the_exit_code(
 
 
 def test_emit_json_prints_the_canonical_text_and_nothing_else(capsys, tmp_path):
-    from repro.cli import _emit
+    from repro.cli.checks import _emit
 
     report = _Report(False)
     args = _emit_args(json=True, out=tmp_path / "made" / "on-demand")
@@ -311,7 +384,7 @@ def test_emit_json_prints_the_canonical_text_and_nothing_else(capsys, tmp_path):
 
 
 def test_emit_out_writes_the_artifact_and_says_where(capsys, tmp_path):
-    from repro.cli import _emit
+    from repro.cli.checks import _emit
 
     report = _Report(True)
     assert _emit(_emit_args(out=tmp_path), report, "x", "name.json") == 0

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.net.fabric import FabricTopology, LeafSpineSpec, build_topology
-from repro.net.loss import UniformLoss
 from repro.net.packet import Frame, PortKind
 from repro.net.params import GIGABIT, TEN_GIGABIT
 from repro.net.simulator import Simulator
@@ -188,18 +187,6 @@ def test_rack_map_exposed_for_correlated_faults():
     topo = _build(Simulator(), LeafSpineSpec(racks=2, hosts_per_rack=4))
     assert topo.racks == {0: (0, 1, 2, 3), 1: (4, 5, 6, 7)}
     assert topo.host_ids == list(range(8))
-
-
-def test_per_host_loss_models():
-    sim = Simulator()
-    lossy = UniformLoss(rate=0.9999999, seed=2)
-    topo = _build(sim, _spec(), loss_models={3: lossy})
-    topo.host(0).nic.send(_data(0))
-    sim.run_until_idle()
-    assert len(topo.host(1).data_socket) == 1
-    assert len(topo.host(2).data_socket) == 1
-    assert len(topo.host(3).data_socket) == 0
-    assert topo.host(3).frames_lost_to_model == 1
 
 
 def test_oversubscribed_trunk_queues_under_incast():

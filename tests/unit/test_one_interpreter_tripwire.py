@@ -6,7 +6,7 @@ daemon one container path, the
 committed results one producer, the network one link and one topology,
 fault-schedule searches one explorer, the simulator one transmit
 instrument, the differential's spread variant the daemon's layout,
-latency samples one unboxed store.
+latency samples one unboxed store, the CLI one package of eight commands.
 
 Scans the package source so that a re-grown effect ladder, a second
 delivery effect or a per-message delivery hook, a second run-grouping
@@ -17,10 +17,11 @@ the membership controller, a second daemon or client protocol, a
 second figure harness, a second serializing queue, a probe telling two
 topologies apart, a second exploration loop, the daemon forwarding a
 packed container, a second transmit callback, the spread mirror
-ordering the reference codec's layout or a per-sender latency store
-kept beside the pooled samples again fails tier-1 instead of drifting in unnoticed (the
-shape of the port and unseeded-random tripwires in ``conftest.py``,
-applied to the source tree)."""
+ordering the reference codec's layout, a per-sender latency store
+kept beside the pooled samples or a parser outside ``repro.cli``
+again fails tier-1 instead of drifting in unnoticed (the shape of the
+port and unseeded-random tripwires in ``conftest.py``, applied to the
+source tree)."""
 
 import argparse
 import ast
@@ -224,7 +225,7 @@ ONE_HOME = {
     # JsonReport is the reports' text form; FaultPlan is a plan, not a report.
     r"def to_json\(self": {"util/jsonreport.py": 1, "faults/plan.py": 1},
     # One artifact writer under every --out.
-    r"os\.makedirs\(": {"cli.py": 1, "bench/report.py": None},
+    r"os\.makedirs\(": {"cli/checks.py": 1, "bench/report.py": None},
     # The sim↔real oracle interprets its schedule in one place.
     r"in build_schedule\(": {"conformance/realtime.py": 1},
     # FaultInjector(cluster, plan, ...).arm() is the one way to arm a plan.
@@ -256,7 +257,8 @@ def test_each_drive_step_has_one_home():
                 assert counts.get(name, 0) == limit, (pattern, name, counts)
     # _emit prints every report; what is left are two non-report
     # documents (kv run, fleet run) and one progress switch.
-    assert _occurrences(r"if args\.json").get("cli.py", 0) <= 4
+    json_switches = _occurrences(r"if args\.json")
+    assert sum(json_switches[name] for name in json_switches if name.startswith("cli/")) <= 4
 
 
 def _loops_that_run_a_cluster(tree):
@@ -740,3 +742,31 @@ def test_the_annotation_check_bites():
         "Self = object\n"
     )
     assert _unbound_annotation_names(guarded) == []
+
+
+# ----------------------------------------------------------------------
+# One CLI (repro.cli): argparse stays in it, one command per job
+# ----------------------------------------------------------------------
+
+#: An import of argparse, in either spelling.
+IMPORTS_ARGPARSE = r"(?m)^\s*(?:import argparse\b|from argparse import)"
+#: ``repro figure`` is the one way to run a paper experiment, and
+#: ``conformance report`` / ``replay`` the one way to read an artifact back.
+COMMANDS = ["demo", "figure", "chaos", "soak", "conformance", "kv", "fleet", "daemon"]
+
+
+def test_one_cli_with_one_command_per_job():
+    from repro.cli import build_parser
+
+    importers = set(_occurrences(IMPORTS_ARGPARSE))
+    assert importers and all(name.startswith("cli/") for name in importers), importers
+    (commands,) = [
+        action.choices
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    assert list(commands) == COMMANDS
+    # ...and the pattern bites on a library module growing its own parser.
+    assert re.search(IMPORTS_ARGPARSE, "import json\nimport argparse\n")
+    assert re.search(IMPORTS_ARGPARSE, "    from argparse import ArgumentParser\n")
+    assert not re.search(IMPORTS_ARGPARSE, "# a parser built with argparse\n")
