@@ -36,7 +36,6 @@ from repro.core.original import OriginalRingParticipant
 from repro.obs.export import render_table, save_json, to_json
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.observer import (
-    CompositeObserver,
     MetricsObserver,
     NullObserver,
     ProtocolObserver,
@@ -69,7 +68,6 @@ __all__ = [
     "TEN_GIGABIT",
     "ProtocolObserver",
     "NullObserver",
-    "CompositeObserver",
     "MetricsObserver",
     "MetricsRegistry",
     "Counter",

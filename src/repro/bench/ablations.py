@@ -33,7 +33,6 @@ from repro.bench.experiments import (
 from repro.core.config import ProtocolConfig, TokenPriorityMethod
 from repro.net.params import GIGABIT, TEN_GIGABIT
 from repro.sim.profiles import DAEMON, SPREAD
-from repro.util.units import Mbps
 
 Series = Dict[str, List[ExperimentPoint]]
 

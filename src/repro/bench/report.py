@@ -1,9 +1,9 @@
 """Benchmark reporting: paper-style series tables, saved to disk.
 
 Metrics collected by a :class:`~repro.obs.observer.MetricsObserver`
-during a benchmark run can be rendered alongside the result tables
-(:func:`format_metrics`) or saved as JSON next to the results
-(:func:`save_metrics_json`).
+during a benchmark run can be saved as JSON next to the results
+(:func:`save_metrics_json`); :func:`repro.obs.export.render_table`
+renders them as a table.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import os
 from typing import Dict, List, NamedTuple, Sequence
 
 from repro.bench.experiments import ExperimentPoint
-from repro.obs.export import render_table, save_json
+from repro.obs.export import save_json
 
 RESULTS_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.dirname(os.path.abspath(__file__))))), "benchmarks", "results")
@@ -60,12 +60,6 @@ def save_results(filename: str, content: str) -> str:
     with open(path, "w") as handle:
         handle.write(content + "\n")
     return path
-
-
-def format_metrics(source, title: str = "protocol metrics") -> str:
-    """Render an observer's metrics (a :class:`~repro.obs.metrics.MetricsRegistry`
-    or a snapshot dict) as a table matching the benchmark report style."""
-    return render_table(source, title=title)
 
 
 def save_metrics_json(filename: str, source) -> str:

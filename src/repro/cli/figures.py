@@ -6,9 +6,10 @@ import argparse
 import sys
 
 from repro.bench.experiments import run_point
-from repro.bench.report import format_metrics, save_metrics_json, save_results
+from repro.bench.report import save_metrics_json, save_results
 from repro.core.messages import DeliveryService
 from repro.net.params import GIGABIT, TEN_GIGABIT
+from repro.obs.export import render_table
 from repro.obs.observer import MetricsObserver
 from repro.sim.profiles import PROFILES
 
@@ -41,7 +42,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
         if observer is not None:
             if args.metrics:
                 print()
-                print(format_metrics(observer.registry, title=f"{label} protocol metrics"))
+                print(render_table(observer.registry, title=f"{label} protocol metrics"))
                 print()
             if args.metrics_json is not None:
                 path = save_metrics_json(f"{args.metrics_json}-{label}.json", observer.registry)

@@ -50,7 +50,7 @@ from repro.conformance.variants import (
 from repro.conformance.workload import make_label
 from repro.core.messages import DeliveryService
 from repro.faults.drive import poll
-from repro.membership.params import MembershipTimeouts
+from repro.runtime.fleet import FLEET_TIMEOUTS
 from repro.runtime.node import RingNode
 from repro.runtime.ports import ephemeral_ring_addresses
 from repro.sim.build import ClusterBuilder
@@ -59,19 +59,6 @@ from repro.util.jsonreport import JsonReport
 
 SIM_VARIANT = "sim"
 REAL_VARIANT = "real"
-
-#: Tight membership timeouts for the loopback side of the oracle: the
-#: barriers serialize the traffic, so the only wall-clock cost is ring
-#: formation and reformation.
-REALTIME_TIMEOUTS = MembershipTimeouts(
-    token_loss=0.25,
-    join_interval=0.05,
-    consensus_timeout=0.2,
-    commit_timeout=0.5,
-    recovery_status_interval=0.05,
-    recovery_timeout=2.0,
-    beacon_interval=0.2,
-)
 
 #: Wall-clock deadlines for the real ring's waits: draining one burst,
 #: and (re)forming the ring.  (The simulated ring waits in simulated
@@ -279,7 +266,7 @@ class _RealRing:
             pid,
             self.addresses,
             accelerated=self.accelerated,
-            timeouts=REALTIME_TIMEOUTS,
+            timeouts=FLEET_TIMEOUTS,
         )
         tap = self.tap
         node.on_deliver = lambda messages, config_id: tap.on_deliver_batch(

@@ -213,7 +213,6 @@ class AcceleratedRingParticipant:
                     answered.append(requested)
                     effects.append(MulticastData(held, retransmission=True))
                     if observer is not None:
-                        observer.on_retransmit(pid, requested, now=now)
                         observer.on_multicast(pid, held, retransmission=True, now=now)
             self.retransmissions_sent += len(answered)
         sent = len(answered)

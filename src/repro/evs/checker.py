@@ -25,7 +25,6 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.evs.configuration import Configuration
 from repro.evs.events import ConfigDelivery, DeliveryEvent, MessageDelivery
 from repro.util.errors import ReproError
 

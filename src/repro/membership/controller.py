@@ -355,11 +355,11 @@ class MembershipController:
             self._consensus_strikes = 0
         self.state = state
         self._rows = _ROWS_OF[state]
-        self._notify("on_membership_event", "state_change", **{"from": old.value, "to": state.value})
+        self._notify("state_change", **{"from": old.value, "to": state.value})
 
-    def _notify(self, hook: str, *event: str, **detail: object) -> None:
+    def _notify(self, event: str, **detail: object) -> None:
         if self.observer is not None:
-            getattr(self.observer, hook)(self.pid, *event, detail=detail, now=self._now())
+            self.observer.on_membership_event(self.pid, event, detail=detail, now=self._now())
 
     def _jittered(self, delay: float) -> float:
         """Gather-phase timers get +/-25% deterministic jitter (see __init__)."""
@@ -469,7 +469,7 @@ class MembershipController:
 
     def _token_lost(self, _name: str, effects: List[Effect]) -> None:
         self.token_losses += 1
-        self._notify("on_membership_event", "token_loss", ring_id=self.ring_id)
+        self._notify("token_loss", ring_id=self.ring_id)
         self._gather(effects)
 
     def _beacon_due(self, _name: str, effects: List[Effect]) -> None:
@@ -748,7 +748,7 @@ class MembershipController:
         rec.done = not rec.needed()
         self._rec = rec
         self._notify(
-            "on_recovery_started",
+            "recovery_started",
             ring_id=rec.new_ring_id,
             old_ring_id=rec.my_old_ring,
             old_members=sorted(rec.old_members),
@@ -913,7 +913,7 @@ class MembershipController:
         self.recovery_retries += 1
         delay = self._recovery_backoff_delay(rec.attempt)
         self._notify(
-            "on_recovery_retry",
+            "recovery_retry",
             ring_id=rec.new_ring_id,
             attempt=rec.attempt,
             retries_left=self.timeouts.recovery_retries - rec.attempt,
@@ -939,7 +939,7 @@ class MembershipController:
         set, shrinking the candidate set (graceful degradation)."""
         self.recovery_aborts += 1
         self._notify(
-            "on_recovery_aborted",
+            "recovery_aborted",
             ring_id=rec.new_ring_id,
             attempts=rec.attempt,
             missing=len(rec.needed()),
@@ -1029,9 +1029,9 @@ class MembershipController:
         self.view_changes += 1
         self.recoveries_completed += 1
         ring_id = rec.new_ring_id
-        self._notify("on_recovery_completed", ring_id=ring_id, attempts=rec.attempt, members=members)
-        self._notify("on_membership_event", "ring_installed", ring_id=ring_id, members=list(members))
-        self._notify("on_membership_event", "view_change", ring_id=ring_id)
+        self._notify("recovery_completed", ring_id=ring_id, attempts=rec.attempt, members=members)
+        self._notify("ring_installed", ring_id=ring_id, members=list(members))
+        self._notify("view_change", ring_id=ring_id)
         self._final_recovery = rec
         self._installed_at = self._now()
         self._help_sent = {}

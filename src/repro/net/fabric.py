@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from heapq import heappush
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.net.host import SimHost
 from repro.net.impair import ImpairmentModel
@@ -447,7 +447,6 @@ def build_topology(
     fabric: Optional[LeafSpineSpec] = None,
     loss_model: Optional[LossModel] = None,
     impairment: Optional[ImpairmentModel] = None,
-    impairments: Optional[Mapping[int, ImpairmentModel]] = None,
 ) -> FabricTopology:
     """Build ``num_hosts`` hosts on a fabric.
 
@@ -459,8 +458,7 @@ def build_topology(
     The same ``loss_model`` instance is shared by every host; models keyed
     on receiver id (all of ours) behave independently per host.
     ``impairment`` wraps every host's delivery path with one shared
-    :class:`~repro.net.impair.ImpairmentModel`; ``impairments`` overrides
-    it per host id.
+    :class:`~repro.net.impair.ImpairmentModel`.
     """
     spec = fabric if fabric is not None else LeafSpineSpec(racks=1, hosts_per_rack=num_hosts)
     spec.validate()
@@ -481,13 +479,8 @@ def build_topology(
             loss_model=loss_model,
         )
         deliver: Callable[[Frame], None] = host.receive
-        model = None
-        if impairments is not None and host_id in impairments:
-            model = impairments[host_id]
-        elif impairment is not None:
-            model = impairment
-        if model is not None:
-            deliver = model.wrap(host_id, deliver, sim)
+        if impairment is not None:
+            deliver = impairment.wrap(host_id, deliver, sim)
         switch.attach(host_id, deliver)
         topology.hosts[host_id] = host
     return topology

@@ -5,8 +5,9 @@ The observability layer has four parts:
 * :mod:`repro.obs.metrics` — zero-dependency counters, gauges, and
   HDR-style fixed-bucket histograms with deterministic snapshots.
 * :mod:`repro.obs.observer` — the :class:`ProtocolObserver` hook
-  interface threaded through every layer of the stack, plus
-  :class:`MetricsObserver` which turns hooks into metrics.
+  interface threaded through every layer of the stack, one hook per
+  protocol event (eight in all), plus :class:`MetricsObserver` which
+  turns hooks into metrics.
 * :mod:`repro.obs.export` — JSON and table exporters for snapshots.
 * :mod:`repro.obs.coverage` — :class:`CoverageObserver` counts which
   protocol branches a run reached; the conformance oracles and the
@@ -36,7 +37,6 @@ from repro.obs.metrics import (
     merge_registries,
 )
 from repro.obs.observer import (
-    CompositeObserver,
     MetricsObserver,
     NullObserver,
     ProtocolObserver,
@@ -46,7 +46,6 @@ from repro.obs.observer import (
 __all__ = [
     "COUNT_BOUNDS",
     "LATENCY_BOUNDS",
-    "CompositeObserver",
     "Counter",
     "Gauge",
     "Histogram",

@@ -44,6 +44,20 @@ CORE_BRANCHES: Tuple[str, ...] = (
 )
 
 
+#: ``on_membership_event`` event → its branch (each state change also
+#: counts its ``membership.transition.<from>-><to>`` edge).
+_MEMBERSHIP_BRANCHES = {
+    "state_change": "membership.state_changes",
+    "ring_installed": "membership.ring_installed",
+    "token_loss": "membership.token_loss",
+    "view_change": "membership.view_change",
+    "recovery_started": "recovery.started",
+    "recovery_retry": "recovery.retry",
+    "recovery_aborted": "recovery.aborted",
+    "recovery_completed": "recovery.completed",
+}
+
+
 class CoverageObserver(ProtocolObserver):
     """Counts protocol branches as ``coverage.*`` counters.
 
@@ -82,15 +96,13 @@ class CoverageObserver(ProtocolObserver):
 
     def on_multicast(self, pid, message, retransmission=False, now=None):
         if retransmission:
+            self._hit("retransmit.answered")
             self._hit("data.retransmission")
         else:
             self._hit("data.multicast")
 
     def on_deliver_batch(self, pid, messages, now=None):
         self._hit("deliver.messages", len(messages))
-
-    def on_retransmit(self, pid, seq, now=None):
-        self._hit("retransmit.answered")
 
     def on_retransmit_requested(self, pid, seq, now=None):
         self._hit("retransmit.requested")
@@ -111,31 +123,15 @@ class CoverageObserver(ProtocolObserver):
     # -- membership / recovery -----------------------------------------
 
     def on_membership_event(self, pid, event, detail=None, now=None):
-        detail = detail or {}
+        branch = _MEMBERSHIP_BRANCHES.get(event)
+        if branch is not None:
+            self._hit(branch)
         if event == "state_change":
-            self._hit("membership.state_changes")
+            detail = detail or {}
             origin = detail.get("from")
             target = detail.get("to")
             if origin is not None and target is not None:
                 self._hit(f"membership.transition.{origin}->{target}")
-        elif event == "ring_installed":
-            self._hit("membership.ring_installed")
-        elif event == "token_loss":
-            self._hit("membership.token_loss")
-        elif event == "view_change":
-            self._hit("membership.view_change")
-
-    def on_recovery_started(self, pid, detail=None, now=None):
-        self._hit("recovery.started")
-
-    def on_recovery_retry(self, pid, detail=None, now=None):
-        self._hit("recovery.retry")
-
-    def on_recovery_aborted(self, pid, detail=None, now=None):
-        self._hit("recovery.aborted")
-
-    def on_recovery_completed(self, pid, detail=None, now=None):
-        self._hit("recovery.completed")
 
     # -- injected faults -----------------------------------------------
 

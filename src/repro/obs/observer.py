@@ -9,14 +9,18 @@ observer=...)``) and receive a callback at every protocol event.
 Hook timing:
 
 * ``on_token_received`` / ``on_token_sent`` / ``on_multicast`` /
-  ``on_retransmit`` / ``on_retransmit_requested`` / ``on_flow_control``
-  fire inside the sans-io ordering engines at protocol-event time.
+  ``on_retransmit_requested`` / ``on_flow_control`` fire inside the
+  sans-io ordering engines at protocol-event time.  Answering a
+  retransmission request is ``on_multicast(..., retransmission=True)``.
 * ``on_deliver_batch`` fires in the layer that owns application delivery
   (the sim driver or the membership controller), once per delivered run,
   so its message count is exactly the application-visible delivery
   count — the same events the EVS checker records.
 * ``on_membership_event`` fires in the membership controller on state
-  transitions, ring installs, and token losses.
+  transitions, ring installs, token losses and recovery phases.
+* ``on_fault`` fires in :mod:`repro.faults` when a fault is injected.
+
+There is one hook per protocol event: eight in all.
 
 ``now`` is whatever clock the hosting layer runs on — simulated seconds
 in :mod:`repro.sim`, the event-loop clock in :mod:`repro.runtime` — or
@@ -25,7 +29,7 @@ in :mod:`repro.sim`, the event-loop clock in :mod:`repro.runtime` — or
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.core.messages import DataMessage
 from repro.core.token import RegularToken
@@ -56,7 +60,9 @@ class ProtocolObserver:
         retransmission: bool = False,
         now: Optional[float] = None,
     ) -> None:
-        """A data message (new or retransmitted) was multicast."""
+        """A data message was multicast: a new one, or with
+        ``retransmission=True`` this participant's answer to a token
+        retransmission request for ``message.seq``."""
 
     def on_deliver_batch(
         self,
@@ -67,11 +73,6 @@ class ProtocolObserver:
         """An in-order run of messages was delivered to the local
         application: the one delivery hook, fired once per run (a run of
         one is a 1-tuple)."""
-
-    def on_retransmit(
-        self, pid: int, seq: int, now: Optional[float] = None
-    ) -> None:
-        """This participant answered a retransmission request for ``seq``."""
 
     def on_retransmit_requested(
         self, pid: int, seq: int, now: Optional[float] = None
@@ -94,49 +95,25 @@ class ProtocolObserver:
         detail: Optional[Dict[str, object]] = None,
         now: Optional[float] = None,
     ) -> None:
-        """A membership-layer event: ``state_change``, ``ring_installed``,
-        ``token_loss``, ``view_change``."""
+        """A membership-layer event.  ``event`` is one of:
 
-    def on_recovery_started(
-        self,
-        pid: int,
-        detail: Optional[Dict[str, object]] = None,
-        now: Optional[float] = None,
-    ) -> None:
-        """A recovery exchange began.  ``detail`` carries ``ring_id``,
-        ``old_ring_id``, ``old_members``, the exchange ``window`` and the
-        agreed ``deliver_high`` split point."""
-
-    def on_recovery_retry(
-        self,
-        pid: int,
-        detail: Optional[Dict[str, object]] = None,
-        now: Optional[float] = None,
-    ) -> None:
-        """A recovery round expired and the controller is retrying its
-        flood/status exchange.  ``detail`` carries ``ring_id``,
-        ``attempt``, ``retries_left``, the backed-off ``next_delay``, the
-        ``missing`` message count, and currently ``suspects`` peers."""
-
-    def on_recovery_aborted(
-        self,
-        pid: int,
-        detail: Optional[Dict[str, object]] = None,
-        now: Optional[float] = None,
-    ) -> None:
-        """A recovery exhausted its retry budget and fell back to Gather.
-        ``detail`` carries ``ring_id``, ``attempts``, ``missing`` and the
-        ``suspects`` that will seed the regather's fail set."""
-
-    def on_recovery_completed(
-        self,
-        pid: int,
-        detail: Optional[Dict[str, object]] = None,
-        now: Optional[float] = None,
-    ) -> None:
-        """A recovery finalized and installed its ring.  ``detail``
-        carries ``ring_id``, ``attempts`` (retry rounds used), and the
-        installed ``members``."""
+        * ``state_change`` — ``detail`` carries ``from`` and ``to``;
+        * ``ring_installed`` — ``ring_id`` and the installed ``members``;
+        * ``view_change`` — ``ring_id``;
+        * ``token_loss`` — ``ring_id``;
+        * ``recovery_started`` — a recovery exchange began: ``ring_id``,
+          ``old_ring_id``, ``old_members``, the exchange ``window`` and
+          the agreed ``deliver_high`` split point;
+        * ``recovery_retry`` — a recovery round expired and the flood /
+          status exchange is retried: ``ring_id``, ``attempt``,
+          ``retries_left``, the backed-off ``next_delay``, the
+          ``missing`` message count and the current ``suspects``;
+        * ``recovery_aborted`` — the recovery fell back to Gather:
+          ``ring_id``, ``attempts``, ``missing``, the ``suspects`` that
+          seed the regather's fail set, and the ``reason``;
+        * ``recovery_completed`` — the recovery installed its ring:
+          ``ring_id``, ``attempts`` (retry rounds used) and ``members``.
+        """
 
     def on_fault(
         self,
@@ -174,63 +151,18 @@ def effective_observer(
     return observer
 
 
-class CompositeObserver(ProtocolObserver):
-    """Fans every hook out to several observers, in order."""
-
-    def __init__(self, observers: Iterable[ProtocolObserver]) -> None:
-        self.observers: List[ProtocolObserver] = list(observers)
-
-    def on_token_received(self, pid, token, now=None):
-        for observer in self.observers:
-            observer.on_token_received(pid, token, now=now)
-
-    def on_token_sent(self, pid, token, now=None):
-        for observer in self.observers:
-            observer.on_token_sent(pid, token, now=now)
-
-    def on_multicast(self, pid, message, retransmission=False, now=None):
-        for observer in self.observers:
-            observer.on_multicast(pid, message, retransmission=retransmission, now=now)
-
-    def on_deliver_batch(self, pid, messages, now=None):
-        for observer in self.observers:
-            observer.on_deliver_batch(pid, messages, now=now)
-
-    def on_retransmit(self, pid, seq, now=None):
-        for observer in self.observers:
-            observer.on_retransmit(pid, seq, now=now)
-
-    def on_retransmit_requested(self, pid, seq, now=None):
-        for observer in self.observers:
-            observer.on_retransmit_requested(pid, seq, now=now)
-
-    def on_flow_control(self, pid, decision, token_fcc, now=None):
-        for observer in self.observers:
-            observer.on_flow_control(pid, decision, token_fcc, now=now)
-
-    def on_membership_event(self, pid, event, detail=None, now=None):
-        for observer in self.observers:
-            observer.on_membership_event(pid, event, detail=detail, now=now)
-
-    def on_recovery_started(self, pid, detail=None, now=None):
-        for observer in self.observers:
-            observer.on_recovery_started(pid, detail=detail, now=now)
-
-    def on_recovery_retry(self, pid, detail=None, now=None):
-        for observer in self.observers:
-            observer.on_recovery_retry(pid, detail=detail, now=now)
-
-    def on_recovery_aborted(self, pid, detail=None, now=None):
-        for observer in self.observers:
-            observer.on_recovery_aborted(pid, detail=detail, now=now)
-
-    def on_recovery_completed(self, pid, detail=None, now=None):
-        for observer in self.observers:
-            observer.on_recovery_completed(pid, detail=detail, now=now)
-
-    def on_fault(self, kind, detail=None, now=None):
-        for observer in self.observers:
-            observer.on_fault(kind, detail=detail, now=now)
+#: ``on_membership_event`` event → the counter :class:`MetricsObserver`
+#: bumps for it.
+_MEMBERSHIP_COUNTERS = {
+    "state_change": "membership.state_changes",
+    "ring_installed": "membership.ring_installs",
+    "token_loss": "membership.token_losses",
+    "view_change": "membership.view_changes",
+    "recovery_started": "recovery.started",
+    "recovery_retry": "recovery.retries",
+    "recovery_aborted": "recovery.aborted",
+    "recovery_completed": "recovery.completed",
+}
 
 
 class MetricsObserver(ProtocolObserver):
@@ -245,7 +177,7 @@ class MetricsObserver(ProtocolObserver):
     ``multicast.sent``            new data messages multicast (counter)
     ``multicast.pre_token``       of which before the token release (counter)
     ``multicast.post_token``      of which after the token release (counter)
-    ``retransmit.sent``           retransmissions answered (counter)
+    ``retransmit.sent``           retransmission requests answered (counter)
     ``retransmit.requested``      sequence numbers requested (counter)
     ``deliver.messages``          application deliveries (counter)
     ``deliver.latency``           submit-to-deliver latency (histogram, s)
@@ -255,6 +187,7 @@ class MetricsObserver(ProtocolObserver):
     ``membership.state_changes``  controller state transitions (counter)
     ``membership.ring_installs``  regular configurations installed (counter)
     ``membership.token_losses``   token-loss timeouts fired (counter)
+    ``membership.view_changes``   views installed by a recovery (counter)
     ``recovery.started``          recovery exchanges entered (counter)
     ``recovery.retries``          recovery retry rounds fired (counter)
     ``recovery.aborted``          recoveries aborted to Gather (counter)
@@ -273,6 +206,10 @@ class MetricsObserver(ProtocolObserver):
     ``fault.pauses``              GC-stall pauses injected (counter)
     ``fault.resumes``             pause resumes injected (counter)
     ==============================  ==========================================
+
+    Each metric comes from one hook: ``retransmit.sent`` from
+    ``on_multicast(..., retransmission=True)``, and the ``membership.*``
+    and ``recovery.*`` metrics from ``on_membership_event``.
     """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
@@ -298,7 +235,8 @@ class MetricsObserver(ProtocolObserver):
 
     def on_multicast(self, pid, message, retransmission=False, now=None):
         if retransmission:
-            return  # counted by on_retransmit
+            self.registry.counter("retransmit.sent").inc()
+            return
         self.registry.counter("multicast.sent").inc()
         if message.post_token:
             self.registry.counter("multicast.post_token").inc()
@@ -318,10 +256,7 @@ class MetricsObserver(ProtocolObserver):
                 if latency >= 0:
                     record(latency)
 
-    # -- recovery ------------------------------------------------------
-
-    def on_retransmit(self, pid, seq, now=None):
-        self.registry.counter("retransmit.sent").inc()
+    # -- retransmission ------------------------------------------------
 
     def on_retransmit_requested(self, pid, seq, now=None):
         self.registry.counter("retransmit.requested").inc()
@@ -342,31 +277,15 @@ class MetricsObserver(ProtocolObserver):
     # -- membership ----------------------------------------------------
 
     def on_membership_event(self, pid, event, detail=None, now=None):
-        if event == "state_change":
-            self.registry.counter("membership.state_changes").inc()
-        elif event == "ring_installed":
-            self.registry.counter("membership.ring_installs").inc()
-        elif event == "token_loss":
-            self.registry.counter("membership.token_losses").inc()
-        elif event == "view_change":
-            self.registry.counter("membership.view_changes").inc()
-
-    def on_recovery_started(self, pid, detail=None, now=None):
-        self.registry.counter("recovery.started").inc()
-
-    def on_recovery_retry(self, pid, detail=None, now=None):
-        self.registry.counter("recovery.retries").inc()
-
-    def on_recovery_aborted(self, pid, detail=None, now=None):
-        self.registry.counter("recovery.aborted").inc()
-
-    def on_recovery_completed(self, pid, detail=None, now=None):
-        self.registry.counter("recovery.completed").inc()
-        attempts = (detail or {}).get("attempts")
-        if attempts is not None:
-            self.registry.histogram("recovery.attempts", COUNT_BOUNDS).record(
-                int(attempts)
-            )
+        name = _MEMBERSHIP_COUNTERS.get(event)
+        if name is not None:
+            self.registry.counter(name).inc()
+        if event == "recovery_completed":
+            attempts = (detail or {}).get("attempts")
+            if attempts is not None:
+                self.registry.histogram("recovery.attempts", COUNT_BOUNDS).record(
+                    int(attempts)
+                )
 
     # -- injected faults -----------------------------------------------
 

@@ -216,19 +216,6 @@ class RingNode:
         """Installed ring's config id (None before the first ring forms)."""
         return self.controller.ring_id
 
-    def metrics_snapshot(self):
-        """Snapshot of this node's observer metrics (wall-clock domain).
-
-        Requires an observer with a ``snapshot()`` method (e.g.
-        :class:`~repro.obs.observer.MetricsObserver`).
-        """
-        snapshot = getattr(self.observer, "snapshot", None)
-        if snapshot is None:
-            raise RuntimeError(
-                "node was not built with a metrics-collecting observer"
-            )
-        return snapshot()
-
     # ------------------------------------------------------------------
 
     def _enqueue_data(self, datagram: bytes) -> None:

@@ -73,9 +73,8 @@ class TopologySpec:
     timeouts: Optional[MembershipTimeouts] = None
     loss_model: Optional[LossModel] = None
     #: Shared impairment model wrapped around every host's delivery path
-    #: (see :mod:`repro.net.impair`); ``impairments`` overrides per host.
+    #: (see :mod:`repro.net.impair`).
     impairment: Optional[ImpairmentModel] = None
-    impairments: Optional[Mapping[int, ImpairmentModel]] = None
     observer: Optional["ProtocolObserver"] = None
     #: Per-delivery callback surface (single-ring membership clusters;
     #: multi-ring clusters install their own group-aware taps).
@@ -127,7 +126,7 @@ class TopologySpec:
                     f"fabric defines {self.fabric.num_hosts} hosts but the "
                     f"spec declares {self.hosts_per_ring} per ring"
                 )
-        if self.rings > 1 and (self.impairment is not None or self.impairments is not None):
+        if self.rings > 1 and self.impairment is not None:
             raise ConfigurationError("impairment models are single-ring only")
         return self
 
@@ -168,10 +167,6 @@ class ClusterBuilder:
 
     def accelerated(self, enabled: bool = True) -> "ClusterBuilder":
         return self._set(accelerated=enabled)
-
-    def original(self) -> "ClusterBuilder":
-        """The original Totem Ring baseline."""
-        return self._set(accelerated=False)
 
     def profile(self, profile: ImplementationProfile) -> "ClusterBuilder":
         return self._set(profile=profile)
@@ -228,10 +223,6 @@ class ClusterBuilder:
         """Wrap every host's delivery path with one impairment model."""
         return self._set(impairment=model)
 
-    def impair_map(self, models: Mapping[int, ImpairmentModel]) -> "ClusterBuilder":
-        """Per-host impairment overrides (take precedence over ``impair``)."""
-        return self._set(impairments=dict(models))
-
     def observe(self, observer: "ProtocolObserver") -> "ClusterBuilder":
         return self._set(observer=observer)
 
@@ -243,14 +234,6 @@ class ClusterBuilder:
         merged = dict(self._spec.shard_assignments)
         merged[group] = ring
         return self._set(shard_assignments=merged)
-
-    def assignments(self, mapping: Mapping[str, int]) -> "ClusterBuilder":
-        merged = dict(self._spec.shard_assignments)
-        merged.update(mapping)
-        return self._set(shard_assignments=merged)
-
-    def ring_id(self, base: int) -> "ClusterBuilder":
-        return self._set(ring_id_base=base)
 
     def on(self, sim: Simulator) -> "ClusterBuilder":
         """Build onto an existing simulator instead of a fresh one."""
@@ -291,7 +274,6 @@ class ClusterBuilder:
             fabric=spec.fabric,
             loss_model=spec.loss_model,
             impairment=spec.impairment,
-            impairments=spec.impairments,
         )
 
     def build_ring(self) -> RingCluster:

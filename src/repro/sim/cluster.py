@@ -115,19 +115,6 @@ class RingCluster:
     def heal(self) -> None:
         self.topology.switch.heal()
 
-    def metrics_snapshot(self):
-        """Snapshot of the shared observer's metrics.
-
-        Requires an observer with a ``snapshot()`` method (e.g.
-        :class:`~repro.obs.observer.MetricsObserver`).
-        """
-        snapshot = getattr(self.observer, "snapshot", None)
-        if snapshot is None:
-            raise RuntimeError(
-                "cluster was not built with a metrics-collecting observer"
-            )
-        return snapshot()
-
     # ------------------------------------------------------------------
 
     def aggregate(self) -> ClusterStats:

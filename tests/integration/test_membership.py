@@ -216,8 +216,9 @@ class _RecoveryWindows(ProtocolObserver):
     def __init__(self):
         self.windows = {}
 
-    def on_recovery_started(self, pid, detail=None, now=None):
-        self.windows[pid] = tuple(detail["window"])
+    def on_membership_event(self, pid, event, detail=None, now=None):
+        if event == "recovery_started":
+            self.windows[pid] = tuple(detail["window"])
 
 
 class _Tape(DeliveryTap):

@@ -100,7 +100,7 @@ def test_lossy_sim_run_produces_full_metrics_snapshot(tmp_path):
     cluster.start()
     cluster.run(0.07)
 
-    snap = cluster.metrics_snapshot()
+    snap = observer.snapshot()
     assert snap["counters"]["retransmit.sent"] > 0
     assert snap["counters"]["retransmit.requested"] > 0
     assert snap["histograms"]["token.rotation_time"]["count"] > 0
@@ -144,7 +144,7 @@ def test_runtime_nodes_produce_metrics_snapshot():
                 lambda: all(len(node.delivered) >= 30 for node in nodes)
             )
             assert done, [len(node.delivered) for node in nodes]
-            return nodes[0].metrics_snapshot()
+            return observer.snapshot()
         finally:
             await stop_all(nodes)
 

@@ -16,7 +16,6 @@ import pytest
 
 from repro.core.codec import DATA_HEADER_BYTES
 from repro.core.config import ProtocolConfig
-from repro.core.messages import DeliveryService
 from repro.runtime.node import RingNode
 from repro.runtime.ports import ephemeral_ring_addresses
 from repro.runtime.transport import DATAGRAM_BUDGET, MAX_UDP_PAYLOAD

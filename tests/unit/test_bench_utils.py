@@ -10,7 +10,7 @@ from repro.bench.experiments import (
     positional_loss_sweep,
     run_point,
 )
-from repro.bench.report import format_series, format_table, save_results
+from repro.bench.report import format_series, format_table
 from repro.bench.windows import window_for
 from repro.net.params import GIGABIT, TEN_GIGABIT
 from repro.sim.profiles import DAEMON, LIBRARY, SPREAD

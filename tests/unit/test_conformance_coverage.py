@@ -40,7 +40,6 @@ def test_retransmission_branches_are_distinct_from_new_multicasts():
     observer = CoverageObserver()
     observer.on_multicast(0, None, retransmission=False)
     observer.on_multicast(0, None, retransmission=True)
-    observer.on_retransmit(0, seq=7)
     observer.on_retransmit_requested(1, seq=7)
     report = observer.report()
     assert report.hit("coverage.data.multicast") == 1
@@ -88,12 +87,16 @@ def test_fault_and_recovery_hooks():
     observer = CoverageObserver()
     observer.on_fault("crash", detail={"pid": 1})
     observer.on_fault("token_drop", detail={"count": 2})
-    observer.on_recovery_started(0)
-    observer.on_recovery_completed(0, detail={"attempts": 1})
+    observer.on_membership_event(0, "recovery_started")
+    observer.on_membership_event(0, "recovery_retry", detail={"attempt": 1})
+    observer.on_membership_event(0, "recovery_aborted", detail={"attempts": 2})
+    observer.on_membership_event(0, "recovery_completed", detail={"attempts": 1})
     report = observer.report()
     assert report.hit("coverage.fault.crash") == 1
     assert report.hit("coverage.fault.token_drop") == 1
     assert report.hit("coverage.recovery.started") == 1
+    assert report.hit("coverage.recovery.retry") == 1
+    assert report.hit("coverage.recovery.aborted") == 1
     assert report.hit("coverage.recovery.completed") == 1
 
 
@@ -111,7 +114,7 @@ def test_merge_adds_counts():
     first, second = CoverageObserver(), CoverageObserver()
     first.on_token_sent(0, RegularToken(ring_id=1))
     second.on_token_sent(0, RegularToken(ring_id=1))
-    second.on_retransmit(0, seq=3)
+    second.on_multicast(0, None, retransmission=True)
     merged = first.report().merge(second.report())
     assert merged.hit("coverage.token.sent") == 2
     assert merged.hit("coverage.retransmit.answered") == 1

@@ -5,8 +5,6 @@ comparison semantics directly: what counts as a divergence, what the
 structured report names, and how phases partition the streams.
 """
 
-import pytest
-
 from repro.conformance.differ import (
     ConformanceDivergence,
     ConformanceReport,

@@ -8,7 +8,7 @@ must be linearized to explain a later read), and histories that are
 (stale reads, lost updates, CAS double-wins).
 """
 
-from repro.apps.kv.checker import check_history, check_partition
+from repro.apps.kv.checker import check_history
 from repro.apps.kv.commands import KvResult, cas, get, put
 from repro.apps.kv.history import History
 

@@ -18,12 +18,7 @@ from repro.obs.metrics import (
     geometric_bounds,
     merge_registries,
 )
-from repro.obs.observer import (
-    CompositeObserver,
-    MetricsObserver,
-    NullObserver,
-    ProtocolObserver,
-)
+from repro.obs.observer import MetricsObserver, NullObserver
 from repro.sim.build import ClusterBuilder
 from repro.workloads.generators import FixedRateWorkload
 
@@ -200,25 +195,10 @@ def test_null_observer_accepts_every_hook():
     observer.on_token_sent(0, None)
     observer.on_multicast(0, _message())
     observer.on_deliver_batch(0, (_message(),))
-    observer.on_retransmit(0, 1)
     observer.on_retransmit_requested(0, 1)
     observer.on_flow_control(0, None, 0)
     observer.on_membership_event(0, "state_change")
-
-
-def test_composite_observer_fans_out_in_order():
-    calls = []
-
-    class Recorder(ProtocolObserver):
-        def __init__(self, tag):
-            self.tag = tag
-
-        def on_deliver_batch(self, pid, messages, now=None):
-            calls.append((self.tag, pid))
-
-    composite = CompositeObserver([Recorder("x"), Recorder("y")])
-    composite.on_deliver_batch(3, (_message(),))
-    assert calls == [("x", 3), ("y", 3)]
+    observer.on_fault("crash")
 
 
 def test_metrics_observer_token_rotation():
@@ -238,12 +218,27 @@ def test_metrics_observer_multicast_split_and_retransmissions():
     observer.on_multicast(0, _message(post_token=False))
     observer.on_multicast(0, _message(post_token=True))
     observer.on_multicast(0, _message(), retransmission=True)
-    observer.on_retransmit(0, 5)
     snap = observer.snapshot()
     assert snap["counters"]["multicast.sent"] == 2
     assert snap["counters"]["multicast.pre_token"] == 1
     assert snap["counters"]["multicast.post_token"] == 1
     assert snap["counters"]["retransmit.sent"] == 1
+
+
+def test_metrics_observer_counts_recovery_membership_events():
+    observer = MetricsObserver()
+    observer.on_membership_event(0, "recovery_started", detail={"ring_id": 4})
+    observer.on_membership_event(0, "recovery_retry", detail={"attempt": 1})
+    observer.on_membership_event(0, "recovery_aborted", detail={"attempts": 2})
+    observer.on_membership_event(0, "recovery_started", detail={"ring_id": 8})
+    observer.on_membership_event(0, "recovery_completed", detail={"attempts": 1})
+    snap = observer.snapshot()
+    assert snap["counters"]["recovery.started"] == 2
+    assert snap["counters"]["recovery.retries"] == 1
+    assert snap["counters"]["recovery.aborted"] == 1
+    assert snap["counters"]["recovery.completed"] == 1
+    assert snap["histograms"]["recovery.attempts"]["count"] == 1
+    assert snap["histograms"]["recovery.attempts"]["sum"] == 1
 
 
 def test_metrics_observer_delivery_latency():

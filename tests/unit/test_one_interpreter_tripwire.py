@@ -6,7 +6,8 @@ daemon one container path, the
 committed results one producer, the network one link and one topology,
 fault-schedule searches one explorer, the simulator one transmit
 instrument, the differential's spread variant the daemon's layout,
-latency samples one unboxed store, the CLI one package of eight commands.
+latency samples one unboxed store, the CLI one package of eight commands,
+each protocol event one observer hook.
 
 Scans the package source so that a re-grown effect ladder, a second
 delivery effect or a per-message delivery hook, a second run-grouping
@@ -18,10 +19,11 @@ second figure harness, a second serializing queue, a probe telling two
 topologies apart, a second exploration loop, the daemon forwarding a
 packed container, a second transmit callback, the spread mirror
 ordering the reference codec's layout, a per-sender latency store
-kept beside the pooled samples or a parser outside ``repro.cli``
-again fails tier-1 instead of drifting in unnoticed (the shape of the
-port and unseeded-random tripwires in ``conftest.py``, applied to the
-source tree)."""
+kept beside the pooled samples, a parser outside ``repro.cli``, a
+second observer hook for one event or an unused import again fails
+tier-1 instead of drifting in unnoticed (the shape of the port and
+unseeded-random tripwires in ``conftest.py``, applied to the source
+tree)."""
 
 import argparse
 import ast
@@ -745,6 +747,73 @@ def test_the_annotation_check_bites():
 
 
 # ----------------------------------------------------------------------
+# Every import is used (pyflakes F401, offline)
+# ----------------------------------------------------------------------
+
+#: pyproject's per-file F401 ignores: the modules that re-export an API.
+REEXPORTS = re.compile(r'^"([^"]+)" = \["F401"\]', re.MULTILINE)
+
+
+def _unused_imports(source):
+    """Names a module imports and never uses.  A name is used when it
+    appears bare, or inside a string constant that parses as an
+    expression (string annotations, ``__all__`` entries)."""
+    tree = ast.parse(source)
+    imported = set()
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) != "__future__":
+                imported.update(
+                    (a.asname or a.name).split(".")[0] for a in node.names if a.name != "*"
+                )
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                quoted = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            used.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
+    return sorted(imported - used)
+
+
+def test_every_import_is_used():
+    # CI's `ruff check` selects F401, which nothing offline runs; four
+    # unused test imports sat unseen until an AST scan found them.
+    reexports = set(REEXPORTS.findall((REPO / "pyproject.toml").read_text()))
+    assert "src/repro/__init__.py" in reexports
+    paths = sorted(SRC.rglob("*.py")) + sorted((REPO / "tests").rglob("*.py"))
+    unused = {
+        name: names
+        for name in (str(path.relative_to(REPO)) for path in paths)
+        if name not in reexports
+        and (names := _unused_imports((REPO / name).read_text()))
+    }
+    assert unused == {}
+
+
+def test_the_unused_import_check_bites():
+    parent = (
+        "import pytest\n"
+        "from repro.apps.kv.checker import check_history, check_partition\n"
+        "check_history([])\n"
+    )
+    assert _unused_imports(parent) == ["check_partition", "pytest"]
+    guarded = (
+        "from __future__ import annotations\n"
+        "from typing import TYPE_CHECKING\n"
+        "import os.path\n"
+        "if TYPE_CHECKING:\n"
+        "    from repro.runtime.ipc import FrameProtocol\n"
+        "def f(writer: 'asyncio.StreamWriter | FrameProtocol') -> str:\n"
+        "    return os.path.sep\n"
+    )
+    assert _unused_imports(guarded) == []
+    assert _unused_imports("from repro.obs.metrics import Counter\n__all__ = ['Counter']\n") == []
+
+
+# ----------------------------------------------------------------------
 # One CLI (repro.cli): argparse stays in it, one command per job
 # ----------------------------------------------------------------------
 
@@ -770,3 +839,125 @@ def test_one_cli_with_one_command_per_job():
     assert re.search(IMPORTS_ARGPARSE, "import json\nimport argparse\n")
     assert re.search(IMPORTS_ARGPARSE, "    from argparse import ArgumentParser\n")
     assert not re.search(IMPORTS_ARGPARSE, "# a parser built with argparse\n")
+
+
+# ----------------------------------------------------------------------
+# One observer hook per protocol event (obs/observer.py)
+# ----------------------------------------------------------------------
+
+#: The paper's round, recovery and injected faults, one hook each.
+OBSERVER_HOOKS = {
+    "on_token_received",
+    "on_token_sent",
+    "on_multicast",
+    "on_deliver_batch",
+    "on_retransmit_requested",
+    "on_flow_control",
+    "on_membership_event",
+    "on_fault",
+}
+#: What the fold retired: a second hook for a retransmission answer
+#: (``on_multicast(retransmission=True)`` is it), per-phase recovery hooks
+#: (``on_membership_event("recovery_*")`` are they), the fan-out class, and
+#: the snapshot pass-throughs (``observer.snapshot()`` and
+#: ``render_table`` are they).
+RETIRED_OBSERVER_SURFACE = re.compile(
+    r"\bon_retransmit\b|\bon_recovery_\w|\bCompositeObserver\b"
+    r"|\bmetrics_snapshot\(|\bformat_metrics\b"
+)
+
+
+def _observer_classes(classes, known):
+    """``known`` grown by every class in ``classes`` descended from one
+    of them, by the base's name."""
+    observers = set(known)
+    grown = True
+    while grown:
+        grown = False
+        for cls in classes:
+            bases = {getattr(b, "id", getattr(b, "attr", None)) for b in cls.bases}
+            if cls.name not in observers and bases & observers:
+                observers.add(cls.name)
+                grown = True
+    return observers
+
+
+def _classes(text):
+    return [n for n in ast.walk(ast.parse(text)) if isinstance(n, ast.ClassDef)]
+
+
+def _stale_observer_overrides(sources, known=frozenset({"ProtocolObserver"})):
+    """``Class.on_x`` for every ``on_*`` method, on a class descended
+    from an observer class in ``known`` or in its own module, that names
+    no base hook: an override nothing calls any more."""
+    stale = []
+    for text in sources:
+        classes = _classes(text)
+        observers = _observer_classes(classes, known) - {"ProtocolObserver"}
+        stale += [
+            f"{cls.name}.{item.name}"
+            for cls in classes
+            if cls.name in observers
+            for item in cls.body
+            if isinstance(item, ast.FunctionDef)
+            and item.name.startswith("on_")
+            and item.name not in OBSERVER_HOOKS
+        ]
+    return sorted(stale)
+
+
+def test_one_observer_hook_per_protocol_event():
+    from repro.obs.observer import ProtocolObserver
+
+    assert {name for name in vars(ProtocolObserver) if name.startswith("on_")} == OBSERVER_HOOKS
+    tests = {
+        str(path.relative_to(REPO)): path.read_text()
+        for path in sorted((REPO / "tests").rglob("*.py"))
+        if path != Path(__file__)
+    }
+    found = [
+        f"{name}:{number}: {line.strip()}"
+        for name, text in {**_sources(), **tests}.items()
+        for number, line in enumerate(text.splitlines(), start=1)
+        if RETIRED_OBSERVER_SURFACE.search(line)
+    ]
+    assert found == []
+    # Observer classes in src/ (tests subclass them too), then every
+    # override in src/ and tests/ names a hook the stack still fires.
+    package = [cls for text in _sources().values() for cls in _classes(text)]
+    known = _observer_classes(package, {"ProtocolObserver"})
+    assert {"MetricsObserver", "CoverageObserver", "NullObserver"} <= known
+    assert _stale_observer_overrides(_sources().values(), known) == []
+    assert _stale_observer_overrides(tests.values(), known) == []
+
+
+def test_the_observer_hook_patterns_bite():
+    for line in (
+        "    def on_recovery_started(self, pid, detail=None, now=None):",
+        "                        observer.on_retransmit(pid, requested, now=now)",
+        "from repro.obs.observer import CompositeObserver, MetricsObserver",
+        "    snap = cluster.metrics_snapshot()",
+        "print(format_metrics(observer.registry, title=title))",
+        '            getattr(self.observer, "on_recovery_retry")(self.pid, detail=detail)',
+    ):
+        assert RETIRED_OBSERVER_SURFACE.search(line), line
+    for line in (
+        "    def on_retransmit_requested(self, pid, seq, now=None):",
+        '        self._notify("recovery_started", ring_id=rec.new_ring_id)',
+        "    def _on_recovery_timeout(self, effects):",
+        "def test_runtime_nodes_produce_metrics_snapshot():",
+    ):
+        assert not RETIRED_OBSERVER_SURFACE.search(line), line
+    old = (
+        "class _RecoveryWindows(ProtocolObserver):\n"
+        "    def on_recovery_started(self, pid, detail=None, now=None): ...\n"
+        "class Counting(_RecoveryWindows):\n"
+        "    def on_retransmit(self, pid, seq, now=None): ...\n"
+        "    def on_multicast(self, pid, message, retransmission=False, now=None): ...\n"
+        "class Tap:\n"
+        "    def on_config(self, pid, configuration): ...\n"
+    )
+    assert _stale_observer_overrides([old]) == [
+        "Counting.on_retransmit",
+        "_RecoveryWindows.on_recovery_started",
+    ]

@@ -48,7 +48,7 @@ def test_profile_defaults_resolve_per_mode():
 
 def test_assign_and_assignments_merge():
     builder = (
-        ClusterBuilder().rings(2).assign("hot", 1).assignments({"cold": 0})
+        ClusterBuilder().rings(2).assign("hot", 1).assign("cold", 0)
     )
     shard_map = builder.shard_map()
     assert shard_map.shard_of("hot") == 1
@@ -108,13 +108,13 @@ def test_fabric_spec_validation():
             .build()
         )
     with pytest.raises(ConfigurationError):
-        # Per-host impairments don't span multi-ring clusters.
+        # Impairments don't span multi-ring clusters.
         (
             ClusterBuilder()
             .rings(2)
             .hosts(2)
             .membership()
-            .impair_map({0: ReorderModel(rate=0.1)})
+            .impair(ReorderModel(rate=0.1))
             .build()
         )
 
