@@ -31,9 +31,10 @@ from repro.sim.build import ClusterBuilder
 from repro.sim.membership_driver import DeliveryTap, MembershipCluster
 from repro.sim.profiles import DAEMON, SPREAD
 from repro.spread.fragmentation import Fragmenter, FragmentReassembler
-from repro.spread.wire import ENV_FRAGMENT, decode_envelope, frames_prefix
+from repro.spread.frames import Payload, frames_prefix, pack_groupcasts, walk_frames
+from repro.spread.wire import ENV_FRAGMENT, decode_envelope
 from repro.conformance.workload import Workload, make_label
-from repro.util.errors import ConfigurationError
+from repro.util.errors import CodecError, ConfigurationError
 
 #: The implementations under differential test, in comparison order (the
 #: first listed is the baseline the others are compared against).
@@ -57,15 +58,18 @@ class ConformanceTap(DeliveryTap):
     install, ``("r",)`` for a process restart, and ``("mark", name)``
     for a harness phase boundary.  With ``decode=True`` the tap undoes
     what a daemon orders — fragments are reassembled (per receiving
-    participant, keyed by origin) and a frames container's groupcasts
-    are walked — so the recorded labels are application-level regardless
-    of how the toolkit layered them onto ordered messages.
+    participant, keyed by origin) and a frames container is taken apart
+    by the daemon's own :func:`~repro.spread.frames.walk_frames`, each
+    run decoded as a member's client decodes the slice a daemon hands
+    it — so the recorded labels are application-level regardless of how
+    the toolkit layered them onto ordered messages.
     """
 
     def __init__(self, decode: bool = False) -> None:
         self.decode = decode
         self.streams: Dict[int, List[tuple]] = {}
         self._reassemblers: Dict[int, FragmentReassembler] = {}
+        self._headers = ipc.GroupcastHeaders()
 
     def _stream(self, pid: int) -> List[tuple]:
         return self.streams.setdefault(pid, [])
@@ -86,7 +90,13 @@ class ConformanceTap(DeliveryTap):
                 payload = reassembler.accept(message.pid, decode_envelope(payload))
                 if payload is None:
                     continue
-            stream.extend((MSG, label) for label in _groupcast_payloads(payload))
+            try:
+                runs, _skipped = walk_frames(payload, message.service)
+            except CodecError:
+                continue  # a daemon forwards nothing of it either
+            for _header, start, end, _count in runs:
+                for _opcode, body in ipc.FrameDecoder().feed(payload[start:end]):
+                    stream.append((MSG, body[self._headers.parse(body)[2] :]))
 
     def on_config(self, pid, configuration) -> None:
         self._stream(pid).append(
@@ -177,40 +187,6 @@ class VariantRun:
         return out
 
 
-def _groupcast_payloads(container: bytes) -> List[bytes]:
-    """The payloads of a frames container's groupcasts, in order:
-    ``[B ENV_FRAMES][!H len][sender]`` and then the frames as a client
-    wrote them (PROTOCOL.md §15, "packing")."""
-    at = 3 + int.from_bytes(container[1:3], "big")
-    payloads = []
-    while at < len(container):
-        _opcode, length = ipc.FRAME_HEADER.unpack_from(container, at)
-        at += ipc.FRAME_HEADER.size
-        _groups, _service, payload = ipc.unpack_groupcast(container[at : at + length])
-        payloads.append(payload)
-        at += length
-    return payloads
-
-
-class _SpreadPipeline:
-    """Per-sender framing and fragmentation as a daemon orders a
-    groupcast (:meth:`SpreadDaemon._handle_client_read`): a label is the
-    groupcast frame a client writes, in a frames container of one frame,
-    or that container's fragments when it is longer than one."""
-
-    def __init__(self, num_hosts: int) -> None:
-        # Fragment ids persist across restarts on purpose: a restarted
-        # daemon must not reuse a frag id its old incarnation already
-        # put into the order.
-        self.fragmenters = {pid: Fragmenter() for pid in range(num_hosts)}
-
-    def payloads(self, pid: int, label: bytes) -> List[bytes]:
-        container = frames_prefix(f"h{pid}") + ipc.pack_groupcast(
-            ["conformance"], DeliveryService.AGREED, label
-        )
-        return self.fragmenters[pid].fragment(container)
-
-
 def run_variant(
     variant: str,
     workload: Workload,
@@ -247,7 +223,14 @@ def run_variant(
     if observer is not None:
         builder.observe(observer)
     cluster = builder.build_membership()
-    pipeline = _SpreadPipeline(workload.num_hosts) if spread else None
+    # One fragmenter per daemon, as a daemon has; fragment ids persist
+    # across restarts on purpose: a restarted daemon must not reuse a
+    # frag id its old incarnation already put into the order.
+    fragmenters = (
+        {pid: Fragmenter() for pid in range(workload.num_hosts)} if spread else None
+    )
+    headers = ipc.GroupcastHeaders()
+    groupcast_header = ipc.groupcast_header(["conformance"], DeliveryService.AGREED)
     next_index: Dict[int, int] = {}
 
     def submit_label(pid: int, oversized: bool) -> None:
@@ -259,17 +242,23 @@ def run_variant(
         label = make_label(
             pid, index, pad_to=workload.oversized_bytes if oversized else 0
         )
-        if pipeline is None:
+        if fragmenters is None:
             host.submit(
                 payload=label,
                 service=DeliveryService.AGREED,
                 payload_size=workload.label_size(label),
             )
             return
-        for payload in pipeline.payloads(pid, label):
+        # A daemon's read of the one groupcast a client wrote for it.
+        payloads: List[Payload] = []
+        pack_groupcasts(
+            frames_prefix(f"h{pid}"), [(ipc.OP_GROUPCAST, groupcast_header + label)], 0,
+            headers.parse, fragmenters[pid], payloads,
+        )
+        for payload, service, _ in payloads:
             host.submit(
                 payload=payload,
-                service=DeliveryService.AGREED,
+                service=service,
                 payload_size=workload.label_size(payload),
             )
 

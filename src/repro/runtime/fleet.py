@@ -35,6 +35,7 @@ from repro.runtime.transport import PeerAddress
 from repro.spread.client_api import SpreadClient
 from repro.spread.daemon import SpreadDaemon
 from repro.util.errors import ConfigurationError
+from repro.util.stats import percentile
 
 #: Membership timeouts for loopback fleets: tight enough that a 3-daemon
 #: ring forms in well under a second and reforms quickly after a crash,
@@ -242,6 +243,7 @@ COUNTERS = (
     "datagrams_send_dropped",
     "containers_sent",
     "envelopes_packed",
+    "messages_fragmented",
 )
 
 
@@ -260,6 +262,7 @@ def _daemon_counters(daemon: SpreadDaemon) -> Dict[str, int]:
         "datagrams_send_dropped": node.transport.datagrams_send_dropped,
         "containers_sent": daemon.containers_sent,
         "envelopes_packed": daemon.envelopes_packed,
+        "messages_fragmented": daemon.fragmenter.messages_fragmented,
     }
 
 
@@ -287,13 +290,6 @@ class _ClientLoopState:
 SILENT_GRACE = 5.0
 #: Ring re-formation allowance after the workload's daemon restart.
 RESTART_FORM_TIMEOUT = 15.0
-
-
-def _percentile(sorted_values: List[float], fraction: float) -> float:
-    if not sorted_values:
-        return 0.0
-    index = min(len(sorted_values) - 1, int(fraction * len(sorted_values)))
-    return sorted_values[index]
 
 
 async def run_fleet_workload(
@@ -426,7 +422,7 @@ async def run_fleet_workload(
     await chaos_task
     elapsed = time.monotonic() - started
 
-    latencies = sorted(lat for state in states for lat in state.latencies)
+    latencies = [lat for state in states for lat in state.latencies]
     total_sent = sum(state.sent for state in states)
     total_acked = sum(state.acked for state in states)
     total_received = sum(state.received_total for state in states)
@@ -439,8 +435,9 @@ async def run_fleet_workload(
         "messages_acked": total_acked,
         "messages_received": total_received,
         "msgs_per_sec": round(total_acked / elapsed, 1) if elapsed > 0 else 0.0,
-        "latency_p50_ms": round(_percentile(latencies, 0.50) * 1e3, 3),
-        "latency_p99_ms": round(_percentile(latencies, 0.99) * 1e3, 3),
+        # A run that acked nothing has no latency: 0, not an error.
+        "latency_p50_ms": round(percentile(latencies, 0.50) * 1e3, 3) if latencies else 0.0,
+        "latency_p99_ms": round(percentile(latencies, 0.99) * 1e3, 3) if latencies else 0.0,
         "reconnects": sum(state.reconnects for state in states),
         "counters": counters,
     }

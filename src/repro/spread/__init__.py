@@ -9,8 +9,8 @@ MTU-sized protocol packets, and fragmentation of large messages.
 
 This package implements that layer on top of the ordering stack:
 
-* :mod:`repro.spread.wire` — envelopes carried inside ordered messages
-  (application data, group joins/leaves, packed containers, fragments).
+* :mod:`repro.spread.wire` / :mod:`repro.spread.frames` — envelopes in
+  ordered messages, and the frames container every groupcast rides in.
 * :mod:`repro.spread.groups` — a replicated group directory driven by
   the total order, so every daemon sees identical group views.
 * :mod:`repro.spread.packing` — greedy packing of small messages into

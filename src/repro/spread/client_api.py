@@ -1,18 +1,12 @@
 """Client library for the Spread-like daemon.
 
-:class:`SpreadClient` is the classic single-daemon client.  With the
-multi-ring layer, group traffic may be sharded across several daemons
-(one per ring); clients stay oblivious by either
-
-* passing ``shard_map`` to a :class:`SpreadClient` and asking
-  :meth:`SpreadClient.shard_of` which daemon owns a group, or
-* using :class:`ShardedSpreadClient`, which holds one connection per
-  shard, routes ``join``/``leave``/``multicast`` through the
-  :class:`~repro.multiring.shard_map.ShardMap` transparently, and
-  consumes deliveries in the deterministic round-robin merge order
-  (docs/PROTOCOL.md §11).
-
-The old single-daemon signature is unchanged.
+:class:`SpreadClient` is the single-daemon client.  With the multi-ring
+layer, group traffic may be sharded across several daemons (one per
+ring): :class:`ShardedSpreadClient` holds one :class:`SpreadClient` per
+shard, routes ``join``/``leave``/``multicast`` through the
+:class:`~repro.multiring.shard_map.ShardMap` transparently, and consumes
+deliveries in the deterministic round-robin merge order
+(docs/PROTOCOL.md §11).
 """
 
 from __future__ import annotations
@@ -74,19 +68,10 @@ class SpreadClient:
         event = await client.receive()
     """
 
-    def __init__(
-        self,
-        endpoint: EndpointSpec,
-        name: str = "",
-        *,
-        shard_map: Optional[ShardMap] = None,
-    ) -> None:
+    def __init__(self, endpoint: EndpointSpec, name: str = "") -> None:
         self.endpoint: Endpoint = ipc.parse_endpoint(endpoint)
         self.private_name = name
         self.member_name: Optional[str] = None
-        #: Optional group → ring map for sharded deployments; without
-        #: one, every group lives on this client's single daemon.
-        self.shard_map = shard_map
         #: The connection to the daemon: frames are read from it and
         #: written to it.
         self._connection: Optional[ipc.FrameProtocol] = None
@@ -95,14 +80,6 @@ class SpreadClient:
         #: ``(groups, service)`` -> the packed header :meth:`multicast`
         #: sends for it (bounded like the receive side).
         self._sent_headers: Dict[Tuple[Tuple[str, ...], DeliveryService], bytes] = {}
-
-    def shard_of(self, group: str) -> int:
-        """The ring (shard) that orders ``group``.
-
-        Always ``0`` for an unsharded client — a single daemon is the
-        one-ring case — so callers can ask unconditionally.
-        """
-        return 0 if self.shard_map is None else self.shard_map.shard_of(group)
 
     async def connect(self) -> str:
         """Connect and return the daemon-qualified member name."""
@@ -249,15 +226,6 @@ class ShardedSpreadClient:
             )
         self.private_name = name
         self._turn = 0
-
-    @property
-    def num_shards(self) -> int:
-        return len(self._clients)
-
-    @property
-    def member_names(self) -> Tuple[Optional[str], ...]:
-        """Daemon-qualified member name on each shard (None until connected)."""
-        return tuple(client.member_name for client in self._clients)
 
     def shard_of(self, group: str) -> int:
         """The ring (shard) that orders ``group``."""

@@ -28,10 +28,8 @@ from __future__ import annotations
 import asyncio
 import functools
 import os
-import struct
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.core.codec import DATA_HEADER_BYTES
 from repro.core.messages import DataMessage, DeliveryService
 from repro.evs.configuration import Configuration
 from repro.runtime import ipc
@@ -41,8 +39,9 @@ from repro.runtime.backpressure import (
     flush_all,
 )
 from repro.runtime.node import RingNode
-from repro.runtime.transport import DATAGRAM_BUDGET, PeerAddress
+from repro.runtime.transport import PeerAddress
 from repro.spread.fragmentation import Fragmenter, FragmentReassembler
+from repro.spread.frames import Payload, frames_prefix, pack_groupcasts, walk_frames
 from repro.spread.groups import GroupDirectory, qualify
 from repro.spread.wire import (
     ENV_FRAGMENT,
@@ -52,7 +51,6 @@ from repro.spread.wire import (
     GroupJoin,
     GroupLeave,
     decode_envelope,
-    frames_prefix,
 )
 from repro.util.errors import CodecError
 
@@ -61,15 +59,7 @@ from repro.util.errors import CodecError
 #: over.
 ROUTE_MEMO_CAP = 1024
 
-#: Bytes one frames container may take: what one data datagram carries
-#: of a single message's payload (PROTOCOL.md §15, "packing").
-CONTAINER_BUDGET = DATAGRAM_BUDGET - DATA_HEADER_BYTES
-
 _OP_GROUPCAST = ipc.OP_GROUPCAST
-_group_list_end = ipc.group_list_end
-_pack_frame_header = ipc.FRAME_HEADER.pack
-_unpack_frame_header = ipc.FRAME_HEADER.unpack_from
-_FRAME_HEADER_SIZE = ipc.FRAME_HEADER.size
 
 
 class _ClientSession:
@@ -91,14 +81,10 @@ class _ClientSession:
 
 class SpreadDaemon:
     """A group-aware daemon on one server: a ring node serving local
-    clients.
-
-    ``pack_budget`` is only the fragment chunk size: a groupcast whose
-    one-frame container is longer than it is ordered as that container's
-    fragments, and so is a longer join or leave.  It is not the budget of
-    a frames container — that is :data:`CONTAINER_BUDGET`, derived from
-    the datagram budget and not an option (PROTOCOL.md §15, "packing").
-    """
+    clients.  How its clients' groupcasts are ordered — the frames
+    container, its budget and the fragment fence — is
+    :mod:`repro.spread.frames`'s, not an option (PROTOCOL.md §15,
+    "packing")."""
 
     def __init__(
         self,
@@ -106,7 +92,6 @@ class SpreadDaemon:
         peers: Dict[int, PeerAddress],
         socket_path: str,
         accelerated: bool = True,
-        pack_budget: int = 1350,
         tcp_port: Optional[int] = None,
         client_window_bytes: int = DEFAULT_CLIENT_WINDOW_BYTES,
         **node_kwargs,
@@ -139,14 +124,7 @@ class SpreadDaemon:
         #: Clients disconnected for sending a frame that does not decode.
         self.clients_dropped_malformed = 0
         self.directory = GroupDirectory()
-        self.fragmenter = Fragmenter(chunk_size=pack_budget)
-        #: The groupcast frames of one client read not yet submitted,
-        #: head and body each (empty between reads), their bytes, their
-        #: service and their client.
-        self._pending: List[bytes] = []
-        self._pending_size = 0
-        self._pending_service = DeliveryService.AGREED
-        self._pending_session: Optional[_ClientSession] = None
+        self.fragmenter = Fragmenter()
         #: Frames containers submitted, and the groupcasts inside them.
         self.containers_sent = 0
         self.envelopes_packed = 0
@@ -271,11 +249,12 @@ class SpreadDaemon:
         it ended on a malformed frame, its queue written out and closed
         in a task."""
         self._detach(session)
+        submit = self.node.submit
         for group in sorted(session.joined):
-            self._submit_envelope(
-                GroupLeave(member=session.member_name, group=group).encode(),
-                DeliveryService.AGREED,
-            )
+            for payload, service, _ in self._change_payloads(
+                GroupLeave(session.member_name, group)
+            ):
+                submit(payload=payload, service=service)
         if isinstance(reason, CodecError):
             self.clients_dropped_malformed += 1
         task = asyncio.get_running_loop().create_task(self._close_queue(session.queue))
@@ -307,117 +286,109 @@ class SpreadDaemon:
         self, session: _ClientSession, frames: List[ipc.Frame]
     ) -> None:
         """The frames one read of ``session``'s connection completed, in
-        order (PROTOCOL.md §15, "packing").  Each groupcast is validated
-        and its frame kept as the client wrote it, to be submitted with
-        the read's others as one frames container of at most
-        :data:`CONTAINER_BUDGET` bytes — a read of one groupcast is a
-        container of one frame; the frames kept are submitted on a change
-        of service, before a join or a leave, before a groupcast whose
-        one-frame container must fragment, and at the end of the read — a
-        ``CodecError`` included, so the frames ahead of a malformed one
-        are ordered before the session's leaves."""
-        pending = self._pending
-        parse = self._headers.parse
-        self._pending_session = session
-        prefix = session.frames_prefix
-        room = CONTAINER_BUDGET - len(prefix)
-        # The longest frame whose one-frame container is one fragment.
-        largest = self.fragmenter.chunk_size - len(prefix)
+        order (PROTOCOL.md §15, "packing").  Each run of groupcasts is
+        packed by :func:`~repro.spread.frames.pack_groupcasts` into as few
+        frames containers as fit; a join or a leave is ordered behind the
+        groupcasts before it.  What the read orders is submitted at its
+        end — a ``CodecError`` included, so the frames ahead of a
+        malformed one are ordered before the session's leaves."""
+        pending: List[Payload] = []
+        at = 0
+        stop = len(frames)
         try:
-            for opcode, body in frames:
+            while at < stop:
+                opcode, body = frames[at]
                 if opcode == _OP_GROUPCAST:  # the hot case, tested first
-                    # Validate here, forward after: the header is checked
-                    # (once per distinct header) and the frame is kept
-                    # byte for byte.
-                    _groups, service, _end = parse(body)
-                    if service is not self._pending_service:
-                        self._flush_pending()
-                        self._pending_service = service
-                    length = len(body)
-                    head = _pack_frame_header(_OP_GROUPCAST, length)
-                    size = _FRAME_HEADER_SIZE + length
-                    if size > largest:
-                        # Alone, as the fragments of its one-frame container.
-                        self._submit_envelope(prefix + head + body, service)
-                        self.containers_sent += 1
-                        self.envelopes_packed += 1
-                        continue
-                    if self._pending_size + size > room:
-                        self._flush_pending()
-                    pending += (head, body)
-                    self._pending_size += size
-                elif opcode == ipc.OP_JOIN:
+                    at = pack_groupcasts(
+                        session.frames_prefix, frames, at, self._headers.parse,
+                        self.fragmenter, pending,
+                    )
+                    continue
+                if opcode == ipc.OP_JOIN:
                     group = ipc.unpack_group_op(body)
                     session.joined.add(group)
-                    self._submit_envelope(
-                        GroupJoin(member=session.member_name, group=group).encode(),
-                        DeliveryService.AGREED,
-                    )
+                    pending += self._change_payloads(GroupJoin(session.member_name, group))
                 elif opcode == ipc.OP_LEAVE:
                     group = ipc.unpack_group_op(body)
                     session.joined.discard(group)
-                    self._submit_envelope(
-                        GroupLeave(member=session.member_name, group=group).encode(),
-                        DeliveryService.AGREED,
-                    )
+                    pending += self._change_payloads(GroupLeave(session.member_name, group))
                 else:
                     raise CodecError(f"unexpected client opcode {opcode}")
+                at += 1
         finally:
-            self._flush_pending()
+            submit = self.node.submit
+            for payload, service, groupcasts in pending:
+                submit(payload=payload, service=service)
+                if groupcasts:
+                    self.containers_sent += 1
+                    self.envelopes_packed += groupcasts
 
-    def _flush_pending(self) -> None:
-        """Submit the frames kept as one frames container."""
-        pending = self._pending
-        if not pending:
-            return
-        self.containers_sent += 1
-        self.envelopes_packed += len(pending) >> 1
-        pending.insert(0, self._pending_session.frames_prefix)
-        payload = b"".join(pending)
-        pending.clear()
-        self._pending_size = 0
-        self.node.submit(payload=payload, service=self._pending_service)
-
-    def _submit_envelope(self, envelope: bytes, service: DeliveryService) -> None:
-        """Submit ``envelope`` now, behind the frames kept: whole if it
-        fits the fragment chunk size, else as its fragments in order."""
-        self._flush_pending()
-        submit = self.node.submit
-        for piece in self.fragmenter.fragment(envelope):
-            submit(payload=piece, service=service)
+    def _change_payloads(self, change: Union[GroupJoin, GroupLeave]) -> List[Payload]:
+        """The payloads that order a join or a leave: the envelope whole
+        if it fits the fragment chunk size, else its fragments in order."""
+        return [
+            (piece, DeliveryService.AGREED, 0)
+            for piece in self.fragmenter.fragment(change.encode())
+        ]
 
     # ------------------------------------------------------------------
     # Ordered delivery side
     # ------------------------------------------------------------------
 
     def _ordered_delivery(self, messages: Sequence[DataMessage], config_id: int) -> None:
-        """Apply one delivered run.  Never raises into the ordering
-        pass: an envelope that does not decode is counted and skipped —
-        every daemon sees the same bytes, so all skip alike."""
+        """Apply one delivered run: each frames container's groupcasts
+        are forwarded, each run of consecutive frames with one route as
+        one slice of the container (:func:`~repro.spread.frames.walk_frames`
+        takes it apart and skips what it must).  Never raises into the
+        ordering pass: an envelope that does not decode is counted and
+        skipped — every daemon sees the same bytes, so all skip alike.
+        The forwarder reads neither the sender nor the payloads."""
+        chunk = self._chunk
         for message in messages:
-            payload = message.payload
+            container = message.payload
             try:
-                if payload and payload[0] == ENV_FRAMES:  # the hot case
-                    self._forward_frames(payload, message.service)
-                else:
-                    self._apply_envelope(payload, message)
+                if not container or container[0] != ENV_FRAMES:
+                    container = self._apply_envelope(container, message)
+                    if container is None:
+                        continue
+                runs, skipped = walk_frames(
+                    container, message.service, self._last_header, self._routes
+                )
             except CodecError:
                 self.envelopes_undecodable += 1
+                continue
+            if skipped:
+                self.envelopes_undecodable += skipped
+            for header, start, end, count in runs:
+                if header is not self._last_header:
+                    route = self._routes.get(header)
+                    if route is None:
+                        route = self._resolve_route(header)
+                    self._last_header = header
+                    self._last_route = route
+                route = self._last_route
+                if route != self._chunk_route:
+                    self._cut_chunk()
+                    self._chunk_route = route
+                if route:
+                    chunk.append(container[start:end])
+                    self._chunk_count += count
         self._cut_chunk()
 
     def _apply_envelope(
         self, envelope: bytes, message: DataMessage, reassembled: bool = False
-    ) -> None:
+    ) -> Optional[bytes]:
         """One envelope that is not a frames container straight off the
         order: a fragment or (``reassembled``) what its fragments made, a
-        join, a leave."""
+        join, a leave.  Returns the frames container fragments completed,
+        for the caller to forward."""
         tag = envelope[0] if envelope else None
         if tag == ENV_FRAGMENT and not reassembled:
             whole = self.reassembler.accept(message.pid, decode_envelope(envelope))
             if whole is not None:
-                self._apply_envelope(whole, message, reassembled=True)
+                return self._apply_envelope(whole, message, reassembled=True)
         elif tag == ENV_FRAMES:  # reassembled: a groupcast past one fragment
-            self._forward_frames(envelope, message.service)
+            return envelope
         elif tag == ENV_JOIN or tag == ENV_LEAVE:
             change = decode_envelope(envelope)
             if isinstance(change, GroupJoin):
@@ -427,96 +398,7 @@ class SpreadDaemon:
             self._notify_views()
         else:
             raise CodecError(f"unexpected envelope tag {tag}")
-
-    def _forward_frames(self, container: bytes, service: DeliveryService) -> None:
-        """Forward the groupcast frames of a frames container, each run of
-        consecutive frames with one route as one slice of the container.
-
-        The container is walked once, before anything is forwarded: a
-        frame running past it makes the whole container a ``CodecError``;
-        a frame that is not a groupcast under the container's service, or
-        whose group list does not decode, is counted undecodable and
-        skipped, and the frames around it are forwarded.  The forwarder
-        reads neither the sender nor the payloads.
-        """
-        size = len(container)
-        if size < 3:
-            raise CodecError(f"truncated frames container: {size} bytes")
-        at = 3 + ((container[1] << 8) | container[2])
-        if at > size:
-            raise CodecError("truncated sender")
-        last_route = self._last_route
-        # A groupcast body that starts with this has the last route.  A
-        # header begins with its service byte: one under another service
-        # than the container's would pass frames that must be skipped.
-        expect = self._last_header
-        if not expect or expect[0] != service:
-            expect = ()
-        # (route, start, end, frames) of each run of one route; the first
-        # run starts here, on the last route until a frame says otherwise.
-        runs = []
-        route = last_route
-        first = at
-        count = skipped = 0
-        try:
-            while at < size:
-                opcode, length = _unpack_frame_header(container, at)
-                body = at + _FRAME_HEADER_SIZE
-                end = body + length
-                if end > size:
-                    raise CodecError("truncated frame")
-                if opcode == _OP_GROUPCAST and container.startswith(expect, body, end):
-                    frame_route = last_route
-                else:
-                    frame_route = self._frame_route(container, opcode, body, end, service)
-                    if frame_route is not None:
-                        expect = self._last_header
-                        last_route = frame_route
-                if frame_route is not route:
-                    if count:
-                        runs.append((route, first, at, count))
-                    route = frame_route
-                    first = at
-                    count = 0
-                if frame_route is None:
-                    skipped += 1
-                else:
-                    count += 1
-                at = end
-        except struct.error:
-            raise CodecError("truncated frame header") from None
-        if count:
-            runs.append((route, first, at, count))
-        if skipped:
-            self.envelopes_undecodable += skipped
-        chunk = self._chunk
-        for route, first, end, count in runs:
-            if route != self._chunk_route:
-                self._cut_chunk()
-                self._chunk_route = route
-            if route:
-                chunk.append(container[first:end])
-                self._chunk_count += count
-
-    def _frame_route(
-        self, container: bytes, opcode: int, body: int, end: int, service: DeliveryService
-    ) -> Optional[Tuple[_ClientSession, ...]]:
-        """The route of the frame whose body is ``container[body:end]``,
-        its header not the last one forwarded, remembered as the last one;
-        ``None`` if it is not a groupcast under ``service`` or its group
-        list does not decode."""
-        if opcode != _OP_GROUPCAST or body == end or container[body] != service:
-            return None
-        try:
-            header = container[body : _group_list_end(container, body + 1, end)]
-            route = self._routes.get(header)
-            if route is None:
-                route = self._resolve_route(header)
-        except CodecError:
-            return None
-        self._last_header = header
-        self._last_route = route
-        return route
+        return None
 
     def _cut_chunk(self) -> None:
         """Hand the pending chunk to each session of its route: one

@@ -15,19 +15,21 @@ from typing import Dict, List, Optional, Tuple
 from repro.spread.wire import Fragment, encode_fragment
 from repro.util.errors import CodecError, ConfigurationError
 
+#: The fragment chunk size: an envelope longer than this is ordered as
+#: its fragments (PROTOCOL.md §15, "packing").  A daemon's and the
+#: differential's spread variant's fragmenters both use it.
+FRAGMENT_CHUNK = 1300
+
 
 class Fragmenter:
     """Splits oversized envelope bytes into Fragment envelopes."""
 
-    def __init__(self, chunk_size: int = 1300) -> None:
+    def __init__(self, chunk_size: int = FRAGMENT_CHUNK) -> None:
         if chunk_size < 16:
             raise ConfigurationError(f"chunk_size too small: {chunk_size}")
         self.chunk_size = chunk_size
         self._ids = itertools.count(1)
         self.messages_fragmented = 0
-
-    def needs_fragmentation(self, encoded: bytes) -> bool:
-        return len(encoded) > self.chunk_size
 
     def fragment(self, encoded: bytes) -> List[bytes]:
         """Split one encoded envelope into fragment envelopes.
@@ -36,7 +38,7 @@ class Fragmenter:
         input is copied exactly once, into its fragment envelope, instead
         of once for the slice and again for the header concatenation.
         """
-        if not self.needs_fragmentation(encoded):
+        if len(encoded) <= self.chunk_size:
             return [encoded]
         frag_id = next(self._ids)
         chunk_size = self.chunk_size

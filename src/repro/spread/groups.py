@@ -62,14 +62,6 @@ class GroupDirectory:
     def members(self, group: str) -> Tuple[str, ...]:
         return tuple(self._groups.get(group, ()))
 
-    def groups_of(self, member: str) -> List[str]:
-        return sorted(
-            name for name, members in self._groups.items() if member in members
-        )
-
-    def is_member(self, member: str, group: str) -> bool:
-        return member in self._groups.get(group, ())
-
     # ------------------------------------------------------------------
 
     def apply_join(self, member: str, group: str) -> bool:
@@ -92,20 +84,6 @@ class GroupDirectory:
         if not members:
             del self._groups[group]
         return True
-
-    def apply_member_disconnect(self, member: str) -> List[str]:
-        """Remove a disconnected client from every group it joined.
-
-        The affected groups come back sorted: every daemon processes
-        the same disconnect against the same directory state, so the
-        view notifications it fans out must be emitted in the same
-        order everywhere.
-        """
-        affected = []
-        for group in sorted(self._groups):
-            if self.apply_leave(member, group):
-                affected.append(group)
-        return affected
 
     def apply_configuration(self, daemon_pids: Iterable[int]) -> List[str]:
         """Prune members whose daemon is no longer in the configuration.

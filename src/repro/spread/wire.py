@@ -4,8 +4,8 @@ The ordering layer treats payloads as opaque (paper §III-C: "This is not
 inspected or used by the protocol"); the toolkit layer structures them as
 envelopes: frames containers of one client's groupcasts, group
 membership operations, and fragments of large messages.  A daemon orders
-every client groupcast inside a frames container (PROTOCOL.md §15,
-"packing").  The bare ``AppData`` envelope and the ``Packed`` container
+every client groupcast inside a frames container, whose layout is
+:mod:`repro.spread.frames`'s (PROTOCOL.md §15, "packing").  The bare ``AppData`` envelope and the ``Packed`` container
 of encoded envelopes are the reference codec: the frozen micros and
 the tests speak them, and no daemon (nor the conformance spread
 mirror) submits or forwards either.
@@ -44,14 +44,6 @@ def _unpack_str(data: bytes, offset: int) -> Tuple[str, int]:
     if start + length > len(data):
         raise CodecError("truncated string")
     return data[start : start + length].decode("utf-8"), start + length
-
-
-def frames_prefix(sender: str) -> bytes:
-    """The bytes of an ``ENV_FRAMES`` container before its frames: the
-    tag and the sender.  The frames follow as the client wrote them,
-    ``{[!BI OP_GROUPCAST, n][service][B count]{[!H len][group]}*[payload]}*``
-    (PROTOCOL.md §15, "packing")."""
-    return _TAG.pack(ENV_FRAMES) + _pack_str(sender)
 
 
 def packed_item_spans(container: bytes) -> List[Tuple[int, int]]:

@@ -12,9 +12,15 @@ import pytest
 
 from repro.conformance.differ import run_differential
 from repro.conformance.explorer import explore_instants, harvest_instants
-from repro.conformance.variants import MSG, VARIANT_NAMES, run_variant
-from repro.conformance.workload import Workload
+from repro.conformance.variants import MSG, VARIANT_NAMES, ConformanceTap, run_variant
+from repro.conformance.workload import Workload, make_label
+from repro.core.messages import DataMessage, DeliveryService
 from repro.faults.generator import build_plan
+from repro.runtime import ipc
+from repro.sim.membership_driver import MembershipHost
+from repro.spread.fragmentation import FRAGMENT_CHUNK
+from repro.spread.frames import frames_prefix
+from tests.unit.test_spread_daemon_logic import attach_member, deliver, frames, make_daemon
 
 SEED = 3
 
@@ -167,3 +173,93 @@ def test_small_exploration_finds_no_divergence_and_accounts_schedules():
         report.ran + report.deduped + report.skipped_budget
     )
     assert report.coverage.hit("coverage.deliver.messages") > 0
+
+
+# -- the spread variant orders and reads what a daemon does ---------------
+
+#: The sender name the spread variant gives host 0's daemon.
+H0 = frames_prefix("h0")
+#: The groupcast header of every label the spread variant orders.
+LABEL_HEADER = ipc.groupcast_header(["conformance"], DeliveryService.AGREED)
+#: Groupcast frame sizes around the fragment fence: a frame of
+#: ``FENCE`` bytes makes a one-frame container of exactly the chunk size.
+FENCE = FRAGMENT_CHUNK - len(H0)
+FRAME_SIZES = {
+    "fence-1": FENCE - 1,
+    "fence": FENCE,
+    "fence+1": FENCE + 1,
+    "1301-1350-band": 1320,
+    "2000": 2000,
+}
+
+
+def _variant_payloads(monkeypatch, label_size):
+    """What the spread variant submits for host 0's one label of
+    ``label_size`` bytes: ``(payload, service)`` each, in order."""
+    submitted = []
+    original = MembershipHost.submit
+
+    def recording(self, payload=b"", service=DeliveryService.AGREED, payload_size=None):
+        if self.pid == 0:
+            submitted.append((payload, service))
+        original(self, payload, service, payload_size)
+
+    monkeypatch.setattr(MembershipHost, "submit", recording)
+    workload = Workload(
+        num_hosts=2, rounds=1, burst_size=1, probe_burst=0,
+        oversized_index=0, oversized_bytes=label_size,
+    )
+    run_variant("spread", workload, seed=SEED)
+    return submitted
+
+
+@pytest.mark.parametrize("frame_size", FRAME_SIZES.values(), ids=FRAME_SIZES.keys())
+def test_spread_variant_submits_what_a_daemon_submits(monkeypatch, frame_size):
+    """Around the fragment fence, inside the band where the chunk sizes
+    of the daemon and of its mirror once differed, and well past it, the
+    variant orders a label as the bytes a daemon submits for a client
+    read of that one groupcast."""
+    label = make_label(0, 0, pad_to=frame_size - ipc.FRAME_HEADER.size - len(LABEL_HEADER))
+    daemon = make_daemon()
+    session = attach_member(daemon, "h0")
+    submitted = []
+    daemon.node.submit = lambda payload, service: submitted.append((payload, service))
+    daemon._handle_client_read(session, [(ipc.OP_GROUPCAST, LABEL_HEADER + label)])
+    assert (len(submitted) > 1) == (frame_size > FENCE)
+    assert _variant_payloads(monkeypatch, len(label)) == submitted
+
+
+def _label_frame(label, service=DeliveryService.AGREED):
+    return ipc.pack_groupcast(["conformance"], service, label)
+
+
+#: Containers with frames a daemon skips or refuses.
+ODD_CONTAINERS = {
+    "non-groupcast-frame": H0 + _label_frame(b"m0.0")
+    + ipc.pack_group_op(ipc.OP_JOIN, "conformance") + _label_frame(b"m0.1"),
+    "other-service": H0 + _label_frame(b"m0.0")
+    + _label_frame(b"m0.1", DeliveryService.SAFE) + _label_frame(b"m0.2"),
+    "empty-groupcast": H0 + _label_frame(b"m0.0")
+    + ipc.pack_frame(ipc.OP_GROUPCAST, b"") + _label_frame(b"m0.1"),
+    "non-utf8-group": H0 + _label_frame(b"m0.0")
+    + ipc.pack_frame(ipc.OP_GROUPCAST, bytes([DeliveryService.AGREED, 1, 0, 1, 0xFF]) + b"x")
+    + _label_frame(b"m0.1"),
+    "truncated-frame": H0 + _label_frame(b"m0.0") + _label_frame(b"m0.1")[:-3],
+    "truncated-header": H0 + _label_frame(b"m0.0") + _label_frame(b"m0.1")[:3],
+}
+
+
+@pytest.mark.parametrize("container", ODD_CONTAINERS.values(), ids=ODD_CONTAINERS.keys())
+def test_the_tap_records_what_a_daemon_hands_a_member(container):
+    message = DataMessage(
+        seq=1, pid=1, round=1, service=DeliveryService.AGREED, payload=container
+    )
+    tap = ConformanceTap(decode=True)
+    tap.on_deliver_batch(0, [message], 1, 0)
+    daemon = make_daemon()
+    member = attach_member(daemon, "m#0", groups=["conformance"])
+    deliver(daemon, message, config_id=1)
+    forwarded = [
+        ipc.unpack_groupcast(frame[ipc.FRAME_HEADER.size :])[2] for frame in frames(member)
+    ]
+    assert [event[1] for event in tap.streams[0] if event[0] == MSG] == forwarded

@@ -2,8 +2,8 @@
 
 The sim-layer fences live in tests/property/test_spread_boundaries.py;
 these re-pin the same edges end to end through actual sockets: payloads
-at the fragmentation chunk fence (MTU−1 / MTU / MTU+1) must survive the
-full daemon pipeline, and a ring must coalesce a visit's messages — by
+whose one-frame container is one byte under, at and one byte over the
+fragment chunk size must survive the full daemon pipeline, and a ring must coalesce a visit's messages — by
 default, up to a byte budget, never into a datagram the kernel refuses —
 while delivering the identical total order.
 """
@@ -16,23 +16,25 @@ import pytest
 
 from repro.core.codec import DATA_HEADER_BYTES
 from repro.core.config import ProtocolConfig
+from repro.core.messages import DeliveryService
+from repro.runtime import ipc
 from repro.runtime.node import RingNode
 from repro.runtime.ports import ephemeral_ring_addresses
 from repro.runtime.transport import DATAGRAM_BUDGET, MAX_UDP_PAYLOAD
 from repro.spread.client_api import SpreadClient
 from repro.spread.daemon import SpreadDaemon
+from repro.spread.fragmentation import FRAGMENT_CHUNK
+from repro.spread.frames import frames_prefix
 from tests.integration.test_runtime import (
     FAST_TIMEOUTS,
     record_data_datagrams,
     wait_until,
 )
 
-#: The spread pipeline's default pack budget / fragmentation chunk size.
-MTU = 1350
-
-
 def test_payloads_at_chunk_fence_roundtrip_over_udp():
-    """MTU−1 and MTU ride one envelope; MTU+1 fragments — all intact."""
+    """A groupcast whose one-frame container is one byte under or at the
+    chunk size is ordered whole; one byte over, as its fragments — all
+    arrive intact."""
 
     async def scenario():
         with tempfile.TemporaryDirectory() as tmp:
@@ -43,7 +45,6 @@ def test_payloads_at_chunk_fence_roundtrip_over_udp():
                     peers,
                     os.path.join(tmp, f"d{pid}.sock"),
                     timeouts=FAST_TIMEOUTS,
-                    pack_budget=MTU,
                 )
                 for pid in range(2)
             ]
@@ -63,7 +64,11 @@ def test_payloads_at_chunk_fence_roundtrip_over_udp():
                 await receiver.connect()
                 await receiver.join("fence")
                 await receiver.wait_for_view("fence", 1)
-                sizes = (MTU - 1, MTU, MTU + 1)
+                container = len(frames_prefix(sender.member_name)) + len(
+                    ipc.pack_groupcast(["fence"], DeliveryService.AGREED, b"")
+                )
+                fence = FRAGMENT_CHUNK - container
+                sizes = (fence - 1, fence, fence + 1)
                 for index, size in enumerate(sizes):
                     # Distinct fill bytes so a mis-reassembled payload
                     # cannot masquerade as its neighbour.
@@ -77,6 +82,7 @@ def test_payloads_at_chunk_fence_roundtrip_over_udp():
                 assert [len(p) for p in payloads] == list(sizes)
                 for index, payload in enumerate(payloads):
                     assert payload == bytes([index + 1]) * len(payload)
+                assert daemons[0].fragmenter.messages_fragmented == 1
                 await sender.close()
                 await receiver.close()
             finally:

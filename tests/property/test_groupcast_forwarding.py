@@ -19,10 +19,10 @@ from hypothesis import example, given, settings, strategies as st
 from repro.core.messages import DeliveryService
 from repro.evs.configuration import Configuration
 from repro.runtime import ipc
-from repro.runtime.transport import local_ring_addresses
 from repro.spread.client_api import GroupMessage, SpreadClient
-from repro.spread.daemon import ROUTE_MEMO_CAP, SpreadDaemon
+from repro.spread.daemon import ROUTE_MEMO_CAP
 from repro.spread.fragmentation import Fragmenter, FragmentReassembler
+from repro.spread.frames import frames_prefix
 from repro.spread.groups import GroupDirectory
 from repro.spread.packing import Packer
 from repro.spread.wire import (
@@ -34,7 +34,6 @@ from repro.spread.wire import (
     Packed,
     decode_envelope,
     encode_fragment,
-    frames_prefix,
 )
 from repro.util.errors import CodecError
 from tests.unit.test_spread_daemon_logic import (
@@ -894,10 +893,8 @@ def test_submit_envelope_submits_what_the_flushed_packer_did(budget):
     fragments once it does not.  The container is 6 bytes longer than
     the bare envelope a read of one groupcast used to be ordered as, so
     the fragment fence sits 6 bytes lower in payload bytes."""
-    daemon = SpreadDaemon(
-        0, local_ring_addresses(range(2), base_port=47000), "/tmp/unused.sock",
-        pack_budget=budget,
-    )
+    daemon = make_daemon()
+    daemon.fragmenter = Fragmenter(chunk_size=budget)
     session = attach_member(daemon, "c#0")
     old_fragmenter, old_packer = Fragmenter(chunk_size=budget), Packer(budget=budget)
     header = len(one_frame("c#0", ("g",), b"", DeliveryService.SAFE))

@@ -23,8 +23,9 @@ from repro.core.codec import encode_data
 from repro.core.messages import DataMessage, DeliveryService
 from repro.runtime import ipc
 from repro.runtime.transport import DATAGRAM_BUDGET
-from repro.spread.daemon import CONTAINER_BUDGET
-from repro.spread.wire import ENV_FRAGMENT, ENV_FRAMES, decode_envelope, frames_prefix
+from repro.spread.fragmentation import FRAGMENT_CHUNK
+from repro.spread.frames import CONTAINER_BUDGET, frames_prefix
+from repro.spread.wire import ENV_FRAGMENT, ENV_FRAMES, decode_envelope
 from tests.property.test_groupcast_forwarding import (
     _PerMessageReference,
     _StreamQueue,
@@ -35,7 +36,6 @@ from tests.unit.test_spread_daemon_logic import attach_member, make_daemon, one_
 #: ``(member, daemon pid)`` of every client: two share daemon 0.
 CLIENTS = (("a#0", 0), ("b#0", 0), ("c#1", 1))
 GROUPS = ("g1", "g2")
-PACK_BUDGET = 1350  # SpreadDaemon's default fragment chunk size
 
 #: A malformed frame, whole: what the decoder or the daemon refuses.
 MALFORMED = {
@@ -58,8 +58,8 @@ NEAR_BUDGET = b"".join(
 
 sizes = st.one_of(
     st.integers(0, 64),
-    st.integers(PACK_BUDGET - 24, PACK_BUDGET + 8),  # around the fragment budget
-    st.sampled_from([1000, 1024, 3 * PACK_BUDGET]),
+    st.integers(FRAGMENT_CHUNK - 24, FRAGMENT_CHUNK + 8),  # around the fragment budget
+    st.sampled_from([1000, 1024, 3 * FRAGMENT_CHUNK]),
 )
 groupcasts = st.builds(
     lambda groups, service, size, fill: ipc.pack_groupcast(
@@ -280,7 +280,7 @@ def test_packed_reads_order_what_one_frame_reads_did(scenario):
             # Only groupcasts whose one-frame container fits the fragment
             # budget are packed, each under the container's service.
             for item in opened(payload):
-                assert len(item) <= PACK_BUDGET
+                assert len(item) <= FRAGMENT_CHUNK
             for opcode, body in found:
                 assert opcode == ipc.OP_GROUPCAST and body[0] == service
         elif payload[0] == ENV_FRAGMENT:

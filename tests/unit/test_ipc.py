@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.messages import DeliveryService
 from repro.runtime import ipc
-from repro.spread.wire import frames_prefix
+from repro.spread.frames import frames_prefix
 from repro.util.errors import CodecError
 
 

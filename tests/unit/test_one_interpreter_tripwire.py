@@ -577,6 +577,26 @@ TRANSMIT_CALLBACK = re.compile(r"\bon_transmit\b")
 SETS_A_TAP = re.compile(r"(?<!\bself)\.tap\s*=(?!=)")
 #: The reference codec's layout, which no daemon orders.
 REFERENCE_CODEC = {"Packer", "unpack_payload", "AppData"}
+#: The spread codec: the envelope layouts (``wire.py``), the frames
+#: container (``frames.py``) and fragments (``fragmentation.py``).
+SPREAD_CODEC = {"spread/wire.py", "spread/frames.py", "spread/fragmentation.py"}
+#: Knowing the frames container's layout: walking client frames by their
+#: head, reading the sender's length, building a container by hand,
+#: decoding a groupcast out of a container slice, sizing a container.
+#: (``runtime/ipc.py`` owns the client frame itself.)
+FRAMES_LAYOUT = re.compile(
+    r"\bFRAME_HEADER\b"
+    r"|\[1:3\]|\[1\]\s*<<\s*8"
+    r"|\bframes_prefix\([^)]*\)\s*\+"
+    r"|\bunpack_groupcast\(\s*\w+\s*\["
+    r"|\bCONTAINER_BUDGET\b"
+)
+#: Knowing a fragment chunk size: a ``Fragmenter`` given a chunk size of
+#: its own, the chunk size read or set, the constant, or the daemon
+#: option that once set it.
+CHUNK_SIZE = re.compile(
+    r"\bFragmenter\(\s*[^)\s]|\bchunk_size\b|\bFRAGMENT_CHUNK\b|\bpack_budget\b"
+)
 
 
 def test_one_transmit_instrument():
@@ -593,6 +613,45 @@ def test_the_spread_mirror_orders_what_a_daemon_orders():
         and (used := _names_used(text) & REFERENCE_CODEC)
     }
     assert found == {}
+    # The daemon and the mirror build and walk frames containers with
+    # the codec's functions, fragmenting at the codec's chunk size: no
+    # module outside the codec knows the layout or a chunk size.
+    assert set(_occurrences(FRAMES_LAYOUT.pattern)) <= SPREAD_CODEC | {"runtime/ipc.py"}
+    assert set(_occurrences(CHUNK_SIZE.pattern)) <= {
+        "spread/fragmentation.py", "spread/frames.py",
+    }
+    variants = _names_used(_sources()["conformance/variants.py"])
+    daemon = _names_used(_sources()["spread/daemon.py"])
+    assert {"pack_groupcasts", "walk_frames"} <= variants & daemon
+
+
+def test_the_frames_layout_patterns_bite():
+    """On the mirror and the daemon as they were before both called the
+    codec: each line of a drifted copy that knows the layout or a chunk
+    size trips a pattern."""
+    for line in (
+        # conformance/variants.py: _groupcast_payloads, _SpreadPipeline
+        '    at = 3 + int.from_bytes(container[1:3], "big")',
+        "        _opcode, length = ipc.FRAME_HEADER.unpack_from(container, at)",
+        "        at += ipc.FRAME_HEADER.size",
+        "        _groups, _service, payload = ipc.unpack_groupcast(container[at : at + length])",
+        '        container = frames_prefix(f"h{pid}") + ipc.pack_groupcast(',
+        # spread/daemon.py: its private container builder and walk
+        "CONTAINER_BUDGET = DATAGRAM_BUDGET - DATA_HEADER_BYTES",
+        "_unpack_frame_header = ipc.FRAME_HEADER.unpack_from",
+        "        at = 3 + ((container[1] << 8) | container[2])",
+    ):
+        assert FRAMES_LAYOUT.search(line), line
+    for line in (
+        "        pack_budget: int = 1350,",
+        "        self.fragmenter = Fragmenter(chunk_size=pack_budget)",
+        "        largest = self.fragmenter.chunk_size - len(prefix)",
+        "        self.fragmenters = {pid: Fragmenter(1300) for pid in range(num_hosts)}",
+    ):
+        assert CHUNK_SIZE.search(line), line
+    assert not FRAMES_LAYOUT.search("        self.frames_prefix = frames_prefix(member_name)")
+    assert not FRAMES_LAYOUT.search("        groups, service, end = self._received_headers.parse(body)")
+    assert not CHUNK_SIZE.search("        self.fragmenter = Fragmenter()")
 
 
 def test_the_transmit_and_mirror_patterns_bite():

@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.messages import DeliveryService
 from repro.multiring import ShardMap
-from repro.spread import ShardedSpreadClient, SpreadClient
+from repro.spread import ShardedSpreadClient
 from repro.spread.client_api import GroupMessage, GroupView
 from repro.util.errors import ConfigurationError
 
@@ -56,15 +56,6 @@ def make_client(events_per_shard, assignments=None):
     stubs = [StubShardClient(events) for events in events_per_shard]
     shard_map = ShardMap(len(stubs), assignments=assignments)
     return ShardedSpreadClient(clients=stubs, shard_map=shard_map), stubs
-
-
-def test_spread_client_shard_of_defaults_to_zero():
-    plain = SpreadClient("unix:///tmp/does-not-matter.sock")
-    assert plain.shard_of("anything") == 0
-    mapped = SpreadClient(
-        "unix:///tmp/does-not-matter.sock", shard_map=ShardMap(2)
-    )
-    assert mapped.shard_of("g0") == ShardMap(2).shard_of("g0")
 
 
 def test_join_and_leave_route_to_owning_shard():
@@ -127,7 +118,6 @@ def test_connect_and_close_fan_out():
     client, stubs = make_client([[], []])
     names = asyncio.run(client.connect())
     assert names == ("stub#0", "stub#0")
-    assert client.member_names == ("stub#0", "stub#0")
     asyncio.run(client.close())
     assert all(stub.closed for stub in stubs)
 
@@ -149,5 +139,4 @@ def test_single_shard_degenerates_to_plain_order():
     client, _ = make_client([[message("a", b"0"), message("a", b"1")]])
     out = asyncio.run(client.receive_messages(2))
     assert [m.payload for m in out] == [b"0", b"1"]
-    assert client.num_shards == 1
     assert client.shard_of("anything") == 0

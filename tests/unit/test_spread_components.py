@@ -78,15 +78,6 @@ class TestGroupDirectory:
         directory = GroupDirectory()
         assert not directory.apply_leave("a#0", "g")
 
-    def test_member_disconnect_leaves_all(self):
-        directory = GroupDirectory()
-        directory.apply_join("a#0", "g1")
-        directory.apply_join("a#0", "g2")
-        directory.apply_join("b#0", "g1")
-        affected = directory.apply_member_disconnect("a#0")
-        assert sorted(affected) == ["g1", "g2"]
-        assert directory.members("g1") == ("b#0",)
-
     def test_configuration_prunes_dead_daemons(self):
         directory = GroupDirectory()
         directory.apply_join("a#0", "g")
@@ -94,12 +85,6 @@ class TestGroupDirectory:
         affected = directory.apply_configuration({0, 1})
         assert affected == ["g"]
         assert directory.members("g") == ("a#0",)
-
-    def test_groups_of(self):
-        directory = GroupDirectory()
-        directory.apply_join("a#0", "g1")
-        directory.apply_join("a#0", "g2")
-        assert directory.groups_of("a#0") == ["g1", "g2"]
 
     def test_dirty_tracking(self):
         directory = GroupDirectory()

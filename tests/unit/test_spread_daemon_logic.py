@@ -1,16 +1,19 @@
 """Unit tests for SpreadDaemon's envelope pipeline, without sockets.
 
 The daemon's delivery-side logic (frames containers, fragment reassembly, group
-updates, client fan-out) is exercised directly with stub sessions.
+updates, client fan-out) and what it submits for a client read are
+exercised directly with stub sessions.
 """
 
-
+import asyncio
 
 from repro.core.messages import DataMessage, DeliveryService
 from repro.runtime import ipc
 from repro.runtime.transport import local_ring_addresses
 from repro.spread.daemon import SpreadDaemon, _ClientSession
-from repro.spread.wire import AppData, GroupJoin, GroupLeave, frames_prefix
+from repro.spread.fragmentation import FRAGMENT_CHUNK
+from repro.spread.frames import frames_prefix
+from repro.spread.wire import AppData, GroupJoin, GroupLeave, decode_envelope
 
 
 class _StubWriter:
@@ -22,6 +25,9 @@ class _StubWriter:
 
     def close(self):
         self._closing = True
+
+    async def wait_closed(self):
+        pass
 
 
 def frames(session):
@@ -53,6 +59,14 @@ def one_frame(sender, groups, payload, service=DeliveryService.AGREED):
     """The frames container a read of one groupcast is ordered as: the
     sender once, then the frame as the client wrote it."""
     return frames_prefix(sender) + ipc.pack_groupcast(list(groups), service, payload)
+
+
+def submissions(daemon):
+    """What the daemon submits to its ring from now on: ``(payload,
+    service)`` each, in order."""
+    submitted = []
+    daemon.node.submit = lambda payload, service: submitted.append((payload, service))
+    return submitted
 
 
 def deliver(daemon, *messages, config_id):
@@ -113,14 +127,14 @@ class TestOrderedDeliveryPipeline:
         daemon = make_daemon()
         member = attach_member(daemon, "a#0")
         deliver(daemon, ordered(GroupJoin("a#0", "g").encode()), config_id=1)
-        assert daemon.directory.is_member("a#0", "g")
+        assert daemon.directory.members("g") == ("a#0",)
         assert len(frames(member)) == 1  # the group view
 
     def test_ordered_leave_clears_membership(self):
         daemon = make_daemon()
         attach_member(daemon, "a#0", groups=["g"])
         deliver(daemon, ordered(GroupLeave("a#0", "g").encode()), config_id=1)
-        assert not daemon.directory.is_member("a#0", "g")
+        assert daemon.directory.members("g") == ()
 
     def test_fragments_reassemble_across_orderings(self):
         daemon = make_daemon()
@@ -146,17 +160,47 @@ class TestOrderedDeliveryPipeline:
 class TestSubmissionPipeline:
     def test_small_payload_submitted_unfragmented(self):
         daemon = make_daemon()
-        submitted = []
-        daemon.node.submit = lambda payload, service: submitted.append(payload)
-        daemon._submit_envelope(one_frame("a#0", ("g",), b"small"), DeliveryService.AGREED)
-        assert len(submitted) == 1
+        session = attach_member(daemon, "a#0")
+        submitted = submissions(daemon)
+        frame = ipc.pack_groupcast(["g"], DeliveryService.AGREED, b"small")
+        daemon._handle_client_read(session, [(ipc.OP_GROUPCAST, frame[ipc.FRAME_HEADER.size :])])
+        assert submitted == [(one_frame("a#0", ("g",), b"small"), DeliveryService.AGREED)]
 
     def test_large_payload_fragmented_on_submit(self):
         daemon = make_daemon()
-        submitted = []
-        daemon.node.submit = lambda payload, service: submitted.append(payload)
-        big = one_frame("a#0", ("g",), bytes(5000))
-        daemon._submit_envelope(big, DeliveryService.SAFE)
+        session = attach_member(daemon, "a#0")
+        submitted = submissions(daemon)
+        frame = ipc.pack_groupcast(["g"], DeliveryService.SAFE, bytes(5000))
+        daemon._handle_client_read(session, [(ipc.OP_GROUPCAST, frame[ipc.FRAME_HEADER.size :])])
         assert len(submitted) >= 4
-        for piece in submitted:
-            assert len(piece) <= daemon.fragmenter.chunk_size + 64
+        for piece, service in submitted:
+            assert service is DeliveryService.SAFE
+            assert len(decode_envelope(piece).chunk) <= FRAGMENT_CHUNK
+        assert b"".join(decode_envelope(piece).chunk for piece, _ in submitted) == (
+            one_frame("a#0", ("g",), bytes(5000), DeliveryService.SAFE)
+        )
+
+    def test_a_gone_session_orders_one_leave_per_group(self):
+        """A connection that ends leaves each group it joined by one
+        ordered leave, in sorted order; applied like any leave, they take
+        the member out of every group and leave the others in place."""
+        daemon = make_daemon()
+        session = attach_member(daemon, "a#0", groups=["g2", "g1"])
+        session.joined.update(["g2", "g1"])
+        submitted = submissions(daemon)
+
+        async def gone():
+            daemon._session_gone(session, ConnectionResetError())
+            await asyncio.gather(*daemon._disconnecting)
+
+        asyncio.run(gone())
+        leaves = [GroupLeave("a#0", "g1").encode(), GroupLeave("a#0", "g2").encode()]
+        assert submitted == [(leave, DeliveryService.AGREED) for leave in leaves]
+        peer = make_daemon(pid=1)
+        for group in ("g1", "g2"):
+            peer.directory.apply_join("a#0", group)
+        peer.directory.apply_join("b#1", "g1")
+        deliver(peer, *(ordered(leave, seq=seq) for seq, leave in enumerate(leaves, 1)),
+                config_id=1)
+        assert peer.directory.members("g1") == ("b#1",)
+        assert peer.directory.groups() == ["g1"]
