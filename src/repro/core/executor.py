@@ -16,7 +16,12 @@ It owns, once, what is the same everywhere:
   pre-token sends) and at the end of the list, and retransmissions
   always travel alone;
 * the named-timer table: re-arming a live name is the backend's
-  ``reschedule`` (one timer per name, the old deadline never fires);
+  ``reschedule`` (one timer per name, the old deadline never fires).
+  Both substrates move a live timer to a later deadline in place: the
+  simulator rewrites the event's key
+  (:meth:`~repro.net.simulator.Simulator.reschedule`), the runtime
+  node its :class:`~repro.runtime.node.LoopTimer`'s deadline, so the
+  token-loss timer every token visit re-arms costs no new timer;
 * delivery: a :class:`~repro.core.events.Deliver` is a run, and reaches
   the backend as one ``deliver`` call, from one site.
 
@@ -39,8 +44,8 @@ and, for backends that host a membership controller::
     schedule(delay, callback, *args) -> handle with .cancel()
     reschedule(handle, delay, callback, *args) -> handle
                                               # == handle.cancel() + schedule(...);
-                                              # a substrate that can move a live
-                                              # timer in place returns the same one
+                                              # a live timer moved later comes
+                                              # back as the same handle
     on_timer(name)                            # a timer armed here fired
     deliver_config(configuration)
 

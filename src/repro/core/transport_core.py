@@ -69,9 +69,9 @@ DEFAULT_CAPACITY = 256
 class FrameRing:
     """A power-of-2 ring of slots with head/tail index arithmetic.
 
-    Replaces ``collections.deque`` on every per-frame queue (kernel
-    socket buffers, NIC transmit queues, switch ports, the runtime
-    node's receive queues): a preallocated slot list addressed by
+    Replaces ``collections.deque`` on the simulator's per-frame queues
+    (kernel socket buffers, NIC transmit queues, switch ports): a
+    preallocated slot list addressed by
     monotonically increasing head/tail indices and a bit mask — pushing
     and popping in steady state touch only existing slots and two
     integers, allocating nothing.
@@ -84,9 +84,10 @@ class FrameRing:
     keep the exact semantics (grow when full, slot freed on pop) or the
     two copies drift.
 
-    Slots hold whatever the owner queues: simulated
-    :class:`~repro.net.packet.Frame` objects or the runtime's raw
-    datagram ``bytes``.
+    Slots hold simulated :class:`~repro.net.packet.Frame` objects.  The
+    runtime node queues its datagrams in ``collections.deque``: no
+    caller there inlines the indices, and a deque's push, pop and
+    emptiness test are C calls where these methods are Python ones.
     """
 
     __slots__ = ("_slots", "_mask", "_head", "_tail")

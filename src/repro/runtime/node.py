@@ -4,8 +4,9 @@
 prototype: the process itself injects and receives messages.  It wires a
 :class:`~repro.membership.controller.MembershipController` (which wraps
 the ordering engine) to a :class:`~repro.runtime.transport.UdpTransport`,
-executes timer effects with ``loop.call_later``, and implements the
-token/data priority discipline over two receive queues.
+executes timer effects on the loop's ``call_at`` through :class:`LoopTimer`,
+and implements the token/data priority discipline over two receive
+queues.
 
 Input is handled a *pass* at a time (PROTOCOL.md §4, "the runtime's
 pass"): the transport queues everything one wakeup found in the kernel,
@@ -18,10 +19,11 @@ table and dispatch are the same code the simulator runs); this node is
 its asyncio backend.  The datagram path is the shared sans-io transport
 core (:mod:`repro.core.transport_core`): a token visit's new messages
 leave in as few datagrams as :data:`DATAGRAM_BUDGET` bytes allow
-(:func:`split_run`; PROTOCOL.md §9.1), received datagrams queue
-through :class:`FrameRing` rings and the data port is decoded with the
-port-aware :func:`decode_data_port` (batches and single data messages
-only — the token port carries everything else via ``decode_any``).
+(:func:`split_run`; PROTOCOL.md §9.1), received datagrams queue in two
+``collections.deque`` (every push, pop and emptiness test a C call) and
+the data port is decoded with the port-aware :func:`decode_data_port`
+(batches and single data messages only — the token port carries
+everything else via ``decode_any``).
 This module only binds that logic to sockets, timers, and the event
 loop.
 """
@@ -29,18 +31,14 @@ loop.
 from __future__ import annotations
 
 import asyncio
+from collections import deque
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from repro.core.codec import DATA_HEADER_BYTES
 from repro.core.config import ProtocolConfig
 from repro.core.executor import EffectExecutor
 from repro.core.messages import DataMessage, DeliveryService
-from repro.core.transport_core import (
-    FrameRing,
-    decode_data_port,
-    encode_run,
-    split_run,
-)
+from repro.core.transport_core import decode_data_port, encode_run, split_run
 from repro.evs.configuration import Configuration
 from repro.membership.codec import RECOVERED_OVERHEAD, decode_any, encode_any
 from repro.membership.controller import MembershipController
@@ -91,6 +89,47 @@ Clock = Callable[[], float]
 #: Datagrams handled in one pass before the node yields to the event
 #: loop (timers, client sockets, the other daemons of a loopback fleet).
 PASS_BUDGET = 128
+
+
+class LoopTimer:
+    """A timer on an asyncio loop whose deadline can move later in place.
+
+    It holds one loop handle, armed at ``call_at(due)``.  Moving the
+    timer later (:meth:`RingNode.reschedule`) only writes ``when``; if
+    the handle fires before ``when`` the timer arms once more, at
+    ``when``, and the callback runs then.  So a token-loss timer re-armed
+    on every visit costs the loop one handle per timeout period, not one
+    per visit — the rule :meth:`repro.net.simulator.Simulator.reschedule`
+    follows with its heap entries.  Only the loop's ``call_at`` and
+    ``time`` are used.
+    """
+
+    __slots__ = ("_loop", "_armed", "_due", "when", "callback", "args")
+
+    def __init__(self, loop, when: float, callback, args: tuple) -> None:
+        self._loop = loop
+        self.when = when
+        self.callback = callback
+        self.args = args
+        #: Deadline of the loop handle in ``_armed`` (never after ``when``).
+        self._due = when
+        #: The armed loop handle; None once fired or cancelled.
+        self._armed = loop.call_at(when, self._fire)
+
+    def cancel(self) -> None:
+        armed = self._armed
+        if armed is not None:
+            self._armed = None
+            armed.cancel()
+
+    def _fire(self) -> None:
+        when = self.when
+        if self._due < when:
+            self._due = when
+            self._armed = self._loop.call_at(when, self._fire)
+            return
+        self._armed = None
+        self.callback(*self.args)
 
 
 class RingNode:
@@ -150,8 +189,8 @@ class RingNode:
         #: timestamps / observer events share one time domain.
         self._clock: Optional[Clock] = clock
         self._effects = EffectExecutor(self, config.messages_per_datagram)
-        self._data_queue = FrameRing()
-        self._token_queue = FrameRing()
+        self._data_queue: deque = deque()
+        self._token_queue: deque = deque()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._pass_scheduled = False
         self._closed = False
@@ -219,12 +258,12 @@ class RingNode:
     # ------------------------------------------------------------------
 
     def _enqueue_data(self, datagram: bytes) -> None:
-        self._data_queue.push(datagram)
+        self._data_queue.append(datagram)
         if not self._pass_scheduled:
             self._schedule_pass()
 
     def _enqueue_token(self, datagram: bytes) -> None:
-        self._token_queue.push(datagram)
+        self._token_queue.append(datagram)
         if not self._pass_scheduled:
             self._schedule_pass()
 
@@ -247,9 +286,9 @@ class RingNode:
         controller = self.controller
         for _ in range(PASS_BUDGET):
             if token_queue and (controller.token_has_priority or not data_queue):
-                self._handle_token(token_queue.pop())
+                self._handle_token(token_queue.popleft())
             elif data_queue:
-                self._handle_data(data_queue.pop())
+                self._handle_data(data_queue.popleft())
             else:
                 break
         else:
@@ -302,13 +341,23 @@ class RingNode:
     def send_control(self, message, destination: Optional[int]) -> None:
         self.transport.send_control(encode_any(message), destination)
 
-    def schedule(self, delay: float, callback, *args) -> asyncio.TimerHandle:
-        return self._loop.call_later(delay, callback, *args)
+    def schedule(self, delay: float, callback, *args) -> LoopTimer:
+        loop = self._loop
+        return LoopTimer(loop, loop.time() + delay, callback, args)
 
-    def reschedule(self, handle, delay: float, callback, *args) -> asyncio.TimerHandle:
-        # An asyncio timer cannot be moved: re-arming is cancel + arm.
-        handle.cancel()
-        return self.schedule(delay, callback, *args)
+    def reschedule(self, handle: LoopTimer, delay: float, callback, *args) -> LoopTimer:
+        """``handle.cancel()`` + ``schedule(...)``, observably (fire time
+        and order); a live timer moved later is the same object with a
+        new deadline, and nothing touches the loop's timer heap."""
+        loop = self._loop
+        when = loop.time() + delay
+        if handle._armed is None or when < handle.when:
+            handle.cancel()
+            return LoopTimer(loop, when, callback, args)
+        handle.when = when
+        handle.callback = callback
+        handle.args = args
+        return handle
 
     def on_timer(self, name: str) -> None:
         if not self._closed:

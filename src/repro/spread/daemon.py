@@ -138,6 +138,12 @@ class SpreadDaemon:
         #: only while neither the directory nor ``_sessions`` changes: see
         #: :meth:`_drop_routes`.
         self._routes: Dict[bytes, Tuple[_ClientSession, ...]] = {}
+        #: Groupcast header bytes -> its group names, as
+        #: :func:`~repro.spread.frames.walk_frames` decoded them: the walk
+        #: fills it and :meth:`_resolve_route` reads it, so a header is
+        #: decoded once, not again on each route miss.  Names do not
+        #: depend on the directory, so it outlives :meth:`_drop_routes`.
+        self._groups: Dict[bytes, List[str]] = {}
         #: The header last forwarded and its route: headers are
         #: self-delimiting, so a frame whose body starts with these bytes
         #: has this route.
@@ -352,7 +358,7 @@ class SpreadDaemon:
                     if container is None:
                         continue
                 runs, skipped = walk_frames(
-                    container, message.service, self._last_header, self._routes
+                    container, message.service, self._last_header, self._groups
                 )
             except CodecError:
                 self.envelopes_undecodable += 1
@@ -374,6 +380,10 @@ class SpreadDaemon:
                     chunk.append(container[start:end])
                     self._chunk_count += count
         self._cut_chunk()
+        # Bounded like the routes; cleared between runs, never between
+        # a walk and the resolves of its headers.
+        if len(self._groups) >= ROUTE_MEMO_CAP:
+            self._groups.clear()
 
     def _apply_envelope(
         self, envelope: bytes, message: DataMessage, reassembled: bool = False
@@ -417,11 +427,9 @@ class SpreadDaemon:
 
     def _resolve_route(self, header: bytes) -> Tuple[_ClientSession, ...]:
         """The route of a groupcast header not seen since the last change:
-        its names decoded by the reference decoder and resolved in the
-        directory."""
+        its names, as the walk decoded them, resolved in the directory."""
         targets: Set[str] = set()
-        groups, _service, _payload = ipc.unpack_groupcast(header)
-        for group in groups:
+        for group in self._groups[header]:
             targets.update(self.directory.members(group))
         sessions = self._sessions
         # Sorted, so the write order to local sessions is the same on

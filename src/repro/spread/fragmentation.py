@@ -92,7 +92,3 @@ class FragmentReassembler:
             # never copied since decode.
             return b"".join(slots)  # type: ignore[arg-type]
         return None
-
-    @property
-    def partial_count(self) -> int:
-        return len(self._partial)

@@ -17,7 +17,7 @@ call them, so the variant orders and reads what a daemon does.
 from __future__ import annotations
 
 import struct
-from typing import Container, List, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.codec import DATA_HEADER_BYTES
 from repro.core.messages import DeliveryService
@@ -121,7 +121,7 @@ def walk_frames(
     container: bytes,
     service: DeliveryService,
     last_header: Union[bytes, Tuple[()]] = (),
-    known: Container[bytes] = (),
+    decoded: Optional[Dict[bytes, List[str]]] = None,
 ) -> Tuple[List[Run], int]:
     """The runs of ``container``'s groupcasts, and how many of its frames
     are skipped.
@@ -134,8 +134,12 @@ def walk_frames(
     self-delimiting, so a body that begins with ``last_header`` (the
     last header the caller accepted) or with the header of the frame
     before has that header; any other header is walked, and decoded
-    unless ``known`` holds it (headers that decoded before).
+    unless ``decoded`` holds it.  ``decoded`` (header -> its groups) is
+    the caller's memo: the walk reads it and adds what it decodes, so a
+    caller that routes by groups decodes no header twice.
     """
+    if decoded is None:
+        decoded = {}
     size = len(container)
     if size < _PREFIX.size:
         raise CodecError(f"truncated frames container: {size} bytes")
@@ -166,8 +170,8 @@ def walk_frames(
                 if opcode == _OP_GROUPCAST and body < end and container[body] == service:
                     try:
                         header = container[body : ipc.group_list_end(container, body + 1, end)]
-                        if header not in known:
-                            ipc.unpack_groupcast(header)
+                        if header not in decoded:
+                            decoded[header] = ipc.unpack_groupcast(header)[0]
                         expect = header
                     except CodecError:
                         header = None

@@ -56,9 +56,6 @@ class GroupDirectory:
 
     # ------------------------------------------------------------------
 
-    def groups(self) -> List[str]:
-        return sorted(name for name, members in self._groups.items() if members)
-
     def members(self, group: str) -> Tuple[str, ...]:
         return tuple(self._groups.get(group, ()))
 
@@ -117,8 +114,3 @@ class GroupDirectory:
         """
         dirty, self._dirty = self._dirty, set()
         return SortedNameSet(dirty)
-
-    def snapshot(self) -> Dict[str, Tuple[str, ...]]:
-        return {
-            name: tuple(self._groups[name]) for name in sorted(self._groups)
-        }

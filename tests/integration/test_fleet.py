@@ -11,7 +11,9 @@ import socket
 
 import pytest
 
+from repro.membership.controller import TIMER_TOKEN_LOSS
 from repro.runtime.fleet import Fleet, FleetError, run_fleet_workload
+from repro.runtime.node import LoopTimer
 from tests.integration.test_runtime import wait_until
 
 
@@ -100,6 +102,55 @@ def test_wait_for_ring_wakes_on_the_configuration_change_and_times_out():
             )
         finally:
             await fleet.drain_and_stop()
+
+    asyncio.run(scenario())
+
+
+def _timer_name(callback, args):
+    """The executor timer a loop callback arms: ``call_later(delay,
+    expire, name)`` carries the name in ``args``, a ``LoopTimer``'s
+    ``_fire`` on the timer itself."""
+    if args:
+        return args[0]
+    timer = getattr(callback, "__self__", None)
+    return timer.args[0] if isinstance(timer, LoopTimer) else None
+
+
+def test_an_idle_ring_re_arms_token_loss_without_arming_a_loop_handle_per_visit():
+    """Every token visit re-arms the token-loss timer later.  That move
+    is a field write: the loop gets a new handle only when an old one
+    comes due, once per timeout period, not once per visit."""
+
+    async def scenario():
+        fleet = Fleet(num_daemons=3)
+        await fleet.start()
+        loop = asyncio.get_running_loop()
+        armed = []
+        visits = []
+        call_at = loop.call_at
+
+        def counting_call_at(when, callback, *args, **kwargs):
+            if _timer_name(callback, args) == TIMER_TOKEN_LOSS:
+                armed.append(when)
+            return call_at(when, callback, *args, **kwargs)
+
+        for daemon in fleet.daemons.values():
+            node = daemon.node
+            handle_token = node._handle_token
+
+            def counting_handle_token(datagram, handle_token=handle_token):
+                visits.append(None)
+                handle_token(datagram)
+
+            node._handle_token = counting_handle_token
+        loop.call_at = counting_call_at
+        try:
+            await asyncio.sleep(1.0)
+        finally:
+            del loop.call_at
+            await fleet.drain_and_stop()
+        assert len(visits) > 300, len(visits)  # the token went round
+        assert len(armed) / len(visits) <= 0.01, (len(armed), len(visits))
 
     asyncio.run(scenario())
 

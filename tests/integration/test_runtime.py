@@ -112,6 +112,39 @@ def test_crash_reforms_ring_and_traffic_continues():
     asyncio.run(scenario())
 
 
+def test_crash_and_stop_cancel_every_armed_timer():
+    """``stop`` (a crash, for a node) cancels the loop handle behind every
+    armed timer, one whose deadline moved later in place included, and
+    leaves the survivors' timers armed."""
+
+    def armed_handles(node):
+        timers = list(node._effects._timers.values())
+        handles = [timer._armed for timer in timers]
+        assert handles and None not in handles
+        return timers, handles
+
+    async def scenario():
+        nodes = await start_ring(3)
+        await asyncio.sleep(0.05)  # the token-loss timers move on every visit
+        try:
+            timers, handles = armed_handles(nodes[2])
+            assert any(timer._due < timer.when for timer in timers)
+            await nodes[2].stop()
+            assert nodes[2]._effects.armed_timers == ()
+            assert all(handle.cancelled() for handle in handles)
+            assert all(timer._armed is None for timer in timers)
+            for node in nodes[:2]:
+                timers, handles = armed_handles(node)
+                assert not any(handle.cancelled() for handle in handles)
+                await node.stop()
+                assert node._effects.armed_timers == ()
+                assert all(handle.cancelled() for handle in handles)
+        finally:
+            await stop_all(nodes)
+
+    asyncio.run(scenario())
+
+
 #: Node 1's loss model.  Its first draw falls below the rate, so the
 #: first data datagram node 1 receives is dropped whatever the
 #: scheduling — and with thirty messages pending everywhere that

@@ -268,4 +268,4 @@ def test_fragmenter_chunks_match_reference_and_reassemble(payload, chunk_size):
         ).encode()
         result = reassembler.accept(0, fragment)
     assert result == payload
-    assert reassembler.partial_count == 0
+    assert reassembler.messages_reassembled == 1

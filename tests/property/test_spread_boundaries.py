@@ -37,7 +37,7 @@ def roundtrip(data, chunk_size):
         fragment = decode_envelope(piece)
         assert isinstance(fragment, Fragment)
         result = reassembler.accept(0, fragment)
-    assert reassembler.partial_count == 0
+    assert reassembler.messages_reassembled == 1
     return pieces, result
 
 

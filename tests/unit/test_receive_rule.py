@@ -107,7 +107,7 @@ class _RuntimePorts:
 
     def queue(self, kind):
         queue = self.node._token_queue if kind == "token" else self.node._data_queue
-        queue.push(kind)
+        queue.append(kind)
 
     def take_all(self):
         self.node._pass()

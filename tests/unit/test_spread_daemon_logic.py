@@ -157,6 +157,35 @@ class TestOrderedDeliveryPipeline:
         assert frames(outside) == []
 
 
+    def test_a_header_is_decoded_once_and_outlives_a_view_change(self, monkeypatch):
+        """A route miss resolves the names the frame walk decoded: after a
+        view change each new header is decoded once, and one decoded
+        before the change not at all."""
+        daemon = make_daemon()
+        member = attach_member(daemon, "a#0", groups=["g1", "g2"])
+        deliver(daemon, ordered(one_frame("s#1", ("g1",), b"warm")), config_id=1)
+        deliver(daemon, ordered(GroupJoin("b#1", "g2").encode(), seq=2), config_id=1)
+        decoded = []
+        unpack_groupcast = ipc.unpack_groupcast
+
+        def counting(body):
+            decoded.append(bytes(body))
+            return unpack_groupcast(body)
+
+        monkeypatch.setattr(ipc, "unpack_groupcast", counting)
+        groupcasts = [
+            ipc.pack_groupcast(list(groups), DeliveryService.AGREED, b"x")
+            for groups in (("g1",), ("g1",), ("g2",), ("g2",), ("g1", "g2"), ("g1",))
+        ]
+        before = len(frames(member))
+        deliver(daemon, ordered(frames_prefix("s#1") + b"".join(groupcasts), seq=3),
+                config_id=1)
+        assert frames(member)[before:] == groupcasts
+        header = {groups: ipc.pack_groupcast(list(groups), DeliveryService.AGREED, b"")[5:]
+                  for groups in (("g2",), ("g1", "g2"))}
+        assert sorted(decoded) == sorted(header.values())
+
+
 class TestSubmissionPipeline:
     def test_small_payload_submitted_unfragmented(self):
         daemon = make_daemon()
@@ -203,4 +232,4 @@ class TestSubmissionPipeline:
         deliver(peer, *(ordered(leave, seq=seq) for seq, leave in enumerate(leaves, 1)),
                 config_id=1)
         assert peer.directory.members("g1") == ("b#1",)
-        assert peer.directory.groups() == ["g1"]
+        assert peer.directory.members("g2") == ()
