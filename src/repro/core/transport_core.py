@@ -4,18 +4,15 @@ Both "implementations" of the protocol — the deterministic simulator
 driver (:class:`repro.sim.driver.ProtocolHost`) and the asyncio/UDP
 runtime node (:class:`repro.runtime.node.RingNode`) — move the same
 traffic: runs of new multicasts coalesced into one datagram
-(``messages_per_datagram``), retransmissions travelling alone, frames
-queued through preallocated rings, and receive/send windows accounted in
-bytes.  This module is the single home for that machinery, with no I/O
-and no clock: the sim prices the plans in simulated CPU seconds, the
-runtime encodes them onto real sockets, and neither keeps a private
-copy of the policy.
+(``messages_per_datagram``), retransmissions travelling alone, and
+receive/send windows accounted in bytes; both queue their frames in
+``collections.deque``.  This module is the single home for that
+machinery, with no I/O and no clock: the sim prices the plans in
+simulated CPU seconds, the runtime encodes them onto real sockets, and
+neither keeps a private copy of the policy.
 
 Contents:
 
-* :class:`FrameRing` — the preallocated power-of-2 receive/transmit
-  queue (the simulator's socket buffers, NIC queues and switch ports,
-  and the runtime's datagram receive queues).
 * :class:`CoalescingAccumulator` — the run-grouping policy for
   ``MulticastData`` effects ("runs of consecutive new sends pack into
   one datagram, flushed at the first effect of any other kind so the
@@ -58,112 +55,6 @@ from repro.core.codec import (
 from repro.core.codec import _decode_data  # one parse path for both consumers
 from repro.core.messages import DataMessage
 from repro.util.errors import CodecError
-
-#: Default initial :class:`FrameRing` capacity (slots).  Steady-state
-#: queue depths are bounded by flow control (global_window=150 frames
-#: system-wide), so rings rarely grow past their initial size; growth is
-#: transient start-up cost, not per-frame cost.
-DEFAULT_CAPACITY = 256
-
-
-class FrameRing:
-    """A power-of-2 ring of slots with head/tail index arithmetic.
-
-    Replaces ``collections.deque`` on the simulator's per-frame queues
-    (kernel socket buffers, NIC transmit queues, switch ports): a
-    preallocated slot list addressed by
-    monotonically increasing head/tail indices and a bit mask — pushing
-    and popping in steady state touch only existing slots and two
-    integers, allocating nothing.
-
-    Simulator hot paths (``SimHost.receive``,
-    ``ProtocolHost._select_work``, the NIC and switch-port serializers)
-    inline these operations against the ``_slots``/``_mask``/``_head``/
-    ``_tail`` fields directly; the methods here are the reference
-    implementation and the API for non-hot callers.  Any inline must
-    keep the exact semantics (grow when full, slot freed on pop) or the
-    two copies drift.
-
-    Slots hold simulated :class:`~repro.net.packet.Frame` objects.  The
-    runtime node queues its datagrams in ``collections.deque``: no
-    caller there inlines the indices, and a deque's push, pop and
-    emptiness test are C calls where these methods are Python ones.
-    """
-
-    __slots__ = ("_slots", "_mask", "_head", "_tail")
-
-    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
-        size = 1
-        while size < capacity:
-            size <<= 1
-        self._slots: List[Optional[object]] = [None] * size
-        self._mask = size - 1
-        #: Next index to pop; increases monotonically (never wrapped —
-        #: the mask does the wrapping, and Python ints don't overflow).
-        self._head = 0
-        #: Next index to push.
-        self._tail = 0
-
-    def __len__(self) -> int:
-        return self._tail - self._head
-
-    def __bool__(self) -> bool:
-        return self._tail != self._head
-
-    def push(self, frame: object) -> None:
-        tail = self._tail
-        if tail - self._head > self._mask:
-            # _grow rebases the indices (head becomes 0): re-read tail.
-            self._grow()
-            tail = self._tail
-        self._slots[tail & self._mask] = frame
-        self._tail = tail + 1
-
-    def pop(self) -> object:
-        head = self._head
-        if head == self._tail:
-            raise IndexError("pop from an empty FrameRing")
-        slots = self._slots
-        index = head & self._mask
-        frame = slots[index]
-        # Free the slot so the ring never pins a frame (pooled frames are
-        # recycled and reused while still referenced by a stale slot
-        # otherwise, which is harmless for correctness but confuses leak
-        # accounting and keeps payload buffers alive).
-        slots[index] = None
-        self._head = head + 1
-        return frame
-
-    def peek(self) -> object:
-        if self._head == self._tail:
-            raise IndexError("peek at an empty FrameRing")
-        return self._slots[self._head & self._mask]
-
-    def clear(self) -> None:
-        slots = self._slots
-        for index in range(len(slots)):
-            slots[index] = None
-        self._head = 0
-        self._tail = 0
-
-    def _grow(self) -> None:
-        """Double the slot array, relinking live frames in order.
-
-        Runs only when the ring is completely full — transient warm-up
-        or a pathological burst — never in steady state.
-        """
-        old = self._slots
-        old_mask = self._mask
-        head = self._head
-        count = self._tail - head
-        size = (old_mask + 1) * 2
-        slots: List[Optional[object]] = [None] * size
-        for offset in range(count):
-            slots[offset] = old[(head + offset) & old_mask]
-        self._slots = slots
-        self._mask = size - 1
-        self._head = 0
-        self._tail = count
 
 
 # ----------------------------------------------------------------------

@@ -21,11 +21,9 @@ Partitions and filters are consulted exactly once per (frame,
 destination), at the destination leaf's host port, so a fault plan or
 chaos scenario means the same thing on one rack or many.
 
-Frame lifetime follows the frame pool's discipline: local fan-out
-enqueues per-destination ``clone_for`` copies; the multicast original
-travels up the trunk (or is recycled when there is nowhere further to
-go); the spine clones once per remote rack and recycles; each remote
-leaf clones per local host and recycles.
+A multicast is one frame object end to end: the leaf, the spine and
+each remote leaf hand the frame they received to every output port, so
+every receiver's socket holds that same immutable object.
 """
 
 from __future__ import annotations
@@ -142,15 +140,6 @@ class LeafSpineSpec:
         return trunk
 
 
-def _trunk_clone(frame: Frame) -> Frame:
-    """A copy of a multicast frame for another trunk (same frame_id)."""
-    clone = Frame.acquire(
-        frame.src, frame.dst, frame.kind, frame.size, frame.payload, frame.fragment
-    )
-    clone.frame_id = frame.frame_id
-    return clone
-
-
 def _switch_port(sim: Simulator, params: NetworkParams, deliver: Callable[[Frame], None]) -> Link:
     """A switch output port (host port or trunk): a link with the
     switch's per-port buffer."""
@@ -207,7 +196,6 @@ class _LeafSwitch:
         filters = fabric._filters
         if frame.dst is None:
             src = frame.src
-            clone_for = frame.clone_for
             for host_id, port in self._fanout:
                 if host_id == src:
                     continue
@@ -215,13 +203,9 @@ class _LeafSwitch:
                     continue
                 if filters and fabric._filtered(frame, host_id):
                     continue
-                port.send(clone_for(host_id))
+                port.send(frame)
             if self._uplink is not None:
-                # The ingress original continues up the trunk; the local
-                # deliveries above were per-destination clones.
                 self._uplink.send(frame)
-            else:
-                frame.recycle()
         else:
             dst = frame.dst
             port = self._ports.get(dst)
@@ -242,14 +226,12 @@ class _LeafSwitch:
         filters = fabric._filters
         if frame.dst is None:
             src = frame.src
-            clone_for = frame.clone_for
             for host_id, port in self._fanout:
                 if partition and not fabric._connected(src, host_id):
                     continue
                 if filters and fabric._filtered(frame, host_id):
                     continue
-                port.send(clone_for(host_id))
-            frame.recycle()
+                port.send(frame)
         else:
             dst = frame.dst
             port = self._ports.get(dst)
@@ -319,8 +301,7 @@ class Fabric:
             for rack, downlink in enumerate(self._downlinks):
                 if rack == from_rack:
                     continue
-                downlink.send(_trunk_clone(frame))
-            frame.recycle()
+                downlink.send(frame)
         else:
             self._downlinks[self.spec.rack_of(frame.dst)].send(frame)
 

@@ -75,9 +75,8 @@ def fragment_datagram(
 
     Returns a single unfragmented frame when ``size`` fits in the MTU.
     """
-    acquire = Frame.acquire
     if size <= mtu:
-        return [acquire(src, dst, kind, size, payload)]
+        return [Frame(src, dst, kind, size, payload)]
     datagram_id = next(_datagram_ids)
     total = -(-size // mtu)  # ceil division
     frames = []
@@ -86,7 +85,7 @@ def fragment_datagram(
         frag_size = min(mtu, remaining)
         remaining -= frag_size
         frames.append(
-            acquire(src, dst, kind, frag_size, payload, (datagram_id, index, total))
+            Frame(src, dst, kind, frag_size, payload, (datagram_id, index, total))
         )
     return frames
 

@@ -13,7 +13,7 @@ from collections import deque
 from heapq import heappush
 from typing import Callable, Deque, Optional, List
 
-from repro.core.transport_core import ByteWindow, FrameRing
+from repro.core.transport_core import ByteWindow
 from repro.net.fragment import fragment_datagram
 from repro.net.loss import LossModel, NoLoss
 from repro.net.link import NIC_QUEUE_BYTES, Link
@@ -31,37 +31,37 @@ class SocketBuffer(ByteWindow):
 
     Admission accounting (capacity, drop counting, peak depth) comes
     from the shared :class:`~repro.core.transport_core.ByteWindow`;
-    frames sit in a preallocated :class:`FrameRing` — steady-state
-    push/pop touch only ring slots and index integers, no heap churn.
-    ``SimHost.receive`` inlines both against the same field names.
+    frames sit in a ``collections.deque``, whose push, pop and emptiness
+    test are C calls.  ``SimHost.receive`` inlines the admission against
+    the same field names, and the drivers' receive selection pops the
+    deque directly.
     """
 
     def __init__(self, capacity_bytes: int) -> None:
         super().__init__(capacity_bytes)
-        self._ring = FrameRing()
+        self._frames: Deque[Frame] = deque()
 
     def __len__(self) -> int:
-        ring = self._ring
-        return ring._tail - ring._head
+        return len(self._frames)
 
     def push(self, frame: Frame) -> bool:
         """Enqueue an arriving frame; False means kernel-buffer overflow."""
         if not self.try_reserve(frame.size):
             return False
-        self._ring.push(frame)
+        self._frames.append(frame)
         return True
 
     def pop(self) -> Frame:
-        frame = self._ring.pop()
+        frame = self._frames.popleft()
         self._queued_bytes -= frame.size
         return frame
 
     def peek(self) -> Frame:
-        return self._ring.peek()
+        return self._frames[0]
 
     def clear(self) -> None:
         """Drop every queued frame (kernel buffers are volatile state)."""
-        self._ring.clear()
+        self._frames.clear()
         self._queued_bytes = 0
 
 
@@ -240,19 +240,12 @@ class SimHost:
             socket = self.data_socket
         else:
             socket = self.token_socket
-        # SocketBuffer.push inlined (ring push included): one call per
-        # received frame saved.  Must mirror FrameRing.push exactly.
+        # SocketBuffer.push inlined: one call per received frame saved.
         queued = socket._queued_bytes + frame.size
         if queued > socket._capacity:
             socket.frames_dropped += 1
             return
-        ring = socket._ring
-        tail = ring._tail
-        if tail - ring._head > ring._mask:
-            ring._grow()
-            tail = ring._tail
-        ring._slots[tail & ring._mask] = frame
-        ring._tail = tail + 1
+        socket._frames.append(frame)
         socket._queued_bytes = queued
         socket.frames_received += 1
         if queued > socket.peak_queue_bytes:

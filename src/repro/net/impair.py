@@ -169,8 +169,7 @@ class ReorderModel(ImpairmentModel):
 class DuplicateModel(ImpairmentModel):
     """Deliver an extra copy of a data frame with probability ``rate``.
 
-    The copy is a fresh pooled frame carrying the same ``frame_id`` and
-    payload (frame pooling forbids delivering one object twice), arriving
+    The copy is the same immutable frame object, delivered again
     back-to-back with the original — the common switch-retransmit shape.
     """
 
@@ -194,15 +193,12 @@ class DuplicateModel(ImpairmentModel):
             if frame.kind is not _DATA:
                 deliver(frame)
                 return
-            copy = None
-            if rng.random() < rate:
-                # Clone before delivering: once delivered, the frame
-                # belongs to the receiver and may be recycled.
-                copy = frame.clone_for(frame.dst if frame.dst is not None else receiver_id)
-                self.frames_duplicated += 1
+            if rng.random() >= rate:
+                deliver(frame)
+                return
+            self.frames_duplicated += 1
             deliver(frame)
-            if copy is not None:
-                deliver(copy)
+            deliver(frame)
 
         return duplicated
 

@@ -14,10 +14,10 @@ protocol's controlled parallelism.
 
 from __future__ import annotations
 
+from collections import deque
 from heapq import heappush
-from typing import Callable, Optional
+from typing import Callable, Deque, Optional
 
-from repro.core.transport_core import FrameRing
 from repro.net.packet import Frame
 from repro.net.params import NetworkParams
 from repro.net.simulator import Simulator
@@ -39,7 +39,7 @@ class Link:
     ) -> None:
         self._sim = sim
         self._deliver = deliver
-        self._ring = FrameRing()
+        self._frames: Deque[Frame] = deque()
         self._queued_bytes = 0
         self._capacity = capacity
         self._busy = False
@@ -80,7 +80,7 @@ class Link:
             self.peak_queue_bytes = queued
         if not self._busy:
             # An idle link holds nothing (it goes idle only on an empty
-            # ring), so the frame starts serializing at once: the push,
+            # queue), so the frame starts serializing at once: the push,
             # the pop and the byte count would cancel out.  Same sequence
             # number and finish-time expression as _finish's next start.
             self._busy = True
@@ -91,15 +91,7 @@ class Link:
                 (sim.now + (size + self._overhead) * 8.0 / self._rate_bps, seq, self._finish, (frame,)),
             )
             return True
-        # FrameRing.push inlined (one call per frame saved); must mirror
-        # the method exactly.
-        ring = self._ring
-        tail = ring._tail
-        if tail - ring._head > ring._mask:
-            ring._grow()
-            tail = ring._tail
-        ring._slots[tail & ring._mask] = frame
-        ring._tail = tail + 1
+        self._frames.append(frame)
         self._queued_bytes = queued
         return True
 
@@ -113,16 +105,11 @@ class Link:
         queue = sim._queue
         sim._seq = seq = sim._seq + 1
         heappush(queue, (sim.now + self._propagation, seq, self._deliver, (frame,)))
-        ring = self._ring
-        head = ring._head
-        if head == ring._tail:
+        frames = self._frames
+        if not frames:
             self._busy = False
             return
-        slots = ring._slots
-        index = head & ring._mask
-        frame = slots[index]
-        slots[index] = None
-        ring._head = head + 1
+        frame = frames.popleft()
         size = frame.size
         self._queued_bytes -= size
         sim._seq = seq = sim._seq + 1

@@ -6,21 +6,17 @@ occupy on the wire, which is all the timing model needs.  (The real
 asyncio runtime in :mod:`repro.runtime` uses the binary codecs in
 :mod:`repro.core.codec` instead.)
 
-Frames are the most-allocated objects in a benchmark run (one per
-fragment per destination), so the class is a hand-written ``__slots__``
-class backed by a bounded free list: :meth:`Frame.acquire` reuses a
-recycled instance when one is available, and the switch/driver hot paths
-call :meth:`Frame.recycle` on frames they know are dead (multicast
-originals after fan-out, per-destination clones after reassembly).
-Recycling is purely an allocation optimization — a frame that is never
-recycled is simply collected by the GC.
+A frame is one immutable object per datagram fragment: the switch hands
+the frame it received to every output port of a multicast, so every
+receiver's socket holds the same object, and nothing outside this
+module assigns a frame's attributes after construction.
 """
 
 from __future__ import annotations
 
 import itertools
 from enum import Enum
-from typing import Any, List, Optional
+from typing import Any, Optional
 
 
 class PortKind(Enum):
@@ -37,10 +33,6 @@ class PortKind(Enum):
 
 
 _frame_ids = itertools.count(1)
-
-#: Bounded free list of recycled frames (module-level, like the id counter).
-_pool: List["Frame"] = []
-_POOL_CAP = 4096
 
 
 class Frame:
@@ -85,10 +77,6 @@ class Frame:
             f"fragment={self.fragment}, frame_id={self.frame_id})"
         )
 
-    # ------------------------------------------------------------------
-    # Pooling
-    # ------------------------------------------------------------------
-
     @classmethod
     def acquire(
         cls,
@@ -99,54 +87,6 @@ class Frame:
         payload: Any,
         fragment: Optional[tuple] = None,
     ) -> "Frame":
-        """Like the constructor, but reuses a recycled frame when available.
-
-        A fresh ``frame_id`` is always assigned.
-        """
-        if _pool:
-            frame = _pool.pop()
-            frame.src = src
-            frame.dst = dst
-            frame.kind = kind
-            frame.size = size
-            frame.payload = payload
-            frame.fragment = fragment
-            frame.frame_id = next(_frame_ids)
-            return frame
+        """The constructor under its old name, kept for callers outside
+        the package that still use it."""
         return cls(src, dst, kind, size, payload, fragment)
-
-    def recycle(self) -> None:
-        """Return this frame to the free list.
-
-        Only call when no other component can still reference the frame
-        (the caller owns it).  Payload references are dropped so recycled
-        frames never pin protocol messages alive.
-        """
-        if len(_pool) < _POOL_CAP:
-            self.payload = None
-            self.fragment = None
-            _pool.append(self)
-
-    # ------------------------------------------------------------------
-
-    def clone_for(self, dst: int) -> "Frame":
-        """A per-destination copy of a multicast frame (same frame_id)."""
-        if _pool:
-            frame = _pool.pop()
-            frame.src = self.src
-            frame.dst = dst
-            frame.kind = self.kind
-            frame.size = self.size
-            frame.payload = self.payload
-            frame.fragment = self.fragment
-            frame.frame_id = self.frame_id
-            return frame
-        return Frame(
-            src=self.src,
-            dst=dst,
-            kind=self.kind,
-            size=self.size,
-            payload=self.payload,
-            fragment=self.fragment,
-            frame_id=self.frame_id,
-        )

@@ -175,13 +175,6 @@ class Simulator:
         self._seq = seq = self._seq + 1
         heapq.heappush(self._queue, (self.now + delay, seq, callback, args))
 
-    def post_at(self, time: float, callback: Callable[..., None], *args: Any) -> None:
-        """Absolute-time variant of :meth:`post`."""
-        if time < self.now:
-            raise ValueError(f"cannot schedule event at {time} < now {self.now}")
-        self._seq = seq = self._seq + 1
-        heapq.heappush(self._queue, (time, seq, callback, args))
-
     # ------------------------------------------------------------------
     # Cancellation bookkeeping
     # ------------------------------------------------------------------

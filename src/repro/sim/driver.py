@@ -92,14 +92,14 @@ class ProtocolHost:
         #: Deliveries of messages submitted before this time are excluded
         #: from latency statistics (warm-up window).
         self.measure_from = measure_from
-        # The socket FrameRing objects are stable for the host's lifetime
-        # (crash/clear mutate them in place, never replace them), so the
+        # The sockets' frame deques are stable for the host's lifetime
+        # (crash/clear empty them in place, never replace them), so the
         # idle hook can hold them directly instead of walking
-        # host -> socket -> ring on every call.
+        # host -> socket -> deque on every call.
         self._token_socket = host.token_socket
         self._data_socket = host.data_socket
-        self._token_ring = host.token_socket._ring
-        self._data_ring = host.data_socket._ring
+        self._token_frames = host.token_socket._frames
+        self._data_frames = host.data_socket._frames
         self.reassembler = new_reassembler(host)
         self.delivered_log: List[DataMessage] = []
         #: Bound by the cluster: stop delivering application payloads
@@ -163,45 +163,25 @@ class ProtocolHost:
         """
         if self.host.crashed:
             return None
-        # Emptiness tests and pops go straight to the rings (index
-        # arithmetic inlined, mirroring FrameRing.pop): this hook runs
-        # once per frame processed and method calls dominate its cost.
-        data_ring = self._data_ring
-        data_avail = data_ring._tail != data_ring._head
-        token_ring = self._token_ring
-        if token_ring._tail != token_ring._head and (
-            self.participant.token_has_priority or not data_avail
-        ):
-            head = token_ring._head
-            slots = token_ring._slots
-            index = head & token_ring._mask
-            frame = slots[index]
-            slots[index] = None
-            token_ring._head = head + 1
+        # Emptiness tests and pops go straight to the sockets' deques
+        # (SocketBuffer.pop inlined): this hook runs once per frame
+        # processed and method calls dominate its cost.
+        data_frames = self._data_frames
+        token_frames = self._token_frames
+        if token_frames and (self.participant.token_has_priority or not data_frames):
+            frame = token_frames.popleft()
             self._token_socket._queued_bytes -= frame.size
-            token = frame.payload
-            frame.recycle()
-            return (self._token_cpu, self._process_token, (token,))
-        if data_avail:
-            head = data_ring._head
-            slots = data_ring._slots
-            index = head & data_ring._mask
-            frame = slots[index]
-            slots[index] = None
-            data_ring._head = head + 1
+            return (self._token_cpu, self._process_token, (frame.payload,))
+        if data_frames:
+            frame = data_frames.popleft()
             self._data_socket._queued_bytes -= frame.size
             # Reassembler.accept inlined for the unfragmented common case
-            # (same counter updates); fragments take the slow path.  The
-            # per-destination clone is consumed either way: return it to
-            # the frame pool (the MTU-fragmentation hot path allocates one
-            # clone per fragment per receiver).
+            # (same counter updates); fragments take the slow path.
             if frame.fragment is None:
                 self.reassembler.datagrams_completed += 1
                 datagram = frame.payload
-                frame.recycle()
             else:
                 datagram = self.reassembler.accept(frame)
-                frame.recycle()
                 if datagram is None:
                     # A non-final fragment: cheap kernel work, no protocol
                     # event.
@@ -284,7 +264,7 @@ class ProtocolHost:
             self.coalesced_messages += len(payload.messages)
 
     def _run_token_send(self, token: RegularToken, destination: int) -> None:
-        frame = Frame.acquire(
+        frame = Frame(
             self.participant.pid,
             destination,
             PortKind.TOKEN,

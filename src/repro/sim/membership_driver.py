@@ -89,12 +89,12 @@ class MembershipHost:
         self.delivered: List[object] = []
         self.configurations: List[object] = []
         self.reassembler = new_reassembler(host)
-        # The socket rings and the NIC are stable for the host's lifetime
-        # (crash/clear mutate them in place), as in ProtocolHost.
+        # The sockets' frame deques and the NIC are stable for the host's
+        # lifetime (crash/clear empty them in place), as in ProtocolHost.
         self._token_socket = host.token_socket
         self._data_socket = host.data_socket
-        self._token_ring = host.token_socket._ring
-        self._data_ring = host.data_socket._ring
+        self._token_frames = host.token_socket._frames
+        self._data_frames = host.data_socket._frames
         self._nic_send = host.nic.send
         #: Backend ``schedule`` / ``reschedule``: timers are simulator
         #: events, and a live one moves in place.
@@ -178,51 +178,37 @@ class MembershipHost:
     def _select_work(self) -> Optional[Tuple[float, object, tuple]]:
         if self._dead or self.host.crashed:
             return None
-        # Emptiness tests and pops go straight to the rings (index
-        # arithmetic inlined, mirroring FrameRing.pop): this hook runs
-        # once per frame processed and method calls dominate its cost.
-        token_ring = self._token_ring
-        data_ring = self._data_ring
-        token_waiting = token_ring._tail != token_ring._head
+        # Emptiness tests and pops go straight to the sockets' deques
+        # (SocketBuffer.pop inlined): this hook runs once per frame
+        # processed and method calls dominate its cost.
+        token_frames = self._token_frames
+        data_frames = self._data_frames
         # With no ring formed the token port (membership traffic) goes
         # first; after a visit data does, until the engine raises the
         # token's priority (§III-D).
         ordering = self.controller.ordering
-        if not token_waiting or (ordering is not None and not ordering.token_has_priority):
+        if not token_frames or (ordering is not None and not ordering.token_has_priority):
             # This host's cost model charges one receive per datagram
             # handed to the process (sends, deliveries and kernel
             # reassembly are free here; the bare driver's finer model
             # prices them), so non-final fragments are absorbed until a
             # datagram completes.
-            while data_ring._tail != data_ring._head:
-                head = data_ring._head
-                slots = data_ring._slots
-                index = head & data_ring._mask
-                frame = slots[index]
-                slots[index] = None
-                data_ring._head = head + 1
+            while data_frames:
+                frame = data_frames.popleft()
                 self._data_socket._queued_bytes -= frame.size
                 datagram = self.reassembler.accept(frame)
-                frame.recycle()
                 if datagram is not None:
                     profile = self.profile
                     cost = profile.recv_cost(
                         profile.data_header_bytes + int(datagram.payload_size)
                     )
                     return (cost, self._process, (datagram,))
-            if not token_waiting:
+            if not token_frames:
                 return None
             # Only fragments were waiting ahead of the token.
-        head = token_ring._head
-        slots = token_ring._slots
-        index = head & token_ring._mask
-        frame = slots[index]
-        slots[index] = None
-        token_ring._head = head + 1
+        frame = token_frames.popleft()
         self._token_socket._queued_bytes -= frame.size
-        payload = frame.payload
-        frame.recycle()
-        return (_CONTROL_CPU, self._process, (payload,))
+        return (_CONTROL_CPU, self._process, (frame.payload,))
 
     def _process(self, payload: object) -> None:
         # A CPU task in flight when the process crashed still completes
@@ -254,7 +240,7 @@ class MembershipHost:
 
     def send_token(self, token, destination: int) -> None:
         self._nic_send(
-            Frame.acquire(self.controller.pid, destination, _TOKEN, token.wire_size(), token)
+            Frame(self.controller.pid, destination, _TOKEN, token.wire_size(), token)
         )
 
     def send_control(self, message, destination: Optional[int]) -> None:

@@ -41,7 +41,7 @@ def _drive(model, frame_count, gap=1e-4, settle=1.0):
     seen = []
     deliver = model.wrap(0, lambda frame: seen.append((frame.payload, sim.now)), sim)
     for index in range(frame_count):
-        frame = Frame.acquire(1, 0, PortKind.DATA, 100, index)
+        frame = Frame(1, 0, PortKind.DATA, 100, index)
         sim.schedule_at(index * gap, deliver, frame)
     sim.run(until=frame_count * gap + settle)
     return seen
@@ -145,7 +145,7 @@ def test_token_frames_pass_untouched(name, seed):
     deliver = model.wrap(0, lambda frame: seen.append((frame.payload, sim.now)), sim)
     before = model._rng.getstate()
     for index in range(10):
-        frame = Frame.acquire(1, 0, PortKind.TOKEN, 60, index)
+        frame = Frame(1, 0, PortKind.TOKEN, 60, index)
         sim.schedule_at(index * 1e-4, deliver, frame)
     sim.run(until=1.0)
     assert [payload for payload, _ in seen] == list(range(10))

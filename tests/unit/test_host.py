@@ -42,6 +42,22 @@ class TestSocketBuffer:
         sock.pop()
         assert sock.queued_bytes == 0
 
+    def test_a_deep_buffer_releases_in_fifo_order(self):
+        # More frames than the 256 slots the buffer's queue used to
+        # start with, through push and through SimHost.receive's inline.
+        sock = SocketBuffer(1_000_000)
+        host = SimHost(0, Simulator(), GIGABIT, on_wire=lambda f: None)
+        frames = [frame(size=64 + index % 7) for index in range(1000)]
+        for arrived in frames:
+            assert sock.push(arrived)
+            host.receive(arrived)
+        for buffer in (sock, host.data_socket):
+            assert len(buffer) == 1000
+            assert list(buffer._frames) == frames
+            assert buffer.queued_bytes == sum(f.size for f in frames)
+            assert [buffer.pop() for _ in frames] == frames
+            assert buffer.queued_bytes == 0 and len(buffer) == 0
+
 
 class TestCpu:
     def test_submitted_tasks_run_in_order(self):

@@ -1,6 +1,5 @@
 """Unit tests for the sim membership driver plumbing."""
 
-from repro.net import packet
 from repro.net.packet import Frame, PortKind
 from repro.sim.build import ClusterBuilder
 
@@ -104,11 +103,12 @@ def selected(member):
     return None if task is None else task[2][0]
 
 
-def test_a_recycled_token_frame_holds_no_payload():
+def test_a_token_frame_hands_its_payload_to_the_process():
     member = idle_host(booted(3))
     token = object()
     frame = Frame(1, member.pid, PortKind.TOKEN, 64, token)
     member.host.token_socket.push(frame)
-    assert selected(member) is token  # the payload reached the process
-    if any(pooled is frame for pooled in packet._pool):
-        assert frame.payload is None and frame.fragment is None
+    assert selected(member) is token
+    socket = member.host.token_socket
+    assert len(socket) == 0 and socket.queued_bytes == 0
+    assert frame.payload is token  # the frame is left as it was built

@@ -183,6 +183,50 @@ def test_filter_consulted_once_per_destination():
     assert len(topo.host(7).data_socket) == 1
 
 
+#: The paper's star (one rack) and a two-rack fabric whose multicast
+#: crosses the uplink, the spine and the remote leaf.
+ONE_FRAME_FABRICS = [
+    LeafSpineSpec(racks=1, hosts_per_rack=8),
+    LeafSpineSpec(racks=2, hosts_per_rack=4),
+]
+
+
+def _queued(topo, host_id):
+    return list(topo.host(host_id).data_socket._frames)
+
+
+@pytest.mark.parametrize("spec", ONE_FRAME_FABRICS, ids=["one-rack", "two-racks"])
+def test_a_multicast_is_one_frame_object_in_every_receivers_socket(spec):
+    sim = Simulator()
+    topo = _build(sim, spec)
+    sent = _data(1)
+    topo.host(1).nic.send(sent)
+    sim.run_until_idle()
+    assert _queued(topo, 1) == []
+    for host_id in set(range(8)) - {1}:
+        (queued,) = _queued(topo, host_id)
+        assert queued is sent, host_id
+    assert sent.dst is None  # nothing on the way rewrote the frame
+
+
+@pytest.mark.parametrize("spec", ONE_FRAME_FABRICS, ids=["one-rack", "two-racks"])
+def test_no_copy_reaches_a_receiver_cut_by_a_partition_or_a_filter(spec):
+    sim = Simulator()
+    topo = _build(sim, spec)
+    topo.switch.set_partition({0, 1, 2, 4, 5}, {3, 6, 7})
+    topo.switch.add_filter(lambda frame, dst: dst == 5)
+    sent = _data(1)
+    topo.host(1).nic.send(sent)
+    sim.run_until_idle()
+    for host_id in (0, 2, 4):
+        (queued,) = _queued(topo, host_id)
+        assert queued is sent, host_id
+    for host_id in (1, 3, 5, 6, 7):
+        assert _queued(topo, host_id) == [], host_id
+    assert topo.switch.frames_partitioned == 3
+    assert topo.switch.frames_filtered == 1
+
+
 def test_rack_map_exposed_for_correlated_faults():
     topo = _build(Simulator(), LeafSpineSpec(racks=2, hosts_per_rack=4))
     assert topo.racks == {0: (0, 1, 2, 3), 1: (4, 5, 6, 7)}

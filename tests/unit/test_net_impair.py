@@ -25,7 +25,7 @@ def _deliveries(model, frames, gap=1e-4, settle=1.0):
 
 
 def _data(payload, src=1, dst=0):
-    return Frame.acquire(src, dst, PortKind.DATA, 100, payload)
+    return Frame(src, dst, PortKind.DATA, 100, payload)
 
 
 def test_base_model_is_identity():
@@ -67,33 +67,19 @@ def test_jitter_counts_and_bounds_delay():
     assert model.frames_delayed == 20
 
 
-def test_duplicate_copy_is_a_distinct_frame_with_same_identity():
-    model = DuplicateModel(rate=1.0, seed=0)
-    sim = Simulator()
-    seen = []
-    deliver = model.wrap(0, lambda frame: seen.append(frame), sim)
-    original = _data("payload")
-    original_id = original.frame_id
-    deliver(original)
-    sim.run_until_idle()
-    assert len(seen) == 2
-    first, second = seen
-    assert first is original
-    assert second is not original  # the pool-safety requirement
-    assert second.frame_id == original_id
-    assert second.payload == "payload"
-    assert model.frames_duplicated == 1
-
-
-def test_duplicate_fills_missing_dst_from_receiver():
+@pytest.mark.parametrize("dst", [0, None], ids=["unicast", "multicast"])
+def test_duplicate_delivers_the_same_frame_twice(dst):
     model = DuplicateModel(rate=1.0, seed=0)
     sim = Simulator()
     seen = []
     deliver = model.wrap(7, lambda frame: seen.append(frame), sim)
-    deliver(_data("m", dst=None))
+    original = _data("payload", dst=dst)
+    deliver(original)
     sim.run_until_idle()
-    assert len(seen) == 2
-    assert seen[1].dst == 7
+    first, second = seen
+    assert first is original and second is original
+    assert original.dst == dst  # the receiver's id is not written into it
+    assert model.frames_duplicated == 1
 
 
 @pytest.mark.parametrize("cls,kwargs", [

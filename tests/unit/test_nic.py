@@ -1,11 +1,11 @@
 """Unit tests for the link as a host NIC's transmit path."""
 
 import random
+from collections import deque
 from heapq import heappush
 
 import pytest
 
-from repro.core.transport_core import FrameRing
 from repro.net.link import NIC_QUEUE_BYTES, Link
 from repro.net.packet import Frame, PortKind
 from repro.net.params import GIGABIT
@@ -74,20 +74,47 @@ def test_counters():
     assert nic.peak_queue_bytes == 700  # the first frame, before it left
 
 
+#: More frames than the 256 slots the link's queue used to start with.
+DEEP = 1000
+
+
+def test_a_deep_queue_releases_in_fifo_order_back_to_back():
+    sim, nic, _ = make_nic()
+    sizes = [(64, 700, 1500, 100)[index % 4] for index in range(DEEP)]
+    frames = [frame(size) for size in sizes]
+    wire = []
+    nic._deliver = lambda sent: wire.append((sim.now, sent))
+    for sent in frames:
+        assert nic.send(sent)
+    # The first frame is serializing; the rest wait, in order.
+    assert list(nic._frames) == frames[1:]
+    assert nic.queued_bytes == sum(sizes[1:])
+    sim.run_until_idle()
+    assert [sent for _, sent in wire] == frames
+    # Each frame starts when the one before it finishes: the same float
+    # arithmetic the link applies, one frame at a time.
+    finish, expected = 0.0, []
+    for size in sizes:
+        finish = finish + (size + GIGABIT.per_frame_overhead) * 8.0 / GIGABIT.rate_bps
+        expected.append(finish + GIGABIT.propagation)
+    assert [time for time, _ in wire] == expected
+    assert nic.queued_bytes == 0 and not nic._frames
+
+
 # ----------------------------------------------------------------------
 # Differential: the idle link starts a frame at once
 # ----------------------------------------------------------------------
 
 
-class RingLink:
-    """The reference link: every frame goes through the ring, and an idle
+class QueueLink:
+    """The reference link: every frame goes through the queue, and an idle
     link pops it again at once.  ``Link.send`` skips that push and pop
     when idle; everything observable must stay the same."""
 
     def __init__(self, sim, params, deliver, capacity):
         self._sim = sim
         self._deliver = deliver
-        self._ring = FrameRing()
+        self._frames = deque()
         self._queued_bytes = 0
         self._capacity = capacity
         self._busy = False
@@ -104,7 +131,7 @@ class RingLink:
         if queued > self._capacity:
             self.frames_dropped += 1
             return False
-        self._ring.push(frame)
+        self._frames.append(frame)
         self._queued_bytes = queued
         if queued > self.peak_queue_bytes:
             self.peak_queue_bytes = queued
@@ -113,11 +140,11 @@ class RingLink:
         return True
 
     def _start_next(self):
-        if not self._ring:
+        if not self._frames:
             self._busy = False
             return
         self._busy = True
-        frame = self._ring.pop()
+        frame = self._frames.popleft()
         size = frame.size
         self._queued_bytes -= size
         sim = self._sim
@@ -159,7 +186,7 @@ def drive(link_class, seed):
             # the link may just have gone idle.
             finishing = [entry[0] for entry in sim._queue if entry[2] == link._finish]
             if finishing:
-                sim.post_at(rng.choice(finishing), send_burst, 1)
+                sim.schedule_at(rng.choice(finishing), send_burst, 1)
 
     def on_wire(frame):
         # A send from inside the delivery.
@@ -174,10 +201,10 @@ def drive(link_class, seed):
     sparse = rng.random() < 0.3
     if sparse:
         for slot in rng.sample(range(40), 15):
-            sim.post_at(slot * 40e-6, send_burst, 1)
+            sim.schedule_at(slot * 40e-6, send_burst, 1)
     else:
         for _ in range(60):
-            sim.post_at(rng.randrange(40) * 2e-6, send_burst, rng.choice((1, 1, 2, 5, 12)))
+            sim.schedule_at(rng.randrange(40) * 2e-6, send_burst, rng.choice((1, 1, 2, 5, 12)))
     finished = []
     while sim._queue:
         time, seq, callback, args = sim._queue[0]
@@ -195,7 +222,7 @@ SEEDS = range(40)
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_idle_start_matches_the_ring_path(seed):
-    reference = drive(RingLink, seed)
+    reference = drive(QueueLink, seed)
     assert drive(Link, seed) == reference
     delivered, finished, sends, counters, _ = reference
     assert len(delivered) == len(finished) == counters[0]
@@ -203,7 +230,7 @@ def test_idle_start_matches_the_ring_path(seed):
 
 
 def test_the_schedules_reach_every_case():
-    runs = [drive(RingLink, seed) for seed in SEEDS]
+    runs = [drive(QueueLink, seed) for seed in SEEDS]
     sends = [send for run in runs for send in run[2]]
     assert any(not busy for _, busy, _ in sends)  # idle starts
     assert any(busy and accepted for _, busy, accepted in sends)  # queued behind

@@ -7,7 +7,7 @@ committed results one producer, the network one link and one topology,
 fault-schedule searches one explorer, the simulator one transmit
 instrument, the differential's spread variant the daemon's layout,
 latency samples one unboxed store, the CLI one package of eight commands,
-each protocol event one observer hook.
+each protocol event one observer hook, a datagram fragment one frame.
 
 Scans the package source so that a re-grown effect ladder, a second
 delivery effect or a per-message delivery hook, a second run-grouping
@@ -15,11 +15,11 @@ accumulator, a new deprecation shim, a bench baseline or a comparator
 against one, a bench environment knob, a private convergence poll or a second way to
 arm a fault plan, a dispatch ladder or hand-placed timer cancel in
 the membership controller, a second daemon or client protocol, a
-second figure harness, a second serializing queue, a probe telling two
-topologies apart, a second exploration loop, the daemon forwarding a
-packed container, a second transmit callback, the spread mirror
-ordering the reference codec's layout, a per-sender latency store
-kept beside the pooled samples, a parser outside ``repro.cli``, a
+second figure harness, a second serializing queue, a pooled or
+rewritten frame, a probe telling two topologies apart, a second
+exploration loop, the daemon forwarding a packed container, a second
+transmit callback, the spread mirror ordering the reference codec's
+layout, a per-sender latency store kept beside the pooled samples, a parser outside ``repro.cli``, a
 second observer hook for one event or an unused import again fails
 tier-1 instead of drifting in unnoticed (the shape of the port and
 unseeded-random tripwires in ``conftest.py``, applied to the source
@@ -527,6 +527,74 @@ def test_one_link_and_no_topology_probe():
     ):
         assert TOPOLOGY_PROBE.search(line), line
     assert not TOPOLOGY_PROBE.search('        restart = getattr(self.cluster, "restart", None)')
+
+
+# ----------------------------------------------------------------------
+# One frame per datagram fragment, queued in deques (net/packet.py)
+# ----------------------------------------------------------------------
+
+#: The frame pool, its per-port clones and the hand-indexed frame ring.
+RETIRED_FRAME_SURFACE = re.compile(r"FrameRing|recycle|clone_for|_POOL_CAP|_trunk_clone")
+FRAME_ACQUIRE = re.compile(r"\bFrame\.acquire\(")
+#: Variables that held a frame where frames were rewritten in place.
+FRAME_NAME = re.compile(r"frame|clone|copy|spare")
+
+
+def _frame_attribute_stores(source):
+    """``name.attr`` assignment targets that rewrite a frame's fields."""
+    from repro.net.packet import Frame
+
+    stores = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for item in ast.walk(target):
+                if (
+                    isinstance(item, ast.Attribute)
+                    and isinstance(item.ctx, ast.Store)
+                    and item.attr in Frame.__slots__
+                    and isinstance(item.value, ast.Name)
+                    and FRAME_NAME.search(item.value.id)
+                ):
+                    stores.append(f"{item.value.id}.{item.attr}")
+    return stores
+
+
+def test_a_frame_is_built_once_and_never_pooled():
+    stores = {
+        name: found
+        for name, text in _sources().items()
+        if name != "net/packet.py" and (found := _frame_attribute_stores(text))
+    }
+    assert stores == {}
+    assert _occurrences(RETIRED_FRAME_SURFACE.pattern) == {}
+    # Frame.acquire is the constructor under its old name, defined once
+    # and called from nowhere in the package.
+    assert _occurrences(FRAME_ACQUIRE.pattern) == {}
+    assert _occurrences(r"\bdef acquire\(") == {"net/packet.py": 1}
+    # ...and the patterns bite on what this replaced.
+    old = (
+        "def _trunk_clone(frame):\n"
+        "    clone = Frame.acquire(frame.src, frame.dst, frame.kind, frame.size, None)\n"
+        "    clone.frame_id = frame.frame_id\n"
+        "    copy = frame.clone_for(7)\n"
+        "    copy.dst, frame.payload = 7, None\n"
+        "    self.size = 3\n"
+    )
+    assert _frame_attribute_stores(old) == ["clone.frame_id", "copy.dst", "frame.payload"]
+    assert FRAME_ACQUIRE.search(old)
+    for line in (
+        "from repro.core.transport_core import FrameRing",
+        "            frame.recycle()",
+        "                port.send(clone_for(host_id))",
+        "        if len(_pool) < _POOL_CAP:",
+    ):
+        assert RETIRED_FRAME_SURFACE.search(line), line
 
 
 # ----------------------------------------------------------------------

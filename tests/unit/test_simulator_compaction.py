@@ -1,14 +1,11 @@
-"""Heap-compaction and frame-pool tests for the hot-path engine.
+"""Heap-compaction tests for the hot-path engine.
 
 Compaction rewrites the event heap *in place* (``queue[:] = ...``)
 because :meth:`Simulator.run` and :meth:`Simulator.step` hold a local
 reference to the queue list across callbacks.  These tests pin both the
-cancellation bookkeeping and that aliasing contract, plus the bounded
-:class:`Frame` free list.
+cancellation bookkeeping and that aliasing contract.
 """
 
-from repro.net import packet
-from repro.net.packet import Frame, PortKind
 from repro.net.simulator import _COMPACT_MIN, Simulator
 
 
@@ -92,44 +89,3 @@ def test_cancel_is_idempotent_for_bookkeeping():
     handle.cancel()
     assert sim.cancelled_pending == 1
     assert sim.pending_events == 0
-
-
-def test_frame_pool_reuses_recycled_frames():
-    packet._pool.clear()
-    frame = Frame.acquire(1, 2, PortKind.DATA, 100, "payload")
-    first_id = frame.frame_id
-    frame.recycle()
-    assert frame.payload is None
-    assert frame.fragment is None
-    again = Frame.acquire(3, None, PortKind.TOKEN, 50, "other", fragment=(1, 0, 2))
-    assert again is frame
-    assert again.frame_id > first_id
-    assert (again.src, again.dst, again.kind, again.size) == (3, None, PortKind.TOKEN, 50)
-    assert again.payload == "other"
-    assert again.fragment == (1, 0, 2)
-
-
-def test_clone_for_keeps_frame_id():
-    packet._pool.clear()
-    original = Frame.acquire(1, None, PortKind.DATA, 100, "msg")
-    clone = original.clone_for(7)
-    assert clone.frame_id == original.frame_id
-    assert clone.dst == 7
-    assert clone.src == original.src
-    assert clone.payload == original.payload
-    # A pooled frame serves clones too, still with the original's id.
-    spare = Frame.acquire(9, 9, PortKind.DATA, 1, "x")
-    spare.recycle()
-    clone2 = original.clone_for(8)
-    assert clone2 is spare
-    assert clone2.frame_id == original.frame_id
-    assert clone2.dst == 8
-
-
-def test_frame_pool_is_bounded():
-    packet._pool.clear()
-    frames = [Frame(0, 1, PortKind.DATA, 10, "p") for _ in range(packet._POOL_CAP + 10)]
-    for frame in frames:
-        frame.recycle()
-    assert len(packet._pool) == packet._POOL_CAP
-    packet._pool.clear()

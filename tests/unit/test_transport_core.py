@@ -1,7 +1,6 @@
 """Unit tests for the shared sans-io transport core.
 
-The FrameRing's own behaviour is pinned in test_frame_ring.py; these
-cover the pieces the sim driver and the real runtime now share: the
+These cover the pieces the sim driver and the real runtime share: the
 coalescing accumulator, batch wire arithmetic, the data-port decoder,
 and byte-window accounting.
 """
