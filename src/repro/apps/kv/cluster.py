@@ -37,7 +37,7 @@ idempotence — not timing luck — makes the composition exact.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.apps.kv.commands import (
     CommandError,
@@ -45,7 +45,6 @@ from repro.apps.kv.commands import (
     KvResult,
     Op,
     cas as make_cas,
-    decode_command,
     delete as make_delete,
     encode_command,
     get as make_get,
@@ -55,7 +54,6 @@ from repro.apps.kv.history import History
 from repro.apps.kv.checker import CheckResult, check_history
 from repro.apps.kv.replica import BUFFERING, DurableMedium, KvReplica
 from repro.apps.kv.snapshot import encode_snapshot
-from repro.apps.kv.store import KvStore
 from repro.multiring.shard_map import stable_hash
 from repro.sim.build import ClusterBuilder
 from repro.util.errors import ConfigurationError
@@ -413,25 +411,6 @@ class KvCluster:
         return check_history(
             self.history, watermarks=watermarks or None, **kwargs
         )
-
-    def cross_shard_snapshot(
-        self,
-        groups: Optional[Iterable[str]] = None,
-        vantage: Optional[int] = None,
-    ) -> KvStore:
-        """A read-only store built from the deterministic cross-shard
-        merge order — the state a subscriber of ``groups`` computes.
-
-        Every vantage yields the identical store (the §11 merge
-        guarantee).  Fault-free convenience: the merge reads raw
-        delivered streams, so it does not apply the primary-component
-        filtering replicas do under partitions.
-        """
-        wanted = list(groups) if groups is not None else self.groups()
-        store = KvStore()
-        for group, payload in self.net.merged_stream(wanted, vantage=vantage):
-            store.apply(group, decode_command(payload))
-        return store
 
     def counters(self) -> Dict[str, object]:
         return {

@@ -139,7 +139,7 @@ def _exploration_details(report) -> List[str]:
     """Each failing case, shrunk, with what its oracle found — the
     differential's divergences, the per-shard EVS verdicts or soak's
     violation — then the merged coverage table."""
-    from repro.conformance.differ import ConformanceDivergence
+    from repro.conformance.variants import ConformanceDivergence
 
     details: List[str] = []
     for case in report.failures:
@@ -158,13 +158,19 @@ def _exploration_details(report) -> List[str]:
 
 
 def _divergence_details(report) -> List[str]:
-    coverage = getattr(report, "coverage", None)
+    coverage = report.coverage
     return _divergence_lines(report.divergences) + ([coverage.format()] if coverage else [])
 
 
-def _deliveries(report) -> str:
-    """The per-run delivery counts in the order the JSON artifact keeps."""
-    return f"deliveries={dict(sorted(report.deliveries.items()))}"
+def _differential_line(report) -> str:
+    """The workload's fields, then the per-run delivery counts in the
+    order the JSON artifact keeps."""
+    workload = " ".join(f"{key}={value}" for key, value in report.workload.to_dict().items())
+    return (
+        f"differential: variants={','.join(report.variants)} seed={report.seed} "
+        f"plan_events={len(report.plan_events)} {workload} "
+        f"deliveries={dict(sorted(report.deliveries.items()))}"
+    )
 
 
 def _replay_differential(saved) -> List[str]:
@@ -194,8 +200,6 @@ class _Kind(NamedTuple):
 
 def _kinds() -> Tuple[_Kind, ...]:
     from repro.conformance.differ import ConformanceReport
-    from repro.conformance.multiring import ShardedReport
-    from repro.conformance.realtime import RealtimeReport
     from repro.faults.explorer import ExplorationReport
     from repro.faults.soak import Counterexample
 
@@ -214,34 +218,9 @@ def _kinds() -> Tuple[_Kind, ...]:
             lambda c: _indented(c.replay()),
         ),
         _Kind(
-            {"ring_counts"},
-            ShardedReport,
-            lambda r: (
-                f"sharded: rings={r.ring_counts} seed={r.seed} "
-                f"groups={r.workload.num_groups} {_deliveries(r)}"
-            ),
-            _divergence_details,
-            None,
-        ),
-        _Kind(
-            {"real_wall_s"},
-            RealtimeReport,
-            lambda r: (
-                f"realtime: crash={r.crash} hosts={r.workload.num_hosts} "
-                f"{_deliveries(r)} decode_errors={r.decode_errors} "
-                f"real_wall={r.real_wall_s:.3f}s"
-            ),
-            _divergence_details,
-            None,
-        ),
-        _Kind(
             {"plan", "variants"},
             ConformanceReport,
-            lambda r: (
-                f"differential: variants={','.join(r.variants)} seed={r.seed} "
-                f"hosts={r.workload.num_hosts} plan_events={len(r.plan_events)} "
-                f"{_deliveries(r)}"
-            ),
+            _differential_line,
             _divergence_details,
             _replay_differential,
         ),
@@ -352,18 +331,16 @@ def cmd_conformance(args: argparse.Namespace) -> int:
         return _read_back(args)
 
     if args.mode in ("sharded", "sharded-explore"):
-        from repro.conformance.multiring import (
-            ShardedWorkload,
-            explore_grid,
-            run_sharded_differential,
-        )
+        from repro.conformance.multiring import ShardedWorkload, explore_grid
 
         sharded_workload = ShardedWorkload(
             num_groups=args.groups, hosts_per_ring=args.hosts
         )
         if args.mode == "sharded":
-            report = run_sharded_differential(
-                sharded_workload, ring_counts=args.rings, seed=args.seed
+            report = run_differential(
+                sharded_workload,
+                seed=args.seed,
+                variants=[f"rings-{count}" for count in args.rings],
             )
             return _emit_report(args, report, "conformance_sharded.json")
 
@@ -378,15 +355,12 @@ def cmd_conformance(args: argparse.Namespace) -> int:
         return _emit_report(args, report, "conformance_sharded_explore.json")
 
     if args.mode == "realtime":
-        from repro.conformance.realtime import (
-            RealtimeWorkload,
-            run_realtime_differential,
-        )
+        from repro.conformance.realtime import RealtimeWorkload
 
         workload = RealtimeWorkload(
-            num_hosts=args.hosts, burst_size=args.burst_size
+            num_hosts=args.hosts, burst_size=args.burst_size, crash=args.crash
         )
-        report = run_realtime_differential(workload=workload, crash=args.crash)
+        report = run_differential(workload)
         return _emit_report(args, report, "conformance_realtime.json")
 
     workload = Workload(

@@ -1,5 +1,11 @@
 """The differential oracle: do the variants deliver the same order?
 
+:func:`run_differential` is the one oracle entry point and
+:class:`ConformanceReport` its one report.  Only the *substrate* that
+produces each variant's label streams varies (:data:`SUBSTRATES`): the
+protocol variants on the simulator, an N-ring sharded cluster, or a
+serialized barrier script on the simulator and on real loopback nodes.
+
 The comparison is phase-aware, because the paper's equivalence claim is
 about the *protocol*, not about fault timing:
 
@@ -18,24 +24,35 @@ about the *protocol*, not about fault timing:
 Any mismatch produces a structured :class:`ConformanceDivergence`
 naming the first diverging delivery — participant, position, the two
 labels — plus a trace excerpt per side, in the spirit of the
-EvsChecker's debuggable virtual-synchrony reports.
+EvsChecker's debuggable virtual-synchrony reports.  What one run fails
+on its own — EVS, convergence, a sharded run's vantages, a real run's
+decoder — joins the cross-variant divergences.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+import re
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
-from repro.obs.coverage import CoverageObserver, CoverageReport
+from repro.conformance.multiring import ShardedRun, ShardedWorkload, run_sharded
+from repro.conformance.realtime import RealtimeWorkload, run_real_serialized, run_sim_serialized
 from repro.conformance.variants import (
+    MSG,
     PHASE_PROBE,
     VARIANT_NAMES,
+    ConformanceDivergence,
     VariantRun,
     run_variant,
 )
 from repro.conformance.workload import Workload
 from repro.faults.plan import FaultPlan
+from repro.obs.coverage import CoverageObserver, CoverageReport
+from repro.obs.observer import ProtocolObserver
+from repro.util.errors import ConfigurationError
 from repro.util.jsonreport import JsonReport
+
+AnyWorkload = Union[Workload, ShardedWorkload, RealtimeWorkload]
 
 #: Events shown on each side of a divergence excerpt.
 _EXCERPT_CONTEXT = 4
@@ -43,69 +60,6 @@ _EXCERPT_CONTEXT = 4
 
 def _decode(label: bytes) -> str:
     return label.decode("latin-1")
-
-
-@dataclass
-class ConformanceDivergence:
-    """One observed difference between two variants' behaviour.
-
-    ``kind`` is ``order`` (same position, different label), ``missing``
-    (one side's sequence ends early), ``evs`` (a variant violated an
-    EVS property outright), or ``converge`` (a variant failed to reform
-    a full ring after the fault plan quiesced).  ``seq`` is the position
-    of the first diverging delivery within the compared region of
-    ``pid``'s stream.
-    """
-
-    kind: str
-    variant_a: str
-    variant_b: str
-    phase: str
-    pid: Optional[int] = None
-    seq: Optional[int] = None
-    expected: Optional[str] = None
-    actual: Optional[str] = None
-    detail: str = ""
-    excerpt_a: List[str] = field(default_factory=list)
-    excerpt_b: List[str] = field(default_factory=list)
-
-    def describe(self) -> str:
-        if self.kind == "order":
-            head = (
-                f"order divergence [{self.phase}] pid {self.pid} seq "
-                f"{self.seq}: {self.variant_a} delivered "
-                f"{self.expected!r}, {self.variant_b} delivered "
-                f"{self.actual!r}"
-            )
-        elif self.kind == "missing":
-            head = (
-                f"missing delivery [{self.phase}] pid {self.pid} seq "
-                f"{self.seq}: {self.detail}"
-            )
-        elif self.kind == "evs":
-            head = f"EVS violation in {self.variant_b}: {self.detail}"
-        else:
-            head = f"{self.kind} divergence ({self.variant_b}): {self.detail}"
-        lines = [head]
-        if self.excerpt_a:
-            lines.append(f"  {self.variant_a} trace around the divergence:")
-            lines.extend(f"    {line}" for line in self.excerpt_a)
-        if self.excerpt_b:
-            lines.append(f"  {self.variant_b} trace around the divergence:")
-            lines.extend(f"    {line}" for line in self.excerpt_b)
-        return "\n".join(lines)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Every field but an unset position, label or excerpt."""
-        return {
-            key: value
-            for key, value in asdict(self).items()
-            if value is not None and value != []
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "ConformanceDivergence":
-        return cls(**payload)
 
 
 def _excerpt(labels: Sequence[bytes], position: int) -> List[str]:
@@ -227,22 +181,20 @@ def health_divergences(
     evs_texts: Mapping[str, Optional[str]],
     converged: bool,
     detail: str,
-    phases: Tuple[str, str] = ("full", "quiesce"),
 ) -> List[ConformanceDivergence]:
-    """The divergences run ``name`` earns on its own, whatever the oracle.
+    """The divergences run ``name`` earns on its own, whatever the substrate.
 
     One ``evs`` divergence per violated checker — ``evs_texts`` maps the
     offender's label (the run, or one ring of it) to its violation text,
     ``None`` when clean — and one ``converge`` divergence, carrying
-    ``detail``, if the run never reconverged.  ``phases`` names the
-    (evs, converge) phases for an oracle without a quiesce phase.
+    ``detail``, if the run never reconverged.
     """
     found = [
         ConformanceDivergence(
             kind="evs",
             variant_a=baseline,
             variant_b=label,
-            phase=phases[0],
+            phase="full",
             detail=text,
         )
         for label, text in evs_texts.items()
@@ -254,11 +206,135 @@ def health_divergences(
                 kind="converge",
                 variant_a=baseline,
                 variant_b=name,
-                phase=phases[1],
+                phase="quiesce",
                 detail=detail,
             )
         )
     return found
+
+
+# ----------------------------------------------------------------------
+# The substrates
+# ----------------------------------------------------------------------
+
+
+def _check_run_consistency(run: ShardedRun) -> List[ConformanceDivergence]:
+    """Within one run: every vantage must observe the same per-group and
+    merged streams (a merged item's label is ``group/payload``)."""
+    views = [(f"group:{group}", per_pid) for group, per_pid in sorted(run.vantage_streams.items())]
+    merged = {
+        pid: [group.encode("ascii") + b"/" + payload for group, payload in stream]
+        for pid, stream in run.merged_streams.items()
+    }
+    divergences: List[ConformanceDivergence] = []
+    for phase, per_pid in views + [("merged", merged)]:
+        pids = sorted(per_pid)
+        for pid in pids[1:]:
+            found = compare_label_sequences(
+                f"{run.name}/pid{pids[0]}",
+                f"{run.name}/pid{pid}",
+                pid,
+                per_pid[pids[0]],
+                per_pid[pid],
+                phase=phase,
+            )
+            if found is not None:
+                divergences.append(found)
+    return divergences
+
+
+def _run_rings(
+    variant: str,
+    workload: ShardedWorkload,
+    plan: Optional[FaultPlan],
+    seed: int,
+    observer: ProtocolObserver,
+) -> VariantRun:
+    """The ``rings-N`` substrate: one stream per group index, holding the
+    canonical vantage's labels, so the fault-free cross-ring-count check
+    is :func:`compare_runs`.  The streams carry no phase marks, so under
+    a plan (armed against ring 0) nothing is compared across ring
+    counts — fault timing legitimately changes delivery sets — and the
+    run is judged on its own: every vantage alike, every ring EVS-clean,
+    the cluster reconverged."""
+    run = run_sharded(int(variant[len("rings-") :]), workload, seed, plan, observer=observer)
+    per_ring_evs = {
+        f"{variant}/ring{ring}": text for ring, text in sorted(run.evs_violations.items())
+    }
+    return VariantRun(
+        variant=variant,
+        streams={
+            index: [(MSG, label) for label in run.group_streams[group]]
+            for index, group in enumerate(sorted(run.group_streams))
+        },
+        evs_violation=None,  # judged per ring, among the run's divergences
+        converged=run.converged,
+        final_members=tuple(sorted(run.merged_streams)),
+        traffic_base=0.0,
+        sim_time=run.cluster.sim.now,
+        crashed_pids=run.crashed_pids,
+        divergences=_check_run_consistency(run)
+        + health_divergences(variant, variant, per_ring_evs, True, ""),
+    )
+
+
+def _run_serialized(
+    variant: str,
+    workload: RealtimeWorkload,
+    plan: Optional[FaultPlan],
+    seed: int,
+    observer: ProtocolObserver,
+) -> VariantRun:
+    """The ``sim`` / ``real`` substrates: the workload's barrier script,
+    whose only fault is its scripted crash (``RealtimeWorkload.crash``)."""
+    if plan is not None:
+        raise ConfigurationError(
+            f"variant {variant!r} cannot arm a fault plan; "
+            "the realtime workload scripts its own crash"
+        )
+    run = run_sim_serialized if variant == "sim" else run_real_serialized
+    return run(workload, observer)
+
+
+class Substrate(NamedTuple):
+    """What a variant name drives: the workload class it runs, and the
+    function ``(variant, workload, plan, seed, observer)`` returning its
+    :class:`VariantRun`."""
+
+    workload: type
+    run: Callable[..., VariantRun]
+
+
+#: Variant name → substrate.  ``rings-N`` stands for every ring count N.
+SUBSTRATES: Dict[str, Substrate] = {
+    **{name: Substrate(Workload, run_variant) for name in VARIANT_NAMES},
+    "rings-N": Substrate(ShardedWorkload, _run_rings),
+    "sim": Substrate(RealtimeWorkload, _run_serialized),
+    "real": Substrate(RealtimeWorkload, _run_serialized),
+}
+
+#: The variants a workload type runs when none are named.
+DEFAULT_VARIANTS: Dict[type, Tuple[str, ...]] = {
+    Workload: VARIANT_NAMES,
+    ShardedWorkload: ("rings-1", "rings-2"),
+    RealtimeWorkload: ("sim", "real"),
+}
+
+
+def substrate(variant: str) -> Substrate:
+    """The substrate ``variant`` names; :class:`ConfigurationError` for
+    an unknown name."""
+    key = "rings-N" if re.fullmatch(r"rings-[1-9][0-9]*", variant) else variant
+    if key not in SUBSTRATES:
+        raise ConfigurationError(
+            f"unknown variant {variant!r}; choose from {sorted(SUBSTRATES)}"
+        )
+    return SUBSTRATES[key]
+
+
+# ----------------------------------------------------------------------
+# The oracle
+# ----------------------------------------------------------------------
 
 
 @dataclass
@@ -266,7 +342,7 @@ class ConformanceReport(JsonReport):
     """The outcome of one differential run, JSON-round-trippable so a
     divergence found by the nightly job replays with one command."""
 
-    workload: Workload
+    workload: AnyWorkload
     plan_events: List[Dict[str, Any]]
     seed: int
     variants: Tuple[str, ...]
@@ -300,8 +376,8 @@ class ConformanceReport(JsonReport):
     def from_dict(cls, payload: Dict[str, Any]) -> "ConformanceReport":
         fields = {key: value for key, value in payload.items() if key != "ok"}
         report = cls(plan_events=fields.pop("plan", []), **fields)
-        report.workload = Workload.from_dict(report.workload)
         report.variants = tuple(report.variants)
+        report.workload = substrate(report.variants[0]).workload.from_dict(report.workload)
         report.divergences = [ConformanceDivergence.from_dict(d) for d in report.divergences]
         if report.coverage:
             report.coverage = CoverageReport.from_dict(report.coverage)
@@ -309,33 +385,50 @@ class ConformanceReport(JsonReport):
 
 
 def run_differential(
-    workload: Workload,
+    workload: AnyWorkload,
     plan: Optional[FaultPlan] = None,
     seed: int = 0,
-    variants: Sequence[str] = VARIANT_NAMES,
+    variants: Optional[Sequence[str]] = None,
     runs: Optional[Dict[str, VariantRun]] = None,
 ) -> ConformanceReport:
     """Run every variant and compare them against the first one.
 
+    ``variants`` default to the workload type's (:data:`DEFAULT_VARIANTS`);
+    each must drive that type (:data:`SUBSTRATES`), and at least two are
+    compared.  A run that crashed a process — by ``plan`` or by the
+    realtime workload's script — is compared in its calm prefix and
+    probe phase only.
+
     ``runs`` lets tests inject pre-recorded (or deliberately mutated)
     :class:`VariantRun` objects for a variant name instead of driving
-    the simulator — the mutation fixtures use this to prove the oracle
+    its substrate — the mutation fixtures use this to prove the oracle
     actually catches ordering bugs.
     """
-    faulty = plan is not None and len(plan) > 0
+    if variants is None:
+        variants = DEFAULT_VARIANTS[type(workload)]
+    if len(variants) < 2:
+        raise ConfigurationError(
+            f"a differential compares at least two variants, got {tuple(variants)!r}"
+        )
+    drives = [substrate(variant) for variant in variants]
+    for variant, drive in zip(variants, drives):
+        if not isinstance(workload, drive.workload):
+            raise ConfigurationError(
+                f"variant {variant!r} drives a {drive.workload.__name__}, "
+                f"not a {type(workload).__name__}"
+            )
     coverage = CoverageReport({})
     results: List[VariantRun] = []
-    for variant in variants:
+    for variant, drive in zip(variants, drives):
         if runs is not None and variant in runs:
             results.append(runs[variant])
             continue
         observer = CoverageObserver()
-        results.append(
-            run_variant(
-                variant, workload, plan=plan, seed=seed, observer=observer
-            )
-        )
+        results.append(drive.run(variant, workload, plan, seed, observer))
         coverage = coverage.merge(observer.report())
+    faulty = (plan is not None and len(plan) > 0) or any(
+        run.crashed_pids for run in results
+    )
     report = ConformanceReport(
         workload=workload,
         plan_events=plan.to_dicts() if plan is not None else [],
@@ -360,4 +453,5 @@ def run_differential(
                 f"{list(run.final_members)})",
             )
         )
+        report.divergences.extend(run.divergences)
     return report

@@ -12,15 +12,14 @@ The multi-ring layer makes two testable promises (docs/PROTOCOL.md
    rings the groups are sharded over*: a group's stream under 2 rings
    must be byte-identical to its stream under 1 ring.
 
-This module turns both into oracles in the style of
-:mod:`repro.conformance.differ`:
+This module turns both into oracles:
 
 * :func:`run_sharded` drives a deterministic per-group workload
   through an N-ring cluster (optionally with a fault plan against one
-  ring) and records per-group streams from every vantage.
-* :func:`run_sharded_differential` compares those streams across ring
-  counts (1 vs 2 by default) and across vantages, reporting structured
-  :class:`~repro.conformance.differ.ConformanceDivergence` records.
+  ring) and records per-group streams from every vantage.  It is the
+  ``rings-N`` substrate of :func:`~repro.conformance.differ.run_differential`,
+  which compares those streams across ring counts (1 vs 2 by default)
+  and across vantages.
 * :func:`explore_grid` runs a bounded depth-1 fault schedule grid
   (crash+recover, pause+resume, token drop — per ring, per anchor)
   through the one explorer (:mod:`repro.faults.explorer`), with
@@ -40,14 +39,9 @@ comparison unambiguous.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.conformance.differ import (
-    ConformanceDivergence,
-    compare_label_sequences,
-    health_divergences,
-)
 from repro.faults.drive import boot, wait_converged
 from repro.faults.explorer import (
     ExplorationCase,
@@ -64,7 +58,6 @@ from repro.obs.coverage import CoverageObserver, CoverageReport
 from repro.obs.observer import ProtocolObserver
 from repro.sim.build import ClusterBuilder
 from repro.util.errors import ConfigurationError
-from repro.util.jsonreport import JsonReport
 
 #: Settle time after the last scheduled submission.
 _TAIL = 0.3
@@ -240,150 +233,6 @@ def run_sharded(
         deliveries=sum(len(stream) for stream in group_streams.values()),
         cluster=cluster,
     )
-
-
-# ----------------------------------------------------------------------
-# The cross-topology differential
-# ----------------------------------------------------------------------
-
-
-def _merge_labels(stream: Sequence[Tuple[str, bytes]]) -> List[bytes]:
-    """Flatten a merged (group, payload) stream into comparable labels."""
-    return [group.encode("ascii") + b"/" + payload for group, payload in stream]
-
-
-@dataclass
-class ShardedReport(JsonReport):
-    """The outcome of one sharded differential, JSON-round-trippable."""
-
-    workload: ShardedWorkload
-    seed: int
-    ring_counts: Tuple[int, ...]
-    divergences: List[ConformanceDivergence] = field(default_factory=list)
-    deliveries: Dict[str, int] = field(default_factory=dict)
-    evs: Dict[str, Dict[int, str]] = field(default_factory=dict)
-    converged: Dict[str, bool] = field(default_factory=dict)
-    shards: Dict[str, Dict[str, int]] = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return not self.divergences
-
-    def to_dict(self) -> Dict[str, Any]:
-        divergences = [divergence.to_dict() for divergence in self.divergences]
-        evs = {
-            name: {str(ring): text for ring, text in violations.items()}
-            for name, violations in self.evs.items()
-        }
-        return {**asdict(self), "ok": self.ok, "divergences": divergences, "evs": evs}
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "ShardedReport":
-        report = cls(**{key: value for key, value in payload.items() if key != "ok"})
-        report.workload = ShardedWorkload.from_dict(report.workload)
-        report.ring_counts = tuple(report.ring_counts)
-        report.divergences = [ConformanceDivergence.from_dict(d) for d in report.divergences]
-        report.evs = {
-            name: {int(ring): text for ring, text in violations.items()}
-            for name, violations in report.evs.items()
-        }
-        return report
-
-
-def _check_run_consistency(run: ShardedRun) -> List[ConformanceDivergence]:
-    """Within one run: every vantage must observe the same streams."""
-    divergences: List[ConformanceDivergence] = []
-    for group, per_pid in sorted(run.vantage_streams.items()):
-        pids = sorted(per_pid)
-        if not pids:
-            continue
-        reference = per_pid[pids[0]]
-        for pid in pids[1:]:
-            found = compare_label_sequences(
-                f"{run.name}/pid{pids[0]}",
-                f"{run.name}/pid{pid}",
-                pid,
-                reference,
-                per_pid[pid],
-                phase=f"group:{group}",
-            )
-            if found is not None:
-                divergences.append(found)
-    vantages = sorted(run.merged_streams)
-    if vantages:
-        reference = _merge_labels(run.merged_streams[vantages[0]])
-        for pid in vantages[1:]:
-            found = compare_label_sequences(
-                f"{run.name}/pid{vantages[0]}",
-                f"{run.name}/pid{pid}",
-                pid,
-                reference,
-                _merge_labels(run.merged_streams[pid]),
-                phase="merged",
-            )
-            if found is not None:
-                divergences.append(found)
-    return divergences
-
-
-def run_sharded_differential(
-    workload: Optional[ShardedWorkload] = None,
-    ring_counts: Sequence[int] = (1, 2),
-    seed: int = 0,
-) -> ShardedReport:
-    """Fault-free differential: the same workload at several ring counts.
-
-    Three properties are compared:
-
-    * per-group streams are identical across ring counts (sharding is
-      invisible within a group);
-    * within each run, every vantage observes identical per-group and
-      merged streams (subscriber-identical order);
-    * every ring of every run passes the full EVS suite and converges.
-    """
-    workload = workload if workload is not None else ShardedWorkload()
-    if len(ring_counts) < 2:
-        raise ConfigurationError(
-            f"differential needs at least two ring counts, got {ring_counts!r}"
-        )
-    runs = [run_sharded(count, workload, seed=seed) for count in ring_counts]
-    report = ShardedReport(
-        workload=workload,
-        seed=seed,
-        ring_counts=tuple(ring_counts),
-        deliveries={run.name: run.deliveries for run in runs},
-        evs={run.name: dict(run.evs_violations) for run in runs},
-        converged={run.name: run.converged for run in runs},
-        shards={run.name: dict(run.shard_of) for run in runs},
-    )
-    baseline = runs[0]
-    for other in runs[1:]:
-        for group_index, group in enumerate(sorted(baseline.group_streams)):
-            found = compare_label_sequences(
-                baseline.name,
-                other.name,
-                group_index,
-                baseline.group_streams[group],
-                other.group_streams.get(group, []),
-                phase=f"group:{group}",
-            )
-            if found is not None:
-                report.divergences.append(found)
-    for run in runs:
-        report.divergences.extend(_check_run_consistency(run))
-        report.divergences.extend(
-            health_divergences(
-                baseline.name,
-                run.name,
-                {
-                    f"{run.name}/ring{ring_index}": violation
-                    for ring_index, violation in sorted(run.evs_violations.items())
-                },
-                run.converged,
-                f"{run.name} did not reconverge",
-            )
-        )
-    return report
 
 
 # ----------------------------------------------------------------------

@@ -7,9 +7,8 @@ workload is driven through a simulated membership cluster and through a
 fleet of real :class:`~repro.runtime.node.RingNode` processes on
 loopback, per-pid delivery streams are captured with the same
 :class:`~repro.conformance.variants.ConformanceTap`, and the streams
-are compared with the existing
-:func:`~repro.conformance.differ.compare_runs` /
-:class:`~repro.conformance.differ.ConformanceDivergence` machinery.
+are compared by :func:`~repro.conformance.differ.run_differential`:
+the ``sim`` and ``real`` variants are this module's two substrates.
 
 Soundness — why the comparison is exact and not merely statistical: the
 real runtime's interleaving of *concurrent* senders depends on wall
@@ -32,33 +31,26 @@ from __future__ import annotations
 
 import asyncio
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.conformance.differ import (
-    ConformanceDivergence,
-    compare_runs,
-    health_divergences,
-)
 from repro.conformance.variants import (
     MSG,
     PHASE_MAIN,
     PHASE_PROBE,
+    ConformanceDivergence,
     ConformanceTap,
     VariantRun,
 )
 from repro.conformance.workload import make_label
 from repro.core.messages import DeliveryService
 from repro.faults.drive import poll
+from repro.obs.observer import ProtocolObserver
 from repro.runtime.fleet import FLEET_TIMEOUTS
 from repro.runtime.node import RingNode
 from repro.runtime.ports import ephemeral_ring_addresses
 from repro.sim.build import ClusterBuilder
 from repro.sim.profiles import DAEMON
-from repro.util.jsonreport import JsonReport
-
-SIM_VARIANT = "sim"
-REAL_VARIANT = "real"
 
 #: Wall-clock deadlines for the real ring's waits: draining one burst,
 #: and (re)forming the ring.  (The simulated ring waits in simulated
@@ -77,7 +69,9 @@ class RealtimeWorkload:
     payload_size: int = 32
     probe_bursts: int = 3
     probe_burst_size: int = 4
-    #: Burst indices (barriers) at which the crash plan fires.
+    #: Crash the last pid at barrier ``crash_burst`` and restart it at
+    #: ``restart_burst`` (burst indices).
+    crash: bool = False
     crash_burst: int = 2
     restart_burst: int = 4
 
@@ -89,24 +83,22 @@ class RealtimeWorkload:
         return cls(**payload)
 
 
-def build_schedule(
-    workload: RealtimeWorkload, crash: bool
-) -> List[Tuple[Any, ...]]:
+def build_schedule(workload: RealtimeWorkload) -> List[Tuple[Any, ...]]:
     """The shared event script: both runners consume this verbatim.
 
     Events: ``("burst", sender, size, live_members)``, ``("crash",
     pid)``, ``("restart", pid)``, ``("probe",)``.  Keeping the script a
-    pure function of (workload, crash) is what locks the two
+    pure function of the workload is what locks the two
     implementations to the same submission order.
     """
     events: List[Tuple[Any, ...]] = []
     live = list(range(workload.num_hosts))
     crash_pid = workload.num_hosts - 1
     for index in range(workload.bursts):
-        if crash and index == workload.crash_burst:
+        if workload.crash and index == workload.crash_burst:
             events.append(("crash", crash_pid))
             live.remove(crash_pid)
-        if crash and index == workload.restart_burst:
+        if workload.crash and index == workload.restart_burst:
             events.append(("restart", crash_pid))
             live.append(crash_pid)
             live.sort()
@@ -147,7 +139,7 @@ def _message_counts(tap: ConformanceTap) -> Dict[int, int]:
 # ----------------------------------------------------------------------
 
 
-async def _replay(ring, workload: RealtimeWorkload, crash: bool) -> bool:
+async def _replay(ring, workload: RealtimeWorkload) -> bool:
     """Interpret :func:`build_schedule` against ``ring``.
 
     ``ring`` is a substrate (:class:`_SimRing`, :class:`_RealRing`)
@@ -168,7 +160,7 @@ async def _replay(ring, workload: RealtimeWorkload, crash: bool) -> bool:
 
     converged = await ring.wait(lambda: ring.ring_is(everyone), _REAL_FORM_TIMEOUT)
     ring.tap.mark(PHASE_MAIN, everyone)
-    for event in build_schedule(workload, crash):
+    for event in build_schedule(workload):
         passed = True
         if event[0] == "burst":
             _, sender, size, live = event
@@ -198,17 +190,15 @@ class _SimRing:
     """The membership simulator as a replay substrate: waits advance
     simulated time, crash and restart are the cluster's own."""
 
-    def __init__(self, workload: RealtimeWorkload, accelerated: bool) -> None:
+    def __init__(
+        self, workload: RealtimeWorkload, observer: Optional[ProtocolObserver]
+    ) -> None:
         self.tap = ConformanceTap()
-        self.cluster = (
-            ClusterBuilder()
-            .hosts(workload.num_hosts)
-            .membership()
-            .accelerated(accelerated)
-            .profile(DAEMON)
-            .tap(self.tap)
-            .build_membership()
-        )
+        builder = ClusterBuilder().hosts(workload.num_hosts).membership()
+        builder.profile(DAEMON).tap(self.tap)
+        if observer is not None:
+            builder.observe(observer)
+        self.cluster = builder.build_membership()
 
     def live_pids(self) -> List[int]:
         return self.cluster.live_pids()
@@ -253,9 +243,11 @@ class _RealRing:
     """Loopback :class:`RingNode` processes as a replay substrate: waits
     are wall-clock deadlines, crash and restart stop and spawn nodes."""
 
-    def __init__(self, workload: RealtimeWorkload, accelerated: bool) -> None:
+    def __init__(
+        self, workload: RealtimeWorkload, observer: Optional[ProtocolObserver]
+    ) -> None:
         self.tap = ConformanceTap()
-        self.accelerated = accelerated
+        self.observer = observer
         self.addresses = ephemeral_ring_addresses(range(workload.num_hosts))
         self.nodes: Dict[int, RingNode] = {}
         #: Summed over every node stopped so far, crashed ones included.
@@ -263,10 +255,7 @@ class _RealRing:
 
     async def spawn(self, pid: int) -> None:
         node = RingNode(
-            pid,
-            self.addresses,
-            accelerated=self.accelerated,
-            timeouts=FLEET_TIMEOUTS,
+            pid, self.addresses, timeouts=FLEET_TIMEOUTS, observer=self.observer
         )
         tap = self.tap
         node.on_deliver = lambda messages, config_id: tap.on_deliver_batch(
@@ -320,28 +309,30 @@ class _RealRing:
         return True
 
 
+def _crashed(workload: RealtimeWorkload) -> frozenset:
+    return frozenset({workload.num_hosts - 1}) if workload.crash else frozenset()
+
+
 def run_sim_serialized(
-    workload: RealtimeWorkload, crash: bool = False, accelerated: bool = True
+    workload: RealtimeWorkload, observer: Optional[ProtocolObserver] = None
 ) -> VariantRun:
     """Replay the serialized schedule on the membership simulator."""
-    ring = _SimRing(workload, accelerated)
+    ring = _SimRing(workload, observer)
     ring.cluster.start()
-    converged = asyncio.run(_replay(ring, workload, crash))
-    crashed = frozenset({workload.num_hosts - 1}) if crash else frozenset()
+    converged = asyncio.run(_replay(ring, workload))
     return VariantRun.judged(
-        SIM_VARIANT, ring.cluster, ring.tap, converged, crashed, traffic_base=0.0
+        "sim", ring.cluster, ring.tap, converged, _crashed(workload), traffic_base=0.0
     )
 
 
 async def _run_real_serialized_async(
-    workload: RealtimeWorkload, crash: bool, accelerated: bool
+    workload: RealtimeWorkload, observer: Optional[ProtocolObserver]
 ) -> VariantRun:
-    ring = _RealRing(workload, accelerated)
-    started = time.monotonic()
+    ring = _RealRing(workload, observer)
     try:
         for pid in range(workload.num_hosts):
             await ring.spawn(pid)
-        converged = await _replay(ring, workload, crash)
+        converged = await _replay(ring, workload)
         final_members = tuple(ring.live_pids())
         if ring.nodes:
             any_pid = next(iter(ring.nodes))
@@ -349,113 +340,34 @@ async def _run_real_serialized_async(
     finally:
         await ring.stop()
 
-    crashed = frozenset({workload.num_hosts - 1}) if crash else frozenset()
+    divergences = []
+    if ring.decode_errors:
+        # A malformed datagram is a failure whatever the streams say.
+        divergences.append(
+            ConformanceDivergence(
+                kind="decode",
+                variant_a="real",
+                variant_b="real",
+                phase="run",
+                detail=f"the real nodes dropped {ring.decode_errors} "
+                "malformed datagram(s)",
+            )
+        )
     return VariantRun(
-        variant=REAL_VARIANT,
+        variant="real",
         streams=ring.tap.streams,
         evs_violation=None,  # the EVS checker needs the sim's omniscience
         converged=converged,
         final_members=final_members,
         traffic_base=0.0,
-        sim_time=time.monotonic() - started,
-        crashed_pids=crashed,
-        decode_errors=ring.decode_errors,
+        sim_time=0.0,  # wall clock only
+        crashed_pids=_crashed(workload),
+        divergences=divergences,
     )
 
 
 def run_real_serialized(
-    workload: RealtimeWorkload, crash: bool = False, accelerated: bool = True
+    workload: RealtimeWorkload, observer: Optional[ProtocolObserver] = None
 ) -> VariantRun:
     """Replay the serialized schedule on real loopback UDP nodes."""
-    return asyncio.run(_run_real_serialized_async(workload, crash, accelerated))
-
-
-# ----------------------------------------------------------------------
-# The oracle
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class RealtimeReport(JsonReport):
-    """Outcome of one sim↔real differential run (JSON round-trippable)."""
-
-    workload: RealtimeWorkload
-    crash: bool
-    divergences: List[ConformanceDivergence] = field(default_factory=list)
-    deliveries: Dict[str, int] = field(default_factory=dict)
-    converged: Dict[str, bool] = field(default_factory=dict)
-    real_wall_s: float = 0.0
-    #: The real nodes' summed ``decode_errors``: a malformed datagram is
-    #: a failure here whatever the streams say.
-    decode_errors: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return (
-            not self.divergences
-            and all(self.converged.values())
-            and self.decode_errors == 0
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "workload": self.workload.to_dict(),
-            "crash": self.crash,
-            "variants": [SIM_VARIANT, REAL_VARIANT],
-            "divergences": [d.to_dict() for d in self.divergences],
-            "deliveries": dict(self.deliveries),
-            "converged": dict(self.converged),
-            "real_wall_s": round(self.real_wall_s, 3),
-            "decode_errors": self.decode_errors,
-            "ok": self.ok,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "RealtimeReport":
-        derived = ("ok", "variants")
-        report = cls(**{key: value for key, value in payload.items() if key not in derived})
-        report.workload = RealtimeWorkload.from_dict(report.workload)
-        report.divergences = [ConformanceDivergence.from_dict(d) for d in report.divergences]
-        return report
-
-
-def run_realtime_differential(
-    workload: Optional[RealtimeWorkload] = None,
-    crash: bool = False,
-    accelerated: bool = True,
-    sim_run: Optional[VariantRun] = None,
-    real_run: Optional[VariantRun] = None,
-) -> RealtimeReport:
-    """Run the workload through both implementations and diff the streams.
-
-    ``sim_run`` / ``real_run`` allow injecting pre-recorded runs (the
-    same hook :func:`~repro.conformance.differ.run_differential` has),
-    which the tests use to prove divergences are actually detected.
-    """
-    workload = workload or RealtimeWorkload()
-    if sim_run is None:
-        sim_run = run_sim_serialized(workload, crash=crash, accelerated=accelerated)
-    if real_run is None:
-        real_run = run_real_serialized(workload, crash=crash, accelerated=accelerated)
-
-    divergences = compare_runs(sim_run, real_run, faulty=crash)
-    for run in (sim_run, real_run):
-        divergences.extend(
-            health_divergences(
-                sim_run.variant,
-                run.variant,
-                {run.variant: run.evs_violation},
-                run.converged,
-                f"{run.variant} did not converge/deliver in time",
-                phases=("run", "run"),
-            )
-        )
-    return RealtimeReport(
-        workload=workload,
-        crash=crash,
-        divergences=divergences,
-        deliveries={run.variant: run.deliveries for run in (sim_run, real_run)},
-        converged={run.variant: run.converged for run in (sim_run, real_run)},
-        real_wall_s=real_run.sim_time,
-        decode_errors=real_run.decode_errors,
-    )
+    return asyncio.run(_run_real_serialized_async(workload, observer))

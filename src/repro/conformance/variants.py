@@ -18,8 +18,8 @@ ordering bug cannot hide by also corrupting the recording side.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.messages import DeliveryService
 from repro.faults.drive import boot, wait_converged
@@ -111,6 +111,70 @@ class ConformanceTap(DeliveryTap):
 
 
 @dataclass
+class ConformanceDivergence:
+    """One observed difference between two variants' behaviour.
+
+    ``kind`` is ``order`` (same position, different label), ``missing``
+    (one side's sequence ends early), ``evs`` (a variant violated an
+    EVS property outright), ``converge`` (a variant failed to reform
+    a full ring after the fault plan quiesced) or ``decode`` (a real
+    node dropped a malformed datagram).  ``seq`` is the position
+    of the first diverging delivery within the compared region of
+    ``pid``'s stream.
+    """
+
+    kind: str
+    variant_a: str
+    variant_b: str
+    phase: str
+    pid: Optional[int] = None
+    seq: Optional[int] = None
+    expected: Optional[str] = None
+    actual: Optional[str] = None
+    detail: str = ""
+    excerpt_a: List[str] = field(default_factory=list)
+    excerpt_b: List[str] = field(default_factory=list)
+
+    def describe(self) -> str:
+        if self.kind == "order":
+            head = (
+                f"order divergence [{self.phase}] pid {self.pid} seq "
+                f"{self.seq}: {self.variant_a} delivered "
+                f"{self.expected!r}, {self.variant_b} delivered "
+                f"{self.actual!r}"
+            )
+        elif self.kind == "missing":
+            head = (
+                f"missing delivery [{self.phase}] pid {self.pid} seq "
+                f"{self.seq}: {self.detail}"
+            )
+        elif self.kind == "evs":
+            head = f"EVS violation in {self.variant_b}: {self.detail}"
+        else:
+            head = f"{self.kind} divergence ({self.variant_b}): {self.detail}"
+        lines = [head]
+        if self.excerpt_a:
+            lines.append(f"  {self.variant_a} trace around the divergence:")
+            lines.extend(f"    {line}" for line in self.excerpt_a)
+        if self.excerpt_b:
+            lines.append(f"  {self.variant_b} trace around the divergence:")
+            lines.extend(f"    {line}" for line in self.excerpt_b)
+        return "\n".join(lines)
+
+    def to_dict(self) -> Dict[str, Any]:
+        """Every field but an unset position, label or excerpt."""
+        return {
+            key: value
+            for key, value in asdict(self).items()
+            if value is not None and value != []
+        }
+
+    @classmethod
+    def from_dict(cls, payload: Dict[str, Any]) -> "ConformanceDivergence":
+        return cls(**payload)
+
+
+@dataclass
 class VariantRun:
     """Everything the oracle needs from one variant's run."""
 
@@ -123,9 +187,10 @@ class VariantRun:
     sim_time: float
     crashed_pids: frozenset = frozenset()
     cluster: Optional[MembershipCluster] = field(default=None, repr=False)
-    #: Malformed datagrams the run's real nodes dropped, summed (the
-    #: simulator has none).
-    decode_errors: int = 0
+    #: What the run fails on its own, beside EVS and convergence: a
+    #: sharded run's vantage mismatches and per-ring EVS, a real run's
+    #: malformed datagrams.
+    divergences: List[ConformanceDivergence] = field(default_factory=list)
 
     @classmethod
     def judged(

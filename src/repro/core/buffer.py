@@ -7,7 +7,7 @@ the stability frontier used for garbage collection.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 from repro.core.messages import DataMessage
 
@@ -85,10 +85,3 @@ class MessageBuffer:
         if seq > self._discarded_up_to:
             self._discarded_up_to = seq
         return dropped
-
-    def iter_range(self, low: int, high: int) -> Iterator[DataMessage]:
-        """Yield held messages with ``low < seq <= high`` in order."""
-        for seq in range(low + 1, high + 1):
-            message = self._messages.get(seq)
-            if message is not None:
-                yield message

@@ -38,11 +38,3 @@ def encode_transitional_id(old_ring_id: int, new_ring_id: int) -> int:
     with the ring being installed.
     """
     return (old_ring_id << _TRANSITIONAL_SHIFT) | new_ring_id
-
-
-def decode_transitional_id(transitional_id: int) -> Tuple[int, int]:
-    """Returns ``(old_ring_id, new_ring_id)``."""
-    return (
-        transitional_id >> _TRANSITIONAL_SHIFT,
-        transitional_id & ((1 << _TRANSITIONAL_SHIFT) - 1),
-    )

@@ -56,9 +56,6 @@ class SocketBuffer(ByteWindow):
         self._queued_bytes -= frame.size
         return frame
 
-    def peek(self) -> Frame:
-        return self._frames[0]
-
     def clear(self) -> None:
         """Drop every queued frame (kernel buffers are volatile state)."""
         self._frames.clear()

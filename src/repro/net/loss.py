@@ -125,26 +125,3 @@ class BurstLoss(LossModel):
             return True
         return False
 
-
-class ScriptedLoss(LossModel):
-    """Deterministic loss for exact-trace tests: drop listed frame payloads.
-
-    ``plan`` maps receiver id to a set of predicate keys; the predicate is
-    evaluated against the frame's payload via ``key(payload)``.
-    """
-
-    def __init__(self, plan: Optional[Dict[int, set]] = None, key=None) -> None:
-        self.plan = plan or {}
-        self.key = key or (lambda payload: getattr(payload, "seq", None))
-        self.dropped: Dict[int, list] = {}
-
-    def should_drop(self, receiver_id: int, frame: Frame) -> bool:
-        wanted = self.plan.get(receiver_id)
-        if not wanted:
-            return False
-        value = self.key(frame.payload)
-        if value in wanted:
-            wanted.discard(value)
-            self.dropped.setdefault(receiver_id, []).append(value)
-            return True
-        return False

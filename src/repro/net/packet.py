@@ -14,7 +14,6 @@ module assigns a frame's attributes after construction.
 
 from __future__ import annotations
 
-import itertools
 from enum import Enum
 from typing import Any, Optional
 
@@ -32,9 +31,6 @@ class PortKind(Enum):
     TOKEN = "token"
 
 
-_frame_ids = itertools.count(1)
-
-
 class Frame:
     """One network frame (one UDP datagram up to the MTU, or one fragment).
 
@@ -50,7 +46,7 @@ class Frame:
             is one IP fragment of a larger UDP datagram.
     """
 
-    __slots__ = ("src", "dst", "kind", "size", "payload", "fragment", "frame_id")
+    __slots__ = ("src", "dst", "kind", "size", "payload", "fragment")
 
     def __init__(
         self,
@@ -60,7 +56,6 @@ class Frame:
         size: int,
         payload: Any,
         fragment: Optional[tuple] = None,
-        frame_id: Optional[int] = None,
     ) -> None:
         self.src = src
         self.dst = dst
@@ -68,13 +63,12 @@ class Frame:
         self.size = size
         self.payload = payload
         self.fragment = fragment
-        self.frame_id = frame_id if frame_id is not None else next(_frame_ids)
 
     def __repr__(self) -> str:
         return (
             f"Frame(src={self.src}, dst={self.dst}, kind={self.kind}, "
             f"size={self.size}, payload={self.payload!r}, "
-            f"fragment={self.fragment}, frame_id={self.frame_id})"
+            f"fragment={self.fragment})"
         )
 
     @classmethod

@@ -27,7 +27,7 @@ tune them per-experiment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.util.units import usec
 
@@ -71,9 +71,6 @@ class ImplementationProfile:
     ingest_cpu: float
     per_byte_recv: float
     per_byte_send: float
-
-    def with_name(self, name: str) -> "ImplementationProfile":
-        return replace(self, name=name)
 
     def recv_cost(self, datagram_bytes: int) -> float:
         return self.recv_cpu + self.per_byte_recv * datagram_bytes

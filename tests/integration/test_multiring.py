@@ -8,12 +8,12 @@ of per-group streams.
 
 import pytest
 
+from repro.conformance.differ import run_differential
 from repro.conformance.multiring import (
     DEPTH1_STEPS,
     ShardedWorkload,
     explore_grid,
     run_sharded,
-    run_sharded_differential,
 )
 from repro.faults.generator import build_plan
 from repro.multiring import ShardMap
@@ -62,7 +62,7 @@ def test_sharded_run_vantage_identical_merge():
 @pytest.fixture(scope="module")
 def differential_report():
     """One (1, 2)-ring differential shared by the assertions below."""
-    return run_sharded_differential(WORKLOAD, ring_counts=(1, 2))
+    return run_differential(WORKLOAD, variants=("rings-1", "rings-2"))
 
 
 def test_per_group_streams_identical_across_ring_counts(differential_report):
@@ -70,16 +70,37 @@ def test_per_group_streams_identical_across_ring_counts(differential_report):
     assert report.ok, report.to_json()
     assert report.deliveries == {"rings-1": 24, "rings-2": 24}
     assert report.converged == {"rings-1": True, "rings-2": True}
-    # At one ring everything maps to ring 0; at two, both rings carry load.
-    assert set(report.shards["rings-1"].values()) == {0}
-    assert set(report.shards["rings-2"].values()) == {0, 1}
+    # Every ring's deliveries were watched for coverage.
+    assert report.coverage.hit("coverage.deliver.messages") > 0
 
 
-def test_differential_report_round_trips_through_json(differential_report):
-    from repro.conformance.multiring import ShardedReport
+def test_a_mismatched_vantage_and_a_dirty_ring_are_the_runs_own_divergences(
+    monkeypatch,
+):
+    from repro.conformance import differ
 
-    restored = ShardedReport.from_json(differential_report.to_json())
-    assert restored.to_json() == differential_report.to_json()
+    real_run_sharded = differ.run_sharded
+    truncated = []
+
+    def tampered(num_rings, *args, **kwargs):
+        run = real_run_sharded(num_rings, *args, **kwargs)
+        if num_rings == 2:
+            # One vantage of one group loses its last delivery, and one
+            # ring's EVS checker objects.
+            per_pid = run.vantage_streams[sorted(run.vantage_streams)[0]]
+            pid = sorted(per_pid)[-1]
+            per_pid[pid] = per_pid[pid][:-1]
+            truncated.append(pid)
+            run.evs_violations[1] = "gap at ring 1"
+        return run
+
+    monkeypatch.setattr(differ, "run_sharded", tampered)
+    report = run_differential(WORKLOAD, variants=("rings-1", "rings-2"))
+    assert not report.ok
+    assert {(d.kind, d.variant_b) for d in report.divergences} == {
+        ("missing", f"rings-2/pid{truncated[0]}"),
+        ("evs", "rings-2/ring1"),
+    }
 
 
 def test_explicit_assignments_override_hashing_end_to_end():
@@ -152,4 +173,4 @@ def test_submit_rejected_in_protocol_mode():
 
 def test_differential_requires_two_ring_counts():
     with pytest.raises(ConfigurationError):
-        run_sharded_differential(WORKLOAD, ring_counts=(2,))
+        run_differential(WORKLOAD, variants=("rings-2",))

@@ -12,12 +12,8 @@ implementation divergence, not scheduling noise.
 
 import dataclasses
 
-from repro.conformance.realtime import (
-    RealtimeReport,
-    RealtimeWorkload,
-    run_realtime_differential,
-    run_sim_serialized,
-)
+from repro.conformance.differ import run_differential
+from repro.conformance.realtime import RealtimeWorkload, run_sim_serialized
 
 #: Small workload so each oracle run stays in CI-smoke territory.
 WORKLOAD = RealtimeWorkload(
@@ -26,15 +22,16 @@ WORKLOAD = RealtimeWorkload(
 
 
 def test_fault_free_streams_identical():
-    report = run_realtime_differential(workload=WORKLOAD, crash=False)
+    report = run_differential(WORKLOAD)
+    assert report.variants == ("sim", "real")
     assert report.ok, [d.describe() for d in report.divergences]
     assert report.deliveries["sim"] == report.deliveries["real"] > 0
     assert report.converged == {"sim": True, "real": True}
 
 
 def test_crash_restart_calm_prefixes_agree():
-    workload = dataclasses.replace(WORKLOAD, crash_burst=1, restart_burst=2)
-    report = run_realtime_differential(workload=workload, crash=True)
+    workload = dataclasses.replace(WORKLOAD, crash=True, crash_burst=1, restart_burst=2)
+    report = run_differential(workload)
     assert report.ok, [d.describe() for d in report.divergences]
     assert report.deliveries["sim"] == report.deliveries["real"] > 0
 
@@ -43,33 +40,29 @@ def test_injected_divergence_is_detected():
     """The oracle actually *detects* — two sim runs with different
     workloads stand in for a buggy real runtime."""
 
-    baseline = run_sim_serialized(WORKLOAD, crash=False)
+    baseline = run_sim_serialized(WORKLOAD)
     mutated = run_sim_serialized(
-        dataclasses.replace(WORKLOAD, burst_size=WORKLOAD.burst_size + 1),
-        crash=False,
+        dataclasses.replace(WORKLOAD, burst_size=WORKLOAD.burst_size + 1)
     )
-    report = run_realtime_differential(
-        workload=WORKLOAD, crash=False, sim_run=baseline, real_run=mutated
-    )
+    report = run_differential(WORKLOAD, runs={"sim": baseline, "real": mutated})
     assert not report.ok
     assert report.divergences
 
 
-def test_report_json_roundtrip():
-    report = run_realtime_differential(workload=WORKLOAD, crash=False)
-    rebuilt = RealtimeReport.from_json(report.to_json())
-    assert rebuilt.ok == report.ok
-    assert rebuilt.workload == report.workload
-    assert rebuilt.deliveries == report.deliveries
+def test_a_decode_error_on_a_real_node_fails_the_report(monkeypatch):
+    # A malformed datagram fails the report whatever the streams say.
+    from repro.conformance import realtime
 
+    class Garbled(realtime.RingNode):
+        async def stop(self):
+            await super().stop()
+            self.decode_errors += 1
 
-def test_a_decode_error_on_a_real_node_fails_the_report():
-    sim = run_sim_serialized(WORKLOAD, crash=False)
-    for errors, ok in ((0, True), (1, False)):
-        real = dataclasses.replace(sim, variant="real", decode_errors=errors)
-        report = run_realtime_differential(
-            workload=WORKLOAD, crash=False, sim_run=sim, real_run=real
-        )
-        assert report.divergences == [] and report.ok is ok
-        rebuilt = RealtimeReport.from_json(report.to_json())
-        assert (rebuilt.decode_errors, rebuilt.ok) == (errors, ok)
+    monkeypatch.setattr(realtime, "RingNode", Garbled)
+    report = run_differential(WORKLOAD)
+    (decode,) = report.divergences
+    assert (decode.kind, decode.variant_b) == ("decode", "real")
+    assert f"dropped {WORKLOAD.num_hosts} malformed" in decode.detail
+    assert not report.ok
+    rebuilt = type(report).from_json(report.to_json())
+    assert rebuilt.divergences == report.divergences and not rebuilt.ok

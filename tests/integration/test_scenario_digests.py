@@ -44,7 +44,7 @@ from repro.bench.tables import ring_count_window
 from repro.bench.windows import window_for
 from repro.conformance import differ
 from repro.conformance.explorer import explore_instants
-from repro.conformance.multiring import explore_grid, run_sharded_differential
+from repro.conformance.multiring import ShardedWorkload, explore_grid
 from repro.conformance.realtime import RealtimeWorkload, run_sim_serialized
 from repro.conformance.variants import VARIANT_NAMES
 from repro.conformance.workload import Workload
@@ -129,13 +129,13 @@ def _differential(plan) -> dict:
     # The report carries verdicts and coverage but not the runs' clocks
     # or streams; record those from the runs the oracle itself makes.
     runs = []
-    real_run_variant = differ.run_variant
 
-    def recording(*args, **kwargs):
-        runs.append(real_run_variant(*args, **kwargs))
+    def recording(*args):
+        runs.append(differ.run_variant(*args))
         return runs[-1]
 
-    with mock.patch.object(differ, "run_variant", recording):
+    recorded = differ.Substrate(Workload, recording)
+    with mock.patch.dict(differ.SUBSTRATES, {name: recorded for name in VARIANT_NAMES}):
         report = differ.run_differential(
             Workload(), plan=plan, variants=VARIANT_NAMES
         )
@@ -363,13 +363,15 @@ for _name in sorted(KV_SCENARIOS):
     )
 for _name, _plan in DIFFERENTIAL_PLANS.items():
     PRODUCERS[f"differential/{_name}"] = lambda plan=_plan: _differential(plan)
-PRODUCERS["sharded/differential"] = lambda: run_sharded_differential().to_dict()
+PRODUCERS["sharded/differential"] = (
+    lambda: differ.run_differential(ShardedWorkload()).to_dict()
+)
 PRODUCERS["sharded/explore"] = _sharded_explore
 PRODUCERS["explore/depth1-budget5"] = _instants_explore
 for _crash in (False, True):
     PRODUCERS[f"realtime-sim/{'crash' if _crash else 'fault-free'}"] = (
         lambda crash=_crash: _run_document(
-            run_sim_serialized(RealtimeWorkload(), crash=crash)
+            run_sim_serialized(RealtimeWorkload(crash=crash))
         )
     )
 for _index in range(10):

@@ -3,12 +3,13 @@
 import pytest
 
 from repro.core.messages import DeliveryService
-from repro.net.loss import PositionalLoss, ScriptedLoss, UniformLoss
+from repro.net.loss import PositionalLoss, UniformLoss
 from repro.net.params import GIGABIT, TEN_GIGABIT
 from repro.sim.build import ClusterBuilder
 from repro.sim.profiles import DAEMON
 from repro.util.units import Mbps
 from repro.workloads.generators import FixedRateWorkload
+from tests.unit.test_loss import ScriptedLoss
 
 
 def run_lossy(accelerated, loss_model, rate=200, params=TEN_GIGABIT,

@@ -74,14 +74,6 @@ def test_discard_does_not_regress():
     assert buffer.discarded_up_to == 2
 
 
-def test_iter_range_yields_held_in_order():
-    buffer = MessageBuffer()
-    for seq in (1, 3, 5):
-        buffer.insert(data_message(seq))
-    assert [m.seq for m in buffer.iter_range(0, 5)] == [1, 3, 5]
-    assert [m.seq for m in buffer.iter_range(1, 4)] == [3]
-
-
 def test_len_counts_held_messages():
     buffer = MessageBuffer()
     buffer.insert(data_message(1))

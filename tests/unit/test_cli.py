@@ -1,5 +1,7 @@
 """Unit tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -157,31 +159,67 @@ def test_conformance_report_reads_an_exploration_from_any_source(
 
 
 def test_conformance_report_reads_a_sharded_report(tmp_path, capsys):
-    from repro.conformance.multiring import ShardedReport, ShardedWorkload
+    from repro.conformance.differ import ConformanceReport
+    from repro.conformance.multiring import ShardedWorkload
 
-    report = ShardedReport(
-        workload=ShardedWorkload(), seed=0, ring_counts=(1, 2),
+    report = ConformanceReport(
+        workload=ShardedWorkload(), plan_events=[], seed=0, variants=("rings-1", "rings-2"),
         divergences=[_divergence("ring 0 lost g1.3")], deliveries={"rings-1": 36},
     )
     artifact = tmp_path / "conformance_sharded.json"
     artifact.write_text(report.to_json())
     assert main(["conformance", "report", str(artifact)]) == 1
     out = capsys.readouterr().out
-    assert "FAIL  sharded: rings=(1, 2) seed=0" in out
+    assert "FAIL  differential: variants=rings-1,rings-2 seed=0" in out
+    assert "num_groups=6" in out
     assert "ring 0 lost g1.3" in out
 
 
 def test_conformance_report_reads_a_realtime_report(tmp_path, capsys):
-    from repro.conformance.realtime import RealtimeReport, RealtimeWorkload
+    from repro.conformance.differ import ConformanceReport
+    from repro.conformance.realtime import RealtimeWorkload
 
-    report = RealtimeReport(
-        workload=RealtimeWorkload(), crash=True, deliveries={"sim": 9, "real": 9},
+    report = ConformanceReport(
+        workload=RealtimeWorkload(crash=True), plan_events=[], seed=0,
+        variants=("sim", "real"), deliveries={"sim": 9, "real": 9},
         converged={"sim": True, "real": True},
     )
     artifact = tmp_path / "conformance_realtime.json"
     artifact.write_text(report.to_json())
     assert main(["conformance", "report", str(artifact)]) == 0
-    assert "PASS  realtime: crash=True" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "PASS  differential: variants=sim,real seed=0" in out
+    assert "crash=True" in out
+
+
+@pytest.mark.parametrize("command, artifact", [
+    (["conformance", "sharded", "--groups", "2"], "conformance_sharded.json"),
+    (["conformance", "realtime", "--hosts", "3", "--burst-size", "4"],
+     "conformance_realtime.json"),
+])
+def test_a_sharded_or_realtime_report_replays(tmp_path, capsys, command, artifact):
+    # At the parent `replay` rejected both ("not a report replay reads").
+    assert main(command + ["--out", str(tmp_path)]) == 0
+    (written,) = _status_lines(capsys.readouterr().out)
+    assert main(["conformance", "replay", str(tmp_path / artifact)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"replaying {written[len('  PASS  '):]}", "  PASS  the failure no longer reproduces",
+    ]
+
+
+@pytest.mark.parametrize("document", [
+    # Shaped like what the parent's sharded and realtime commands wrote.
+    {"workload": {"num_groups": 6}, "seed": 0, "ring_counts": [1, 2], "divergences": [],
+     "deliveries": {}, "evs": {}, "converged": {}, "shards": {}, "ok": True},
+    {"workload": {"num_hosts": 3}, "crash": False, "variants": ["sim", "real"],
+     "divergences": [], "deliveries": {}, "converged": {}, "decode_errors": 0, "ok": True},
+])
+def test_a_parent_sharded_or_realtime_document_is_not_a_report(tmp_path, capsys, document):
+    artifact = tmp_path / "old.json"
+    artifact.write_text(json.dumps(document))
+    assert main(["conformance", "report", str(artifact)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "not a report report reads" in err
 
 
 def _status_lines(out):

@@ -5,6 +5,8 @@ comparison semantics directly: what counts as a divergence, what the
 structured report names, and how phases partition the streams.
 """
 
+import pytest
+
 from repro.conformance.differ import (
     ConformanceDivergence,
     ConformanceReport,
@@ -12,6 +14,8 @@ from repro.conformance.differ import (
     compare_runs,
     run_differential,
 )
+from repro.conformance.multiring import ShardedWorkload
+from repro.conformance.realtime import RealtimeWorkload
 from repro.conformance.variants import (
     CONFIG,
     MARK,
@@ -21,6 +25,9 @@ from repro.conformance.variants import (
     VariantRun,
 )
 from repro.conformance.workload import Workload, make_label, parse_label
+from repro.faults.plan import PlanBuilder
+from repro.obs.coverage import CoverageReport
+from repro.util.errors import ConfigurationError
 
 
 def make_run(variant, streams, **kwargs):
@@ -240,3 +247,38 @@ def test_report_json_round_trip():
     assert clone.to_json() == report.to_json()
     assert clone.seed == 7
     assert not clone.ok
+
+
+@pytest.mark.parametrize("workload, variants", [
+    (Workload(num_hosts=2), ("original", "accelerated")),
+    (ShardedWorkload(num_groups=2), ("rings-1", "rings-2")),
+    (RealtimeWorkload(crash=True), ("sim", "real")),
+], ids=["single-ring", "sharded", "realtime"])
+def test_every_differential_report_round_trips_byte_equal(workload, variants):
+    # The variant names pick the workload class a report reads back.
+    report = run_differential(
+        workload,
+        variants=variants,
+        runs={
+            variants[0]: make_run(variants[0], {0: stream(b"m0.0", b"m0.1")}),
+            variants[1]: make_run(variants[1], {0: stream(b"m0.1", b"m0.0")}),
+        },
+    )
+    report.coverage = CoverageReport({"coverage.token.sent": 4})
+    clone = ConformanceReport.from_json(report.to_json())
+    assert clone.to_json() == report.to_json()
+    assert clone.workload == workload and not clone.ok
+
+
+@pytest.mark.parametrize("workload, variants, plan", [
+    (Workload(), ("original", "rings-2"), None),
+    (ShardedWorkload(), ("sim", "real"), None),
+    (RealtimeWorkload(), ("accelerated", "original"), None),
+    (RealtimeWorkload(), ("sim", "fast"), None),
+    (RealtimeWorkload(), ("sim", "real"), PlanBuilder().crash(1, at=0.02).build()),
+])
+def test_a_variant_its_workload_cannot_drive_raises(workload, variants, plan):
+    # A mismatched pair, an unknown name, or a plan for the serialized
+    # pair (whose only fault is the workload's scripted crash).
+    with pytest.raises(ConfigurationError):
+        run_differential(workload, plan=plan, variants=variants)

@@ -29,12 +29,6 @@ class TestSocketBuffer:
         assert sock.frames_dropped == 1
         assert len(sock) == 1
 
-    def test_peek_does_not_remove(self):
-        sock = SocketBuffer(1000)
-        sock.push(frame())
-        assert sock.peek() is sock.peek()
-        assert len(sock) == 1
-
     def test_queued_bytes_tracks(self):
         sock = SocketBuffer(1000)
         sock.push(frame(size=300))

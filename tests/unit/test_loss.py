@@ -2,9 +2,33 @@
 
 import pytest
 
-from repro.net.loss import BurstLoss, NoLoss, PositionalLoss, ScriptedLoss, UniformLoss
+from repro.net.loss import BurstLoss, LossModel, NoLoss, PositionalLoss, UniformLoss
 from repro.net.packet import Frame, PortKind
 from tests.conftest import data_message
+
+
+class ScriptedLoss(LossModel):
+    """Deterministic loss for exact-trace tests: drop listed frame payloads.
+
+    ``plan`` maps receiver id to a set of predicate keys; the predicate is
+    evaluated against the frame's payload via ``key(payload)``.
+    """
+
+    def __init__(self, plan=None, key=None):
+        self.plan = plan or {}
+        self.key = key or (lambda payload: getattr(payload, "seq", None))
+        self.dropped = {}
+
+    def should_drop(self, receiver_id, frame):
+        wanted = self.plan.get(receiver_id)
+        if not wanted:
+            return False
+        value = self.key(frame.payload)
+        if value in wanted:
+            wanted.discard(value)
+            self.dropped.setdefault(receiver_id, []).append(value)
+            return True
+        return False
 
 
 def frame(seq=1, src=0):

@@ -172,13 +172,16 @@ def drive(link_class, seed):
     capacity = rng.choice((3000, 6000, NIC_QUEUE_BYTES))
     #: (time, link busy before the send, accepted) per send.
     sends = []
-    ids = iter(range(1, 1_000_000))
+    #: Each frame's send index, by object: what the two links are compared on.
+    index_of = {}
 
     def send_burst(count):
         for _ in range(count):
             size = rng.choice((64, 100, 700, 1500))
             busy = link._busy
-            accepted = link.send(Frame(0, 1, PortKind.DATA, size, None, frame_id=next(ids)))
+            sent = Frame(0, 1, PortKind.DATA, size, None)
+            index_of[sent] = len(sends)
+            accepted = link.send(sent)
             sends.append((sim.now, busy, accepted))
         if not sparse and rng.random() < 0.3:
             # Another send at the very instant a frame finishes
@@ -209,9 +212,9 @@ def drive(link_class, seed):
     while sim._queue:
         time, seq, callback, args = sim._queue[0]
         if callback == link._deliver:
-            delivered.append((time, seq, args[0].frame_id))
+            delivered.append((time, seq, index_of[args[0]]))
         elif callback == link._finish:
-            finished.append((time, seq, args[0].frame_id))
+            finished.append((time, seq, index_of[args[0]]))
         sim.step()
     counters = (link.frames_sent, link.bytes_sent, link.frames_dropped, link.peak_queue_bytes)
     return delivered, finished, sends, counters, sim._seq

@@ -7,7 +7,8 @@ committed results one producer, the network one link and one topology,
 fault-schedule searches one explorer, the simulator one transmit
 instrument, the differential's spread variant the daemon's layout,
 latency samples one unboxed store, the CLI one package of eight commands,
-each protocol event one observer hook, a datagram fragment one frame.
+each protocol event one observer hook, a datagram fragment one frame,
+the differential oracles one entry point and one report.
 
 Scans the package source so that a re-grown effect ladder, a second
 delivery effect or a per-message delivery hook, a second run-grouping
@@ -20,7 +21,8 @@ rewritten frame, a probe telling two topologies apart, a second
 exploration loop, the daemon forwarding a packed container, a second
 transmit callback, the spread mirror ordering the reference codec's
 layout, a per-sender latency store kept beside the pooled samples, a parser outside ``repro.cli``, a
-second observer hook for one event or an unused import again fails
+second observer hook for one event, a second differential report or
+entry point, or an unused import again fails
 tier-1 instead of drifting in unnoticed (the shape of the port and
 unseeded-random tripwires in ``conftest.py``, applied to the source
 tree)."""
@@ -581,12 +583,12 @@ def test_a_frame_is_built_once_and_never_pooled():
     old = (
         "def _trunk_clone(frame):\n"
         "    clone = Frame.acquire(frame.src, frame.dst, frame.kind, frame.size, None)\n"
-        "    clone.frame_id = frame.frame_id\n"
+        "    clone.fragment = frame.fragment\n"
         "    copy = frame.clone_for(7)\n"
         "    copy.dst, frame.payload = 7, None\n"
         "    self.size = 3\n"
     )
-    assert _frame_attribute_stores(old) == ["clone.frame_id", "copy.dst", "frame.payload"]
+    assert _frame_attribute_stores(old) == ["clone.fragment", "copy.dst", "frame.payload"]
     assert FRAME_ACQUIRE.search(old)
     for line in (
         "from repro.core.transport_core import FrameRing",
@@ -1088,3 +1090,54 @@ def test_the_observer_hook_patterns_bite():
         "Counting.on_retransmit",
         "_RecoveryWindows.on_recovery_started",
     ]
+
+
+# ----------------------------------------------------------------------
+# One differential oracle (conformance/differ.py)
+# ----------------------------------------------------------------------
+
+#: What the one oracle replaced: a report class and an entry point per
+#: substrate, and the realtime report's wall-clock field.
+RETIRED_ORACLE_SURFACE = re.compile(
+    r"\b(ShardedReport|RealtimeReport|run_sharded_differential"
+    r"|run_realtime_differential|real_wall_s)\b"
+)
+#: A report class definition.
+REPORT_CLASS = re.compile(r"^class \w+\(JsonReport\)", re.MULTILINE)
+
+
+def _report_classes(sources: Dict[str, str]) -> Dict[str, int]:
+    return {
+        name: len(REPORT_CLASS.findall(text))
+        for name, text in sources.items()
+        if name.startswith("conformance/") and REPORT_CLASS.search(text)
+    }
+
+
+def test_one_differential_oracle_with_one_report():
+    assert _occurrences(RETIRED_ORACLE_SURFACE.pattern) == {}
+    tests = [
+        str(path.relative_to(REPO))
+        for path in sorted((REPO / "tests").rglob("*.py"))
+        if path != Path(__file__) and RETIRED_ORACLE_SURFACE.search(path.read_text())
+    ]
+    assert tests == []
+    assert _report_classes(_sources()) == {"conformance/differ.py": 1}
+    # ...and the patterns bite on what this replaced.
+    old = {
+        "conformance/differ.py": "@dataclass\nclass ConformanceReport(JsonReport):\n",
+        "conformance/multiring.py": "@dataclass\nclass ShardedReport(JsonReport):\n",
+        "conformance/realtime.py": (
+            "@dataclass\n"
+            "class RealtimeReport(JsonReport):\n"
+            "    real_wall_s: float = 0.0\n"
+        ),
+    }
+    assert _report_classes(old) == dict.fromkeys(old, 1)
+    for line in (
+        "    from repro.conformance.multiring import ShardedReport",
+        "def run_sharded_differential(",
+        "        report = run_realtime_differential(workload=workload, crash=args.crash)",
+        '            "real_wall_s": round(self.real_wall_s, 3),',
+    ):
+        assert RETIRED_ORACLE_SURFACE.search(line), line

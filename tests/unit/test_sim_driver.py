@@ -46,11 +46,6 @@ class TestProfiles:
             assert profile.per_byte_send > 0
             assert profile.send_cost(1000) > profile.send_cpu
 
-    def test_with_name(self):
-        renamed = LIBRARY.with_name("lib2")
-        assert renamed.name == "lib2"
-        assert renamed.recv_cpu == LIBRARY.recv_cpu
-
 
 class TestCluster:
     def test_build_cluster_rings_match(self):

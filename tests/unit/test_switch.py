@@ -43,13 +43,6 @@ def test_multicast_reaches_all_but_sender():
     assert inboxes[1] == []
 
 
-def test_multicast_clones_share_frame_id():
-    sim, switch, inboxes = build_switch()
-    ingress(switch, frame(0, None))
-    sim.run_until_idle()
-    assert inboxes[1][0].frame_id == inboxes[2][0].frame_id
-
-
 def test_unicast_to_self_loops_back():
     # A singleton ring passes the token to itself through the switch.
     sim, switch, inboxes = build_switch()
