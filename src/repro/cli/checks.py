@@ -31,22 +31,22 @@ def _emit(
     artifact: str,
     details: Sequence[str] = (),
 ) -> int:
-    """Print one checked report, save it under ``--out``, return its
+    """Save one checked report under ``--out``, print it, return its
     exit code (0 when ``report.ok``).
 
     ``--json`` prints the report's canonical JSON and nothing else;
     otherwise a ``PASS``/``FAIL`` status line carrying ``line``, then
-    the ``details`` lines as given.
+    the ``details`` lines as given.  The artifact is written before
+    anything is printed, so a closed stdout cannot lose it.
     """
+    path = None if args.out is None else _write_artifact(args.out, artifact, report.to_json())
     if args.json:
         sys.stdout.write(report.to_json())
     else:
         print(f"  {'PASS' if report.ok else 'FAIL'}  {line}")
         for detail in details:
             print(detail)
-    if args.out is not None:
-        path = _write_artifact(args.out, artifact, report.to_json())
-        if not args.json:
+        if path is not None:
             print(f"report written to {path}")
     return 0 if report.ok else 1
 

@@ -1,25 +1,31 @@
 """Deterministic discrete-event simulation engine.
 
-A minimal, fast event loop: a binary heap of ``(time, sequence, callback,
-args)`` entries.  The monotonically increasing sequence number makes
-execution order deterministic when events share a timestamp, which the
-test-suite relies on for exact-trace assertions.
+A minimal, fast event loop over two binary heaps of ``(time, sequence,
+callback, args)`` entries.  The monotonically increasing sequence number,
+drawn from one counter for both heaps, makes execution order
+deterministic when events share a timestamp, which the test-suite relies
+on for exact-trace assertions.
 
 Hot-path design notes (the simulator dominates benchmark wall time):
 
 * Heap entries are plain tuples, so ``heapq`` compares them with C-level
   tuple comparison instead of calling a Python ``__lt__`` per comparison.
   ``(time, seq)`` is unique, so later tuple elements are never compared.
-* :meth:`Simulator.post` is the fire-and-forget fast path used by the
-  network models (NIC, switch, CPU): it pushes a bare tuple and skips
-  allocating an :class:`EventHandle`.  :meth:`schedule` keeps the
-  cancellable-handle API for timers.
+* The heaps split by entry kind.  ``_queue`` holds the fire-and-forget
+  entries: :meth:`Simulator.post`, used by the network models (NIC,
+  switch, CPU), and the pushes ``net/link.py``, ``net/host.py`` and
+  ``net/fabric.py`` inline.  ``_timers`` holds the cancellable
+  :class:`EventHandle` entries of :meth:`schedule` that are due strictly
+  later than ``now``: protocol timers, workload arrivals, fault events.
+  A workload that pre-schedules thousands of arrivals therefore leaves
+  ``_queue`` as short as the frames and CPU tasks in flight, and each of
+  their pushes and pops sifts through that, not through the arrivals.
 * :meth:`run` inlines the pop/dispatch loop with all lookups bound to
   locals and dispatches same-timestamp batches without re-entering
   :meth:`step`.
-* Cancellation stays lazy, but the heap is compacted whenever cancelled
-  entries exceed half the queue (see :meth:`_compact`), so timer-heavy
-  workloads cannot grow the heap without bound.
+* Cancellation stays lazy, but the heaps are compacted whenever
+  cancelled entries exceed half of their entries (see :meth:`_compact`),
+  so timer-heavy workloads cannot grow them without bound.
 * Re-arming is lazy too: :meth:`Simulator.reschedule` of a live handle to
   a later time writes the new ``(time, seq)`` on the handle and leaves
   its heap entry where it is; the dispatch loops push a surfacing entry
@@ -46,12 +52,12 @@ class EventHandle:
 
     Cancellation is lazy: the heap entry stays in place and is skipped
     when popped.  This keeps :meth:`Simulator.schedule` and cancel both
-    O(log n) amortized; the owning simulator compacts the heap when more
-    than half of it is cancelled entries.
+    O(log n) amortized; the owning simulator compacts its heaps when
+    more than half of their entries are cancelled.
 
     ``(time, seq)`` is when the event is due; after a
     :meth:`Simulator.reschedule` the heap entry may still carry an
-    earlier key.  ``_sim`` is the simulator whose heap holds an entry for
+    earlier key.  ``_sim`` is the simulator whose heaps hold an entry for
     this handle, ``None`` once it has fired: a fired handle is inert.
     """
 
@@ -96,7 +102,10 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: float = 0.0
+        #: Fire-and-forget entries, and handle entries whose instant has come.
         self._queue: List[tuple] = []
+        #: Handle entries due strictly later than ``now`` when pushed.
+        self._timers: List[tuple] = []
         self._seq = 0
         self._events_processed = 0
         self._cancelled_pending = 0
@@ -106,13 +115,8 @@ class Simulator:
         return self._events_processed
 
     @property
-    def cancelled_pending(self) -> int:
-        """Cancelled handles still occupying heap slots."""
-        return self._cancelled_pending
-
-    @property
     def pending_events(self) -> int:
-        return len(self._queue) - self._cancelled_pending
+        return len(self._queue) + len(self._timers) - self._cancelled_pending
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -129,12 +133,18 @@ class Simulator:
         return self.schedule_at(self.now + delay, callback, *args)
 
     def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> EventHandle:
-        """Schedule ``callback(*args)`` at an absolute simulation time."""
+        """Schedule ``callback(*args)`` at an absolute simulation time.
+
+        A handle due later than ``now`` waits on ``_timers``; one due now
+        joins the running instant on ``_queue``.
+        """
         if time < self.now:
             raise ValueError(f"cannot schedule event at {time} < now {self.now}")
         self._seq = seq = self._seq + 1
         event = EventHandle(time, seq, callback, args, self)
-        heapq.heappush(self._queue, (time, seq, event, _HANDLE))
+        heapq.heappush(
+            self._timers if time > self.now else self._queue, (time, seq, event, _HANDLE)
+        )
         return event
 
     def reschedule(
@@ -180,33 +190,32 @@ class Simulator:
     # ------------------------------------------------------------------
 
     def _note_cancelled(self) -> None:
-        """A handle in the queue was cancelled; compact when the heap is
+        """A handle in a heap was cancelled; compact when the heaps are
         mostly dead weight (> 50% cancelled entries)."""
         self._cancelled_pending += 1
-        if (
-            len(self._queue) >= _COMPACT_MIN
-            and self._cancelled_pending * 2 > len(self._queue)
-        ):
+        size = len(self._queue) + len(self._timers)
+        if size >= _COMPACT_MIN and self._cancelled_pending * 2 > size:
             self._compact()
 
     def _compact(self) -> None:
-        """Drop cancelled entries and re-heapify.
+        """Drop cancelled entries and re-heapify both heaps.
 
         ``(time, seq)`` totally orders live entries, so compaction never
         changes dispatch order — it only frees memory and shrinks every
         subsequent push/pop.
 
-        The list is mutated *in place*: :meth:`run` and :meth:`step` hold
-        a local reference to it across callbacks, and compaction can be
-        triggered from inside a callback (any timer ``cancel()``).
-        Rebinding ``self._queue`` here would leave the dispatch loop
-        draining a stale copy and re-dispatch every live entry.
+        The lists are mutated *in place*: :meth:`run` and :meth:`step`
+        hold local references to both across callbacks, and compaction
+        can be triggered from inside a callback (any timer ``cancel()``).
+        Rebinding ``self._queue`` or ``self._timers`` here would leave the
+        dispatch loop draining a stale copy and re-dispatch every live
+        entry.
         """
-        queue = self._queue
-        queue[:] = [
-            entry for entry in queue if entry[3] is not _HANDLE or not entry[2].cancelled
-        ]
-        heapq.heapify(queue)
+        for heap in (self._queue, self._timers):
+            heap[:] = [
+                entry for entry in heap if entry[3] is not _HANDLE or not entry[2].cancelled
+            ]
+            heapq.heapify(heap)
         self._cancelled_pending = 0
 
     # ------------------------------------------------------------------
@@ -214,24 +223,40 @@ class Simulator:
     # ------------------------------------------------------------------
 
     def step(self) -> bool:
-        """Run the next pending event.  Returns False when the queue is empty."""
+        """Run the next pending event.  Returns False when none is pending."""
         before = self._events_processed
         self.run(max_events=1)
         return self._events_processed != before
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
-        """Run events until the queue empties, ``until`` is reached, or
+        """Run events until both heaps empty, ``until`` is reached, or
         ``max_events`` have been processed.
 
         When ``until`` is given the clock is advanced to exactly ``until``
-        even if the queue empties earlier, so rate meters see a full window.
+        even if the heaps empty earlier, so rate meters see a full window.
 
-        Both loops treat a popped handle entry the same way: cancelled —
-        drop it; re-armed since it was pushed (``seq`` mismatch) — push it
-        back at the handle's current key, which is not an event; live —
-        detach the handle (so a late ``cancel()`` is inert) and fire.
+        Events run in ``(time, seq)`` order across both heaps, exactly as
+        they would from one heap holding every entry:
+
+        * a timer strictly earlier than ``_queue``'s head is the earliest
+          entry of all, so it runs straight from ``_timers``;
+        * otherwise the next instant is ``_queue``'s head, and the timers
+          due at it move into ``_queue``, where their ``seq`` places them
+          among its entries;
+        * while that instant runs, every timer armed is due after it
+          (:meth:`schedule_at` of the current instant pushes onto
+          ``_queue``, and so does a re-armed entry that surfaces at it),
+          so the same-instant loop reads ``_queue`` alone.
+
+        The ``max_events`` / ``step`` path compares the two heads per
+        event instead.  Both paths treat a popped handle entry the same
+        way: cancelled — drop it; re-armed since it was pushed (``seq``
+        mismatch) — push it back at the handle's current key, which is
+        not an event; live — detach the handle (so a late ``cancel()`` is
+        inert) and fire.
         """
         queue = self._queue
+        timers = self._timers
         pop = heapq.heappop
         push = heapq.heappush
         handle_tag = _HANDLE
@@ -242,11 +267,33 @@ class Simulator:
                 # clock is written once per same-timestamp batch, and each
                 # batch runs without re-checking `until` (equal-time events
                 # cannot exceed it once the first one passed).
-                while queue:
+                while True:
+                    if timers:
+                        time = timers[0][0]
+                        if not queue or time < queue[0][0]:
+                            if time > until:
+                                self.now = until
+                                return
+                            _t, seq, handle, _tag = pop(timers)
+                            if handle.cancelled:
+                                self._cancelled_pending -= 1
+                                continue
+                            if handle.seq != seq:
+                                push(timers, (handle.time, handle.seq, handle, handle_tag))
+                                continue
+                            self.now = time
+                            handle._sim = None
+                            events_processed += 1
+                            handle.callback(*handle.args)
+                            continue
+                    elif not queue:
+                        break
                     time = queue[0][0]
                     if time > until:
                         self.now = until
                         return
+                    while timers and timers[0][0] == time:
+                        push(queue, pop(timers))
                     self.now = time
                     while queue and queue[0][0] == time:
                         _t, seq, callback, args = pop(queue)
@@ -256,35 +303,43 @@ class Simulator:
                                 self._cancelled_pending -= 1
                                 continue
                             if handle.seq != seq:
-                                push(queue, (handle.time, handle.seq, handle, handle_tag))
+                                due = handle.time
+                                push(
+                                    queue if due == time else timers,
+                                    (due, handle.seq, handle, handle_tag),
+                                )
                                 continue
                             handle._sim = None
                             callback = handle.callback
                             args = handle.args
                         events_processed += 1
                         callback(*args)
-                # Queue drained before `until`: advance the clock so rate
+                # Heaps drained before `until`: advance the clock so rate
                 # meters still see the full window.
                 if self.now < until:
                     self.now = until
                 return
             processed = 0
-            while queue:
+            while queue or timers:
                 if max_events is not None and processed >= max_events:
                     return
-                head = queue[0]
-                time = head[0]
+                heap = timers if timers and (not queue or timers[0] < queue[0]) else queue
+                time = heap[0][0]
                 if until is not None and time > until:
                     self.now = until
                     return
-                _t, seq, callback, args = pop(queue)
+                _t, seq, callback, args = pop(heap)
                 if args is handle_tag:
                     handle = callback
                     if handle.cancelled:
                         self._cancelled_pending -= 1
                         continue
                     if handle.seq != seq:
-                        push(queue, (handle.time, handle.seq, handle, handle_tag))
+                        due = handle.time
+                        push(
+                            queue if due == time else timers,
+                            (due, handle.seq, handle, handle_tag),
+                        )
                         continue
                     handle._sim = None
                     callback = handle.callback

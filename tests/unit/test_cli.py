@@ -430,6 +430,29 @@ def test_emit_out_writes_the_artifact_and_says_where(capsys, tmp_path):
     assert f"report written to {tmp_path / 'name.json'}" in capsys.readouterr().out
 
 
+class _ClosedStdout:
+    """A stdout whose reader has gone, as under ``| head -1``."""
+
+    def write(self, text):
+        raise BrokenPipeError
+
+    def flush(self):
+        raise BrokenPipeError
+
+
+@pytest.mark.parametrize("json", [False, True])
+def test_emit_writes_the_artifact_before_a_closed_stdout_can_stop_it(
+    monkeypatch, tmp_path, json
+):
+    from repro.cli.checks import _emit
+
+    report = _Report(True)
+    monkeypatch.setattr("sys.stdout", _ClosedStdout())
+    with pytest.raises(BrokenPipeError):
+        _emit(_emit_args(json=json, out=tmp_path), report, "x", "name.json", ["detail"])
+    assert (tmp_path / "name.json").read_text() == report.to_json()
+
+
 def test_kv_chaos_out_artifact_is_what_json_prints(capsys, tmp_path):
     assert main(["kv", "chaos", "kv-partition", "--seed", "1", "--json",
                  "--out", str(tmp_path)]) == 0

@@ -209,8 +209,9 @@ def drive(link_class, seed):
         for _ in range(60):
             sim.schedule_at(rng.randrange(40) * 2e-6, send_burst, rng.choice((1, 1, 2, 5, 12)))
     finished = []
-    while sim._queue:
-        time, seq, callback, args = sim._queue[0]
+    while sim._queue or sim._timers:
+        # The next event is the earlier of the two heaps' heads.
+        time, seq, callback, args = min(heap[0] for heap in (sim._queue, sim._timers) if heap)
         if callback == link._deliver:
             delivered.append((time, seq, index_of[args[0]]))
         elif callback == link._finish:
@@ -228,6 +229,7 @@ def test_idle_start_matches_the_ring_path(seed):
     reference = drive(QueueLink, seed)
     assert drive(Link, seed) == reference
     delivered, finished, sends, counters, _ = reference
+    assert counters[0] > 0
     assert len(delivered) == len(finished) == counters[0]
     assert counters[0] == [accepted for _, _, accepted in sends].count(True)
 

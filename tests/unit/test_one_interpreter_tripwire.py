@@ -8,7 +8,8 @@ fault-schedule searches one explorer, the simulator one transmit
 instrument, the differential's spread variant the daemon's layout,
 latency samples one unboxed store, the CLI one package of eight commands,
 each protocol event one observer hook, a datagram fragment one frame,
-the differential oracles one entry point and one report.
+the differential oracles one entry point and one report, the
+simulator's timer heap one owner.
 
 Scans the package source so that a re-grown effect ladder, a second
 delivery effect or a per-message delivery hook, a second run-grouping
@@ -22,7 +23,8 @@ exploration loop, the daemon forwarding a packed container, a second
 transmit callback, the spread mirror ordering the reference codec's
 layout, a per-sender latency store kept beside the pooled samples, a parser outside ``repro.cli``, a
 second observer hook for one event, a second differential report or
-entry point, or an unused import again fails
+entry point, a network model pushing onto the simulator's timer heap,
+or an unused import again fails
 tier-1 instead of drifting in unnoticed (the shape of the port and
 unseeded-random tripwires in ``conftest.py``, applied to the source
 tree)."""
@@ -1141,3 +1143,59 @@ def test_one_differential_oracle_with_one_report():
         '            "real_wall_s": round(self.real_wall_s, 3),',
     ):
         assert RETIRED_ORACLE_SURFACE.search(line), line
+
+
+# ----------------------------------------------------------------------
+# Two event heaps, split by entry kind (net/simulator.py)
+# ----------------------------------------------------------------------
+
+#: The timer heap or the handle-entry tag, named on another object than
+#: ``self`` (the executor's own ``self._timers`` is its timer table).
+SIMULATOR_PRIVATE = re.compile(r"\b_HANDLE\b|(?<!\bself)\._timers\b")
+#: The network models that push simulator events inline, past ``post``.
+INLINE_PUSHERS = ("net/link.py", "net/host.py", "net/fabric.py")
+
+
+def _heap_push_targets(source):
+    """The heap of every ``heappush`` call, as source text; a local name
+    reads through its assignment in the same function."""
+    targets = []
+    for function in ast.walk(ast.parse(source)):
+        if not isinstance(function, ast.FunctionDef):
+            continue
+        bound = {
+            target.id: ast.unparse(node.value)
+            for node in ast.walk(function)
+            if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        for node in ast.walk(function):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("heappush"):
+                heap = ast.unparse(node.args[0])
+                targets.append(bound.get(heap, heap))
+    return targets
+
+
+def test_only_the_simulator_names_its_timer_heap():
+    assert set(_occurrences(SIMULATOR_PRIVATE.pattern)) == {"net/simulator.py"}
+    sources = _sources()
+    pushes = {name: _heap_push_targets(sources[name]) for name in INLINE_PUSHERS}
+    assert all(pushes.values()), pushes  # each still pushes inline...
+    assert {heap for heaps in pushes.values() for heap in heaps} == {"sim._queue"}
+    # ...and the patterns bite on a pusher that reaches for the timers.
+    for line in (
+        "from repro.net.simulator import _HANDLE",
+        "        heappush(sim._timers, (when, seq, handle, handle_tag))",
+        "        due = self._sim._timers[0][0]",
+    ):
+        assert SIMULATOR_PRIVATE.search(line), line
+    assert not SIMULATOR_PRIVATE.search("        self._timers: Dict[str, object] = {}")
+    old = (
+        "def _finish(self, frame):\n"
+        "    sim = self._sim\n"
+        "    heap = sim._timers\n"
+        "    heappush(heap, (sim.now + self._propagation, seq, self._deliver, (frame,)))\n"
+        "    heappush(sim._queue, (sim.now + cost, seq, self._finish, (fn, args)))\n"
+    )
+    assert _heap_push_targets(old) == ["sim._timers", "sim._queue"]

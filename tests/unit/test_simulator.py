@@ -1,10 +1,16 @@
 """Unit tests for the discrete-event engine."""
 
+import heapq
 import random
 
 import pytest
 
-from repro.net.simulator import _COMPACT_MIN, Simulator
+from repro.net.simulator import _COMPACT_MIN, _HANDLE, EventHandle, Simulator
+
+
+def _entries(sim):
+    """Entries in both heaps, cancelled ones included."""
+    return len(sim._queue) + len(sim._timers)
 
 
 def test_events_run_in_time_order():
@@ -148,9 +154,9 @@ def test_cancel_after_fire_does_not_touch_the_bookkeeping():
     sim.schedule(5.0, lambda: None)
     sim.run(until=2.0)
     assert sim.pending_events == 1
-    first.cancel()  # already fired: nothing of it is in the heap
+    first.cancel()  # already fired: nothing of it is in the heaps
     assert sim.pending_events == 1
-    assert sim.cancelled_pending == 0
+    assert _entries(sim) == 1
     sim.run_until_idle()
     assert sim.pending_events == 0
     assert sim.events_processed == 2
@@ -172,16 +178,19 @@ def _by_definition(sim, handle, delay, callback, *args):
 
 #: Quantized so that timestamps tie often (0.25 is exact in binary).
 _DELAYS = (0.0, 0.25, 0.25, 0.5, 0.5, 0.75, 1.0, 1.5)
+#: Arrivals scheduled far past every run segment, as a workload's are.
+_FAR = (4.0, 8.0, 16.0)
 
 
-def _random_interleaving(seed, rearm, drive):
+def _random_interleaving(seed, rearm, drive, make=Simulator):
     """Drive one simulator through a seeded script of schedule / post /
-    cancel / re-arm operations, issued both between run segments and from
-    inside callbacks (including a handle re-arming itself), and return
-    everything observable: fire order and times, and the counters after
-    every segment."""
+    cancel / re-arm operations, far ``schedule_at`` arrivals, and a timer
+    and a post due at one instant, issued both between run segments and
+    from inside callbacks (including a handle re-arming itself), and
+    return everything observable: fire order and times, and the counters
+    after every segment."""
     rng = random.Random(seed)
-    sim = Simulator()
+    sim = make()
     fired = []
     handles = []
     labels = iter(range(10**9))
@@ -190,9 +199,18 @@ def _random_interleaving(seed, rearm, drive):
         for _ in range(rng.randrange(3)):
             op = rng.random()
             delay = rng.choice(_DELAYS)
-            if op < 0.3 or not handles:
+            if op < 0.25 or not handles:
                 handles.append(sim.schedule(delay, fire, next(labels)))
+            elif op < 0.3:
+                at = sim.now + rng.choice(_FAR)
+                handles.append(sim.schedule_at(at, fire, next(labels)))
+            elif op < 0.35:
+                sim.post(delay, fire, next(labels))
             elif op < 0.4:
+                # A timer and a post at one instant, in either order.
+                if rng.random() < 0.5:
+                    sim.post(delay, fire, next(labels))
+                handles.append(sim.schedule(delay, fire, next(labels)))
                 sim.post(delay, fire, next(labels))
             elif op < 0.55:
                 rng.choice(handles).cancel()
@@ -250,6 +268,91 @@ def test_reschedule_is_cancel_plus_schedule(seed, drive):
     assert snapshots[-1][2] == 0
 
 
+class OneHeap(Simulator):
+    """The dispatch rule the two heaps must reproduce: every entry on one
+    heap, popped in ``(time, seq)`` order one event at a time."""
+
+    def schedule_at(self, time, callback, *args):
+        if time < self.now:
+            raise ValueError(f"cannot schedule event at {time} < now {self.now}")
+        self._seq = seq = self._seq + 1
+        handle = EventHandle(time, seq, callback, args, self)
+        heapq.heappush(self._queue, (time, seq, handle, _HANDLE))
+        return handle
+
+    def run(self, until=None, max_events=None):
+        queue = self._queue
+        processed = 0
+        while queue:
+            if max_events is not None and processed >= max_events:
+                return
+            time = queue[0][0]
+            if until is not None and time > until:
+                self.now = until
+                return
+            _t, seq, callback, args = heapq.heappop(queue)
+            if args is _HANDLE:
+                handle = callback
+                if handle.cancelled:
+                    self._cancelled_pending -= 1
+                    continue
+                if handle.seq != seq:
+                    heapq.heappush(queue, (handle.time, handle.seq, handle, _HANDLE))
+                    continue
+                handle._sim = None
+                callback, args = handle.callback, handle.args
+            self.now = time
+            self._events_processed += 1
+            processed += 1
+            callback(*args)
+        if until is not None and self.now < until:
+            self.now = until
+
+
+@pytest.mark.parametrize(
+    "drive", [_drive_until, _drive_max_events, _drive_step, _drive_mixed]
+)
+@pytest.mark.parametrize("seed", range(12))
+def test_two_heaps_dispatch_as_one_heap(seed, drive):
+    two = _random_interleaving(seed, _native, drive)
+    one = _random_interleaving(seed, _native, drive, OneHeap)
+    assert two == one
+    assert len(two[0]) > 20  # the script did something
+
+
+def test_far_arrivals_stay_out_of_the_frame_queue():
+    """5 000 arrivals pre-scheduled over a second leave ``_queue`` to the
+    chain of posts that runs beside them, and still fire in key order."""
+    sim = Simulator()
+    rng = random.Random(46)
+    tick = 2.0**-13  # exact in binary, so arrivals and posts tie
+    fired = []
+    longest = []
+
+    def arrive(index):
+        fired.append((sim.now, 0, index))
+        longest.append(len(sim._queue))
+
+    def link(count):
+        fired.append((sim.now, 1, count))
+        longest.append(len(sim._queue))
+        if count:
+            sim.post(tick, link, count - 1)
+
+    arrivals = [(rng.randrange(8192) * tick, 0, index) for index in range(5000)]
+    for when, _kind, index in arrivals:
+        sim.schedule_at(when, arrive, index)
+    sim.post(tick, link, 8191)
+    sim.run(until=2.0)
+    assert max(longest) <= 8
+    assert sim.events_processed == len(fired) == 5000 + 8192
+    # Key order: by time, then by when each was scheduled, so every
+    # arrival runs ahead of the post due at its instant.
+    links = [(tick * (8192 - count), 1, count) for count in range(8191, -1, -1)]
+    assert fired == sorted(arrivals + links)
+    assert len({when for when, _, _ in arrivals} & {when for when, _, _ in links}) > 3000
+
+
 def test_reschedule_later_reuses_the_handle_and_its_heap_entry():
     sim = Simulator()
     seen = []
@@ -257,10 +360,14 @@ def test_reschedule_later_reuses_the_handle_and_its_heap_entry():
     for _ in range(100):
         sim.run(until=sim.now + 0.01)
         assert sim.reschedule(handle, 1.0, seen.append, "loss") is handle
-    assert len(sim._queue) == 1
+    # Still one entry, in the timer heap, never keyed later than the handle.
+    assert sim._queue == [] and len(sim._timers) == 1
+    assert sim._timers[0][2] is handle
+    assert sim._timers[0][:2] <= (handle.time, handle.seq)
     assert sim.pending_events == 1
-    sim.run(until=1.5)  # the stale entry surfaces at 1.0 and is pushed back
+    sim.run(until=1.5)  # a stale entry surfaces and is pushed back, not fired
     assert seen == [] and sim.events_processed == 0
+    assert sim._queue == [] and [entry[2] for entry in sim._timers] == [handle]
     sim.run(until=2.5)
     assert seen == ["loss"]
     assert sim.events_processed == 1
@@ -306,7 +413,7 @@ def test_reschedule_from_inside_the_handles_own_callback_schedules_afresh():
     sim.run_until_idle()
     assert seen == [0.5, 1.0, 1.5]
     assert sim.events_processed == 3
-    assert sim.pending_events == 0 and sim.cancelled_pending == 0
+    assert sim.pending_events == 0 and _entries(sim) == 0
 
 
 def test_reschedule_rejects_negative_delay():
@@ -325,14 +432,16 @@ def test_compaction_mid_run_keeps_rearmed_timers():
     def rearm_then_cancel_most_of_the_heap():
         for i, handle in enumerate(timers):
             assert sim.reschedule(handle, 2.0, seen.append, i) is handle
-        before = len(sim._queue)
+        before = len(sim._timers)
         for handle in doomed:
             handle.cancel()
-        assert len(sim._queue) < before  # compacted under the running loop
+        assert len(sim._timers) < before  # compacted under the running loop
+        kept = [entry[2] for entry in sim._timers]
+        assert all(any(entry is handle for entry in kept) for handle in timers)
 
     sim.schedule(0.5, rearm_then_cancel_most_of_the_heap)
     sim.run(until=2.0)
     assert seen == [] and sim.pending_events == len(timers)
     sim.run(until=10.0)
     assert seen == list(range(8))
-    assert sim.pending_events == 0 and sim.cancelled_pending == 0
+    assert sim.pending_events == 0 and _entries(sim) == 0

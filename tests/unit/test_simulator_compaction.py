@@ -1,12 +1,17 @@
 """Heap-compaction tests for the hot-path engine.
 
-Compaction rewrites the event heap *in place* (``queue[:] = ...``)
-because :meth:`Simulator.run` and :meth:`Simulator.step` hold a local
-reference to the queue list across callbacks.  These tests pin both the
+Compaction rewrites both event heaps *in place* (``heap[:] = ...``)
+because :meth:`Simulator.run` and :meth:`Simulator.step` hold local
+references to the two lists across callbacks.  These tests pin both the
 cancellation bookkeeping and that aliasing contract.
 """
 
 from repro.net.simulator import _COMPACT_MIN, Simulator
+
+
+def _entries(sim):
+    """Entries in both heaps, cancelled ones included."""
+    return len(sim._queue) + len(sim._timers)
 
 
 def test_mass_cancel_compacts_heap():
@@ -18,12 +23,12 @@ def test_mass_cancel_compacts_heap():
         handle.cancel()
     # 120 entries; compaction fires once cancelled entries exceed half
     # the heap, so the queue must have shrunk below the total scheduled.
-    assert len(sim._queue) < len(live) + len(doomed)
+    assert _entries(sim) < len(live) + len(doomed)
     assert sim.pending_events == len(live)
     sim.run_until_idle()
     assert seen == list(range(10))
     assert sim.pending_events == 0
-    assert sim.cancelled_pending == 0
+    assert _entries(sim) == 0
 
 
 def test_compaction_preserves_dispatch_order():
@@ -46,13 +51,11 @@ def test_small_heaps_stay_lazy():
     for handle in doomed:
         handle.cancel()
     # Below the compaction threshold, cancellation stays lazy: the
-    # entries remain in the heap and are skipped at pop time.
-    assert sim.cancelled_pending == count
-    assert len(sim._queue) == count
+    # entries remain in the timer heap and are skipped at pop time.
+    assert sim._queue == [] and len(sim._timers) == count
     assert sim.pending_events == 0
     sim.run_until_idle()
-    assert sim.cancelled_pending == 0
-    assert len(sim._queue) == 0
+    assert _entries(sim) == 0
 
 
 def test_compaction_inside_callback_does_not_duplicate_dispatch():
@@ -87,5 +90,5 @@ def test_cancel_is_idempotent_for_bookkeeping():
     handle.cancel()
     handle.cancel()
     handle.cancel()
-    assert sim.cancelled_pending == 1
+    assert _entries(sim) == 1
     assert sim.pending_events == 0
