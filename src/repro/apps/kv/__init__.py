@@ -21,9 +21,11 @@ Accelerated Ring stack (docs/PROTOCOL.md §13):
   transfer at EVS configuration changes.
 * **Checker** (:mod:`~repro.apps.kv.checker`) — a per-partition
   linearizability checker over client-observed histories.
-* **Chaos** (:mod:`~repro.apps.kv.chaos`) — seeded fault scenarios
-  (including crash-between-WAL-append-and-apply) with byte-identical
-  JSON reports.
+* **Chaos** (:mod:`~repro.apps.kv.chaos`) — seeded fault scenarios,
+  one :class:`~repro.faults.plan.FaultPlan` per ring armed through
+  :class:`~repro.faults.injector.FaultInjector` on
+  :meth:`KvCluster.ring` (the crash between WAL append and apply is the
+  plan event ``crash_after_append``), with byte-identical JSON reports.
 """
 
 from repro.apps.kv.commands import (

@@ -2,9 +2,12 @@
 
 The application-level mirror of :mod:`repro.faults.scenarios`: build a
 :class:`~repro.apps.kv.cluster.KvCluster`, drive a seeded skewed
-workload (:mod:`repro.workloads.kv`), inject faults — including the
-crash window the WAL exists for, *between durable append and apply* —
-then heal and check everything the subsystem promises:
+workload (:mod:`repro.workloads.kv`), inject faults — one
+:class:`~repro.faults.plan.FaultPlan` per ring through
+:class:`~repro.faults.injector.FaultInjector`, including the crash
+window the WAL exists for, ``crash_after_append``, *between durable
+append and apply* — then heal and check everything the subsystem
+promises:
 
 * membership re-converged and every live replica serving;
 * **store convergence** — byte-identical state digests per ring;
@@ -21,10 +24,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List
+from typing import Any, Dict, List
 
 from repro.apps.kv.cluster import KvCluster
 from repro.faults.drive import boot, wait_converged
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan, PlanBuilder
 from repro.util.errors import FaultError
 from repro.util.jsonreport import JsonReport
 from repro.workloads.kv import DiurnalArrivals, KvOpMix, ZipfianKeys, drive_schedule
@@ -49,8 +54,9 @@ class KvScenarioSpec:
     partitions: int
     #: Simulated seconds of workload + faults after boot.
     duration: float
-    #: Schedule faults on the cluster; returns the event log entries.
-    faults: Callable[[KvCluster, float, random.Random], List[Dict[str, Any]]]
+    #: Ring index → the faults that ring takes, timed from the workload
+    #: start.  Every plan recovers what it crashes.
+    plans: Dict[int, FaultPlan]
     snapshot_every: int = 16
     txn_weight: float = 0.05
 
@@ -108,79 +114,14 @@ class KvChaosReport(JsonReport):
 # The scenario library
 # ----------------------------------------------------------------------
 
-def _event(kind: str, at: float, **details: Any) -> Dict[str, Any]:
-    entry: Dict[str, Any] = {"kind": kind, "at": round(at, 9)}
-    entry.update(details)
-    return entry
-
-
-def _crash_mid_txn(kv: KvCluster, base: float, rng: random.Random) -> List[Dict[str, Any]]:
-    """The acceptance scenario: a replica dies between WAL append and
-    apply of a transaction, recovers via snapshot+WAL replay, rejoins
-    through EVS, and resyncs the suffix it missed from a peer."""
-    ring, victim = 0, 2
-    kv.sim.schedule_at(
-        base + 0.05,
-        kv.arm_crash_between_append_and_apply,
-        ring,
-        victim,
-        True,  # only_transactions: die on the next ordered transaction
-    )
-    kv.sim.schedule_at(base + 0.45, kv.restart, ring, victim)
-    return [
-        _event("arm-crash-between-append-and-apply", 0.05, ring=ring, pid=victim,
-               only_transactions=True),
-        _event("restart", 0.45, ring=ring, pid=victim),
-    ]
-
-
-def _partition_minority(kv: KvCluster, base: float, rng: random.Random) -> List[Dict[str, Any]]:
-    """Split ring 0 into a majority and a stalled minority under load;
-    minority-ordered commands must be dropped everywhere (clients see
-    incomplete operations, never wrong answers), then heal."""
-    majority = set(range(kv.hosts_per_ring))
-    minority = {kv.hosts_per_ring - 1}
-    majority -= minority
-    kv.sim.schedule_at(base + 0.06, kv.partition, 0, majority, minority)
-    kv.sim.schedule_at(base + 0.5, kv.heal, 0)
-    return [
-        _event("partition", 0.06, ring=0,
-               groups=[sorted(majority), sorted(minority)]),
-        _event("heal", 0.5, ring=0),
-    ]
-
-
-def _cascade_replicas(kv: KvCluster, base: float, rng: random.Random) -> List[Dict[str, Any]]:
-    """Cascading crash-recover across two rings: each victim recovers
-    from its own WAL and catches the missed suffix by peer transfer."""
-    plan = [
-        ("crash", 0.05, 0, 1),
-        ("crash", 0.12, 1, 2),
-        ("restart", 0.4, 0, 1),
-        ("restart", 0.55, 1, 2),
-    ]
-    events = []
-    for kind, at, ring, pid in plan:
-        action = kv.crash if kind == "crash" else kv.restart
-        kv.sim.schedule_at(base + at, action, ring, pid)
-        events.append(_event(kind, at, ring=ring, pid=pid))
-    return events
-
-
-def _full_ring_outage(kv: KvCluster, base: float, rng: random.Random) -> List[Dict[str, Any]]:
-    """Crash *every* replica of ring 0, then recover all of them: no
-    primary survives, so the majority must elect the longest durable
-    log and resync from it (the durability story with no live donor)."""
-    events = []
-    for pid in range(kv.hosts_per_ring):
-        at = 0.08 + 0.015 * pid
-        kv.sim.schedule_at(base + at, kv.crash, 0, pid)
-        events.append(_event("crash", at, ring=0, pid=pid))
-    for pid in range(kv.hosts_per_ring):
-        at = 0.4 + 0.02 * pid
-        kv.sim.schedule_at(base + at, kv.restart, 0, pid)
-        events.append(_event("restart", at, ring=0, pid=pid))
-    return events
+def _ring_outage(hosts: int) -> FaultPlan:
+    """Crash every replica of a ring one by one, then recover them all."""
+    builder = PlanBuilder()
+    for pid in range(hosts):
+        builder.crash(pid, at=0.08 + 0.015 * pid)
+    for pid in range(hosts):
+        builder.recover(pid, at=0.4 + 0.02 * pid)
+    return builder.build()
 
 
 SCENARIOS: Dict[str, KvScenarioSpec] = {
@@ -194,7 +135,14 @@ SCENARIOS: Dict[str, KvScenarioSpec] = {
             hosts_per_ring=4,
             partitions=8,
             duration=0.8,
-            faults=_crash_mid_txn,
+            # The victim recovers by snapshot + WAL replay, rejoins
+            # through EVS and resyncs the suffix it missed from a peer.
+            plans={
+                0: PlanBuilder()
+                .crash_after_append(2, at=0.05, only_transactions=True)
+                .recover(2, at=0.45)
+                .build()
+            },
             txn_weight=0.25,
             snapshot_every=8,
         ),
@@ -206,7 +154,8 @@ SCENARIOS: Dict[str, KvScenarioSpec] = {
             hosts_per_ring=4,
             partitions=8,
             duration=0.9,
-            faults=_partition_minority,
+            # Clients see incomplete operations, never wrong answers.
+            plans={0: PlanBuilder().partition({0, 1, 2}, {3}, at=0.06).heal(at=0.5).build()},
         ),
         KvScenarioSpec(
             name="kv-cascade",
@@ -215,7 +164,11 @@ SCENARIOS: Dict[str, KvScenarioSpec] = {
             hosts_per_ring=4,
             partitions=8,
             duration=1.0,
-            faults=_cascade_replicas,
+            # Each victim replays its own WAL, then takes a peer transfer.
+            plans={
+                0: PlanBuilder().crash(1, at=0.05).recover(1, at=0.4).build(),
+                1: PlanBuilder().crash(2, at=0.12).recover(2, at=0.55).build(),
+            },
         ),
         KvScenarioSpec(
             name="kv-ring-outage",
@@ -225,7 +178,8 @@ SCENARIOS: Dict[str, KvScenarioSpec] = {
             hosts_per_ring=3,
             partitions=6,
             duration=1.1,
-            faults=_full_ring_outage,
+            # No primary survives to donate state.
+            plans={0: _ring_outage(hosts=3)},
             snapshot_every=8,
         ),
     )
@@ -276,10 +230,13 @@ def run_kv_scenario(name: str, seed: int = 0, config=None) -> KvChaosReport:
         seed=seed * 7 + 3,
     )
     scheduled = drive_schedule(kv, mix.schedule(arrivals.times(spec.duration)), base)
-    events = spec.faults(kv, base, rng)
+    injectors = {
+        ring: FaultInjector(kv.ring(ring), plan, rng=rng).arm()
+        for ring, plan in sorted(spec.plans.items())
+    }
     kv.run(spec.duration)
 
-    # Quiesce (the scripts restart what they crash), then let membership
+    # Quiesce (the plans recover what they crash), then let membership
     # and the transfer/election machinery settle.
     kv.quiesce()
     converged = wait_converged(kv, slice=0.25, slices=16)
@@ -321,7 +278,14 @@ def run_kv_scenario(name: str, seed: int = 0, config=None) -> KvChaosReport:
             "incomplete": kv.history.incomplete,
         },
         counters=counters,
-        events=events,
+        events=sorted(
+            (
+                {**entry, "ring": ring}
+                for ring, injector in injectors.items()
+                for entry in injector.applied
+            ),
+            key=lambda entry: entry["t"],
+        ),
         sim_time=kv.sim.now,
     )
 

@@ -306,47 +306,9 @@ class KvCluster:
 
     # -- fault surface -------------------------------------------------
 
-    def crash(self, ring_index: int, pid: int) -> None:
-        """Fail-stop a daemon and its replica (volatile state lost)."""
-        self.replicas[(ring_index, pid)].crash()
-        self._crashed_incarnations.setdefault(ring_index, set()).add(pid)
-        self.net.crash(ring_index, pid)
-
-    def restart(self, ring_index: int, pid: int) -> None:
-        """Recover a crashed daemon; the replica replays snapshot+WAL
-        (via the restart tap event) and resyncs before serving."""
-        self.net.restart(ring_index, pid)
-
-    def arm_crash_between_append_and_apply(
-        self, ring_index: int, pid: int, only_transactions: bool = False
-    ) -> None:
-        """Arm the chaos hook: on its next qualifying command, the
-        replica WAL-appends, then dies before applying.
-
-        The host's fail-stop is scheduled at the current sim instant
-        (it runs right after the in-flight delivery batch — crashing a
-        host from inside its own delivery callback would let the rest
-        of the batch execute on a corpse); the replica's volatile state
-        is discarded immediately, so nothing past the armed command is
-        applied or logged.
-        """
-        replica = self.replicas[(ring_index, pid)]
-
-        def action() -> None:
-            replica.crash()
-            self._crashed_incarnations.setdefault(ring_index, set()).add(pid)
-            self.sim.schedule_at(
-                self.sim.now, self.net.crash, ring_index, pid
-            )
-
-        when = (lambda cmd: cmd.is_transaction) if only_transactions else None
-        replica.arm_crash(action, when=when)
-
-    def partition(self, ring_index: int, *groups) -> None:
-        self.net.partition(ring_index, *groups)
-
-    def heal(self, ring_index: Optional[int] = None) -> None:
-        self.net.heal(ring_index)
+    def ring(self, ring_index: int) -> "KvRing":
+        """Ring ``ring_index``'s fault surface (see :class:`KvRing`)."""
+        return KvRing(self, ring_index)
 
     def quiesce(self, restart=None) -> None:
         """Quiesce every ring; ``restart`` maps ring index → pids."""
@@ -423,3 +385,52 @@ class KvCluster:
             "history_ops": len(self.history),
             "history_completed": self.history.completed,
         }
+
+
+class KvRing:
+    """One ring of a :class:`KvCluster` as a fault target: what
+    :class:`~repro.faults.injector.FaultInjector` reads and calls.
+
+    ``crash`` also fail-stops the replica and waives its incarnation in
+    :meth:`KvCluster.check_evs`; after ``restart`` the replica replays
+    snapshot + WAL, resyncs and serves.  The other fault methods are
+    the ring's own.
+    """
+
+    def __init__(self, kv: KvCluster, ring_index: int) -> None:
+        self.kv = kv
+        self.index = ring_index
+        self.net_ring = ring = kv.net.ring(ring_index)
+        self.sim = kv.sim
+        self.topology = ring.topology
+        self.restart = ring.restart
+        self.partition = ring.partition
+        self.heal = ring.heal
+        self.pause = ring.pause
+        self.resume = ring.resume
+
+    def crash(self, pid: int) -> None:
+        self._crash_replica(pid)
+        self.net_ring.crash(pid)
+
+    def _crash_replica(self, pid: int) -> None:
+        self.kv.replicas[(self.index, pid)].crash()
+        self.kv._crashed_incarnations.setdefault(self.index, set()).add(pid)
+
+    def arm_crash_after_append(self, pid: int, only_transactions: bool = False) -> None:
+        """On its next qualifying command the replica WAL-appends, then
+        dies before applying.
+
+        The replica's volatile state goes at once, so nothing past the
+        armed command is applied or logged; the host's fail-stop waits
+        for the current instant's in-flight delivery batch (crashing a
+        host inside its own delivery callback would run the rest of the
+        batch on a corpse).
+        """
+
+        def action() -> None:
+            self._crash_replica(pid)
+            self.sim.schedule_at(self.sim.now, self.net_ring.crash, pid)
+
+        when = (lambda cmd: cmd.is_transaction) if only_transactions else None
+        self.kv.replicas[(self.index, pid)].arm_crash(action, when=when)

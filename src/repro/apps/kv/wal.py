@@ -175,6 +175,3 @@ class WriteAheadLog:
     def reset(self) -> None:
         """Drop the log (after its contents made it into a snapshot)."""
         self.storage.replace(b"")
-
-    def size_bytes(self) -> int:
-        return self.storage.size()

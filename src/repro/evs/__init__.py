@@ -13,13 +13,12 @@ properties the paper relies on (Agreed and Safe delivery); the test suite
 runs it over randomized fault schedules.
 """
 
-from repro.evs.configuration import Configuration, ConfigurationChange
+from repro.evs.configuration import Configuration
 from repro.evs.events import DeliveryEvent, MessageDelivery, ConfigDelivery
 from repro.evs.checker import EvsChecker, EvsViolation
 
 __all__ = [
     "Configuration",
-    "ConfigurationChange",
     "DeliveryEvent",
     "MessageDelivery",
     "ConfigDelivery",

@@ -44,11 +44,3 @@ class Configuration:
 
     def sorted_members(self) -> Tuple[int, ...]:
         return tuple(sorted(self.members))
-
-
-@dataclass(frozen=True)
-class ConfigurationChange:
-    """A configuration-change event as delivered to the application."""
-
-    old: Configuration
-    new: Configuration

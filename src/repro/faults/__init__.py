@@ -4,12 +4,14 @@ The faults layer turns the simulator's ad-hoc fault hooks into scripted,
 reproducible chaos experiments:
 
 * :mod:`repro.faults.events` — typed fault events (crash, recover,
-  partition, heal, token drop, loss burst, pause/resume, rack power loss).
+  crash after append, partition, heal, token drop, loss burst,
+  pause/resume, rack power loss).
 * :mod:`repro.faults.plan` — :class:`FaultPlan`: a validated,
   time-ordered schedule with a builder DSL and JSON round-trip.
 * :mod:`repro.faults.injector` — :class:`FaultInjector`: compiles a
   plan into simulator events via first-class injection points (switch
-  frame filters, host receive interceptors, the cluster fault surface).
+  frame filters, host receive interceptors, the cluster fault surface,
+  ``KvCluster.ring(i)`` included).
 * :mod:`repro.faults.drive` — the boot / poll-for-convergence steps
   every checked run (chaos, soak, KV chaos, the conformance oracles)
   shares.
@@ -40,6 +42,7 @@ or from the command line: ``python -m repro chaos partition-heal --seed 7``.
 
 from repro.faults.events import (
     Crash,
+    CrashAfterAppend,
     EVENT_TYPES,
     FaultEvent,
     Heal,
@@ -53,7 +56,7 @@ from repro.faults.events import (
     event_from_dict,
 )
 from repro.faults.explorer import ExplorationReport, explore
-from repro.faults.generator import build_plan, random_plan, random_steps
+from repro.faults.generator import build_plan, random_steps
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, PlanBuilder
 from repro.faults.soak import (
@@ -73,6 +76,7 @@ from repro.faults.scenarios import (
 __all__ = [
     "Counterexample",
     "Crash",
+    "CrashAfterAppend",
     "EVENT_TYPES",
     "ExplorationReport",
     "FaultEvent",
@@ -95,7 +99,6 @@ __all__ = [
     "drive_plan",
     "event_from_dict",
     "explore",
-    "random_plan",
     "random_steps",
     "run_all",
     "run_scenario",

@@ -11,6 +11,8 @@ fault experiments of §IV-A4:
 
 * :class:`Crash` / :class:`Recover` — fail-stop and restart of one
   process (the membership layer's reason to exist).
+* :class:`CrashAfterAppend` — fail-stop of a KV replica between logging
+  and applying its next command (the window a write-ahead log is for).
 * :class:`Partition` / :class:`Heal` — switch-level network partition
   into connectivity groups, and its repair (ring split + merge).
 * :class:`TokenDrop` — lose the next ``count`` token frames on the wire
@@ -74,6 +76,16 @@ class Recover(FaultEvent):
 
     pid: int = 0
     kind: ClassVar[str] = "recover"
+
+
+@dataclass(frozen=True)
+class CrashAfterAppend(FaultEvent):
+    """Fail-stop ``pid`` after it logs, before it applies, its next
+    command (or next transaction); a crash for :class:`Recover`."""
+
+    pid: int = 0
+    only_transactions: bool = False
+    kind: ClassVar[str] = "crash_after_append"
 
 
 @dataclass(frozen=True)
@@ -213,6 +225,7 @@ EVENT_TYPES: Dict[str, Type[FaultEvent]] = {
     for cls in (
         Crash,
         Recover,
+        CrashAfterAppend,
         Partition,
         Heal,
         TokenDrop,

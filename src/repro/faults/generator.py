@@ -126,27 +126,6 @@ def random_steps(
     ]
 
 
-def random_plan(
-    rng: random.Random,
-    num_hosts: int,
-    max_steps: int = 8,
-    actions: Sequence[str] = ACTIONS,
-    racks: int = 0,
-) -> Tuple[FaultPlan, List[Step]]:
-    """One random valid plan plus the abstract steps that produced it.
-
-    The steps are returned too so callers (the soak minimizer, the
-    counterexample artifact) can manipulate the pre-validation form.
-    """
-    steps = random_steps(rng, num_hosts, max_steps=max_steps, actions=actions)
-    return build_plan(steps, num_hosts, racks=racks), steps
-
-
-def steps_to_lists(steps: Sequence[Step]) -> List[List[object]]:
-    """JSON-friendly form of a step sequence."""
-    return [[delta, action, pid] for delta, action, pid in steps]
-
-
 def steps_from_lists(payload: Iterable[Sequence[object]]) -> List[Step]:
-    """Inverse of :func:`steps_to_lists`."""
+    """Steps from their JSON form, a list of ``[delta, action, pid]``."""
     return [(int(delta), str(action), int(pid)) for delta, action, pid in payload]

@@ -6,9 +6,9 @@ first-class injection points — the fabric's frame filters
 (:meth:`repro.net.fabric.Fabric.add_filter`), the hosts' receive
 interceptors (:meth:`repro.net.host.SimHost.add_interceptor`), and the
 cluster fault surface (``crash``/``restart``/``pause``/``resume``/
-``partition``/``heal``) — never by monkey-patching protocol internals,
-so injected behaviour is exactly what a deployed system would see at the
-same layer.
+``partition``/``heal``/``arm_crash_after_append``) — never by
+monkey-patching protocol internals, so injected behaviour is exactly
+what a deployed system would see at the same layer.
 
 Determinism: every probabilistic decision draws from one
 ``random.Random(seed)`` owned by the injector, and all scheduling goes
@@ -23,6 +23,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.faults.events import (
     Crash,
+    CrashAfterAppend,
     FaultEvent,
     Heal,
     LossBurst,
@@ -43,9 +44,10 @@ class FaultInjector:
 
     ``cluster`` is anything exposing the simulated fault surface:
     :class:`~repro.sim.membership_driver.MembershipCluster` (full
-    crash/recover support) or :class:`~repro.sim.cluster.RingCluster`
+    crash/recover support), :class:`~repro.sim.cluster.RingCluster`
     (normal-case protocol; ``Recover`` is rejected because there is no
-    membership layer to rejoin through).
+    membership layer to rejoin through), or ``KvCluster.ring(i)`` (the
+    one surface that takes ``CrashAfterAppend``).
     """
 
     def __init__(
@@ -106,6 +108,14 @@ class FaultInjector:
                     "this cluster has no membership layer: Recover is not supported"
                 )
             restart(event.pid)
+        elif isinstance(event, CrashAfterAppend):
+            arm = getattr(self.cluster, "arm_crash_after_append", None)
+            if arm is None:
+                raise FaultError(
+                    "this cluster has no write-ahead log: "
+                    "CrashAfterAppend is not supported"
+                )
+            arm(event.pid, event.only_transactions)
         elif isinstance(event, Partition):
             self.cluster.partition(*event.groups)
             self.partitions_active = 1

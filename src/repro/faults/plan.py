@@ -26,6 +26,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.faults.events import (
     Crash,
+    CrashAfterAppend,
     FaultEvent,
     Heal,
     LossBurst,
@@ -94,7 +95,7 @@ class FaultPlan:
         """Pids the plan ever crashes (for EVS-checker waivers)."""
         crashed: Set[int] = set()
         for event in self.events:
-            if isinstance(event, Crash):
+            if isinstance(event, (Crash, CrashAfterAppend)):
                 crashed.add(event.pid)
             elif isinstance(event, RackPowerLoss) and event.pids is not None:
                 crashed |= event.pids
@@ -126,10 +127,10 @@ class FaultPlan:
                             f"{event.kind} at {event.at}: pid {pid} out of "
                             f"range for {num_hosts} hosts"
                         )
-            if isinstance(event, Crash):
+            if isinstance(event, (Crash, CrashAfterAppend)):
                 if event.pid in crashed:
                     raise FaultError(
-                        f"crash at {event.at}: pid {event.pid} is already crashed"
+                        f"{event.kind} at {event.at}: pid {event.pid} is already crashed"
                     )
                 crashed.add(event.pid)
                 paused.discard(event.pid)
@@ -229,6 +230,12 @@ class PlanBuilder:
 
     def crash(self, pid: int, at: float) -> "PlanBuilder":
         self._events.append(Crash(at=at, pid=pid))
+        return self
+
+    def crash_after_append(
+        self, pid: int, at: float, only_transactions: bool = False
+    ) -> "PlanBuilder":
+        self._events.append(CrashAfterAppend(at=at, pid=pid, only_transactions=only_transactions))
         return self
 
     def recover(self, pid: int, at: float) -> "PlanBuilder":

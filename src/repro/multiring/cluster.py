@@ -316,28 +316,8 @@ class MultiRingCluster:
         return not self.membership or all(ring.converged() for ring in self.rings)
 
     # ------------------------------------------------------------------
-    # Fault surface (per ring)
+    # Drive surface (per ring; faults go to ring(i) itself)
     # ------------------------------------------------------------------
-
-    def crash(self, ring_index: int, pid: int) -> None:
-        self.ring(ring_index).crash(pid)
-
-    def restart(self, ring_index: int, pid: int) -> None:
-        self.ring(ring_index).restart(pid)
-
-    def pause(self, ring_index: int, pid: int) -> None:
-        self.ring(ring_index).pause(pid)
-
-    def resume(self, ring_index: int, pid: int) -> None:
-        self.ring(ring_index).resume(pid)
-
-    def partition(self, ring_index: int, *groups) -> None:
-        self.ring(ring_index).partition(*groups)
-
-    def heal(self, ring_index: Optional[int] = None) -> None:
-        targets = self.rings if ring_index is None else [self.ring(ring_index)]
-        for ring in targets:
-            ring.heal()
 
     def quiesce(self, restart: Optional[Mapping[int, Iterable[int]]] = None) -> None:
         """Quiesce every ring; ``restart`` maps ring index → pids."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.messages import DeliveryService
 from repro.multiring.shard_map import ShardMap
@@ -187,11 +187,13 @@ class ShardedSpreadClient:
       docs/PROTOCOL.md §11 for what cross-shard ordering does and does
       not promise).
     * ``receive`` consumes ordered messages in the deterministic
-      round-robin merge order over the per-ring delivery streams, so
-      every sharded client subscribed to the same groups observes the
-      same interleaving.  Views pass through without consuming the
-      current ring's turn (they are per-ring metadata, not part of the
-      merged order).
+      round-robin merge order over the delivery streams of the rings
+      its joined groups live on (in ring-index order, the rings
+      :meth:`~repro.multiring.cluster.MultiRingCluster.merged_stream`
+      merges), so every sharded client subscribed to the same groups
+      observes the same interleaving.  Views pass through without
+      consuming the current ring's turn (they are per-ring metadata,
+      not part of the merged order).
 
     For tests and embedding, pre-built per-shard clients can be
     injected via ``clients=``; otherwise one :class:`SpreadClient` is
@@ -225,6 +227,7 @@ class ShardedSpreadClient:
                 f"{len(self._clients)} shard connections were given"
             )
         self.private_name = name
+        self._joined: Set[str] = set()
         self._turn = 0
 
     def shard_of(self, group: str) -> int:
@@ -245,9 +248,11 @@ class ShardedSpreadClient:
 
     async def join(self, group: str) -> None:
         await self.client_for(group).join(group)
+        self._joined.add(group)
 
     async def leave(self, group: str) -> None:
         await self.client_for(group).leave(group)
+        self._joined.discard(group)
 
     def multicast(
         self,
@@ -267,14 +272,19 @@ class ShardedSpreadClient:
     async def receive(self) -> ClientEvent:
         """Next event in the deterministic cross-shard merge order.
 
-        Blocks on the ring whose turn it is; a :class:`GroupMessage`
-        advances the turn to the next ring, a :class:`GroupView` does
-        not (views are not part of the merged total order).  With a
-        single shard this degenerates to :meth:`SpreadClient.receive`.
+        Turns rotate over the rings that own a joined group, so a ring
+        this client has no group on never blocks it.  Blocks on the ring
+        whose turn it is; a :class:`GroupMessage` advances the turn to
+        the next ring, a :class:`GroupView` does not (views are not part
+        of the merged total order).  With a single shard this
+        degenerates to :meth:`SpreadClient.receive`.
         """
-        event = await self._clients[self._turn].receive()
+        rings = self.shard_map.rings_for(self._joined)
+        if not rings:
+            raise ConfigurationError("receive before any join: no group to wait on")
+        event = await self._clients[rings[self._turn % len(rings)]].receive()
         if isinstance(event, GroupMessage):
-            self._turn = (self._turn + 1) % len(self._clients)
+            self._turn = (self._turn + 1) % len(rings)
         return event
 
     async def receive_messages(self, count: int) -> List[GroupMessage]:

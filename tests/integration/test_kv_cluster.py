@@ -141,7 +141,7 @@ class TestAcceptance:
 
         victim = kv.replicas[(0, 2)]
         applied_before = victim.store.total_applied()
-        kv.arm_crash_between_append_and_apply(0, 2)
+        kv.ring(0).arm_crash_after_append(2)
         client.put("fatal", b"boom")
         kv.run(0.3)
         assert not victim.alive
@@ -152,12 +152,36 @@ class TestAcceptance:
         recovered, replayed = recover_store(victim.durable)
         assert recovered.total_applied() > applied_before
 
-        kv.restart(0, 2)
+        kv.ring(0).restart(2)
         assert settle(kv)
         assert kv.stores_converged()
         assert kv.check_evs() == {}
         result = kv.check_linearizability()
         assert result.ok and result.decided
+
+
+class TestRingFaultSurface:
+    def test_crash_takes_replica_and_host_and_waives_the_incarnation(self):
+        kv = make_kv()
+        assert settle(kv)
+        ring = kv.ring(0)
+        ring.crash(1)
+        assert not kv.replicas[(0, 1)].alive
+        assert kv.net.ring(0).hosts[1].host.crashed
+        waived = []
+        check_evs = kv.net.check_evs
+
+        def spy(crashed=None):
+            waived.append({index: set(pids) for index, pids in crashed.items()})
+            return check_evs(crashed=crashed)
+
+        kv.net.check_evs = spy
+        kv.run(0.3)
+        assert kv.check_evs() == {}
+        assert waived == [{0: {1}}]
+        ring.restart(1)
+        assert settle(kv)
+        assert kv.stores_converged()
 
 
 class TestScenarioLibrary:
@@ -182,13 +206,13 @@ class TestPartitionSemantics:
     def test_minority_commands_never_applied(self):
         kv = make_kv()
         settle(kv)
-        kv.partition(0, {0, 1, 2}, {3})
+        kv.ring(0).partition({0, 1, 2}, {3})
         kv.run(0.4)
         # A client homed on the minority host submits into the void.
         minority_client = kv.client(3)
         minority_client.put("doomed", b"x")
         kv.run(0.4)
-        kv.heal(0)
+        kv.ring(0).heal()
         assert settle(kv)
         assert kv.stores_converged()
         result = kv.check_linearizability()

@@ -140,8 +140,8 @@ def test_quiesce_is_idempotent_and_free_on_a_healthy_cluster():
 
 def test_multiring_converged_is_every_ring_and_quiesce_restarts_per_ring():
     cluster = multi()
-    cluster.crash(1, 2)
-    cluster.pause(0, 0)
+    cluster.ring(1).crash(2)
+    cluster.ring(0).pause(0)
     # A stalled process still looks operational; the crash does not.
     assert cluster.ring(0).converged() and not cluster.ring(1).converged()
     assert not cluster.converged()
@@ -155,7 +155,7 @@ def test_multiring_converged_is_every_ring_and_quiesce_restarts_per_ring():
 
 def test_kv_quiesce_restarts_and_converged_waits_for_serving_replicas():
     cluster = kv()
-    cluster.crash(0, 1)
+    cluster.ring(0).crash(1)
     cluster.run(0.2)
     cluster.quiesce(restart={0: {1}})
     assert cluster.net.ring(0).live_pids() == [0, 1, 2]
@@ -185,9 +185,9 @@ def test_multiring_submit_drops_what_the_daemon_cannot_accept():
     cluster = multi()
     group = "g0"
     ring, sender = cluster.ring_of(group), cluster.sender_of(group)
-    cluster.pause(ring, sender)
+    cluster.ring(ring).pause(sender)
     cluster.submit(group, b"lost")
-    cluster.resume(ring, sender)
+    cluster.ring(ring).resume(sender)
     cluster.submit(group, b"kept")
     cluster.run(0.1)
     assert [payload for _, payload in cluster.group_stream(ring, sender)] == [b"kept"]

@@ -167,6 +167,13 @@ class TestInjector:
         with pytest.raises(FaultError, match="no membership layer"):
             cluster.run(0.01)
 
+    def test_crash_after_append_needs_a_write_ahead_log(self):
+        cluster = booted(3)
+        plan = PlanBuilder().crash_after_append(1, at=0.001).build()
+        FaultInjector(cluster, plan).arm()
+        with pytest.raises(FaultError, match="no write-ahead log"):
+            cluster.run(0.01)
+
     def test_observer_counts_faults(self):
         observer = MetricsObserver()
         cluster = booted(4, observer=observer)

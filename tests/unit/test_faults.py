@@ -4,6 +4,7 @@ import pytest
 
 from repro.faults import (
     Crash,
+    CrashAfterAppend,
     FaultPlan,
     Heal,
     LossBurst,
@@ -33,6 +34,8 @@ class TestEvents:
             LossBurst(at=0.6, rate=0.2, duration=0.05, pids=None),
             Pause(at=0.7, pid=1),
             Resume(at=0.8, pid=1),
+            CrashAfterAppend(at=0.9, pid=3),
+            CrashAfterAppend(at=0.9, pid=3, only_transactions=True),
         ]
         for event in events:
             assert event_from_dict(event.to_dict()) == event
@@ -81,6 +84,16 @@ class TestPlanValidation:
     def test_double_crash_rejected(self):
         with pytest.raises(FaultError, match="already crashed"):
             FaultPlan([Crash(at=0.1, pid=0), Crash(at=0.2, pid=0)]).validate()
+
+    def test_crash_after_append_is_a_crash(self):
+        plan = FaultPlan(
+            [CrashAfterAppend(at=0.1, pid=2, only_transactions=True), Recover(at=0.3, pid=2)]
+        ).validate()
+        assert plan.crashed_pids() == {2}
+        with pytest.raises(FaultError, match="already crashed"):
+            FaultPlan([CrashAfterAppend(at=0.1, pid=2), Crash(at=0.2, pid=2)]).validate()
+        with pytest.raises(FaultError, match="already crashed"):
+            FaultPlan([Crash(at=0.1, pid=2), CrashAfterAppend(at=0.2, pid=2)]).validate()
 
     def test_crash_recover_crash_allowed(self):
         FaultPlan(
@@ -155,6 +168,18 @@ class TestBuilderAndJson:
         restored = FaultPlan.from_json(plan.to_json())
         assert restored == plan
         assert restored.to_json() == plan.to_json()
+
+    def test_crash_after_append_json_round_trip(self):
+        plan = (
+            PlanBuilder()
+            .crash_after_append(2, at=0.05, only_transactions=True)
+            .recover(2, at=0.45)
+            .build(num_hosts=4)
+        )
+        restored = FaultPlan.from_json(plan.to_json())
+        assert restored == plan
+        assert restored.events[0] == CrashAfterAppend(at=0.05, pid=2, only_transactions=True)
+        assert '"kind": "crash_after_append"' in plan.to_json()
 
     def test_bad_json_rejected(self):
         with pytest.raises(FaultError):

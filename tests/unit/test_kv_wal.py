@@ -37,7 +37,7 @@ class TestFraming:
         wal.append(record(1))
         wal.reset()
         assert wal.records() == []
-        assert wal.size_bytes() == 0
+        assert wal.storage.read() == b""
 
     def test_records_preserve_group_binding(self):
         wal = WriteAheadLog()

@@ -9,7 +9,7 @@ instrument, the differential's spread variant the daemon's layout,
 latency samples one unboxed store, the CLI one package of eight commands,
 each protocol event one observer hook, a datagram fragment one frame,
 the differential oracles one entry point and one report, the
-simulator's timer heap one owner.
+simulator's timer heap one owner, faults one injector.
 
 Scans the package source so that a re-grown effect ladder, a second
 delivery effect or a per-message delivery hook, a second run-grouping
@@ -24,7 +24,7 @@ transmit callback, the spread mirror ordering the reference codec's
 layout, a per-sender latency store kept beside the pooled samples, a parser outside ``repro.cli``, a
 second observer hook for one event, a second differential report or
 entry point, a network model pushing onto the simulator's timer heap,
-or an unused import again fails
+a fault scheduled by hand beside the injector, or an unused import again fails
 tier-1 instead of drifting in unnoticed (the shape of the port and
 unseeded-random tripwires in ``conftest.py``, applied to the source
 tree)."""
@@ -223,7 +223,6 @@ ONE_HOME = {
     r"\.heal\(\)": {
         "sim/membership_driver.py": 2,
         "sim/cluster.py": 1,
-        "multiring/cluster.py": 1,
         "faults/injector.py": 1,
     },
     # differ.health_divergences builds every oracle's evs/converge entries.
@@ -1199,3 +1198,87 @@ def test_only_the_simulator_names_its_timer_heap():
         "    heappush(sim._queue, (sim.now + cost, seq, self._finish, (fn, args)))\n"
     )
     assert _heap_push_targets(old) == ["sim._timers", "sim._queue"]
+
+
+# ----------------------------------------------------------------------
+# One fault path: plans through FaultInjector (faults/injector.py)
+# ----------------------------------------------------------------------
+
+#: The cluster fault methods that only a plan's injector schedules.
+FAULT_METHODS = {"crash", "restart", "partition", "heal", "pause", "resume"}
+#: module → the functions there that may still hand one to the
+#: simulator, with the reason.
+SCHEDULES_A_FAULT = {
+    "apps/kv/cluster.py": {
+        # The crash-after-append hook runs inside the host's own delivery
+        # callback; the host's fail-stop waits for the batch to finish.
+        "KvRing.arm_crash_after_append.action",
+    },
+}
+#: The KV store's own event log, which the injector's ``applied`` replaced.
+KV_EVENT_LOG = re.compile(r"^def _event\(", re.MULTILINE)
+
+
+def _scheduled_faults(source):
+    """Dotted scopes that pass a fault method to ``schedule`` /
+    ``schedule_at``."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr in ("schedule", "schedule_at")
+                and any(
+                    isinstance(part, ast.Attribute) and part.attr in FAULT_METHODS
+                    for arg in child.args
+                    for part in ast.walk(arg)
+                )
+            ):
+                found.append(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_faults_reach_a_cluster_only_through_the_injector():
+    scheduled = {
+        name: set(scopes)
+        for name, text in _sources().items()
+        if not name.startswith("faults/") and (scopes := _scheduled_faults(text))
+    }
+    assert scheduled == SCHEDULES_A_FAULT
+    chaos = _sources()["apps/kv/chaos.py"]
+    assert not KV_EVENT_LOG.search(chaos)
+    assert "schedule_at" not in chaos
+    # ...and the patterns bite on what the plans replaced.
+    old = (
+        "def _crash_mid_txn(kv, base, rng):\n"
+        "    kv.sim.schedule_at(base + 0.45, kv.restart, ring, victim)\n"
+        "def _cascade_replicas(kv, base, rng):\n"
+        "    for kind, at, ring, pid in plan:\n"
+        "        kv.sim.schedule_at(base + at, kv.crash if crash else kv.restart, ring, pid)\n"
+        "class KvCluster:\n"
+        "    def arm_crash_between_append_and_apply(self, ring_index, pid):\n"
+        "        def action():\n"
+        "            self.sim.schedule_at(\n"
+        "                self.sim.now, self.net.crash, ring_index, pid\n"
+        "            )\n"
+        "def stall(cluster):\n"
+        "    cluster.sim.schedule(0.1, cluster.pause, 2)\n"
+    )
+    assert _scheduled_faults(old) == [
+        "_crash_mid_txn",
+        "_cascade_replicas",
+        "KvCluster.arm_crash_between_append_and_apply.action",
+        "stall",
+    ]
+    assert _scheduled_faults("cluster.sim.schedule_at(when, cluster.submit, group)") == []
+    assert KV_EVENT_LOG.search(
+        "def _event(kind: str, at: float, **details: Any) -> Dict[str, Any]:"
+    )

@@ -43,6 +43,9 @@ class StubShardClient:
         self.sent.append((tuple(groups), payload, service))
 
     async def receive(self):
+        if not self.events:
+            # A daemon with nothing to deliver: the read never returns.
+            await asyncio.Event().wait()
         return self.events.pop(0)
 
 
@@ -91,6 +94,8 @@ def test_receive_merges_round_robin_and_views_pass_through():
     )
 
     async def drain():
+        await client.join("a")
+        await client.join("b")
         return [await client.receive() for _ in range(5)]
 
     events = asyncio.run(drain())
@@ -110,8 +115,47 @@ def test_receive_messages_filters_views():
         ],
         assignments={"a": 0, "b": 1},
     )
+    asyncio.run(client.join("a"))
+    asyncio.run(client.join("b"))
     out = asyncio.run(client.receive_messages(2))
     assert [m.payload for m in out] == [b"a0", b"b0"]
+
+
+def test_receive_skips_rings_without_a_joined_group():
+    # Group a is on ring 0; ring 1 has nothing for this client and
+    # never delivers, so waiting on it would stall the merge.
+    client, _ = make_client(
+        [[message("a", b"a0"), message("a", b"a1"), message("a", b"a2")], []],
+        assignments={"a": 0, "b": 1},
+    )
+
+    async def drain():
+        await client.join("a")
+        return await asyncio.wait_for(client.receive_messages(3), timeout=0.5)
+
+    assert [m.payload for m in asyncio.run(drain())] == [b"a0", b"a1", b"a2"]
+
+
+def test_leave_takes_a_ring_out_of_the_rotation():
+    client, _ = make_client(
+        [[message("a", b"a0"), message("a", b"a1")], [message("b", b"b0")]],
+        assignments={"a": 0, "b": 1},
+    )
+
+    async def drain():
+        await client.join("a")
+        await client.join("b")
+        first = await client.receive_messages(2)
+        await client.leave("b")
+        return first + await asyncio.wait_for(client.receive_messages(1), timeout=0.5)
+
+    assert [m.payload for m in asyncio.run(drain())] == [b"a0", b"b0", b"a1"]
+
+
+def test_receive_before_any_join_is_refused():
+    client, _ = make_client([[message("a", b"a0")], []])
+    with pytest.raises(ConfigurationError):
+        asyncio.run(client.receive())
 
 
 def test_connect_and_close_fan_out():
@@ -137,6 +181,7 @@ def test_constructor_validation():
 
 def test_single_shard_degenerates_to_plain_order():
     client, _ = make_client([[message("a", b"0"), message("a", b"1")]])
+    asyncio.run(client.join("a"))
     out = asyncio.run(client.receive_messages(2))
     assert [m.payload for m in out] == [b"0", b"1"]
     assert client.shard_of("anything") == 0

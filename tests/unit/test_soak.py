@@ -12,10 +12,8 @@ import random
 from repro.faults.generator import (
     ACTIONS,
     build_plan,
-    random_plan,
     random_steps,
     steps_from_lists,
-    steps_to_lists,
 )
 from repro.faults.soak import (
     Counterexample,
@@ -40,7 +38,8 @@ def test_random_steps_are_deterministic_per_seed():
 def test_every_random_step_sequence_builds_a_valid_plan():
     rng = random.Random(7)
     for _ in range(200):
-        plan, steps = random_plan(rng, NUM_HOSTS, max_steps=12)
+        steps = random_steps(rng, NUM_HOSTS, max_steps=12)
+        plan = build_plan(steps, NUM_HOSTS)
         # build_plan already validates; re-validate explicitly too.
         plan.validate(num_hosts=NUM_HOSTS)
         assert all(action in ACTIONS for _, action, _ in steps)
@@ -69,7 +68,7 @@ def test_partition_split_is_clamped_to_valid_range():
 
 def test_steps_round_trip_through_json_lists():
     steps = [(10, "crash", 1), (25, "token_drop", 3)]
-    assert steps_from_lists(steps_to_lists(steps)) == steps
+    assert steps_from_lists([list(step) for step in steps]) == steps
 
 
 def test_case_seeds_are_distinct_across_cases_and_soaks():
