@@ -45,6 +45,7 @@ from repro.apps.kv.commands import (
     KvResult,
     Op,
     cas as make_cas,
+    decode_command,
     delete as make_delete,
     encode_command,
     get as make_get,
@@ -59,29 +60,52 @@ from repro.sim.build import ClusterBuilder
 from repro.util.errors import ConfigurationError
 
 
+#: Decoded commands a ring keeps for its replicas that have not yet
+#: delivered them; a ring's replicas deliver a message within about one
+#: token rotation, so a full memo is simply emptied.
+_COMMAND_MEMO = 256
+
+
 class _RingListener:
-    """Bridges one ring's delivery tap to that ring's replicas."""
+    """Bridges one ring's delivery tap to that ring's replicas.
+
+    It also decodes the ring's commands for them (:meth:`decode`): every
+    replica of a ring is handed the same payload, so the command is
+    parsed once and the replicas share the frozen :class:`KvCommand`.
+    """
 
     def __init__(self, cluster: "KvCluster", ring_index: int) -> None:
         self.cluster = cluster
         self.ring_index = ring_index
+        self.replicas: Dict[int, KvReplica] = {}
+        self._commands: Dict[bytes, KvCommand] = {}
+
+    def decode(self, payload: bytes) -> KvCommand:
+        """:func:`decode_command`, once per ordered payload on this ring."""
+        commands = self._commands
+        command = commands.get(payload)
+        if command is None:
+            if len(commands) >= _COMMAND_MEMO:
+                commands.clear()
+            command = commands[payload] = decode_command(payload)
+        return command
 
     def on_deliver(self, pid, group, payload, config_id, origin_ring) -> None:
         if group is None:
             return  # not a group-framed frame; nothing of ours
-        replica = self.cluster.replicas.get((self.ring_index, pid))
+        replica = self.replicas.get(pid)
         if replica is not None:
             replica.on_ordered(group, payload, config_id)
 
     def on_config(self, pid, configuration) -> None:
-        replica = self.cluster.replicas.get((self.ring_index, pid))
+        replica = self.replicas.get(pid)
         if replica is None:
             return
         replica.on_config(configuration, self.cluster.hosts_per_ring)
         self.cluster._maybe_sync(self.ring_index)
 
     def on_restart(self, pid) -> None:
-        replica = self.cluster.replicas.get((self.ring_index, pid))
+        replica = self.replicas.get(pid)
         if replica is not None:
             replica.local_recover()
 
@@ -161,19 +185,19 @@ class KvCluster:
         self._crashed_incarnations: Dict[int, set] = {}
         self._clients: Dict[int, KvClient] = {}
         for ring_index in range(self.net.num_rings):
+            listener = _RingListener(self, ring_index)
             for pid in range(hosts_per_ring):
                 key = (ring_index, pid)
                 durable = (media or {}).get(key)
-                self.replicas[key] = KvReplica(
+                self.replicas[key] = listener.replicas[pid] = KvReplica(
                     ring_index=ring_index,
                     pid=pid,
+                    decode=listener.decode,
                     durable=durable,
                     snapshot_every=snapshot_every,
                     apply_listener=self._on_apply,
                 )
-            self.net.taps[ring_index].add_listener(
-                _RingListener(self, ring_index)
-            )
+            self.net.taps[ring_index].add_listener(listener)
 
     # -- lifecycle -----------------------------------------------------
 
@@ -394,7 +418,8 @@ class KvRing:
     ``crash`` also fail-stops the replica and waives its incarnation in
     :meth:`KvCluster.check_evs`; after ``restart`` the replica replays
     snapshot + WAL, resyncs and serves.  The other fault methods are
-    the ring's own.
+    the ring's own, as is ``observer``, which the injector reports each
+    applied fault to.
     """
 
     def __init__(self, kv: KvCluster, ring_index: int) -> None:
@@ -403,6 +428,7 @@ class KvRing:
         self.net_ring = ring = kv.net.ring(ring_index)
         self.sim = kv.sim
         self.topology = ring.topology
+        self.observer = ring.observer
         self.restart = ring.restart
         self.partition = ring.partition
         self.heal = ring.heal

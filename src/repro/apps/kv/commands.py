@@ -20,12 +20,17 @@ Layout (all integers big-endian)::
     GET/DEL   := klen:u16 key
     PUT       := klen:u16 key vlen:u32 value
     CAS       := klen:u16 key  has_expected:u8 [elen:u32 expected]
-                 vlen:u32 value
+                 vlen:u32 value          (has_expected is 0 or 1)
 
 A command with ``op_count > 1`` is a **transaction**: its ops apply
 atomically, in order, against one partition (all keys must live in the
 same group — the encoder enforces it given a partitioner; cross-shard
 transactions are an explicit non-promise, docs/PROTOCOL.md §13).
+
+The decoder is strict: every byte string it accepts re-encodes to
+itself, ``encode_command(decode_command(b)) == b``.  That is what lets
+a replica log the command bytes exactly as they were ordered
+(:mod:`~repro.apps.kv.wal`) instead of re-encoding what it parsed.
 """
 
 from __future__ import annotations
@@ -218,11 +223,17 @@ def decode_command(data: bytes) -> KvCommand:
         kind = reader.u8()
         if kind not in _KIND_NAMES:
             raise CommandError(f"unknown op kind {kind} on the wire")
-        key = reader.field(wide=False).decode("utf-8")
+        try:
+            key = reader.field(wide=False).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CommandError(f"key is not UTF-8: {exc}") from None
         if kind == PUT:
             ops.append(Op(PUT, key, value=reader.field(wide=True)))
         elif kind == CAS:
-            expected = reader.field(wide=True) if reader.u8() else None
+            present = reader.u8()
+            if present > 1:
+                raise CommandError(f"CAS presence byte {present}, not 0 or 1")
+            expected = reader.field(wide=True) if present else None
             ops.append(Op(CAS, key, value=reader.field(wide=True), expected=expected))
         else:
             ops.append(Op(kind, key))

@@ -3,7 +3,8 @@
 Normal case (the tippers-commit append-before-apply idiom):
 
 1. an ordered message arrives (``on_ordered``);
-2. the decoded command is appended to the WAL — *durable first*;
+2. its command bytes, as ordered, are appended to the WAL — *durable
+   first*;
 3. the command is applied to the in-memory store;
 4. every ``snapshot_every`` appended records, the store is snapshotted
    and the WAL reset (snapshot installation is atomic in both storage
@@ -41,10 +42,10 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Tuple
 
-from repro.apps.kv.commands import KvCommand, KvResult, decode_command
+from repro.apps.kv.commands import KvCommand, KvResult
 from repro.apps.kv.snapshot import decode_snapshot, encode_snapshot
 from repro.apps.kv.store import KvStore
-from repro.apps.kv.wal import MemoryWalStorage, WalRecord, WriteAheadLog
+from repro.apps.kv.wal import MemoryWalStorage, WriteAheadLog
 
 SERVING, BUFFERING, STALLED = "serving", "buffering", "stalled"
 
@@ -99,6 +100,7 @@ class KvReplica:
         self,
         ring_index: int,
         pid: int,
+        decode: Callable[[bytes], KvCommand],
         durable: Optional[DurableMedium] = None,
         snapshot_every: int = 64,
         apply_listener: Optional[
@@ -112,6 +114,9 @@ class KvReplica:
         self.durable = durable if durable is not None else DurableMedium()
         self.snapshot_every = snapshot_every
         self.apply_listener = apply_listener
+        #: Payload -> command, shared by the ring's replicas so that each
+        #: ordered command is parsed once per ring.
+        self.decode = decode
 
         self.store: KvStore = KvStore()
         self.wal = WriteAheadLog(self.durable.wal_storage)
@@ -149,8 +154,8 @@ class KvReplica:
         self._ingest(group, payload)
 
     def _ingest(self, group: str, payload: bytes) -> None:
-        command = decode_command(payload)
-        self.wal.append(WalRecord(group=group, command=command))
+        command = self.decode(payload)
+        self.wal.append_ordered(group, payload)
         self._records_since_snapshot += 1
         if self._crash_when is not None and self._crash_when(command):
             # The armed chaos crash: durable append done, apply never

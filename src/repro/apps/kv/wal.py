@@ -2,15 +2,20 @@
 
 A replica appends a redo record — the ordered command plus its target
 group — *before* mutating in-memory state (:mod:`~repro.apps.kv.
-replica`).  After a crash, replaying the snapshot plus the WAL suffix
-reconstructs exactly the state the replica had durably committed to,
-including commands appended but never applied in memory (the classic
-crash-between-append-and-apply window the chaos suite exercises).
+replica`).  The record body holds the command bytes exactly as they
+were ordered (:meth:`WriteAheadLog.append_ordered`): the strict command
+codec re-encodes every command it accepts to those same bytes, so the
+log equals what :func:`encode_record` would write, without re-encoding
+the command each replica just parsed.  After a crash, replaying the
+snapshot plus the WAL suffix reconstructs exactly the state the
+replica had durably committed to, including commands appended but
+never applied in memory (the classic crash-between-append-and-apply
+window the chaos suite exercises).
 
 Record framing::
 
     record := length:u32  crc32(body):u32  body
-    body   := group_len:u16 group  command_bytes
+    body   := group_len:u16 group  command_bytes   (as ordered)
 
 Recovery tolerates a torn tail: a record whose frame is truncated or
 whose CRC does not match ends replay at the last good record — the
@@ -56,13 +61,18 @@ class WalRecord:
     command: KvCommand
 
 
+def frame_record(group: str, command_bytes: bytes) -> bytes:
+    """Frame one record from its group and encoded command."""
+    gname = group.encode("utf-8")
+    if len(gname) > 0xFFFF:
+        raise ConfigurationError(f"group name too long: {group!r}")
+    body = _U16.pack(len(gname)) + gname + command_bytes
+    return _FRAME.pack(len(body), zlib.crc32(body)) + body
+
+
 def encode_record(record: WalRecord) -> bytes:
     """Frame one record; byte-stable (pinned by the property tests)."""
-    gname = record.group.encode("utf-8")
-    if len(gname) > 0xFFFF:
-        raise ConfigurationError(f"group name too long: {record.group!r}")
-    body = _U16.pack(len(gname)) + gname + encode_command(record.command)
-    return _FRAME.pack(len(body), zlib.crc32(body)) + body
+    return frame_record(record.group, encode_command(record.command))
 
 
 def decode_body(body: bytes) -> WalRecord:
@@ -124,9 +134,6 @@ class MemoryWalStorage:
     def replace(self, data: bytes) -> None:
         self._buffer = bytearray(data)
 
-    def size(self) -> int:
-        return len(self._buffer)
-
 
 class FileWalStorage:
     """Real files for the CLI's durable runs and recover-replay."""
@@ -150,12 +157,6 @@ class FileWalStorage:
         tmp.write_bytes(data)
         tmp.replace(self.path)
 
-    def size(self) -> int:
-        try:
-            return self.path.stat().st_size
-        except FileNotFoundError:
-            return 0
-
 
 class WriteAheadLog:
     """Append-only redo log over either storage backend."""
@@ -165,7 +166,11 @@ class WriteAheadLog:
         self.records_appended = 0
 
     def append(self, record: WalRecord) -> None:
-        self.storage.append(encode_record(record))
+        self.append_ordered(record.group, encode_command(record.command))
+
+    def append_ordered(self, group: str, command_bytes: bytes) -> None:
+        """Log one command as ordered: its bytes, framed with ``group``."""
+        self.storage.append(frame_record(group, command_bytes))
         self.records_appended += 1
 
     def records(self) -> List[WalRecord]:

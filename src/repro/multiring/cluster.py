@@ -57,21 +57,26 @@ def encode_group_payload(group: str, payload: bytes) -> bytes:
 
 
 def decode_group_payload(data: bytes) -> Tuple[Optional[str], bytes]:
-    """Inverse of :func:`encode_group_payload`.
+    """Inverse of :func:`encode_group_payload` (``data`` is ``bytes``).
 
     Returns ``(None, data)`` for frames that were not group-framed, so
     taps stay safe against raw submissions.
     """
     if len(data) < 2:
-        return None, bytes(data)
+        return None, data
     (length,) = struct.unpack_from("!H", data)
     if len(data) < 2 + length:
-        return None, bytes(data)
+        return None, data
     try:
         group = data[2 : 2 + length].decode("utf-8")
     except UnicodeDecodeError:
-        return None, bytes(data)
-    return group, bytes(data[2 + length :])
+        return None, data
+    return group, data[2 + length :]
+
+
+#: Decoded group framings a tap keeps for the pids that have not yet
+#: delivered them; a full memo is simply emptied.
+_FRAMING_MEMO = 256
 
 
 class GroupStreamTap:
@@ -93,6 +98,9 @@ class GroupStreamTap:
         #: is a post-hoc read, listeners see the stream *during* the
         #: run, so they can interact with fault timing.
         self.listeners: List[object] = []
+        #: Delivered bytes -> ``(group, payload)``: every pid of the ring
+        #: delivers the same message, whose framing is decoded once.
+        self._framings: Dict[bytes, Tuple[Optional[str], bytes]] = {}
 
     def add_listener(self, listener: object) -> None:
         """Subscribe ``listener`` to live delivery/config/restart events."""
@@ -104,8 +112,15 @@ class GroupStreamTap:
     def on_deliver_batch(self, pid, messages, config_id, origin_ring) -> None:
         stream_append = self._stream(pid).append
         listeners = self.listeners
+        framings = self._framings
         for message in messages:
-            group, payload = decode_group_payload(bytes(message.payload))
+            data = bytes(message.payload)
+            framing = framings.get(data)
+            if framing is None:
+                if len(framings) >= _FRAMING_MEMO:
+                    framings.clear()
+                framing = framings[data] = decode_group_payload(data)
+            group, payload = framing
             stream_append((MSG, group, payload))
             for listener in listeners:
                 listener.on_deliver(pid, group, payload, config_id, origin_ring)

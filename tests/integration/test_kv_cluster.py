@@ -12,7 +12,11 @@ from repro.apps.kv.chaos import SCENARIOS, run_kv_scenario
 from repro.apps.kv.cluster import KvCluster
 from repro.apps.kv.commands import CommandError, decode_command
 from repro.apps.kv.store import KvStore
+from repro.apps.kv.wal import frame_record
 from repro.faults.drive import wait_converged
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import PlanBuilder
+from repro.obs.observer import MetricsObserver
 from repro.workloads.generators import BurstWorkload, FixedRateWorkload
 from tests.integration.test_scenario_digests import assert_digest, kv_key
 
@@ -182,6 +186,52 @@ class TestRingFaultSurface:
         ring.restart(1)
         assert settle(kv)
         assert kv.stores_converged()
+
+
+    def test_injected_faults_reach_the_clusters_observer(self):
+        observer = MetricsObserver()
+        kv = make_kv(rings=2, hosts_per_ring=3, partitions=4, observer=observer)
+        assert settle(kv)
+        base = kv.sim.now
+        plan = PlanBuilder().crash(1, at=base + 0.01).recover(1, at=base + 0.1).build()
+        injector = FaultInjector(kv.ring(0), plan).arm()
+        kv.run(0.3)
+        assert [entry["kind"] for entry in injector.applied] == ["crash", "recover"]
+        counters = observer.snapshot()["counters"]
+        assert counters["fault.crashes"] == 1
+        assert counters["fault.recoveries"] == 1
+
+
+class TestOrderedCommandPath:
+    def test_each_command_is_decoded_once_per_ring(self, monkeypatch):
+        """Every replica of a ring is handed the same ordered bytes; the
+        ring parses them once and its replicas apply the one command."""
+        applied = []
+        apply = KvStore.apply
+
+        def spy(store, group, command):
+            applied.append(command)
+            return apply(store, group, command)
+
+        monkeypatch.setattr(KvStore, "apply", spy)
+        kv = make_kv(snapshot_every=1000)
+        assert settle(kv)
+        for client_id in range(4):
+            client = kv.client(client_id)
+            for index in range(10):
+                client.put(f"c{client_id}k{index}", b"v%d" % index)
+            client.get(f"c{client_id}k0")
+        kv.run(0.5)
+        assert kv.history.completed == len(kv.history) == 44
+        assert len(applied) == 44 * kv.hosts_per_ring
+        assert len({id(command) for command in applied}) == 44
+        for (ring, pid), replica in kv.replicas.items():
+            # Each replica logged the bytes it was handed, as ordered.
+            delivered = kv.net.taps[ring].labels(pid)
+            assert len(delivered) == replica.applies > 0
+            assert replica.wal.storage.read() == b"".join(
+                frame_record(group, payload) for group, payload in delivered
+            )
 
 
 class TestScenarioLibrary:

@@ -13,6 +13,8 @@ Three laws carry the recovery story, so they get generative coverage:
   torn WAL tails included.
 """
 
+import struct
+
 from hypothesis import given, settings, strategies as st
 
 from repro.apps.kv.commands import (
@@ -20,6 +22,7 @@ from repro.apps.kv.commands import (
     DELETE,
     GET,
     PUT,
+    CommandError,
     KvCommand,
     Op,
     decode_command,
@@ -32,6 +35,7 @@ from repro.apps.kv.wal import (
     WalRecord,
     WriteAheadLog,
     encode_record,
+    frame_record,
     iter_records,
 )
 
@@ -66,6 +70,45 @@ commands = st.builds(
 records = st.builds(WalRecord, group=groups, command=commands)
 
 
+def _field(data, wide=False):
+    return struct.pack("!I" if wide else "!H", len(data)) + data
+
+
+#: Command-shaped bytes with any key bytes and any CAS presence byte:
+#: what a decoder sees, valid or not.
+wire_keys = st.one_of(keys.map(lambda key: key.encode("utf-8")), st.binary(max_size=8))
+wire_ops = st.one_of(
+    st.builds(
+        lambda kind, key: bytes([kind]) + _field(key),
+        st.sampled_from([GET, DELETE]),
+        wire_keys,
+    ),
+    st.builds(
+        lambda key, value: bytes([PUT]) + _field(key) + _field(value, wide=True),
+        wire_keys,
+        values,
+    ),
+    st.builds(
+        lambda key, present, expected, value: bytes([CAS])
+        + _field(key)
+        + bytes([present])
+        + (_field(expected, wide=True) if present else b"")
+        + _field(value, wide=True),
+        wire_keys,
+        st.integers(min_value=0, max_value=255),
+        values,
+        values,
+    ),
+)
+wire_commands = st.builds(
+    lambda client_id, request_id, ops: struct.pack("!IQH", client_id, request_id, len(ops))
+    + b"".join(ops),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.lists(wire_ops, min_size=1, max_size=4),
+)
+
+
 class TestCommandCodec:
     @given(command=commands)
     def test_round_trip(self, command):
@@ -74,6 +117,17 @@ class TestCommandCodec:
     @given(command=commands)
     def test_encoding_is_deterministic(self, command):
         assert encode_command(command) == encode_command(command)
+
+    @given(data=st.one_of(wire_commands, st.binary(max_size=64)))
+    def test_every_accepted_encoding_is_canonical(self, data):
+        """The decoder accepts no two encodings of one command, so a
+        replica may log the bytes it was handed as the command's
+        encoding."""
+        try:
+            decoded = decode_command(data)
+        except CommandError:
+            return
+        assert encode_command(decoded) == data
 
     def test_golden_bytes(self):
         """Pinned encodings: these bytes live in durable files.
@@ -123,6 +177,15 @@ class TestCommandCodec:
 
 
 class TestWalRecordCodec:
+    @given(record=records)
+    def test_framing_the_ordered_bytes_is_the_record_encoding(self, record):
+        ordered = encode_command(record.command)
+        assert frame_record(record.group, ordered) == encode_record(record)
+        wal = WriteAheadLog()
+        wal.append_ordered(record.group, ordered)
+        assert wal.storage.read() == encode_record(record)
+        assert wal.records() == [record]
+
     @given(record_list=st.lists(records, max_size=8))
     def test_concatenated_records_round_trip(self, record_list):
         blob = b"".join(encode_record(record) for record in record_list)

@@ -194,6 +194,21 @@ class TestCommandValidation:
         with pytest.raises(CommandError):
             decode_command(data)
 
+    @pytest.mark.parametrize("present", [2, 0x80, 0xFF])
+    def test_cas_presence_byte_other_than_0_or_1_rejected(self, present):
+        data = bytearray(encode_command(cmd(0, 1, cas("k", b"e", b"v"))))
+        flag_at = 14 + 1 + 2 + 1  # header, kind, key length, key
+        assert data[flag_at] == 1
+        data[flag_at] = present
+        with pytest.raises(CommandError, match="presence byte"):
+            decode_command(bytes(data))
+
+    def test_key_that_is_not_utf8_rejected(self):
+        data = bytearray(encode_command(cmd(0, 1, get("k"))))
+        data[-1] = 0xFF
+        with pytest.raises(CommandError, match="UTF-8"):
+            decode_command(bytes(data))
+
     def test_is_transaction(self):
         assert not cmd(0, 1, get("k")).is_transaction
         assert cmd(0, 1, get("k"), get("j")).is_transaction

@@ -93,7 +93,6 @@ class TestFileStorage:
     def test_missing_file_reads_empty(self, tmp_path):
         storage = FileWalStorage(tmp_path / "absent.bin")
         assert storage.read() == b""
-        assert storage.size() == 0
 
 
 class TestSnapshotCodec:
